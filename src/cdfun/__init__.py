@@ -16,8 +16,6 @@ from .algebra import (
     as_level,
     basis_element,
     basis_table,
-    cd_from_list,
-    cd_to_list,
     conj,
     conj_via_generators,
     embed,
@@ -75,10 +73,8 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .expressions import (
-    DirectionalDerivative,
     Phrase,
     derivative_apply,
-    directional_derivative,
     evaluate,
     evaluate_two_slot,
     format_phrase,

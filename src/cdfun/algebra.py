@@ -457,14 +457,6 @@ def find_zero_divisor(level, search_budget: int = 200_000):
 # serialization + reference implementation
 # ---------------------------------------------------------------------------
 
-def cd_to_list(z: CDNumber) -> list[float]:
-    return [float(v) for v in z.coeffs]
-
-
-def cd_from_list(level, values) -> CDNumber:
-    return CDNumber(as_level(level), values)
-
-
 def _mul_by_doubling(x, y) -> np.ndarray:
     """Textbook doubling recursion on raw vectors; slow reference for tests."""
     x = np.asarray(x, dtype=np.float64)

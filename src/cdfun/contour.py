@@ -21,8 +21,8 @@ step (4*S(rho/2) - S(rho))/3 removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,23 +37,16 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .expressions import (
-    Add,
     Const,
-    LogLeaf,
-    Mul,
-    Neg,
     Node,
     Phrase,
-    PowNode,
-    Sub,
-    VarPow,
+    _children,
+    _nodes,
     derivative_apply,
     eval_node_arrays,
-    evaluate,
 )
 from .integrate import (
     MAX_KNOTS,
-    Partition,
     Path,
     QuadratureResult,
     _extrapolated,
@@ -115,7 +108,6 @@ class ContourReport:
     diff: float
     est_error: float
     mode: str = "value"
-    paths_used: tuple = ()
 
     def to_json(self):
         return {
@@ -366,23 +358,7 @@ def cauchy_derivative(f: Phrase, z: CDNumber, k: int, psi: Path, tol: float = 1e
 
 def is_central(f: Phrase) -> bool:
     """True when every constant in the phrase is real (commutes with all planes)."""
-
-    def walk(node: Node) -> bool:
-        if isinstance(node, Const):
-            return not np.any(node.value[1:])
-        if isinstance(node, VarPow):
-            return True
-        if isinstance(node, (Add, Sub, Mul)):
-            return walk(node.left) and walk(node.right)
-        if isinstance(node, Neg):
-            return walk(node.child)
-        if isinstance(node, PowNode):
-            return walk(node.base)
-        if isinstance(node, LogLeaf):
-            return True
-        return False
-
-    return walk(f.root)
+    return all(not np.any(n.value[1:]) for n in _nodes(f.root) if isinstance(n, Const))
 
 
 def coefficient_mode(f: Phrase) -> str:
@@ -529,14 +505,12 @@ def residue_theorem_check(
         gaps = [dist] + [(p - q).norm() for j, q in enumerate(poles) if j != i]
         rho = 0.5 * min(g for g in gaps if g > 0.0)
         rhs = rhs + residue(f, p, m, rho, tol) * (TWO_PI * n)
-    meta = (psi.to_json(),) if psi.kind != "parametric" else ({"kind": "parametric"},)
     return ContourReport(
         lhs=lhs.value,
         rhs=rhs,
         diff=(lhs.value - rhs).norm(),
         est_error=lhs.est_error,
         mode="value",
-        paths_used=meta,
     )
 
 
@@ -603,14 +577,12 @@ def argument_principle(
         if a.level.r != r:
             raise LevelMismatchError("zero level does not match the phrase")
         rhs = rhs + ar_index(a, gamma, tol) * float(int(order))
-    meta = (gamma.to_json(),) if gamma.kind != "parametric" else ({"kind": "parametric"},)
     return ContourReport(
         lhs=lhs,
         rhs=rhs,
         diff=(lhs - rhs).norm(),
         est_error=0.0,
         mode="value",
-        paths_used=meta,
     )
 
 
@@ -624,13 +596,8 @@ _RESTARTS = 16
 def _coefficient_mass(node: Node) -> float:
     if isinstance(node, Const):
         return float(np.sqrt(np.dot(node.value, node.value)))
-    if isinstance(node, (Add, Sub, Mul)):
-        return _coefficient_mass(node.left) + _coefficient_mass(node.right)
-    if isinstance(node, Neg):
-        return _coefficient_mass(node.child)
-    if isinstance(node, PowNode):
-        return _coefficient_mass(node.base)
-    return 0.0
+    # summed per subtree, not in preorder, to keep the tree's rounding
+    return sum((_coefficient_mass(c) for c in _children(node)), 0.0)
 
 
 def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8) -> CDNumber:

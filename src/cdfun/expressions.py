@@ -16,9 +16,9 @@ powers of the inverse.
 The superdifferential of a term follows the product rule with (Dz).h = h and
 (D zc).h = conj(h); for a power the increment is summed over insertion slots
 with the left-to-right bracket, e.g. D(z^3).h = (h*z)*z + (z*h)*z + (z*z)*h.
-Negative powers use the inverse rule D(g^-1).h = -g^-1((Dg.h)g^-1) through
-level 3; from level 4 (no alternativity) the affected leaf is differenced
-centrally with step 1e-6*(1+|z|).
+A negative power g^-n is the power string of the inverse g^-1 = conj(g)/|g|^2,
+whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
+<.,.> the Euclidean inner product of coefficients) holds at every level.
 
 primitive() integrates words of sandwich shape a*(z-c)^n*b term by term;
 n = -1 produces logarithm terms a*Ln(z-c)*b whose hat-increments come from
@@ -38,8 +38,8 @@ from .algebra import (
     CDNumber,
     as_level,
     conj_arrays,
+    inverse_arrays,
     mul_arrays,
-    norm_arrays,
     pow_arrays,
 )
 from .errors import (
@@ -146,18 +146,26 @@ class Word:
     node: Node
 
 
-@dataclass(frozen=True)
-class DirectionalDerivative:
-    """Record of a superdifferential evaluation Df(z).h."""
-
-    point: CDNumber
-    direction: CDNumber
-    wrt: str
-    value: CDNumber
-
-
 def phrase_words(f: Phrase) -> list[Word]:
     return [Word(sign, node) for sign, node in _signed_terms(f.root)]
+
+
+def _children(node: Node) -> tuple:
+    """Direct subtrees of a node, left to right."""
+    if isinstance(node, (Mul, Add, Sub)):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.child,)
+    if isinstance(node, PowNode):
+        return (node.base,)
+    return ()  # Const, VarPow, LogLeaf
+
+
+def _nodes(node: Node):
+    """Preorder walk: the node, then each subtree left to right."""
+    yield node
+    for child in _children(node):
+        yield from _nodes(child)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +499,6 @@ def _one_like(Z):
 
 
 def _pow_value(base, n, r):
-    if n >= 0:
-        return pow_arrays(base, n, r)
     try:
         return pow_arrays(base, n, r)
     except SingularElementError:
@@ -557,29 +563,21 @@ def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
     return total
 
 
-def _fd_step(Z):
-    return (1e-6 * (1.0 + norm_arrays(Z)))[..., None]
-
-
-def _power_derivative(bv, bd, n: int, r, fd_value=None, Z=None, H=None):
+def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
     """Derivative of base**n given (base value, base derivative).
 
-    Negative n: inverse rule through r = 3; otherwise central differences of
-    ``fd_value`` (a function of the shifted variable) in the direction H.
+    A negative n differentiates the inverse in closed form (see the module
+    docstring) and takes its power string.  The caller has already
+    evaluated base**n, so the base is nonsingular here.
     """
     if n == 0:
         return np.zeros_like(bv)
-    if n > 0:
-        return _left_power_string(bv, bd, n, r)
-    if r <= 3:
-        try:
-            u = pow_arrays(bv, -1, r)
-        except SingularElementError:
-            raise PoleError("negative power of a vanishing base") from None
-        du = -mul_arrays(u, mul_arrays(bd, u, r), r)
-        return _left_power_string(u, du, -n, r)
-    eps = _fd_step(Z)
-    return (fd_value(Z + eps * H) - fd_value(Z - eps * H)) / (2.0 * eps)
+    if n < 0:
+        u = inverse_arrays(bv, r)
+        inner = np.sum(bv * bd, axis=-1, keepdims=True)
+        bd = (conj_arrays(bd) - 2.0 * inner * u) / np.sum(np.square(bv), axis=-1, keepdims=True)
+        bv, n = u, -n
+    return _left_power_string(bv, bd, n, r)
 
 
 def _diff(node: Node, Z, H, wrt: str, r):
@@ -590,37 +588,16 @@ def _diff(node: Node, Z, H, wrt: str, r):
     if isinstance(node, VarPow):
         base = conj_arrays(Z) if node.conjugated else Z
         value = _pow_value(base, node.power, r)
-        active = node.conjugated == (wrt == "zc")
-        if not active or node.power == 0:
+        if node.conjugated != (wrt == "zc"):
             return value, np.zeros_like(Z)
         inc = conj_arrays(H) if node.conjugated else H
-
-        def shifted(W):
-            b = conj_arrays(W) if node.conjugated else W
-            return _pow_value(b, node.power, r)
-
-        # the FD fallback shifts only the active slot, so pass the bare
-        # variable and direction (shifted() re-applies conjugation)
-        der = _power_derivative(base, inc, node.power, r, fd_value=shifted, Z=Z, H=H)
-        return value, der
+        return value, _power_derivative(base, inc, node.power, r)
     if isinstance(node, PowNode):
         bv, bd = _diff(node.base, Z, H, wrt, r)
         value = _pow_value(bv, node.power, r)
         if not np.any(bd):
             return value, np.zeros_like(Z)
-
-        def shifted(W):
-            if wrt == "zc":
-                # shift the conjugated slot only: W is the varied zc-value
-                return _pow_value(_eval_slots(node.base, Z, W, r), node.power, r)
-            return _pow_value(_eval_slots(node.base, W, conj_arrays(Z), r), node.power, r)
-
-        if wrt == "zc":
-            Zslot, Hslot = conj_arrays(Z), conj_arrays(H)
-        else:
-            Zslot, Hslot = Z, H
-        der = _power_derivative(bv, bd, node.power, r, fd_value=shifted, Z=Zslot, H=Hslot)
-        return value, der
+        return value, _power_derivative(bv, bd, node.power, r)
     if isinstance(node, Mul):
         lv, ld = _diff(node.left, Z, H, wrt, r)
         rv, rd = _diff(node.right, Z, H, wrt, r)
@@ -651,24 +628,12 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
     return CDNumber(f.level, der) if wrap else der
 
 
-def directional_derivative(f: Phrase, z: CDNumber, h: CDNumber, wrt: str = "z") -> DirectionalDerivative:
-    return DirectionalDerivative(point=z, direction=h, wrt=wrt, value=derivative_apply(f, z, h, wrt))
-
-
 # ---------------------------------------------------------------------------
 # primitives and hat-application
 # ---------------------------------------------------------------------------
 
 def _contains_var(node: Node) -> bool:
-    if isinstance(node, VarPow):
-        return node.power != 0
-    if isinstance(node, PowNode):
-        return _contains_var(node.base)
-    if isinstance(node, (Mul, Add, Sub)):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Neg):
-        return _contains_var(node.child)
-    return False  # Const, LogLeaf
+    return any(isinstance(n, VarPow) and n.power != 0 for n in _nodes(node))
 
 
 def _signed_terms(node: Node, sign: int = 1):
@@ -699,19 +664,20 @@ def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
             return [(1, node)]
         if node.power == 0:
             return [(1, VarPow(False, 0))]
-        if node.power > 0:
-            base_terms = _expand(node.base, d)
-            terms = base_terms
-            for _ in range(node.power - 1):
-                terms = _cross(terms, base_terms)
-            return terms
-        lin = _as_linear(node.base, d)
-        if lin is None:
+        # power 1 stays expanded: a (z - c) leaf is a sum, which primitive
+        # cannot place as one variable factor
+        lin = _as_linear(node.base, d) if node.power != 1 else None
+        if lin is not None:
+            center, s = lin
+            sign = s if node.power % 2 else 1
+            return [(sign, _linear_power_leaf(center, node.power))]
+        if node.power < 0:
             return [(1, node)]  # primitive will reject; evaluation is fine
-        center, s = lin
-        leaf = _linear_power_leaf(center, node.power)
-        sign = s if node.power % 2 else 1
-        return [(sign, leaf)]
+        base_terms = _expand(node.base, d)
+        terms = base_terms
+        for _ in range(node.power - 1):
+            terms = _cross(terms, base_terms)
+        return terms
     return [(1, node)]
 
 
@@ -822,27 +788,11 @@ def _extract_triple(tree: Node):
 
 
 def _has_log(node: Node) -> bool:
-    if isinstance(node, LogLeaf):
-        return True
-    if isinstance(node, (Mul, Add, Sub)):
-        return _has_log(node.left) or _has_log(node.right)
-    if isinstance(node, Neg):
-        return _has_log(node.child)
-    if isinstance(node, PowNode):
-        return _has_log(node.base)
-    return False
+    return any(isinstance(n, LogLeaf) for n in _nodes(node))
 
 
 def _const_width(node: Node):
-    if isinstance(node, Const):
-        return node.value.shape[0]
-    if isinstance(node, (Mul, Add, Sub)):
-        return _const_width(node.left) or _const_width(node.right)
-    if isinstance(node, Neg):
-        return _const_width(node.child)
-    if isinstance(node, PowNode):
-        return _const_width(node.base)
-    return None
+    return next((n.value.shape[0] for n in _nodes(node) if isinstance(n, Const)), None)
 
 
 def _width_level(width: int) -> int:

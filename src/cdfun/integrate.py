@@ -516,9 +516,11 @@ def _continue_argument(arg_prev: np.ndarray, w: np.ndarray) -> tuple:
     """Best continuation of the argument vector at the next sample.
 
     Returns (argument, gap).  Among the representations (theta + 2*pi*j)*mu
-    of the polar angle of w the one nearest arg_prev is chosen; when w is
-    numerically real its polar direction is inherited from arg_prev (the
-    angles 0 and pi carry no direction of their own).
+    of the polar angle of w the one nearest arg_prev is chosen: that is the
+    lattice point nearest the projection <arg_prev, mu>, so no winding count
+    is out of reach.  When w is numerically real its polar direction is
+    inherited from arg_prev (the angles 0 and pi carry no direction of their
+    own).
     """
     _, rho, theta, mu = _ln_with_parts(w)
     y = float(norm_arrays(w[1:]))
@@ -527,14 +529,9 @@ def _continue_argument(arg_prev: np.ndarray, w: np.ndarray) -> tuple:
         if nprev > 1e-12:
             mu = arg_prev / nprev
         # else: keep the first-imaginary-direction convention from mu
-    best = None
-    best_gap = math.inf
-    for j in range(-3, 4):
-        cand = (float(theta) + 2.0 * math.pi * j) * mu
-        gap = float(norm_arrays(cand - arg_prev))
-        if gap < best_gap:
-            best, best_gap = cand, gap
-    return best, best_gap
+    j = round((float(np.dot(arg_prev, mu)) - float(theta)) / (2.0 * math.pi))
+    arg = (float(theta) + 2.0 * math.pi * j) * mu
+    return arg, float(norm_arrays(arg - arg_prev))
 
 
 def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDNumber:

@@ -25,11 +25,9 @@ import numpy as np
 from .algebra import (
     EPS_ZERO,
     CDNumber,
-    as_level,
     from_real,
     mul,
     norm_arrays,
-    pow_int,
 )
 from .errors import CutStraddleError, DomainError, SingularElementError
 
@@ -41,18 +39,6 @@ class PolarForm:
     rho: float
     direction: CDNumber
     theta: float
-
-
-@dataclass
-class BranchState:
-    """Continuation state for argument tracking along a path.
-
-    ``argument`` is the accumulated (theta * direction) vector, stored as a
-    plain imaginary coefficient array; ``ln_rho`` the current log-modulus.
-    """
-
-    argument: np.ndarray
-    ln_rho: float
 
 
 # ---------------------------------------------------------------------------

@@ -484,14 +484,18 @@ def test_sum_residues_quadratic_decay_no_finite_residue():
     assert total <= 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_argument_principle_powers(n):
+@pytest.mark.parametrize(
+    "n,turns",
+    # single-turn cases keep the plain id of the exponent
+    [pytest.param(n, t, id=str(n) if t == 1 else f"{n}-turns{t}") for t in (1, 2, 3) for n in (1, 2, 3)],
+)
+def test_argument_principle_powers(n, turns):
     rng = np.random.default_rng(40 + n)
     m = random_unit_imaginary(3, rng)
-    g = Path.circle(zero(3), 1.0, m, 1.0)
+    g = Path.circle(zero(3), 1.0, m, float(turns))
     rep = argument_principle(parse(f"z^{n}", 3), g, [(zero(3), n)], 1e-7)
     assert rep.diff <= 1e-6
-    assert (rep.lhs - m * float(n)).norm() <= 1e-6
+    assert (rep.lhs - m * float(n * turns)).norm() <= 1e-6
 
 
 def test_argument_principle_two_simple_zeros():

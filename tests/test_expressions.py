@@ -289,6 +289,22 @@ def test_sedenion_negative_power_fd_agrees_with_embedded_quaternion_rule():
     assert (approx - embed(exact, 4)).norm() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "text,wrt",
+    [("z^-1", "z"), ("e1*z^-2*e5", "z"), ("(z-e3)^-3*e2", "z"), ("zc^-2", "zc")],
+)
+def test_negative_power_derivative_exact_on_embedded_octonions(text, wrt):
+    # The octonions sit inside every higher level, so the closed-form
+    # inverse differential must reproduce the level-3 value there.
+    rng = _rng(18)
+    z = random_element(3, rng) + from_real(3, 3.0)
+    h = random_element(3, rng)
+    want = derivative_apply(parse(text, 3), z, h, wrt=wrt)
+    for r in range(4, 9):
+        got = derivative_apply(parse(text, r), embed(z, r), embed(h, r), wrt=wrt)
+        assert (got - embed(want, r)).norm() <= 1e-13 * want.norm()
+
+
 # ---------------------------------------------------------------------------
 # primitives / hat
 # ---------------------------------------------------------------------------
@@ -322,7 +338,16 @@ def test_primitive_polynomial_part_scales():
 
 @pytest.mark.parametrize(
     "text",
-    ["z^2", "e1*z^-1*e2", "(z-1)^-2", "e2*(z-1)^-3*e5 + 4", "(z-e1)^-1", "3*z^4-e3"],
+    [
+        "z^2",
+        "e1*z^-1*e2",
+        "(z-1)^-2",
+        "e2*(z-1)^-3*e5 + 4",
+        "(z-e1)^-1",
+        "3*z^4-e3",
+        "(z-e1)^2",
+        "e2*(0.5-z)^3*e5",
+    ],
 )
 def test_hat_with_unit_increment_recovers_f(text):
     rng = _rng(17)
