@@ -14,6 +14,7 @@ randomized (root-search restarts, the selftest) draws from --seed, default 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,7 +24,6 @@ import numpy as np
 
 from .algebra import (
     CDNumber,
-    as_level,
     basis_table,
     find_zero_divisor,
     random_element,
@@ -366,6 +366,7 @@ def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="cdfun", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command")

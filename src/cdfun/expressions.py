@@ -492,23 +492,25 @@ def _as_batch(level: AlgebraLevel, z):
     return arr, False
 
 
-def _one_like(Z):
-    out = np.zeros_like(Z)
-    out[..., 0] = 1.0
-    return out
-
-
-def _pow_value(base, n, r):
+def _inverse(base, r):
     try:
-        return pow_arrays(base, n, r)
+        return inverse_arrays(base, r)
     except SingularElementError:
         raise PoleError("negative power of a vanishing base") from None
 
 
+def _pow_value(base, n, r):
+    return pow_arrays(_inverse(base, r), -n, r) if n < 0 else pow_arrays(base, n, r)
+
+
 def _eval_slots(node: Node, Z1, Z2, r) -> np.ndarray:
-    """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2."""
+    """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2.
+
+    A subtree free of the variables stays a single (d,) element; the callers
+    that promise a batch spread it with _over_batch.
+    """
     if isinstance(node, Const):
-        return np.broadcast_to(node.value, Z1.shape)
+        return node.value
     if isinstance(node, VarPow):
         return _pow_value(Z2 if node.conjugated else Z1, node.power, r)
     if isinstance(node, PowNode):
@@ -526,8 +528,12 @@ def _eval_slots(node: Node, Z1, Z2, r) -> np.ndarray:
     raise DomainError(f"cannot evaluate node {type(node).__name__}")
 
 
+def _over_batch(out, Z) -> np.ndarray:
+    return out if out.shape == Z.shape else np.broadcast_to(out, Z.shape).copy()
+
+
 def eval_node_arrays(node: Node, Z, r) -> np.ndarray:
-    return _eval_slots(node, Z, conj_arrays(Z), r)
+    return _over_batch(_eval_slots(node, Z, conj_arrays(Z), r), Z)
 
 
 def evaluate(f: Phrase, z):
@@ -541,7 +547,7 @@ def evaluate_two_slot(f: Phrase, z1, z2):
     Z1, wrap = _as_batch(f.level, z1)
     Z2, _ = _as_batch(f.level, z2)
     Z1b, Z2b = np.broadcast_arrays(Z1, Z2)
-    out = _eval_slots(f.root, Z1b, Z2b, f.level.r)
+    out = _over_batch(_eval_slots(f.root, Z1b, Z2b, f.level.r), Z1b)
     return CDNumber(f.level, out) if wrap else out
 
 
@@ -550,72 +556,102 @@ def evaluate_two_slot(f: Phrase, z1, z2):
 # ---------------------------------------------------------------------------
 
 def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
-    """sum_k (b^k * inc) * b * ... * b  (n-1-k single right factors), n >= 1."""
-    total = np.zeros_like(inc)
-    powk = _one_like(bv)
-    for k in range(n):
-        term = mul_arrays(powk, inc, r) if k else np.array(inc, copy=True)
-        for _ in range(n - 1 - k):
-            term = mul_arrays(term, bv, r)
-        total = total + term
-        if k < n - 1:
-            powk = mul_arrays(powk, bv, r)
+    """sum_k (b^k * inc) * b * ... * b  (n-1-k single right factors), n >= 1.
+
+    Right multiplication by b is linear, so the partial strings obey
+    T_1 = inc, T_{j+1} = T_j * b + b^j * inc, and T_n is the whole sum with
+    every term bracketed from the left: 3n - 4 products instead of
+    n(n-1)/2 + 2(n-1).
+    """
+    total = np.array(inc, copy=True)
+    powj = bv
+    for j in range(1, n):
+        total = mul_arrays(total, bv, r) + mul_arrays(powj, inc, r)
+        if j < n - 1:
+            powj = mul_arrays(powj, bv, r)
     return total
 
 
 def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
-    """Derivative of base**n given (base value, base derivative).
+    """Derivative of base**n, n != 0, given (base value, base derivative).
 
     A negative n differentiates the inverse in closed form (see the module
-    docstring) and takes its power string.  The caller has already
-    evaluated base**n, so the base is nonsingular here.
+    docstring) and takes its power string.
     """
-    if n == 0:
-        return np.zeros_like(bv)
     if n < 0:
-        u = inverse_arrays(bv, r)
+        u = _inverse(bv, r)
         inner = np.sum(bv * bd, axis=-1, keepdims=True)
         bd = (conj_arrays(bd) - 2.0 * inner * u) / np.sum(np.square(bv), axis=-1, keepdims=True)
         bv, n = u, -n
     return _left_power_string(bv, bd, n, r)
 
 
-def _diff(node: Node, Z, H, wrt: str, r):
-    """Return (value, derivative) arrays for the superdifferential wrt z or zc."""
-    if isinstance(node, Const):
-        v = np.broadcast_to(node.value, Z.shape)
-        return v, np.zeros_like(Z)
+def _varies(node: Node, conj: bool) -> bool:
+    """Whether the derivative wrt z (conj False) or zc is not structurally 0."""
     if isinstance(node, VarPow):
-        base = conj_arrays(Z) if node.conjugated else Z
-        value = _pow_value(base, node.power, r)
-        if node.conjugated != (wrt == "zc"):
-            return value, np.zeros_like(Z)
-        inc = conj_arrays(H) if node.conjugated else H
+        return node.conjugated == conj and node.power != 0
+    if isinstance(node, PowNode) and node.power == 0:
+        return False
+    return any(_varies(child, conj) for child in _children(node))
+
+
+def _has_negative_power(node: Node) -> bool:
+    return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
+
+
+def _minus(a):
+    return None if a is None else -a
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
+    """(value, derivative) of the superdifferential wrt z or zc along H.
+
+    The derivative is None where the node does not vary, and the value is
+    None unless `want` asks for it: a Mul needs a factor's value only when the
+    other factor varies.  A skipped subtree with a negative power is still
+    evaluated, so a vanishing base raises PoleError whatever its derivative.
+    """
+    if not _varies(node, conj):
+        if want or _has_negative_power(node):
+            value = _eval_slots(node, Z, Zc, r)
+            return (value if want else None), None
+        return None, None
+    if isinstance(node, VarPow):
+        base, inc = (Zc, conj_arrays(H)) if conj else (Z, H)
+        value = _pow_value(base, node.power, r) if want else None
         return value, _power_derivative(base, inc, node.power, r)
     if isinstance(node, PowNode):
-        bv, bd = _diff(node.base, Z, H, wrt, r)
-        value = _pow_value(bv, node.power, r)
-        if not np.any(bd):
-            return value, np.zeros_like(Z)
+        bv, bd = _diff(node.base, Z, Zc, H, conj, r, True)
+        value = _pow_value(bv, node.power, r) if want else None
         return value, _power_derivative(bv, bd, node.power, r)
     if isinstance(node, Mul):
-        lv, ld = _diff(node.left, Z, H, wrt, r)
-        rv, rd = _diff(node.right, Z, H, wrt, r)
-        value = mul_arrays(lv, rv, r)
-        der = mul_arrays(ld, rv, r) + mul_arrays(lv, rd, r)
-        return value, der
-    if isinstance(node, Add):
-        lv, ld = _diff(node.left, Z, H, wrt, r)
-        rv, rd = _diff(node.right, Z, H, wrt, r)
-        return lv + rv, ld + rd
-    if isinstance(node, Sub):
-        lv, ld = _diff(node.left, Z, H, wrt, r)
-        rv, rd = _diff(node.right, Z, H, wrt, r)
-        return lv - rv, ld - rd
+        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj))
+        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None)
+        value = mul_arrays(lv, rv, r) if want else None
+        left_term = None if ld is None else mul_arrays(ld, rv, r)
+        right_term = None if rd is None else mul_arrays(lv, rd, r)
+        return value, _plus(left_term, right_term)
+    if isinstance(node, (Add, Sub)):
+        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want)
+        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want)
+        if isinstance(node, Sub):
+            rv, rd = _minus(rv), _minus(rd)
+        return (lv + rv if want else None), _plus(ld, rd)
     if isinstance(node, Neg):
-        v, d = _diff(node.child, Z, H, wrt, r)
-        return -v, -d
+        v, d = _diff(node.child, Z, Zc, H, conj, r, want)
+        return _minus(v), _minus(d)
     raise DomainError(f"cannot differentiate node {type(node).__name__}")
+
+
+def _derivative(node: Node, Z, H, conj: bool, r) -> np.ndarray:
+    _, der = _diff(node, Z, conj_arrays(Z), H, conj, r, False)
+    return np.zeros(Z.shape) if der is None else der
 
 
 def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
@@ -624,7 +660,7 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
     Z, wrap = _as_batch(f.level, z)
     Harr, _ = _as_batch(f.level, h)
     Z, Harr = np.broadcast_arrays(Z, Harr)
-    _, der = _diff(f.root, Z, Harr, wrt, f.level.r)
+    der = _derivative(f.root, Z, Harr, wrt == "zc", f.level.r)
     return CDNumber(f.level, der) if wrap else der
 
 
@@ -666,11 +702,11 @@ def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
             return [(1, VarPow(False, 0))]
         # power 1 stays expanded: a (z - c) leaf is a sum, which primitive
         # cannot place as one variable factor
-        lin = _as_linear(node.base, d) if node.power != 1 else None
-        if lin is not None:
-            center, s = lin
+        match = _as_linear_power(node.base, d) if node.power != 1 else None
+        if match is not None and match[2] * node.power != 1:
+            center, s, m = match
             sign = s if node.power % 2 else 1
-            return [(sign, _linear_power_leaf(center, node.power))]
+            return [(sign, _linear_power_leaf(center, m * node.power))]
         if node.power < 0:
             return [(1, node)]  # primitive will reject; evaluation is fine
         base_terms = _expand(node.base, d)
@@ -701,6 +737,23 @@ def _as_linear(node: Node, d: int):
     if var_sign is None:
         return None
     return -var_sign * const_acc, var_sign
+
+
+def _as_linear_power(node: Node, d: int):
+    """Match +-(z - c)^m: returns (center, sign, m) or None.
+
+    Powers of one element associate, so (z - c)^m raised to n is (z - c)^(mn).
+    """
+    terms = _expand(node, d)
+    if len(terms) == 1:
+        sign, term = terms[0]
+        if isinstance(term, VarPow) and not term.conjugated:
+            return np.zeros(d), sign, term.power
+        if isinstance(term, PowNode) and (lin := _as_linear(term.base, d)) is not None:
+            center, s = lin
+            return center, sign * (s if term.power % 2 else 1), term.power
+    lin = _as_linear(node, d)
+    return None if lin is None else (*lin, 1)
 
 
 def _linear_power_leaf(center: np.ndarray, power: int) -> Node:
@@ -807,6 +860,10 @@ def primitive(f: Phrase) -> PrimitiveResult:
     yields a LogTerm; other n go to the polynomial phrase with factor
     (z-c)^(n+1)/(n+1).  Conjugated-variable words are rejected.
     """
+    if _varies(f.root, conj=True):
+        raise UnsupportedShapeError(
+            f"no primitive for words in the conjugated variable: {format_phrase(f)}"
+        )
     r = f.level.r
     d = f.level.basis_dim
     poly_terms: list[tuple[int, Node]] = []
@@ -818,10 +875,6 @@ def primitive(f: Phrase) -> PrimitiveResult:
             continue
         rebuild, leaf = _locate_var_factor(term, word_text)
         if isinstance(leaf, VarPow):
-            if leaf.conjugated:
-                raise UnsupportedShapeError(
-                    f"no primitive for words in the conjugated variable: {word_text}"
-                )
             center = np.zeros(d)
             n = leaf.power
             extra = 1
@@ -895,7 +948,7 @@ def hat_from_primitive(prim: PrimitiveResult, z, h):
     H, _ = _as_batch(level, h)
     Z, H = np.broadcast_arrays(Z, H)
     r = level.r
-    _, out = _diff(prim.poly.root, Z, H, "z", r)
+    out = _derivative(prim.poly.root, Z, H, False, r)
     for lt in prim.log_terms:
         dl = dln_arrays(Z - lt.center, H)
         out = out + lt.scale * _eval_with_log(lt.tree, Z, r, dl)

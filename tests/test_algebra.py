@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     CDNumber,
     EPS_ZERO,
+    _GATHER_LIMIT,
     basis_element,
     basis_table,
     conj_via_generators,
@@ -279,14 +280,54 @@ def test_batched_multiplication_matches_scalar_loop(r, seed):
     d = 1 << r
     X = rng.standard_normal((5, d))
     Y = rng.standard_normal((5, d))
+    c = rng.standard_normal(d)
     batch = mul_arrays(X, Y, r)
+    left_const = mul_arrays(c, Y, r)
+    right_const = mul_arrays(X, c, r)
     for i in range(5):
         assert np.allclose(batch[i], mul_arrays(X[i], Y[i], r), atol=1e-12)
+        assert np.allclose(left_const[i], mul_arrays(c, Y[i], r), atol=1e-12)
+        assert np.allclose(right_const[i], mul_arrays(X[i], c, r), atol=1e-12)
 
 
 def test_large_dimension_row_loop_path():
-    # r = 8 exercises the O(d) row loop instead of the einsum gather
-    rng = _rng(11)
-    x = rng.standard_normal(256)
-    y = rng.standard_normal(256)
-    assert np.allclose(mul_arrays(x, y, 8), _mul_by_doubling(x, y), atol=1e-10)
+    # every operand-shape pairing against the doubling reference, with batch
+    # sizes on both sides of the gather/row-loop switch
+    for r in range(1, 9):
+        d = 1 << r
+        n_gather = _GATHER_LIMIT // (d * d)
+        rng = _rng(11 + r)
+        x = rng.standard_normal(d)
+        X = rng.standard_normal((n_gather + 1, d))
+        Y = rng.standard_normal((n_gather + 1, d))
+        assert np.allclose(mul_arrays(x, x, r), _mul_by_doubling(x, x), atol=1e-10)
+        rows = (0, n_gather - 1)
+        left_const, right_const = mul_arrays(x, Y, r), mul_arrays(X, x, r)
+        for i in rows:
+            assert np.allclose(left_const[i], _mul_by_doubling(x, Y[i]), atol=1e-10)
+            assert np.allclose(right_const[i], _mul_by_doubling(X[i], x), atol=1e-10)
+        gathered = mul_arrays(X[:n_gather], Y[:n_gather], r)
+        looped = mul_arrays(X, Y, r)
+        for i in rows:
+            want = _mul_by_doubling(X[i], Y[i])
+            assert np.allclose(gathered[i], want, atol=1e-10)
+            assert np.allclose(looped[i], want, atol=1e-10)
+        assert np.allclose(looped[n_gather], _mul_by_doubling(X[n_gather], Y[n_gather]), atol=1e-10)
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_sign_table_reaches_constant_operand_products(r):
+    rng = _rng(12)
+    d = 1 << r
+    c = rng.standard_normal(d)
+    Y = rng.standard_normal((3, d))
+    table = basis_table(r)
+    clean = (mul_arrays(c, Y, r), mul_arrays(Y, c, r))
+    saved = table.sign_ac.copy()
+    table.sign_ac[1, 2] = -table.sign_ac[1, 2]
+    try:
+        flipped = (mul_arrays(c, Y, r), mul_arrays(Y, c, r))
+    finally:
+        table.sign_ac[...] = saved
+    for before, after in zip(clean, flipped):
+        assert not np.allclose(before, after)

@@ -93,6 +93,19 @@ def test_missing_level_is_usage_error():
     assert rep["error"]["kind"] == "usage"
 
 
+def test_shared_parser_keeps_no_state_between_calls():
+    # the parser is built once per process; a flag given to one call must not
+    # leak into the next
+    missing_level = ["eval", "--expr", "z", "--point", "[1, 0, 0, 0]"]
+    cli._build_parser.cache_clear()
+    code, first = invoke_json(missing_level)
+    assert code == 1
+    assert invoke_json(["eval", "--level", "2"] + missing_level[1:])[0] == 0
+    code, again = invoke_json(missing_level)
+    assert code == 1
+    assert again == first == {"error": {"kind": "usage", "detail": "--level is required"}}
+
+
 def test_expression_syntax_error_exits_1():
     code, rep = invoke_json(["eval", "--level", "2", "--expr", "z +* 2"])
     assert code == 1

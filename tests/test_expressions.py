@@ -11,6 +11,7 @@ from cdfun.algebra import (
     embed,
     from_real,
     mul,
+    mul_arrays,
     one,
     random_element,
     zero,
@@ -36,6 +37,7 @@ from cdfun.expressions import (
     phrase_words,
     primitive,
     structural_equal,
+    _left_power_string,
 )
 
 
@@ -305,6 +307,44 @@ def test_negative_power_derivative_exact_on_embedded_octonions(text, wrt):
         assert (got - embed(want, r)).norm() <= 1e-13 * want.norm()
 
 
+def _power_string_by_terms(bv, inc, n, r):
+    """sum_k (b^k * inc) * b * ... * b, one left-bracketed term at a time."""
+    total = np.zeros_like(inc)
+    powk = np.zeros_like(bv)
+    powk[..., 0] = 1.0
+    for k in range(n):
+        term = mul_arrays(powk, inc, r) if k else np.array(inc, copy=True)
+        for _ in range(n - 1 - k):
+            term = mul_arrays(term, bv, r)
+        total = total + term
+        if k < n - 1:
+            powk = mul_arrays(powk, bv, r)
+    return total
+
+
+@pytest.mark.parametrize("r", [3, 5, 8])
+def test_power_string_recurrence_matches_term_by_term_sum(r):
+    rng = _rng(19)
+    d = 1 << r
+    for n in range(1, 9):
+        b, h = rng.standard_normal((2, d))
+        want = _power_string_by_terms(b, h, n, r)
+        got = _left_power_string(b, h, n, r)
+        tol = 1e-12 * (1 + np.linalg.norm(b)) ** n * np.linalg.norm(h)
+        assert np.linalg.norm(got - want) <= tol
+
+
+@pytest.mark.parametrize(
+    "text,wrt",
+    [("zc^-1", "z"), ("z^-1", "zc"), ("z*(zc^-2+1)", "z"), ("(e1-e1)^-1*z", "z"), ("z^-3", "z")],
+)
+def test_derivative_at_vanishing_negative_power_base_is_pole(text, wrt):
+    # the pole is reported even where the derivative of the singular factor
+    # is structurally zero
+    with pytest.raises(PoleError):
+        derivative_apply(parse(text, 3), zero(3), one(3), wrt=wrt)
+
+
 # ---------------------------------------------------------------------------
 # primitives / hat
 # ---------------------------------------------------------------------------
@@ -347,6 +387,7 @@ def test_primitive_polynomial_part_scales():
         "3*z^4-e3",
         "(z-e1)^2",
         "e2*(0.5-z)^3*e5",
+        "((z-e1)^2)^2",
     ],
 )
 def test_hat_with_unit_increment_recovers_f(text):
@@ -363,6 +404,7 @@ def test_hat_with_unit_increment_recovers_f(text):
     [
         ("z*e1*z", "more than one variable factor"),
         ("zc^-1", "conjugated variable"),
+        ("(zc-e1)^2", "no primitive for words in the conjugated variable"),
         ("(z^2+1)^-1", "not a power of (z - c)"),
     ],
 )
