@@ -167,22 +167,27 @@ def pow_arrays(x, n: int, r: int) -> np.ndarray:
 
     All intermediate products live in the subalgebra generated by the single
     element x, which is associative (power-associativity), so the bracket
-    order is immaterial here.
+    order is immaterial here.  The result starts as the base power of the
+    lowest set bit of n, so no product with the unit is ever formed.
     """
     x = np.asarray(x, dtype=np.float64)
     n = int(n)
-    if n < 0:
-        x = inverse_arrays(x, r)
-        n = -n
-    out = np.zeros_like(x)
-    out[..., 0] = 1.0
-    base = x
+    base = inverse_arrays(x, r) if n < 0 else x
+    n = abs(n)
+    if n == 0:
+        out = np.zeros_like(x)
+        out[..., 0] = 1.0
+        return out
+    while not n & 1:
+        base = mul_arrays(base, base, r)
+        n >>= 1
+    out = base.copy() if base is x else base
+    n >>= 1
     while n:
+        base = mul_arrays(base, base, r)
         if n & 1:
             out = mul_arrays(out, base, r)
         n >>= 1
-        if n:
-            base = mul_arrays(base, base, r)
     return out
 
 

@@ -127,21 +127,22 @@ _WINDING_START = 1024
 _WINDING_CAP = 1 << 18
 
 
-def _segment_distance(x: np.ndarray, y: np.ndarray) -> float:
+def _segment_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Distance from the origin to the polyline through the points (x, y).
 
     Measured against the segments, not just the vertices: a projected
     curve that crosses the origin between two samples must still count
-    as passing through it.
+    as passing through it.  Rows are samples; each column of the broadcast
+    of x and y is one polyline, with one distance returned per column.
     """
-    x0, dx = x[:-1], np.diff(x)
-    y0, dy = y[:-1], np.diff(y)
+    x0, dx = x[:-1], np.diff(x, axis=0)
+    y0, dy = y[:-1], np.diff(y, axis=0)
     dd = dx * dx + dy * dy
     t = np.where(dd > 0.0, -(x0 * dx + y0 * dy) / np.where(dd > 0.0, dd, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
     dist2 = (x0 + t * dx) ** 2 + (y0 + t * dy) ** 2
     end = x[-1] ** 2 + y[-1] ** 2
-    return math.sqrt(float(min(dist2.min(initial=math.inf), end)))
+    return np.sqrt(np.minimum(dist2.min(axis=0, initial=math.inf), end))
 
 
 def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
@@ -150,7 +151,8 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     Plane s sees the projection (re, coeff_s) of curve and point; its entry
     is the accumulated angle of the projected curve about the projected
     point, divided by 2*pi.  Projections passing within 1e-9 (relative) of
-    the point are flagged undefined rather than counted.
+    the point are flagged undefined rather than counted.  All planes are
+    unwrapped at once, as the columns of one (knots, d - 1) angle array.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
@@ -160,21 +162,16 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
         knots = _quadrature_knots(gamma, n)
         Z = gamma.sample(knots)
         scale = 1.0 + float(a.norm()) + float(norm_arrays(Z).max(initial=0.0))
-        per_plane: Dict[int, int] = {}
-        undefined = set()
-        widest = 0.0
-        for s in range(1, d):
-            x = Z[:, 0] - a.coeffs[0]
-            y = Z[:, s] - a.coeffs[s]
-            if _segment_distance(x, y) <= 1e-9 * scale:
-                undefined.add(s)
-                continue
-            ang = np.unwrap(np.arctan2(y, x))
-            if len(ang) > 1:
-                widest = max(widest, float(np.abs(np.diff(ang)).max()))
-            per_plane[s] = int(round((ang[-1] - ang[0]) / TWO_PI))
+        x = Z[:, :1] - a.coeffs[0]
+        Y = Z[:, 1:] - a.coeffs[1:]
+        defined = _segment_distance(x, Y) > 1e-9 * scale
+        ang = np.unwrap(np.arctan2(Y, x), axis=0)
+        widest = float(np.abs(np.diff(ang, axis=0))[:, defined].max(initial=0.0))
         if widest < math.pi / 2:
-            return IndexVector(per_plane, frozenset(undefined))
+            turns = np.round((ang[-1] - ang[0]) / TWO_PI)
+            per_plane = {s: int(turns[s - 1]) for s in range(1, d) if defined[s - 1]}
+            undefined = frozenset(s for s in range(1, d) if not defined[s - 1])
+            return IndexVector(per_plane, undefined)
         n *= 2
         if n > _WINDING_CAP:
             raise StepControlError("projected curve winds faster than the sampling cap resolves")

@@ -707,13 +707,12 @@ def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
             center, s, m = match
             sign = s if node.power % 2 else 1
             return [(sign, _linear_power_leaf(center, m * node.power))]
-        if node.power < 0:
-            return [(1, node)]  # primitive will reject; evaluation is fine
-        base_terms = _expand(node.base, d)
-        terms = base_terms
-        for _ in range(node.power - 1):
-            terms = _cross(terms, base_terms)
-        return terms
+        if node.power != 1:
+            # a negative power does not expand, and an expanded power n >= 2
+            # always has a word with n variable factors, which primitive
+            # rejects: keep the power whole so primitive names it
+            return [(1, node)]
+        return _expand(node.base, d)
     return [(1, node)]
 
 

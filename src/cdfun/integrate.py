@@ -505,45 +505,43 @@ def stieltjes_integral(
 # ---------------------------------------------------------------------------
 
 _MAX_BISECT = 48
+_MAX_GAP2 = (math.pi / 2) ** 2
+_TWO_PI = 2.0 * math.pi
 
 
-def _polar_argument(w: np.ndarray):
-    _, rho, theta, mu = _ln_with_parts(w)
-    return float(theta) * mu, float(np.log(rho))
+def _branch_step(phi_prev: float, c: float, theta: float) -> tuple:
+    """One step of the argument recurrence on plain floats.
 
-
-def _continue_argument(arg_prev: np.ndarray, w: np.ndarray) -> tuple:
-    """Best continuation of the argument vector at the next sample.
-
-    Returns (argument, gap).  Among the representations (theta + 2*pi*j)*mu
-    of the polar angle of w the one nearest arg_prev is chosen: that is the
-    lattice point nearest the projection <arg_prev, mu>, so no winding count
-    is out of reach.  When w is numerically real its polar direction is
-    inherited from arg_prev (the angles 0 and pi carry no direction of their
-    own).
+    The argument at the previous sample is phi_prev * mu_prev, the next
+    sample has polar angle theta in direction mu, and c = <mu_prev, mu>.
+    Among the representations (theta + 2*pi*j) * mu the one nearest the
+    previous argument has j = round((phi_prev * c - theta) / 2*pi), the
+    lattice point nearest the projection, so no winding count is out of
+    reach.  Returns (phi, gap^2) with gap = |phi * mu - phi_prev * mu_prev|.
     """
-    _, rho, theta, mu = _ln_with_parts(w)
-    y = float(norm_arrays(w[1:]))
-    if y <= 1e-12 * float(rho):
-        nprev = float(norm_arrays(arg_prev))
-        if nprev > 1e-12:
-            mu = arg_prev / nprev
-        # else: keep the first-imaginary-direction convention from mu
-    j = round((float(np.dot(arg_prev, mu)) - float(theta)) / (2.0 * math.pi))
-    arg = (float(theta) + 2.0 * math.pi * j) * mu
-    return arg, float(norm_arrays(arg - arg_prev))
+    phi = theta + _TWO_PI * round((phi_prev * c - theta) / _TWO_PI)
+    return phi, phi * phi + phi_prev * phi_prev - 2.0 * phi * phi_prev * c
 
 
 def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDNumber:
     """The integral of the logarithmic differential d(Ln(z - center)) along gamma.
 
     Branch-tracked telescoping: the value is Ln at the endpoint minus Ln at
-    the start, with the argument continued along the path (per-step angle
-    changes are kept below pi/2, bisecting adaptively).  For a closed
+    the start, with the argument continued along the path.  For a closed
     circle of ``turns`` n and direction M about the center this is exactly
     2*pi*n*M; for a loop that does not enclose the center it is 0.  The
     result is exact up to rounding once continuation succeeds; ``tol`` is
     accepted for interface symmetry with the other integrators.
+
+    One polar split of the whole knot batch gives rho, theta and the unit
+    imaginary direction mu of every knot.  A numerically real knot has theta
+    in {0, pi}, whose representations (theta + 2*pi*j) * mu are the same set
+    for mu and -mu, so it takes the direction of the last non-real knot
+    before it (one forward fill); real knots ahead of the first non-real one
+    borrow its direction.  The argument at knot k is then phi_k * mu_k with
+    phi_k a plain float, continued by ``_branch_step`` from the cosines
+    <mu_(k-1), mu_k>, all computed in one pass.  A step whose argument moves
+    by pi/2 or more is bisected along the path with the same step rule.
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")
@@ -556,39 +554,39 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     if float(rho.min(initial=math.inf)) <= 1e-13 * scale:
         raise PoleError("path passes through the logarithm center")
 
-    def point(t: float) -> np.ndarray:
-        return gamma.sample([t])[0] - c
-
-    def advance(arg_prev, w, t0, t1, depth):
+    def polar(w: np.ndarray, mu_prev: np.ndarray) -> tuple:
         try:
-            arg, gap = _continue_argument(arg_prev, w)
+            _, rho_w, theta_w, mu_w = _ln_with_parts(w)
         except SingularElementError as e:
             raise PoleError("path passes through the logarithm center") from e
-        if gap < math.pi / 2:
-            return arg
+        real = float(norm_arrays(w[1:])) <= 1e-12 * float(rho_w)
+        return float(theta_w), mu_prev if real else mu_w
+
+    def advance(phi_prev, mu_prev, theta, mu, t0, t1, depth):
+        phi, gap2 = _branch_step(phi_prev, float(np.dot(mu_prev, mu)), theta)
+        if gap2 < _MAX_GAP2:
+            return phi
         if depth >= _MAX_BISECT:
             raise StepControlError(
                 "argument continuation failed: path wraps the center faster than refinement can resolve"
             )
         tm = (t0 + t1) / 2.0
-        mid = advance(arg_prev, point(tm), t0, tm, depth + 1)
-        return advance(mid, w, tm, t1, depth + 1)
+        theta_m, mu_m = polar(gamma.sample([tm])[0] - c, mu_prev)
+        mid = advance(phi_prev, mu_prev, theta_m, mu_m, t0, tm, depth + 1)
+        return advance(mid, mu_m, theta, mu, tm, t1, depth + 1)
 
-    arg0, ln_rho0 = _polar_argument(Z[0])
-    if float(norm_arrays(Z[0][1:])) <= 1e-12 * float(rho[0]):
-        # the start point is numerically real, so its polar direction is a
-        # convention; borrow it from the first sample with an imaginary
-        # part, or continuation stalls when the path leaves the real axis
-        # in a different plane
-        y_all = norm_arrays(Z[:, 1:])
-        live = np.nonzero(y_all > 1e-12 * rho)[0]
-        if live.size:
-            mu = np.zeros_like(Z[0])
-            mu[1:] = Z[live[0]][1:] / y_all[live[0]]
-            arg0 = float(norm_arrays(arg0)) * mu
-    arg = arg0
-    for k in range(1, len(knots)):
-        arg = advance(arg, Z[k], float(knots[k - 1]), float(knots[k]), 0)
-    out = arg - arg0
-    out[0] = float(np.log(rho[-1])) - ln_rho0
+    _, _, theta, mu = _ln_with_parts(Z)  # rho > 1e-13 here, so never singular
+    live = norm_arrays(Z[:, 1:]) > 1e-12 * rho
+    first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
+    mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(Z)), first))]
+    cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:]).tolist()
+    thetas = theta.tolist()
+    phi = thetas[0]
+    for k in range(1, len(thetas)):
+        nxt, gap2 = _branch_step(phi, cosines[k - 1], thetas[k])
+        if gap2 >= _MAX_GAP2:
+            nxt = advance(phi, mu[k - 1], thetas[k], mu[k], float(knots[k - 1]), float(knots[k]), 0)
+        phi = nxt
+    out = phi * mu[-1] - thetas[0] * mu[0]
+    out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
     return CDNumber(gamma.level, out)

@@ -186,6 +186,42 @@ def test_power_associativity(r, seed, m, n):
     assert lhs.allclose(rhs, 1e-9 * (1 + abs(scale)))
 
 
+@pytest.mark.parametrize("r", [1, 3, 6])
+def test_power_skips_the_unit_factor(r, monkeypatch):
+    from cdfun import algebra
+
+    rng = _rng(40 + r)
+    batch = rng.normal(size=(5, 1 << r))
+    real_mul = algebra.mul_arrays
+    calls = []
+
+    def counting(x, y, lev):
+        calls.append(lev)
+        return real_mul(x, y, lev)
+
+    for n in range(-5, 13):
+        # reference: binary exponentiation started from the unit
+        x = algebra.inverse_arrays(batch, r) if n < 0 else batch
+        want = np.zeros_like(batch)
+        want[:, 0] = 1.0
+        k, base = abs(n), x
+        while k:
+            if k & 1:
+                want = real_mul(want, base, r)
+            k >>= 1
+            if k:
+                base = real_mul(base, base, r)
+        calls.clear()
+        monkeypatch.setattr(algebra, "mul_arrays", counting)
+        got = algebra.pow_arrays(batch, n, r)
+        monkeypatch.setattr(algebra, "mul_arrays", real_mul)
+        assert np.array_equal(got, want), n
+        k = abs(n)
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), n
+    once = algebra.pow_arrays(batch, 1, r)
+    assert np.array_equal(once, batch) and not np.shares_memory(once, batch)
+
+
 @given(st.integers(min_value=2, max_value=6), seeds)
 @settings(max_examples=40, deadline=None)
 def test_conj_via_generators_matches_conj(r, seed):

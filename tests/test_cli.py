@@ -7,6 +7,7 @@ are observable directly.
 import io
 import json
 import math
+import time
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -117,6 +118,17 @@ def test_pole_hit_exits_2():
                              "--point", "[0, 0, 0, 0]"])
     assert code == 2
     assert rep["error"]["kind"] == "pole"
+
+
+def test_power_of_non_linear_base_is_rejected_without_expansion(circle3):
+    # (z*e1+e2)^60 would expand to 2^60 words; it must be refused as a whole
+    start = time.perf_counter()
+    code, rep = invoke_json(["integrate", "--level", "3", "--expr", "(z*e1+e2)^60",
+                             "--path-file", circle3])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep["error"]["kind"] == "unsupported"
+    assert "(z*e1+e2)^60" in rep["error"]["detail"]
 
 
 def test_nonconvergence_exits_2():

@@ -107,6 +107,50 @@ def test_winding_json_shape():
     assert js["e1"] == 1 and set(js["undefined"]) == {"e2", "e3"}
 
 
+def _winding_per_plane(a, gamma, n):
+    """Reference: one projected plane at a time, at a fixed knot count."""
+    from cdfun.contour import _segment_distance
+    from cdfun.integrate import _quadrature_knots
+
+    Z = gamma.sample(_quadrature_knots(gamma, n))
+    scale = 1.0 + a.norm() + float(np.max(np.linalg.norm(Z, axis=1)))
+    per_plane, undefined, widest = {}, set(), 0.0
+    for s in range(1, a.level.basis_dim):
+        x = Z[:, 0] - a.coeffs[0]
+        y = Z[:, s] - a.coeffs[s]
+        if float(_segment_distance(x, y)) <= 1e-9 * scale:
+            undefined.add(s)
+            continue
+        ang = np.unwrap(np.arctan2(y, x))
+        widest = max(widest, float(np.abs(np.diff(ang)).max()))
+        per_plane[s] = int(round((ang[-1] - ang[0]) / (2 * math.pi)))
+    return per_plane, frozenset(undefined), widest
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_winding_all_planes_at_once_matches_per_plane_loop(r):
+    rng = np.random.default_rng(60 + r)
+    m = random_unit_imaginary(r, rng)
+    e1 = basis_element(r, 1)
+    square = Path.polyline([_vec(r, e0=s, e1=t) for s, t in [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]])
+    cases = [
+        (zero(r), Path.circle(zero(r), 1.0, m, 3.0)),
+        (_vec(r, e0=0.2, e1=0.3), Path.circle(zero(r), 1.0, e1, -2.0)),
+        (from_real(r, 0.5) + m * 0.1, Path.circle(from_real(r, 0.4), 1.0, m, 1.0)),
+        (zero(r), square),
+        (from_real(r, 4.0), square),
+    ]
+    for a, gamma in cases:
+        got = winding_index(a, gamma)
+        n = 1024
+        while True:
+            per_plane, undefined, widest = _winding_per_plane(a, gamma, n)
+            if widest < math.pi / 2:
+                break
+            n *= 2
+        assert got.per_plane == per_plane and got.undefined == undefined
+
+
 def test_winding_level_mismatch():
     with pytest.raises(LevelMismatchError):
         winding_index(zero(2), Path.circle(zero(3), 1.0, E1, 1.0))

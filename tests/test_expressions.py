@@ -406,6 +406,8 @@ def test_hat_with_unit_increment_recovers_f(text):
         ("zc^-1", "conjugated variable"),
         ("(zc-e1)^2", "no primitive for words in the conjugated variable"),
         ("(z^2+1)^-1", "not a power of (z - c)"),
+        ("(z*e1+e2)^60", "not a power of (z - c): (z*e1+e2)^60"),
+        ("(2*z)^40", "not a power of (z - c): (2.0*z)^40"),
     ],
 )
 def test_primitive_unsupported_shapes_name_the_word(text, fragment):

@@ -17,6 +17,7 @@ from cdfun.algebra import (
     basis_element,
     from_real,
     mul,
+    norm_arrays,
     random_element,
     random_unit_imaginary,
     zero,
@@ -24,6 +25,7 @@ from cdfun.algebra import (
 from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
 from cdfun.expressions import parse
 from cdfun.integrate import (
+    START_KNOTS,
     Partition,
     Path,
     integral_sum,
@@ -31,9 +33,11 @@ from cdfun.integrate import (
     log_integral,
     path_from_json,
     quadrature_from_json,
+    _quadrature_knots,
     stieltjes_integral,
     total_variation,
 )
+from cdfun.transcendental import _ln_with_parts
 
 
 def _square(r, half=1.0):
@@ -349,6 +353,153 @@ def test_log_integral_through_center_fails():
     crossing = Path.polyline([from_real(2, 1.0), from_real(2, -1.0)])
     with pytest.raises((PoleError, StepControlError)):
         log_integral(zero(2), crossing)
+
+
+def _log_integral_per_knot(center, gamma):
+    """Reference: the argument continued knot by knot on full vectors.
+
+    Each knot gets its own polar split; a numerically real knot inherits
+    the direction of the previous argument vector, and the continuation
+    picks the representation (theta + 2*pi*j)*mu nearest that vector,
+    bisecting steps that move it by pi/2 or more.
+    """
+    knots = _quadrature_knots(gamma, 256 if gamma.kind != "polyline" else 4 * START_KNOTS)
+    c = center.coeffs
+    Z = gamma.sample(knots) - c[None, :]
+    rho = norm_arrays(Z)
+
+    def cont(arg_prev, w):
+        _, rho_w, theta, mu = _ln_with_parts(w)
+        if float(norm_arrays(w[1:])) <= 1e-12 * float(rho_w):
+            nprev = float(norm_arrays(arg_prev))
+            if nprev > 1e-12:
+                mu = arg_prev / nprev
+        j = round((float(np.dot(arg_prev, mu)) - float(theta)) / (2.0 * math.pi))
+        arg = (float(theta) + 2.0 * math.pi * j) * mu
+        return arg, float(norm_arrays(arg - arg_prev))
+
+    def advance(arg_prev, w, t0, t1, depth):
+        arg, gap = cont(arg_prev, w)
+        if gap < math.pi / 2:
+            return arg
+        if depth >= 48:
+            raise StepControlError("reference continuation failed")
+        tm = (t0 + t1) / 2.0
+        mid = advance(arg_prev, gamma.sample([tm])[0] - c, t0, tm, depth + 1)
+        return advance(mid, w, tm, t1, depth + 1)
+
+    _, _, theta0, mu0 = _ln_with_parts(Z[0])
+    arg0 = float(theta0) * mu0
+    y_all = norm_arrays(Z[:, 1:])
+    live = np.nonzero(y_all > 1e-12 * rho)[0]
+    if y_all[0] <= 1e-12 * rho[0] and live.size:
+        mu = np.zeros_like(Z[0])
+        mu[1:] = Z[live[0]][1:] / y_all[live[0]]
+        arg0 = float(norm_arrays(arg0)) * mu
+    arg = arg0
+    for k in range(1, len(knots)):
+        arg = advance(arg, Z[k], float(knots[k - 1]), float(knots[k]), 0)
+    out = arg - arg0
+    out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
+    return CDNumber(gamma.level, out)
+
+
+def _offsets(r, m, rng):
+    """Log centres relative to a path centre: in-plane and off-plane, near and far."""
+    v = random_element(r, rng).coeffs.copy()
+    v[0] = 0.0
+    v -= np.dot(v, m.coeffs) * m.coeffs
+    off = CDNumber(r, v / np.linalg.norm(v))
+    return {
+        "in-plane-inside": m * 0.4 + from_real(r, 0.3),
+        "in-plane-outside": m * 1.5 + from_real(r, 7.0),
+        "off-plane-inside": off * 0.5 + from_real(r, -0.2),
+        "off-plane-outside": off * 9.0,
+    }
+
+
+_BATCH_TOL = 1e-12  # per unit of (1 + |turns|), fixed before the comparison was run
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_batched_log_integral_matches_per_knot_reference_on_circles(r):
+    rng = np.random.default_rng(100 + r)
+    for radius in (2.0, 5.0):
+        m = random_unit_imaginary(r, rng)
+        p = random_element(r, rng)
+        for where, off in _offsets(r, m, rng).items():
+            for turns in (-6, -1, 1, 2, 3, 5):
+                gamma = Path.circle(p, radius, m, turns)
+                got = log_integral(p + off, gamma)
+                want = _log_integral_per_knot(p + off, gamma)
+                assert (got - want).norm() <= _BATCH_TOL * (1 + abs(turns)), (radius, where, turns)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_batched_log_integral_matches_per_knot_reference_on_polylines(r):
+    rng = np.random.default_rng(200 + r)
+    m = random_unit_imaginary(r, rng)
+    p = random_element(r, rng)
+    for half in (2.0, 3.5):
+        corners = [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]
+        square = Path.polyline([p + from_real(r, half * a) + m * (half * b) for a, b in corners])
+        opened = Path.polyline([p + random_element(r, rng) * half for _ in range(4)])
+        for gamma in (square, opened, square.reversed()):
+            for where, off in _offsets(r, m, rng).items():
+                got = log_integral(p + off, gamma)
+                want = _log_integral_per_knot(p + off, gamma)
+                assert (got - want).norm() <= _BATCH_TOL * 2, (half, where)
+
+
+def test_hundred_turn_circle_takes_the_bisection_path():
+    m = basis_element(3, 5)
+    circle = Path.circle(zero(3), 1.0, m, 100)
+    singles = []
+
+    def sample(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.size == 1:
+            singles.append(float(ts[0]))
+        return circle.sample(ts)
+
+    gamma = Path(level=circle.level, kind="parametric", batch_sampler=sample)
+    got = log_integral(zero(3), gamma)
+    assert singles, "256 knots over 100 turns must bisect"
+    assert (got - m * (200 * math.pi)).norm() < 1e-9
+    assert (got - _log_integral_per_knot(zero(3), circle)).norm() <= _BATCH_TOL * 101
+
+
+def _pt(r, re, **imag):
+    v = np.zeros(1 << r)
+    v[0] = re
+    for name, x in imag.items():
+        v[int(name[1:])] = x
+    return CDNumber(r, v)
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        # crosses the negative real axis at a corner knot, within one plane
+        [(-1.0, {"e2": 1.0}), (-1.0, {}), (-1.0, {"e2": -1.0}), (2.0, {"e2": -1.0})],
+        # crosses it between knots
+        [(-2.0, {"e2": 1.0, "e5": 0.5}), (-2.0, {"e2": -1.0, "e5": -0.5})],
+        # starts on it, then leaves in an off-axis plane
+        [(-1.5, {}), (-1.5, {"e3": 1.0}), (1.0, {"e3": 1.0, "e6": 0.5})],
+        # starts on it and winds back to it
+        [(-1.0, {}), (-1.0, {"e1": 1.0}), (1.0, {"e1": 1.0}), (1.0, {"e1": -1.0}), (-1.0, {"e1": -1.0}), (-1.0, {})],
+        # passes the positive real axis at a corner while changing plane
+        [(1.0, {"e2": 1.0}), (1.0, {}), (1.0, {"e4": 1.0})],
+        # never leaves the negative real axis
+        [(-2.0, {}), (-0.5, {})],
+    ],
+)
+def test_batched_log_integral_real_knot_rules_match_reference(corners):
+    r = 3
+    gamma = Path.polyline([_pt(r, re, **imag) for re, imag in corners])
+    got = log_integral(zero(r), gamma)
+    want = _log_integral_per_knot(zero(r), gamma)
+    assert (got - want).norm() <= _BATCH_TOL * 2
 
 
 # ---------------------------------------------------------------------------
