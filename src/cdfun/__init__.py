@@ -62,7 +62,6 @@ from .diffcheck import (
 )
 from .errors import (
     CDError,
-    CutStraddleError,
     DomainError,
     ExprSyntaxError,
     LevelMismatchError,

@@ -52,6 +52,7 @@ from .integrate import (
     _extrapolated,
     _offset_knots,
     _quadrature_knots,
+    _start_knots,
     line_integral,
     log_integral,
 )
@@ -152,12 +153,13 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     is the accumulated angle of the projected curve about the projected
     point, divided by 2*pi.  Projections passing within 1e-9 (relative) of
     the point are flagged undefined rather than counted.  All planes are
-    unwrapped at once, as the columns of one (knots, d - 1) angle array.
+    unwrapped at once, as the columns of one (knots, d - 1) angle array;
+    circles start from at least 8 knots per turn.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
     d = a.level.basis_dim
-    n = _WINDING_START
+    n = _start_knots(gamma, _WINDING_START, _WINDING_CAP)
     while True:
         knots = _quadrature_knots(gamma, n)
         Z = gamma.sample(knots)

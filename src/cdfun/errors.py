@@ -38,12 +38,6 @@ class PoleError(CDError):
     kind = "pole"
 
 
-class CutStraddleError(CDError):
-    """A logarithm difference stencil straddled the principal branch cut."""
-
-    kind = "cut"
-
-
 class UnsupportedShapeError(CDError):
     """An expression does not have the shape required by the operation."""
 

@@ -40,7 +40,7 @@ from .errors import (
     StepControlError,
 )
 from .expressions import Phrase, PrimitiveResult, eval_node_arrays, hat_from_primitive, primitive
-from .transcendental import _ln_with_parts, exp_arrays
+from .transcendental import _ln_with_parts, exp_arrays, numerically_real
 
 DEFAULT_TOL = 1e-6
 START_KNOTS = 64
@@ -321,6 +321,15 @@ def _polyline_base_counts(path: Path, start: int) -> np.ndarray:
     return counts
 
 
+def _start_knots(path: Path, base: int, cap: int) -> int:
+    """base, raised on circles to 8 knots per turn so that no knot step turns
+    the angle by more than pi/4; StepControlError, before any sampling, above cap."""
+    n = max(base, 8 * math.ceil(abs(path.turns))) if path.kind == "circle" else base
+    if n > cap:
+        raise StepControlError(f"a circle of {path.turns:g} turns needs {n} knots, over the cap of {cap}")
+    return n
+
+
 def _quadrature_knots(path: Path, n: int) -> np.ndarray:
     """Internal knot layout for n-knot refinement of a path.
 
@@ -533,7 +542,8 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     result is exact up to rounding once continuation succeeds; ``tol`` is
     accepted for interface symmetry with the other integrators.
 
-    One polar split of the whole knot batch gives rho, theta and the unit
+    The knot batch has 256 knots, and 8 per turn on circles of more turns.
+    One polar split of the whole batch gives rho, theta and the unit
     imaginary direction mu of every knot.  A numerically real knot has theta
     in {0, pi}, whose representations (theta + 2*pi*j) * mu are the same set
     for mu and -mu, so it takes the direction of the last non-real knot
@@ -546,7 +556,7 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")
     del tol
-    knots = _quadrature_knots(gamma, 256 if gamma.kind != "polyline" else 4 * START_KNOTS)
+    knots = _quadrature_knots(gamma, _start_knots(gamma, 4 * START_KNOTS, MAX_KNOTS))
     c = center.coeffs
     Z = gamma.sample(knots) - c[None, :]
     rho = norm_arrays(Z)
@@ -559,8 +569,7 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
             _, rho_w, theta_w, mu_w = _ln_with_parts(w)
         except SingularElementError as e:
             raise PoleError("path passes through the logarithm center") from e
-        real = float(norm_arrays(w[1:])) <= 1e-12 * float(rho_w)
-        return float(theta_w), mu_prev if real else mu_w
+        return float(theta_w), mu_prev if numerically_real(norm_arrays(w[1:]), rho_w) else mu_w
 
     def advance(phi_prev, mu_prev, theta, mu, t0, t1, depth):
         phi, gap2 = _branch_step(phi_prev, float(np.dot(mu_prev, mu)), theta)
@@ -576,7 +585,7 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
         return advance(mid, mu_m, theta, mu, tm, t1, depth + 1)
 
     _, _, theta, mu = _ln_with_parts(Z)  # rho > 1e-13 here, so never singular
-    live = norm_arrays(Z[:, 1:]) > 1e-12 * rho
+    live = ~numerically_real(norm_arrays(Z[:, 1:]), rho)
     first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
     mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(Z)), first))]
     cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:]).tolist()

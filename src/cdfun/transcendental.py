@@ -8,8 +8,10 @@ the familiar complex formulas apply within that plane,
     Ln(z)        = ln|z| + theta M,   theta = atan2(|Im z|, Re z) in [0, pi].
 
 The principal branch cuts along the negative real axis; there the direction
-is not determined by z and defaults to e1.  dln_apply differentiates Ln by
-central differences and refuses stencils that straddle the cut.
+is not determined by z and defaults to e1.  dln_arrays differentiates Ln in
+closed form, D Ln(z).h = <z,h>/|z|^2 + (v<M,Im h> - y h_0)/|z|^2 M +
+(theta/y)(Im h - M<M,Im h>) with y = |Im z|, and as h / Re z at a
+numerically real z.
 
 Array variants (suffix _arrays) operate on batches with the coefficient axis
 last; the public functions take and return CDNumber.
@@ -29,7 +31,7 @@ from .algebra import (
     mul,
     norm_arrays,
 )
-from .errors import CutStraddleError, DomainError, SingularElementError
+from .errors import DomainError, LevelMismatchError, SingularElementError
 
 
 @dataclass(frozen=True)
@@ -90,47 +92,39 @@ def _ln_with_parts(Z):
     return L, rho, theta, mu
 
 
-def dln_arrays(Z, H) -> np.ndarray:
-    """Directional derivative of the logarithm by central differences.
+def numerically_real(y, rho):
+    """Mask of elements with imaginary norm y at most 1e-12 of their norm rho."""
+    return y <= 1e-12 * rho
 
-    Step 1e-7 * (1 + |z|).  The differential of the logarithm is that of the
-    multivalued continuation, which is smooth everywhere off the origin even
-    though each principal value jumps across the negative real half-axis.  The
-    minus-side stencil argument is therefore branch-aligned first: among the
-    representations (theta + 2*pi*j) * mu of its polar angle the one closest
-    to the plus-side argument vector is used.  Raises CutStraddleError when
-    no representation comes within pi/2 — the stencil points then sit in
-    essentially unrelated planes, which happens only next to the origin or
-    when a stencil point lands exactly on the cut with an out-of-plane step.
+
+def dln_arrays(Z, H) -> np.ndarray:
+    """Directional derivative of the logarithm, D Ln(z).h, in closed form.
+
+    With z = v + y M, y = |Im z|, differentiating ln|z|, theta = atan2(y, v)
+    and M = Im z / y gives
+
+        <z,h>/|z|^2 + (v<M,Im h> - y h_0)/|z|^2 M + (theta/y)(Im h - M<M,Im h>),
+
+    the differential of the multivalued continuation, smooth off the origin
+    although each principal value jumps across the negative real half-axis.
+    A numerically real z lies in the plane R + R Im h of the step, so there
+    the result is h / Re z.  Elsewhere theta/y <= pi * 1e12 / |z| is finite.
     """
     Z = np.asarray(Z, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     Z, H = np.broadcast_arrays(Z, H)
-    if np.any(norm_arrays(Z) <= EPS_ZERO):
+    rho = norm_arrays(Z)
+    if np.any(rho <= EPS_ZERO):
         raise SingularElementError("logarithm differential at a zero element")
-    # the derivative is linear in H: difference along the unit direction and
-    # rescale afterwards, so the rounding noise of one evaluation is
-    # proportional to |H| instead of a constant (summing many small
-    # increments would otherwise accumulate noise linearly in their count)
-    hn = norm_arrays(H)
-    scale = np.where(hn > 0.0, hn, 1.0)[..., None]
-    H = H / scale
-    eps = (1e-7 * (1.0 + norm_arrays(Z)))[..., None]
-    Lp, _, theta_p, mu_p = _ln_with_parts(Z + eps * H)
-    Lm, rho_m, theta_m, mu_m = _ln_with_parts(Z - eps * H)
-    arg_p = theta_p[..., None] * mu_p
-    shifts = 2.0 * math.pi * np.arange(-2, 3)
-    cands = (theta_m[..., None] + shifts)[..., None] * mu_m[..., None, :]
-    dist2 = np.sum((cands - arg_p[..., None, :]) ** 2, axis=-1)
-    pick = np.argmin(dist2, axis=-1)
-    best = np.take_along_axis(dist2, pick[..., None], axis=-1)[..., 0]
-    if np.any(best > (math.pi / 2) ** 2):
-        raise CutStraddleError(
-            "logarithm difference stencil cannot be branch-aligned"
-        )
-    arg_m = np.take_along_axis(cands, pick[..., None, None], axis=-2)[..., 0, :]
-    arg_m[..., 0] = np.log(rho_m)
-    return (Lp - arg_m) / (2.0 * eps) * scale
+    v, y, mu = _split_parts(Z)
+    rho2 = rho * rho
+    real = numerically_real(y, rho)
+    mh = np.einsum("...i,...i->...", mu, H)  # <M, Im h>: mu has a zero real slot
+    turn = np.arctan2(y, v) / np.where(real, 1.0, y)
+    out = turn[..., None] * (H - mh[..., None] * mu)
+    out += ((v * mh - y * H[..., 0]) / rho2)[..., None] * mu
+    out[..., 0] = np.einsum("...i,...i->...", Z, H) / rho2
+    return np.where(real[..., None], H / np.where(real, v, 1.0)[..., None], out)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +158,7 @@ def polar_decompose(z: CDNumber) -> PolarForm:
 
 def dln_apply(z: CDNumber, h: CDNumber) -> CDNumber:
     if z.level.r != h.level.r:
-        raise DomainError("argument and direction live at different levels")
+        raise LevelMismatchError("argument and direction live at different levels")
     return CDNumber(z.level, dln_arrays(z.coeffs, h.coeffs))
 
 

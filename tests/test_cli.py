@@ -280,6 +280,16 @@ def test_logint_and_index_unit_circle(tmp_path):
     assert rep["winding"]["e1"] == 2
 
 
+def test_logint_beyond_the_knot_cap_is_refused_at_once(tmp_path):
+    path = tmp_path / "circle2.json"
+    path.write_text(json.dumps(circle_json([0, 0, 0, 0], 1.0, [0, 1, 0, 0], 1e7)))
+    start = time.perf_counter()
+    code, rep = invoke_json(["logint", "--level", "2", "--path-file", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep["error"]["kind"] == "stepcontrol"
+
+
 def test_residue_command():
     code, rep = invoke_json([
         "residue", "--level", "2", "--expr", "z^-1",

@@ -68,6 +68,17 @@ def test_winding_two_turn_circle():
     assert iv.undefined == frozenset(range(2, 8))
 
 
+def test_winding_many_turn_circle():
+    # 1024 turns on the 1024-knot start layout put every knot on one point
+    iv = winding_index(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 1), 1024))
+    assert iv.per_plane == {1: 1024}
+
+
+def test_winding_refuses_turns_beyond_the_sampling_cap():
+    with pytest.raises(StepControlError):
+        winding_index(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 1), 1e7))
+
+
 def test_winding_non_enclosing_all_zero():
     center = from_real(3, 2.0)
     iv = winding_index(zero(3), Path.circle(center, 1.0, E1, 1.0))

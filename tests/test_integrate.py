@@ -328,6 +328,20 @@ def test_log_integral_circle_values():
             assert (got - m * (2 * math.pi * n)).norm() < 1e-9
 
 
+@pytest.mark.parametrize("turns", [200, 1000, -777])
+def test_log_integral_many_turn_circle(turns):
+    # a fixed 256-knot layout aliases here (turns 200 gave -55 * 2 pi e1);
+    # circles get at least 8 knots per turn
+    e1 = basis_element(2, 1)
+    got = log_integral(zero(2), Path.circle(zero(2), 1.0, e1, turns))
+    assert (got - e1 * (2 * math.pi * turns)).norm() <= 1e-9 * abs(turns)
+
+
+def test_log_integral_refuses_turns_beyond_the_knot_cap():
+    with pytest.raises(StepControlError):
+        log_integral(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 1), 1e7))
+
+
 def test_log_integral_non_enclosing_loop_vanishes():
     c = Path.circle(from_real(2, 5.0), 1.0, basis_element(2, 1), 1.0)
     assert log_integral(zero(2), c).norm() < 1e-12

@@ -17,11 +17,15 @@ from cdfun.algebra import (
     random_unit_imaginary,
     zero,
 )
-from cdfun.errors import CutStraddleError, SingularElementError
+from cdfun.errors import LevelMismatchError, SingularElementError
+from cdfun.expressions import parse
+from cdfun.integrate import Path, line_integral
 from cdfun.transcendental import (
     dln_apply,
+    dln_arrays,
     exp,
     exp_series,
+    ln_arrays,
     ln_principal,
     polar_decompose,
     trig,
@@ -151,10 +155,72 @@ def test_dln_smooth_across_principal_cut():
     assert (got + basis_element(2, 2)).norm() < 1e-6
 
 
-def test_dln_rejects_unalignable_stencil():
-    # next to the origin the two stencil points sit in unrelated planes
-    with pytest.raises(CutStraddleError):
-        dln_apply(basis_element(2, 1) * 1e-9, basis_element(2, 2))
+def test_dln_exact_next_to_the_origin():
+    # z = 1e-9 e1, h = e2: theta = pi/2 and the direction turns by h/|z|,
+    # so D Ln(z).h = (theta/|Im z|) h = (pi/2) 1e9 e2
+    got = dln_apply(basis_element(2, 1) * 1e-9, basis_element(2, 2))
+    want = basis_element(2, 2) * (math.pi / 2 * 1e9)
+    assert (got - want).norm() <= 1e-12 * want.norm()
+
+
+def test_dln_level_mismatch_is_level_error():
+    with pytest.raises(LevelMismatchError):
+        dln_apply(one(2), basis_element(3, 1))
+
+
+def _richardson_dln(Z, H, step):
+    """Central difference of the principal logarithm, extrapolated once.
+
+    step has one entry per row; the error is O(step^4) plus rounding of
+    order 1e-16 |Ln| / step.
+    """
+    def central(s):
+        s = s[:, None]
+        return (ln_arrays(Z + s * H) - ln_arrays(Z - s * H)) / (2.0 * s)
+
+    return (4.0 * central(step / 2.0) - central(step)) / 3.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_dln_matches_extrapolated_difference_of_ln(r):
+    # away from the real axis (|Im z| >= 0.1 |z|) the principal logarithm is
+    # smooth on the whole stencil, so its difference quotient is a reference
+    # independent of the closed form
+    rng = _rng(300 + r)
+    d = 1 << r
+    Z = rng.standard_normal((600, d)) * rng.uniform(0.2, 5.0, (600, 1))
+    Z = Z[np.linalg.norm(Z[:, 1:], axis=1) >= 0.1 * np.linalg.norm(Z, axis=1)]
+    H = rng.standard_normal(Z.shape)
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    ref = _richardson_dln(Z, H, 1e-3 * np.linalg.norm(Z[:, 1:], axis=1))
+    err = np.linalg.norm(dln_arrays(Z, H) - ref, axis=1)
+    assert len(Z) >= 300
+    assert np.all(err <= 1e-9 * (1.0 + np.linalg.norm(ref, axis=1)))
+
+
+@pytest.mark.parametrize("re", [2.0, -2.0])
+def test_dln_at_real_z_is_division_by_the_real_part(re):
+    # on the real axis the differential is that of the logarithm continued
+    # along z + t h, whatever plane h leaves in
+    rng = _rng(9)
+    for r in (2, 3, 5):
+        z = from_real(r, re)
+        for _ in range(5):
+            h = CDNumber(r, rng.standard_normal(1 << r))
+            assert (dln_apply(z, h) - h * (1.0 / re)).norm() <= 1e-15 * h.norm()
+
+
+def test_loop_integral_of_inverse_is_exact():
+    # the z^-1 primitive is Ln z, so the loop integral is 2 pi n M up to the
+    # rounding of the logarithm differential, for any radius and level
+    rng = _rng(11)
+    for r in (2, 3, 4):
+        f = parse("z^-1", r)
+        for m in [random_unit_imaginary(r, rng) for _ in range(4)]:
+            for turns in (1, 2, 3):
+                for rho in (0.5, 2.0):
+                    res = line_integral(f, Path.circle(zero(r), rho, m, turns))
+                    assert (res.value - m * (2.0 * math.pi * turns)).norm() <= 1e-9
 
 
 def test_dln_fine_near_positive_axis():
