@@ -4,8 +4,16 @@ Subcommand style: one job per invocation, every report is JSON on stdout (or
 --output FILE), and all numbers travel as arrays of 2**r doubles in basis
 order.  Exit codes: 0 success, 1 usage/parse problems, 2 domain errors; every
 failure is reported as {"error": {"kind": ..., "detail": ...}} rather than a
-traceback.  A job may also be supplied as a single JSON file via the ``job``
-subcommand, with the same field names as the flags.
+traceback.
+
+``COMMAND_TABLE`` maps each command to a handler whose keyword parameters
+are the parameters the command reads (required when they have no default);
+``_READERS`` parses and range-checks each parameter by name.  The flags of
+``cdfun <command>`` are ``--level``, ``--output`` and ``--<parameter>``
+(``--expr`` or ``--expr-file``; ``--path-file``).  A ``job`` file is one JSON
+object with the fields ``command``, ``level``, ``output`` (the report file)
+and the command's parameters, ``expression`` standing for ``expr``; any
+other field is a usage error, like a flag the command does not read.
 
 Reports are deterministic: fixed reduction orders everywhere, and anything
 randomized (root-search restarts, the selftest) draws from --seed, default 42.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 import time
@@ -22,13 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algebra import (
-    CDNumber,
-    basis_table,
-    find_zero_divisor,
-    random_element,
-    zero,
-)
+from .algebra import CDNumber, basis_table, find_zero_divisor, random_element, zero
 from .contour import (
     ar_index,
     argument_principle,
@@ -44,20 +47,7 @@ from .contour import (
 from .diffcheck import RealFieldSample, cr_check, harmonic_check, zbar_check
 from .errors import CDError
 from .expressions import Phrase, derivative_apply, evaluate, parse, phrase_from_json
-from .integrate import (
-    DEFAULT_TOL,
-    MAX_KNOTS,
-    Path,
-    line_integral,
-    log_integral,
-    path_from_json,
-)
-
-COMMANDS = (
-    "eval", "diff", "integrate", "logint", "index", "residue", "cauchy",
-    "taylor", "laurent", "restheorem", "argprinciple", "roots", "crcheck",
-    "harmonic", "zbarcheck", "zerodiv",
-)
+from .integrate import DEFAULT_TOL, MAX_KNOTS, START_KNOTS, Path, line_integral, log_integral, path_from_json
 
 MAX_CLI_LEVEL = 8
 
@@ -72,11 +62,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# parameter extraction (shared by the flag route and the job-file route)
+# readers: a raw flag string or job field value -> a checked parameter
 # ---------------------------------------------------------------------------
 
-def _level_of(params: Dict) -> int:
-    raw = params.get("level")
+def _level(raw) -> int:
     if raw is None:
         raise UsageError("--level is required")
     try:
@@ -88,10 +77,7 @@ def _level_of(params: Dict) -> int:
     return r
 
 
-def _float_of(params: Dict, key: str, default: float) -> float:
-    raw = params.get(key)
-    if raw is None:
-        return default
+def _float(raw, key: str, r: Optional[int] = None) -> float:
     try:
         val = float(raw)
     except (TypeError, ValueError):
@@ -101,16 +87,37 @@ def _float_of(params: Dict, key: str, default: float) -> float:
     return val
 
 
-def _int_of(params: Dict, key: str, default: Optional[int]) -> int:
-    raw = params.get(key)
-    if raw is None:
-        if default is None:
-            raise UsageError(f"{key} is required")
-        return default
+def _positive(raw, key: str, r: Optional[int] = None) -> float:
+    val = _float(raw, key)
+    if val <= 0:
+        raise UsageError(f"{key} must be positive")
+    return val
+
+
+def _int(raw, key: str, r: Optional[int] = None) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _int_range(lo: int, hi: Optional[int] = None):
+    """Reader of integers in lo..hi, unbounded above when hi is None."""
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def read(raw, key: str, r: Optional[int] = None) -> int:
+        val = _int(raw, key)
+        if val < lo or (hi is not None and val > hi):
+            raise UsageError(f"{key} must be {span}, got {val}")
+        return val
+
+    return read
+
+
+def _wrt(raw, key: str, r: Optional[int] = None) -> str:
+    if raw not in ("z", "zc"):
+        raise UsageError("wrt must be 'z' or 'zc'")
+    return raw
 
 
 def _json_value(raw, key: str):
@@ -122,12 +129,7 @@ def _json_value(raw, key: str):
     return raw
 
 
-def _element_of(params: Dict, key: str, r: int, default: Optional[CDNumber] = None) -> CDNumber:
-    raw = params.get(key)
-    if raw is None:
-        if default is not None:
-            return default
-        raise UsageError(f"--{key} is required for this command")
+def _element(raw, key: str, r: int) -> CDNumber:
     data = _json_value(raw, key)
     if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
         raise UsageError(f"{key} must be a JSON array of numbers")
@@ -139,27 +141,54 @@ def _element_of(params: Dict, key: str, r: int, default: Optional[CDNumber] = No
         raise UsageError(f"{key}: {exc}") from None
 
 
-def _phrase_of(params: Dict, r: int) -> Phrase:
-    raw = params.get("expr")
-    if raw is None:
-        raise UsageError("an expression is required (--expr or --expr-file)")
+def _poles(raw, key: str, r: int) -> List[CDNumber]:
+    items = _json_value(raw, key)
+    if not isinstance(items, list) or not items:
+        raise UsageError(f"{key} must be a non-empty JSON array of points")
+    return [_element(item, key, r) for item in items]
+
+
+def _zeros(raw, key: str, r: int) -> list:
+    items = _json_value(raw, key)
+    if not isinstance(items, list) or not items:
+        raise UsageError(f"{key} must be a non-empty JSON array of [point, multiplicity]")
+    if not all(isinstance(item, list) and len(item) == 2 for item in items):
+        raise UsageError("each zero must be [point, multiplicity]")
+    return [(_element(point, key, r), _int(m, "multiplicity")) for point, m in items]
+
+
+def _phrase(raw, key: str, r: int) -> Phrase:
     if isinstance(raw, (dict, list)):
         return phrase_from_json(raw, r)
     text = str(raw).strip()
     if text.startswith("{") or text.startswith("["):
-        return phrase_from_json(_json_value(text, "expr"), r)
+        return phrase_from_json(_json_value(text, key), r)
     return parse(text, r)
 
 
-def _path_of(params: Dict, r: int) -> Path:
-    raw = params.get("path")
-    if raw is None:
-        raise UsageError("--path-file is required for this command")
-    obj = _json_value(raw, "path")
+def _path(raw, key: str, r: int) -> Path:
+    obj = _json_value(raw, key)
     try:
         return path_from_json(obj, r)
     except CDError as exc:
-        raise UsageError(f"path: {exc}") from None
+        raise UsageError(f"{key}: {exc}") from None
+
+
+_READERS = {
+    "expr": _phrase, "path": _path, "poles": _poles, "zeros": _zeros, "wrt": _wrt,
+    "point": _element, "direction": _element, "center": _element, "pole": _element,
+    "rho": _positive, "tol": _positive,
+    "rho_inner": _float, "rho_outer": _float, "step": _float, "threshold": _float,
+    "kmin": _int, "kmax": _int, "seed": _int, "order": _int_range(0), "count": _int_range(1),
+    "max_knots": _int_range(2 * START_KNOTS, MAX_KNOTS),
+}
+
+# flags other than --<name>; a flag ending in -file names a file holding the value
+_FLAGS = {"expr": ("--expr", "--expr-file"), "path": ("--path-file",)}
+
+
+def _flags(name: str) -> tuple:
+    return _FLAGS.get(name, ("--" + name.replace("_", "-"),))
 
 
 def _coeffs(z: CDNumber) -> List[float]:
@@ -167,174 +196,168 @@ def _coeffs(z: CDNumber) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# commands: each handler takes the level and the parameters it reads.  They
+# call the library through this module's names at call time, so a caller
+# that rebinds cdfun.cli.<function> sees every call.
 # ---------------------------------------------------------------------------
 
-def _run_command(command: str, params: Dict) -> Dict:
-    r = _level_of(params)
-    tol = _float_of(params, "tol", DEFAULT_TOL)
-    if tol <= 0:
-        raise UsageError("tol must be positive")
-    max_knots = _int_of(params, "max_knots", MAX_KNOTS)
-    seed = _int_of(params, "seed", 42)
-
-    if command == "zerodiv":
-        pair = find_zero_divisor(r)
-        if pair is None:
-            return {"found": False}
-        x, y = pair
-        return {
-            "found": True,
-            "x": _coeffs(x),
-            "y": _coeffs(y),
-            "product_norm": (x * y).norm(),
-        }
-
-    if command == "eval":
-        f = _phrase_of(params, r)
-        z = _element_of(params, "point", r, default=zero(r))
-        return {"value": _coeffs(evaluate(f, z))}
-
-    if command == "diff":
-        f = _phrase_of(params, r)
-        z = _element_of(params, "point", r)
-        h = _element_of(params, "direction", r)
-        wrt = params.get("wrt") or "z"
-        if wrt not in ("z", "zc"):
-            raise UsageError("wrt must be 'z' or 'zc'")
-        return {"value": _coeffs(derivative_apply(f, z, h, wrt=wrt))}
-
-    if command == "integrate":
-        f = _phrase_of(params, r)
-        gamma = _path_of(params, r)
-        return line_integral(f, gamma, tol=tol, max_knots=max_knots).to_json()
-
-    if command == "logint":
-        center = _element_of(params, "point", r, default=zero(r))
-        gamma = _path_of(params, r)
-        return {"value": _coeffs(log_integral(center, gamma, tol=tol))}
-
-    if command == "index":
-        a = _element_of(params, "point", r, default=zero(r))
-        gamma = _path_of(params, r)
-        vec = winding_index(a, gamma)
-        return {
-            "ar_index": _coeffs(ar_index(a, gamma, tol=tol)),
-            "winding": {f"e{s}": int(n) for s, n in sorted(vec.per_plane.items())},
-            "undefined": [f"e{s}" for s in sorted(vec.undefined)],
-        }
-
-    if command == "residue":
-        f = _phrase_of(params, r)
-        pole = _element_of(params, "pole", r)
-        direction = _element_of(params, "direction", r)
-        rho = _float_of(params, "rho", 0.5)
-        if rho <= 0:
-            raise UsageError("rho must be positive")
-        return {"value": _coeffs(residue(f, pole, direction, rho, tol=tol))}
-
-    if command == "cauchy":
-        f = _phrase_of(params, r)
-        z = _element_of(params, "point", r)
-        gamma = _path_of(params, r)
-        order = _int_of(params, "order", 0)
-        if order < 0:
-            raise UsageError("order must be >= 0")
-        if order == 0:
-            return {"value": _coeffs(cauchy_eval(f, z, gamma, tol=tol))}
-        return {"value": _coeffs(cauchy_derivative(f, z, order, gamma, tol=tol))}
-
-    if command == "taylor":
-        f = _phrase_of(params, r)
-        center = _element_of(params, "center", r)
-        count = _int_of(params, "count", 6)
-        if count < 1:
-            raise UsageError("count must be >= 1")
-        gamma = _path_of(params, r)
-        coeffs = taylor_coeffs(f, center, count, gamma, tol=tol)
-        return {"coefficients": [_coeffs(c) for c in coeffs]}
-
-    if command == "laurent":
-        f = _phrase_of(params, r)
-        center = _element_of(params, "center", r)
-        k_min = _int_of(params, "kmin", -3)
-        k_max = _int_of(params, "kmax", 5)
-        if k_min > k_max:
-            raise UsageError("kmin must not exceed kmax")
-        rho_inner = _float_of(params, "rho_inner", 0.5)
-        rho_outer = _float_of(params, "rho_outer", 2.0)
-        if not 0 < rho_inner < rho_outer:
-            raise UsageError("need 0 < rho_inner < rho_outer")
-        coeffs = laurent_coeffs(f, center, k_min, k_max, rho_inner, rho_outer, tol=tol)
-        return {"k_min": k_min, "coefficients": [_coeffs(c) for c in coeffs]}
-
-    if command == "restheorem":
-        f = _phrase_of(params, r)
-        raw_poles = _json_value(params.get("poles"), "poles")
-        if not isinstance(raw_poles, list) or not raw_poles:
-            raise UsageError("poles must be a non-empty JSON array of points")
-        poles = [_element_of({"poles": p}, "poles", r) for p in raw_poles]
-        gamma = _path_of(params, r)
-        return residue_theorem_check(f, poles, gamma, tol=tol).to_json()
-
-    if command == "argprinciple":
-        f = _phrase_of(params, r)
-        raw_zeros = _json_value(params.get("zeros"), "zeros")
-        if not isinstance(raw_zeros, list) or not raw_zeros:
-            raise UsageError("zeros must be a non-empty JSON array of [point, multiplicity]")
-        zeros = []
-        for item in raw_zeros:
-            if not isinstance(item, list) or len(item) != 2:
-                raise UsageError("each zero must be [point, multiplicity]")
-            zeros.append((_element_of({"zeros": item[0]}, "zeros", r), _int_of({"m": item[1]}, "m", None)))
-        gamma = _path_of(params, r)
-        return argument_principle(f, gamma, zeros, tol=tol).to_json()
-
-    if command == "roots":
-        f = _phrase_of(params, r)
-        rng = np.random.default_rng(seed)
-        start = random_element(r, rng)
-        root = find_root(f, start, tol=tol)
-        return {"root": _coeffs(root), "residual": evaluate(f, root).norm()}
-
-    if command in ("crcheck", "harmonic", "zbarcheck"):
-        step = _float_of(params, "step", 1e-5)
-        threshold = _float_of(params, "threshold", 1e-4)
-        f = _phrase_of(params, r)
-        sample = RealFieldSample.from_phrase(f, step=step)
-        z = _element_of(params, "point", r)
-        checker = {"crcheck": cr_check, "harmonic": harmonic_check, "zbarcheck": zbar_check}[command]
-        return checker(sample, z, threshold=threshold).to_json()
-
-    raise UsageError(f"unknown command {command!r}")
+def _eval(r, expr, point=None):
+    """Value of the expression at --point (default 0)."""
+    return {"value": _coeffs(evaluate(expr, zero(r) if point is None else point))}
 
 
-# ---------------------------------------------------------------------------
-# job files
-# ---------------------------------------------------------------------------
+def _diff(r, expr, point, direction, wrt="z"):
+    """Directional derivative at --point along --direction, in z or zc."""
+    return {"value": _coeffs(derivative_apply(expr, point, direction, wrt=wrt))}
 
-_JOB_KEYS = {
-    "command", "level", "expression", "expr", "path", "tol", "max_knots",
-    "seed", "point", "direction", "center", "pole", "poles", "zeros", "rho",
-    "rho_inner", "rho_outer", "order", "count", "kmin", "kmax", "step",
-    "threshold", "wrt", "output",
+
+def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
+    """Line integral along the path by extrapolated knot doubling."""
+    return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
+
+
+def _logint(r, path, point=None, tol=DEFAULT_TOL):
+    """Logarithmic loop integral about --point (default 0)."""
+    return {"value": _coeffs(log_integral(zero(r) if point is None else point, path, tol=tol))}
+
+
+def _index(r, path, point=None, tol=DEFAULT_TOL):
+    """Winding numbers per plane and the algebra-valued index about --point."""
+    a = zero(r) if point is None else point
+    vec = winding_index(a, path)
+    return {
+        "ar_index": _coeffs(ar_index(a, path, tol=tol)),
+        "winding": {f"e{s}": int(n) for s, n in sorted(vec.per_plane.items())},
+        "undefined": [f"e{s}" for s in sorted(vec.undefined)],
+    }
+
+
+def _residue(r, expr, pole, direction, rho=0.5, tol=DEFAULT_TOL):
+    """Residue at --pole from a circle of radius --rho in the --direction plane."""
+    return {"value": _coeffs(residue(expr, pole, direction, rho, tol=tol))}
+
+
+def _cauchy(r, expr, point, path, order=0, tol=DEFAULT_TOL):
+    """Cauchy integral formula at --point, or its --order-th derivative."""
+    if order == 0:
+        return {"value": _coeffs(cauchy_eval(expr, point, path, tol=tol))}
+    return {"value": _coeffs(cauchy_derivative(expr, point, order, path, tol=tol))}
+
+
+def _taylor(r, expr, center, path, count=6, tol=DEFAULT_TOL):
+    """The first --count Taylor coefficients about --center."""
+    return {"coefficients": [_coeffs(c) for c in taylor_coeffs(expr, center, count, path, tol=tol)]}
+
+
+def _laurent(r, expr, center, kmin=-3, kmax=5, rho_inner=0.5, rho_outer=2.0, tol=DEFAULT_TOL):
+    """Laurent coefficients kmin..kmax about --center on an annulus."""
+    if kmin > kmax:
+        raise UsageError("kmin must not exceed kmax")
+    if not 0 < rho_inner < rho_outer:
+        raise UsageError("need 0 < rho_inner < rho_outer")
+    coeffs = laurent_coeffs(expr, center, kmin, kmax, rho_inner, rho_outer, tol=tol)
+    return {"k_min": kmin, "coefficients": [_coeffs(c) for c in coeffs]}
+
+
+def _restheorem(r, expr, poles, path, tol=DEFAULT_TOL):
+    """Residue theorem check for the given --poles inside the path."""
+    return residue_theorem_check(expr, poles, path, tol=tol).to_json()
+
+
+def _argprinciple(r, expr, zeros, path, tol=DEFAULT_TOL):
+    """Argument principle check for --zeros given as [point, multiplicity]."""
+    return argument_principle(expr, path, zeros, tol=tol).to_json()
+
+
+def _roots(r, expr, tol=DEFAULT_TOL, seed=42):
+    """A root by damped Newton search from a start drawn from --seed."""
+    root = find_root(expr, random_element(r, np.random.default_rng(seed)), tol=tol)
+    return {"root": _coeffs(root), "residual": evaluate(expr, root).norm()}
+
+
+def _crcheck(r, expr, point, step=1e-5, threshold=1e-4):
+    """Finite-difference Cauchy-Riemann check at --point."""
+    return cr_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+
+
+def _harmonic(r, expr, point, step=1e-5, threshold=1e-4):
+    """Finite-difference pair-harmonicity check at --point."""
+    return harmonic_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+
+
+def _zbarcheck(r, expr, point, step=1e-5, threshold=1e-4):
+    """Conjugate-slot derivative check at --point."""
+    return zbar_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+
+
+def _zerodiv(r):
+    """A pair of nonzero basis-sum elements whose product is zero, if any."""
+    pair = find_zero_divisor(r)
+    if pair is None:
+        return {"found": False}
+    x, y = pair
+    return {"found": True, "x": _coeffs(x), "y": _coeffs(y), "product_norm": (x * y).norm()}
+
+
+COMMAND_TABLE = {
+    "eval": _eval, "diff": _diff, "integrate": _integrate, "logint": _logint, "index": _index,
+    "residue": _residue, "cauchy": _cauchy, "taylor": _taylor, "laurent": _laurent,
+    "restheorem": _restheorem, "argprinciple": _argprinciple, "roots": _roots,
+    "crcheck": _crcheck, "harmonic": _harmonic, "zbarcheck": _zbarcheck, "zerodiv": _zerodiv,
 }
 
+COMMANDS = tuple(COMMAND_TABLE)
 
-def _run_job(obj) -> Dict:
+#: command -> {parameter: required}, in the handler's order
+_PARAMETERS = {
+    command: {p.name: p.default is p.empty for p in list(inspect.signature(handler).parameters.values())[1:]}
+    for command, handler in COMMAND_TABLE.items()
+}
+
+#: command -> the fields its job file may carry
+_JOB_FIELDS = {
+    command: {"command", "level", "output", *reads, *(["expression"] if "expr" in reads else [])}
+    for command, reads in _PARAMETERS.items()
+}
+
+_JOB_KEYS = set().union(*_JOB_FIELDS.values())
+
+
+def _run_command(command: str, params: Dict) -> Dict:
+    r = _level(params.get("level"))
+    values = {}
+    for name, required in _PARAMETERS[command].items():
+        raw = params.get(name)
+        if raw is not None:
+            values[name] = _READERS[name](raw, name, r)
+        elif required:
+            raise UsageError(f"{' or '.join(_flags(name))} is required for this command")
+    return COMMAND_TABLE[command](r, **values)
+
+
+def _job_params(obj, output_flag: Optional[str]) -> tuple:
+    """Command, parameters and report file of a job object, every field checked."""
     if not isinstance(obj, dict):
         raise UsageError("a job must be a JSON object")
-    unknown = set(obj) - _JOB_KEYS
-    if unknown:
-        raise UsageError(f"unknown job fields: {sorted(unknown)}")
     command = obj.get("command")
     if command not in COMMANDS:
         raise UsageError(f"job command must be one of {', '.join(COMMANDS)}")
+    unknown = set(obj) - _JOB_FIELDS[command]
+    if unknown:
+        raise UsageError(f"unknown job fields for {command}: {sorted(unknown)}")
     params = dict(obj)
-    params.pop("command")
     if "expression" in params:
+        if "expr" in params:
+            raise UsageError("give expr or expression, not both")
         params["expr"] = params.pop("expression")
-    return _run_command(command, params)
+    output = params.get("output")
+    if output is None:
+        return command, params, output_flag
+    if output_flag is not None:
+        raise UsageError("give the job's output field or --output, not both")
+    if not isinstance(output, str):
+        raise UsageError("output must be a file name")
+    return command, params, output
 
 
 # ---------------------------------------------------------------------------
@@ -370,51 +393,23 @@ def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="cdfun", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command")
+    for command, handler in COMMAND_TABLE.items():
+        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
+        p.add_argument("--level")
+        p.add_argument("--output")
+        for name in _PARAMETERS[command]:
+            group = p.add_mutually_exclusive_group()
+            for flag in _flags(name):
+                group.add_argument(flag)
 
-    def add(name: str, **extra_flags):
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--level", type=str, default=None)
-        p.add_argument("--expr", type=str, default=None)
-        p.add_argument("--expr-file", type=str, default=None)
-        p.add_argument("--path-file", type=str, default=None)
-        p.add_argument("--tol", type=str, default=None)
-        p.add_argument("--max-knots", type=str, default=None)
-        p.add_argument("--seed", type=str, default=None)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", choices=["json"], default="json")
-        for flag, kwargs in extra_flags.items():
-            p.add_argument(flag, **kwargs)
-        return p
+    job = sub.add_parser("job", help="Run one job given as a JSON file.")
+    job.add_argument("job_file")
+    job.add_argument("--output")
 
-    s = {"type": str, "default": None}
-    add("eval", **{"--point": s})
-    add("diff", **{"--point": s, "--direction": s, "--wrt": s})
-    add("integrate")
-    add("logint", **{"--point": s})
-    add("index", **{"--point": s})
-    add("residue", **{"--pole": s, "--direction": s, "--rho": s})
-    add("cauchy", **{"--point": s, "--order": s})
-    add("taylor", **{"--center": s, "--count": s})
-    add("laurent", **{"--center": s, "--kmin": s, "--kmax": s,
-                      "--rho-inner": s, "--rho-outer": s})
-    add("restheorem", **{"--poles": s})
-    add("argprinciple", **{"--zeros": s})
-    add("roots")
-    add("crcheck", **{"--point": s, "--step": s, "--threshold": s})
-    add("harmonic", **{"--point": s, "--step": s, "--threshold": s})
-    add("zbarcheck", **{"--point": s, "--step": s, "--threshold": s})
-    add("zerodiv")
-
-    job = sub.add_parser("job", add_help=True)
-    job.add_argument("job_file", type=str)
-    job.add_argument("--output", type=str, default=None)
-    job.add_argument("--format", choices=["json"], default="json")
-
-    st = sub.add_parser("selftest", add_help=True)
-    st.add_argument("--seed", type=str, default=None)
-    st.add_argument("--scale", type=str, default=None)
-    st.add_argument("--inject-sign-error", action="store_true",
-                    help=argparse.SUPPRESS)
+    st = sub.add_parser("selftest", help="Run the acceptance criteria at reduced scale.")
+    st.add_argument("--seed")
+    st.add_argument("--scale")
+    st.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     return top
 
 
@@ -427,32 +422,25 @@ def _read_file(path: str) -> str:
 
 
 def _params_from_args(args: argparse.Namespace) -> Dict:
-    params: Dict = {}
-    for key in ("level", "tol", "max_knots", "seed", "point", "direction",
-                "center", "pole", "poles", "zeros", "rho", "rho_inner",
-                "rho_outer", "order", "count", "kmin", "kmax", "step",
-                "threshold", "wrt"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if getattr(args, "expr", None) is not None and getattr(args, "expr_file", None) is not None:
-        raise UsageError("give --expr or --expr-file, not both")
-    if getattr(args, "expr", None) is not None:
-        params["expr"] = args.expr
-    elif getattr(args, "expr_file", None) is not None:
-        params["expr"] = _read_file(args.expr_file)
-    if getattr(args, "path_file", None) is not None:
-        params["path"] = _read_file(args.path_file)
+    params = {"level": args.level}
+    for name in _PARAMETERS[args.command]:
+        for flag in _flags(name):
+            val = getattr(args, flag[2:].replace("-", "_"))
+            if val is not None:
+                params[name] = _read_file(val) if flag.endswith("-file") else val
     return params
 
 
 def _emit(report: Dict, output: Optional[str]) -> None:
     text = json.dumps(report, indent=2) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc}") from None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -463,17 +451,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (try --help)")
         if args.command == "selftest":
-            seed = _int_of({"seed": args.seed}, "seed", 42)
-            scale = _float_of({"scale": args.scale}, "scale", 0.12)
-            if scale <= 0:
-                raise UsageError("scale must be positive")
+            seed = 42 if args.seed is None else _int(args.seed, "seed")
+            scale = 0.12 if args.scale is None else _positive(args.scale, "scale")
             return _selftest(seed, scale, args.inject_sign_error)
         if args.command == "job":
             obj = _json_value(_read_file(args.job_file), "job file")
-            report = _run_job(obj)
+            command, params, output = _job_params(obj, args.output)
         else:
-            report = _run_command(args.command, _params_from_args(args))
-        _emit(report, args.output)
+            command, params, output = args.command, _params_from_args(args), args.output
+        _emit(_run_command(command, params), output)
         return 0
     except UsageError as exc:
         _emit({"error": {"kind": "usage", "detail": str(exc)}}, None)

@@ -93,10 +93,6 @@ class RealFieldSample:
     def from_expression(cls, text: str, level, step: float = DEFAULT_STEP) -> "RealFieldSample":
         return cls.from_phrase(parse(text, level), step)
 
-    @classmethod
-    def from_callable(cls, level, func, step: float = DEFAULT_STEP) -> "RealFieldSample":
-        return cls(level, func, step)
-
     def __call__(self, w: np.ndarray) -> np.ndarray:
         out = np.asarray(self.func(np.asarray(w, dtype=float)), dtype=float)
         if out.shape != (self.level.basis_dim,):

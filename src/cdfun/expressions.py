@@ -138,18 +138,6 @@ class Phrase:
         return format_phrase(self)
 
 
-@dataclass(frozen=True)
-class Word:
-    """One signed product term of a phrase."""
-
-    sign: int
-    node: Node
-
-
-def phrase_words(f: Phrase) -> list[Word]:
-    return [Word(sign, node) for sign, node in _signed_terms(f.root)]
-
-
 def _children(node: Node) -> tuple:
     """Direct subtrees of a node, left to right."""
     if isinstance(node, (Mul, Add, Sub)):
@@ -952,7 +940,3 @@ def hat_from_primitive(prim: PrimitiveResult, z, h):
         dl = dln_arrays(Z - lt.center, H)
         out = out + lt.scale * _eval_with_log(lt.tree, Z, r, dl)
     return CDNumber(level, out) if wrap else out
-
-
-def hat_apply(f: Phrase, z, h):
-    return hat_from_primitive(primitive(f), z, h)

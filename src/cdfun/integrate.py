@@ -159,14 +159,6 @@ class Path:
     def point(self, t: float) -> CDNumber:
         return CDNumber(self.level, self.sample([t])[0])
 
-    @property
-    def is_closed(self) -> bool:
-        if self.kind == "circle":
-            return abs(self.turns - round(self.turns)) < 1e-12
-        a, b = self.sample([0.0, 1.0])
-        scale = 1.0 + float(norm_arrays(a)) + float(norm_arrays(b))
-        return float(norm_arrays(a - b)) < 1e-9 * scale
-
     def reversed(self) -> "Path":
         if self.kind == "circle":
             return Path.circle(self.center, self.radius, self.direction, -self.turns)
@@ -297,12 +289,6 @@ class Partition:
             raise DomainError("partition needs at least one subinterval")
         return Partition(np.linspace(0.0, 1.0, n + 1))
 
-    def refined(self) -> "Partition":
-        """Insert the midpoint of every subinterval."""
-        k = self.knots
-        mids = (k[:-1] + k[1:]) / 2.0
-        return Partition(np.sort(np.concatenate([k, mids])))
-
 
 def _offset_knots(n: int) -> np.ndarray:
     inner = (np.arange(n) + 0.5) / n
@@ -379,20 +365,6 @@ class QuadratureResult:
             "refinements": int(self.refinements),
             "converged": bool(self.converged),
         }
-
-
-def quadrature_from_json(obj) -> QuadratureResult:
-    try:
-        vec = _vector_from_json(obj["value"], "quadrature value")
-        r = len(vec).bit_length() - 1
-        return QuadratureResult(
-            CDNumber(r, vec),
-            float(obj["est_error"]),
-            int(obj["refinements"]),
-            bool(obj["converged"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DomainError(f"malformed quadrature result: {e}") from e
 
 
 # ---------------------------------------------------------------------------

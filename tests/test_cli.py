@@ -249,6 +249,128 @@ def test_output_flag_writes_file(tmp_path):
     assert json.loads(out_file.read_text())["value"] == [0.0, 0.0, 0.0, 1.0]
 
 
+def test_job_output_field_writes_file(tmp_path):
+    out_file = tmp_path / "report.json"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "eval", "level": 2, "expr": "e1*e2", "output": str(out_file)}))
+    code, out = invoke(["job", str(job)])
+    assert code == 0
+    assert out == ""
+    assert json.loads(out_file.read_text())["value"] == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("route", ["flag", "job"])
+def test_unwritable_output_is_usage_error(tmp_path, route):
+    target = str(tmp_path / "missing-dir" / "report.json")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "eval", "level": 2, "expr": "z", "output": target}))
+    argv = ["job", str(job)] if route == "job" else ["eval", "--level", "2", "--expr", "z", "--output", target]
+    code, rep = invoke_json(argv)
+    assert code == 1
+    assert rep["error"]["kind"] == "usage"
+
+
+def test_job_output_field_and_flag_together_are_refused(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "eval", "level": 2, "expr": "z",
+                               "output": str(tmp_path / "a.json")}))
+    code, rep = invoke_json(["job", str(job), "--output", str(tmp_path / "b.json")])
+    assert code == 1
+    assert rep["error"]["kind"] == "usage"
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
+
+
+def test_job_expr_and_expression_together_are_refused(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "eval", "level": 2, "expr": "z", "expression": "z^2"}))
+    code, rep = invoke_json(["job", str(job)])
+    assert code == 1
+    assert rep["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("max_knots", ["0", "127", str(2**20 + 1), "-5"])
+def test_max_knots_out_of_range_is_usage_error(circle3, max_knots):
+    code, rep = invoke_json(["integrate", "--level", "3", "--expr", "z^-1",
+                             "--path-file", circle3, "--max-knots", max_knots])
+    assert code == 1
+    assert rep["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("max_knots", ["128", "65536"])
+def test_max_knots_in_range_runs(circle3, max_knots):
+    code, rep = invoke_json(["integrate", "--level", "3", "--expr", "z^-1",
+                             "--path-file", circle3, "--max-knots", max_knots])
+    assert code == 0
+    assert math.isfinite(rep["est_error"])
+
+
+# one valid job per command, giving every parameter the command reads
+_UNIT_CIRCLE = circle_json([0, 0, 0, 0], 1.0, [0, 1, 0, 0])
+_P = [0.3, -0.1, 0.2, 0.4]
+ROUTE_JOBS = {
+    "eval": {"expr": "z^2 + e1", "point": _P},
+    "diff": {"expr": "z^2*zc", "point": _P, "direction": [0.1, 0.2, 0.3, 0.4], "wrt": "zc"},
+    "integrate": {"expr": "z^-1", "path": _UNIT_CIRCLE, "tol": 1e-3, "max_knots": 4096},
+    "logint": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0], "tol": 1e-3},
+    "index": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0], "tol": 1e-3},
+    "residue": {"expr": "z^-1", "pole": [0, 0, 0, 0], "direction": [0, 0, 1, 0], "rho": 0.7, "tol": 1e-3},
+    "cauchy": {"expr": "z^2", "point": [0.3, 0.2, 0, 0], "path": _UNIT_CIRCLE, "order": 1, "tol": 1e-3},
+    "taylor": {"expr": "(z-0.2)^2", "center": [0, 0, 0, 0], "path": _UNIT_CIRCLE, "count": 3, "tol": 1e-3},
+    "laurent": {"expr": "z^-1", "center": [0, 0, 0, 0], "kmin": -2, "kmax": 1,
+                "rho_inner": 0.4, "rho_outer": 1.5, "tol": 1e-3},
+    "restheorem": {"expr": "z^-1", "poles": [[0, 0, 0, 0]], "path": _UNIT_CIRCLE, "tol": 1e-3},
+    "argprinciple": {"expr": "z^2", "zeros": [[[0, 0, 0, 0], 2]], "path": _UNIT_CIRCLE, "tol": 1e-3},
+    "roots": {"expr": "z^2 + (1.0)", "tol": 1e-3, "seed": 7},
+    "crcheck": {"expr": "zc", "point": _P, "step": 2e-5, "threshold": 1e-3},
+    "harmonic": {"expr": "z*zc", "point": _P, "step": 2e-5, "threshold": 1e-3},
+    "zbarcheck": {"expr": "e2*z^3", "point": _P, "step": 2e-5, "threshold": 1e-3},
+    "zerodiv": {},
+}
+
+
+def _flag_argv(command, fields, tmp_path):
+    argv = [command, "--level", "2"]
+    for name, value in fields.items():
+        if name == "path":
+            path_file = tmp_path / f"{command}-path.json"
+            path_file.write_text(json.dumps(value))
+            argv += ["--path-file", str(path_file)]
+        else:
+            argv += [cli._flags(name)[0], value if isinstance(value, str) else json.dumps(value)]
+    return argv
+
+
+def _job_argv(command, fields, tmp_path):
+    job = tmp_path / f"{command}-job.json"
+    job.write_text(json.dumps({"command": command, "level": 2, **fields}))
+    return ["job", str(job)]
+
+
+def test_route_jobs_cover_the_command_table():
+    assert set(ROUTE_JOBS) == set(cli.COMMANDS)
+    for command, fields in ROUTE_JOBS.items():
+        assert set(fields) == set(cli._PARAMETERS[command])
+
+
+@pytest.mark.parametrize("command", sorted(ROUTE_JOBS))
+def test_flag_and_job_routes_agree(tmp_path, command):
+    fields = ROUTE_JOBS[command]
+    code_flag, out_flag = invoke(_flag_argv(command, fields, tmp_path))
+    code_job, out_job = invoke(_job_argv(command, fields, tmp_path))
+    assert code_flag == code_job == 0
+    assert out_flag == out_job
+    # a parameter only other commands read is refused on both routes
+    donors = {name: f[name] for f in ROUTE_JOBS.values() for name in f}
+    for name in sorted(set(donors) - set(fields)):
+        extra = {**fields, name: donors[name]}
+        for argv in (_flag_argv(command, extra, tmp_path), _job_argv(command, extra, tmp_path)):
+            code, rep = invoke_json(argv)
+            assert (code, rep["error"]["kind"]) == (1, "usage"), (name, argv[0])
+    if "expr" not in fields:
+        code, rep = invoke_json(_job_argv(command, {**fields, "expression": "z"}, tmp_path))
+        assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
 # ---------------------------------------------------------------------------
 # per-command output shapes
 # ---------------------------------------------------------------------------

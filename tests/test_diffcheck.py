@@ -108,7 +108,7 @@ def test_cr_callable_route_matches_phrase_route():
 
     z = random_element(2, np.random.default_rng(9))
     a = cr_check(RealFieldSample.from_phrase(f), z)
-    b = cr_check(RealFieldSample.from_callable(2, func), z)
+    b = cr_check(RealFieldSample(2, func), z)
     for key in a.per_pair:
         assert a.per_pair[key] == pytest.approx(b.per_pair[key], rel=1e-9, abs=1e-12)
 
@@ -188,7 +188,7 @@ def test_zbar_sees_conjugate_inside_products():
 
 
 def test_zbar_requires_expression_backed_sample():
-    F = RealFieldSample.from_callable(2, lambda w: w)
+    F = RealFieldSample(2, lambda w: w)
     with pytest.raises(DomainError):
         zbar_check(F, from_real(2, 0.1))
 
@@ -355,10 +355,10 @@ def test_report_json_schema():
 def test_sample_validation():
     with pytest.raises(DomainError):
         RealFieldSample.from_expression("z", 2, step=0.0)
-    F = RealFieldSample.from_callable(2, lambda w: np.zeros(3))
+    F = RealFieldSample(2, lambda w: np.zeros(3))
     with pytest.raises(UnsupportedShapeError):
         cr_check(F, from_real(2, 0.1))
-    G = RealFieldSample.from_callable(2, lambda w: np.full(4, np.nan))
+    G = RealFieldSample(2, lambda w: np.full(4, np.nan))
     with pytest.raises(DomainError):
         cr_check(G, from_real(2, 0.1))
 
