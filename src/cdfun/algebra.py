@@ -105,23 +105,37 @@ def basis_table(r: int) -> BasisTable:
 # batched kernel on plain coefficient arrays (..., 2**r)
 # ---------------------------------------------------------------------------
 
-#: Largest batch * d**2 for which mul_arrays gathers a (batch, d, d) operand
-#: (2 MB of doubles) and contracts it in one einsum.  Above it the d-step row
-#: loop wins, since the gathered temporary outgrows the cache; below it the
-#: loop's d Python steps cost more.  Measured on a 2-vCPU Xeon, numpy 2.4:
-#: r = 3, N = 16384 takes 11.9 ms gathered and 4.6 ms looped; one r = 8
-#: element takes 0.27 ms gathered and 1.59 ms looped.  The crossover lies
-#: between 2**16 and 2**18 at r = 3..6 and above 2**19 at r = 8, so 2**18
-#: also keeps the temporary bounded.
-_GATHER_LIMIT = 1 << 18
+#: Elements of the (rows, d, d) gathered operand that mul_arrays builds for
+#: one row block of a batch x batch product: 2**15 doubles (256 KB), so a
+#: block stays in cache and one buffer serves every block.  This replaced a
+#: single gather up to 2**18 elements with a d-step row loop above it.
+#: Measured on a 2-vCPU Xeon with numpy 2.4, as medians of interleaved runs
+#: (BENCH_7.json), old -> new at N = 4096: r = 3 3.1 -> 1.0 ms, r = 4
+#: 7.7 -> 3.6 ms, r = 5 34 -> 11 ms, r = 6 328 -> 45 ms; at N = 1 and 100
+#: below r = 5 both take the single-gather path.  At r = 3..6 a 2**14 budget
+#: ran up to 27 % slower; 2**16 and 2**17 ran up to 10 % faster at r = 5, 6
+#: but up to 3x slower where a batch then fits one unbuffered gather that
+#: outgrows the cache (r = 3, N = 1000: 0.18 ms in two blocks of 2**15,
+#: 0.54 ms as one gather).
+_BLOCK_ELEMENTS = 1 << 15
+
+#: Fewest rows per block.  From r = 7 one row's d x d table fills (r = 7:
+#: two rows) or exceeds (r = 8) the budget.  One row was the fastest floor
+#: measured: at r = 8, N = 10 one row per block took 1.7 ms, four rows 2.8 ms
+#: and sixteen 7.5 ms (the row loop: 6.7 ms); at r = 7, N = 100 floors of one
+#: to sixteen rows all took 3.7-4.0 ms (the row loop: 10.4 ms).
+_MIN_BLOCK_ROWS = 1
 
 
 def mul_arrays(x, y, r: int) -> np.ndarray:
     """Cayley-Dickson product on coefficient arrays of shape (..., 2**r).
 
     A single element (shape (2**r,)) times a batch is one matrix product with
-    the element's d x d multiplication matrix; other pairs gather or loop
-    over rows by _GATHER_LIMIT.  Every form reads basis_table(r).sign_ac.
+    the element's d x d multiplication matrix.  Two batches gather the right
+    operand into a (rows, d, d) signed table and contract it with one einsum
+    per row block of at most _BLOCK_ELEMENTS elements (at least
+    _MIN_BLOCK_ROWS rows); a batch that fits is one block.  Every form reads
+    basis_table(r).sign_ac.
     """
     t = basis_table(r)
     d = 1 << r
@@ -136,12 +150,18 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
         # the same sum over b = a ^ c: y[b] * sign_ac[b ^ c, c] * x[b ^ c]
         return y @ (x[t.xor_ac] * t.sign_ac[t.xor_ac, np.arange(d)])
     x, y = np.broadcast_arrays(x, y)
-    if x.size * d <= _GATHER_LIMIT:
+    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+    if x.size <= rows * d:
         return np.einsum("...a,...ac->...c", x, y[..., t.xor_ac] * t.sign_ac)
-    out = np.zeros(x.shape, dtype=np.float64)
-    for a in range(d):
-        out += x[..., a : a + 1] * (t.sign_ac[a] * y[..., t.xor_ac[a]])
-    return out
+    x2, y2 = x.reshape(-1, d), y.reshape(-1, d)
+    out = np.empty(x2.shape)
+    block = np.empty((rows, d, d))
+    for s in range(0, len(x2), rows):
+        yb = y2[s : s + rows]
+        gathered = np.take(yb, t.xor_ac, axis=1, out=block[: len(yb)], mode="clip")
+        gathered *= t.sign_ac
+        np.einsum("na,nac->nc", x2[s : s + rows], gathered, out=out[s : s + rows])
+    return out.reshape(x.shape)
 
 
 def conj_arrays(x) -> np.ndarray:

@@ -46,7 +46,7 @@ from .contour import (
 )
 from .diffcheck import RealFieldSample, cr_check, harmonic_check, zbar_check
 from .errors import CDError
-from .expressions import Phrase, derivative_apply, evaluate, parse, phrase_from_json
+from .expressions import MAX_EXPONENT, Phrase, derivative_apply, evaluate, parse, phrase_from_json
 from .integrate import DEFAULT_TOL, MAX_KNOTS, START_KNOTS, Path, line_integral, log_integral, path_from_json
 
 MAX_CLI_LEVEL = 8
@@ -68,10 +68,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _level(raw) -> int:
     if raw is None:
         raise UsageError("--level is required")
-    try:
-        r = int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"level must be an integer, got {raw!r}") from None
+    r = _int(raw, "level")
     if not 1 <= r <= MAX_CLI_LEVEL:
         raise UsageError(f"level must be in 1..{MAX_CLI_LEVEL}, got {r}")
     return r
@@ -95,7 +92,11 @@ def _positive(raw, key: str, r: Optional[int] = None) -> float:
 
 
 def _int(raw, key: str, r: Optional[int] = None) -> int:
+    """An integer from a flag string or a JSON integer; JSON floats and
+    booleans are refused rather than truncated, as the string "2.9" is."""
     try:
+        if isinstance(raw, (bool, float)):
+            raise TypeError
         return int(raw)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{key} must be an integer, got {raw!r}") from None
@@ -179,7 +180,10 @@ _READERS = {
     "point": _element, "direction": _element, "center": _element, "pole": _element,
     "rho": _positive, "tol": _positive,
     "rho_inner": _float, "rho_outer": _float, "step": _float, "threshold": _float,
-    "kmin": _int, "kmax": _int, "seed": _int, "order": _int_range(0), "count": _int_range(1),
+    "kmin": _int, "kmax": _int, "seed": _int, "order": _int_range(0),
+    # the kernel of coefficient k has the power -k-1, so every count keeps it
+    # inside the exponent range the parser accepts
+    "count": _int_range(1, MAX_EXPONENT),
     "max_knots": _int_range(2 * START_KNOTS, MAX_KNOTS),
 }
 

@@ -53,6 +53,7 @@ from .integrate import (
     _offset_knots,
     _quadrature_knots,
     _start_knots,
+    distance_range,
     line_integral,
     log_integral,
 )
@@ -293,15 +294,6 @@ def _circle_contour(psi: Path, what: str) -> Tuple[CDNumber, float, CDNumber]:
     return psi.center, psi.radius, psi.direction
 
 
-def _distance_to_circle(z: CDNumber, center: CDNumber, radius: float, m: CDNumber) -> float:
-    w = z - center
-    x = w.re
-    im = w.imag().coeffs
-    y = float(np.dot(im, m.coeffs))
-    perp2 = max(float(np.dot(im, im)) - y * y, 0.0)
-    return math.hypot(math.hypot(x, y) - radius, math.sqrt(perp2))
-
-
 def _deformed_kernel_value(
     f: Phrase, z: CDNumber, psi: Path, power: int, tol: float, what: str
 ) -> CDNumber:
@@ -310,7 +302,7 @@ def _deformed_kernel_value(
         raise LevelMismatchError("phrase, point, and contour must share a level")
     if (z - center).norm() >= radius:
         raise DomainError("evaluation point must lie strictly inside the contour disc")
-    dist = _distance_to_circle(z, center, radius, m)
+    dist = distance_range(z.coeffs, psi)[0]
     if dist < 10.0 * TWO_PI * radius / MAX_KNOTS:
         raise DomainError("evaluation point is too close to the contour for a reliable value")
     rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
@@ -464,13 +456,6 @@ def laurent_coeffs(
 # theorem checks
 # ---------------------------------------------------------------------------
 
-def _distance_to_path(p: CDNumber, psi: Path) -> float:
-    if psi.kind == "circle":
-        return _distance_to_circle(p, psi.center, psi.radius, psi.direction)
-    Z = psi.sample(np.linspace(0.0, 1.0, 4097))
-    return float(norm_arrays(Z - p.coeffs).min())
-
-
 def residue_theorem_check(
     f: Phrase, poles: Sequence[CDNumber], psi: Path, tol: float = 1e-6
 ) -> ContourReport:
@@ -487,7 +472,7 @@ def residue_theorem_check(
     for p in poles:
         if p.level.r != f.level.r:
             raise LevelMismatchError("pole level does not match the phrase")
-        dist = _distance_to_path(p, psi)
+        dist = distance_range(p.coeffs, psi)[0]
         if dist <= 1e-9 * scale:
             raise DomainError("a supplied pole lies on the contour and cannot be classified")
         distances.append(dist)

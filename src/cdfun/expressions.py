@@ -548,15 +548,30 @@ def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
 
     Right multiplication by b is linear, so the partial strings obey
     T_1 = inc, T_{j+1} = T_j * b + b^j * inc, and T_n is the whole sum with
-    every term bracketed from the left: 3n - 4 products instead of
-    n(n-1)/2 + 2(n-1).
+    every term bracketed from the left.  Each row of the base lies in its own
+    complex plane: b = p + v with v = Im b and v^2 = -q^2, q = |v|, so by
+    power-associativity b^j = c_j + s_j*v with real c_j, s_j (c_j + i*q*s_j
+    is (p + i*q)^j), and
+
+        c_1 = p, s_1 = 1,  c_{j+1} = p*c_j - q^2*s_j,  s_{j+1} = c_j + p*s_j,
+        T_{j+1} = T_j * b + c_j*inc + s_j*(v * inc),
+
+    exact at every level and for real rows (v = 0), with n products (v * inc
+    once, T_j * b per step) in place of 3n - 4.
     """
     total = np.array(inc, copy=True)
-    powj = bv
+    if n == 1:
+        return total
+    p = bv[..., :1]
+    v = np.array(bv, copy=True)
+    v[..., 0] = 0.0
+    q2 = np.einsum("...i,...i->...", v, v)[..., None]
+    v_inc = mul_arrays(v, inc, r)
+    c, s = p, 1.0
     for j in range(1, n):
-        total = mul_arrays(total, bv, r) + mul_arrays(powj, inc, r)
+        total = mul_arrays(total, bv, r) + c * inc + s * v_inc
         if j < n - 1:
-            powj = mul_arrays(powj, bv, r)
+            c, s = p * c - q2 * s, c + p * s
     return total
 
 
@@ -775,8 +790,12 @@ class LogTerm:
 
 @dataclass
 class PrimitiveResult:
+    """Polynomial part, logarithm terms, and the centre c of every word
+    (z - c)^n with n < 0 (log-term centres included)."""
+
     poly: Phrase
     log_terms: list[LogTerm] = field(default_factory=list)
+    poles: list[np.ndarray] = field(default_factory=list)
 
 
 def _locate_var_factor(node: Node, fmt_word: str):
@@ -855,6 +874,7 @@ def primitive(f: Phrase) -> PrimitiveResult:
     d = f.level.basis_dim
     poly_terms: list[tuple[int, Node]] = []
     log_terms: list[LogTerm] = []
+    poles: list[np.ndarray] = []
     for sign, term in _expand(f.root, d):
         word_text = _fmt(term, head=True)
         if not _contains_var(term):
@@ -876,6 +896,8 @@ def primitive(f: Phrase) -> PrimitiveResult:
                 raise UnsupportedShapeError(f"unsupported word shape: {word_text}")
             n = leaf.power
             extra = s if n % 2 else 1
+        if n < 0:
+            poles.append(center)
         if n == -1:
             tree = rebuild(LogLeaf(center))
             scale = float(sign * extra)
@@ -893,7 +915,7 @@ def primitive(f: Phrase) -> PrimitiveResult:
             root = Add(root, node) if sign == 1 else Sub(root, node)
     else:
         root = Const(np.zeros(d))
-    return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms)
+    return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles)
 
 
 def _tripled(tree: Node, d: int):

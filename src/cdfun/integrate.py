@@ -39,7 +39,7 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import Phrase, PrimitiveResult, eval_node_arrays, hat_from_primitive, primitive
+from .expressions import Phrase, PrimitiveResult, _fmt_const, eval_node_arrays, hat_from_primitive, primitive
 from .transcendental import _ln_with_parts, exp_arrays, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -290,6 +290,48 @@ class Partition:
         return Partition(np.linspace(0.0, 1.0, n + 1))
 
 
+def distance_range(point: np.ndarray, path: Path) -> tuple:
+    """Least distance from a point (a coefficient array) to the path, and a
+    bound on the greatest.
+
+    Closed forms for circles, arcs included, and for polylines; parametric
+    paths are sampled at 4097 knots, which can only overstate the least
+    distance.
+    """
+    if path.kind == "circle":
+        w = point - path.center.coeffs
+        x, y = float(w[0]), float(np.dot(w, path.direction.coeffs))
+        planar = math.hypot(x, y)
+        perp = math.sqrt(max(float(np.dot(w[1:], w[1:])) - y * y, 0.0))
+        far = math.hypot(planar + path.radius, perp)
+        # the polar angle of the point's shadow in the plane, measured in the
+        # direction of travel from the start, against the angle the arc spans
+        ahead = math.atan2(math.copysign(1.0, path.turns) * y, x) % (2.0 * math.pi)
+        if ahead <= 2.0 * math.pi * abs(path.turns):
+            return math.hypot(planar - path.radius, perp), far
+        return float(norm_arrays(path.sample([0.0, 1.0]) - point).min()), far
+    if path.kind == "polyline":
+        pts = np.stack([p.coeffs for p in path.points]) - point
+        a, seg = pts[:-1], np.diff(pts, axis=0)
+        len2 = np.einsum("ij,ij->i", seg, seg)
+        t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
+        near = norm_arrays(a + t[:, None] * seg)
+        return float(near.min()), float(norm_arrays(pts).max())
+    rho = norm_arrays(path.sample(np.linspace(0.0, 1.0, 4097)) - point)
+    return float(rho.min()), float(rho.max())
+
+
+def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
+    """PoleError when the path meets a pole centre of the primitive, by the
+    rule log_integral applies to its knots: within 1e-13 * scale, scale being
+    1 + |centre| + (a bound on) the greatest distance from the centre to the
+    path."""
+    for center in prim.poles:
+        near, far = distance_range(center, gamma)
+        if near <= 1e-13 * (1.0 + float(norm_arrays(center)) + far):
+            raise PoleError(f"path passes through the pole at {_fmt_const(center)}")
+
+
 def _offset_knots(n: int) -> np.ndarray:
     inner = (np.arange(n) + 0.5) / n
     return np.concatenate([[0.0], inner, [1.0]])
@@ -447,14 +489,16 @@ def line_integral(
 ) -> QuadratureResult:
     """The line integral of f along gamma by extrapolated knot doubling.
 
-    Non-convergence within ``max_knots`` is reported through the
-    ``converged`` flag; the best value and its error estimate are still
-    returned.  Evaluation at all knots of one refinement happens as a
-    single array operation, and the reduction order is fixed, so results
-    are bit-reproducible.
+    A path through a pole centre of f (see ``_check_poles``) raises
+    PoleError before any sampling.  Non-convergence within ``max_knots`` is
+    reported through the ``converged`` flag; the best value and its error
+    estimate are still returned.  Evaluation at all knots of one refinement
+    happens as a single array operation, and the reduction order is fixed,
+    so results are bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
+    _check_poles(prim, gamma)
     return _extrapolated(lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n)), gamma.level, tol, max_knots)
 
 
@@ -473,6 +517,7 @@ def stieltjes_integral(
     _check_levels(f, gamma)
     _check_levels(q, gamma)
     prim = primitive(f)
+    _check_poles(prim, gamma)
     return _extrapolated(
         lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), q=q),
         gamma.level,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     CDNumber,
     EPS_ZERO,
-    _GATHER_LIMIT,
+    _BLOCK_ELEMENTS,
+    _MIN_BLOCK_ROWS,
     basis_element,
     basis_table,
     conj_via_generators,
@@ -328,10 +329,11 @@ def test_batched_multiplication_matches_scalar_loop(r, seed):
 
 def test_large_dimension_row_loop_path():
     # every operand-shape pairing against the doubling reference, with batch
-    # sizes on both sides of the gather/row-loop switch
+    # sizes of one row block and of one block plus a row, so that a batch
+    # spanning two blocks is checked at every level
     for r in range(1, 9):
         d = 1 << r
-        n_gather = _GATHER_LIMIT // (d * d)
+        n_gather = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
         rng = _rng(11 + r)
         x = rng.standard_normal(d)
         X = rng.standard_normal((n_gather + 1, d))
@@ -357,12 +359,14 @@ def test_sign_table_reaches_constant_operand_products(r):
     d = 1 << r
     c = rng.standard_normal(d)
     Y = rng.standard_normal((3, d))
+    # a batch pair spanning two row blocks of the batch x batch kernel
+    X2, Y2 = rng.standard_normal((2, max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS) + 1, d))
     table = basis_table(r)
-    clean = (mul_arrays(c, Y, r), mul_arrays(Y, c, r))
+    clean = (mul_arrays(c, Y, r), mul_arrays(Y, c, r), mul_arrays(X2, Y2, r))
     saved = table.sign_ac.copy()
     table.sign_ac[1, 2] = -table.sign_ac[1, 2]
     try:
-        flipped = (mul_arrays(c, Y, r), mul_arrays(Y, c, r))
+        flipped = (mul_arrays(c, Y, r), mul_arrays(Y, c, r), mul_arrays(X2, Y2, r))
     finally:
         table.sign_ac[...] = saved
     for before, after in zip(clean, flipped):

@@ -577,3 +577,42 @@ def test_fuzz_malformed_specs_never_bare_crash(tmp_path):
             assert set(rep["error"]) == {"kind", "detail"}
     # the corpus must actually exercise the error paths
     assert codes[1] >= 900
+
+
+# ---------------------------------------------------------------------------
+# integer fields, taylor --count, poles on the path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [("level", 2.9), ("level", True), ("seed", 1.5)])
+def test_non_integer_job_fields_are_usage_errors(tmp_path, field, value):
+    job = tmp_path / "job.json"
+    fields = {"command": "roots", "level": 2, "expr": "z^2 + (1.0)", field: value}
+    job.write_text(json.dumps(fields))
+    code, rep = invoke_json(["job", str(job)])
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+    assert "must be an integer" in rep["error"]["detail"]
+
+
+def _taylor_routes(tmp_path, count):
+    fields = {"expr": "z^2", "center": [0, 0, 0, 0], "path": _UNIT_CIRCLE, "count": count}
+    return _flag_argv("taylor", fields, tmp_path), _job_argv("taylor", fields, tmp_path)
+
+
+def test_taylor_count_above_the_exponent_cap_is_refused_at_once(tmp_path):
+    for argv in _taylor_routes(tmp_path, 61):
+        start = time.perf_counter()
+        code, rep = invoke_json(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
+def test_taylor_count_at_the_exponent_cap_runs(tmp_path):
+    code, rep = invoke_json(_taylor_routes(tmp_path, 60)[0])
+    assert code == 0
+    assert len(rep["coefficients"]) == 60
+
+
+def test_pole_on_the_contour_is_a_pole_error(circle3):
+    code, rep = invoke_json(["integrate", "--level", "3", "--expr", "(z-1)^-2", "--path-file", circle3])
+    assert (code, rep["error"]["kind"]) == (2, "pole")
+    assert "1.0" in rep["error"]["detail"]

@@ -322,16 +322,58 @@ def _power_string_by_terms(bv, inc, n, r):
     return total
 
 
-@pytest.mark.parametrize("r", [3, 5, 8])
+def _assert_power_string(b, h, n, r):
+    want = _power_string_by_terms(b, h, n, r)
+    got = _left_power_string(b, h, n, r)
+    assert got.shape == want.shape
+    # the tolerance row by row, so a zero or real row is held to its own scale
+    b_norm = np.linalg.norm(np.broadcast_to(b, got.shape), axis=-1)
+    h_norm = np.linalg.norm(np.broadcast_to(h, got.shape), axis=-1)
+    tol = 1e-12 * (1 + b_norm) ** n * h_norm
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= tol)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
 def test_power_string_recurrence_matches_term_by_term_sum(r):
     rng = _rng(19)
     d = 1 << r
     for n in range(1, 9):
         b, h = rng.standard_normal((2, d))
-        want = _power_string_by_terms(b, h, n, r)
-        got = _left_power_string(b, h, n, r)
-        tol = 1e-12 * (1 + np.linalg.norm(b)) ** n * np.linalg.norm(h)
-        assert np.linalg.norm(got - want) <= tol
+        _assert_power_string(b, h, n, r)
+        # a batch with one exactly real row and one zero row
+        B, H = rng.standard_normal((2, 4, d))
+        B[1, 1:] = 0.0
+        B[2] = 0.0
+        _assert_power_string(B, H, n, r)
+        # one base against a batch of increments
+        _assert_power_string(b, H, n, r)
+
+
+def test_power_string_makes_one_product_per_factor(monkeypatch):
+    from cdfun import expressions
+
+    calls = []
+
+    def counting(x, y, lev):
+        calls.append(lev)
+        return mul_arrays(x, y, lev)
+
+    monkeypatch.setattr(expressions, "mul_arrays", counting)
+    rng = _rng(20)
+    for r in (1, 3, 8):
+        d = 1 << r
+        for n in range(2, 9):
+            for b, h in ((rng.standard_normal(d), rng.standard_normal(d)), rng.standard_normal((2, 5, d))):
+                calls.clear()
+                _left_power_string(b, h, n, r)
+                assert len(calls) == n
+
+
+@pytest.mark.parametrize("r", [3, 5, 8])
+def test_cube_derivative_at_a_real_point_is_12_h(r):
+    h = random_element(r, _rng(21))
+    got = derivative_apply(parse("z^3", r), from_real(r, 2.0), h)
+    assert (got - h * 12.0).norm() <= 1e-15 * 12.0 * h.norm()
 
 
 @pytest.mark.parametrize(

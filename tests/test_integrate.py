@@ -28,6 +28,7 @@ from cdfun.integrate import (
     START_KNOTS,
     Partition,
     Path,
+    distance_range,
     integral_sum,
     line_integral,
     log_integral,
@@ -540,3 +541,36 @@ def test_stieltjes_against_fine_direct_sum():
     ref = CDNumber(2, vals.sum(axis=0))
     assert (res.value - ref).norm() < 1e-3
     assert res.converged
+
+
+def test_pole_centres_on_the_path_are_refused_before_sampling():
+    e1 = basis_element(3, 1)
+    circle = Path.circle(zero(3), 1.0, e1)
+    # the corner-free square side x = 0.5 passes through 0.5 + 0.1 e1, between
+    # any two uniform samples
+    square = Path.polyline([from_real(3, 0.5) + e1 * s for s in (-0.5, 0.5)])
+    for text, path in (("(z-1)^-2", circle), ("e2*(z-e1)^-1*e3", circle), ("(z-(0.5+0.1*e1))^-3", square)):
+        with pytest.raises(PoleError, match="pole at"):
+            line_integral(parse(text, 3), path)
+    # off the path the integral runs: the knot-capped pole 1e-7 off the circle
+    res = line_integral(parse("(z-1.0000001)^-2", 3), circle, max_knots=1024)
+    assert not res.converged
+    # an arc of half a turn, either way round, meets a pole between two of
+    # 4097 uniform samples and does not reach the pole on the other half
+    ang = math.pi * (0.5 + 0.5 / 4096)
+    for turns, sign in ((0.5, "+"), (-0.5, "-")):
+        arc = Path.circle(zero(3), 1.0, e1, turns)
+        on_arc = f"(z-(0-{abs(math.cos(ang)):.17f}{sign}{math.sin(ang):.17f}*e1))^-2"
+        with pytest.raises(PoleError, match="pole at"):
+            line_integral(parse(on_arc, 3), arc)
+        assert distance_range(from_real(3, -1.0).coeffs, arc)[0] < 1e-12
+        assert distance_range(from_real(3, 2.0).coeffs, arc)[0] == pytest.approx(1.0, rel=1e-15)
+        assert line_integral(parse("(z+e1)^-2" if turns > 0 else "(z-e1)^-2", 3), arc).converged
+
+
+def test_distance_range_of_polyline_is_exact():
+    e1 = basis_element(2, 1)
+    square = Path.polyline([from_real(2, 0.5) + e1 * s for s in (-0.5, 0.5)])
+    near, far = distance_range(np.array([0.5, 1e-3 / 3, 0.2, 0.0]), square)
+    assert near == pytest.approx(0.2, rel=1e-15)
+    assert far == pytest.approx(math.sqrt((0.5 + 1e-3 / 3) ** 2 + 0.04), rel=1e-15)
