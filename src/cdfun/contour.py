@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -249,37 +249,67 @@ def _kernel_loop(
     center: CDNumber,
     m: CDNumber,
     rho: float,
-    power: int,
+    powers: Sequence[int],
     tol: float,
     max_knots: int = 1 << 18,
-) -> QuadratureResult:
-    """Extrapolated sum of f(zeta_{j+1}) * dK_j with K the kernel primitive.
+) -> Iterator[QuadratureResult]:
+    """Extrapolated sums of f(zeta_{j+1}) * dK_j, one per kernel power.
 
     K is the primitive of (zeta - center)^power d(zeta) along the circle
     zeta(t) = center + rho*exp(2*pi*t*M): the angle function itself scaled
     by M when power = -1, and u^(power+1)/(power+1) otherwise.  Increments
     are exact, so there is no differencing noise at any knot count.
+
+    Every increment lies in the contour plane, dK_j = a_j + b_j*M with real
+    a_j, b_j (a_j = 0 and b_j the angle step when power = -1), and the
+    product is bilinear, so F*(a + b*M) = a*F + b*(F*M) holds exactly at
+    every knot.  One knot layout therefore costs one evaluation F = f(zeta)
+    and one product F*M, shared by all powers, plus one real weighted sum
+    over the knots per power.  The weights are built one power at a time,
+    so memory stays O(knots * d).  The sum runs in knot order, as the sum
+    of full products F_j*dK_j did, so on a basis direction M the results
+    are bit-identical to that form.  Each power converges on its own (see
+    ``_extrapolated``).
+
+    Results are yielded in power order, and the loop runs at the first
+    request.  A power whose scale rho^(power+1) overflows raises DomainError
+    in its place, so a caller that reads the results in order and stops at
+    the first failure reports the same failure as one loop per power would;
+    the powers from there on are not integrated.
     """
     r = f.level.r
     mv = m.coeffs
     cv = center.coeffs
+    scales = []
+    for power in powers:
+        try:
+            scales.append(rho ** (power + 1) / (power + 1) if power != -1 else 1.0)
+        except OverflowError:
+            break
 
     def raw(n: int) -> np.ndarray:
         ang = TWO_PI * _offset_knots(n)
-        Z = _plane_circle(cv, mv, rho, ang)
         try:
-            F = eval_node_arrays(f.root, Z, r)
+            F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang[1:]), r)
         except SingularElementError as e:
             raise PoleError(f"integrand is singular on the contour: {e}") from e
-        if power == -1:
-            K = ang[:, None] * mv[None, :]
-        else:
-            q = power + 1
-            K = (rho**q / q) * _plane_circle(np.zeros_like(cv), mv, 1.0, q * ang)
-        dK = np.diff(K, axis=0)
-        return mul_arrays(F[1:], dK, r).sum(axis=0)
+        FM = mul_arrays(F, mv, r)
+        out = np.empty((len(scales), len(cv)))
+        for i, (power, s) in enumerate(zip(powers, scales)):
+            if power == -1:
+                out[i] = (np.diff(ang)[:, None] * FM).sum(axis=0)
+            else:
+                q = power + 1
+                a, b = np.diff(s * np.cos(q * ang)), np.diff(s * np.sin(q * ang))
+                out[i] = (a[:, None] * F + b[:, None] * FM).sum(axis=0)
+        return out
 
-    return _extrapolated(raw, f.level, tol, max_knots)
+    if scales:
+        yield from _extrapolated(raw, f.level, tol, max_knots)
+    if len(scales) < len(powers):
+        raise DomainError(
+            f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +336,8 @@ def _deformed_kernel_value(
     if dist < 10.0 * TWO_PI * radius / MAX_KNOTS:
         raise DomainError("evaluation point is too close to the contour for a reliable value")
     rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
-    full = _kernel_loop(f, z, m, rho, power, tol)
-    half = _kernel_loop(f, z, m, rho / 2.0, power, tol)
+    (full,) = _kernel_loop(f, z, m, rho, [power], tol)
+    (half,) = _kernel_loop(f, z, m, rho / 2.0, [power], tol)
     if not (full.converged and half.converged):
         raise NonConvergenceError(
             f"{what} quadrature did not converge", best=half.value * (1.0 / TWO_PI)
@@ -363,12 +393,15 @@ def coefficient_mode(f: Phrase) -> str:
     return "value" if (is_central(f) or f.level.r <= 3) else "functional"
 
 
-def _coefficient(f: Phrase, center: CDNumber, m: CDNumber, rho: float, k: int, tol: float) -> Tuple[CDNumber, QuadratureResult]:
-    res = _kernel_loop(f, center, m, rho, -k - 1, tol)
-    value = res.value * (1.0 / TWO_PI)
-    if coefficient_mode(f) == "value":
-        value = mul(value, m.conj())
-    return value, res
+def _coefficients(
+    f: Phrase, center: CDNumber, m: CDNumber, rho: float, ks: Sequence[int], tol: float
+) -> Iterator[Tuple[CDNumber, QuadratureResult]]:
+    """Coefficients c_k for every k in ks, in order, from one kernel loop on
+    one circle (run at the first request)."""
+    value_mode = coefficient_mode(f) == "value"
+    for res in _kernel_loop(f, center, m, rho, [-k - 1 for k in ks], tol):
+        value = res.value * (1.0 / TWO_PI)
+        yield (mul(value, m.conj()) if value_mode else value), res
 
 
 def taylor_coeffs(
@@ -390,8 +423,7 @@ def taylor_coeffs(
     if count < 1:
         raise DomainError("coefficient count must be positive")
     out = []
-    for k in range(count):
-        value, res = _coefficient(f, a, m, radius, k, tol)
+    for k, (value, res) in enumerate(_coefficients(f, a, m, radius, range(count), tol)):
         if not res.converged:
             raise NonConvergenceError(
                 f"coefficient k={k} did not converge", best=value
@@ -432,11 +464,14 @@ def laurent_coeffs(
     # consistency circles near the annulus edges (1/8 and 7/8 up the log
     # scale) keep the undetectable zones thin
     radii = (rho_inner * ratio**0.125, mid, rho_inner * ratio**0.875)
+    ks = range(k_min, k_max + 1)
+    # one loop per radius, each run at the first k; read k-major, radius-minor
+    columns = [_coefficients(f, a, m, rho, ks, tol) for rho in radii]
     out = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
         values = []
-        for rho in radii:
-            value, res = _coefficient(f, a, m, rho, k, tol)
+        for rho, column in zip(radii, columns):
+            value, res = next(column)
             if not res.converged:
                 raise NonConvergenceError(
                     f"coefficient k={k} did not converge at radius {rho:g}", best=value

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -160,8 +160,13 @@ class Path:
         return CDNumber(self.level, self.sample([t])[0])
 
     def reversed(self) -> "Path":
+        """The same points in the opposite order.  A closed circle stays a
+        circle of negated turns; an arc would mirror, so it is traversed
+        back from its end instead."""
         if self.kind == "circle":
-            return Path.circle(self.center, self.radius, self.direction, -self.turns)
+            if float(self.turns).is_integer():
+                return Path.circle(self.center, self.radius, self.direction, -self.turns)
+            return self.subpath(1.0, 0.0)
         if self.kind == "polyline":
             return Path.polyline(self.points[::-1])
         sampler = self.sampler
@@ -456,27 +461,43 @@ def _extrapolated(
     level: AlgebraLevel,
     tol: float,
     max_knots: int,
-) -> QuadratureResult:
+) -> List[QuadratureResult]:
+    """Richardson-extrapolated knot doubling of a stack of K raw sums.
+
+    ``raw(n)`` returns the (K, d) stack of increment sums on the n-knot
+    layout, so every row shares one sampling of the path.  Each row runs
+    the same tableau and the same ``est < tol`` rule on its own and keeps
+    the result of its own first converged refinement; the doubling goes on
+    while any row is open.  Rows still open when the next layout would
+    exceed ``max_knots`` come back unconverged with their last diagonal.
+    The tableau is elementwise, so a row's result is bit-identical to a
+    run of that row alone.
+    """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
     n = START_KNOTS
     prev_row = None
-    prev_diag = None
     refinements = 0
-    est = math.inf
     while True:
         row = [raw(n)]
-        if prev_row is not None:
+        if prev_row is None:
+            done: List[Optional[QuadratureResult]] = [None] * len(row[0])
+            est = [math.inf] * len(done)
+        else:
             for m in range(len(prev_row)):
                 row.append(row[m] + (row[m] - prev_row[m]) / (2.0 ** (m + 1) - 1.0))
-        diag = row[-1]
-        if prev_diag is not None:
-            est = float(norm_arrays(diag - prev_diag))
-            if est < tol:
-                return QuadratureResult(CDNumber(level, diag), est, refinements, True)
-        prev_row, prev_diag = row, diag
+            est = norm_arrays(row[-1] - prev_row[-1]).tolist()
+            for i, e in enumerate(est):
+                if e < tol and done[i] is None:
+                    done[i] = QuadratureResult(CDNumber(level, row[-1][i]), e, refinements, True)
+            if None not in done:
+                return done
+        prev_row = row
         if 2 * n > max_knots:
-            return QuadratureResult(CDNumber(level, diag), est, refinements, False)
+            return [
+                res if res is not None else QuadratureResult(CDNumber(level, row[-1][i]), est[i], refinements, False)
+                for i, res in enumerate(done)
+            ]
         n *= 2
         refinements += 1
 
@@ -499,7 +520,7 @@ def line_integral(
     _check_levels(f, gamma)
     prim = primitive(f)
     _check_poles(prim, gamma)
-    return _extrapolated(lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n)), gamma.level, tol, max_knots)
+    return _extrapolated(lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n))[None], gamma.level, tol, max_knots)[0]
 
 
 def stieltjes_integral(
@@ -519,11 +540,11 @@ def stieltjes_integral(
     prim = primitive(f)
     _check_poles(prim, gamma)
     return _extrapolated(
-        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), q=q),
+        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), q=q)[None],
         gamma.level,
         tol,
         max_knots,
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,21 @@ def test_taylor_count_at_the_exponent_cap_runs(tmp_path):
     assert len(rep["coefficients"]) == 60
 
 
+def test_taylor_count_at_the_exponent_cap_runs_at_level_8_within_10s(tmp_path):
+    d = 256
+    path = tmp_path / "circle8.json"
+    path.write_text(json.dumps(circle_json([0] * d, 1.0, [0, 1] + [0] * (d - 2))))
+    start = time.perf_counter()
+    code, rep = invoke_json(["taylor", "--level", "8", "--expr", "z^2", "--center", json.dumps([0] * d),
+                             "--count", "60", "--path-file", str(path)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    got = np.array(rep["coefficients"])
+    want = np.zeros((60, d))
+    want[2, 0] = 1.0
+    assert np.max(np.abs(got - want)) <= 1e-6
+
+
 def test_pole_on_the_contour_is_a_pole_error(circle3):
     code, rep = invoke_json(["integrate", "--level", "3", "--expr", "(z-1)^-2", "--path-file", circle3])
     assert (code, rep["error"]["kind"]) == (2, "pole")

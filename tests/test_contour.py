@@ -12,12 +12,16 @@ from cdfun.algebra import (
     basis_element,
     from_real,
     mul,
+    mul_arrays,
     random_unit_imaginary,
     zero,
 )
 from cdfun.contour import (
+    TWO_PI,
     ContourReport,
     IndexVector,
+    _kernel_loop,
+    _plane_circle,
     ar_index,
     argument_principle,
     cauchy_derivative,
@@ -33,6 +37,7 @@ from cdfun.contour import (
     taylor_coeffs,
     winding_index,
 )
+from cdfun import contour
 from cdfun.errors import (
     DomainError,
     LevelMismatchError,
@@ -41,8 +46,8 @@ from cdfun.errors import (
     StepControlError,
     UnsupportedShapeError,
 )
-from cdfun.expressions import evaluate, parse
-from cdfun.integrate import Path
+from cdfun.expressions import eval_node_arrays, evaluate, parse
+from cdfun.integrate import Path, _extrapolated, _offset_knots
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -414,6 +419,17 @@ def test_taylor_count_positive():
         taylor_coeffs(parse("z", 3), zero(3), 0, psi)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_taylor_failures_come_in_coefficient_order_and_an_overflowing_kernel_is_typed():
+    psi = Path.circle(zero(1), 1e-30, basis_element(1, 1), 1.0)
+    # rho^-12 overflows a double; for z^2 the k = 3 sum drowns in rounding
+    # first, and that failure is the one reported
+    with pytest.raises(NonConvergenceError, match="coefficient k=3 did not converge"):
+        taylor_coeffs(parse("z^2", 1), zero(1), 12, psi)
+    with pytest.raises(DomainError, match="kernel power -12 overflows"):
+        taylor_coeffs(parse("0", 1), zero(1), 12, psi)
+
+
 def test_coefficient_mode_detection():
     assert is_central(parse("z^2 - 1.5*z + 2", 4))
     assert not is_central(parse("e2*z^2", 4))
@@ -470,6 +486,61 @@ def test_laurent_validates_inputs():
         laurent_coeffs(parse("z", 2), zero(2), 1, 0, 0.5, 2.0)
     with pytest.raises(DomainError):
         laurent_coeffs(parse("z", 2), zero(2), -1, 1, 2.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the shared kernel loop
+# ---------------------------------------------------------------------------
+
+def _per_power_kernel_loop(f, center, m, rho, power, tol, max_knots=1 << 18):
+    """Reference: one loop per power, each knot multiplied by its increment
+    dK_j as a full batch-by-batch product."""
+    r = f.level.r
+    mv, cv = m.coeffs, center.coeffs
+
+    def raw(n):
+        ang = TWO_PI * _offset_knots(n)
+        F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
+        if power == -1:
+            K = ang[:, None] * mv[None, :]
+        else:
+            q = power + 1
+            K = (rho**q / q) * _plane_circle(np.zeros_like(cv), mv, 1.0, q * ang)
+        return mul_arrays(F[1:], np.diff(K, axis=0), r).sum(axis=0)[None]
+
+    (res,) = _extrapolated(raw, f.level, tol, max_knots)
+    return res
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("off_plane", [False, True])
+def test_shared_kernel_loop_matches_per_power_loops(r, off_plane):
+    # in the plane of e1; off it, about a direction with three components
+    m = _vec(r, e1=1.0, e2=1.0, e3=-1.0) * (1.0 / math.sqrt(3.0)) if off_plane else basis_element(r, 1)
+    center = from_real(r, 0.2) + m * -0.1 + (_vec(r, e3=0.3) if off_plane else zero(r))
+    f = parse("e2*z*e3 + (z - 2)^-1 + 0.5", r)
+    powers = list(range(-6, 3))
+    got = list(_kernel_loop(f, center, m, 0.7, powers, 1e-6))
+    assert len(got) == len(powers)
+    for power, res in zip(powers, got):
+        ref = _per_power_kernel_loop(f, center, m, 0.7, power, 1e-6)
+        assert (res.converged, res.refinements) == (ref.converged, ref.refinements)
+        assert (res.value - ref.value).norm() <= 1e-12 * (1.0 + ref.value.norm())
+
+
+def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
+    f = parse("e2*z^3 + z", 3)
+    psi = Path.circle(zero(3), 1.0, E1, 1.0)
+    layouts = 1 + max(res.refinements for res in _kernel_loop(f, zero(3), E1, 1.0, range(-12, 0), 1e-6))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_node_arrays(*args)
+
+    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    taylor_coeffs(f, zero(3), 12, psi)
+    assert len(calls) == layouts < 12
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cdfun.algebra import (
     CDNumber,
+    as_level,
     basis_element,
     from_real,
     mul,
@@ -33,6 +34,7 @@ from cdfun.integrate import (
     line_integral,
     log_integral,
     path_from_json,
+    _extrapolated,
     _quadrature_knots,
     stieltjes_integral,
     total_variation,
@@ -235,6 +237,21 @@ def test_reversal_negates():
     a = line_integral(f, arc, tol=1e-7).value
     b = line_integral(f, arc.reversed(), tol=1e-7).value
     assert (a + b).norm() < 2e-7
+
+
+def test_reversed_half_circle_runs_back_along_the_same_arc():
+    e1 = basis_element(2, 1)
+    arc = Path.circle(zero(2), 1.0, e1, 0.5)
+    rev = arc.reversed()
+    assert rev.point(0.0).allclose(from_real(2, -1.0), 1e-14)
+    assert rev.point(1.0).allclose(from_real(2, 1.0), 1e-14)
+    assert rev.point(0.5).allclose(e1, 1e-14)
+    f = parse("(z+0.5*e1)^-1", 2)
+    a = line_integral(f, arc, tol=1e-8)
+    b = line_integral(f, rev, tol=1e-8)
+    assert a.converged and b.converged
+    assert abs(a.value.coeffs[1] - 2.214) < 1e-3
+    assert (a.value + b.value).norm() < 1e-7
 
 
 def test_concatenation_additivity():
@@ -574,3 +591,40 @@ def test_distance_range_of_polyline_is_exact():
     near, far = distance_range(np.array([0.5, 1e-3 / 3, 0.2, 0.0]), square)
     assert near == pytest.approx(0.2, rel=1e-15)
     assert far == pytest.approx(math.sqrt((0.5 + 1e-3 / 3) ** 2 + 0.04), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the stacked extrapolation
+# ---------------------------------------------------------------------------
+
+def _stacked_raw(n):
+    """Four rows with different tails: an exact 1/N error the tableau strips
+    at once, a cubic tail, a quintic tail that the tableau strips two
+    doublings later, and an N^(-1/2) tail that never meets the tolerance."""
+    v = np.array([1.0, -0.5, 0.25, 2.0])
+    return np.stack([
+        v + 0.3 / n,
+        2.0 * v + 1.0 / n - 5.0 / n**2 + 7.0 / n**3,
+        -v + sum(v[::-1] * (-64.0 / n) ** p for p in range(1, 6)),
+        v + 1e-2 / math.sqrt(n),
+    ])
+
+
+def test_stacked_extrapolation_matches_single_row_runs_bitwise():
+    calls = []
+
+    def raw(n):
+        calls.append(n)
+        return _stacked_raw(n)
+
+    stacked = _extrapolated(raw, as_level(2), 1e-9, 1 << 12)
+    assert len(calls) == len(set(calls)) == 1 + max(res.refinements for res in stacked)
+    for i, res in enumerate(stacked):
+        (alone,) = _extrapolated(lambda n: _stacked_raw(n)[i : i + 1], as_level(2), 1e-9, 1 << 12)
+        assert np.array_equal(res.value.coeffs, alone.value.coeffs)
+        assert (res.est_error, res.refinements, res.converged) == (
+            alone.est_error, alone.refinements, alone.converged)
+    assert [res.converged for res in stacked] == [True, True, True, False]
+    early = max(stacked[0].refinements, stacked[1].refinements)
+    assert stacked[2].refinements > early
+    assert stacked[3].refinements == 6  # 64 * 2^6 knots, the last layout under the cap
