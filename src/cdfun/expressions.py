@@ -13,6 +13,14 @@ A product chain a*b*c parses as (a*b)*c; any other bracketing must be written
 explicitly.  Exponents are integers with |n| <= 60; negative exponents denote
 powers of the inverse.
 
+A parsed tree has five node kinds: Const, VarPow (z^n or zc^n), PowNode (a
+bracketed base or a basis symbol raised to n, so z^2 and (z)^2 stay apart),
+binary Mul, and Sum, a tuple of (sign, term) pairs with sign +-1.  The
+constructors Add, Sub and Neg keep every Sum in the parser's normal form: a
+left-associated chain whose head may be negated, so a - b + c is one Sum of
+three terms, while -x and a bracketed sum stay single terms of their own.
+LogLeaf, Ln(z - c), occurs only in the logarithm words of a primitive.
+
 The superdifferential of a term follows the product rule with (Dz).h = h and
 (D zc).h = conj(h); for a power the increment is summed over insertion slots
 with the left-to-right bracket, e.g. D(z^3).h = (h*z)*z + (z*h)*z + (z*z)*h.
@@ -95,27 +103,32 @@ class Mul(Node):
         self.right = right
 
 
-class Add(Node):
-    __slots__ = ("left", "right")
+class Sum(Node):
+    """Signed sum of terms: ``terms`` is a tuple of (sign, node), sign +1 or -1."""
 
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
+    __slots__ = ("terms",)
 
-
-class Sub(Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
+    def __init__(self, terms):
+        self.terms = tuple(terms)
 
 
-class Neg(Node):
-    __slots__ = ("child",)
+def Add(left: Node, right: Node) -> Sum:
+    return _append(left, 1, right)
 
-    def __init__(self, child: Node):
-        self.child = child
+
+def Sub(left: Node, right: Node) -> Sum:
+    return _append(left, -1, right)
+
+
+def Neg(child: Node) -> Sum:
+    """-child as one negative term; never merged into an enclosing sum."""
+    return Sum(((-1, child),))
+
+
+def _append(left: Node, sign: int, right: Node) -> Sum:
+    """left +- right, where a Sum on the left grows by one term."""
+    head = left.terms if isinstance(left, Sum) else ((1, left),)
+    return Sum(head + ((sign, right),))
 
 
 class LogLeaf(Node):
@@ -140,10 +153,10 @@ class Phrase:
 
 def _children(node: Node) -> tuple:
     """Direct subtrees of a node, left to right."""
-    if isinstance(node, (Mul, Add, Sub)):
+    if isinstance(node, Mul):
         return node.left, node.right
-    if isinstance(node, Neg):
-        return (node.child,)
+    if isinstance(node, Sum):
+        return tuple(term for _, term in node.terms)
     if isinstance(node, PowNode):
         return (node.base,)
     return ()  # Const, VarPow, LogLeaf
@@ -284,15 +297,21 @@ class _Parser:
             tok = self._next()
         if tok[0] != "num" or not tok[1].isdigit():
             raise ExprSyntaxError("exponent must be an integer", tok[2])
-        n = sign * int(tok[1])
-        if abs(n) > MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent overflow (|n| > {MAX_EXPONENT})", tok[2])
-        return n
+        return _exponent(sign * int(tok[1]), tok[2])
 
     def _scalar_vec(self, v: float):
         vec = np.zeros(self.level.basis_dim)
         vec[0] = v
         return vec
+
+
+def _exponent(n, position=None) -> int:
+    """n itself when it is an integer (a bool is not) with |n| <= MAX_EXPONENT."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ExprSyntaxError(f"exponent must be an integer, got {n!r}", position)
+    if abs(n) > MAX_EXPONENT:
+        raise ExprSyntaxError(f"exponent overflow (|n| > {MAX_EXPONENT})", position)
+    return n
 
 
 def parse(text: str, level) -> Phrase:
@@ -329,7 +348,7 @@ def _fmt_const(value: np.ndarray) -> str:
     return f"({body})"
 
 
-def _fmt(node: Node, head: bool = False) -> str:
+def _fmt(node: Node) -> str:
     if isinstance(node, Const):
         return _fmt_const(node.value)
     if isinstance(node, VarPow):
@@ -343,31 +362,23 @@ def _fmt(node: Node, head: bool = False) -> str:
             if s.startswith("e") and s[1:].isdigit():
                 return f"{s}^{node.power}"
             return f"({s})^{node.power}"
-        return f"({_fmt(base, head=True)})^{node.power}"
+        return f"({_fmt(base)})^{node.power}"
     if isinstance(node, Mul):
         left = _fmt(node.left)
-        if isinstance(node.left, (Add, Sub, Neg)):
-            left = f"({_fmt(node.left, head=True)})"
+        if isinstance(node.left, Sum):
+            left = f"({left})"
         right = _fmt(node.right)
-        if isinstance(node.right, (Add, Sub, Neg, Mul)):
-            right = f"({_fmt(node.right, head=True)})"
+        if isinstance(node.right, (Sum, Mul)):
+            right = f"({right})"
         return f"{left}*{right}"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = _fmt(node.left, head=head)
-        if isinstance(node.left, Neg) and not head:
-            left = f"({_fmt(node.left, head=True)})"
-        right = _fmt(node.right)
-        if isinstance(node.right, (Add, Sub, Neg)):
-            right = f"({_fmt(node.right, head=True)})"
-        return f"{left}{op}{right}"
-    if isinstance(node, Neg):
-        if head:
-            inner = _fmt(node.child)
-            if isinstance(node.child, (Add, Sub, Neg)):
-                inner = f"({_fmt(node.child, head=True)})"
-            return f"-{inner}"
-        return f"(-{_fmt(node.child)})"
+    if isinstance(node, Sum):
+        out = ""
+        for k, (sign, term) in enumerate(node.terms):
+            text = _fmt(term)
+            if isinstance(term, Sum):
+                text = f"({text})"
+            out += ("-" if sign < 0 else "+" if k else "") + text
+        return out
     if isinstance(node, LogLeaf):
         c = _fmt_const(node.center)
         return f"Ln(z-{c})" if np.any(node.center) else "Ln(z)"
@@ -375,25 +386,25 @@ def _fmt(node: Node, head: bool = False) -> str:
 
 
 def format_phrase(f: Phrase) -> str:
-    return _fmt(f.root, head=True)
+    return _fmt(f.root)
 
 
 def structural_equal(a: Node, b: Node) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Const):
-        return np.array_equal(a.value, b.value)
-    if isinstance(a, VarPow):
-        return a.conjugated == b.conjugated and a.power == b.power
-    if isinstance(a, PowNode):
-        return a.power == b.power and structural_equal(a.base, b.base)
-    if isinstance(a, (Mul, Add, Sub)):
-        return structural_equal(a.left, b.left) and structural_equal(a.right, b.right)
-    if isinstance(a, Neg):
-        return structural_equal(a.child, b.child)
-    if isinstance(a, LogLeaf):
-        return np.array_equal(a.center, b.center)
-    return False
+        same = np.array_equal(a.value, b.value)
+    elif isinstance(a, VarPow):
+        same = a.conjugated == b.conjugated and a.power == b.power
+    elif isinstance(a, PowNode):
+        same = a.power == b.power
+    elif isinstance(a, Sum):
+        same = [s for s, _ in a.terms] == [s for s, _ in b.terms]
+    elif isinstance(a, LogLeaf):
+        same = np.array_equal(a.center, b.center)
+    else:
+        same = True  # Mul
+    return same and all(map(structural_equal, _children(a), _children(b)))
 
 
 def phrase_to_json(f: Phrase):
@@ -406,12 +417,13 @@ def phrase_to_json(f: Phrase):
             return {"op": "pow", "base": enc(node.base), "pow": node.power}
         if isinstance(node, Mul):
             return {"op": "mul", "args": [enc(node.left), enc(node.right)]}
-        if isinstance(node, Add):
-            return {"op": "add", "args": [enc(node.left), enc(node.right)]}
-        if isinstance(node, Sub):
-            return {"op": "sub", "args": [enc(node.left), enc(node.right)]}
-        if isinstance(node, Neg):
-            return {"op": "neg", "args": [enc(node.child)]}
+        if isinstance(node, Sum):
+            # the binary add/sub chain the parser builds, negated head first
+            (sign, head), *rest = node.terms
+            out = enc(head) if sign > 0 else {"op": "neg", "args": [enc(head)]}
+            for sign, term in rest:
+                out = {"op": "add" if sign > 0 else "sub", "args": [out, enc(term)]}
+            return out
         raise DomainError(f"cannot serialize node {type(node).__name__}")
 
     return enc(f.root)
@@ -435,18 +447,17 @@ def phrase_from_json(obj, level) -> Phrase:
         if "var" in o:
             if o["var"] not in ("z", "zc"):
                 raise ExprSyntaxError(f"unknown variable {o['var']!r}")
-            n = int(o.get("pow", 1))
-            if abs(n) > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent overflow (|n| > {MAX_EXPONENT})")
-            return VarPow(o["var"] == "zc", n)
+            return VarPow(o["var"] == "zc", _exponent(o.get("pow", 1)))
         op = o.get("op")
         if op == "pow":
-            n = int(o["pow"])
-            if abs(n) > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent overflow (|n| > {MAX_EXPONENT})")
+            n = _exponent(o.get("pow"))
+            if "base" not in o:
+                raise ExprSyntaxError("pow needs a base")
             return PowNode(dec(o["base"]), n)
+        args = o.get("args", [])
+        if op in ("mul", "add", "sub", "neg") and not isinstance(args, list):
+            raise ExprSyntaxError(f"{op} arguments must be a JSON array")
         if op in ("mul", "add", "sub"):
-            args = o.get("args", [])
             if len(args) < 2:
                 raise ExprSyntaxError(f"{op} needs at least two arguments")
             nodes = [dec(a) for a in args]
@@ -456,7 +467,6 @@ def phrase_from_json(obj, level) -> Phrase:
                 out = cls(out, nxt)
             return out
         if op == "neg":
-            args = o.get("args", [])
             if len(args) != 1:
                 raise ExprSyntaxError("neg takes exactly one argument")
             return Neg(dec(args[0]))
@@ -491,29 +501,40 @@ def _pow_value(base, n, r):
     return pow_arrays(_inverse(base, r), -n, r) if n < 0 else pow_arrays(base, n, r)
 
 
-def _eval_slots(node: Node, Z1, Z2, r) -> np.ndarray:
+def _eval_slots(node: Node, Z1, Z2, r, log=None) -> np.ndarray:
     """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2.
 
     A subtree free of the variables stays a single (d,) element; the callers
-    that promise a batch spread it with _over_batch.
+    that promise a batch spread it with _over_batch.  A Ln(z - c) leaf takes
+    the value `log`, which only a logarithm word of a primitive supplies.
     """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, VarPow):
         return _pow_value(Z2 if node.conjugated else Z1, node.power, r)
     if isinstance(node, PowNode):
-        return _pow_value(_eval_slots(node.base, Z1, Z2, r), node.power, r)
+        return _pow_value(_eval_slots(node.base, Z1, Z2, r, log), node.power, r)
     if isinstance(node, Mul):
-        return mul_arrays(_eval_slots(node.left, Z1, Z2, r), _eval_slots(node.right, Z1, Z2, r), r)
-    if isinstance(node, Add):
-        return _eval_slots(node.left, Z1, Z2, r) + _eval_slots(node.right, Z1, Z2, r)
-    if isinstance(node, Sub):
-        return _eval_slots(node.left, Z1, Z2, r) - _eval_slots(node.right, Z1, Z2, r)
-    if isinstance(node, Neg):
-        return -_eval_slots(node.child, Z1, Z2, r)
+        return mul_arrays(_eval_slots(node.left, Z1, Z2, r, log), _eval_slots(node.right, Z1, Z2, r, log), r)
+    if isinstance(node, Sum):
+        total = None
+        for sign, term in node.terms:
+            total = _add_signed(total, sign, _eval_slots(term, Z1, Z2, r, log))
+        return total
     if isinstance(node, LogLeaf):
-        raise UnsupportedShapeError("logarithm terms cannot be evaluated directly")
+        if log is None:
+            raise UnsupportedShapeError("logarithm terms cannot be evaluated directly")
+        return log
     raise DomainError(f"cannot evaluate node {type(node).__name__}")
+
+
+def _add_signed(total, sign, value):
+    """total + value or total - value by sign; None stands for a structural zero."""
+    if value is None:
+        return total
+    if total is None:
+        return value if sign > 0 else -value
+    return total + value if sign > 0 else total - value
 
 
 def _over_batch(out, Z) -> np.ndarray:
@@ -602,16 +623,6 @@ def _has_negative_power(node: Node) -> bool:
     return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
 
 
-def _minus(a):
-    return None if a is None else -a
-
-
-def _plus(a, b):
-    if a is None:
-        return b
-    return a if b is None else a + b
-
-
 def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
     """(value, derivative) of the superdifferential wrt z or zc along H.
 
@@ -639,16 +650,14 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
         value = mul_arrays(lv, rv, r) if want else None
         left_term = None if ld is None else mul_arrays(ld, rv, r)
         right_term = None if rd is None else mul_arrays(lv, rd, r)
-        return value, _plus(left_term, right_term)
-    if isinstance(node, (Add, Sub)):
-        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want)
-        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want)
-        if isinstance(node, Sub):
-            rv, rd = _minus(rv), _minus(rd)
-        return (lv + rv if want else None), _plus(ld, rd)
-    if isinstance(node, Neg):
-        v, d = _diff(node.child, Z, Zc, H, conj, r, want)
-        return _minus(v), _minus(d)
+        return value, _add_signed(left_term, 1, right_term)
+    if isinstance(node, Sum):
+        value = der = None
+        for sign, term in node.terms:
+            v, d = _diff(term, Z, Zc, H, conj, r, want)
+            value = _add_signed(value, sign, v)
+            der = _add_signed(der, sign, d)
+        return value, der
     raise DomainError(f"cannot differentiate node {type(node).__name__}")
 
 
@@ -675,27 +684,14 @@ def _contains_var(node: Node) -> bool:
     return any(isinstance(n, VarPow) and n.power != 0 for n in _nodes(node))
 
 
-def _signed_terms(node: Node, sign: int = 1):
-    if isinstance(node, Add):
-        return _signed_terms(node.left, sign) + _signed_terms(node.right, sign)
-    if isinstance(node, Sub):
-        return _signed_terms(node.left, sign) + _signed_terms(node.right, -sign)
-    if isinstance(node, Neg):
-        return _signed_terms(node.child, -sign)
-    return [(sign, node)]
-
-
 def _cross(lhs, rhs):
     return [(sl * sr, Mul(ln, rn)) for sl, ln in lhs for sr, rn in rhs]
 
 
 def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
     """Signed product terms with no variable-bearing sums inside products."""
-    if isinstance(node, (Add, Sub, Neg)):
-        out = []
-        for sign, term in _signed_terms(node):
-            out.extend((sign * s, n) for s, n in _expand(term, d))
-        return out
+    if isinstance(node, Sum):
+        return [(sign * s, n) for sign, term in node.terms for s, n in _expand(term, d)]
     if isinstance(node, Mul):
         return _cross(_expand(node.left, d), _expand(node.right, d))
     if isinstance(node, PowNode):
@@ -876,7 +872,7 @@ def primitive(f: Phrase) -> PrimitiveResult:
     log_terms: list[LogTerm] = []
     poles: list[np.ndarray] = []
     for sign, term in _expand(f.root, d):
-        word_text = _fmt(term, head=True)
+        word_text = _fmt(term)
         if not _contains_var(term):
             poly_terms.append((sign, Mul(term, VarPow(False, 1))))
             continue
@@ -909,12 +905,12 @@ def primitive(f: Phrase) -> PrimitiveResult:
             scalar = sign * extra / m
             node = tree if scalar == 1 else Mul(Const(_scalar_vec(d, scalar)), tree)
             poly_terms.append((1, node))
-    if poly_terms:
-        root: Node = poly_terms[0][1] if poly_terms[0][0] == 1 else Neg(poly_terms[0][1])
-        for sign, node in poly_terms[1:]:
-            root = Add(root, node) if sign == 1 else Sub(root, node)
+    if not poly_terms:
+        root: Node = Const(np.zeros(d))
+    elif poly_terms[0][0] == 1 and len(poly_terms) == 1:
+        root = poly_terms[0][1]
     else:
-        root = Const(np.zeros(d))
+        root = Sum(poly_terms)
     return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles)
 
 
@@ -936,20 +932,6 @@ def _scalar_vec(d: int, v: float):
     return vec
 
 
-def _eval_with_log(node: Node, Z, r, log_value) -> np.ndarray:
-    if isinstance(node, LogLeaf):
-        return log_value
-    if isinstance(node, Mul):
-        return mul_arrays(
-            _eval_with_log(node.left, Z, r, log_value),
-            _eval_with_log(node.right, Z, r, log_value),
-            r,
-        )
-    if isinstance(node, (Add, Sub, Neg, PowNode)):
-        raise UnsupportedShapeError("unexpected structure inside a logarithm word")
-    return _eval_slots(node, Z, conj_arrays(Z), r)
-
-
 def hat_from_primitive(prim: PrimitiveResult, z, h):
     """Increment functional of the primitive: f-hat(z).h."""
     level = prim.poly.level
@@ -960,5 +942,5 @@ def hat_from_primitive(prim: PrimitiveResult, z, h):
     out = _derivative(prim.poly.root, Z, H, False, r)
     for lt in prim.log_terms:
         dl = dln_arrays(Z - lt.center, H)
-        out = out + lt.scale * _eval_with_log(lt.tree, Z, r, dl)
+        out = out + lt.scale * _eval_slots(lt.tree, Z, conj_arrays(Z), r, dl)
     return CDNumber(level, out) if wrap else out

@@ -113,6 +113,26 @@ def test_expression_syntax_error_exits_1():
     assert rep["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"var": "z", "pow": "x"},
+        {"op": "pow", "base": {"var": "z"}, "pow": None},
+        {"op": "pow", "pow": 2},
+        {"var": "z", "pow": 2.7},
+        {"var": "z", "pow": True},
+        {"op": "pow", "base": {"var": "z"}, "pow": 61},
+        {"op": "add", "args": 5},
+        {"op": "neg", "args": None},
+    ],
+    ids=["string", "null", "no-base", "float", "bool", "overflow", "add-args", "neg-args"],
+)
+def test_malformed_json_expression_is_a_parse_error(tree):
+    code, rep = invoke_json(["eval", "--level", "2", "--expr", json.dumps(tree),
+                             "--point", "[1, 0, 0, 0]"])
+    assert (code, rep["error"]["kind"]) == (1, "parse")
+
+
 def test_pole_hit_exits_2():
     code, rep = invoke_json(["eval", "--level", "2", "--expr", "z^-1",
                              "--point", "[0, 0, 0, 0]"])

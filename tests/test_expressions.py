@@ -1,5 +1,7 @@
 """Parser, evaluator, superdifferential, and primitive tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,8 @@ from cdfun.expressions import (
     phrase_to_json,
     primitive,
     structural_equal,
+    _expand,
     _left_power_string,
-    _signed_terms,
 )
 
 
@@ -130,11 +132,13 @@ def _random_phrase_text(draw, level=3):
         return "*".join(parts)
 
     terms = [term() for _ in range(draw(st.integers(1, 3)))]
-    text = terms[0]
+    text = draw(st.sampled_from(["", "-"])) + terms[0]
     for t in terms[1:]:
         text += draw(st.sampled_from(["+", "-"])) + t
     if draw(st.booleans()):
         text = f"({text})^{draw(st.integers(1, 2))}"
+    if draw(st.booleans()):
+        text = f"{term()}{draw(st.sampled_from(['+', '-', '*']))}({text})"
     return text
 
 
@@ -143,6 +147,7 @@ def _random_phrase_text(draw, level=3):
 def test_round_trip_property(text):
     p = parse(text, 3)
     assert structural_equal(p.root, parse(format_phrase(p), 3).root)
+    assert structural_equal(p.root, phrase_from_json(phrase_to_json(p), 3).root)
 
 
 def test_json_accepts_plain_tree_and_nary_fold():
@@ -162,9 +167,36 @@ def test_json_accepts_plain_tree_and_nary_fold():
     assert structural_equal(p.root, want)
 
 
+# phrase_to_json of level-2 phrases covering every sum shape; the two
+# primitive entries pin primitive(parse(text)).poly
+_GOLDEN_JSON = {
+    '-z+e1-zc': '{"op": "sub", "args": [{"op": "add", "args": [{"op": "neg", "args": [{"var": "z", "pow": 1}]}, {"const": [0.0, 1.0, 0.0, 0.0]}]}, {"var": "zc", "pow": 1}]}',
+    '-(z+1)': '{"op": "neg", "args": [{"op": "add", "args": [{"var": "z", "pow": 1}, {"const": [1.0, 0.0, 0.0, 0.0]}]}]}',
+    '-(-z)': '{"op": "neg", "args": [{"op": "neg", "args": [{"var": "z", "pow": 1}]}]}',
+    'z-(e1-z)': '{"op": "sub", "args": [{"var": "z", "pow": 1}, {"op": "sub", "args": [{"const": [0.0, 1.0, 0.0, 0.0]}, {"var": "z", "pow": 1}]}]}',
+    '(-z)*e2': '{"op": "mul", "args": [{"op": "neg", "args": [{"var": "z", "pow": 1}]}, {"const": [0.0, 0.0, 1.0, 0.0]}]}',
+    '(z+1)*(z-e1)': '{"op": "mul", "args": [{"op": "add", "args": [{"var": "z", "pow": 1}, {"const": [1.0, 0.0, 0.0, 0.0]}]}, {"op": "sub", "args": [{"var": "z", "pow": 1}, {"const": [0.0, 1.0, 0.0, 0.0]}]}]}',
+    'z^2': '{"var": "z", "pow": 2}',
+    '(z)^2': '{"op": "pow", "base": {"var": "z", "pow": 1}, "pow": 2}',
+    'primitive z^2-e1*z^-2': '{"op": "add", "args": [{"op": "mul", "args": [{"const": [0.3333333333333333, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 3}]}, {"op": "mul", "args": [{"const": [0.0, 1.0, 0.0, 0.0]}, {"var": "z", "pow": -1}]}]}',
+    'primitive -e2+z^2-3': '{"op": "sub", "args": [{"op": "add", "args": [{"op": "neg", "args": [{"op": "mul", "args": [{"const": [0.0, 0.0, 1.0, 0.0]}, {"var": "z", "pow": 1}]}]}, {"op": "mul", "args": [{"const": [0.3333333333333333, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 3}]}]}, {"op": "mul", "args": [{"const": [3.0, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 1}]}]}',
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_JSON))
+def test_phrase_to_json_is_pinned(key):
+    kind, _, text = key.rpartition(" ")
+    p = parse(text, 2)
+    if kind == "primitive":
+        p = primitive(p).poly
+    assert phrase_to_json(p) == json.loads(_GOLDEN_JSON[key])
+    assert structural_equal(p.root, phrase_from_json(phrase_to_json(p), 2).root)
+
+
 def test_phrase_words_flatten_signs():
-    words = _signed_terms(parse("z^2 - e1*z + 3", 2).root)
-    assert [sign for sign, _ in words] == [1, -1, 1]
+    for text in ("z^2 - e1*z + 3", "z-(e1-z)"):
+        words = _expand(parse(text, 2).root, 4)
+        assert [sign for sign, _ in words] == [1, -1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,24 @@ def test_closed_polynomial_loops_vanish(seed):
     assert res.converged and res.value.norm() < 1e-6
 
 
+@pytest.mark.parametrize(
+    "text,scalar",
+    [
+        ("e1^2*z^-1", "(0-1)*z^-1"),
+        ("z^-1*(e1+e2)^2", "z^-1*(0-2)"),
+        ("e2^2*(z-e1)^-1*e3", "(0-1)*(z-e1)^-1*e3"),
+    ],
+)
+def test_constant_powers_and_sums_inside_logarithm_words(text, scalar):
+    # e_k^2 = -1 and (e1+e2)^2 = -2: each word is its real-scalar form; the
+    # radius 2 keeps the pole at e1 off the path
+    gamma = Path.circle(zero(3), 2.0, basis_element(3, 1))
+    got = line_integral(parse(text, 3), gamma).value
+    want = line_integral(parse(scalar, 3), gamma).value
+    assert want.norm() > 1.0
+    assert (got - want).norm() <= 1e-12 * want.norm()
+
+
 def test_open_paths_same_endpoints_agree_for_polynomials():
     # upper semicircle vs corner route, both from 1 to -1
     f = parse("z^2 - e2*z + 1", 2)
