@@ -46,7 +46,7 @@ from .contour import (
 )
 from .diffcheck import RealFieldSample, cr_check, harmonic_check, zbar_check
 from .errors import CDError
-from .expressions import MAX_EXPONENT, Phrase, derivative_apply, evaluate, parse, phrase_from_json
+from .expressions import MAX_EXPONENT, Phrase, _is_number, derivative_apply, evaluate, parse, phrase_from_json
 from .integrate import DEFAULT_TOL, MAX_KNOTS, START_KNOTS, Path, line_integral, log_integral, path_from_json
 
 MAX_CLI_LEVEL = 8
@@ -127,12 +127,14 @@ def _json_value(raw, key: str):
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{key} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise UsageError(f"{key} nests too deeply to decode") from None
     return raw
 
 
 def _element(raw, key: str, r: int) -> CDNumber:
     data = _json_value(raw, key)
-    if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
+    if not isinstance(data, list) or not all(map(_is_number, data)):
         raise UsageError(f"{key} must be a JSON array of numbers")
     if len(data) != 2**r:
         raise UsageError(f"{key} needs {2**r} coordinates at level {r}, got {len(data)}")

@@ -51,6 +51,7 @@ from .integrate import (
     QuadratureResult,
     _extrapolated,
     _offset_knots,
+    _plane_circle,
     _quadrature_knots,
     _start_knots,
     distance_range,
@@ -236,13 +237,6 @@ def sample_residue_functional(
 # ---------------------------------------------------------------------------
 # exact-kernel loop integrals
 # ---------------------------------------------------------------------------
-
-def _plane_circle(center: np.ndarray, m: np.ndarray, rho: float, ang: np.ndarray) -> np.ndarray:
-    out = np.zeros(ang.shape + center.shape)
-    out[..., 0] = np.cos(ang)
-    out += np.sin(ang)[..., None] * m
-    return center + rho * out
-
 
 def _kernel_loop(
     f: Phrase,
@@ -580,16 +574,7 @@ def argument_principle(
     if f.level.r != gamma.level.r:
         raise LevelMismatchError("phrase and path must share a level")
     r = f.level.r
-
-    def one_point(t: float) -> CDNumber:
-        return CDNumber(r, eval_node_arrays(f.root, gamma.sample([t]), r)[0])
-
-    image = Path(
-        level=gamma.level,
-        kind="parametric",
-        sampler=one_point,
-        batch_sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(np.asarray(ts, dtype=np.float64)), r),
-    )
+    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
     lhs = ar_index(zero(f.level), image, tol)
     rhs = zero(f.level)
     for a, order in zeros:

@@ -11,7 +11,9 @@ algebras are nonassociative):
 
 A product chain a*b*c parses as (a*b)*c; any other bracketing must be written
 explicitly.  Exponents are integers with |n| <= 60; negative exponents denote
-powers of the inverse.
+powers of the inverse.  Brackets nest at most 100 deep, and a tree, parsed or
+decoded from JSON, is at most 100 nodes deep; deeper input is a syntax error,
+so no recursive walk of a tree can run out of stack.
 
 A parsed tree has five node kinds: Const, VarPow (z^n or zc^n), PowNode (a
 bracketed base or a basis symbol raised to n, so z^2 and (z)^2 stay apart),
@@ -60,6 +62,7 @@ from .errors import (
 from .transcendental import dln_arrays
 
 MAX_EXPONENT = 60
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,18 @@ def _nodes(node: Node):
         yield from _nodes(child)
 
 
+def _bounded(root: Node) -> Node:
+    """root itself, or ExprSyntaxError when the tree is deeper than MAX_DEPTH
+    nodes; the walk keeps its own stack, so any depth is measured."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression is nested deeper than {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in _children(node))
+    return root
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -200,6 +215,7 @@ class _Parser:
         self.level = level
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.brackets = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -251,8 +267,12 @@ class _Parser:
         tok = self._next()
         kind = None
         if tok[0] == "op" and tok[1] == "(":
+            self.brackets += 1
+            if self.brackets > MAX_DEPTH:
+                raise ExprSyntaxError(f"brackets nest deeper than {MAX_DEPTH} levels", tok[2])
             node: Node = self.phrase()
             self._expect_op(")")
+            self.brackets -= 1
             kind = "group"
         elif tok[0] == "num":
             node = Const(self._scalar_vec(float(tok[1])))
@@ -316,7 +336,7 @@ def _exponent(n, position=None) -> int:
 
 def parse(text: str, level) -> Phrase:
     level = as_level(level)
-    return Phrase(level, _Parser(text, level).parse())
+    return Phrase(level, _bounded(_Parser(text, level).parse()))
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +449,27 @@ def phrase_to_json(f: Phrase):
     return enc(f.root)
 
 
+def _is_number(v) -> bool:
+    """Whether a JSON value is a number (a bool or a numeric string is not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def phrase_from_json(obj, level) -> Phrase:
     level = as_level(level)
     d = level.basis_dim
 
-    def dec(o) -> Node:
+    def dec(o, depth: int) -> Node:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression is nested deeper than {MAX_DEPTH} levels")
         if not isinstance(o, dict):
             raise ExprSyntaxError(f"expression node must be an object, got {type(o).__name__}")
         if "const" in o:
             vals = o["const"]
             if not isinstance(vals, list) or len(vals) != d:
                 raise ExprSyntaxError(f"const needs {d} coefficients at level {level.r}")
-            try:
-                return Const([float(v) for v in vals])
-            except (TypeError, ValueError):
-                raise ExprSyntaxError("const coefficients must be numbers") from None
+            if not all(map(_is_number, vals)):
+                raise ExprSyntaxError("const coefficients must be numbers")
+            return Const([float(v) for v in vals])
         if "var" in o:
             if o["var"] not in ("z", "zc"):
                 raise ExprSyntaxError(f"unknown variable {o['var']!r}")
@@ -453,14 +479,14 @@ def phrase_from_json(obj, level) -> Phrase:
             n = _exponent(o.get("pow"))
             if "base" not in o:
                 raise ExprSyntaxError("pow needs a base")
-            return PowNode(dec(o["base"]), n)
+            return PowNode(dec(o["base"], depth + 1), n)
         args = o.get("args", [])
         if op in ("mul", "add", "sub", "neg") and not isinstance(args, list):
             raise ExprSyntaxError(f"{op} arguments must be a JSON array")
         if op in ("mul", "add", "sub"):
             if len(args) < 2:
                 raise ExprSyntaxError(f"{op} needs at least two arguments")
-            nodes = [dec(a) for a in args]
+            nodes = [dec(a, depth + 1) for a in args]
             cls = {"mul": Mul, "add": Add, "sub": Sub}[op]
             out = nodes[0]
             for nxt in nodes[1:]:
@@ -469,10 +495,10 @@ def phrase_from_json(obj, level) -> Phrase:
         if op == "neg":
             if len(args) != 1:
                 raise ExprSyntaxError("neg takes exactly one argument")
-            return Neg(dec(args[0]))
+            return Neg(dec(args[0], depth + 1))
         raise ExprSyntaxError(f"unknown expression node {o!r}")
 
-    return Phrase(level, dec(obj))
+    return Phrase(level, _bounded(dec(obj, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -688,20 +714,21 @@ def _cross(lhs, rhs):
     return [(sl * sr, Mul(ln, rn)) for sl, ln in lhs for sr, rn in rhs]
 
 
-def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
-    """Signed product terms with no variable-bearing sums inside products."""
+def _expand(node: Node, r: int) -> list[tuple[int, Node]]:
+    """Signed product terms with no variable-bearing sums inside products;
+    a subtree free of the variable stays one term."""
+    if not _contains_var(node):
+        return [(1, node)]
     if isinstance(node, Sum):
-        return [(sign * s, n) for sign, term in node.terms for s, n in _expand(term, d)]
+        return [(sign * s, n) for sign, term in node.terms for s, n in _expand(term, r)]
     if isinstance(node, Mul):
-        return _cross(_expand(node.left, d), _expand(node.right, d))
+        return _cross(_expand(node.left, r), _expand(node.right, r))
     if isinstance(node, PowNode):
-        if not _contains_var(node.base):
-            return [(1, node)]
         if node.power == 0:
             return [(1, VarPow(False, 0))]
         # power 1 stays expanded: a (z - c) leaf is a sum, which primitive
         # cannot place as one variable factor
-        match = _as_linear_power(node.base, d) if node.power != 1 else None
+        match = _as_linear_power(node.base, r) if node.power != 1 else None
         if match is not None and match[2] * node.power != 1:
             center, s, m = match
             sign = s if node.power % 2 else 1
@@ -711,15 +738,16 @@ def _expand(node: Node, d: int) -> list[tuple[int, Node]]:
             # always has a word with n variable factors, which primitive
             # rejects: keep the power whole so primitive names it
             return [(1, node)]
-        return _expand(node.base, d)
+        return _expand(node.base, r)
     return [(1, node)]
 
 
-def _as_linear(node: Node, d: int):
+def _as_linear(node: Node, r: int):
     """Match a z - c shape (up to overall sign): returns (center, sign) or None."""
+    d = 1 << r
     const_acc = np.zeros(d)
     var_sign = None
-    for sign, term in _expand(node, d):
+    for sign, term in _expand(node, r):
         if isinstance(term, VarPow) and not term.conjugated and term.power == 1:
             if var_sign is not None:
                 return None
@@ -727,7 +755,7 @@ def _as_linear(node: Node, d: int):
         elif not _contains_var(term):
             zpt = np.zeros(d)
             try:
-                const_acc = const_acc + sign * _eval_slots(term, zpt, zpt, _width_level(d))
+                const_acc = const_acc + sign * _eval_slots(term, zpt, zpt, r)
             except (UnsupportedShapeError, DomainError):
                 return None
         else:
@@ -737,20 +765,20 @@ def _as_linear(node: Node, d: int):
     return -var_sign * const_acc, var_sign
 
 
-def _as_linear_power(node: Node, d: int):
+def _as_linear_power(node: Node, r: int):
     """Match +-(z - c)^m: returns (center, sign, m) or None.
 
     Powers of one element associate, so (z - c)^m raised to n is (z - c)^(mn).
     """
-    terms = _expand(node, d)
+    terms = _expand(node, r)
     if len(terms) == 1:
         sign, term = terms[0]
         if isinstance(term, VarPow) and not term.conjugated:
-            return np.zeros(d), sign, term.power
-        if isinstance(term, PowNode) and (lin := _as_linear(term.base, d)) is not None:
+            return np.zeros(1 << r), sign, term.power
+        if isinstance(term, PowNode) and (lin := _as_linear(term.base, r)) is not None:
             center, s = lin
             return center, sign * (s if term.power % 2 else 1), term.power
-    lin = _as_linear(node, d)
+    lin = _as_linear(node, r)
     return None if lin is None else (*lin, 1)
 
 
@@ -770,18 +798,6 @@ class LogTerm:
     tree: Node
     center: np.ndarray
     scale: float
-    triple: tuple[np.ndarray, np.ndarray] | None
-
-    def sandwich(self, level: AlgebraLevel):
-        """(a, c, b) of a*Ln(z-c)*b when the word has that shape, else None."""
-        if self.triple is None:
-            return None
-        a, b = self.triple
-        return (
-            CDNumber(level, a * self.scale),
-            CDNumber(level, self.center),
-            CDNumber(level, b),
-        )
 
 
 @dataclass
@@ -813,47 +829,6 @@ def _locate_var_factor(node: Node, fmt_word: str):
     raise UnsupportedShapeError(f"unsupported word shape: {fmt_word}")
 
 
-def _extract_triple(tree: Node):
-    """(a, b) coefficient arrays for shapes L, a*L, L*b, (a*L)*b; else None."""
-
-    def const_value(n: Node):
-        if _contains_var(n) or _has_log(n):
-            return None
-        width = _const_width(n)
-        if width is None:
-            return None
-        return _eval_slots(n, np.zeros(width), np.zeros(width), _width_level(width))
-
-    if isinstance(tree, LogLeaf):
-        return "unit", "unit"
-    if isinstance(tree, Mul):
-        l, r = tree.left, tree.right
-        if isinstance(r, LogLeaf):
-            a = const_value(l)
-            return (a, "unit") if a is not None else None
-        if isinstance(l, LogLeaf):
-            b = const_value(r)
-            return ("unit", b) if b is not None else None
-        if isinstance(l, Mul) and isinstance(l.right, LogLeaf):
-            a = const_value(l.left)
-            b = const_value(r)
-            if a is not None and b is not None:
-                return (a, b)
-    return None
-
-
-def _has_log(node: Node) -> bool:
-    return any(isinstance(n, LogLeaf) for n in _nodes(node))
-
-
-def _const_width(node: Node):
-    return next((n.value.shape[0] for n in _nodes(node) if isinstance(n, Const)), None)
-
-
-def _width_level(width: int) -> int:
-    return int(width).bit_length() - 1
-
-
 def primitive(f: Phrase) -> PrimitiveResult:
     """Term-by-term primitive: polynomial part plus logarithm terms.
 
@@ -871,7 +846,7 @@ def primitive(f: Phrase) -> PrimitiveResult:
     poly_terms: list[tuple[int, Node]] = []
     log_terms: list[LogTerm] = []
     poles: list[np.ndarray] = []
-    for sign, term in _expand(f.root, d):
+    for sign, term in _expand(f.root, r):
         word_text = _fmt(term)
         if not _contains_var(term):
             poly_terms.append((sign, Mul(term, VarPow(False, 1))))
@@ -882,14 +857,12 @@ def primitive(f: Phrase) -> PrimitiveResult:
             n = leaf.power
             extra = 1
         else:  # PowNode
-            lin = _as_linear(leaf.base, d)
+            lin = _as_linear(leaf.base, r)
             if lin is None:
                 raise UnsupportedShapeError(
                     f"variable factor is not a power of (z - c): {word_text}"
                 )
             center, s = lin
-            if center.shape[0] != d:
-                raise UnsupportedShapeError(f"unsupported word shape: {word_text}")
             n = leaf.power
             extra = s if n % 2 else 1
         if n < 0:
@@ -897,7 +870,7 @@ def primitive(f: Phrase) -> PrimitiveResult:
         if n == -1:
             tree = rebuild(LogLeaf(center))
             scale = float(sign * extra)
-            log_terms.append(LogTerm(tree=tree, center=center, scale=scale, triple=_tripled(tree, d)))
+            log_terms.append(LogTerm(tree=tree, center=center, scale=scale))
         else:
             m = n + 1
             new_leaf = _linear_power_leaf(center, m)
@@ -912,18 +885,6 @@ def primitive(f: Phrase) -> PrimitiveResult:
     else:
         root = Sum(poly_terms)
     return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles)
-
-
-def _tripled(tree: Node, d: int):
-    got = _extract_triple(tree)
-    if got is None:
-        return None
-    a, b = got
-    unit = np.zeros(d)
-    unit[0] = 1.0
-    a = unit if isinstance(a, str) else np.asarray(a, dtype=np.float64)
-    b = unit if isinstance(b, str) else np.asarray(b, dtype=np.float64)
-    return a, b
 
 
 def _scalar_vec(d: int, v: float):

@@ -26,7 +26,7 @@ or a pole that the path merely grazes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -39,8 +39,8 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import Phrase, PrimitiveResult, _fmt_const, eval_node_arrays, hat_from_primitive, primitive
-from .transcendental import _ln_with_parts, exp_arrays, numerically_real
+from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, eval_node_arrays, hat_from_primitive, primitive
+from .transcendental import _ln_with_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
 START_KNOTS = 64
@@ -53,15 +53,24 @@ _DIRECTION_TOL = 1e-9
 # paths
 # ---------------------------------------------------------------------------
 
+def _plane_circle(center: np.ndarray, m: np.ndarray, rho: float, ang: np.ndarray) -> np.ndarray:
+    """center + rho * (cos ang + sin ang * m) for every angle, as (*ang.shape, d)."""
+    out = np.zeros(ang.shape + center.shape)
+    out[..., 0] = np.cos(ang)
+    out += np.sin(ang)[..., None] * m
+    return center + rho * out
+
+
 @dataclass(frozen=True)
 class Path:
     """A rectifiable path t in [0, 1] -> A_r.
 
-    Circles are sampled as center + radius * exp(2*pi*t*turns * direction);
-    ``turns`` may be any real number, the path is closed iff it is an
-    integer.  Polylines run through their corner list at constant speed
-    with respect to arc length.  Parametric paths wrap an arbitrary
-    continuous sampler.
+    A circle is sampled as center + radius * (cos phi + sin phi * direction)
+    with phi = 2*pi*(start + turns*t): ``start`` is the phase at t = 0, in
+    turns, and ``turns`` may be any real number; the path is closed iff it
+    is an integer.  Subpaths and reversals of a circle are circle arcs.
+    Polylines run through their corner list at constant speed with respect
+    to arc length.  A parametric path wraps a batch sampler ts -> (K, d).
     """
 
     level: AlgebraLevel
@@ -70,11 +79,9 @@ class Path:
     radius: float = 0.0
     direction: Optional[CDNumber] = None
     turns: float = 1.0
+    start: float = 0.0
     points: tuple = ()
-    sampler: Optional[Callable[[float], CDNumber]] = None
-    # vectorized sampler used internally (reparametrizations of built-in
-    # kinds); user-supplied parametric paths sample point by point
-    batch_sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -120,10 +127,21 @@ class Path:
 
     @staticmethod
     def parametric(level, sampler: Callable[[float], CDNumber]) -> "Path":
+        """The path t -> sampler(t), called once per parameter."""
         lev = as_level(level)
         if not callable(sampler):
             raise DomainError("parametric path needs a callable sampler")
-        return Path(level=lev, kind="parametric", sampler=sampler)
+
+        def batch(ts: np.ndarray) -> np.ndarray:
+            rows = []
+            for t in ts:
+                p = sampler(float(t))
+                if not isinstance(p, CDNumber) or p.level.r != lev.r:
+                    raise DomainError("parametric sampler must return elements of the declared level")
+                rows.append(p.coeffs)
+            return np.stack(rows)
+
+        return Path(level=lev, kind="parametric", sampler=batch)
 
     # -- geometry ------------------------------------------------------------
 
@@ -131,9 +149,8 @@ class Path:
         """Points gamma(t) for an array of parameters, as an (K, dim) array."""
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         if self.kind == "circle":
-            ang = 2.0 * math.pi * self.turns * ts
-            arg = ang[:, None] * self.direction.coeffs[None, :]
-            return self.center.coeffs[None, :] + self.radius * exp_arrays(arg)
+            ang = 2.0 * math.pi * (self.start + self.turns * ts)
+            return _plane_circle(self.center.coeffs, self.direction.coeffs, self.radius, ang)
         if self.kind == "polyline":
             pts = np.stack([p.coeffs for p in self.points])
             seg = norm_arrays(np.diff(pts, axis=0))
@@ -146,55 +163,37 @@ class Path:
             for c in range(pts.shape[1]):
                 out[:, c] = np.interp(ts, fracs, pts[:, c])
             return out
-        if self.batch_sampler is not None:
-            return np.asarray(self.batch_sampler(ts), dtype=np.float64)
-        rows = []
-        for t in ts:
-            p = self.sampler(float(t))
-            if not isinstance(p, CDNumber) or p.level.r != self.level.r:
-                raise DomainError("parametric sampler must return elements of the declared level")
-            rows.append(p.coeffs)
-        return np.stack(rows)
+        return np.asarray(self.sampler(ts), dtype=np.float64)
 
     def point(self, t: float) -> CDNumber:
         return CDNumber(self.level, self.sample([t])[0])
 
     def reversed(self) -> "Path":
-        """The same points in the opposite order.  A closed circle stays a
-        circle of negated turns; an arc would mirror, so it is traversed
-        back from its end instead."""
+        """The same points in the opposite order."""
         if self.kind == "circle":
-            if float(self.turns).is_integer():
-                return Path.circle(self.center, self.radius, self.direction, -self.turns)
-            return self.subpath(1.0, 0.0)
+            return replace(self, start=(self.start + self.turns) % 1.0, turns=-self.turns)
         if self.kind == "polyline":
             return Path.polyline(self.points[::-1])
-        sampler = self.sampler
-        batch = self.batch_sampler
-        return Path(
-            level=self.level,
-            kind="parametric",
-            sampler=lambda t: sampler(1.0 - t),
-            batch_sampler=None
-            if batch is None
-            else (lambda ts: self.sample(1.0 - np.asarray(ts, dtype=np.float64))),
-        )
+        return self._reparametrized(1.0, 0.0)
 
     def subpath(self, a: float, b: float) -> "Path":
         """The restriction to [a, b], reparametrized over [0, 1]."""
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise DomainError("subpath endpoints must lie in [0, 1]")
-        return Path(
-            level=self.level,
-            kind="parametric",
-            sampler=lambda t: self.point(a + (b - a) * t),
-            batch_sampler=lambda ts: self.sample(a + (b - a) * np.asarray(ts, dtype=np.float64)),
-        )
+        if self.kind == "circle":
+            return replace(self, start=(self.start + a * self.turns) % 1.0, turns=(b - a) * self.turns)
+        return self._reparametrized(a, b)
+
+    def _reparametrized(self, a: float, b: float) -> "Path":
+        """The parametric path t -> self(a + (b - a) * t)."""
+        return Path(level=self.level, kind="parametric", sampler=lambda ts: self.sample(a + (b - a) * ts))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
         if self.kind == "circle":
+            if self.start != 0.0:
+                raise DomainError("circle arcs with a nonzero start have no JSON form")
             return {
                 "kind": "circle",
                 "center": [float(v) for v in self.center.coeffs],
@@ -213,10 +212,9 @@ class Path:
 def _vector_from_json(obj, what: str) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise DomainError(f"{what} must be a nonempty list of numbers")
-    try:
-        vec = np.asarray([float(v) for v in obj], dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise DomainError(f"{what} must contain only numbers") from e
+    if not all(map(_is_number, obj)):
+        raise DomainError(f"{what} must contain only numbers")
+    vec = np.asarray([float(v) for v in obj], dtype=np.float64)
     if not np.all(np.isfinite(vec)):
         raise DomainError(f"{what} must be finite")
     d = len(vec)
@@ -236,11 +234,9 @@ def path_from_json(obj, level=None) -> Path:
         if len(direction) != len(center):
             raise LevelMismatchError("circle center and direction lengths differ")
         r = len(center).bit_length() - 1
-        try:
-            radius = float(obj.get("radius"))
-            turns = float(obj.get("turns", 1.0))
-        except (TypeError, ValueError) as e:
-            raise DomainError("circle radius and turns must be numbers") from e
+        radius, turns = obj.get("radius"), obj.get("turns", 1.0)
+        if not (_is_number(radius) and _is_number(turns)):
+            raise DomainError("circle radius and turns must be numbers")
         path = Path.circle(CDNumber(r, center), radius, CDNumber(r, direction), turns)
     elif kind == "polyline":
         raw = obj.get("points")
@@ -310,8 +306,9 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
         perp = math.sqrt(max(float(np.dot(w[1:], w[1:])) - y * y, 0.0))
         far = math.hypot(planar + path.radius, perp)
         # the polar angle of the point's shadow in the plane, measured in the
-        # direction of travel from the start, against the angle the arc spans
-        ahead = math.atan2(math.copysign(1.0, path.turns) * y, x) % (2.0 * math.pi)
+        # direction of travel from the start phase, against the angle the arc spans
+        phase = math.atan2(y, x) - 2.0 * math.pi * path.start
+        ahead = (math.copysign(1.0, path.turns) * phase) % (2.0 * math.pi)
         if ahead <= 2.0 * math.pi * abs(path.turns):
             return math.hypot(planar - path.radius, perp), far
         return float(norm_arrays(path.sample([0.0, 1.0]) - point).min()), far

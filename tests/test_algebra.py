@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfun.algebra import (
-    CDNumber,
     EPS_ZERO,
     _BLOCK_ELEMENTS,
     _MIN_BLOCK_ROWS,

@@ -133,6 +133,37 @@ def test_malformed_json_expression_is_a_parse_error(tree):
     assert (code, rep["error"]["kind"]) == (1, "parse")
 
 
+def _nested_neg(depth):
+    # written out, since json.dumps itself cannot encode 600 levels
+    return '{"op": "neg", "args": [' * depth + '{"var": "z"}' + "]}" * depth
+
+
+@pytest.mark.parametrize(
+    "expr,point,kind",
+    [
+        ("(" * 400 + "z" + ")" * 400, "[1, 0]", "parse"),
+        ("*".join(["z"] * 1500), "[1, 0]", "parse"),
+        (_nested_neg(600), "[1, 0]", "usage"),
+        (_nested_neg(300), "[1, 0]", "parse"),
+        ('{"const": [true, false]}', "[1, 0]", "parse"),
+        ('{"const": ["1.5", 0]}', "[1, 0]", "parse"),
+        ("z", "[true, 0]", "usage"),
+        ("(" * 100 + "z" + ")" * 100, "[1, 0]", None),
+        ("*".join(["z"] * 100), "[1, 0]", None),
+        (_nested_neg(99), "[1, 0]", None),
+    ],
+    ids=["brackets-400", "chain-1500", "json-neg-600", "json-neg-300", "const-bool", "const-string",
+         "point-bool", "brackets-100", "chain-100", "json-neg-99"],
+)
+def test_deep_or_non_numeric_input_is_a_typed_error(expr, point, kind):
+    code, rep = invoke_json(["eval", "--level", "1", "--expr", expr, "--point", point])
+    if kind is None:
+        assert code == 0
+        assert abs(abs(rep["value"][0]) - 1.0) < 1e-12
+    else:
+        assert (code, rep["error"]["kind"]) == (1, kind)
+
+
 def test_pole_hit_exits_2():
     code, rep = invoke_json(["eval", "--level", "2", "--expr", "z^-1",
                              "--point", "[0, 0, 0, 0]"])

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cdfun.algebra import (
     CDNumber,
@@ -18,10 +16,7 @@ from cdfun.algebra import (
 )
 from cdfun.contour import (
     TWO_PI,
-    ContourReport,
-    IndexVector,
     _kernel_loop,
-    _plane_circle,
     ar_index,
     argument_principle,
     cauchy_derivative,
@@ -47,7 +42,7 @@ from cdfun.errors import (
     UnsupportedShapeError,
 )
 from cdfun.expressions import eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _extrapolated, _offset_knots
+from cdfun.integrate import Path, _extrapolated, _offset_knots, _plane_circle
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)

@@ -16,7 +16,6 @@ from cdfun.algebra import (
     random_element,
 )
 from cdfun.diffcheck import (
-    CRReport,
     RealFieldSample,
     cr_check,
     harmonic_check,

@@ -6,6 +6,7 @@ and open-path integrals of polynomials depend only on the endpoints.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cdfun.algebra import (
     random_unit_imaginary,
     zero,
 )
+from cdfun.contour import winding_index
 from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
 from cdfun.expressions import parse
 from cdfun.integrate import (
@@ -83,7 +85,7 @@ def test_reversed_and_subpath():
     assert rev.point(0.25).allclose(c.point(0.75), 1e-12)
     half = c.subpath(0.0, 0.5)
     assert half.point(1.0).allclose(c.point(0.5), 1e-12)
-    assert half.kind == "parametric"
+    assert rev.kind == half.kind == "circle"
 
 
 def test_partition_validation():
@@ -134,6 +136,10 @@ def test_path_json_round_trip():
         {"kind": "circle", "center": [0, 0, 0, 0], "radius": 1, "direction": [0, 1]},
         {"kind": "polyline", "points": [[0, 0]]},
         {"kind": "polyline", "points": [[0, 0], ["a", 0]]},
+        {"kind": "polyline", "points": [[0, 0], ["1.5", 0]]},
+        {"kind": "polyline", "points": [[0, 0], [True, 0]]},
+        {"kind": "circle", "center": [0, 0, 0, 0], "radius": True, "direction": [0, 1, 0, 0]},
+        {"kind": "circle", "center": [0, 0, 0, 0], "radius": 1, "direction": [0, 1, 0, 0], "turns": "2"},
     ],
 )
 def test_path_json_malformed(bad):
@@ -235,6 +241,18 @@ def test_constant_powers_and_sums_inside_logarithm_words(text, scalar):
     want = line_integral(parse(scalar, 3), gamma).value
     assert want.norm() > 1.0
     assert (got - want).norm() <= 1e-12 * want.norm()
+
+
+def test_constant_sums_in_a_long_product_stay_one_word():
+    # distributing the 39 constant sums would make 2^39 words; (e2+e1)^2 = -2,
+    # so the constant is (-2)^19 * (e2+e1) and the integral over [0, 2] is twice it
+    f = parse("*".join(["(e2+e1)"] * 39 + ["z"]), 2)
+    start = time.perf_counter()
+    got = line_integral(f, Path.polyline([zero(2), from_real(2, 2.0)]))
+    assert time.perf_counter() - start < 1.0
+    want = CDNumber(2, [0.0, 1.0, 1.0, 0.0]) * (2 * (-2.0) ** 19)
+    assert got.converged
+    assert (got.value - want).norm() <= 1e-12 * want.norm()
 
 
 def test_open_paths_same_endpoints_agree_for_polynomials():
@@ -504,7 +522,7 @@ def test_hundred_turn_circle_takes_the_bisection_path():
             singles.append(float(ts[0]))
         return circle.sample(ts)
 
-    gamma = Path(level=circle.level, kind="parametric", batch_sampler=sample)
+    gamma = Path(level=circle.level, kind="parametric", sampler=sample)
     got = log_integral(zero(3), gamma)
     assert singles, "256 knots over 100 turns must bisect"
     assert (got - m * (200 * math.pi)).norm() < 1e-9
@@ -609,6 +627,82 @@ def test_distance_range_of_polyline_is_exact():
     near, far = distance_range(np.array([0.5, 1e-3 / 3, 0.2, 0.0]), square)
     assert near == pytest.approx(0.2, rel=1e-15)
     assert far == pytest.approx(math.sqrt((0.5 + 1e-3 / 3) ** 2 + 0.04), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# circle arcs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("turns", [200, 1000])
+def test_many_turn_subpath_keeps_eight_knots_per_turn(turns):
+    # 256 knots over 200 turns alias unless the arc keeps 8 knots per turn
+    e1 = basis_element(2, 1)
+    gamma = Path.circle(zero(2), 1.0, e1, turns).subpath(0.0, 1.0)
+    assert gamma.kind == "circle"
+    got = log_integral(zero(2), gamma)
+    assert (got - e1 * (2 * math.pi * turns)).norm() <= 1e-9 * turns
+    assert winding_index(zero(2), gamma).entry(1) == turns
+
+
+def test_pole_on_a_half_circle_subpath_is_refused_before_sampling(monkeypatch):
+    # the pole lies between two of 4097 uniform samples of the half circle
+    e1 = basis_element(3, 1)
+    ang = math.pi * (0.5 + 1.0 / 24576)
+    f = parse(f"(z-(0-{abs(math.cos(ang)):.17f}+{math.sin(ang):.17f}*e1))^-2", 3)
+    half = Path.circle(zero(3), 1.0, e1).subpath(0.0, 0.5)
+
+    def no_sampling(self, ts):
+        raise AssertionError("the path was sampled")
+
+    monkeypatch.setattr(Path, "sample", no_sampling)
+    for arc in (half, half.reversed()):
+        with pytest.raises(PoleError, match="pole at"):
+            line_integral(f, arc)
+
+
+def test_distance_range_of_started_arcs_is_exact():
+    rng = np.random.default_rng(31)
+    ts = np.linspace(0.0, 1.0, 200001)
+    for _ in range(40):
+        r = int(rng.integers(2, 5))
+        m = random_unit_imaginary(r, rng)
+        center = random_element(r, rng)
+        circle = Path.circle(center, float(rng.uniform(0.5, 1.5)), m, float(rng.uniform(-1.5, 1.5)))
+        a, b = rng.uniform(0.0, 1.0, 2)
+        arc = circle.subpath(float(a), float(b))
+        assert arc.kind == "circle"
+        # a point 0.5 to 1 off the arc's plane, its shadow anywhere in the
+        # square of side 4 about the centre
+        off = rng.standard_normal(1 << r)
+        off[0] = 0.0
+        off -= np.dot(off, m.coeffs) * m.coeffs
+        off *= float(rng.uniform(0.5, 1.0)) / float(np.linalg.norm(off))
+        x, y = rng.uniform(-2.0, 2.0, 2)
+        point = center.coeffs + off + y * m.coeffs
+        point[0] += x
+        near, far = distance_range(point, arc)
+        dense = norm_arrays(arc.sample(ts) - point)
+        assert dense.min() - 1e-9 <= near <= dense.min() + 1e-12
+        assert far >= dense.max() - 1e-12
+
+
+def test_subpath_of_a_subpath_is_the_direct_arc():
+    circle = Path.circle(from_real(3, 0.5), 2.0, basis_element(3, 6), 1.7)
+    nested = circle.subpath(0.2, 0.9).subpath(0.25, 0.5)
+    direct = circle.subpath(0.2 + 0.7 * 0.25, 0.2 + 0.7 * 0.5)
+    assert nested.kind == direct.kind == "circle"
+    assert nested.turns == pytest.approx(direct.turns, abs=1e-15)
+    assert nested.start == pytest.approx(direct.start, abs=1e-15)
+    ts = np.linspace(0.0, 1.0, 33)
+    assert np.max(np.abs(nested.sample(ts) - direct.sample(ts))) < 1e-12
+
+
+def test_started_arcs_have_no_json_form():
+    circle = Path.circle(zero(2), 1.0, basis_element(2, 1), 2.0)
+    assert circle.reversed().start == 0.0
+    assert path_from_json(circle.reversed().to_json()).turns == -2.0
+    with pytest.raises(DomainError):
+        circle.subpath(0.25, 1.0).to_json()
 
 
 # ---------------------------------------------------------------------------
