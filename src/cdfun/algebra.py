@@ -182,32 +182,53 @@ def inverse_arrays(x, r: int) -> np.ndarray:
     return conj_arrays(x) / n2
 
 
-def pow_arrays(x, n: int, r: int) -> np.ndarray:
-    """Integer power by binary exponentiation.
+def plane_power_coefficients(p, q2, n: int):
+    """(c, s) with (p + v)**n = c + s*v for a real part p and |v|**2 = q2, n >= 1.
 
-    All intermediate products live in the subalgebra generated by the single
-    element x, which is associative (power-associativity), so the bracket
-    order is immaterial here.  The result starts as the base power of the
-    lowest set bit of n, so no product with the unit is ever formed.
+    An element b = p + v with v = Im b lies in its own complex plane
+    span(1, v), where v*v = -q2.  So b**n = c + s*v with real c, s, and
+    c + i*q*s = (p + i*q)**n.  The pair is raised by binary exponentiation on
+    (c, s) with (c1 + s1*v)(c2 + s2*v) = (c1*c2 - q2*s1*s2) + (c1*s2 + s1*c2)*v,
+    which stays exact for a real base (q2 = 0) and never divides by q.  p and
+    q2 broadcast, so one call serves a whole batch of rows.
+    """
+    c, s = p, 1.0
+    while not n & 1:
+        c, s = c * c - q2 * (s * s), 2.0 * c * s
+        n >>= 1
+    out_c, out_s = c, s
+    n >>= 1
+    while n:
+        c, s = c * c - q2 * (s * s), 2.0 * c * s
+        if n & 1:
+            out_c, out_s = out_c * c - q2 * (out_s * s), out_c * s + out_s * c
+        n >>= 1
+    return out_c, out_s
+
+
+def pow_arrays(x, n: int, r: int) -> np.ndarray:
+    """Integer power, row by row in closed form in each row's complex plane.
+
+    A negative n inverts first.  For |n| >= 2 the power is c + s*Im x with
+    the coefficients of plane_power_coefficients, so no product is formed.
+    n = 0 and |n| = 1 return at once: every bare z leaf is a first power.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != 1 << r:
+        raise DomainError("coefficient array does not match the level dimension")
     n = int(n)
-    base = inverse_arrays(x, r) if n < 0 else x
-    n = abs(n)
     if n == 0:
         out = np.zeros_like(x)
         out[..., 0] = 1.0
         return out
-    while not n & 1:
-        base = mul_arrays(base, base, r)
-        n >>= 1
-    out = base.copy() if base is x else base
-    n >>= 1
-    while n:
-        base = mul_arrays(base, base, r)
-        if n & 1:
-            out = mul_arrays(out, base, r)
-        n >>= 1
+    base = inverse_arrays(x, r) if n < 0 else x
+    n = abs(n)
+    if n == 1:
+        return base.copy() if base is x else base
+    v = base[..., 1:]
+    c, s = plane_power_coefficients(base[..., :1], np.einsum("...i,...i->...", v, v)[..., None], n)
+    out = s * base
+    out[..., :1] = c
     return out
 
 

@@ -379,10 +379,14 @@ def is_central(f: Phrase) -> bool:
 def coefficient_mode(f: Phrase) -> str:
     """"value" when contour coefficients are plain expansion coefficients.
 
-    That holds for central (real-coefficient) phrases at every level and
-    for any phrase up to level 3, where right-multiplication by conj(M)
-    inverts the functional; otherwise the returned numbers are the
-    functional values c_k*M and the mode is "functional".
+    That holds for central (real-coefficient) phrases at every level, and up
+    to level 3 for phrases whose constants stand left of z, where
+    right-multiplication by conj(M) inverts the functional; otherwise the
+    returned numbers are the functional values c_k*M and the mode is
+    "functional".  Up to level 3 the mode is "value" for every phrase, so a
+    constant right of z can give wrong numbers: z^2*e2 on the (1, e1) circle
+    at level 2 has no left power series, since e2 anticommutes with the
+    plane and turns z^k into conj(z)^k.
     """
     return "value" if (is_central(f) or f.level.r <= 3) else "functional"
 

@@ -50,6 +50,7 @@ from .algebra import (
     conj_arrays,
     inverse_arrays,
     mul_arrays,
+    plane_power_coefficients,
     pow_arrays,
 )
 from .errors import (
@@ -449,9 +450,17 @@ def phrase_to_json(f: Phrase):
     return enc(f.root)
 
 
+_MAX_DOUBLE = int(np.finfo(float).max)
+
+
 def _is_number(v) -> bool:
-    """Whether a JSON value is a number (a bool or a numeric string is not)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether a JSON value is a number that a double holds.
+
+    A bool, a numeric string and an integer beyond the double range are not.
+    """
+    if isinstance(v, float):
+        return True
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= _MAX_DOUBLE
 
 
 def phrase_from_json(obj, level) -> Phrase:
@@ -590,25 +599,74 @@ def evaluate_two_slot(f: Phrase, z1, z2):
 # superdifferentiation
 # ---------------------------------------------------------------------------
 
+#: An increment lies in its base's plane span(1, Im b) when its part w
+#: orthogonal to that plane has |w| <= _PLANE_EPS * (|inc| + |b|): the
+#: rounding of the knots the increment was differenced from.
+_PLANE_EPS = 16.0 * np.finfo(float).eps
+
+
 def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
     """sum_k (b^k * inc) * b * ... * b  (n-1-k single right factors), n >= 1.
 
-    Right multiplication by b is linear, so the partial strings obey
-    T_1 = inc, T_{j+1} = T_j * b + b^j * inc, and T_n is the whole sum with
-    every term bracketed from the left.  Each row of the base lies in its own
-    complex plane: b = p + v with v = Im b and v^2 = -q^2, q = |v|, so by
-    power-associativity b^j = c_j + s_j*v with real c_j, s_j (c_j + i*q*s_j
-    is (p + i*q)^j), and
+    Each row of the base lies in its own complex plane: b = p + v with
+    v = Im b and v^2 = -q^2, q = |v|, so by power-associativity
+    b^j = c_j + s_j*v with real c_j, s_j (c_j + i*q*s_j is (p + i*q)^j).
+
+    A batch of bases is sorted row by row.  Where the increment lies in the
+    base's plane (see _PLANE_EPS), every term commutes and the string is
+    n*b^(n-1)*inc; with inc = alpha + beta*v, v*inc = alpha*v - beta*q^2, so
+    the row takes O(d) work and no product; a batch with no such row skips
+    the sorting.  The other rows, a single base, and rows whose probe is not
+    finite run the recurrence: right multiplication by b is linear, so the
+    partial strings obey T_1 = inc,
 
         c_1 = p, s_1 = 1,  c_{j+1} = p*c_j - q^2*s_j,  s_{j+1} = c_j + p*s_j,
         T_{j+1} = T_j * b + c_j*inc + s_j*(v * inc),
 
-    exact at every level and for real rows (v = 0), with n products (v * inc
-    once, T_j * b per step) in place of 3n - 4.
+    and T_n is the whole sum with every term bracketed from the left: n
+    products (v * inc once, T_j * b per step), exact at every level.
     """
-    total = np.array(inc, copy=True)
     if n == 1:
-        return total
+        return np.array(inc, copy=True)
+    if np.ndim(bv) == 1:
+        return _power_string_recurrence(bv, inc, n, r)
+    if bv.shape != np.shape(inc):
+        bv, inc = np.broadcast_arrays(bv, inc)
+    p, v = bv[..., 0], bv[..., 1:]
+    alpha, u = inc[..., 0], inc[..., 1:]
+    q2 = np.einsum("...i,...i->...", v, v)
+    g = np.einsum("...i,...i->...", v, u)  # <v, inc> = beta*q^2
+    plane = _in_plane_rows(bv, inc, q2, g)
+    if not plane.any():
+        return _power_string_recurrence(bv, inc, n, r)
+    off = ~plane
+    # the off-plane rows first, so their copies are freed before out is built
+    rest = _power_string_recurrence(bv[off], inc[off], n, r) if off.any() else None
+    c, s = plane_power_coefficients(p, q2, n - 1)
+    out = np.empty(bv.shape)
+    with np.errstate(invalid="ignore"):  # a non-finite off-plane row, overwritten below
+        out[..., 0] = n * (c * alpha - s * g)
+        np.multiply(u, (n * c)[..., None], out=out[..., 1:])
+        out[..., 1:] += (n * s * alpha)[..., None] * v
+    if rest is not None:
+        out[off] = rest
+    return out
+
+
+def _in_plane_rows(bv, inc, q2, g) -> np.ndarray:
+    """Rows whose increment lies in the base's plane within _PLANE_EPS.
+
+    q2 = |Im b|^2 and g = <Im b, Im inc> per row.  A row whose probe is not
+    finite is not in its plane.
+    """
+    w = inc[..., 1:] - (g / np.where(q2 > 0.0, q2, 1.0))[..., None] * bv[..., 1:]
+    bound = _PLANE_EPS * (np.sqrt(np.einsum("...i,...i->...", inc, inc)) + np.sqrt(bv[..., 0] ** 2 + q2))
+    return (np.einsum("...i,...i->...", w, w) <= bound * bound) & np.isfinite(bound)
+
+
+def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
+    """The left-bracketed power string by the recurrence of _left_power_string."""
+    total = np.array(inc, copy=True)
     p = bv[..., :1]
     v = np.array(bv, copy=True)
     v[..., 0] = 0.0
@@ -689,7 +747,7 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
 
 def _derivative(node: Node, Z, H, conj: bool, r) -> np.ndarray:
     _, der = _diff(node, Z, conj_arrays(Z), H, conj, r, False)
-    return np.zeros(Z.shape) if der is None else der
+    return np.zeros(np.broadcast_shapes(Z.shape, H.shape)) if der is None else der
 
 
 def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
@@ -697,7 +755,10 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
         raise DomainError("wrt must be 'z' or 'zc'")
     Z, wrap = _as_batch(f.level, z)
     Harr, _ = _as_batch(f.level, h)
-    Z, Harr = np.broadcast_arrays(Z, Harr)
+    if Z.ndim > 1:
+        # a single point stays single against a batch of directions, so its
+        # power strings multiply element by batch, with no gathered batch
+        Z, Harr = np.broadcast_arrays(Z, Harr)
     der = _derivative(f.root, Z, Harr, wrt == "zc", f.level.r)
     return CDNumber(f.level, der) if wrap else der
 

@@ -186,40 +186,57 @@ def test_power_associativity(r, seed, m, n):
     assert lhs.allclose(rhs, 1e-9 * (1 + abs(scale)))
 
 
-@pytest.mark.parametrize("r", [1, 3, 6])
-def test_power_skips_the_unit_factor(r, monkeypatch):
+def _left_associated_power(x, n, r):
+    """((x*x)*x)*... with |n| factors of x (or of its inverse), the unit for n = 0."""
+    from cdfun import algebra
+
+    base = algebra.inverse_arrays(x, r) if n < 0 else x
+    out = np.zeros_like(x)
+    out[..., 0] = 1.0
+    for k in range(abs(n)):
+        out = mul_arrays(out, base, r) if k else base
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_power_is_plane_wise_and_makes_no_product(r, monkeypatch):
     from cdfun import algebra
 
     rng = _rng(40 + r)
-    batch = rng.normal(size=(5, 1 << r))
-    real_mul = algebra.mul_arrays
-    calls = []
+    d = 1 << r
+    # rows of norm 1e-12..1e12, a real row, a negative real row and a unit
+    batch = rng.standard_normal((13, d)) * np.logspace(-12, 12, 13)[:, None]
+    batch[3, 1:] = 0.0
+    batch[7, 1:] = 0.0
+    batch[7, 0] = -2.5
+    batch[9] = 0.0
+    batch[9, d - 1] = 1.0
+    units = np.eye(d)[sorted({1, d // 2, d - 1})]
 
-    def counting(x, y, lev):
-        calls.append(lev)
-        return real_mul(x, y, lev)
+    def refuse(x, y, lev):
+        raise AssertionError("pow_arrays formed a product")
 
     for n in range(-5, 13):
-        # reference: binary exponentiation started from the unit
-        x = algebra.inverse_arrays(batch, r) if n < 0 else batch
-        want = np.zeros_like(batch)
-        want[:, 0] = 1.0
-        k, base = abs(n), x
-        while k:
-            if k & 1:
-                want = real_mul(want, base, r)
-            k >>= 1
-            if k:
-                base = real_mul(base, base, r)
-        calls.clear()
-        monkeypatch.setattr(algebra, "mul_arrays", counting)
-        got = algebra.pow_arrays(batch, n, r)
-        monkeypatch.setattr(algebra, "mul_arrays", real_mul)
-        assert np.array_equal(got, want), n
-        k = abs(n)
-        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), n
+        want = _left_associated_power(batch, n, r)
+        want_units = _left_associated_power(units, n, r)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "mul_arrays", refuse)
+            got = algebra.pow_arrays(batch, n, r)
+            got_units = algebra.pow_arrays(units, n, r)
+            got_one = algebra.pow_arrays(batch[4], n, r)
+        # held to each row's own scale |x|^|n| (|x^-1|^|n| for n < 0)
+        base = algebra.inverse_arrays(batch, r) if n < 0 else batch
+        scale = np.linalg.norm(base, axis=-1) ** abs(n)
+        assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-12 * scale), n
+        assert np.array_equal(got_units, want_units), n
+        assert np.linalg.norm(got_one - got[4]) <= 4e-16 * scale[4], n
     once = algebra.pow_arrays(batch, 1, r)
     assert np.array_equal(once, batch) and not np.shares_memory(once, batch)
+    with_zero = batch.copy()
+    with_zero[5] = 0.0
+    assert not np.any(algebra.pow_arrays(with_zero, 3, r)[5])
+    with pytest.raises(SingularElementError):
+        algebra.pow_arrays(with_zero, -2, r)
 
 
 @given(st.integers(min_value=2, max_value=6), seeds)

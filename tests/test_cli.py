@@ -164,6 +164,32 @@ def test_deep_or_non_numeric_input_is_a_typed_error(expr, point, kind):
         assert (code, rep["error"]["kind"]) == (1, kind)
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["eval", "--expr", "z", "--point", f"[{HUGE}, 0]"], "usage"),
+        (["integrate", "--expr", "z", "--path-file",
+          f'{{"kind": "circle", "center": [{HUGE}, 0], "radius": 1.0, "direction": [0, 1]}}'], "usage"),
+        (["eval", "--expr", f'{{"const": [{HUGE}, 0]}}', "--point", "[1, 0]"], "parse"),
+        (["eval", "--expr", f'{{"const": [{HUGE[:300]}, 0]}}', "--point", "[1, 0]"], None),
+    ],
+    ids=["point", "path-center", "const", "const-in-range"],
+)
+def test_integer_beyond_the_double_range_is_a_typed_error(argv, kind, tmp_path):
+    if "--path-file" in argv:
+        path = tmp_path / "huge.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
+    code, rep = invoke_json([argv[0], "--level", "1", *argv[1:]])
+    if kind is None:
+        assert code == 0 and rep["value"][0] == 1e299
+    else:
+        assert (code, rep["error"]["kind"]) == (1, kind)
+
+
 def test_pole_hit_exits_2():
     code, rep = invoke_json(["eval", "--level", "2", "--expr", "z^-1",
                              "--point", "[0, 0, 0, 0]"])

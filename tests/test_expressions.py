@@ -378,24 +378,130 @@ def test_power_string_recurrence_matches_term_by_term_sum(r):
         _assert_power_string(b, H, n, r)
 
 
-def test_power_string_makes_one_product_per_factor(monkeypatch):
+def _count_product_rows(monkeypatch):
+    """Count the rows of every product the power string forms, one entry per call."""
     from cdfun import expressions
 
-    calls = []
+    rows = []
 
     def counting(x, y, lev):
-        calls.append(lev)
+        rows.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
         return mul_arrays(x, y, lev)
 
     monkeypatch.setattr(expressions, "mul_arrays", counting)
+    return rows
+
+
+def _in_plane(rng, r, count):
+    """Bases b, increments alpha + beta*Im b, and the in-plane bound of each row.
+
+    b has no e_{d-1} part, so from r = 2 on e_{d-1} is orthogonal to 1 and
+    Im b; the bound is 16*eps*(|inc| + |b|).
+    """
+    d = 1 << r
+    b = rng.standard_normal((count, d)) * np.logspace(-6, 6, count)[:, None]
+    if r > 1:
+        b[:, d - 1] = 0.0
+    alpha, beta = rng.standard_normal((2, count, 1)) * np.logspace(6, -6, count)[:, None]
+    h = beta * b
+    h[:, 0] = alpha[:, 0]
+    bound = 16 * np.finfo(float).eps * (np.linalg.norm(h, axis=-1) + np.linalg.norm(b, axis=-1))
+    return b, h, bound
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+def test_power_string_in_plane_rows_make_no_product(r, monkeypatch):
     rng = _rng(20)
-    for r in (1, 3, 8):
+    b, h, _ = _in_plane(rng, r, 7)
+    if r == 1:  # every increment lies in the plane of a nonreal base
+        h = rng.standard_normal(h.shape)
+    rows = _count_product_rows(monkeypatch)
+    for n in range(2, 9):
+        rows.clear()
+        _assert_power_string(b, h, n, r)
+        assert sum(rows) == 0
+        # a single base runs the recurrence: n products of one row
+        rows.clear()
+        _left_power_string(b[0], h[0], n, r)
+        assert rows == [1] * n
+
+
+@pytest.mark.parametrize("r", [2, 3, 8])
+def test_power_string_sorts_a_mixed_batch_row_by_row(r, monkeypatch):
+    rng = _rng(21)
+    d = 1 << r
+    b, h, bound = _in_plane(rng, r, 9)
+    off = np.zeros(len(b), dtype=bool)
+    off[[1, 4]] = True  # dense increments, far out of the plane
+    h[off] = rng.standard_normal((2, d))
+    h[6, d - 1] = 0.5 * bound[6]  # just inside the bound
+    h[7, d - 1] = 2.0 * bound[7]  # just outside
+    off[7] = True
+    b[8, 1:] = 0.0  # a real base with an imaginary increment
+    h[8, 1] = 1.0
+    off[8] = True
+    # rows whose probe is not finite: a NaN and an infinite increment
+    B = np.repeat(b[:1], 3, axis=0)
+    H = np.repeat(h[:1], 3, axis=0)
+    H[1, 2] = np.nan
+    H[2, 0] = np.inf
+    rows = _count_product_rows(monkeypatch)
+    for n in range(2, 9):
+        rows.clear()
+        got = _left_power_string(b, h, n, r)
+        assert rows == [int(off.sum())] * n
+        _assert_power_string(b, h, n, r)
+        for i in range(len(b)):
+            alone = _left_power_string(b[i : i + 1], h[i : i + 1], n, r)[0]
+            assert np.linalg.norm(got[i] - alone) <= 1e-15 * np.linalg.norm(alone), (n, i)
+        # they run the recurrence beside an in-plane row
+        rows.clear()
+        got = _left_power_string(B, H, n, r)
+        assert rows == [2] * n
+        alone = _left_power_string(b[:1], h[:1], n, r)[0]
+        assert np.linalg.norm(got[0] - alone) <= 1e-15 * np.linalg.norm(alone)
+        assert not np.isfinite(got[1:]).all(axis=-1).any()
+
+
+def test_plane_power_integral_at_level_8_makes_no_batch_product(tmp_path, monkeypatch):
+    import contextlib
+    import io
+    import sys
+
+    from cdfun import algebra, cli, expressions
+
+    batch_products = []
+    real_mul = algebra.mul_arrays
+
+    def counting(x, y, lev):
+        if np.ndim(x) > 1 and np.ndim(y) > 1:
+            batch_products.append(lev)
+        return real_mul(x, y, lev)
+
+    def integrate(r):
         d = 1 << r
-        for n in range(2, 9):
-            for b, h in ((rng.standard_normal(d), rng.standard_normal(d)), rng.standard_normal((2, 5, d))):
-                calls.clear()
-                _left_power_string(b, h, n, r)
-                assert len(calls) == n
+        path = tmp_path / f"circle{r}.json"
+        path.write_text(json.dumps({"kind": "circle", "center": [0] * d, "radius": 1.0,
+                                    "direction": [0, 1] + [0] * (d - 2)}))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["integrate", "--level", str(r), "--expr", "z^5", "--path-file", str(path)]) == 0
+        rep = json.loads(buf.getvalue())
+        assert rep["converged"] is True
+        return np.array(rep["value"])
+
+    with monkeypatch.context() as m:
+        for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "cdfun"]:
+            for name, obj in list(vars(module).items()):
+                if obj is real_mul:
+                    m.setattr(module, name, counting)
+        value = integrate(8)
+    assert batch_products == []
+    # the same circle in the level-1 copy of the plane, term by term
+    monkeypatch.setattr(expressions, "_left_power_string", _power_string_by_terms)
+    want = integrate(1)
+    assert np.max(np.abs(value[:2] - want)) <= 1e-12
+    assert not np.any(value[2:])
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
