@@ -600,24 +600,25 @@ def evaluate_two_slot(f: Phrase, z1, z2):
 # ---------------------------------------------------------------------------
 
 #: An increment lies in its base's plane span(1, Im b) when its part w
-#: orthogonal to that plane has |w| <= _PLANE_EPS * (|inc| + |b|): the
-#: rounding of the knots the increment was differenced from.
+#: orthogonal to that plane has |w| <= _PLANE_EPS * |inc|, or, for an
+#: increment differenced from knots, |w| <= _PLANE_EPS * (|inc| + |b|): the
+#: rounding of the knots themselves.
 _PLANE_EPS = 16.0 * np.finfo(float).eps
 
 
-def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
+def _left_power_string(bv, inc, n: int, r, knots: bool = False) -> np.ndarray:
     """sum_k (b^k * inc) * b * ... * b  (n-1-k single right factors), n >= 1.
 
     Each row of the base lies in its own complex plane: b = p + v with
     v = Im b and v^2 = -q^2, q = |v|, so by power-associativity
     b^j = c_j + s_j*v with real c_j, s_j (c_j + i*q*s_j is (p + i*q)^j).
 
-    A batch of bases is sorted row by row.  Where the increment lies in the
-    base's plane (see _PLANE_EPS), every term commutes and the string is
-    n*b^(n-1)*inc; with inc = alpha + beta*v, v*inc = alpha*v - beta*q^2, so
-    the row takes O(d) work and no product; a batch with no such row skips
-    the sorting.  The other rows, a single base, and rows whose probe is not
-    finite run the recurrence: right multiplication by b is linear, so the
+    When every row of a batch has its increment in the base's plane (see
+    _PLANE_EPS; `knots` marks increments differenced from knots), every term
+    commutes and the string is n*b^(n-1)*inc; with inc = alpha + beta*v,
+    v*inc = alpha*v - beta*q^2, so the batch takes O(d) work per row and no
+    product.  Any other batch, a single base, and a batch with a non-finite
+    row run the recurrence: right multiplication by b is linear, so the
     partial strings obey T_1 = inc,
 
         c_1 = p, s_1 = 1,  c_{j+1} = p*c_j - q^2*s_j,  s_{j+1} = c_j + p*s_j,
@@ -636,32 +637,28 @@ def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
     alpha, u = inc[..., 0], inc[..., 1:]
     q2 = np.einsum("...i,...i->...", v, v)
     g = np.einsum("...i,...i->...", v, u)  # <v, inc> = beta*q^2
-    plane = _in_plane_rows(bv, inc, q2, g)
-    if not plane.any():
+    if not _all_in_plane(bv, inc, q2, g, knots):
         return _power_string_recurrence(bv, inc, n, r)
-    off = ~plane
-    # the off-plane rows first, so their copies are freed before out is built
-    rest = _power_string_recurrence(bv[off], inc[off], n, r) if off.any() else None
     c, s = plane_power_coefficients(p, q2, n - 1)
     out = np.empty(bv.shape)
-    with np.errstate(invalid="ignore"):  # a non-finite off-plane row, overwritten below
-        out[..., 0] = n * (c * alpha - s * g)
-        np.multiply(u, (n * c)[..., None], out=out[..., 1:])
-        out[..., 1:] += (n * s * alpha)[..., None] * v
-    if rest is not None:
-        out[off] = rest
+    out[..., 0] = n * (c * alpha - s * g)
+    np.multiply(u, (n * c)[..., None], out=out[..., 1:])
+    out[..., 1:] += (n * s * alpha)[..., None] * v
     return out
 
 
-def _in_plane_rows(bv, inc, q2, g) -> np.ndarray:
-    """Rows whose increment lies in the base's plane within _PLANE_EPS.
+def _all_in_plane(bv, inc, q2, g, knots: bool) -> bool:
+    """Whether every row's increment lies in the base's plane within _PLANE_EPS.
 
     q2 = |Im b|^2 and g = <Im b, Im inc> per row.  A row whose probe is not
     finite is not in its plane.
     """
     w = inc[..., 1:] - (g / np.where(q2 > 0.0, q2, 1.0))[..., None] * bv[..., 1:]
-    bound = _PLANE_EPS * (np.sqrt(np.einsum("...i,...i->...", inc, inc)) + np.sqrt(bv[..., 0] ** 2 + q2))
-    return (np.einsum("...i,...i->...", w, w) <= bound * bound) & np.isfinite(bound)
+    bound = np.sqrt(np.einsum("...i,...i->...", inc, inc))
+    if knots:
+        bound += np.sqrt(bv[..., 0] ** 2 + q2)
+    bound *= _PLANE_EPS
+    return bool(np.all((np.einsum("...i,...i->...", w, w) <= bound * bound) & np.isfinite(bound)))
 
 
 def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
@@ -680,7 +677,7 @@ def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
     return total
 
 
-def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
+def _power_derivative(bv, bd, n: int, r, knots: bool) -> np.ndarray:
     """Derivative of base**n, n != 0, given (base value, base derivative).
 
     A negative n differentiates the inverse in closed form (see the module
@@ -691,7 +688,7 @@ def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
         inner = np.sum(bv * bd, axis=-1, keepdims=True)
         bd = (conj_arrays(bd) - 2.0 * inner * u) / np.sum(np.square(bv), axis=-1, keepdims=True)
         bv, n = u, -n
-    return _left_power_string(bv, bd, n, r)
+    return _left_power_string(bv, bd, n, r, knots)
 
 
 def _varies(node: Node, conj: bool) -> bool:
@@ -707,13 +704,14 @@ def _has_negative_power(node: Node) -> bool:
     return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
 
 
-def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
+def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool, knots: bool):
     """(value, derivative) of the superdifferential wrt z or zc along H.
 
     The derivative is None where the node does not vary, and the value is
     None unless `want` asks for it: a Mul needs a factor's value only when the
     other factor varies.  A skipped subtree with a negative power is still
     evaluated, so a vanishing base raises PoleError whatever its derivative.
+    `knots` marks H as differences of knots (see _PLANE_EPS).
     """
     if not _varies(node, conj):
         if want or _has_negative_power(node):
@@ -723,14 +721,14 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
     if isinstance(node, VarPow):
         base, inc = (Zc, conj_arrays(H)) if conj else (Z, H)
         value = _pow_value(base, node.power, r) if want else None
-        return value, _power_derivative(base, inc, node.power, r)
+        return value, _power_derivative(base, inc, node.power, r, knots)
     if isinstance(node, PowNode):
-        bv, bd = _diff(node.base, Z, Zc, H, conj, r, True)
+        bv, bd = _diff(node.base, Z, Zc, H, conj, r, True, knots)
         value = _pow_value(bv, node.power, r) if want else None
-        return value, _power_derivative(bv, bd, node.power, r)
+        return value, _power_derivative(bv, bd, node.power, r, knots)
     if isinstance(node, Mul):
-        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj))
-        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None)
+        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj), knots)
+        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None, knots)
         value = mul_arrays(lv, rv, r) if want else None
         left_term = None if ld is None else mul_arrays(ld, rv, r)
         right_term = None if rd is None else mul_arrays(lv, rd, r)
@@ -738,16 +736,16 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
     if isinstance(node, Sum):
         value = der = None
         for sign, term in node.terms:
-            v, d = _diff(term, Z, Zc, H, conj, r, want)
+            v, d = _diff(term, Z, Zc, H, conj, r, want, knots)
             value = _add_signed(value, sign, v)
             der = _add_signed(der, sign, d)
         return value, der
     raise DomainError(f"cannot differentiate node {type(node).__name__}")
 
 
-def _derivative(node: Node, Z, H, conj: bool, r) -> np.ndarray:
-    _, der = _diff(node, Z, conj_arrays(Z), H, conj, r, False)
-    return np.zeros(np.broadcast_shapes(Z.shape, H.shape)) if der is None else der
+def _derivative(node: Node, Z, H, conj: bool, r, knots: bool = False) -> np.ndarray:
+    _, der = _diff(node, Z, conj_arrays(Z), H, conj, r, False, knots)
+    return np.zeros(Z.shape) if der is None else der
 
 
 def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
@@ -755,10 +753,7 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
         raise DomainError("wrt must be 'z' or 'zc'")
     Z, wrap = _as_batch(f.level, z)
     Harr, _ = _as_batch(f.level, h)
-    if Z.ndim > 1:
-        # a single point stays single against a batch of directions, so its
-        # power strings multiply element by batch, with no gathered batch
-        Z, Harr = np.broadcast_arrays(Z, Harr)
+    Z, Harr = np.broadcast_arrays(Z, Harr)
     der = _derivative(f.root, Z, Harr, wrt == "zc", f.level.r)
     return CDNumber(f.level, der) if wrap else der
 
@@ -961,7 +956,7 @@ def hat_from_primitive(prim: PrimitiveResult, z, h):
     H, _ = _as_batch(level, h)
     Z, H = np.broadcast_arrays(Z, H)
     r = level.r
-    out = _derivative(prim.poly.root, Z, H, False, r)
+    out = _derivative(prim.poly.root, Z, H, False, r, knots=True)
     for lt in prim.log_terms:
         dl = dln_arrays(Z - lt.center, H)
         out = out + lt.scale * _eval_slots(lt.tree, Z, conj_arrays(Z), r, dl)

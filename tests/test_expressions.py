@@ -392,11 +392,11 @@ def _count_product_rows(monkeypatch):
     return rows
 
 
-def _in_plane(rng, r, count):
+def _in_plane(rng, r, count, knots=False):
     """Bases b, increments alpha + beta*Im b, and the in-plane bound of each row.
 
     b has no e_{d-1} part, so from r = 2 on e_{d-1} is orthogonal to 1 and
-    Im b; the bound is 16*eps*(|inc| + |b|).
+    Im b; the bound is 16*eps*|inc|, or 16*eps*(|inc| + |b|) for knots.
     """
     d = 1 << r
     b = rng.standard_normal((count, d)) * np.logspace(-6, 6, count)[:, None]
@@ -405,8 +405,8 @@ def _in_plane(rng, r, count):
     alpha, beta = rng.standard_normal((2, count, 1)) * np.logspace(6, -6, count)[:, None]
     h = beta * b
     h[:, 0] = alpha[:, 0]
-    bound = 16 * np.finfo(float).eps * (np.linalg.norm(h, axis=-1) + np.linalg.norm(b, axis=-1))
-    return b, h, bound
+    scale = np.linalg.norm(h, axis=-1) + (np.linalg.norm(b, axis=-1) if knots else 0.0)
+    return b, h, 16 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 8])
@@ -426,11 +426,17 @@ def test_power_string_in_plane_rows_make_no_product(r, monkeypatch):
         assert rows == [1] * n
 
 
+def _row_tol(b, h, n):
+    """The tolerance of _assert_power_string, one entry per row."""
+    return 1e-12 * (1 + np.linalg.norm(b, axis=-1)) ** n * np.linalg.norm(h, axis=-1)
+
+
+@pytest.mark.parametrize("knots", [False, True])
 @pytest.mark.parametrize("r", [2, 3, 8])
-def test_power_string_sorts_a_mixed_batch_row_by_row(r, monkeypatch):
+def test_power_string_mixed_batch_gives_each_row_its_own_string(r, knots, monkeypatch):
     rng = _rng(21)
     d = 1 << r
-    b, h, bound = _in_plane(rng, r, 9)
+    b, h, bound = _in_plane(rng, r, 9, knots)
     off = np.zeros(len(b), dtype=bool)
     off[[1, 4]] = True  # dense increments, far out of the plane
     h[off] = rng.standard_normal((2, d))
@@ -447,20 +453,35 @@ def test_power_string_sorts_a_mixed_batch_row_by_row(r, monkeypatch):
     H[2, 0] = np.inf
     rows = _count_product_rows(monkeypatch)
     for n in range(2, 9):
-        rows.clear()
-        got = _left_power_string(b, h, n, r)
-        assert rows == [int(off.sum())] * n
-        _assert_power_string(b, h, n, r)
+        # alone, an in-plane row makes no product and an off-plane row n
+        alone = []
         for i in range(len(b)):
-            alone = _left_power_string(b[i : i + 1], h[i : i + 1], n, r)[0]
-            assert np.linalg.norm(got[i] - alone) <= 1e-15 * np.linalg.norm(alone), (n, i)
-        # they run the recurrence beside an in-plane row
-        rows.clear()
-        got = _left_power_string(B, H, n, r)
-        assert rows == [2] * n
-        alone = _left_power_string(b[:1], h[:1], n, r)[0]
-        assert np.linalg.norm(got[0] - alone) <= 1e-15 * np.linalg.norm(alone)
+            rows.clear()
+            alone.append(_left_power_string(b[i : i + 1], h[i : i + 1], n, r, knots)[0])
+            assert rows == ([1] * n if off[i] else []), (n, i)
+        _assert_power_string(b, h, n, r)
+        got = _left_power_string(b, h, n, r, knots)
+        assert np.all(np.linalg.norm(got - alone, axis=-1) <= _row_tol(b, h, n))
+        got = _left_power_string(B, H, n, r, knots)
+        assert np.linalg.norm(got[0] - alone[0]) <= _row_tol(b[0], h[0], n)
         assert not np.isfinite(got[1:]).all(axis=-1).any()
+
+
+def test_power_string_keeps_a_small_increment_out_of_the_plane():
+    # |h| = 1e-15 lies far below 16*eps*|b|, but h points straight out of the
+    # plane of b, so its cross terms stay: (conj(b)^2 + b*conj(b) + b^2)*h = 2h
+    r, d = 2, 4
+    b = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    h = np.array([[0.0, 0.0, 1e-15, 0.0], [0.5, 0.0, 0.0, 0.0]])
+    got = _left_power_string(b, h, 3, r)
+    assert np.allclose(got[0], 2.0 * h[0], rtol=0.0, atol=1e-29)
+    assert np.allclose(got[1], 12.0 * h[1], rtol=0.0, atol=1e-14)
+    _assert_power_string(b, h, 3, r)
+    # a batch derivative is linear in the direction at any scale
+    scale = np.array([1e-15, 1e-5, 1.0])[:, None]
+    H = scale * np.eye(d)[2]
+    got = derivative_apply(parse("z^3", r), np.repeat(b[:1], 3, axis=0), H)
+    assert np.all(np.abs(got - 2.0 * H) <= 1e-14 * scale)
 
 
 def test_plane_power_integral_at_level_8_makes_no_batch_product(tmp_path, monkeypatch):
@@ -498,10 +519,41 @@ def test_plane_power_integral_at_level_8_makes_no_batch_product(tmp_path, monkey
         value = integrate(8)
     assert batch_products == []
     # the same circle in the level-1 copy of the plane, term by term
-    monkeypatch.setattr(expressions, "_left_power_string", _power_string_by_terms)
+    monkeypatch.setattr(expressions, "_left_power_string",
+                        lambda bv, inc, n, r, knots=False: _power_string_by_terms(bv, inc, n, r))
     want = integrate(1)
     assert np.max(np.abs(value[:2] - want)) <= 1e-12
     assert not np.any(value[2:])
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_knot_increments_in_a_dense_plane_make_no_product(r, monkeypatch):
+    # the knots of a circle in a dense plane round off that plane by about
+    # eps*|z| per coefficient, far more than eps*|h| for a short step: the
+    # hat application still takes the closed form, with no batch product
+    from cdfun import expressions
+
+    rng = _rng(22)
+    d = 1 << r
+    c, m = rng.standard_normal((2, d))
+    c[1:] = 0.3 * m[1:]
+    m[0] = 0.0
+    m /= np.linalg.norm(m)
+    t = np.linspace(0.0, 2.0 * np.pi, 257)[:, None]
+    Z = c + 2.0 * np.cos(t) * np.eye(d)[0] + 2.0 * np.sin(t) * m
+    H = np.diff(Z, axis=0)
+    batch_products = []
+
+    def counting(x, y, lev):
+        if np.ndim(x) > 1 and np.ndim(y) > 1:
+            batch_products.append(lev)
+        return mul_arrays(x, y, lev)
+
+    monkeypatch.setattr(expressions, "mul_arrays", counting)
+    got = hat_from_primitive(primitive(parse("z^4", r)), Z[:-1], H)
+    assert batch_products == []
+    want = _power_string_by_terms(Z[:-1], H, 5, r) / 5.0
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= _row_tol(Z[:-1], H, 5))
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
