@@ -35,7 +35,6 @@ from .algebra import (
 from .contour import (
     ContourReport,
     IndexVector,
-    ResidueFunctional,
     ar_index,
     argument_principle,
     cauchy_derivative,
@@ -46,7 +45,6 @@ from .contour import (
     laurent_coeffs,
     residue,
     residue_theorem_check,
-    sample_residue_functional,
     sum_residues_check,
     taylor_coeffs,
     winding_index,
@@ -56,8 +54,6 @@ from .diffcheck import (
     RealFieldSample,
     cr_check,
     harmonic_check,
-    right_superlinear_nullspace,
-    right_superlinear_sample,
     zbar_check,
 )
 from .errors import (

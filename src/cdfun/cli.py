@@ -181,7 +181,7 @@ _READERS = {
     "expr": _phrase, "path": _path, "poles": _poles, "zeros": _zeros, "wrt": _wrt,
     "point": _element, "direction": _element, "center": _element, "pole": _element,
     "rho": _positive, "tol": _positive,
-    "rho_inner": _float, "rho_outer": _float, "step": _float, "threshold": _float,
+    "rho_inner": _float, "rho_outer": _float, "step": _positive, "threshold": _float,
     "kmin": _int, "kmax": _int, "seed": _int, "order": _int_range(0),
     # the kernel of coefficient k has the power -k-1, so every count keeps it
     # inside the exponent range the parser accepts

@@ -91,20 +91,6 @@ class IndexVector:
 
 
 @dataclass(frozen=True)
-class ResidueFunctional:
-    """Sampled residue functional M -> res(center, f)M over probe directions."""
-
-    center: CDNumber
-    sampled: Tuple[Tuple[CDNumber, CDNumber], ...]
-
-    def probe(self, m: CDNumber) -> CDNumber:
-        for probe, value in self.sampled:
-            if np.array_equal(probe.coeffs, m.coeffs):
-                return value
-        raise DomainError("direction was not sampled")
-
-
-@dataclass(frozen=True)
 class ContourReport:
     lhs: CDNumber
     rhs: CDNumber
@@ -220,18 +206,6 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
             best=res.value * (1.0 / TWO_PI),
         )
     return res.value * (1.0 / TWO_PI)
-
-
-def sample_residue_functional(
-    f: Phrase,
-    p: CDNumber,
-    probes: Sequence[CDNumber],
-    rho: float,
-    tol: float = 1e-6,
-) -> ResidueFunctional:
-    """Sample the functional M -> res(p, f)M over the given probe directions."""
-    rows = tuple((m, residue(f, p, m, rho, tol)) for m in probes)
-    return ResidueFunctional(center=p, sampled=rows)
 
 
 # ---------------------------------------------------------------------------

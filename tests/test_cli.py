@@ -588,6 +588,15 @@ def test_differentiability_commands():
     assert rep["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("step", [["--step", "0"], ["--step=-1e-5"]], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["crcheck", "harmonic", "zbarcheck"])
+def test_non_positive_step_is_usage_error(command, step):
+    # --step is read like --rho and --tol: a bad flag value is a usage error
+    code, rep = invoke_json([command, "--level", "2", "--expr", "z",
+                             "--point", "[0.3, 0.1, -0.2, 0.5]"] + step)
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from cdfun.contour import (
     laurent_coeffs,
     residue,
     residue_theorem_check,
-    sample_residue_functional,
     sum_residues_check,
     taylor_coeffs,
     winding_index,
@@ -234,18 +233,6 @@ def test_residue_direction_additivity():
     lhs = residue(f, p, comb, 0.5) * math.sqrt(2.0)
     rhs = residue(f, p, m1, 0.5) + residue(f, p, m2, 0.5)
     assert (lhs - rhs).norm() <= 1e-5
-
-
-def test_residue_functional_sampling():
-    p = from_real(3, 0.0)
-    f = parse("e2*(z^-1)*e3", 3)
-    probes = [E1, E2, E5]
-    fn = sample_residue_functional(f, p, probes, 0.5)
-    assert fn.center == p
-    for m in probes:
-        assert (fn.probe(m) - mul(mul(E2, m), E3)).norm() <= 1e-8
-    with pytest.raises(DomainError):
-        fn.probe(E3)
 
 
 def test_residue_rejects_non_unit_direction():

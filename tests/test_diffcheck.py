@@ -1,6 +1,8 @@
 """Cauchy-Riemann, harmonicity, and anti-holomorphic slot-derivative checks."""
 
+import importlib.util
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,20 +12,21 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     CDNumber,
     basis_element,
+    conj_arrays,
     from_real,
     mul,
+    mul_arrays,
     norm,
+    norm_arrays,
     random_element,
 )
 from cdfun.diffcheck import (
     RealFieldSample,
     cr_check,
     harmonic_check,
-    right_superlinear_nullspace,
-    right_superlinear_sample,
     zbar_check,
 )
-from cdfun.errors import DomainError, UnsupportedShapeError
+from cdfun.errors import DomainError
 from cdfun.expressions import (
     Add,
     Const,
@@ -31,14 +34,29 @@ from cdfun.expressions import (
     Phrase,
     VarPow,
     derivative_apply,
-    parse,
+    evaluate_two_slot,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
+_DEMO = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "right_superlinear_demo.py"
+
+
+def _load_demo():
+    spec = importlib.util.spec_from_file_location("right_superlinear_demo", _DEMO)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def _sample(text, r, step=1e-5):
     return RealFieldSample.from_expression(text, r, step=step)
+
+
+def _left_multiplication(r, rng):
+    """The sample of z -> c*z for a random c: right linear differential everywhere."""
+    c = random_element(r, rng)
+    return RealFieldSample(Phrase(c.level, Mul(Const(np.array(c.coeffs)), VarPow(False, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +103,7 @@ def test_cr_square_fails_off_axis_with_predicted_residual():
 def test_cr_left_multiplication_passes_everywhere():
     rng = np.random.default_rng(5)
     for r in (2, 3):
-        c = random_element(r, rng)
-        f = Phrase(c.level, Mul(Const(np.array(c.coeffs)), VarPow(False, 1)))
-        rep = cr_check(RealFieldSample.from_phrase(f), random_element(r, rng))
+        rep = cr_check(_left_multiplication(r, rng), random_element(r, rng))
         assert rep.verdict, rep.max_residual
 
 
@@ -96,20 +112,6 @@ def test_cr_right_multiplication_fails():
     rep = cr_check(_sample("z*e3", 2), random_element(2, rng))
     assert not rep.verdict
     assert rep.max_residual == pytest.approx(2.0, abs=1e-8)
-
-
-def test_cr_callable_route_matches_phrase_route():
-    f = parse("z^2 + e2*z", 2)
-    from cdfun.expressions import eval_node_arrays
-
-    def func(w):
-        return eval_node_arrays(f.root, w, 2)
-
-    z = random_element(2, np.random.default_rng(9))
-    a = cr_check(RealFieldSample.from_phrase(f), z)
-    b = cr_check(RealFieldSample(2, func), z)
-    for key in a.per_pair:
-        assert a.per_pair[key] == pytest.approx(b.per_pair[key], rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def test_harmonic_linear_passes():
 def test_harmonic_passes_generated_family_at_ten_x():
     rng = np.random.default_rng(43)
     for r in (2, 3):
-        G = right_superlinear_sample(r, 1, rng)
+        G = _left_multiplication(r, rng)
         z = random_element(r, rng)
         assert cr_check(G, z).verdict
         assert harmonic_check(G, z, threshold=1e-3).verdict
@@ -186,19 +188,14 @@ def test_zbar_sees_conjugate_inside_products():
     assert not rep.verdict
 
 
-def test_zbar_requires_expression_backed_sample():
-    F = RealFieldSample(2, lambda w: w)
-    with pytest.raises(DomainError):
-        zbar_check(F, from_real(2, 0.1))
-
-
 # ---------------------------------------------------------------------------
-# right-superlinear generator
+# right-superlinear maps: the null space solved in scripts/right_superlinear_demo.py
 # ---------------------------------------------------------------------------
 
 def test_nullspace_dimensions():
     # Degree 1: exactly the left multiplications (one per basis element).
     # Degree >= 2: empty — the everywhere-right-linear class is affine.
+    right_superlinear_nullspace = _load_demo().right_superlinear_nullspace
     assert right_superlinear_nullspace(2, 1)[1].shape[0] == 4
     assert right_superlinear_nullspace(2, 2)[1].shape[0] == 0
     assert right_superlinear_nullspace(2, 3)[1].shape[0] == 0
@@ -208,7 +205,7 @@ def test_nullspace_dimensions():
 def test_nullspace_degree_one_is_left_multiplication():
     # Every basis vector of the degree-1 null space acts as w -> c*z for the
     # c recovered from its value at z = 1.
-    monos, basis = right_superlinear_nullspace(2, 1)
+    monos, basis = _load_demo().right_superlinear_nullspace(2, 1)
     rng = np.random.default_rng(67)
     for i in range(basis.shape[0]):
         coeff = basis[i]  # (M, d)
@@ -224,27 +221,12 @@ def test_nullspace_degree_one_is_left_multiplication():
 def test_generated_sample_passes_cr_at_random_points():
     for r in (2, 3):
         for seed in range(4):
-            G = right_superlinear_sample(r, 1, np.random.default_rng(seed))
+            G = _left_multiplication(r, np.random.default_rng(seed))
             for k in range(3):
                 z = random_element(r, np.random.default_rng(1000 * seed + k))
                 rep = cr_check(G, z)
                 assert rep.verdict, (r, seed, rep.max_residual)
                 assert rep.max_residual <= 1e-9
-
-
-def test_generator_rejects_unreachable_degrees():
-    rng = np.random.default_rng(71)
-    with pytest.raises(DomainError):
-        right_superlinear_sample(2, 2, rng)
-    with pytest.raises(DomainError):
-        right_superlinear_sample(3, 0, rng)
-
-
-def test_generator_deterministic_under_seed():
-    a = right_superlinear_sample(2, 1, np.random.default_rng(123))
-    b = right_superlinear_sample(2, 1, np.random.default_rng(123))
-    w = np.array([0.3, -0.8, 0.2, 1.1])
-    assert np.array_equal(a.func(w), b.func(w))
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +333,109 @@ def test_report_json_schema():
     assert all(v >= 0.0 for v in obj["per_pair"].values())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sample_validation():
     with pytest.raises(DomainError):
         RealFieldSample.from_expression("z", 2, step=0.0)
-    F = RealFieldSample(2, lambda w: np.zeros(3))
-    with pytest.raises(UnsupportedShapeError):
-        cr_check(F, from_real(2, 0.1))
-    G = RealFieldSample(2, lambda w: np.full(4, np.nan))
-    with pytest.raises(DomainError):
-        cr_check(G, from_real(2, 0.1))
+    # (1e10)^60 overflows inside the stencil, to inf and then inf - inf
+    big = from_real(2, 1e10)
+    for check in (cr_check, harmonic_check, zbar_check):
+        with pytest.raises(DomainError, match="non-finite"):
+            check(_sample("z^60", 2), big)
 
 
 def test_level_mismatch_rejected():
     F = RealFieldSample.from_expression("z", 3)
     with pytest.raises(DomainError):
         cr_check(F, from_real(2, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# batched stencils against the per-direction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _at(F, w, wbar=None):
+    """The sample at one point, as the per-direction loops evaluated it."""
+    return evaluate_two_slot(F.phrase, w, conj_arrays(w) if wbar is None else wbar)
+
+
+def _reference_per_pair(kind, F, z):
+    """per_pair of one check, one stencil point per evaluation."""
+    w = np.array(z.coeffs, dtype=float)
+    d = w.size
+    h = F.step * (1.0 + float(norm_arrays(w)))
+    per = {}
+    if kind == "cr":
+        partials = np.empty((d, d))
+        for t in range(d):
+            e = np.zeros(d)
+            e[t] = h
+            partials[t] = (_at(F, w + e) - _at(F, w - e)) / (2.0 * h)
+        for q in range(1, d):
+            eq_conj = conj_arrays(basis_element(F.level, q).coeffs)
+            candidate = mul_arrays(partials[q], eq_conj, F.level.r)
+            per[f"e{q}"] = float(norm_arrays(partials[0] - candidate))
+    elif kind == "harmonic":
+        center = _at(F, w)
+        second = np.empty((d, d))
+        for t in range(d):
+            e = np.zeros(d)
+            e[t] = h
+            second[t] = (_at(F, w + e) - 2.0 * center + _at(F, w - e)) / (h * h)
+        for p, q in itertools.combinations(range(d), 2):
+            per[f"e{p}|e{q}"] = float(np.max(np.abs(second[p] + second[q])))
+    else:
+        wbar = conj_arrays(w)
+        for j in range(d // 2):
+            worst = 0.0
+            for t in (2 * j, 2 * j + 1):
+                e = np.zeros(d)
+                e[t] = h
+                plus = _at(F, w, wbar + e)
+                minus = _at(F, w, wbar - e)
+                worst = max(worst, float(norm_arrays((plus - minus) / (2.0 * h))))
+            per[f"e{2 * j}|e{2 * j + 1}"] = worst
+    return per
+
+
+_CHECKS = {"cr": cr_check, "harmonic": harmonic_check, "zbar": zbar_check}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHECKS))
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_batched_stencil_matches_per_direction_loops(kind, r):
+    # Constants that are scaled basis elements make every product with them
+    # exact, so one batch and one point at a time give the same bits.
+    rng = np.random.default_rng([r, len(kind)])
+    for text in ("e1*z^3*e1 + (0.5)*zc^-2", "z*zc + (z - 0.3)^-1*e1",
+                 "(0.2)*zc^3*e1 + z^-1 + z^2*(1.5)"):
+        F = _sample(text, r)
+        z = random_element(r, rng)
+        got = _CHECKS[kind](F, z).per_pair
+        want = _reference_per_pair(kind, F, z)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], text
+
+
+@pytest.mark.parametrize("kind", sorted(_CHECKS))
+@pytest.mark.parametrize("r", [2, 3])
+def test_batched_stencil_with_dense_constants_agrees_to_rounding(kind, r):
+    # A dense constant times a batch is a matrix product whose summation
+    # order differs from the single-point product, so the values agree to
+    # the rounding of a d-term sum, amplified by 1/h (first differences) or
+    # 1/h^2 (second differences).
+    rng = np.random.default_rng([r, 7, len(kind)])
+    d = 2**r
+    c1, c2 = Const(rng.standard_normal(d)), Const(rng.standard_normal(d))
+    root = Add(Mul(c1, VarPow(False, 3)), Mul(Mul(VarPow(True, -2), c2), VarPow(False, 1)))
+    F = RealFieldSample(Phrase(from_real(r, 0.0).level, root))
+    z = random_element(r, rng)
+    w = np.array(z.coeffs)
+    h = F.step * (1.0 + float(norm_arrays(w)))
+    scale = float(np.max(np.abs(_at(F, w)))) + 1.0
+    tol = 4 * d * np.finfo(float).eps * scale / (h * h if kind == "harmonic" else h)
+    got = _CHECKS[kind](F, z).per_pair
+    want = _reference_per_pair(kind, F, z)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= tol
