@@ -452,31 +452,34 @@ def _emit(report: Dict, output: Optional[str]) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _build_parser().parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required (try --help)")
-        if args.command == "selftest":
-            seed = 42 if args.seed is None else _int(args.seed, "seed")
-            scale = 0.12 if args.scale is None else _positive(args.scale, "scale")
-            return _selftest(seed, scale, args.inject_sign_error)
-        if args.command == "job":
-            obj = _json_value(_read_file(args.job_file), "job file")
-            command, params, output = _job_params(obj, args.output)
-        else:
-            command, params, output = args.command, _params_from_args(args), args.output
-        _emit(_run_command(command, params), output)
-        return 0
-    except UsageError as exc:
-        _emit({"error": {"kind": "usage", "detail": str(exc)}}, None)
-        return 1
-    except CDError as exc:
-        code = 1 if exc.kind == "parse" else 2
-        _emit({"error": {"kind": exc.kind, "detail": str(exc)}}, None)
-        return code
-    except Exception as exc:  # never a bare crash on malformed input
-        _emit({"error": {"kind": "internal", "detail": f"{type(exc).__name__}: {exc}"}}, None)
-        return 2
+    # numpy's overflow and invalid-value warnings would reach stderr ahead of
+    # the report; a non-finite result still ends as a typed error
+    with np.errstate(all="ignore"):
+        try:
+            args = _build_parser().parse_args(argv)
+            if args.command is None:
+                raise UsageError("a subcommand is required (try --help)")
+            if args.command == "selftest":
+                seed = 42 if args.seed is None else _int(args.seed, "seed")
+                scale = 0.12 if args.scale is None else _positive(args.scale, "scale")
+                return _selftest(seed, scale, args.inject_sign_error)
+            if args.command == "job":
+                obj = _json_value(_read_file(args.job_file), "job file")
+                command, params, output = _job_params(obj, args.output)
+            else:
+                command, params, output = args.command, _params_from_args(args), args.output
+            _emit(_run_command(command, params), output)
+            return 0
+        except UsageError as exc:
+            _emit({"error": {"kind": "usage", "detail": str(exc)}}, None)
+            return 1
+        except CDError as exc:
+            code = 1 if exc.kind == "parse" else 2
+            _emit({"error": {"kind": exc.kind, "detail": str(exc)}}, None)
+            return code
+        except Exception as exc:  # never a bare crash on malformed input
+            _emit({"error": {"kind": "internal", "detail": f"{type(exc).__name__}: {exc}"}}, None)
+            return 2
 
 
 if __name__ == "__main__":

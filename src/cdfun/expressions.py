@@ -32,7 +32,10 @@ whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
 
 primitive() integrates words of sandwich shape a*(z-c)^n*b term by term;
 n = -1 produces logarithm terms a*Ln(z-c)*b whose hat-increments come from
-the principal branch via dln.  All evaluation entry points accept a CDNumber
+the principal branch via dln.  A word is linear in its leaf (z-c)^(n+1) or
+Ln(z-c), so primitive() also folds the constants of the words around each
+leaf into one d x d matrix, and the hat increment is the sum over leaves of
+(leaf increment) @ (matrix).  All evaluation entry points accept a CDNumber
 or a batched coefficient array with the component axis last.
 """
 
@@ -677,7 +680,7 @@ def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
     return total
 
 
-def _power_derivative(bv, bd, n: int, r, knots: bool) -> np.ndarray:
+def _power_derivative(bv, bd, n: int, r, knots: bool = False) -> np.ndarray:
     """Derivative of base**n, n != 0, given (base value, base derivative).
 
     A negative n differentiates the inverse in closed form (see the module
@@ -704,14 +707,13 @@ def _has_negative_power(node: Node) -> bool:
     return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
 
 
-def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool, knots: bool):
+def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
     """(value, derivative) of the superdifferential wrt z or zc along H.
 
     The derivative is None where the node does not vary, and the value is
     None unless `want` asks for it: a Mul needs a factor's value only when the
     other factor varies.  A skipped subtree with a negative power is still
     evaluated, so a vanishing base raises PoleError whatever its derivative.
-    `knots` marks H as differences of knots (see _PLANE_EPS).
     """
     if not _varies(node, conj):
         if want or _has_negative_power(node):
@@ -721,14 +723,14 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool, knots: bool):
     if isinstance(node, VarPow):
         base, inc = (Zc, conj_arrays(H)) if conj else (Z, H)
         value = _pow_value(base, node.power, r) if want else None
-        return value, _power_derivative(base, inc, node.power, r, knots)
+        return value, _power_derivative(base, inc, node.power, r)
     if isinstance(node, PowNode):
-        bv, bd = _diff(node.base, Z, Zc, H, conj, r, True, knots)
+        bv, bd = _diff(node.base, Z, Zc, H, conj, r, True)
         value = _pow_value(bv, node.power, r) if want else None
-        return value, _power_derivative(bv, bd, node.power, r, knots)
+        return value, _power_derivative(bv, bd, node.power, r)
     if isinstance(node, Mul):
-        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj), knots)
-        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None, knots)
+        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj))
+        rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None)
         value = mul_arrays(lv, rv, r) if want else None
         left_term = None if ld is None else mul_arrays(ld, rv, r)
         right_term = None if rd is None else mul_arrays(lv, rd, r)
@@ -736,16 +738,11 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool, knots: bool):
     if isinstance(node, Sum):
         value = der = None
         for sign, term in node.terms:
-            v, d = _diff(term, Z, Zc, H, conj, r, want, knots)
+            v, d = _diff(term, Z, Zc, H, conj, r, want)
             value = _add_signed(value, sign, v)
             der = _add_signed(der, sign, d)
         return value, der
     raise DomainError(f"cannot differentiate node {type(node).__name__}")
-
-
-def _derivative(node: Node, Z, H, conj: bool, r, knots: bool = False) -> np.ndarray:
-    _, der = _diff(node, Z, conj_arrays(Z), H, conj, r, False, knots)
-    return np.zeros(Z.shape) if der is None else der
 
 
 def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
@@ -754,7 +751,9 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
     Z, wrap = _as_batch(f.level, z)
     Harr, _ = _as_batch(f.level, h)
     Z, Harr = np.broadcast_arrays(Z, Harr)
-    der = _derivative(f.root, Z, Harr, wrt == "zc", f.level.r)
+    _, der = _diff(f.root, Z, conj_arrays(Z), Harr, wrt == "zc", f.level.r, False)
+    if der is None:
+        der = np.zeros(Z.shape)
     return CDNumber(f.level, der) if wrap else der
 
 
@@ -857,13 +856,32 @@ class LogTerm:
 
 
 @dataclass
+class Leaf:
+    """Every word of a primitive around one leaf (z - center)^power, or
+    Ln(z - center) for power 0, as one matrix: the words sum to X @ matrix
+    at leaf increment X."""
+
+    center: np.ndarray
+    power: int
+    matrix: np.ndarray
+
+    def increment(self, Z, H, r) -> np.ndarray:
+        """The leaf's increment along H at Z (rows of knot differences)."""
+        if self.power == 0:
+            return dln_arrays(Z - self.center, H)
+        return _power_derivative(Z - self.center, H, self.power, r, knots=True)
+
+
+@dataclass
 class PrimitiveResult:
-    """Polynomial part, logarithm terms, and the centre c of every word
-    (z - c)^n with n < 0 (log-term centres included)."""
+    """Polynomial part, logarithm terms, the centre c of every word
+    (z - c)^n with n < 0 (log-term centres included), and the same words
+    grouped by leaf."""
 
     poly: Phrase
     log_terms: list[LogTerm] = field(default_factory=list)
     poles: list[np.ndarray] = field(default_factory=list)
+    leaves: list[Leaf] = field(default_factory=list)
 
 
 def _locate_var_factor(node: Node, fmt_word: str):
@@ -892,6 +910,11 @@ def primitive(f: Phrase) -> PrimitiveResult:
     (sandwich words a*(z-c)^n*b and their products with constants).  n = -1
     yields a LogTerm; other n go to the polynomial phrase with factor
     (z-c)^(n+1)/(n+1).  Conjugated-variable words are rejected.
+
+    A word is linear in its leaf, so it is evaluated once with the leaf bound
+    to the identity batch: row i is the word at leaf value e_i, and the word
+    at X is X @ (those rows).  Its sign and 1/(n+1) are folded in, and words
+    around the same leaf share one matrix (``leaves``).
     """
     if _varies(f.root, conj=True):
         raise UnsupportedShapeError(
@@ -902,10 +925,12 @@ def primitive(f: Phrase) -> PrimitiveResult:
     poly_terms: list[tuple[int, Node]] = []
     log_terms: list[LogTerm] = []
     poles: list[np.ndarray] = []
+    words: list[tuple[np.ndarray, int, float, Node]] = []  # (center, power, scale, word around LogLeaf)
     for sign, term in _expand(f.root, r):
         word_text = _fmt(term)
         if not _contains_var(term):
             poly_terms.append((sign, Mul(term, VarPow(False, 1))))
+            words.append((np.zeros(d), 1, float(sign), Mul(term, LogLeaf(np.zeros(d)))))
             continue
         rebuild, leaf = _locate_var_factor(term, word_text)
         if isinstance(leaf, VarPow):
@@ -923,24 +948,33 @@ def primitive(f: Phrase) -> PrimitiveResult:
             extra = s if n % 2 else 1
         if n < 0:
             poles.append(center)
-        if n == -1:
-            tree = rebuild(LogLeaf(center))
+        m = n + 1
+        word = rebuild(LogLeaf(center))
+        if m == 0:
             scale = float(sign * extra)
-            log_terms.append(LogTerm(tree=tree, center=center, scale=scale))
+            log_terms.append(LogTerm(tree=word, center=center, scale=scale))
         else:
-            m = n + 1
-            new_leaf = _linear_power_leaf(center, m)
-            tree = rebuild(new_leaf)
-            scalar = sign * extra / m
-            node = tree if scalar == 1 else Mul(Const(_scalar_vec(d, scalar)), tree)
+            scale = sign * extra / m
+            tree = rebuild(_linear_power_leaf(center, m))
+            node = tree if scale == 1 else Mul(Const(_scalar_vec(d, scale)), tree)
             poly_terms.append((1, node))
+        words.append((center, m, scale, word))
     if not poly_terms:
         root: Node = Const(np.zeros(d))
     elif poly_terms[0][0] == 1 and len(poly_terms) == 1:
         root = poly_terms[0][1]
     else:
         root = Sum(poly_terms)
-    return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles)
+    leaves: dict[tuple[bytes, int], Leaf] = {}
+    eye = np.eye(d)
+    for center, m, scale, word in words:
+        matrix = scale * _eval_slots(word, eye, eye, r, eye)
+        key = (center.tobytes(), m)
+        if key in leaves:
+            leaves[key].matrix += matrix
+        else:
+            leaves[key] = Leaf(center, m, matrix)
+    return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles, leaves=list(leaves.values()))
 
 
 def _scalar_vec(d: int, v: float):
@@ -950,14 +984,13 @@ def _scalar_vec(d: int, v: float):
 
 
 def hat_from_primitive(prim: PrimitiveResult, z, h):
-    """Increment functional of the primitive: f-hat(z).h."""
+    """Increment functional of the primitive: f-hat(z).h, summed over its
+    leaves as (leaf increment) @ (leaf matrix)."""
     level = prim.poly.level
     Z, wrap = _as_batch(level, z)
     H, _ = _as_batch(level, h)
     Z, H = np.broadcast_arrays(Z, H)
-    r = level.r
-    out = _derivative(prim.poly.root, Z, H, False, r, knots=True)
-    for lt in prim.log_terms:
-        dl = dln_arrays(Z - lt.center, H)
-        out = out + lt.scale * _eval_slots(lt.tree, Z, conj_arrays(Z), r, dl)
+    out = np.zeros(Z.shape)
+    for leaf in prim.leaves:
+        out += leaf.increment(Z, H, level.r) @ leaf.matrix
     return CDNumber(level, out) if wrap else out

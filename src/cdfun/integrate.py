@@ -7,6 +7,12 @@ through the increment functional of a primitive of f, evaluated at the
 *right* endpoint of the step.  In a noncommutative algebra the endpoint
 convention matters at first order, so it is fixed once and for all here.
 
+Every word of a primitive is linear in the increment of its one leaf,
+(z - c)^m or Ln(z - c), so a raw sum takes each leaf's increments at all
+knots of the layout, adds them up, and applies the leaf's matrix (the
+word constants folded together by ``primitive``) once: per layout, the
+constants cost one vector-matrix product per leaf, whatever the knot count.
+
 ``integral_sum`` exposes the raw sum for a caller-supplied partition.
 ``line_integral`` doubles the knot count starting from 64 and combines the
 raw sums by Richardson extrapolation: the right-endpoint error expands in
@@ -25,6 +31,7 @@ or a pole that the path merely grazes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
@@ -39,7 +46,7 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, eval_node_arrays, hat_from_primitive, primitive
+from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, eval_node_arrays, primitive
 from .transcendental import _ln_with_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -145,6 +152,20 @@ class Path:
 
     # -- geometry ------------------------------------------------------------
 
+    @functools.cached_property
+    def _polyline(self) -> tuple:
+        """(corners, segment lengths, total length, arc-length fraction of each
+        corner) of a polyline, the last fraction exactly 1; the fractions are
+        None when the total length is 0."""
+        pts = np.stack([p.coeffs for p in self.points])
+        seg = norm_arrays(np.diff(pts, axis=0))
+        total = float(seg.sum())
+        if total <= 0.0:
+            return pts, seg, total, None
+        fracs = np.concatenate([[0.0], np.cumsum(seg) / total])
+        fracs[-1] = 1.0
+        return pts, seg, total, fracs
+
     def sample(self, ts) -> np.ndarray:
         """Points gamma(t) for an array of parameters, as an (K, dim) array."""
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
@@ -152,13 +173,9 @@ class Path:
             ang = 2.0 * math.pi * (self.start + self.turns * ts)
             return _plane_circle(self.center.coeffs, self.direction.coeffs, self.radius, ang)
         if self.kind == "polyline":
-            pts = np.stack([p.coeffs for p in self.points])
-            seg = norm_arrays(np.diff(pts, axis=0))
-            total = float(seg.sum())
-            if total <= 0.0:
+            pts, _, _, fracs = self._polyline
+            if fracs is None:
                 return np.repeat(pts[:1], len(ts), axis=0)
-            fracs = np.concatenate([[0.0], np.cumsum(seg) / total])
-            fracs[-1] = 1.0
             out = np.empty((len(ts), pts.shape[1]))
             for c in range(pts.shape[1]):
                 out[:, c] = np.interp(ts, fracs, pts[:, c])
@@ -313,7 +330,7 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
             return math.hypot(planar - path.radius, perp), far
         return float(norm_arrays(path.sample([0.0, 1.0]) - point).min()), far
     if path.kind == "polyline":
-        pts = np.stack([p.coeffs for p in path.points]) - point
+        pts = path._polyline[0] - point
         a, seg = pts[:-1], np.diff(pts, axis=0)
         len2 = np.einsum("ij,ij->i", seg, seg)
         t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
@@ -340,10 +357,8 @@ def _offset_knots(n: int) -> np.ndarray:
 
 
 def _polyline_base_counts(path: Path, start: int) -> np.ndarray:
-    pts = np.stack([p.coeffs for p in path.points])
-    seg = norm_arrays(np.diff(pts, axis=0))
-    total = float(seg.sum())
-    if total <= 0.0:
+    _, seg, total, fracs = path._polyline
+    if fracs is None:
         return np.zeros(len(seg), dtype=np.int64)
     w = seg / total
     counts = 2 * np.maximum(1, np.round(w * start / 2.0).astype(np.int64))
@@ -375,13 +390,9 @@ def _quadrature_knots(path: Path, n: int) -> np.ndarray:
     if factor < 1 or rem:
         raise DomainError("polyline knot counts must be multiples of the base count")
     counts = _polyline_base_counts(path, START_KNOTS) * factor
-    pts = np.stack([p.coeffs for p in path.points])
-    seg = norm_arrays(np.diff(pts, axis=0))
-    total = float(seg.sum())
-    if total <= 0.0:
+    _, seg, _, fracs = path._polyline
+    if fracs is None:
         return np.array([0.0, 1.0])
-    fracs = np.concatenate([[0.0], np.cumsum(seg) / total])
-    fracs[-1] = 1.0
     knots = [0.0, 1.0] + [float(f) for f in fracs[1:-1]]
     for i, c in enumerate(counts):
         if c <= 0 or seg[i] <= 0.0:
@@ -439,11 +450,15 @@ def _raw_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q: Optional[
     else:
         Q = Z
     H = np.diff(Q, axis=0)
+    # each leaf's words are linear in its increment, so sum the increments
+    # over the knots first and apply the leaf's matrix once
+    total = np.zeros(Z.shape[-1])
     try:
-        vals = hat_from_primitive(prim, Z[1:], H)
+        for leaf in prim.leaves:
+            total += leaf.increment(Z[1:], H, gamma.level.r).sum(axis=0) @ leaf.matrix
     except SingularElementError as e:
         raise PoleError(f"path meets a singular point of the integrand: {e}") from e
-    return vals.sum(axis=0)
+    return total
 
 
 def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
@@ -510,9 +525,9 @@ def line_integral(
     A path through a pole centre of f (see ``_check_poles``) raises
     PoleError before any sampling.  Non-convergence within ``max_knots`` is
     reported through the ``converged`` flag; the best value and its error
-    estimate are still returned.  Evaluation at all knots of one refinement
-    happens as a single array operation, and the reduction order is fixed,
-    so results are bit-reproducible.
+    estimate are still returned.  Each refinement sums every leaf's
+    increments over all its knots and applies one matrix per leaf, in a
+    fixed order, so results are bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)

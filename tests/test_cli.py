@@ -717,3 +717,25 @@ def test_pole_on_the_contour_is_a_pole_error(circle3):
     code, rep = invoke_json(["integrate", "--level", "3", "--expr", "(z-1)^-2", "--path-file", circle3])
     assert (code, rep["error"]["kind"]) == (2, "pole")
     assert "1.0" in rep["error"]["detail"]
+
+
+def test_overflow_is_a_typed_error_with_nothing_on_stderr(circle3, capfd):
+    # a power or a product that overflows reports kind domain and leaves no
+    # numpy warning on stderr; each job runs as its own process, since pytest
+    # would record an in-process warning instead of printing it
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    jobs = [
+        ["eval", "--level", "2", "--expr", "z^60", "--point", "[1e10, 0, 0, 0]"],
+        ["crcheck", "--level", "2", "--expr", "z^60", "--point", "[1e10, 0, 0, 0]"],
+        ["integrate", "--level", "3", "--expr", "(1e200*e1)*z^3*(1e200*e2)", "--path-file", circle3],
+    ]
+    for argv in jobs:
+        code = subprocess.run([sys.executable, "-m", "cdfun.cli", *argv], env=env).returncode
+        out, err = capfd.readouterr()
+        assert (code, json.loads(out)["error"]["kind"]) == (2, "domain"), argv
+        assert err == "", argv

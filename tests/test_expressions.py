@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     CDNumber,
     basis_element,
+    conj_arrays,
     embed,
     from_real,
     mul,
@@ -35,9 +36,11 @@ from cdfun.expressions import (
     phrase_to_json,
     primitive,
     structural_equal,
+    _eval_slots,
     _expand,
     _left_power_string,
 )
+from cdfun.transcendental import dln_arrays
 
 
 def _rng(seed):
@@ -605,6 +608,40 @@ def test_primitive_polynomial_part_scales():
     # derivative of primitive in direction h is the hat increment; at h=1 it is f
     assert hat_from_primitive(pr, z, one(3)).allclose(evaluate(parse("z^2", 3), z), 1e-9)
     assert back.allclose(hat_from_primitive(pr, z, h), 1e-12)
+
+
+def _hat_by_words(pr, Z, H, r):
+    """The hat increment word by word: the derivative of the polynomial part
+    plus each logarithm word around its dln increment."""
+    out = derivative_apply(pr.poly, Z, H)
+    for lt in pr.log_terms:
+        out = out + lt.scale * _eval_slots(lt.tree, Z, conj_arrays(Z), r, dln_arrays(Z - lt.center, H))
+    return out
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize(
+    "text,leaves",
+    [
+        # two placements around the shared leaf (z-e3)^3, a logarithm, a constant
+        ("e1*(e2*(z-e3)^2)*e4 + (e5*(z-e3)^2)*e6 - 2*e7*z^-1*e2 + e3", 3),
+        ("((e1*z^2)*e2)*e3 - e3*(e2*(z^2*e1)) + 0.5*z^2 + e6*(z-e5)^-2*(e1+e2)", 2),
+        ("e1*(z-e3)^-1*e2 + (z-e3)^-1*e4 - e5*((z-e3)^-1*e6) + e2*(z-e3)^-1", 1),
+        # z - 0 is the leaf of z
+        ("e1*(z-0)^2*e2 + z^2", 1),
+    ],
+)
+def test_leaf_matrices_agree_with_term_by_term_words(r, text, leaves):
+    rng = _rng(30 + r)
+    d = 1 << r
+    pr = primitive(parse(text, r))
+    assert len(pr.leaves) == leaves
+    assert all(leaf.matrix.shape == (d, d) for leaf in pr.leaves)
+    Z = rng.standard_normal((40, d)) + 3.0  # away from the centres 0 and e3
+    H = rng.standard_normal((40, d)) * np.logspace(-8, 0, 40)[:, None]
+    want = _hat_by_words(pr, Z, H, r)
+    got = hat_from_primitive(pr, Z, H)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-12 * (1 + np.linalg.norm(want, axis=-1)))
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from cdfun.integrate import (
     log_integral,
     path_from_json,
     _extrapolated,
+    _polyline_base_counts,
     _quadrature_knots,
     stieltjes_integral,
     total_variation,
@@ -740,3 +741,124 @@ def test_stacked_extrapolation_matches_single_row_runs_bitwise():
     early = max(stacked[0].refinements, stacked[1].refinements)
     assert stacked[2].refinements > early
     assert stacked[3].refinements == 6  # 64 * 2^6 knots, the last layout under the cap
+
+
+def _reference_polyline_geometry(path):
+    """Corners, segment lengths, total length and arc-length fractions,
+    computed afresh for each use: the reference for Path._polyline."""
+    pts = np.stack([p.coeffs for p in path.points])
+    seg = norm_arrays(np.diff(pts, axis=0))
+    total = float(seg.sum())
+    fracs = np.concatenate([[0.0], np.cumsum(seg) / total]) if total > 0.0 else None
+    if fracs is not None:
+        fracs[-1] = 1.0
+    return pts, seg, total, fracs
+
+
+def _reference_polyline_sample(path, ts):
+    pts, _, _, fracs = _reference_polyline_geometry(path)
+    if fracs is None:
+        return np.repeat(pts[:1], len(ts), axis=0)
+    return np.stack([np.interp(ts, fracs, pts[:, c]) for c in range(pts.shape[1])], axis=1)
+
+
+def _reference_polyline_knots(path, n):
+    _, seg, total, fracs = _reference_polyline_geometry(path)
+    if fracs is None:
+        return np.array([0.0, 1.0])
+    counts = 2 * np.maximum(1, np.round(seg / total * START_KNOTS / 2.0).astype(np.int64)) * (n // START_KNOTS)
+    counts[seg <= 0.0] = 0
+    knots = [0.0, 1.0] + [float(f) for f in fracs[1:-1]]
+    for i, c in enumerate(counts):
+        if c > 0:
+            knots.extend(fracs[i] + (fracs[i + 1] - fracs[i]) * (np.arange(c) + 0.5) / c)
+    return np.unique(np.asarray(knots, dtype=np.float64))
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_polyline_geometry_is_shared_and_bitwise_unchanged(r):
+    rng = np.random.default_rng(40 + r)
+    pts = [random_element(r, rng) for _ in range(5)]
+    paths = [
+        _square(r, half=0.7),
+        Path.polyline(pts),
+        Path.polyline(pts[:2] + [pts[1], pts[1]] + pts[2:]),  # zero-length segments
+        Path.polyline([pts[0], pts[0], pts[0]]),  # no length at all
+    ]
+    ts = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 50)])
+    for path in paths:
+        assert np.array_equal(path.sample(ts), _reference_polyline_sample(path, ts))
+        _, seg, _, _ = _reference_polyline_geometry(path)
+        counts = _polyline_base_counts(path, START_KNOTS)
+        assert len(counts) == len(seg) and not np.any(counts[seg <= 0.0])
+        for n in (START_KNOTS, 4 * START_KNOTS):
+            assert np.array_equal(_quadrature_knots(path, n), _reference_polyline_knots(path, n))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["e1*(e2*(z-e3)^2)*e4 + (e5*(z-e3)^2)*e6 - 2*e7*z^-1*e2 + e3", "e2*(z-1)^-3*e5 + 4", "(0.3*e7)*z^2*(0.9*e5)"],
+)
+def test_integral_sum_is_the_row_sum_of_hat_increments(text):
+    from cdfun.expressions import hat_from_primitive, primitive
+
+    f = parse(text, 3)
+    for gamma in (Path.circle(from_real(3, 0.5), 2.0, random_unit_imaginary(3, np.random.default_rng(41))),
+                  _square(3, half=1.5)):
+        partition = Partition.uniform(300)
+        Z = gamma.sample(partition.knots)
+        rows = hat_from_primitive(primitive(f), Z[1:], np.diff(Z, axis=0))
+        want = rows.sum(axis=0)
+        got = integral_sum(f, gamma, partition).coeffs
+        assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.abs(rows).sum())
+
+
+def test_in_plane_sandwich_at_level_8_makes_no_product_on_knot_batches(tmp_path, monkeypatch):
+    import contextlib
+    import io
+    import json
+    import sys
+
+    from cdfun import algebra, cli
+
+    d = 256
+    path = tmp_path / "circle8.json"
+    center = [1.0] + [0.0] * (d - 1)
+    path.write_text(json.dumps({"kind": "circle", "center": center, "radius": 1.0, "direction": [0, 1] + [0] * (d - 2)}))
+    real_mul = algebra.mul_arrays
+    operands = []
+
+    def counting(x, y, lev):
+        operands.append((np.shape(x), np.shape(y)))
+        return real_mul(x, y, lev)
+
+    def integrate(tol):
+        operands.clear()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["integrate", "--level", "8", "--expr", "(0.3*e7)*z^2*(0.9*e100)",
+                             "--path-file", str(path), "--tol", tol])
+        assert code == 0
+        return json.loads(buf.getvalue()), list(operands)
+
+    for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "cdfun"]:
+        for name, obj in list(vars(module).items()):
+            if obj is real_mul:
+                monkeypatch.setattr(module, name, counting)
+    coarse, coarse_ops = integrate("1e-4")
+    fine, fine_ops = integrate("1e-13")
+    assert coarse["refinements"] < fine["refinements"]
+    assert coarse["converged"] and fine["converged"]
+    # only the setup products of the word's constants, single elements and the
+    # identity batch, as many whatever the number of knot layouts
+    assert coarse_ops and coarse_ops == fine_ops
+    assert all(shape in ((d,), (d, d)) for shapes in coarse_ops for shape in shapes)
+    assert any((d, d) in shapes for shapes in coarse_ops)
+    # a closed loop of a polynomial integrand vanishes
+    assert np.max(np.abs(fine["value"])) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["(e1-e1)^-1*z", "e1*(z-2)^-1*e2 + (e1-e1)^-1"])
+def test_vanishing_constant_inverse_is_a_pole(text):
+    with pytest.raises(PoleError):
+        line_integral(parse(text, 3), Path.circle(zero(3), 1.0, basis_element(3, 1)))
