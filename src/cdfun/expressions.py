@@ -750,10 +750,13 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
         raise DomainError("wrt must be 'z' or 'zc'")
     Z, wrap = _as_batch(f.level, z)
     Harr, _ = _as_batch(f.level, h)
-    Z, Harr = np.broadcast_arrays(Z, Harr)
+    if Z.ndim > 1:
+        Z, Harr = np.broadcast_arrays(Z, Harr)
+    # a single point against a batch of directions stays single, so its
+    # power strings multiply element by batch
     _, der = _diff(f.root, Z, conj_arrays(Z), Harr, wrt == "zc", f.level.r, False)
     if der is None:
-        der = np.zeros(Z.shape)
+        der = np.zeros(np.broadcast_shapes(Z.shape, Harr.shape))
     return CDNumber(f.level, der) if wrap else der
 
 

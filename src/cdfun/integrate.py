@@ -13,6 +13,16 @@ knots of the layout, adds them up, and applies the leaf's matrix (the
 word constants folded together by ``primitive``) once: per layout, the
 constants cost one vector-matrix product per leaf, whatever the knot count.
 
+When the path lies in one plane c + span(1, M) through a leaf's centre c
+(``Path.plane_coordinates``, decided once per integral on the path's
+defining points), the algebra on that plane is the complex numbers: the
+leaf's sum is taken in complex coordinates w of z - c on (N,) arrays, as
+sum m*w_{k+1}^(m-1)*dw_k for a power m or dw_k / w_{k+1} for Ln, and its
+value S is lifted to Re S + Im S * M before the matrix.  The paper's loop
+integrals over circles in span(1, M) all take this plane route; other
+leaves difference the (N, d) knots, which are sampled only if some leaf
+needs them.
+
 ``integral_sum`` exposes the raw sum for a caller-supplied partition.
 ``line_integral`` doubles the knot count starting from 64 and combines the
 raw sums by Richardson extrapolation: the right-endpoint error expands in
@@ -38,7 +48,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraLevel, CDNumber, as_level, norm_arrays
+from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -46,7 +56,16 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, eval_node_arrays, primitive
+from .expressions import (
+    _PLANE_EPS,
+    Phrase,
+    PrimitiveResult,
+    VarPow,
+    _fmt_const,
+    _is_number,
+    eval_node_arrays,
+    primitive,
+)
 from .transcendental import _ln_with_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -181,6 +200,46 @@ class Path:
                 out[:, c] = np.interp(ts, fracs, pts[:, c])
             return out
         return np.asarray(self.sampler(ts), dtype=np.float64)
+
+    def plane_coordinates(self, c: np.ndarray) -> Optional[tuple]:
+        """(M, sampler) when the path lies in the plane c + span(1, M) for a
+        unit imaginary M, where sampler(ts) gives the complex coordinates
+        x + iy of gamma(t) - c = x + y*M; None otherwise, and always for a
+        parametric path.
+
+        The test runs on the defining points, a circle's centre or a
+        polyline's corners: a point p is in the plane when the part of
+        Im(p - c) orthogonal to M has norm at most _PLANE_EPS * (|p| + |c| + 1),
+        the rounding of p - c.  A circle's M is its direction; a polyline's is
+        the direction of its corner farthest from the real line through c, or
+        e1 when every corner lies on that line.
+        """
+        if self.kind == "circle":
+            pts, m = self.center.coeffs[None, :], self.direction.coeffs
+        elif self.kind == "polyline":
+            pts = self._polyline[0]
+            im = pts[:, 1:] - c[1:]
+            far = im[np.argmax(norm_arrays(im))]
+            m = np.zeros(len(c))
+            if np.any(far):
+                m[1:] = far / np.linalg.norm(far)
+            else:
+                m[1] = 1.0
+        else:
+            return None
+        rel = pts - c
+        y = rel @ m
+        off = norm_arrays(rel[:, 1:] - y[:, None] * m[1:])
+        if np.any(off > _PLANE_EPS * (norm_arrays(pts) + float(np.linalg.norm(c)) + 1.0)):
+            return None
+        w = rel[:, 0] + 1j * y
+        if self.kind == "circle":
+            start, turns, radius = self.start, self.turns, self.radius
+            return m, lambda ts: w[0] + radius * np.exp(2j * math.pi * (start + turns * ts))
+        fracs = self._polyline[3]
+        if fracs is None:
+            return m, lambda ts: np.full(len(ts), w[0])
+        return m, lambda ts: np.interp(ts, fracs, w)
 
     def point(self, t: float) -> CDNumber:
         return CDNumber(self.level, self.sample([t])[0])
@@ -443,19 +502,60 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _raw_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q: Optional[Phrase] = None) -> np.ndarray:
-    Z = gamma.sample(knots)
-    if q is not None:
-        Q = eval_node_arrays(q.root, Z, gamma.level.r)
-    else:
-        Q = Z
-    H = np.diff(Q, axis=0)
+def _leaf_planes(prim: PrimitiveResult, gamma: Path) -> list:
+    """For each leaf, the path's ``plane_coordinates`` about the leaf's centre
+    (shared by leaves with one centre), or None."""
+    planes: dict = {}
+    for leaf in prim.leaves:
+        key = leaf.center.tobytes()
+        if key not in planes:
+            planes[key] = gamma.plane_coordinates(leaf.center)
+    return [planes[leaf.center.tobytes()] for leaf in prim.leaves]
+
+
+def _plane_leaf_sum(w: np.ndarray, power: int) -> complex:
+    """A leaf's increments summed over the knots in complex coordinates w of
+    z - c: m*w_{k+1}^(m-1)*dw_k for a power m, dw_k / w_{k+1} for Ln (m = 0)."""
+    w1, dw = w[1:], np.diff(w)
+    if power <= 0 and np.any(np.abs(w1) <= EPS_ZERO):
+        raise PoleError("path meets a singular point of the integrand at a knot on a leaf centre")
+    if power == 0:
+        return complex((dw / w1).sum())
+    return power * complex((w1 ** (power - 1) * dw).sum())
+
+
+def _raw_sum(
+    prim: PrimitiveResult,
+    gamma: Path,
+    knots: np.ndarray,
+    planes: list,
+    q: Optional[Phrase] = None,
+) -> np.ndarray:
+    """The increment sum on one knot layout.  A leaf whose entry in ``planes``
+    (see ``_leaf_planes``) is not None sums in complex coordinates of its
+    plane and lifts the sum S to Re S + Im S * M; the others take their
+    increments on the (N, d) knots, sampled only if some leaf needs them."""
+    r = gamma.level.r
+    total = np.zeros(gamma.level.basis_dim)
+    Z = H = None
+    coords: dict = {}
     # each leaf's words are linear in its increment, so sum the increments
     # over the knots first and apply the leaf's matrix once
-    total = np.zeros(Z.shape[-1])
     try:
-        for leaf in prim.leaves:
-            total += leaf.increment(Z[1:], H, gamma.level.r).sum(axis=0) @ leaf.matrix
+        for leaf, plane in zip(prim.leaves, planes):
+            if plane is None:
+                if Z is None:
+                    Z = gamma.sample(knots)
+                    H = np.diff(Z if q is None else eval_node_arrays(q.root, Z, r), axis=0)
+                inc = leaf.increment(Z[1:], H, r).sum(axis=0)
+            else:
+                m, sampler = plane
+                if id(plane) not in coords:
+                    coords[id(plane)] = sampler(knots)
+                s = _plane_leaf_sum(coords[id(plane)], leaf.power)
+                inc = s.imag * m
+                inc[0] = s.real
+            total += inc @ leaf.matrix
     except SingularElementError as e:
         raise PoleError(f"path meets a singular point of the integrand: {e}") from e
     return total
@@ -465,7 +565,7 @@ def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
     """The raw right-endpoint increment sum I(f, gamma; P) for one partition."""
     _check_levels(f, gamma)
     prim = primitive(f)
-    return CDNumber(gamma.level, _raw_sum(prim, gamma, partition.knots))
+    return CDNumber(gamma.level, _raw_sum(prim, gamma, partition.knots, _leaf_planes(prim, gamma)))
 
 
 def _extrapolated(
@@ -527,12 +627,19 @@ def line_integral(
     reported through the ``converged`` flag; the best value and its error
     estimate are still returned.  Each refinement sums every leaf's
     increments over all its knots and applies one matrix per leaf, in a
-    fixed order, so results are bit-reproducible.
+    fixed order, so results are bit-reproducible.  Which leaves take the
+    plane route (see the module docstring) is decided once, before the first
+    layout: a circle or polyline lying in c + span(1, M) for a leaf's centre
+    c sums that leaf in complex arithmetic on (N,) arrays, so such a path
+    needs O(N) memory per layout at every level.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
     _check_poles(prim, gamma)
-    return _extrapolated(lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n))[None], gamma.level, tol, max_knots)[0]
+    planes = _leaf_planes(prim, gamma)
+    return _extrapolated(
+        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes)[None], gamma.level, tol, max_knots
+    )[0]
 
 
 def stieltjes_integral(
@@ -549,10 +656,13 @@ def stieltjes_integral(
     """
     _check_levels(f, gamma)
     _check_levels(q, gamma)
+    if isinstance(q.root, VarPow) and not q.root.conjugated and q.root.power == 1:
+        return line_integral(f, gamma, tol, max_knots)
     prim = primitive(f)
     _check_poles(prim, gamma)
+    planes = [None] * len(prim.leaves)
     return _extrapolated(
-        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), q=q)[None],
+        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes, q=q)[None],
         gamma.level,
         tol,
         max_knots,

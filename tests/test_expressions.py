@@ -699,3 +699,17 @@ def test_structural_equality_discriminates():
     b = parse("z*z*z", 3)
     assert not structural_equal(a.root, b.root)
     assert structural_equal(a.root, parse("z*(z*z)", 3).root)
+
+
+@pytest.mark.parametrize("text", ["e1*z^3*e2 + (z-e3)^-2*e5 - z*e4*z^2", "e2", "zc^2*e1"])
+def test_single_point_against_a_direction_batch_matches_each_direction(text):
+    r = 4
+    f = parse(text, r)
+    x = random_element(r, np.random.default_rng(17)).coeffs
+    eye = np.eye(1 << r)
+    for wrt in ("z", "zc"):
+        rows = derivative_apply(f, x, eye, wrt=wrt)
+        assert rows.shape == eye.shape
+        for i in range(1 << r):
+            one = derivative_apply(f, x, eye[i], wrt=wrt)
+            assert np.linalg.norm(rows[i] - one) <= 1e-12 * (1.0 + np.linalg.norm(one))

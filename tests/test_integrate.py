@@ -862,3 +862,130 @@ def test_in_plane_sandwich_at_level_8_makes_no_product_on_knot_batches(tmp_path,
 def test_vanishing_constant_inverse_is_a_pole(text):
     with pytest.raises(PoleError):
         line_integral(parse(text, 3), Path.circle(zero(3), 1.0, basis_element(3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the plane route: leaves summed in complex coordinates
+# ---------------------------------------------------------------------------
+
+def _count_leaf_increments(monkeypatch) -> list:
+    from cdfun.expressions import Leaf
+
+    calls = []
+    real = Leaf.increment
+
+    def counting(self, Z, H, r):
+        calls.append(self.power)
+        return real(self, Z, H, r)
+
+    monkeypatch.setattr(Leaf, "increment", counting)
+    return calls
+
+
+def _in_plane(r, m, a, b):
+    """a + b*m as an element of level r."""
+    return CDNumber(r, a * np.eye(1 << r)[0] + b * m.coeffs)
+
+
+def _plane_phrase(r, center, rng):
+    """sum over n in -4..4, n != 0, 1, of a_n*(z - center)^n*b_n: leaves
+    (z - center)^m for m = -3..5 except 1, 2 and Ln(z - center), plus the
+    leaves z^1 and z^2 about 0 of the terms n = 0 and 1."""
+    from cdfun.expressions import phrase_from_json
+
+    def const(v):
+        return {"const": [float(x) for x in v]}
+
+    base = {"op": "sub", "args": [{"var": "z"}, const(center)]}
+    terms = [const(random_element(r, rng).coeffs), {"op": "mul", "args": [const(random_element(r, rng).coeffs), base]}]
+    for n in (-4, -3, -2, -1, 2, 3, 4):
+        a, b = random_element(r, rng).coeffs, random_element(r, rng).coeffs
+        terms.append({"op": "mul", "args": [{"op": "mul", "args": [const(a), {"op": "pow", "base": base, "pow": n}]}, const(b)]})
+    return phrase_from_json({"op": "add", "args": terms}, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_plane_route_matches_the_row_sums_of_hat_increments(r, monkeypatch):
+    from cdfun.expressions import hat_from_primitive, primitive
+
+    rng = np.random.default_rng(70 + r)
+    m = random_unit_imaginary(r, rng)
+    d = 1 << r
+    c = _in_plane(r, m, 0.3, -0.4)
+    off = np.zeros(d)
+    if r > 1:
+        # a unit imaginary orthogonal to m
+        u = np.array(random_element(r, rng).coeffs)
+        u[0] = 0.0
+        u -= np.dot(u, m.coeffs) * m.coeffs
+        off = u / np.linalg.norm(u)
+    p = _in_plane(r, m, -0.2, 0.5)
+    h = 1.3
+    paths = [
+        Path.circle(p, 1.7, m, 1.0),
+        Path.circle(p, 1.7, m, 1.0).subpath(0.3, 0.85),
+        Path.circle(p, 1.7, m * -1.0, -1.0),
+        Path.circle(p, 1.7, m, 3.0),
+        Path.polyline([_in_plane(r, m, -0.2 + x, 0.5 + y) for x, y in [(h, h), (-h, h), (-h, -h), (h, -h), (h, h)]]),
+        Path.polyline([_in_plane(r, m, x, y) for x, y in [(1.5, 0.2), (0.8, 1.9), (-1.6, 0.7), (-0.5, -1.8)]]),
+    ]
+    centers = [c.coeffs] + ([c.coeffs + 1e-9 * off] if r > 1 else [])
+    knots = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 97)]))
+    partition = Partition(knots)
+    calls = _count_leaf_increments(monkeypatch)
+    for center in centers:
+        f = _plane_phrase(r, center, rng)
+        prim = primitive(f)
+        assert sorted(leaf.power for leaf in prim.leaves if np.array_equal(leaf.center, center)) == [-3, -2, -1, 0, 3, 4, 5]
+        assert sorted(leaf.power for leaf in prim.leaves if not np.any(leaf.center)) == [1, 2]
+        in_plane = center is centers[0]
+        # off the plane every leaf about the centre takes the (N, d) route, so
+        # a full circle and the square suffice there
+        for gamma in paths if in_plane else paths[::4]:
+            Z = gamma.sample(partition.knots)
+            rows = hat_from_primitive(prim, Z[1:], np.diff(Z, axis=0))
+            calls.clear()
+            got = integral_sum(f, gamma, partition).coeffs
+            assert np.linalg.norm(got - rows.sum(axis=0)) <= 1e-12 * (1 + np.abs(rows).sum())
+            # in the plane no leaf takes the (N, d) route; 1e-9 off it, the
+            # seven leaves about the centre do and the two about 0 do not
+            assert sorted(calls) == ([] if in_plane else [-3, -2, -1, 0, 3, 4, 5])
+
+
+@pytest.mark.parametrize("n", [-2, -3])
+def test_knot_on_an_in_plane_leaf_centre_is_a_pole(n, monkeypatch):
+    calls = _count_leaf_increments(monkeypatch)
+    m = random_unit_imaginary(3, np.random.default_rng(5))
+    c = _in_plane(3, m, 0.25, 0.75)
+    f = parse(f"(z-{_fmt(c)})^{n}", 3)
+    ends_on_centre = Path.polyline([c + _in_plane(3, m, 1.0, -0.5), c])
+    with pytest.raises(PoleError):
+        integral_sum(f, ends_on_centre, Partition.uniform(8))
+    assert calls == []
+
+
+def _fmt(x: CDNumber) -> str:
+    from cdfun.expressions import _fmt_const
+
+    return _fmt_const(x.coeffs)
+
+
+def test_near_pole_at_level_8_stays_in_complex_coordinates(tmp_path, monkeypatch):
+    import contextlib
+    import io
+    import json
+
+    from cdfun import cli
+
+    calls = _count_leaf_increments(monkeypatch)
+    d = 256
+    path = tmp_path / "circle8.json"
+    path.write_text(json.dumps({"kind": "circle", "center": [0.0] * d, "radius": 1.0, "direction": [0, 1] + [0] * (d - 2)}))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["integrate", "--level", "8", "--expr", "(z-1.0000001)^-2", "--path-file", str(path),
+                         "--max-knots", "65536"])
+    assert code == 0
+    report = json.loads(buf.getvalue())
+    assert report["converged"] is False and report["refinements"] == 10
+    assert calls == []
