@@ -4,11 +4,12 @@ Everything here reduces to loop integrals.  Two integration routes are used:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
   phrases in their own right — residues and the residue-theorem sides;
-* exact kernel primitives for the Cauchy-type kernels (zeta - a)^(-k-1):
-  along the circle zeta(t) = a + rho*exp(2*pi*t*M) the kernel has the
-  closed-form primitive (zeta - a)^(-k)/(-k) (or Ln(zeta - a) for k = 0),
-  so increment sums need no finite differencing at all and converge with
-  the same Richardson tableau used by the line integrals.
+* the periodic midpoint rule for the Cauchy-type kernels (zeta - a)^(-k-1):
+  along the circle zeta(theta) = a + rho*exp(theta*M) the kernel times
+  d(zeta) is a closed-form multiple of d(theta) in the contour plane, and
+  the loop is closed, so equally spaced midpoints converge geometrically,
+  and exactly for Laurent polynomials in zeta - a, which the knot doubling
+  of the line integrals then accepts at its second layout.
 
 Cauchy evaluation deforms to a small circle centered at the evaluation
 point itself (direction taken from the given contour): integrating the
@@ -221,28 +222,30 @@ def _kernel_loop(
     tol: float,
     max_knots: int = 1 << 18,
 ) -> Iterator[QuadratureResult]:
-    """Extrapolated sums of f(zeta_{j+1}) * dK_j, one per kernel power.
+    """Extrapolated loop integrals of f(zeta) * dK, one per kernel power.
 
     K is the primitive of (zeta - center)^power d(zeta) along the circle
-    zeta(t) = center + rho*exp(2*pi*t*M): the angle function itself scaled
-    by M when power = -1, and u^(power+1)/(power+1) otherwise.  Increments
-    are exact, so there is no differencing noise at any knot count.
+    zeta(theta) = center + rho*exp(theta*M), theta in [0, 2*pi], so
+    dK = K'(theta) d(theta) with K'(theta) = rho^q * (cos(q*theta)*M -
+    sin(q*theta)) and q = power + 1 (K' = M when power = -1).  The loop is
+    closed, so the sum runs by the periodic midpoint rule: n knots at
+    theta_j = 2*pi*(j + 1/2)/n, weights K'(theta_j)*2*pi/n.  The rule is
+    exact for trigonometric polynomials of degree below n, which covers
+    every Laurent-polynomial phrase about the centre, and converges
+    geometrically for an integrand analytic near the circle.
 
-    Every increment lies in the contour plane, dK_j = a_j + b_j*M with real
-    a_j, b_j (a_j = 0 and b_j the angle step when power = -1), and the
-    product is bilinear, so F*(a + b*M) = a*F + b*(F*M) holds exactly at
-    every knot.  One knot layout therefore costs one evaluation F = f(zeta)
-    and one product F*M, shared by all powers, plus one real weighted sum
-    over the knots per power.  The weights are built one power at a time,
-    so memory stays O(knots * d).  The sum runs in knot order, as the sum
-    of full products F_j*dK_j did, so on a basis direction M the results
-    are bit-identical to that form.  Each power converges on its own (see
-    ``_extrapolated``).
+    Every weight lies in the contour plane, a_j + b_j*M with real a_j, b_j,
+    and the product is bilinear, so F*(a + b*M) = a*F + b*(F*M) holds
+    exactly at every knot.  One knot layout therefore costs one evaluation
+    F = f(zeta) and one product F*M, shared by all powers, plus one real
+    weighted sum over the knots per power.  The weights are built one power
+    at a time as (n,) vectors, so memory stays O(knots * d).  Each power
+    converges on its own (see ``_extrapolated``).
 
     Results are yielded in power order, and the loop runs at the first
-    request.  A power whose scale rho^(power+1) overflows raises DomainError
-    in its place, so a caller that reads the results in order and stops at
-    the first failure reports the same failure as one loop per power would;
+    request.  A power whose scale rho^q overflows raises DomainError in its
+    place, so a caller that reads the results in order and stops at the
+    first failure reports the same failure as one loop per power would;
     the powers from there on are not integrated.
     """
     r = f.level.r
@@ -251,25 +254,21 @@ def _kernel_loop(
     scales = []
     for power in powers:
         try:
-            scales.append(rho ** (power + 1) / (power + 1) if power != -1 else 1.0)
+            scales.append(rho ** (power + 1))
         except OverflowError:
             break
 
     def raw(n: int) -> np.ndarray:
-        ang = TWO_PI * _offset_knots(n)
+        ang = TWO_PI * _offset_knots(n)[1:-1]
         try:
-            F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang[1:]), r)
+            F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
         except SingularElementError as e:
             raise PoleError(f"integrand is singular on the contour: {e}") from e
         FM = mul_arrays(F, mv, r)
         out = np.empty((len(scales), len(cv)))
         for i, (power, s) in enumerate(zip(powers, scales)):
-            if power == -1:
-                out[i] = (np.diff(ang)[:, None] * FM).sum(axis=0)
-            else:
-                q = power + 1
-                a, b = np.diff(s * np.cos(q * ang)), np.diff(s * np.sin(q * ang))
-                out[i] = (a[:, None] * F + b[:, None] * FM).sum(axis=0)
+            w, qa = (TWO_PI / n) * s, (power + 1) * ang
+            out[i] = (w * np.cos(qa)) @ FM - (w * np.sin(qa)) @ F
         return out
 
     if scales:

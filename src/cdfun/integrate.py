@@ -692,6 +692,29 @@ def _branch_step(phi_prev: float, c: float, theta: float) -> tuple:
     return phi, phi * phi + phi_prev * phi_prev - 2.0 * phi * phi_prev * c
 
 
+def _branch_prefix(theta: np.ndarray, cosines: np.ndarray) -> tuple:
+    """``_branch_step`` over a whole knot batch, up to the first step it rejects.
+
+    A candidate winding count for every knot comes from one cumulative sum:
+    the directions are oriented alike by the signs of the cosines, so the
+    signed angles unwrap as on a plane.  Every step is then rechecked with
+    ``_branch_step``'s own float operations, which give phi_k bit for bit
+    whenever the step from phi_(k-1) rounds to the candidate count and its
+    gap stays below pi/2.  Returns the continued arguments and the index of
+    the first knot that fails (len(theta) when none does); the caller
+    continues from there one step at a time.
+    """
+    sign = np.concatenate([[1.0], np.cumprod(np.where(cosines < 0.0, -1.0, 1.0))])
+    alpha = sign * theta
+    wind = sign * np.concatenate([[0.0], np.cumsum(np.round((alpha[:-1] - alpha[1:]) / _TWO_PI))])
+    phi = theta + _TWO_PI * wind
+    prev, nxt = phi[:-1], phi[1:]
+    steps = np.round((prev * cosines - theta[1:]) / _TWO_PI)
+    gap2 = nxt * nxt + prev * prev - 2.0 * nxt * prev * cosines
+    bad = np.flatnonzero((steps != wind[1:]) | ~(gap2 < _MAX_GAP2))
+    return phi, int(bad[0]) + 1 if len(bad) else len(theta)
+
+
 def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDNumber:
     """The integral of the logarithmic differential d(Ln(z - center)) along gamma.
 
@@ -710,7 +733,9 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     before it (one forward fill); real knots ahead of the first non-real one
     borrow its direction.  The argument at knot k is then phi_k * mu_k with
     phi_k a plain float, continued by ``_branch_step`` from the cosines
-    <mu_(k-1), mu_k>, all computed in one pass.  A step whose argument moves
+    <mu_(k-1), mu_k>, all computed in one pass.  ``_branch_prefix`` takes
+    every step of the batch at once, up to the first one it rejects, and
+    the steps from there run one at a time.  A step whose argument moves
     by pi/2 or more is bisected along the path with the same step rule.
     """
     if center.level.r != gamma.level.r:
@@ -748,10 +773,11 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     live = ~numerically_real(norm_arrays(Z[:, 1:]), rho)
     first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
     mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(Z)), first))]
-    cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:]).tolist()
-    thetas = theta.tolist()
-    phi = thetas[0]
-    for k in range(1, len(thetas)):
+    cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:])
+    phis, done = _branch_prefix(theta, cosines)
+    phi = float(phis[done - 1])
+    thetas, cosines = theta.tolist(), cosines.tolist()
+    for k in range(done, len(thetas)):
         nxt, gap2 = _branch_step(phi, cosines[k - 1], thetas[k])
         if gap2 >= _MAX_GAP2:
             nxt = advance(phi, mu[k - 1], thetas[k], mu[k], float(knots[k - 1]), float(knots[k]), 0)

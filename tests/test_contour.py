@@ -475,20 +475,18 @@ def test_laurent_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def _per_power_kernel_loop(f, center, m, rho, power, tol, max_knots=1 << 18):
-    """Reference: one loop per power, each knot multiplied by its increment
-    dK_j as a full batch-by-batch product."""
+    """Reference: one loop per power by the periodic midpoint rule, each
+    knot multiplied by its weight K'(theta_j)*2*pi/n as a full
+    batch-by-batch product."""
     r = f.level.r
     mv, cv = m.coeffs, center.coeffs
 
     def raw(n):
-        ang = TWO_PI * _offset_knots(n)
+        ang = TWO_PI * _offset_knots(n)[1:-1]
         F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
-        if power == -1:
-            K = ang[:, None] * mv[None, :]
-        else:
-            q = power + 1
-            K = (rho**q / q) * _plane_circle(np.zeros_like(cv), mv, 1.0, q * ang)
-        return mul_arrays(F[1:], np.diff(K, axis=0), r).sum(axis=0)[None]
+        q = power + 1
+        W = mul_arrays(_plane_circle(np.zeros_like(cv), mv, 1.0, q * ang), mv, r) * (rho**q * TWO_PI / n)
+        return mul_arrays(F, W, r).sum(axis=0)[None]
 
     (res,) = _extrapolated(raw, f.level, tol, max_knots)
     return res
@@ -523,6 +521,63 @@ def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
     monkeypatch.setattr(contour, "eval_node_arrays", counting)
     taylor_coeffs(f, zero(3), 12, psi)
     assert len(calls) == layouts < 12
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_kernel_loop_is_exact_for_a_laurent_polynomial_about_the_centre(r):
+    # u = zeta - c = rho*exp(theta*M) with M = e1; e1, e2, e3 span the
+    # quaternions, so a*u^k*u^q*M integrates to 2*pi*a*M when k + q = 0,
+    # and u*e3 = e3*conj(u) to 2*pi*rho^2*e3*M when q = 1
+    m = basis_element(r, 1)
+    c = from_real(r, 0.2) + m * -0.1
+    rho = 0.7
+    u = "(z - (0.2 - 0.1*e1))"
+    f = parse(f"e2*{u}^3 + {u}*e3 + 0.5 + e1*{u}^-2", r)
+    e = {k: basis_element(r, k) for k in (1, 2, 3)}
+    left = {3: e[2], 0: from_real(r, 0.5), -2: e[1]}
+    powers = list(range(-6, 3))
+    got = list(_kernel_loop(f, c, m, rho, powers, 1e-6))
+    for power, res in zip(powers, got):
+        q = power + 1
+        want = zero(r)
+        if -q in left:
+            want = want + mul(left[-q], m) * TWO_PI
+        if q == 1:
+            want = want + mul(e[3], m) * (TWO_PI * rho**2)
+        scale = TWO_PI * (rho ** (3 + q) + rho ** (1 + q) + 0.5 * rho**q + rho ** (q - 2))
+        assert (res.converged, res.refinements) == (True, 1)
+        assert (res.value - want).norm() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_kernel_loop_converges_with_a_pole_just_outside_the_circle(r):
+    # f = (z - p)^-1 with p - c = 1.2*rho: the integral of f*u^q*M d(theta)
+    # is 2*pi*M times the u^-q coefficient -1/(p - c)^(1-q) of f, for q <= 0
+    m = basis_element(r, 2)
+    rho = 0.5
+    c = from_real(r, 0.3) + basis_element(r, 1) * 0.1
+    f = parse(f"(z - (0.3 + {1.2 * rho!r} + 0.1*e1))^-1", r)
+    powers = [-4, -3, -2, -1]
+    for power, res in zip(powers, _kernel_loop(f, c, m, rho, powers, 1e-10)):
+        q = power + 1
+        want = m * (-TWO_PI / (1.2 * rho) ** (1 - q))
+        assert res.converged and res.refinements >= 2
+        assert (res.value - want).norm() <= 1e-9 * want.norm()
+
+
+def test_taylor_count_at_the_cap_takes_two_knot_layouts_at_level_8(monkeypatch):
+    f = parse("e2*z^3 + z", 8)
+    psi = Path.circle(zero(8), 1.0, basis_element(8, 1), 1.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_node_arrays(*args)
+
+    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    cs = taylor_coeffs(f, zero(8), 60, psi)
+    assert len(calls) <= 2
+    assert max(c.norm() for k, c in enumerate(cs) if k not in (1, 3)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

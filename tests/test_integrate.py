@@ -26,6 +26,7 @@ from cdfun.algebra import (
 )
 from cdfun.contour import winding_index
 from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
+from cdfun import integrate
 from cdfun.expressions import parse
 from cdfun.integrate import (
     START_KNOTS,
@@ -528,6 +529,42 @@ def test_hundred_turn_circle_takes_the_bisection_path():
     assert singles, "256 knots over 100 turns must bisect"
     assert (got - m * (200 * math.pi)).norm() < 1e-9
     assert (got - _log_integral_per_knot(zero(3), circle)).norm() <= _BATCH_TOL * 101
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_vectorised_continuation_matches_sequential_branch_steps(r, monkeypatch):
+    # the reference continues every knot with _branch_step, as if the
+    # vectorised prefix rejected the first step
+    rng = np.random.default_rng(300 + r)
+    m = random_unit_imaginary(r, rng)
+    p = random_element(r, rng)
+    fast = integrate._branch_prefix
+    firsts = []
+
+    def spy(theta, cosines):
+        phi, first = fast(theta, cosines)
+        firsts.append((first, len(theta)))
+        return phi, first
+
+    def sequential(theta, cosines):
+        return theta[:1], 1
+
+    circle100 = Path.circle(zero(r), 1.0, m, 100)
+    bisecting = Path(level=circle100.level, kind="parametric", sampler=circle100.sample)
+    cases = [(p + off, Path.circle(p, 2.0, m, turns)) for off in _offsets(r, m, rng).values() for turns in (-1, 3, 200)]
+    cases += [(p, Path.circle(p, 2.0, m, turns)) for turns in (-1, 3, 200)]
+    cases.append((zero(r), bisecting))
+    for a, gamma in cases:
+        monkeypatch.setattr(integrate, "_branch_prefix", spy)
+        got = log_integral(a, gamma)
+        monkeypatch.setattr(integrate, "_branch_prefix", sequential)
+        want = log_integral(a, gamma)
+        assert np.array_equal(got.coeffs, want.coeffs)
+    # the circles about their own centre run whole; the bisecting path
+    # falls back at an early knot
+    assert all(first == n for first, n in firsts[-4:-1])
+    assert firsts[-1][0] < firsts[-1][1]
+    assert (want - m * (200 * math.pi)).norm() < 1e-9
 
 
 def _pt(r, re, **imag):
