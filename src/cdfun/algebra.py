@@ -182,36 +182,17 @@ def inverse_arrays(x, r: int) -> np.ndarray:
     return conj_arrays(x) / n2
 
 
-def plane_power_coefficients(p, q2, n: int):
-    """(c, s) with (p + v)**n = c + s*v for a real part p and |v|**2 = q2, n >= 1.
-
-    An element b = p + v with v = Im b lies in its own complex plane
-    span(1, v), where v*v = -q2.  So b**n = c + s*v with real c, s, and
-    c + i*q*s = (p + i*q)**n.  The pair is raised by binary exponentiation on
-    (c, s) with (c1 + s1*v)(c2 + s2*v) = (c1*c2 - q2*s1*s2) + (c1*s2 + s1*c2)*v,
-    which stays exact for a real base (q2 = 0) and never divides by q.  p and
-    q2 broadcast, so one call serves a whole batch of rows.
-    """
-    c, s = p, 1.0
-    while not n & 1:
-        c, s = c * c - q2 * (s * s), 2.0 * c * s
-        n >>= 1
-    out_c, out_s = c, s
-    n >>= 1
-    while n:
-        c, s = c * c - q2 * (s * s), 2.0 * c * s
-        if n & 1:
-            out_c, out_s = out_c * c - q2 * (out_s * s), out_c * s + out_s * c
-        n >>= 1
-    return out_c, out_s
-
-
 def pow_arrays(x, n: int, r: int) -> np.ndarray:
     """Integer power, row by row in closed form in each row's complex plane.
 
-    A negative n inverts first.  For |n| >= 2 the power is c + s*Im x with
-    the coefficients of plane_power_coefficients, so no product is formed.
-    n = 0 and |n| = 1 return at once: every bare z leaf is a first power.
+    A negative n inverts first.  n = 0 and |n| = 1 return at once: every
+    bare z leaf is a first power.  For |n| >= 2 each row b = p + v with
+    v = Im b lies in its own complex plane span(1, v), where v*v = -q2 with
+    q2 = |v|**2.  So b**n = c + s*v with real c, s, and c + i*q*s =
+    (p + i*q)**n.  The pair is raised by binary exponentiation on (c, s)
+    with (c1 + s1*v)(c2 + s2*v) = (c1*c2 - q2*s1*s2) + (c1*s2 + s1*c2)*v,
+    which stays exact for a real base (q2 = 0), never divides by q and forms
+    no product; p and q2 broadcast, so the whole batch is raised at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != 1 << r:
@@ -226,9 +207,20 @@ def pow_arrays(x, n: int, r: int) -> np.ndarray:
     if n == 1:
         return base.copy() if base is x else base
     v = base[..., 1:]
-    c, s = plane_power_coefficients(base[..., :1], np.einsum("...i,...i->...", v, v)[..., None], n)
-    out = s * base
-    out[..., :1] = c
+    q2 = np.einsum("...i,...i->...", v, v)[..., None]
+    c, s = base[..., :1], 1.0
+    while not n & 1:
+        c, s = c * c - q2 * (s * s), 2.0 * c * s
+        n >>= 1
+    out_c, out_s = c, s
+    n >>= 1
+    while n:
+        c, s = c * c - q2 * (s * s), 2.0 * c * s
+        if n & 1:
+            out_c, out_s = out_c * c - q2 * (out_s * s), out_c * s + out_s * c
+        n >>= 1
+    out = out_s * base
+    out[..., :1] = out_c
     return out
 
 

@@ -230,12 +230,9 @@ def _logint(r, path, point=None, tol=DEFAULT_TOL):
 def _index(r, path, point=None, tol=DEFAULT_TOL):
     """Winding numbers per plane and the algebra-valued index about --point."""
     a = zero(r) if point is None else point
-    vec = winding_index(a, path)
-    return {
-        "ar_index": _coeffs(ar_index(a, path, tol=tol)),
-        "winding": {f"e{s}": int(n) for s, n in sorted(vec.per_plane.items())},
-        "undefined": [f"e{s}" for s in sorted(vec.undefined)],
-    }
+    winding = winding_index(a, path).to_json()
+    undefined = winding.pop("undefined")
+    return {"ar_index": _coeffs(ar_index(a, path, tol=tol)), "winding": winding, "undefined": undefined}
 
 
 def _residue(r, expr, pole, direction, rho=0.5, tol=DEFAULT_TOL):

@@ -55,6 +55,7 @@ from .integrate import (
     _plane_circle,
     _quadrature_knots,
     _start_knots,
+    _unit_imaginary,
     distance_range,
     line_integral,
     log_integral,
@@ -181,23 +182,13 @@ def ar_index(a: CDNumber, gamma: Path, tol: float = 1e-6) -> CDNumber:
 # residues
 # ---------------------------------------------------------------------------
 
-def _require_unit_imaginary(m: CDNumber) -> CDNumber:
-    im = m.imag()
-    n = im.norm()
-    if abs(m.re) > 1e-9 or abs(n - 1.0) > 1e-9:
-        raise DomainError("direction must be a unit pure-imaginary element")
-    unit = np.array(im.coeffs / n)
-    unit[0] = 0.0
-    return CDNumber(m.level, unit)
-
-
 def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float = 1e-6) -> CDNumber:
     """res(p, f)M = (2*pi)^(-1) * loop integral of f over circle(p, rho, M).
 
     Radius-independent (within quadrature error) whenever f has no other
     singularity in the closed disc of radius rho about p.
     """
-    m = _require_unit_imaginary(direction)
+    m = _unit_imaginary(direction, "direction")
     if f.level.r != p.level.r or p.level.r != m.level.r:
         raise LevelMismatchError("phrase, pole, and direction must share a level")
     res = line_integral(f, Path.circle(p, rho, m, 1.0), tol=tol * TWO_PI)
@@ -525,7 +516,7 @@ def sum_residues_check(
     direction whose plane contains the poles (the identity itself is a
     statement about that plane).
     """
-    m = _require_unit_imaginary(direction)
+    m = _unit_imaginary(direction, "direction")
     total = zero(f.level)
     for i, p in enumerate(poles):
         gaps = [(p - q).norm() for j, q in enumerate(poles) if j != i]

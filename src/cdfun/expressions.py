@@ -26,6 +26,9 @@ LogLeaf, Ln(z - c), occurs only in the logarithm words of a primitive.
 The superdifferential of a term follows the product rule with (Dz).h = h and
 (D zc).h = conj(h); for a power the increment is summed over insertion slots
 with the left-to-right bracket, e.g. D(z^3).h = (h*z)*z + (z*h)*z + (z*z)*h.
+That power string runs one recurrence in the base's complex plane for every
+batch, with n products (_left_power_string); an integral whose path lies in
+a leaf's plane sums that leaf in complex arithmetic instead (integrate.py).
 A negative power g^-n is the power string of the inverse g^-1 = conj(g)/|g|^2,
 whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
 <.,.> the Euclidean inner product of coefficients) holds at every level.
@@ -53,7 +56,6 @@ from .algebra import (
     conj_arrays,
     inverse_arrays,
     mul_arrays,
-    plane_power_coefficients,
     pow_arrays,
 )
 from .errors import (
@@ -602,27 +604,13 @@ def evaluate_two_slot(f: Phrase, z1, z2):
 # superdifferentiation
 # ---------------------------------------------------------------------------
 
-#: An increment lies in its base's plane span(1, Im b) when its part w
-#: orthogonal to that plane has |w| <= _PLANE_EPS * |inc|, or, for an
-#: increment differenced from knots, |w| <= _PLANE_EPS * (|inc| + |b|): the
-#: rounding of the knots themselves.
-_PLANE_EPS = 16.0 * np.finfo(float).eps
-
-
-def _left_power_string(bv, inc, n: int, r, knots: bool = False) -> np.ndarray:
+def _left_power_string(bv, inc, n: int, r) -> np.ndarray:
     """sum_k (b^k * inc) * b * ... * b  (n-1-k single right factors), n >= 1.
 
     Each row of the base lies in its own complex plane: b = p + v with
     v = Im b and v^2 = -q^2, q = |v|, so by power-associativity
     b^j = c_j + s_j*v with real c_j, s_j (c_j + i*q*s_j is (p + i*q)^j).
-
-    When every row of a batch has its increment in the base's plane (see
-    _PLANE_EPS; `knots` marks increments differenced from knots), every term
-    commutes and the string is n*b^(n-1)*inc; with inc = alpha + beta*v,
-    v*inc = alpha*v - beta*q^2, so the batch takes O(d) work per row and no
-    product.  Any other batch, a single base, and a batch with a non-finite
-    row run the recurrence: right multiplication by b is linear, so the
-    partial strings obey T_1 = inc,
+    Right multiplication by b is linear, so the partial strings obey T_1 = inc,
 
         c_1 = p, s_1 = 1,  c_{j+1} = p*c_j - q^2*s_j,  s_{j+1} = c_j + p*s_j,
         T_{j+1} = T_j * b + c_j*inc + s_j*(v * inc),
@@ -632,40 +620,8 @@ def _left_power_string(bv, inc, n: int, r, knots: bool = False) -> np.ndarray:
     """
     if n == 1:
         return np.array(inc, copy=True)
-    if np.ndim(bv) == 1:
-        return _power_string_recurrence(bv, inc, n, r)
-    if bv.shape != np.shape(inc):
+    if np.ndim(bv) > 1 and bv.shape != np.shape(inc):
         bv, inc = np.broadcast_arrays(bv, inc)
-    p, v = bv[..., 0], bv[..., 1:]
-    alpha, u = inc[..., 0], inc[..., 1:]
-    q2 = np.einsum("...i,...i->...", v, v)
-    g = np.einsum("...i,...i->...", v, u)  # <v, inc> = beta*q^2
-    if not _all_in_plane(bv, inc, q2, g, knots):
-        return _power_string_recurrence(bv, inc, n, r)
-    c, s = plane_power_coefficients(p, q2, n - 1)
-    out = np.empty(bv.shape)
-    out[..., 0] = n * (c * alpha - s * g)
-    np.multiply(u, (n * c)[..., None], out=out[..., 1:])
-    out[..., 1:] += (n * s * alpha)[..., None] * v
-    return out
-
-
-def _all_in_plane(bv, inc, q2, g, knots: bool) -> bool:
-    """Whether every row's increment lies in the base's plane within _PLANE_EPS.
-
-    q2 = |Im b|^2 and g = <Im b, Im inc> per row.  A row whose probe is not
-    finite is not in its plane.
-    """
-    w = inc[..., 1:] - (g / np.where(q2 > 0.0, q2, 1.0))[..., None] * bv[..., 1:]
-    bound = np.sqrt(np.einsum("...i,...i->...", inc, inc))
-    if knots:
-        bound += np.sqrt(bv[..., 0] ** 2 + q2)
-    bound *= _PLANE_EPS
-    return bool(np.all((np.einsum("...i,...i->...", w, w) <= bound * bound) & np.isfinite(bound)))
-
-
-def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
-    """The left-bracketed power string by the recurrence of _left_power_string."""
     total = np.array(inc, copy=True)
     p = bv[..., :1]
     v = np.array(bv, copy=True)
@@ -680,7 +636,7 @@ def _power_string_recurrence(bv, inc, n: int, r) -> np.ndarray:
     return total
 
 
-def _power_derivative(bv, bd, n: int, r, knots: bool = False) -> np.ndarray:
+def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
     """Derivative of base**n, n != 0, given (base value, base derivative).
 
     A negative n differentiates the inverse in closed form (see the module
@@ -691,7 +647,7 @@ def _power_derivative(bv, bd, n: int, r, knots: bool = False) -> np.ndarray:
         inner = np.sum(bv * bd, axis=-1, keepdims=True)
         bd = (conj_arrays(bd) - 2.0 * inner * u) / np.sum(np.square(bv), axis=-1, keepdims=True)
         bv, n = u, -n
-    return _left_power_string(bv, bd, n, r, knots)
+    return _left_power_string(bv, bd, n, r)
 
 
 def _varies(node: Node, conj: bool) -> bool:
@@ -872,7 +828,7 @@ class Leaf:
         """The leaf's increment along H at Z (rows of knot differences)."""
         if self.power == 0:
             return dln_arrays(Z - self.center, H)
-        return _power_derivative(Z - self.center, H, self.power, r, knots=True)
+        return _power_derivative(Z - self.center, H, self.power, r)
 
 
 @dataclass

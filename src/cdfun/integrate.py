@@ -57,7 +57,6 @@ from .errors import (
     StepControlError,
 )
 from .expressions import (
-    _PLANE_EPS,
     Phrase,
     PrimitiveResult,
     VarPow,
@@ -74,10 +73,26 @@ MAX_KNOTS = 1 << 20
 
 _DIRECTION_TOL = 1e-9
 
+#: The in-plane tolerance of Path.plane_coordinates, relative to the
+#: rounding of p - c.
+_PLANE_EPS = 16.0 * np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
+
+def _unit_imaginary(m: CDNumber, what: str) -> CDNumber:
+    """m as an exact unit pure imaginary; a DomainError naming `what` when
+    its real part or its imaginary norm is off by more than _DIRECTION_TOL."""
+    im = m.imag()
+    n = im.norm()
+    if abs(m.re) > _DIRECTION_TOL or abs(n - 1.0) > _DIRECTION_TOL:
+        raise DomainError(f"{what} must be a unit pure-imaginary element")
+    unit = np.array(im.coeffs / n)
+    unit[0] = 0.0
+    return CDNumber(m.level, unit)
+
 
 def _plane_circle(center: np.ndarray, m: np.ndarray, rho: float, ang: np.ndarray) -> np.ndarray:
     """center + rho * (cos ang + sin ang * m) for every angle, as (*ang.shape, d)."""
@@ -123,18 +138,12 @@ class Path:
         turns = float(turns)
         if not math.isfinite(turns):
             raise DomainError("circle turns must be finite")
-        im = direction.imag()
-        n = im.norm()
-        if abs(direction.re) > _DIRECTION_TOL or abs(n - 1.0) > _DIRECTION_TOL:
-            raise DomainError("circle direction must be a unit pure-imaginary element")
-        unit = np.array(im.coeffs / n)
-        unit[0] = 0.0
         return Path(
             level=center.level,
             kind="circle",
             center=center,
             radius=radius,
-            direction=CDNumber(center.level, unit),
+            direction=_unit_imaginary(direction, "circle direction"),
             turns=turns,
         )
 

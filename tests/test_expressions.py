@@ -369,6 +369,21 @@ def _assert_power_string(b, h, n, r):
 def test_power_string_recurrence_matches_term_by_term_sum(r):
     rng = _rng(19)
     d = 1 << r
+    # increments alpha + beta*Im b in their base's plane, over scales
+    # 1e-6..1e6, and last a real base with an imaginary increment
+    plane_rng = _rng(20)
+    P = plane_rng.standard_normal((7, d)) * np.logspace(-6, 6, 7)[:, None]
+    alpha, beta = plane_rng.standard_normal((2, 7, 1)) * np.logspace(6, -6, 7)[:, None]
+    Q = beta * P
+    Q[:, :1] = alpha
+    P[-1, 1:] = 0.0
+    Q[-1, 1:] = 0.0
+    Q[-1, 1] = 1.0
+    # one finite row next to a NaN and an infinite increment
+    P3 = np.repeat(P[:1], 3, axis=0)
+    Q3 = np.repeat(Q[:1], 3, axis=0)
+    Q3[1, d - 1] = np.nan
+    Q3[2, 0] = np.inf
     for n in range(1, 9):
         b, h = rng.standard_normal((2, d))
         _assert_power_string(b, h, n, r)
@@ -379,94 +394,11 @@ def test_power_string_recurrence_matches_term_by_term_sum(r):
         _assert_power_string(B, H, n, r)
         # one base against a batch of increments
         _assert_power_string(b, H, n, r)
-
-
-def _count_product_rows(monkeypatch):
-    """Count the rows of every product the power string forms, one entry per call."""
-    from cdfun import expressions
-
-    rows = []
-
-    def counting(x, y, lev):
-        rows.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
-        return mul_arrays(x, y, lev)
-
-    monkeypatch.setattr(expressions, "mul_arrays", counting)
-    return rows
-
-
-def _in_plane(rng, r, count, knots=False):
-    """Bases b, increments alpha + beta*Im b, and the in-plane bound of each row.
-
-    b has no e_{d-1} part, so from r = 2 on e_{d-1} is orthogonal to 1 and
-    Im b; the bound is 16*eps*|inc|, or 16*eps*(|inc| + |b|) for knots.
-    """
-    d = 1 << r
-    b = rng.standard_normal((count, d)) * np.logspace(-6, 6, count)[:, None]
-    if r > 1:
-        b[:, d - 1] = 0.0
-    alpha, beta = rng.standard_normal((2, count, 1)) * np.logspace(6, -6, count)[:, None]
-    h = beta * b
-    h[:, 0] = alpha[:, 0]
-    scale = np.linalg.norm(h, axis=-1) + (np.linalg.norm(b, axis=-1) if knots else 0.0)
-    return b, h, 16 * np.finfo(float).eps * scale
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 8])
-def test_power_string_in_plane_rows_make_no_product(r, monkeypatch):
-    rng = _rng(20)
-    b, h, _ = _in_plane(rng, r, 7)
-    if r == 1:  # every increment lies in the plane of a nonreal base
-        h = rng.standard_normal(h.shape)
-    rows = _count_product_rows(monkeypatch)
-    for n in range(2, 9):
-        rows.clear()
-        _assert_power_string(b, h, n, r)
-        assert sum(rows) == 0
-        # a single base runs the recurrence: n products of one row
-        rows.clear()
-        _left_power_string(b[0], h[0], n, r)
-        assert rows == [1] * n
-
-
-def _row_tol(b, h, n):
-    """The tolerance of _assert_power_string, one entry per row."""
-    return 1e-12 * (1 + np.linalg.norm(b, axis=-1)) ** n * np.linalg.norm(h, axis=-1)
-
-
-@pytest.mark.parametrize("knots", [False, True])
-@pytest.mark.parametrize("r", [2, 3, 8])
-def test_power_string_mixed_batch_gives_each_row_its_own_string(r, knots, monkeypatch):
-    rng = _rng(21)
-    d = 1 << r
-    b, h, bound = _in_plane(rng, r, 9, knots)
-    off = np.zeros(len(b), dtype=bool)
-    off[[1, 4]] = True  # dense increments, far out of the plane
-    h[off] = rng.standard_normal((2, d))
-    h[6, d - 1] = 0.5 * bound[6]  # just inside the bound
-    h[7, d - 1] = 2.0 * bound[7]  # just outside
-    off[7] = True
-    b[8, 1:] = 0.0  # a real base with an imaginary increment
-    h[8, 1] = 1.0
-    off[8] = True
-    # rows whose probe is not finite: a NaN and an infinite increment
-    B = np.repeat(b[:1], 3, axis=0)
-    H = np.repeat(h[:1], 3, axis=0)
-    H[1, 2] = np.nan
-    H[2, 0] = np.inf
-    rows = _count_product_rows(monkeypatch)
-    for n in range(2, 9):
-        # alone, an in-plane row makes no product and an off-plane row n
-        alone = []
-        for i in range(len(b)):
-            rows.clear()
-            alone.append(_left_power_string(b[i : i + 1], h[i : i + 1], n, r, knots)[0])
-            assert rows == ([1] * n if off[i] else []), (n, i)
-        _assert_power_string(b, h, n, r)
-        got = _left_power_string(b, h, n, r, knots)
-        assert np.all(np.linalg.norm(got - alone, axis=-1) <= _row_tol(b, h, n))
-        got = _left_power_string(B, H, n, r, knots)
-        assert np.linalg.norm(got[0] - alone[0]) <= _row_tol(b[0], h[0], n)
+        _assert_power_string(P, Q, n, r)
+        got = _left_power_string(P3, Q3, n, r)
+        want = _power_string_by_terms(P3[0], Q3[0], n, r)
+        tol = 1e-12 * (1 + np.linalg.norm(P3[0])) ** n * np.linalg.norm(Q3[0])
+        assert np.linalg.norm(got[0] - want) <= tol
         assert not np.isfinite(got[1:]).all(axis=-1).any()
 
 
@@ -523,40 +455,10 @@ def test_plane_power_integral_at_level_8_makes_no_batch_product(tmp_path, monkey
     assert batch_products == []
     # the same circle in the level-1 copy of the plane, term by term
     monkeypatch.setattr(expressions, "_left_power_string",
-                        lambda bv, inc, n, r, knots=False: _power_string_by_terms(bv, inc, n, r))
+                        lambda bv, inc, n, r: _power_string_by_terms(bv, inc, n, r))
     want = integrate(1)
     assert np.max(np.abs(value[:2] - want)) <= 1e-12
     assert not np.any(value[2:])
-
-
-@pytest.mark.parametrize("r", [3, 5])
-def test_knot_increments_in_a_dense_plane_make_no_product(r, monkeypatch):
-    # the knots of a circle in a dense plane round off that plane by about
-    # eps*|z| per coefficient, far more than eps*|h| for a short step: the
-    # hat application still takes the closed form, with no batch product
-    from cdfun import expressions
-
-    rng = _rng(22)
-    d = 1 << r
-    c, m = rng.standard_normal((2, d))
-    c[1:] = 0.3 * m[1:]
-    m[0] = 0.0
-    m /= np.linalg.norm(m)
-    t = np.linspace(0.0, 2.0 * np.pi, 257)[:, None]
-    Z = c + 2.0 * np.cos(t) * np.eye(d)[0] + 2.0 * np.sin(t) * m
-    H = np.diff(Z, axis=0)
-    batch_products = []
-
-    def counting(x, y, lev):
-        if np.ndim(x) > 1 and np.ndim(y) > 1:
-            batch_products.append(lev)
-        return mul_arrays(x, y, lev)
-
-    monkeypatch.setattr(expressions, "mul_arrays", counting)
-    got = hat_from_primitive(primitive(parse("z^4", r)), Z[:-1], H)
-    assert batch_products == []
-    want = _power_string_by_terms(Z[:-1], H, 5, r) / 5.0
-    assert np.all(np.linalg.norm(got - want, axis=-1) <= _row_tol(Z[:-1], H, 5))
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
