@@ -44,7 +44,7 @@ from .contour import (
     taylor_coeffs,
     winding_index,
 )
-from .diffcheck import RealFieldSample, cr_check, harmonic_check, zbar_check
+from .diffcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, RealFieldSample, cr_check, harmonic_check, zbar_check
 from .errors import CDError
 from .expressions import MAX_EXPONENT, Phrase, _is_number, derivative_apply, evaluate, parse, phrase_from_json
 from .integrate import DEFAULT_TOL, MAX_KNOTS, START_KNOTS, Path, line_integral, log_integral, path_from_json
@@ -278,17 +278,17 @@ def _roots(r, expr, tol=DEFAULT_TOL, seed=42):
     return {"root": _coeffs(root), "residual": evaluate(expr, root).norm()}
 
 
-def _crcheck(r, expr, point, step=1e-5, threshold=1e-4):
+def _crcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference Cauchy-Riemann check at --point."""
     return cr_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
 
 
-def _harmonic(r, expr, point, step=1e-5, threshold=1e-4):
+def _harmonic(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference pair-harmonicity check at --point."""
     return harmonic_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
 
 
-def _zbarcheck(r, expr, point, step=1e-5, threshold=1e-4):
+def _zbarcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Conjugate-slot derivative check at --point."""
     return zbar_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
 

@@ -607,6 +607,8 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
                 return CDNumber(r, x)
             rows = derivative_apply(P, x, eye)
             jac = np.asarray(rows).T
+            if not (math.isfinite(g) and np.all(np.isfinite(jac))):
+                break  # overflow: a non-finite system stalls this start
             step, *_ = np.linalg.lstsq(jac, -pv, rcond=None)
             if not np.all(np.isfinite(step)):
                 break

@@ -21,7 +21,6 @@ binary Mul, and Sum, a tuple of (sign, term) pairs with sign +-1.  The
 constructors Add, Sub and Neg keep every Sum in the parser's normal form: a
 left-associated chain whose head may be negated, so a - b + c is one Sum of
 three terms, while -x and a bracketed sum stay single terms of their own.
-LogLeaf, Ln(z - c), occurs only in the logarithm words of a primitive.
 
 The superdifferential of a term follows the product rule with (Dz).h = h and
 (D zc).h = conj(h); for a power the increment is summed over insertion slots
@@ -33,19 +32,20 @@ A negative power g^-n is the power string of the inverse g^-1 = conj(g)/|g|^2,
 whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
 <.,.> the Euclidean inner product of coefficients) holds at every level.
 
-primitive() integrates words of sandwich shape a*(z-c)^n*b term by term;
-n = -1 produces logarithm terms a*Ln(z-c)*b whose hat-increments come from
-the principal branch via dln.  A word is linear in its leaf (z-c)^(n+1) or
-Ln(z-c), so primitive() also folds the constants of the words around each
-leaf into one d x d matrix, and the hat increment is the sum over leaves of
-(leaf increment) @ (matrix).  All evaluation entry points accept a CDNumber
-or a batched coefficient array with the component axis last.
+primitive() integrates words of sandwich shape a*(z-c)^n*b term by term,
+to a*(z-c)^(n+1)*b/(n+1), or to a*Ln(z-c)*b when n = -1, whose increments
+come from the principal branch via dln.  A word is linear in its leaf
+(z-c)^(n+1) or Ln(z-c), so a primitive is its leaf table: the constants of
+the words around each leaf fold into one d x d matrix, and the hat increment
+is the sum over leaves of (leaf increment) @ (matrix).  All evaluation entry
+points accept a CDNumber or a batched coefficient array with the component
+axis last.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,15 +140,6 @@ def _append(left: Node, sign: int, right: Node) -> Sum:
     return Sum(head + ((sign, right),))
 
 
-class LogLeaf(Node):
-    """Ln(z - center): appears only inside primitives, never from parse()."""
-
-    __slots__ = ("center",)
-
-    def __init__(self, center):
-        self.center = np.asarray(center, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class Phrase:
     """A parsed expression bound to an algebra level."""
@@ -168,7 +159,7 @@ def _children(node: Node) -> tuple:
         return tuple(term for _, term in node.terms)
     if isinstance(node, PowNode):
         return (node.base,)
-    return ()  # Const, VarPow, LogLeaf
+    return ()  # Const, VarPow
 
 
 def _nodes(node: Node):
@@ -405,9 +396,6 @@ def _fmt(node: Node) -> str:
                 text = f"({text})"
             out += ("-" if sign < 0 else "+" if k else "") + text
         return out
-    if isinstance(node, LogLeaf):
-        c = _fmt_const(node.center)
-        return f"Ln(z-{c})" if np.any(node.center) else "Ln(z)"
     raise DomainError(f"cannot format node {type(node).__name__}")
 
 
@@ -426,8 +414,6 @@ def structural_equal(a: Node, b: Node) -> bool:
         same = a.power == b.power
     elif isinstance(a, Sum):
         same = [s for s, _ in a.terms] == [s for s, _ in b.terms]
-    elif isinstance(a, LogLeaf):
-        same = np.array_equal(a.center, b.center)
     else:
         same = True  # Mul
     return same and all(map(structural_equal, _children(a), _children(b)))
@@ -541,30 +527,29 @@ def _pow_value(base, n, r):
     return pow_arrays(_inverse(base, r), -n, r) if n < 0 else pow_arrays(base, n, r)
 
 
-def _eval_slots(node: Node, Z1, Z2, r, log=None) -> np.ndarray:
+def _eval_slots(node: Node, Z1, Z2, r, slot=None, at=None) -> np.ndarray:
     """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2.
 
     A subtree free of the variables stays a single (d,) element; the callers
-    that promise a batch spread it with _over_batch.  A Ln(z - c) leaf takes
-    the value `log`, which only a logarithm word of a primitive supplies.
+    that promise a batch spread it with _over_batch.  The node `slot` itself
+    takes the value `at`: primitive binds a word's leaf that way.
     """
+    if node is slot:
+        return at
     if isinstance(node, Const):
         return node.value
     if isinstance(node, VarPow):
         return _pow_value(Z2 if node.conjugated else Z1, node.power, r)
     if isinstance(node, PowNode):
-        return _pow_value(_eval_slots(node.base, Z1, Z2, r, log), node.power, r)
+        return _pow_value(_eval_slots(node.base, Z1, Z2, r, slot, at), node.power, r)
     if isinstance(node, Mul):
-        return mul_arrays(_eval_slots(node.left, Z1, Z2, r, log), _eval_slots(node.right, Z1, Z2, r, log), r)
+        left = _eval_slots(node.left, Z1, Z2, r, slot, at)
+        return mul_arrays(left, _eval_slots(node.right, Z1, Z2, r, slot, at), r)
     if isinstance(node, Sum):
         total = None
         for sign, term in node.terms:
-            total = _add_signed(total, sign, _eval_slots(term, Z1, Z2, r, log))
+            total = _add_signed(total, sign, _eval_slots(term, Z1, Z2, r, slot, at))
         return total
-    if isinstance(node, LogLeaf):
-        if log is None:
-            raise UnsupportedShapeError("logarithm terms cannot be evaluated directly")
-        return log
     raise DomainError(f"cannot evaluate node {type(node).__name__}")
 
 
@@ -770,7 +755,7 @@ def _as_linear(node: Node, r: int):
             zpt = np.zeros(d)
             try:
                 const_acc = const_acc + sign * _eval_slots(term, zpt, zpt, r)
-            except (UnsupportedShapeError, DomainError):
+            except DomainError:
                 return None
         else:
             return None
@@ -806,15 +791,6 @@ def _linear_power_leaf(center: np.ndarray, power: int) -> Node:
 
 
 @dataclass
-class LogTerm:
-    """scale * (tree with one Ln(z - center) leaf)."""
-
-    tree: Node
-    center: np.ndarray
-    scale: float
-
-
-@dataclass
 class Leaf:
     """Every word of a primitive around one leaf (z - center)^power, or
     Ln(z - center) for power 0, as one matrix: the words sum to X @ matrix
@@ -833,47 +809,45 @@ class Leaf:
 
 @dataclass
 class PrimitiveResult:
-    """Polynomial part, logarithm terms, the centre c of every word
-    (z - c)^n with n < 0 (log-term centres included), and the same words
-    grouped by leaf."""
+    """A primitive as its leaf table, leaves in the order they first occur."""
 
-    poly: Phrase
-    log_terms: list[LogTerm] = field(default_factory=list)
-    poles: list[np.ndarray] = field(default_factory=list)
-    leaves: list[Leaf] = field(default_factory=list)
+    level: AlgebraLevel
+    leaves: list[Leaf]
+
+    @property
+    def poles(self) -> list[np.ndarray]:
+        """The centre c of every leaf (z - c)^m with m < 0 or Ln(z - c): the
+        centres of the words (z - c)^n of f with n < 0."""
+        return [leaf.center for leaf in self.leaves if leaf.power <= 0]
 
 
-def _locate_var_factor(node: Node, fmt_word: str):
-    """(rebuild, leaf) where rebuild(replacement) rebuilds the product term."""
-    if isinstance(node, (VarPow, PowNode)):
-        return (lambda x: x), node
-    if isinstance(node, Mul):
+def _var_factor(node: Node, fmt_word: str) -> Node:
+    """The one variable factor, z^n or a power node, of a product word."""
+    while isinstance(node, Mul):
         in_left = _contains_var(node.left)
-        in_right = _contains_var(node.right)
-        if in_left and in_right:
+        if in_left and _contains_var(node.right):
             raise UnsupportedShapeError(
                 f"word has more than one variable factor: {fmt_word}"
             )
-        if in_left:
-            rebuild, leaf = _locate_var_factor(node.left, fmt_word)
-            return (lambda x: Mul(rebuild(x), node.right)), leaf
-        rebuild, leaf = _locate_var_factor(node.right, fmt_word)
-        return (lambda x: Mul(node.left, rebuild(x))), leaf
+        node = node.left if in_left else node.right
+    if isinstance(node, (VarPow, PowNode)):
+        return node
     raise UnsupportedShapeError(f"unsupported word shape: {fmt_word}")
 
 
 def primitive(f: Phrase) -> PrimitiveResult:
-    """Term-by-term primitive: polynomial part plus logarithm terms.
+    """Term-by-term primitive of f as a table of leaves.
 
     Each word must contain at most one variable factor of shape (z - c)^n
-    (sandwich words a*(z-c)^n*b and their products with constants).  n = -1
-    yields a LogTerm; other n go to the polynomial phrase with factor
-    (z-c)^(n+1)/(n+1).  Conjugated-variable words are rejected.
+    (sandwich words a*(z-c)^n*b and their products with constants).  The
+    word integrates to itself with that factor replaced by the leaf
+    (z-c)^(n+1)/(n+1), or by Ln(z-c) when n = -1; a constant word c
+    integrates to c*z.  Conjugated-variable words are rejected.
 
-    A word is linear in its leaf, so it is evaluated once with the leaf bound
-    to the identity batch: row i is the word at leaf value e_i, and the word
-    at X is X @ (those rows).  Its sign and 1/(n+1) are folded in, and words
-    around the same leaf share one matrix (``leaves``).
+    A word is linear in its leaf, so it is evaluated once with its variable
+    factor bound to the identity batch: row i is the word at leaf value e_i,
+    and the word at X is X @ (those rows).  Its sign and 1/(n+1) are folded
+    in, and words around the same leaf share one matrix.
     """
     if _varies(f.root, conj=True):
         raise UnsupportedShapeError(
@@ -881,71 +855,42 @@ def primitive(f: Phrase) -> PrimitiveResult:
         )
     r = f.level.r
     d = f.level.basis_dim
-    poly_terms: list[tuple[int, Node]] = []
-    log_terms: list[LogTerm] = []
-    poles: list[np.ndarray] = []
-    words: list[tuple[np.ndarray, int, float, Node]] = []  # (center, power, scale, word around LogLeaf)
+    words: list[tuple[np.ndarray, int, float, Node, Node]] = []  # (center, power, scale, word, slot)
     for sign, term in _expand(f.root, r):
-        word_text = _fmt(term)
         if not _contains_var(term):
-            poly_terms.append((sign, Mul(term, VarPow(False, 1))))
-            words.append((np.zeros(d), 1, float(sign), Mul(term, LogLeaf(np.zeros(d)))))
+            slot = VarPow(False, 1)
+            words.append((np.zeros(d), 1, float(sign), Mul(term, slot), slot))
             continue
-        rebuild, leaf = _locate_var_factor(term, word_text)
-        if isinstance(leaf, VarPow):
+        word_text = _fmt(term)
+        slot = _var_factor(term, word_text)
+        if isinstance(slot, VarPow):
             center = np.zeros(d)
-            n = leaf.power
-            extra = 1
-        else:  # PowNode
-            lin = _as_linear(leaf.base, r)
+        else:  # PowNode; _expand has folded the sign of a (c - z)^n into the word's
+            lin = _as_linear(slot.base, r)
             if lin is None:
                 raise UnsupportedShapeError(
                     f"variable factor is not a power of (z - c): {word_text}"
                 )
-            center, s = lin
-            n = leaf.power
-            extra = s if n % 2 else 1
-        if n < 0:
-            poles.append(center)
-        m = n + 1
-        word = rebuild(LogLeaf(center))
-        if m == 0:
-            scale = float(sign * extra)
-            log_terms.append(LogTerm(tree=word, center=center, scale=scale))
-        else:
-            scale = sign * extra / m
-            tree = rebuild(_linear_power_leaf(center, m))
-            node = tree if scale == 1 else Mul(Const(_scalar_vec(d, scale)), tree)
-            poly_terms.append((1, node))
-        words.append((center, m, scale, word))
-    if not poly_terms:
-        root: Node = Const(np.zeros(d))
-    elif poly_terms[0][0] == 1 and len(poly_terms) == 1:
-        root = poly_terms[0][1]
-    else:
-        root = Sum(poly_terms)
+            center = lin[0]
+        m = slot.power + 1
+        scale = float(sign) if m == 0 else sign / m
+        words.append((center, m, scale, term, slot))
     leaves: dict[tuple[bytes, int], Leaf] = {}
     eye = np.eye(d)
-    for center, m, scale, word in words:
-        matrix = scale * _eval_slots(word, eye, eye, r, eye)
+    for center, m, scale, word, slot in words:
+        matrix = scale * _eval_slots(word, eye, eye, r, slot, eye)
         key = (center.tobytes(), m)
         if key in leaves:
             leaves[key].matrix += matrix
         else:
             leaves[key] = Leaf(center, m, matrix)
-    return PrimitiveResult(poly=Phrase(f.level, root), log_terms=log_terms, poles=poles, leaves=list(leaves.values()))
-
-
-def _scalar_vec(d: int, v: float):
-    vec = np.zeros(d)
-    vec[0] = float(v)
-    return vec
+    return PrimitiveResult(f.level, list(leaves.values()))
 
 
 def hat_from_primitive(prim: PrimitiveResult, z, h):
     """Increment functional of the primitive: f-hat(z).h, summed over its
     leaves as (leaf increment) @ (leaf matrix)."""
-    level = prim.poly.level
+    level = prim.level
     Z, wrap = _as_batch(level, z)
     H, _ = _as_batch(level, h)
     Z, H = np.broadcast_arrays(Z, H)

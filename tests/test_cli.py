@@ -215,6 +215,16 @@ def test_nonconvergence_exits_2():
     assert rep["error"]["kind"] == "nonconvergence"
 
 
+@pytest.mark.parametrize(
+    "level,expr", [(2, "z^2+1e300"), (2, "1e200*z^2+1"), (3, "z^2+1e200")]
+)
+def test_roots_of_an_overflowing_polynomial_do_not_converge(level, expr):
+    # |P|^2 overflows at every start, so no least-squares step is attempted
+    code, rep = invoke_json(["roots", "--level", str(level), "--expr", expr])
+    assert code == 2
+    assert rep["error"]["kind"] == "nonconvergence"
+
+
 def test_unknown_subcommand_is_usage_error():
     code, rep = invoke_json(["transmogrify", "--level", "2"])
     assert code == 1

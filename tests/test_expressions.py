@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     CDNumber,
     basis_element,
-    conj_arrays,
     embed,
     from_real,
     mul,
@@ -23,7 +22,6 @@ from cdfun.errors import ExprSyntaxError, PoleError, UnsupportedShapeError
 from cdfun.expressions import (
     Add,
     Const,
-    LogLeaf,
     Mul,
     VarPow,
     derivative_apply,
@@ -36,7 +34,6 @@ from cdfun.expressions import (
     phrase_to_json,
     primitive,
     structural_equal,
-    _eval_slots,
     _expand,
     _left_power_string,
 )
@@ -167,8 +164,7 @@ def test_json_accepts_plain_tree_and_nary_fold():
     assert structural_equal(p.root, want)
 
 
-# phrase_to_json of level-2 phrases covering every sum shape; the two
-# primitive entries pin primitive(parse(text)).poly
+# phrase_to_json of level-2 phrases covering every sum shape
 _GOLDEN_JSON = {
     '-z+e1-zc': '{"op": "sub", "args": [{"op": "add", "args": [{"op": "neg", "args": [{"var": "z", "pow": 1}]}, {"const": [0.0, 1.0, 0.0, 0.0]}]}, {"var": "zc", "pow": 1}]}',
     '-(z+1)': '{"op": "neg", "args": [{"op": "add", "args": [{"var": "z", "pow": 1}, {"const": [1.0, 0.0, 0.0, 0.0]}]}]}',
@@ -178,17 +174,12 @@ _GOLDEN_JSON = {
     '(z+1)*(z-e1)': '{"op": "mul", "args": [{"op": "add", "args": [{"var": "z", "pow": 1}, {"const": [1.0, 0.0, 0.0, 0.0]}]}, {"op": "sub", "args": [{"var": "z", "pow": 1}, {"const": [0.0, 1.0, 0.0, 0.0]}]}]}',
     'z^2': '{"var": "z", "pow": 2}',
     '(z)^2': '{"op": "pow", "base": {"var": "z", "pow": 1}, "pow": 2}',
-    'primitive z^2-e1*z^-2': '{"op": "add", "args": [{"op": "mul", "args": [{"const": [0.3333333333333333, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 3}]}, {"op": "mul", "args": [{"const": [0.0, 1.0, 0.0, 0.0]}, {"var": "z", "pow": -1}]}]}',
-    'primitive -e2+z^2-3': '{"op": "sub", "args": [{"op": "add", "args": [{"op": "neg", "args": [{"op": "mul", "args": [{"const": [0.0, 0.0, 1.0, 0.0]}, {"var": "z", "pow": 1}]}]}, {"op": "mul", "args": [{"const": [0.3333333333333333, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 3}]}]}, {"op": "mul", "args": [{"const": [3.0, 0.0, 0.0, 0.0]}, {"var": "z", "pow": 1}]}]}',
 }
 
 
 @pytest.mark.parametrize("key", list(_GOLDEN_JSON))
 def test_phrase_to_json_is_pinned(key):
-    kind, _, text = key.rpartition(" ")
-    p = parse(text, 2)
-    if kind == "primitive":
-        p = primitive(p).poly
+    p = parse(key, 2)
     assert phrase_to_json(p) == json.loads(_GOLDEN_JSON[key])
     assert structural_equal(p.root, phrase_from_json(phrase_to_json(p), 2).root)
 
@@ -485,40 +476,55 @@ def test_derivative_at_vanishing_negative_power_base_is_pole(text, wrt):
 
 def test_primitive_of_simple_pole_is_sandwich_log():
     pr = primitive(parse("e1*z^-1*e2", 3))
-    assert len(pr.log_terms) == 1
-    (lt,) = pr.log_terms
-    assert np.array_equal(lt.center, zero(3).coeffs)
-    assert lt.scale == 1.0
-    word = Mul(Mul(Const(basis_element(3, 1).coeffs), LogLeaf(zero(3).coeffs)), Const(basis_element(3, 2).coeffs))
-    assert structural_equal(lt.tree, word)
+    (leaf,) = pr.leaves
+    assert leaf.power == 0
+    assert np.array_equal(leaf.center, zero(3).coeffs)
+    assert [p.tobytes() for p in pr.poles] == [zero(3).coeffs.tobytes()]
+    # the word e1*Ln(z)*e2 is X -> (e1*X)*e2 on the leaf increment X
+    e1, e2 = basis_element(3, 1).coeffs, basis_element(3, 2).coeffs
+    assert np.array_equal(leaf.matrix, mul_arrays(mul_arrays(e1, np.eye(8), 3), e2, 3))
 
 
 def test_primitive_of_shifted_pole_tracks_center():
     pr = primitive(parse("(z-2)^-1", 2))
-    assert len(pr.log_terms) == 1
-    (lt,) = pr.log_terms
-    assert np.array_equal(lt.center, from_real(2, 2.0).coeffs)
-    assert structural_equal(lt.tree, LogLeaf(lt.center))
+    (leaf,) = pr.leaves
+    assert leaf.power == 0
+    assert np.array_equal(leaf.center, from_real(2, 2.0).coeffs)
+    assert np.array_equal(leaf.matrix, np.eye(4))
 
 
 def test_primitive_polynomial_part_scales():
-    # z^2 integrates to z^3/3; check by differentiating back
+    # z^2 integrates to z^3/3; check against the derivative of z^3/3
     rng = _rng(16)
     z, h = random_element(3, rng), random_element(3, rng)
     pr = primitive(parse("z^2", 3))
-    back = derivative_apply(pr.poly, z, h)
+    back = derivative_apply(parse("0.3333333333333333*z^3", 3), z, h)
     # derivative of primitive in direction h is the hat increment; at h=1 it is f
     assert hat_from_primitive(pr, z, one(3)).allclose(evaluate(parse("z^2", 3), z), 1e-9)
     assert back.allclose(hat_from_primitive(pr, z, h), 1e-12)
 
 
-def _hat_by_words(pr, Z, H, r):
-    """The hat increment word by word: the derivative of the polynomial part
-    plus each logarithm word around its dln increment."""
-    out = derivative_apply(pr.poly, Z, H)
-    for lt in pr.log_terms:
-        out = out + lt.scale * _eval_slots(lt.tree, Z, conj_arrays(Z), r, dln_arrays(Z - lt.center, H))
-    return out
+# each case's primitive written out by hand: the polynomial part as phrase
+# text, and the logarithm words as products around ln(c) = dln(Z - c, H),
+# with e(k) the basis element e_k and m the product
+_PRIMITIVE_BY_HAND = {
+    "e1*(e2*(z-e3)^2)*e4 + (e5*(z-e3)^2)*e6 - 2*e7*z^-1*e2 + e3": (
+        "e1*(e2*(0.3333333333333333*(z-e3)^3))*e4 + (e5*(0.3333333333333333*(z-e3)^3))*e6 + e3*z",
+        lambda ln, e, m: -m(m(2.0 * e(7), ln(0.0)), e(2)),
+    ),
+    "((e1*z^2)*e2)*e3 - e3*(e2*(z^2*e1)) + 0.5*z^2 + e6*(z-e5)^-2*(e1+e2)": (
+        "((e1*(0.3333333333333333*z^3))*e2)*e3 - e3*(e2*((0.3333333333333333*z^3)*e1))"
+        " + 0.5*(0.3333333333333333*z^3) - e6*(z-e5)^-1*(e1+e2)",
+        None,
+    ),
+    "e1*(z-e3)^-1*e2 + (z-e3)^-1*e4 - e5*((z-e3)^-1*e6) + e2*(z-e3)^-1": (
+        "0",
+        lambda ln, e, m: (
+            m(m(e(1), ln(e(3))), e(2)) + m(ln(e(3)), e(4)) - m(e(5), m(ln(e(3)), e(6))) + m(e(2), ln(e(3)))
+        ),
+    ),
+    "e1*(z-0)^2*e2 + z^2": ("e1*(0.3333333333333333*(z-0)^3)*e2 + 0.3333333333333333*z^3", None),
+}
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -541,7 +547,12 @@ def test_leaf_matrices_agree_with_term_by_term_words(r, text, leaves):
     assert all(leaf.matrix.shape == (d, d) for leaf in pr.leaves)
     Z = rng.standard_normal((40, d)) + 3.0  # away from the centres 0 and e3
     H = rng.standard_normal((40, d)) * np.logspace(-8, 0, 40)[:, None]
-    want = _hat_by_words(pr, Z, H, r)
+    poly, logs = _PRIMITIVE_BY_HAND[text]
+    want = derivative_apply(parse(poly, r), Z, H)
+    if logs is not None:
+        want = want + logs(
+            lambda c: dln_arrays(Z - c, H), lambda k: basis_element(r, k).coeffs, lambda a, b: mul_arrays(a, b, r)
+        )
     got = hat_from_primitive(pr, Z, H)
     assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-12 * (1 + np.linalg.norm(want, axis=-1)))
 
@@ -591,8 +602,8 @@ def test_primitive_distributes_products_over_sums():
     rng = _rng(18)
     f = parse("(z+1)*e1", 3)
     pr = primitive(f)
-    assert not pr.log_terms
-    z, h = random_element(3, rng), random_element(3, rng)
+    assert all(leaf.power != 0 for leaf in pr.leaves)
+    z = random_element(3, rng)
     assert hat_from_primitive(primitive(f), z, one(3)).allclose(evaluate(f, z), 1e-9)
 
 
