@@ -218,7 +218,8 @@ def _diff(r, expr, point, direction, wrt="z"):
 
 
 def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
-    """Line integral along the path by extrapolated knot doubling."""
+    """Line integral along the path: power leaves of the primitive in closed
+    form, Ln leaves by extrapolated knot doubling."""
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 

@@ -728,10 +728,13 @@ def _expand(node: Node, r: int) -> list[tuple[int, Node]]:
         # power 1 stays expanded: a (z - c) leaf is a sum, which primitive
         # cannot place as one variable factor
         match = _as_linear_power(node.base, r) if node.power != 1 else None
-        if match is not None and match[2] * node.power != 1:
+        if match is not None:
             center, s, m = match
             sign = s if node.power % 2 else 1
-            return [(sign, _linear_power_leaf(center, m * node.power))]
+            leaf = _linear_power_leaf(center, m * node.power)
+            if m * node.power == 1:  # ((z - c)^-1)^-1 is z - c, expanded for the same reason
+                return [(sign * t, n) for t, n in _expand(leaf, r)]
+            return [(sign, leaf)]
         if node.power != 1:
             # a negative power does not expand, and an expanded power n >= 2
             # always has a word with n variable factors, which primitive

@@ -8,12 +8,17 @@ through the increment functional of a primitive of f, evaluated at the
 convention matters at first order, so it is fixed once and for all here.
 
 Every word of a primitive is linear in the increment of its one leaf,
-(z - c)^m or Ln(z - c), so a raw sum takes each leaf's increments at all
-knots of the layout, adds them up, and applies the leaf's matrix (the
-word constants folded together by ``primitive``) once: per layout, the
-constants cost one vector-matrix product per leaf, whatever the knot count.
+(z - c)^m or Ln(z - c), so the words around one leaf fold into one matrix
+(see ``primitive``) and the integral is a sum over leaves of (the leaf's
+summed increments) @ (its matrix).  A power leaf is C^1 off its centre, so
+its increments sum to (gamma(1) - c)^m - (gamma(0) - c)^m: ``line_integral``
+takes that closed form, the paper's Newton-Leibniz formula, and takes knot
+layouts only for the Ln leaves.
 
-When the path lies in one plane c + span(1, M) through a leaf's centre c
+A raw sum takes each leaf's increments at all knots of a layout, adds them
+up, and applies the leaf's matrix once: per layout, the constants cost one
+vector-matrix product per leaf, whatever the knot count.  When the path
+lies in one plane c + span(1, M) through a leaf's centre c
 (``Path.plane_coordinates``, decided once per integral on the path's
 defining points), the algebra on that plane is the complex numbers: the
 leaf's sum is taken in complex coordinates w of z - c on (N,) arrays, as
@@ -23,10 +28,11 @@ integrals over circles in span(1, M) all take this plane route; other
 leaves difference the (N, d) knots, which are sampled only if some leaf
 needs them.
 
-``integral_sum`` exposes the raw sum for a caller-supplied partition.
-``line_integral`` doubles the knot count starting from 64 and combines the
-raw sums by Richardson extrapolation: the right-endpoint error expands in
-integer powers of 1/N, so the tableau
+``integral_sum`` exposes the raw sum over every leaf for a caller-supplied
+partition.  ``line_integral`` (over its Ln leaves) and ``stieltjes_integral``
+double the knot count starting from 64 and combine the raw sums by
+Richardson extrapolation: the right-endpoint error expands in integer
+powers of 1/N, so the tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1)
 
@@ -48,7 +54,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays
+from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -76,6 +82,10 @@ _DIRECTION_TOL = 1e-9
 #: The in-plane tolerance of Path.plane_coordinates, relative to the
 #: rounding of p - c.
 _PLANE_EPS = 16.0 * np.finfo(float).eps
+
+#: The rounding bound of a closed-form power leaf, per unit of
+#: (|m| + 1) * (|X(gamma(0))| + |X(gamma(1))|) * |matrix|_F.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +259,17 @@ class Path:
         if fracs is None:
             return m, lambda ts: np.full(len(ts), w[0])
         return m, lambda ts: np.interp(ts, fracs, w)
+
+    def endpoints(self) -> np.ndarray:
+        """gamma(0) and gamma(1) as a (2, dim) array.  A polyline's are its
+        first and last corners; a circle of integer turns is closed, and
+        gamma(0) stands for gamma(1) bit for bit, since sin(2*pi*n) is not 0
+        in floating point."""
+        if self.kind == "polyline":
+            return np.stack([self.points[0].coeffs, self.points[-1].coeffs])
+        if self.kind == "circle" and float(self.turns).is_integer():
+            return np.repeat(self.sample([0.0]), 2, axis=0)
+        return self.sample([0.0, 1.0])
 
     def point(self, t: float) -> CDNumber:
         return CDNumber(self.level, self.sample([t])[0])
@@ -623,18 +644,44 @@ def _extrapolated(
         refinements += 1
 
 
+def _newton_leibniz(leaves: list, gamma: Path) -> tuple:
+    """(value, rounding bound) of the power leaves' part of the integral:
+    sum (X(gamma(1)) - X(gamma(0))) @ matrix with X = (z - c)^m.  A path
+    closed by construction (see ``Path.endpoints``) gives X - X = 0 exactly,
+    with bound 0, and the product by the matrix still turns an overflowed
+    constant into a non-finite value."""
+    r = gamma.level.r
+    ends = gamma.endpoints()
+    value = np.zeros(gamma.level.basis_dim)
+    bound = 0.0
+    for leaf in leaves:
+        X = pow_arrays(ends - leaf.center, leaf.power, r)
+        value += (X[1] - X[0]) @ leaf.matrix
+        bound += (abs(leaf.power) + 1) * float(norm_arrays(X).sum()) * float(np.linalg.norm(leaf.matrix))
+    return value, 0.0 if np.array_equal(ends[0], ends[1]) else _ROUNDING * bound
+
+
 def line_integral(
     f: Phrase,
     gamma: Path,
     tol: float = DEFAULT_TOL,
     max_knots: int = MAX_KNOTS,
 ) -> QuadratureResult:
-    """The line integral of f along gamma by extrapolated knot doubling.
+    """The line integral of f along gamma: in closed form over the power
+    leaves of its primitive, by extrapolated knot doubling over its Ln leaves.
+
+    A power leaf (z - c)^m is C^1 off its centre, so its increments sum to
+    (gamma(1) - c)^m - (gamma(0) - c)^m: the paper's Newton-Leibniz formula,
+    exact on closed paths.  ``est_error`` bounds the rounding of that part.
+    A phrase with no Ln leaf takes no knot layout, and reports 0 refinements
+    and ``converged``.  The Ln leaves' increments sum along the path by knot
+    doubling; their refinements, ``converged`` flag and error estimate are
+    the report's, the estimate plus the rounding bound.
 
     A path through a pole centre of f (see ``_check_poles``) raises
     PoleError before any sampling.  Non-convergence within ``max_knots`` is
     reported through the ``converged`` flag; the best value and its error
-    estimate are still returned.  Each refinement sums every leaf's
+    estimate are still returned.  Each refinement sums every Ln leaf's
     increments over all its knots and applies one matrix per leaf, in a
     fixed order, so results are bit-reproducible.  Which leaves take the
     plane route (see the module docstring) is decided once, before the first
@@ -645,10 +692,17 @@ def line_integral(
     _check_levels(f, gamma)
     prim = primitive(f)
     _check_poles(prim, gamma)
-    planes = _leaf_planes(prim, gamma)
-    return _extrapolated(
-        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes)[None], gamma.level, tol, max_knots
+    if not (tol > 0.0):
+        raise DomainError("tolerance must be positive")
+    logs = replace(prim, leaves=[leaf for leaf in prim.leaves if leaf.power == 0])
+    value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
+    if not logs.leaves:
+        return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
+    planes = _leaf_planes(logs, gamma)
+    quad = _extrapolated(
+        lambda n: _raw_sum(logs, gamma, _quadrature_knots(gamma, n), planes)[None], gamma.level, tol, max_knots
     )[0]
+    return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
 def stieltjes_integral(

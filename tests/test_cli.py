@@ -62,6 +62,18 @@ def test_integrate_reciprocal_unit_circle(circle3):
     assert np.max(np.abs(np.delete(value, 1))) <= 1e-5
 
 
+def test_integrate_power_of_a_power_is_its_linear_form(tmp_path):
+    # ((z-1)^-1)^-1 is z - 1: both integrate in closed form from 0 to 2 + e1
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"kind": "polyline", "points": [[0, 0, 0, 0], [2, 1, 0, 0]]}))
+    reports = [invoke_json(["integrate", "--level", "2", "--expr", text, "--path-file", str(path)])
+               for text in ("((z-1)^-1)^-1", "z-1")]
+    assert reports[0] == reports[1]
+    code, rep = reports[0]
+    assert code == 0 and (rep["refinements"], rep["converged"]) == (0, True)
+    assert rep["value"] == [-0.5, 1.0, 0.0, 0.0]
+
+
 def test_zerodiv_division_algebra():
     code, rep = invoke_json(["zerodiv", "--level", "3"])
     assert code == 0

@@ -607,6 +607,17 @@ def test_primitive_distributes_products_over_sums():
     assert hat_from_primitive(primitive(f), z, one(3)).allclose(evaluate(f, z), 1e-9)
 
 
+@pytest.mark.parametrize(
+    "text,same", [("((z-1)^-1)^-1", "z-1"), ("((1-z)^-1)^-1", "1-z"), ("(z^-1)^-1", "z"), ("((e1-z)^-3)^-1", "(e1-z)^3")]
+)
+def test_power_of_a_power_with_exponents_multiplying_to_one_is_expanded(text, same):
+    # ((z - c)^-1)^-1 is z - c, a sum, and integrates term by term like it
+    got, want = ({(leaf.center.tobytes(), leaf.power): leaf.matrix for leaf in primitive(parse(t, 3)).leaves}
+                 for t in (text, same))
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[key], want[key]) for key in got)
+
+
 def test_structural_equality_discriminates():
     a = parse("z*(z*z)", 3)
     b = parse("z*z*z", 3)

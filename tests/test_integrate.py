@@ -643,8 +643,8 @@ def test_pole_centres_on_the_path_are_refused_before_sampling():
     for text, path in (("(z-1)^-2", circle), ("e2*(z-e1)^-1*e3", circle), ("(z-(0.5+0.1*e1))^-3", square)):
         with pytest.raises(PoleError, match="pole at"):
             line_integral(parse(text, 3), path)
-    # off the path the integral runs: the knot-capped pole 1e-7 off the circle
-    res = line_integral(parse("(z-1.0000001)^-2", 3), circle, max_knots=1024)
+    # off the path the integral runs: the knot-capped logarithm 1e-7 off the circle
+    res = line_integral(parse("(z-1.0000001)^-1", 3), circle, max_knots=1024)
     assert not res.converged
     # an arc of half a turn, either way round, meets a pole between two of
     # 4097 uniform samples and does not reach the pole on the other half
@@ -873,7 +873,7 @@ def test_in_plane_sandwich_at_level_8_makes_no_product_on_knot_batches(tmp_path,
         operands.clear()
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(["integrate", "--level", "8", "--expr", "(0.3*e7)*z^2*(0.9*e100)",
+            code = cli.main(["integrate", "--level", "8", "--expr", "(0.3*e7)*(z-1.5)^-1*(0.9*e100)",
                              "--path-file", str(path), "--tol", tol])
         assert code == 0
         return json.loads(buf.getvalue()), list(operands)
@@ -891,8 +891,10 @@ def test_in_plane_sandwich_at_level_8_makes_no_product_on_knot_batches(tmp_path,
     assert coarse_ops and coarse_ops == fine_ops
     assert all(shape in ((d,), (d, d)) for shapes in coarse_ops for shape in shapes)
     assert any((d, d) in shapes for shapes in coarse_ops)
-    # a closed loop of a polynomial integrand vanishes
-    assert np.max(np.abs(fine["value"])) <= 1e-12
+    # a loop about the pole gives 2*pi * a*M*b
+    a, m, b = (basis_element(8, k) for k in (7, 1, 100))
+    want = mul(mul(a * 0.3, m), b * 0.9).coeffs * (2 * math.pi)
+    assert np.max(np.abs(np.array(fine["value"]) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("text", ["(e1-e1)^-1*z", "e1*(z-2)^-1*e2 + (e1-e1)^-1"])
@@ -1020,9 +1022,107 @@ def test_near_pole_at_level_8_stays_in_complex_coordinates(tmp_path, monkeypatch
     path.write_text(json.dumps({"kind": "circle", "center": [0.0] * d, "radius": 1.0, "direction": [0, 1] + [0] * (d - 2)}))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(["integrate", "--level", "8", "--expr", "(z-1.0000001)^-2", "--path-file", str(path),
+        code = cli.main(["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1", "--path-file", str(path),
                          "--max-knots", "65536"])
     assert code == 0
     report = json.loads(buf.getvalue())
     assert report["converged"] is False and report["refinements"] == 10
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Newton-Leibniz: power leaves in closed form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_riemann_sums_tend_to_the_closed_form_at_rate_one_over_n(r):
+    # the paper defines the integral as the limit of increment sums; the right-
+    # endpoint sums on uniform partitions must reach the closed form as 1/N
+    d = 1 << r
+    rng = np.random.default_rng([r, 18])
+    f = parse("(0.5*e1)*z*e2 + e3*(z-0.2)^-2", r)
+    line = Path.polyline([CDNumber(r, 0.8 * v / np.linalg.norm(v)) for v in rng.standard_normal((3, d))])
+    # an arc whose plane holds neither leaf centre, so its knots take the (N, d) route
+    arc = Path.circle(random_element(r, rng) * 0.3, 0.7, random_unit_imaginary(r, rng)).subpath(0.1, 0.6)
+    for gamma in (line, arc):
+        exact = line_integral(f, gamma)
+        assert exact.refinements == 0 and exact.converged
+        errs = np.array([(integral_sum(f, gamma, Partition.uniform(n)) - exact.value).norm()
+                         for n in (64, 128, 256, 512, 1024)])
+        ratios = errs[:-1] / errs[1:]
+        assert np.all((ratios > 1.9) & (ratios < 2.1)), ratios
+
+
+def _no_knot_layouts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a power leaf took a knot layout")
+
+    monkeypatch.setattr(integrate, "_quadrature_knots", refuse)
+
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_power_leaves_vanish_exactly_on_closed_paths(r, monkeypatch):
+    _no_knot_layouts(monkeypatch)
+    e1 = basis_element(r, 1)
+    m = random_unit_imaginary(r, np.random.default_rng([r, 19]))
+    paths = [Path.circle(zero(r), 1.0, e1, turns) for turns in (1, -1, 3)]
+    paths += [Path.circle(from_real(r, 0.25), 2.0, m, 2).subpath(0.0, 0.5), _square(r, 0.5), _square(r, 1.5)]
+    # sin(2*pi) is not 0 in floating point, and (z - 1.0000001)^-1 magnifies
+    # that gap 1e7 times on the unit circle: the closed form reuses gamma(0)
+    for text in ("(z-1.0000001)^-2", "e2*z^3*e5 + (0.3*e1)*(z-0.5*e2)^-3*e4 - 2*z"):
+        f = parse(text, r)
+        for gamma in paths:
+            res = line_integral(f, gamma)
+            assert not np.any(res.value.coeffs), (text, gamma.kind, gamma.turns)
+            assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
+
+
+def test_open_polyline_matches_the_primitive_at_its_ends(monkeypatch):
+    _no_knot_layouts(monkeypatch)
+    from cdfun.expressions import evaluate
+
+    r = 4
+    rng = np.random.default_rng(20)
+    f = parse("e2*z^3*e5 + (0.3*e1)*(z-0.5*e2)^-3*e4 - 2*z", r)
+    F = parse("e2*z^4*e5*0.25 + (0.3*e1)*(z-0.5*e2)^-2*e4*(-0.5) - z^2", r)
+    for _ in range(5):
+        pts = [random_element(r, rng) for _ in range(4)]
+        res = line_integral(f, Path.polyline(pts))
+        want = evaluate(F, pts[-1]) - evaluate(F, pts[0])
+        assert (res.value - want).norm() <= 1e-13 * want.norm()
+        assert 0.0 < res.est_error <= 1e-12 * want.norm()
+
+
+def test_closed_form_reports_are_byte_identical(tmp_path):
+    import contextlib
+    import io
+    import json
+
+    from cdfun import cli
+
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"kind": "polyline", "points": [[0.1, 0.2, 0.3, 0.4], [1, -1, 0.5, 2], [-0.3, 0, 1, 1]]}))
+    outputs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["integrate", "--level", "2", "--expr", "e1*z^4*e2 + (z-3)^-2 + z^-1",
+                             "--path-file", str(path)]) == 0
+        outputs.append(buf.getvalue())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["refinements"] > 0  # the Ln leaf of z^-1 is summed on knots
+
+
+def test_mixed_phrase_adds_the_closed_form_to_the_ln_quadrature():
+    r = 3
+    e1 = basis_element(r, 1)
+    circle = Path.circle(zero(r), 1.0, e1, 2)
+    tol = 1e-9
+    logs = line_integral(parse("e2*z^-1*e3", r), circle, tol=tol)
+    mixed = line_integral(parse("e2*z^-1*e3 + e4*(z-1.0000001)^-2*e5", r), circle, tol=tol)
+    assert (mixed.refinements, mixed.converged) == (logs.refinements, logs.converged)
+    assert mixed.converged and mixed.est_error == logs.est_error
+    want = mul(mul(basis_element(r, 2), e1), basis_element(r, 3)) * (4 * math.pi)
+    assert (mixed.value - want).norm() <= 10 * tol
+    with pytest.raises(DomainError):
+        line_integral(parse("z^2", r), circle, tol=0.0)
