@@ -461,12 +461,9 @@ def conj_via_generators(z: CDNumber) -> CDNumber:
     if r < 2:
         raise DomainError("the generator identity requires level r >= 2")
     d = z.level.basis_dim
-    acc = -np.array(z.coeffs)
-    for s in range(1, d):
-        e_s = np.zeros(d)
-        e_s[s] = 1.0
-        z_es_conj = -mul_arrays(z.coeffs, e_s, r)  # z * e_s^* = -(z e_s)
-        acc += mul_arrays(e_s, z_es_conj, r)
+    units = np.eye(d)[1:]  # e_s for s != 0, one per row
+    z_units_conj = -mul_arrays(z.coeffs, units, r)  # z * e_s^* = -(z e_s)
+    acc = mul_arrays(units, z_units_conj, r).sum(axis=0) - z.coeffs
     return CDNumber(z.level, acc / (d - 2))
 
 

@@ -10,10 +10,16 @@ traceback.
 are the parameters the command reads (required when they have no default);
 ``_READERS`` parses and range-checks each parameter by name.  The flags of
 ``cdfun <command>`` are ``--level``, ``--output`` and ``--<parameter>``
-(``--expr`` or ``--expr-file``; ``--path-file``).  A ``job`` file is one JSON
-object with the fields ``command``, ``level``, ``output`` (the report file)
-and the command's parameters, ``expression`` standing for ``expr``; any
-other field is a usage error, like a flag the command does not read.
+(``--expr`` or ``--expr-file``; ``--path-file``), and ``_FLAG_NAMES`` holds
+them for the command-line reader.  A flag is named exactly (no
+abbreviations), given at most once, as ``--flag value`` or ``--flag=value``;
+the token after a flag is its value even when it starts with ``-``.
+``-h``/``--help`` prints the command list, or after a command its text and
+flags, built from the same tables.  A ``job`` file is one JSON object with
+the fields ``command``, ``level``, ``output`` (the report file) and the
+command's parameters, ``expression`` standing for ``expr``; any other field
+is a usage error, like a flag the command does not read.  Both routes build
+one dict of raw parameters, which ``_run_command`` reads.
 
 Reports are deterministic: fixed reduction orders everywhere, and anything
 randomized (root-search restarts, the selftest) draws from --seed, default 42.
@@ -21,12 +27,11 @@ randomized (root-search restarts, the selftest) draws from --seed, default 42.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import inspect
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -54,11 +59,6 @@ MAX_CLI_LEVEL = 8
 
 class UsageError(Exception):
     """Bad flags, malformed job files, or out-of-range parameters."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def _flags(name: str) -> tuple:
 
 
 def _coeffs(z: CDNumber) -> List[float]:
-    return [float(v) for v in z.coeffs]
+    return z.coeffs.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,10 @@ def _diff(r, expr, point, direction, wrt="z"):
 
 
 def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
-    """Line integral along the path: power leaves of the primitive in closed
-    form, Ln leaves by extrapolated knot doubling."""
+    """Line integral along the path.
+
+    Power leaves of the primitive in closed form, Ln leaves by extrapolated
+    knot doubling."""
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 
@@ -369,6 +371,7 @@ def _job_params(obj, output_flag: Optional[str]) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
+    """Run the acceptance criteria at reduced scale (--scale, default 0.12)."""
     from . import criteria
 
     table = basis_table(2)
@@ -390,60 +393,142 @@ def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command lines: read against the flag table, help built from it
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> _ArgumentParser:
-    top = _ArgumentParser(prog="cdfun", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command")
-    for command, handler in COMMAND_TABLE.items():
-        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
-        p.add_argument("--level")
-        p.add_argument("--output")
-        for name in _PARAMETERS[command]:
-            group = p.add_mutually_exclusive_group()
-            for flag in _flags(name):
-                group.add_argument(flag)
+#: command -> {flag: the parameter it sets}, in help order
+_FLAG_NAMES = {
+    command: {flag: name for name in ("level", "output", *reads) for flag in _flags(name)}
+    for command, reads in _PARAMETERS.items()
+}
+_FLAG_NAMES["job"] = {"--output": "output"}
+_FLAG_NAMES["selftest"] = {"--seed": "seed", "--scale": "scale", "--inject-sign-error": "inject_sign_error"}
 
-    job = sub.add_parser("job", help="Run one job given as a JSON file.")
-    job.add_argument("job_file")
-    job.add_argument("--output")
+_SWITCHES = ("--inject-sign-error",)  # flags that take no value
 
-    st = sub.add_parser("selftest", help="Run the acceptance criteria at reduced scale.")
-    st.add_argument("--seed")
-    st.add_argument("--scale")
-    st.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
-    return top
+_HELP = ("-h", "--help")
+
+#: the help text of each command; its first line is its entry in the list
+_DOCS = {
+    **{command: handler.__doc__ for command, handler in COMMAND_TABLE.items()},
+    "job": """Run one job given as a JSON file: cdfun job FILE.
+
+    The file holds one object with the fields command, level, output and
+    the command's parameters, expression standing for expr.""",
+    "selftest": _selftest.__doc__,
+}
+
+
+def _help(command: Optional[str]) -> str:
+    """The command list, or one command's text and flags, required ones marked."""
+    if command is None:
+        width = max(map(len, _DOCS))
+        rows = [f"  {name:<{width}}  {doc.splitlines()[0]}" for name, doc in _DOCS.items()]
+        usage = ["usage: cdfun <command> [--flag value | --flag=value] ...", "       cdfun <command> --help"]
+        return "\n".join([*usage, "", "commands:", *rows]) + "\n"
+    table = _FLAG_NAMES[command]
+    required = {"level": True, **_PARAMETERS[command]} if command in COMMAND_TABLE else {}
+    rows = []
+    for name in dict.fromkeys(table.values()):
+        flags = " | ".join(flag for flag, n in table.items() if n == name)
+        rows.append(f"  {flags}{'  (required)' if required.get(name) else ''}")
+    usage = f"usage: cdfun {command}{' FILE' if command == 'job' else ''} [--flag value | --flag=value] ..."
+    return "\n".join([usage, "", inspect.cleandoc(_DOCS[command]), "", "flags:", *rows]) + "\n"
 
 
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name, or bytes that are not UTF-8
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _params_from_args(args: argparse.Namespace) -> Dict:
-    params = {"level": args.level}
-    for name in _PARAMETERS[args.command]:
-        for flag in _flags(name):
-            val = getattr(args, flag[2:].replace("-", "_"))
-            if val is not None:
-                params[name] = _read_file(val) if flag.endswith("-file") else val
-    return params
+def _read_argv(argv: List[str]) -> tuple:
+    """The command and its raw parameters by name; (command, None) asks for help.
+
+    argv[0] names the command.  Each flag after it is one of the command's
+    table, named exactly and given once, as --flag value or --flag=value; the
+    token after a flag is its value even when it starts with '-'.  A flag
+    ending in -file names the file that holds the value.  job also takes its
+    file as the one argument that is not a flag.
+    """
+    if not argv:
+        raise UsageError("a subcommand is required (try --help)")
+    command = argv[0]
+    if command in _HELP:
+        return None, None
+    table = _FLAG_NAMES.get(command)
+    if table is None:
+        raise UsageError(f"unknown subcommand {command!r} (try --help)")
+    params, given, positional = {}, {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        if not token.startswith("--"):
+            positional.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        name = table.get(flag)
+        if name is None:
+            raise UsageError(f"{command} has no flag {flag} (try cdfun {command} --help)")
+        if name in given:
+            twice = given[name] == flag
+            raise UsageError(f"{flag} is given twice" if twice else f"give {given[name]} or {flag}, not both")
+        if flag in _SWITCHES:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{flag} needs a value")
+        given[name] = flag
+        params[name] = value
+    if command == "job":
+        if len(positional) != 1:
+            raise UsageError(f"job takes one job file, got {len(positional)}")
+        params["job_file"] = positional[0]
+    elif positional:
+        raise UsageError(f"unexpected argument {positional[0]!r}")
+    for name, flag in given.items():
+        if flag.endswith("-file"):
+            params[name] = _read_file(params[name])
+    return command, params
+
+
+def _encode(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), built by joins rather than json's
+    pure-Python indenting encoder: finite floats by float.__repr__, keys and
+    strings escaped to ASCII, every other scalar by json.dumps."""
+    if isinstance(obj, float) and obj - obj == 0.0:
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_encode(value, inner)}" for key, value in obj.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [float.__repr__(v) if type(v) is float and v - v == 0.0 else _encode(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(obj)
 
 
 def _emit(report: Dict, output: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = _encode(report) + "\n"
     if not output:
         sys.stdout.write(text)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot write {output}: {exc}") from None
 
 
@@ -454,18 +539,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     # the report; a non-finite result still ends as a typed error
     with np.errstate(all="ignore"):
         try:
-            args = _build_parser().parse_args(argv)
-            if args.command is None:
-                raise UsageError("a subcommand is required (try --help)")
-            if args.command == "selftest":
-                seed = 42 if args.seed is None else _int(args.seed, "seed")
-                scale = 0.12 if args.scale is None else _positive(args.scale, "scale")
-                return _selftest(seed, scale, args.inject_sign_error)
-            if args.command == "job":
-                obj = _json_value(_read_file(args.job_file), "job file")
-                command, params, output = _job_params(obj, args.output)
-            else:
-                command, params, output = args.command, _params_from_args(args), args.output
+            command, params = _read_argv(argv)
+            if params is None:
+                sys.stdout.write(_help(command))
+                return 0
+            output = params.pop("output", None)
+            if command == "selftest":
+                seed = _int(params.get("seed", 42), "seed")
+                scale = _positive(params.get("scale", 0.12), "scale")
+                return _selftest(seed, scale, params.get("inject_sign_error", False))
+            if command == "job":
+                obj = _json_value(_read_file(params["job_file"]), "job file")
+                command, params, output = _job_params(obj, output)
             _emit(_run_command(command, params), output)
             return 0
         except UsageError as exc:

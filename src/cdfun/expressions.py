@@ -56,6 +56,7 @@ from .algebra import (
     conj_arrays,
     inverse_arrays,
     mul_arrays,
+    one,
     pow_arrays,
 )
 from .errors import (
@@ -539,6 +540,8 @@ def _eval_slots(node: Node, Z1, Z2, r, slot=None, at=None) -> np.ndarray:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, VarPow):
+        if node.power == 0:  # free of the variable, like a constant
+            return one(r).coeffs
         return _pow_value(Z2 if node.conjugated else Z1, node.power, r)
     if isinstance(node, PowNode):
         return _pow_value(_eval_slots(node.base, Z1, Z2, r, slot, at), node.power, r)

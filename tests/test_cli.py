@@ -12,6 +12,8 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfun import cli
 from cdfun.algebra import CDNumber, basis_element, mul
@@ -110,7 +112,6 @@ def test_shared_parser_keeps_no_state_between_calls():
     # the parser is built once per process; a flag given to one call must not
     # leak into the next
     missing_level = ["eval", "--expr", "z", "--point", "[1, 0, 0, 0]"]
-    cli._build_parser.cache_clear()
     code, first = invoke_json(missing_level)
     assert code == 1
     assert invoke_json(["eval", "--level", "2"] + missing_level[1:])[0] == 0
@@ -468,6 +469,210 @@ def test_flag_and_job_routes_agree(tmp_path, command):
     if "expr" not in fields:
         code, rep = invoke_json(_job_argv(command, {**fields, "expression": "z"}, tmp_path))
         assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
+# ---------------------------------------------------------------------------
+# command lines: flags read against the command table, help built from it
+# ---------------------------------------------------------------------------
+
+def test_flag_equals_value_matches_separate_value():
+    spaced = invoke(["eval", "--level", "2", "--expr", "z^2 + e1", "--point", "[0.3, 0.1, -0.2, 0.5]"])
+    joined = invoke(["eval", "--level=2", "--expr=z^2 + e1", "--point=[0.3, 0.1, -0.2, 0.5]"])
+    assert spaced == joined and spaced[0] == 0
+
+
+@pytest.mark.parametrize("expr", [["--expr", "-z"], ["--expr=-z"], ["--expr", "-1*z"]])
+def test_value_starting_with_a_dash_is_a_value(expr):
+    code, rep = invoke_json(["eval", "--level", "1", *expr, "--point", "[2, 0]"])
+    assert code == 0
+    assert rep["value"] == [-2.0, -0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--level", "2", "--level", "3", "--expr", "z"],
+        ["eval", "--level", "2", "--expr", "z", "--expr=z"],
+        ["eval", "--level", "2", "--expr", "z", "--expr-file", "unread.json"],
+        ["eval", "--level", "2", "--expr-file", "unread.json", "--expr", "z"],
+        ["eval", "--level", "2", "--expr"],
+        ["eval", "--expr", "z", "--level"],
+        ["eval", "--lev", "2", "--expr", "z"],
+        ["integrate", "--level", "2", "--expr", "z", "--path", "{}"],
+        ["eval", "--level", "2", "--expr", "z", "--max-knots", "128"],
+        ["eval", "--level", "2", "--expr", "z", "--scale", "1"],
+        ["zerodiv", "--level", "2", "--seed", "1"],
+        ["job", "--level", "2"],
+        ["job"],
+        ["job", "a.json", "b.json"],
+        ["eval", "--level", "2", "--expr", "z", "stray"],
+        ["eval", "--level", "2", "-x", "z"],
+        ["selftest", "--inject-sign-error=1"],
+        ["selftest", "--output", "report.json"],
+        ["--level", "2"],
+        ["EVAL", "--level", "2", "--expr", "z"],
+        ["eval", "--level", "2", "--expr-file", "a\x00b"],
+        ["eval", "--level", "2", "--expr", "z", "--output", "a\x00b"],
+    ],
+    ids=["level-twice", "expr-twice", "expr-and-file", "file-and-expr", "no-value", "no-level-value",
+         "abbreviated", "path-not-a-flag", "other-commands-flag", "selftest-flag", "seed-on-zerodiv",
+         "level-on-job", "job-no-file", "job-two-files", "positional", "single-dash", "switch-with-value",
+         "selftest-output", "flag-first", "unknown-subcommand", "nul-in-file-name", "nul-in-output-name"],
+)
+def test_command_line_mistakes_are_usage_errors(argv):
+    code, rep = invoke_json(argv)
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
+def test_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfez")
+    for argv in (["eval", "--level", "2", "--expr-file", str(binary)], ["job", str(binary)]):
+        code, rep = invoke_json(argv)
+        assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
+def _help_text(argv):
+    code, out = invoke(argv)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_top_level_help_lists_every_command(flag):
+    out = _help_text([flag])
+    docs = {**{c: h.__doc__ for c, h in cli.COMMAND_TABLE.items()}, "job": None, "selftest": None}
+    for command, doc in docs.items():
+        line = next(line for line in out.splitlines() if line.split()[:1] == [command])
+        if doc is not None:
+            assert doc.splitlines()[0] in line
+
+
+@pytest.mark.parametrize("command", [*cli.COMMAND_TABLE, "job", "selftest"])
+def test_command_help_lists_its_flags(command):
+    out = _help_text([command, "--help"])
+    assert _help_text([command, "-h"]) == out
+    if command in cli.COMMAND_TABLE:
+        assert _help_text([command, "--level", "2", "--help"]) == out
+    reads = cli._PARAMETERS.get(command, {})
+    if command in cli.COMMAND_TABLE:
+        assert cli.COMMAND_TABLE[command].__doc__.splitlines()[0] in out
+        reads = {"level": True, "output": False, **reads}
+    rows = [line.strip() for line in out.splitlines() if line.startswith("  --")]
+    for name, required in reads.items():
+        row = next(row for row in rows if row.split(" | ")[0].split()[0] == cli._flags(name)[0])
+        assert all(flag in row for flag in cli._flags(name))
+        assert ("(required)" in row) == required, row
+    listed = {flag for row in rows for flag in row.replace("(required)", "").replace("|", " ").split()}
+    assert listed == set(cli._FLAG_NAMES[command])
+
+
+def _fuzz_argv(rng, valid, path_file):
+    """A valid command line or a bare command, with a flag's value replaced,
+    a flag dropped or added, or a token inserted, from every flag, values and
+    junk."""
+    commands = [*cli.COMMAND_TABLE, "job", "", "EVAL", "--level", "-h2"]
+    # --output is left out: a report written to a file leaves nothing to check on stdout
+    flags = sorted({flag for table in cli._FLAG_NAMES.values() for flag in table} - {"--output"})
+    flags += ["--lev", "--expr-", "--", "-", "-e", "--bogus", "--level=", "--expr=z", "--tol=-1"]
+    values = ["1", "2", "9", "0", "-1", "2.5", "x", "", "z", "-z", "z^2+e1", "z^-1", "(z-1)^-2", "zc",
+              "e1*e2", "][", "[0.3, 0.1]", "[0.3, 0.1, -0.2, 0.5]", "[0, 0, 0, 0]", "[[[0, 0, 0, 0], 2]]",
+              "[[0, 0, 0, 0]]", "1e-3", "128", "3", "nan", "1e400", "{}", '{"var": "z"}', path_file,
+              "missing.json", "\u00e9", "\x00"]
+
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    argv = list(pick(valid)) if rng.random() < 0.7 else [pick(commands), "--level", pick(["1", "2"])]
+    for _ in range(int(rng.integers(1, 3))):
+        pair = 1 + 2 * int(rng.integers((len(argv) - 1) // 2)) if len(argv) > 2 else None
+        draw = rng.random()
+        if draw < 0.5 and pair is not None:
+            argv[pair + 1] = pick(values)
+        elif draw < 0.7 and pair is not None:
+            del argv[pair: pair + 2]
+        elif draw < 0.9:
+            argv += [pick(flags), pick(values)]
+        else:
+            argv.insert(int(rng.integers(1, len(argv) + 1)), pick(flags + values))
+    return argv
+
+
+def test_fuzz_command_lines_never_bare_crash(tmp_path):
+    # each run ends as a report on stdout with the exit code of its kind,
+    # never internal and never a traceback (help prints text, not a report)
+    path_file = tmp_path / "circle.json"
+    path_file.write_text(json.dumps(_UNIT_CIRCLE))
+    valid = [_flag_argv(command, fields, tmp_path) for command, fields in ROUTE_JOBS.items()]
+    rng = np.random.default_rng(20261019)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(1500):
+        argv = _fuzz_argv(rng, valid, str(path_file))
+        if "-h" in argv or "--help" in argv:
+            continue
+        code, out = invoke(argv)
+        rep = json.loads(out)
+        codes[code] += 1
+        if code != 0:
+            assert set(rep["error"]) == {"kind", "detail"}
+            assert rep["error"]["kind"] != "internal", (argv, rep)
+            assert code == (1 if rep["error"]["kind"] in ("usage", "parse") else 2), (argv, rep)
+    # the corpus reaches past the reader as well as into it
+    assert codes[1] >= 1000 and codes[0] + codes[2] >= 40
+
+
+# ---------------------------------------------------------------------------
+# reports: the joined encoder writes json.dumps(report, indent=2)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def checked_encoder(monkeypatch):
+    """cli._encode, checked against json.dumps on every report it writes."""
+    encoded = []
+    encode = cli._encode
+
+    def checked(obj, indent=""):
+        text = encode(obj, indent)
+        if not indent:  # a whole report, not one of its parts
+            assert text == json.dumps(obj, indent=2)
+            encoded.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_encode", checked)
+    return encoded
+
+
+@pytest.mark.parametrize("command", sorted(ROUTE_JOBS))
+def test_reports_match_json_dumps(tmp_path, command, checked_encoder):
+    fields = ROUTE_JOBS[command]
+    assert invoke(_flag_argv(command, fields, tmp_path))[0] == 0
+    invoke(_flag_argv(command, {**fields, "bogus_field": "1"}, tmp_path))  # usage
+    invoke(_job_argv(command, {**fields, "level": 9}, tmp_path))  # usage
+    if "expr" in fields:
+        invoke(_flag_argv(command, {**fields, "expr": "z +* 2"}, tmp_path))  # parse
+        invoke(_flag_argv(command, {**fields, "expr": "é"}, tmp_path))  # parse, non-ASCII detail
+    kinds = {rep["error"]["kind"] for rep in checked_encoder if "error" in rep}
+    assert len(checked_encoder) >= 3 and {"usage"} <= kinds
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 1e300, 5e-324,
+                     0.1, 1 / 3, 2**0.5, -1.2345678901234567e-7, 9007199254740993.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(),
+                     st.text(), st.sampled_from(["", "é", "\u2603", "\"\\\n\t\x00", "\ud83d\ude00", "\x7f"]))
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS)
+def test_encoder_matches_json_dumps(obj):
+    assert cli._encode(obj) == json.dumps(obj, indent=2)
 
 
 # ---------------------------------------------------------------------------

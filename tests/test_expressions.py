@@ -618,6 +618,26 @@ def test_power_of_a_power_with_exponents_multiplying_to_one_is_expanded(text, sa
     assert all(np.array_equal(got[key], want[key]) for key in got)
 
 
+@pytest.mark.parametrize("r", [3, 8])
+def test_constant_word_holding_z0_folds_to_one_element(r, monkeypatch):
+    # z^0 is the unit and free of the variable, so the word folds to one
+    # element before it meets the identity batch: no product of two batches
+    from cdfun import expressions
+
+    batch_products = []
+
+    def counting(x, y, lev):
+        batch_products.append(np.ndim(x) > 1 and np.ndim(y) > 1)
+        return mul_arrays(x, y, lev)
+
+    monkeypatch.setattr(expressions, "mul_arrays", counting)
+    got = primitive(parse("(0.5*e1)*z^0*(0.7*e2)", r)).leaves
+    assert batch_products and not any(batch_products)
+    want = primitive(parse("(0.5*e1)*(0.7*e2)", r)).leaves
+    assert [(leaf.center.tobytes(), leaf.power) for leaf in got] == [(zero(r).coeffs.tobytes(), 1)]
+    assert len(want) == 1 and np.array_equal(got[0].matrix, want[0].matrix)
+
+
 def test_structural_equality_discriminates():
     a = parse("z*(z*z)", 3)
     b = parse("z*z*z", 3)
