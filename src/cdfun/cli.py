@@ -225,17 +225,17 @@ def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 
-def _logint(r, path, point=None, tol=DEFAULT_TOL):
+def _logint(r, path, point=None):
     """Logarithmic loop integral about --point (default 0)."""
-    return {"value": _coeffs(log_integral(zero(r) if point is None else point, path, tol=tol))}
+    return {"value": _coeffs(log_integral(zero(r) if point is None else point, path))}
 
 
-def _index(r, path, point=None, tol=DEFAULT_TOL):
+def _index(r, path, point=None):
     """Winding numbers per plane and the algebra-valued index about --point."""
     a = zero(r) if point is None else point
     winding = winding_index(a, path).to_json()
     undefined = winding.pop("undefined")
-    return {"ar_index": _coeffs(ar_index(a, path, tol=tol)), "winding": winding, "undefined": undefined}
+    return {"ar_index": _coeffs(ar_index(a, path)), "winding": winding, "undefined": undefined}
 
 
 def _residue(r, expr, pole, direction, rho=0.5, tol=DEFAULT_TOL):
@@ -270,9 +270,9 @@ def _restheorem(r, expr, poles, path, tol=DEFAULT_TOL):
     return residue_theorem_check(expr, poles, path, tol=tol).to_json()
 
 
-def _argprinciple(r, expr, zeros, path, tol=DEFAULT_TOL):
+def _argprinciple(r, expr, zeros, path):
     """Argument principle check for --zeros given as [point, multiplicity]."""
-    return argument_principle(expr, path, zeros, tol=tol).to_json()
+    return argument_principle(expr, path, zeros).to_json()
 
 
 def _roots(r, expr, tol=DEFAULT_TOL, seed=42):

@@ -169,13 +169,13 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
             raise StepControlError("projected curve winds faster than the sampling cap resolves")
 
 
-def ar_index(a: CDNumber, gamma: Path, tol: float = 1e-6) -> CDNumber:
+def ar_index(a: CDNumber, gamma: Path) -> CDNumber:
     """The algebra-valued index (2*pi)^(-1) * loop integral of d(Ln(z - a)).
 
     For a circle of ``turns`` n and direction M about a this is n*M; for a
     loop not enclosing a it vanishes.
     """
-    return log_integral(a, gamma, tol) * (1.0 / TWO_PI)
+    return log_integral(a, gamma) * (1.0 / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,9 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
 # exact-kernel loop integrals
 # ---------------------------------------------------------------------------
 
+_KERNEL_MAX_KNOTS = 1 << 18
+
+
 def _kernel_loop(
     f: Phrase,
     center: CDNumber,
@@ -211,7 +214,6 @@ def _kernel_loop(
     rho: float,
     powers: Sequence[int],
     tol: float,
-    max_knots: int = 1 << 18,
 ) -> Iterator[QuadratureResult]:
     """Extrapolated loop integrals of f(zeta) * dK, one per kernel power.
 
@@ -263,7 +265,7 @@ def _kernel_loop(
         return out
 
     if scales:
-        yield from _extrapolated(raw, f.level, tol, max_knots)
+        yield from _extrapolated(raw, f.level, tol, _KERNEL_MAX_KNOTS)
     if len(scales) < len(powers):
         raise DomainError(
             f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"
@@ -477,7 +479,7 @@ def residue_theorem_check(
     rhs = zero(f.level)
     for i, p in enumerate(poles):
         dist = distances[i]
-        idx = ar_index(p, psi, tol)
+        idx = ar_index(p, psi)
         strength = idx.imag().norm()
         n = int(round(strength))
         if n == 0:
@@ -532,7 +534,6 @@ def argument_principle(
     f: Phrase,
     gamma: Path,
     zeros: Sequence[Tuple[CDNumber, int]],
-    tol: float = 1e-6,
 ) -> ContourReport:
     """Index of f∘gamma about 0 versus the index-weighted divisor of f.
 
@@ -543,12 +544,12 @@ def argument_principle(
         raise LevelMismatchError("phrase and path must share a level")
     r = f.level.r
     image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
-    lhs = ar_index(zero(f.level), image, tol)
+    lhs = ar_index(zero(f.level), image)
     rhs = zero(f.level)
     for a, order in zeros:
         if a.level.r != r:
             raise LevelMismatchError("zero level does not match the phrase")
-        rhs = rhs + ar_index(a, gamma, tol) * float(int(order))
+        rhs = rhs + ar_index(a, gamma) * float(int(order))
     return ContourReport(
         lhs=lhs,
         rhs=rhs,

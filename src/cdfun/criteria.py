@@ -436,7 +436,7 @@ def check_argument_principle(scale: float = 1.0, seed: int = 42) -> CriterionRes
         for _ in range(_count(3, scale, floor=1)):
             m = random_unit_imaginary(3, rng)
             gamma = Path.circle(origin, 1.0, m, 1)
-            rep = argument_principle(f, gamma, [(origin, n)], tol=1e-7)
+            rep = argument_principle(f, gamma, [(origin, n)])
             worst = max(worst, (rep.lhs - m * float(n)).norm())
             worst = max(worst, rep.diff)
     passed = worst <= 1e-4

@@ -34,10 +34,12 @@ whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
 
 primitive() integrates words of sandwich shape a*(z-c)^n*b term by term,
 to a*(z-c)^(n+1)*b/(n+1), or to a*Ln(z-c)*b when n = -1, whose increments
-come from the principal branch via dln.  A word is linear in its leaf
-(z-c)^(n+1) or Ln(z-c), so a primitive is its leaf table: the constants of
-the words around each leaf fold into one d x d matrix, and the hat increment
-is the sum over leaves of (leaf increment) @ (matrix).  All evaluation entry
+come from the principal branch via dln.  One walk of the tree (_words)
+finds the words and the centre and power of each one's variable factor.  A
+word is linear in its leaf (z-c)^(n+1) or Ln(z-c), so a primitive is its
+leaf table: the constants of the words around each leaf fold into one d x d
+matrix, and the hat increment is the sum over leaves of (leaf increment) @
+(matrix).  All evaluation entry
 points accept a CDNumber or a batched coefficient array with the component
 axis last.
 """
@@ -712,88 +714,69 @@ def _contains_var(node: Node) -> bool:
     return any(isinstance(n, VarPow) and n.power != 0 for n in _nodes(node))
 
 
-def _cross(lhs, rhs):
-    return [(sl * sr, Mul(ln, rn)) for sl, ln in lhs for sr, rn in rhs]
+def _words(node: Node, r: int) -> list:
+    """The signed words (sign, word, leaf) that sum to node, in order.
 
-
-def _expand(node: Node, r: int) -> list[tuple[int, Node]]:
-    """Signed product terms with no variable-bearing sums inside products;
-    a subtree free of the variable stays one term."""
-    if not _contains_var(node):
-        return [(1, node)]
-    if isinstance(node, Sum):
-        return [(sign * s, n) for sign, term in node.terms for s, n in _expand(term, r)]
-    if isinstance(node, Mul):
-        return _cross(_expand(node.left, r), _expand(node.right, r))
-    if isinstance(node, PowNode):
-        if node.power == 0:
-            return [(1, VarPow(False, 0))]
-        # power 1 stays expanded: a (z - c) leaf is a sum, which primitive
-        # cannot place as one variable factor
-        match = _as_linear_power(node.base, r) if node.power != 1 else None
-        if match is not None:
-            center, s, m = match
-            sign = s if node.power % 2 else 1
-            leaf = _linear_power_leaf(center, m * node.power)
-            if m * node.power == 1:  # ((z - c)^-1)^-1 is z - c, expanded for the same reason
-                return [(sign * t, n) for t, n in _expand(leaf, r)]
-            return [(sign, leaf)]
-        if node.power != 1:
-            # a negative power does not expand, and an expanded power n >= 2
-            # always has a word with n variable factors, which primitive
-            # rejects: keep the power whole so primitive names it
-            return [(1, node)]
-        return _expand(node.base, r)
-    return [(1, node)]
-
-
-def _as_linear(node: Node, r: int):
-    """Match a z - c shape (up to overall sign): returns (center, sign) or None."""
-    d = 1 << r
-    const_acc = np.zeros(d)
-    var_sign = None
-    for sign, term in _expand(node, r):
-        if isinstance(term, VarPow) and not term.conjugated and term.power == 1:
-            if var_sign is not None:
-                return None
-            var_sign = sign
-        elif not _contains_var(term):
-            zpt = np.zeros(d)
-            try:
-                const_acc = const_acc + sign * _eval_slots(term, zpt, zpt, r)
-            except DomainError:
-                return None
-        else:
-            return None
-    if var_sign is None:
-        return None
-    return -var_sign * const_acc, var_sign
-
-
-def _as_linear_power(node: Node, r: int):
-    """Match +-(z - c)^m: returns (center, sign, m) or None.
-
-    Powers of one element associate, so (z - c)^m raised to n is (z - c)^(mn).
+    A subtree free of the variable is one word, with leaf None.  Any other
+    word has one variable factor, the node `slot`, and leaf (slot, center,
+    m): the term is sign*word with slot read as (z - center)^m, the sign of
+    a (c - z)^m folded into sign.  Products distribute over sums, X^0 is the
+    unit and a power of +-(z - c)^m is (z - c)^(m*n).  zc is refused before.
     """
-    terms = _expand(node, r)
-    if len(terms) == 1:
-        sign, term = terms[0]
-        if isinstance(term, VarPow) and not term.conjugated:
-            return np.zeros(1 << r), sign, term.power
-        if isinstance(term, PowNode) and (lin := _as_linear(term.base, r)) is not None:
-            center, s = lin
-            return center, sign * (s if term.power % 2 else 1), term.power
-    lin = _as_linear(node, r)
-    return None if lin is None else (*lin, 1)
+    if not _contains_var(node):
+        return [(1, node, None)]
+    if isinstance(node, VarPow):
+        return [(1, node, (node, np.zeros(1 << r), node.power))]
+    if isinstance(node, Sum):
+        return [(sign * s, word, leaf) for sign, term in node.terms for s, word, leaf in _words(term, r)]
+    if isinstance(node, Mul):
+        words = []
+        for sl, left, ll in _words(node.left, r):
+            for sr, right, lr in _words(node.right, r):
+                word = Mul(left, right)
+                if ll and lr:
+                    raise UnsupportedShapeError(f"word has more than one variable factor: {_fmt(word)}")
+                words.append((sl * sr, word, ll or lr))
+        return words
+    n = node.power  # a PowNode
+    if n == 0:
+        return [(1, VarPow(False, 0), None)]
+    words = _words(node.base, r)
+    if n == 1:
+        return words
+    if all(leaf is None for _, _, leaf in words):  # its zero powers left the base constant
+        return [(1, PowNode(Sum((s, word) for s, word, _ in words), n), None)]
+    lin = _linear(words, r)
+    if lin is None:
+        raise UnsupportedShapeError(f"variable factor is not a power of (z - c): {_fmt(node)}")
+    s, center, m = lin
+    sign = s if n % 2 else 1
+    if m * n != 1:
+        return [(sign, node, (node, center, m * n))]
+    # ((z - c)^-1)^-1 is the sum z - c, whose words are z and the constant -c
+    z = VarPow(False, 1)
+    words = [(sign, z, (z, np.zeros(1 << r), 1))]
+    if np.any(center):
+        words.append((-sign, Const(center), None))
+    return words
 
 
-def _linear_power_leaf(center: np.ndarray, power: int) -> Node:
-    if not np.any(center):
-        return VarPow(False, power)
-    base = Sub(VarPow(False, 1), Const(center))
-    if power == 1:
-        return base
-    return PowNode(base, power)
+def _linear(words, r: int):
+    """(sign, center, m) when the words sum to sign*(z - center)^m, else None:
+    one word is its own slot, and any others are constants shifting m = 1."""
+    var = [(s, word, leaf) for s, word, leaf in words if leaf is not None]
+    consts = [(s, word) for s, word, leaf in words if leaf is None]
+    if len(var) != 1:
+        return None
+    ((s, word, (slot, center, m)),) = var
+    if slot is not word or (consts and m != 1):
+        return None
+    try:
+        for t, const in consts:
+            center = center - s * t * _eval_slots(const, None, None, r)
+    except DomainError:  # a vanishing base under a negative power
+        return None
+    return s, center, m
 
 
 @dataclass
@@ -827,20 +810,6 @@ class PrimitiveResult:
         return [leaf.center for leaf in self.leaves if leaf.power <= 0]
 
 
-def _var_factor(node: Node, fmt_word: str) -> Node:
-    """The one variable factor, z^n or a power node, of a product word."""
-    while isinstance(node, Mul):
-        in_left = _contains_var(node.left)
-        if in_left and _contains_var(node.right):
-            raise UnsupportedShapeError(
-                f"word has more than one variable factor: {fmt_word}"
-            )
-        node = node.left if in_left else node.right
-    if isinstance(node, (VarPow, PowNode)):
-        return node
-    raise UnsupportedShapeError(f"unsupported word shape: {fmt_word}")
-
-
 def primitive(f: Phrase) -> PrimitiveResult:
     """Term-by-term primitive of f as a table of leaves.
 
@@ -861,29 +830,15 @@ def primitive(f: Phrase) -> PrimitiveResult:
         )
     r = f.level.r
     d = f.level.basis_dim
-    words: list[tuple[np.ndarray, int, float, Node, Node]] = []  # (center, power, scale, word, slot)
-    for sign, term in _expand(f.root, r):
-        if not _contains_var(term):
-            slot = VarPow(False, 1)
-            words.append((np.zeros(d), 1, float(sign), Mul(term, slot), slot))
-            continue
-        word_text = _fmt(term)
-        slot = _var_factor(term, word_text)
-        if isinstance(slot, VarPow):
-            center = np.zeros(d)
-        else:  # PowNode; _expand has folded the sign of a (c - z)^n into the word's
-            lin = _as_linear(slot.base, r)
-            if lin is None:
-                raise UnsupportedShapeError(
-                    f"variable factor is not a power of (z - c): {word_text}"
-                )
-            center = lin[0]
-        m = slot.power + 1
-        scale = float(sign) if m == 0 else sign / m
-        words.append((center, m, scale, term, slot))
-    leaves: dict[tuple[bytes, int], Leaf] = {}
     eye = np.eye(d)
-    for center, m, scale, word, slot in words:
+    leaves: dict[tuple[bytes, int], Leaf] = {}
+    for sign, word, leaf in _words(f.root, r):
+        if leaf is None:  # the constant word c is c*z^0
+            slot = VarPow(False, 1)
+            word, leaf = Mul(word, slot), (slot, np.zeros(d), 0)
+        slot, center, n = leaf
+        m = n + 1
+        scale = float(sign) if m == 0 else sign / m
         matrix = scale * _eval_slots(word, eye, eye, r, slot, eye)
         key = (center.tobytes(), m)
         if key in leaves:

@@ -778,15 +778,15 @@ def _branch_prefix(theta: np.ndarray, cosines: np.ndarray) -> tuple:
     return phi, int(bad[0]) + 1 if len(bad) else len(theta)
 
 
-def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDNumber:
+def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     """The integral of the logarithmic differential d(Ln(z - center)) along gamma.
 
     Branch-tracked telescoping: the value is Ln at the endpoint minus Ln at
     the start, with the argument continued along the path.  For a closed
     circle of ``turns`` n and direction M about the center this is exactly
     2*pi*n*M; for a loop that does not enclose the center it is 0.  The
-    result is exact up to rounding once continuation succeeds; ``tol`` is
-    accepted for interface symmetry with the other integrators.
+    result is exact up to rounding once continuation succeeds, so it takes
+    no tolerance.
 
     The knot batch has 256 knots, and 8 per turn on circles of more turns.
     One polar split of the whole batch gives rho, theta and the unit
@@ -803,7 +803,6 @@ def log_integral(center: CDNumber, gamma: Path, tol: float = DEFAULT_TOL) -> CDN
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")
-    del tol
     knots = _quadrature_knots(gamma, _start_knots(gamma, 4 * START_KNOTS, MAX_KNOTS))
     c = center.coeffs
     Z = gamma.sample(knots) - c[None, :]

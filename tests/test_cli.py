@@ -411,15 +411,15 @@ ROUTE_JOBS = {
     "eval": {"expr": "z^2 + e1", "point": _P},
     "diff": {"expr": "z^2*zc", "point": _P, "direction": [0.1, 0.2, 0.3, 0.4], "wrt": "zc"},
     "integrate": {"expr": "z^-1", "path": _UNIT_CIRCLE, "tol": 1e-3, "max_knots": 4096},
-    "logint": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0], "tol": 1e-3},
-    "index": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0], "tol": 1e-3},
+    "logint": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0]},
+    "index": {"path": _UNIT_CIRCLE, "point": [0.1, 0.2, 0, 0]},
     "residue": {"expr": "z^-1", "pole": [0, 0, 0, 0], "direction": [0, 0, 1, 0], "rho": 0.7, "tol": 1e-3},
     "cauchy": {"expr": "z^2", "point": [0.3, 0.2, 0, 0], "path": _UNIT_CIRCLE, "order": 1, "tol": 1e-3},
     "taylor": {"expr": "(z-0.2)^2", "center": [0, 0, 0, 0], "path": _UNIT_CIRCLE, "count": 3, "tol": 1e-3},
     "laurent": {"expr": "z^-1", "center": [0, 0, 0, 0], "kmin": -2, "kmax": 1,
                 "rho_inner": 0.4, "rho_outer": 1.5, "tol": 1e-3},
     "restheorem": {"expr": "z^-1", "poles": [[0, 0, 0, 0]], "path": _UNIT_CIRCLE, "tol": 1e-3},
-    "argprinciple": {"expr": "z^2", "zeros": [[[0, 0, 0, 0], 2]], "path": _UNIT_CIRCLE, "tol": 1e-3},
+    "argprinciple": {"expr": "z^2", "zeros": [[[0, 0, 0, 0], 2]], "path": _UNIT_CIRCLE},
     "roots": {"expr": "z^2 + (1.0)", "tol": 1e-3, "seed": 7},
     "crcheck": {"expr": "zc", "point": _P, "step": 2e-5, "threshold": 1e-3},
     "harmonic": {"expr": "z*zc", "point": _P, "step": 2e-5, "threshold": 1e-3},

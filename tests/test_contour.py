@@ -177,18 +177,18 @@ def test_ar_index_circle_values(n, rho, r):
     rng = np.random.default_rng(1000 + 10 * n + r)
     for _ in range(2):
         m = random_unit_imaginary(r, rng)
-        idx = ar_index(zero(r), Path.circle(zero(r), rho, m, float(n)), 1e-7)
+        idx = ar_index(zero(r), Path.circle(zero(r), rho, m, float(n)))
         assert (idx - m * float(n)).norm() <= 1e-5
 
 
 def test_ar_index_not_enclosing_vanishes():
     g = Path.circle(from_real(3, 3.0), 1.0, E2, 1.0)
-    assert ar_index(zero(3), g, 1e-8).norm() <= 1e-8
+    assert ar_index(zero(3), g).norm() <= 1e-8
 
 
 def test_ar_index_shifted_center():
     a = _vec(3, e0=-0.2, e2=0.4)
-    idx = ar_index(a, Path.circle(a, 0.7, E5, 1.0), 1e-8)
+    idx = ar_index(a, Path.circle(a, 0.7, E5, 1.0))
     assert (idx - E5).norm() <= 1e-7
 
 
@@ -656,7 +656,7 @@ def test_argument_principle_powers(n, turns):
     rng = np.random.default_rng(40 + n)
     m = random_unit_imaginary(3, rng)
     g = Path.circle(zero(3), 1.0, m, float(turns))
-    rep = argument_principle(parse(f"z^{n}", 3), g, [(zero(3), n)], 1e-7)
+    rep = argument_principle(parse(f"z^{n}", 3), g, [(zero(3), n)])
     assert rep.diff <= 1e-6
     assert (rep.lhs - m * float(n * turns)).norm() <= 1e-6
 
@@ -665,7 +665,7 @@ def test_argument_principle_two_simple_zeros():
     f = parse("(z - 0.3)*(z + 0.5)", 3)
     g = Path.circle(zero(3), 1.0, E2, 1.0)
     zeros = [(from_real(3, 0.3), 1), (from_real(3, -0.5), 1)]
-    rep = argument_principle(f, g, zeros, 1e-7)
+    rep = argument_principle(f, g, zeros)
     assert rep.diff <= 1e-6
     assert (rep.lhs - E2 * 2.0).norm() <= 1e-6
 
@@ -673,7 +673,7 @@ def test_argument_principle_two_simple_zeros():
 def test_argument_principle_zero_outside():
     f = parse("z - 3", 2)
     g = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
-    rep = argument_principle(f, g, [], 1e-7)
+    rep = argument_principle(f, g, [])
     assert rep.lhs.norm() <= 1e-7 and rep.diff <= 1e-7
 
 
@@ -681,7 +681,7 @@ def test_argument_principle_zero_on_path_errors():
     f = parse("z - 1", 2)
     g = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
     with pytest.raises((PoleError, StepControlError)):
-        argument_principle(f, g, [(from_real(2, 1.0), 1)], 1e-7)
+        argument_principle(f, g, [(from_real(2, 1.0), 1)])
 
 
 # ---------------------------------------------------------------------------

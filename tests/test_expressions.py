@@ -34,8 +34,8 @@ from cdfun.expressions import (
     phrase_to_json,
     primitive,
     structural_equal,
-    _expand,
     _left_power_string,
+    _words,
 )
 from cdfun.transcendental import dln_arrays
 
@@ -186,8 +186,8 @@ def test_phrase_to_json_is_pinned(key):
 
 def test_phrase_words_flatten_signs():
     for text in ("z^2 - e1*z + 3", "z-(e1-z)"):
-        words = _expand(parse(text, 2).root, 2)
-        assert [sign for sign, _ in words] == [1, -1, 1]
+        words = _words(parse(text, 2).root, 2)
+        assert [sign for sign, _, _ in words] == [1, -1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +616,88 @@ def test_power_of_a_power_with_exponents_multiplying_to_one_is_expanded(text, sa
                  for t in (text, same))
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[key], want[key]) for key in got)
+
+
+@pytest.mark.parametrize(
+    "text,same", [("(z+(z-1)^0)^2", "(z+1)^2"), ("(z-(e1*(z-2)^0))^-1", "(z-e1)^-1"), ("((z-1)^0)^2*e1", "e1")]
+)
+def test_zero_power_inside_a_base_is_the_unit(text, same):
+    # X^0 is 1 even where X holds the variable, so it only shifts a base
+    got, want = (primitive(parse(t, 3)).leaves for t in (text, same))
+    assert [(leaf.center.tolist(), leaf.power) for leaf in got] == [(leaf.center.tolist(), leaf.power) for leaf in want]
+    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+
+
+def test_base_that_zero_powers_leave_constant_is_a_constant():
+    # (z-1)^0 + e1 is the constant 1 + e1, and (z-1)^0 - 1 vanishes like 1 - 1
+    got, want = (primitive(parse(t, 3)).leaves for t in ("((z-1)^0+e1)^2*z", "(1+e1)^2*z"))
+    assert [(leaf.center.tolist(), leaf.power) for leaf in got] == [(leaf.center.tolist(), leaf.power) for leaf in want]
+    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+    for text in ("((z-1)^0-1)^-1*z", "(1-1)^-1*z"):
+        with pytest.raises(PoleError):
+            primitive(parse(text, 3))
+
+
+@st.composite
+def _sandwich_text(draw, level=3):
+    """Sums of words a*V*b: constants a and b, some of them nested sums,
+    around a variable factor V, which is z^n, (z-c)^n, (c-z)^n, a power of
+    such a power, a base shifted by a zero power, or a shape primitive
+    refuses; and constant words."""
+    d = 1 << level
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def scalar():
+        return repr(float(draw(_scalars)))
+
+    def const():
+        kind = draw(st.integers(0, 2))
+        k = draw(st.integers(0, d - 1))
+        if kind == 0:
+            return scalar()
+        if kind == 1:
+            return f"e{k}"
+        return f"(e{k}{pick('+-')}({scalar()}{pick('+-')}e{draw(st.integers(1, d - 1))}))"
+
+    def var_factor():
+        n = draw(st.integers(-3, 3))
+        c = pick(["0", "0.5", "e1", "(0.5*e2)", "(e3-(0.25+e1))"])
+        return pick([
+            f"z^{n}",
+            f"(z-{c})^{n}",
+            f"({c}-z)^{n}",
+            f"((z-{c})^{pick([-2, -1, 2])})^{pick([-1, 2])}",
+            f"(({c}-z)^{pick([-2, -1, 2])})^{pick([-1, 2])}",
+            f"(z{pick('+-')}(z-{c})^0)^{n}",
+            f"(-(z-{c}))^{n}",
+            pick(["(z^2+e1)^-1", "(2*z)^2", "z*z", "(z*e1+e2)^2"]),
+        ])
+
+    def word():
+        v, a, b = var_factor(), const(), const()
+        return pick([v, f"{a}*{v}*{b}", f"{a}*({v}*{b})", f"({a}*{v})*{b}", f"{v}*{b}", a])
+
+    text = pick(["", "-"]) + word()
+    for _ in range(draw(st.integers(0, 2))):
+        text += pick("+-") + word()
+    return pick([text, f"({text})*{const()}"])
+
+
+@given(_sandwich_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_primitive_of_sandwich_phrases_recovers_f(text, seed):
+    f = parse(text, 3)
+    try:
+        prim = primitive(f)
+    except UnsupportedShapeError:
+        return
+    # away from every centre, which lies within 1.5 of 0
+    z = from_real(3, 4.0) + random_element(3, _rng(seed)) * 0.3
+    want = evaluate(f, z)
+    got = hat_from_primitive(prim, z, one(3))
+    assert (got - want).norm() <= 1e-9 * (1 + want.norm())
 
 
 @pytest.mark.parametrize("r", [3, 8])
