@@ -8,8 +8,8 @@ Everything here reduces to loop integrals.  Two integration routes are used:
   along the circle zeta(theta) = a + rho*exp(theta*M) the kernel times
   d(zeta) is a closed-form multiple of d(theta) in the contour plane, and
   the loop is closed, so equally spaced midpoints converge geometrically,
-  and exactly for Laurent polynomials in zeta - a, which the knot doubling
-  of the line integrals then accepts at its second layout.
+  and exactly for Laurent polynomials in zeta - a, which plain knot
+  doubling then accepts at its second layout.
 
 Cauchy evaluation deforms to a small circle centered at the evaluation
 point itself (direction taken from the given contour): integrating the
@@ -48,10 +48,9 @@ from .expressions import (
 )
 from .integrate import (
     MAX_KNOTS,
+    START_KNOTS,
     Path,
     QuadratureResult,
-    _extrapolated,
-    _offset_knots,
     _plane_circle,
     _quadrature_knots,
     _start_knots,
@@ -205,6 +204,7 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
 # ---------------------------------------------------------------------------
 
 _KERNEL_MAX_KNOTS = 1 << 18
+_KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
 def _kernel_loop(
@@ -215,7 +215,7 @@ def _kernel_loop(
     powers: Sequence[int],
     tol: float,
 ) -> Iterator[QuadratureResult]:
-    """Extrapolated loop integrals of f(zeta) * dK, one per kernel power.
+    """Loop integrals of f(zeta) * dK by knot doubling, one per kernel power.
 
     K is the primitive of (zeta - center)^power d(zeta) along the circle
     zeta(theta) = center + rho*exp(theta*M), theta in [0, 2*pi], so
@@ -231,9 +231,17 @@ def _kernel_loop(
     and the product is bilinear, so F*(a + b*M) = a*F + b*(F*M) holds
     exactly at every knot.  One knot layout therefore costs one evaluation
     F = f(zeta) and one product F*M, shared by all powers, plus one real
-    weighted sum over the knots per power.  The weights are built one power
-    at a time as (n,) vectors, so memory stays O(knots * d).  Each power
-    converges on its own (see ``_extrapolated``).
+    weighted sum over the knots per power.  Each layout is evaluated in
+    blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array,
+    whose sums add up in knot order: memory stays O(block * d), and results
+    are bit-reproducible.
+
+    The knot count doubles from START_KNOTS.  The error shrinks
+    geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
+    tail is left to extrapolate.  The doubling stops once every power has
+    est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power reports
+    S on the last layout, its est, the shared refinement count and
+    ``converged`` = est < tol.  A non-positive tol raises DomainError.
 
     Results are yielded in power order, and the loop runs at the first
     request.  A power whose scale rho^q overflows raises DomainError in its
@@ -241,6 +249,8 @@ def _kernel_loop(
     first failure reports the same failure as one loop per power would;
     the powers from there on are not integrated.
     """
+    if not (tol > 0.0):
+        raise DomainError("tolerance must be positive")
     r = f.level.r
     mv = m.coeffs
     cv = center.coeffs
@@ -250,22 +260,33 @@ def _kernel_loop(
             scales.append(rho ** (power + 1))
         except OverflowError:
             break
+    step = _KERNEL_BLOCK_ELEMENTS // len(cv)
 
     def raw(n: int) -> np.ndarray:
-        ang = TWO_PI * _offset_knots(n)[1:-1]
-        try:
-            F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
-        except SingularElementError as e:
-            raise PoleError(f"integrand is singular on the contour: {e}") from e
-        FM = mul_arrays(F, mv, r)
-        out = np.empty((len(scales), len(cv)))
-        for i, (power, s) in enumerate(zip(powers, scales)):
-            w, qa = (TWO_PI / n) * s, (power + 1) * ang
-            out[i] = (w * np.cos(qa)) @ FM - (w * np.sin(qa)) @ F
-        return out
+        total = None
+        for lo in range(0, n, step):
+            ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
+            try:
+                F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
+            except SingularElementError as e:
+                raise PoleError(f"integrand is singular on the contour: {e}") from e
+            FM = mul_arrays(F, mv, r)
+            part = np.empty((len(scales), len(cv)))
+            for i, (power, s) in enumerate(zip(powers, scales)):
+                w, qa = (TWO_PI / n) * s, (power + 1) * ang
+                part[i] = (w * np.cos(qa)) @ FM - (w * np.sin(qa)) @ F
+            total = part if total is None else total + part
+        return total
 
     if scales:
-        yield from _extrapolated(raw, f.level, tol, _KERNEL_MAX_KNOTS)
+        n, refinements = START_KNOTS, 0
+        sums, est = raw(n), [math.inf] * len(scales)
+        while not all(e < tol for e in est) and 2 * n <= _KERNEL_MAX_KNOTS:
+            n, refinements = 2 * n, refinements + 1
+            prev, sums = sums, raw(n)
+            est = norm_arrays(sums - prev).tolist()
+        for s, e in zip(sums, est):
+            yield QuadratureResult(CDNumber(f.level, s), e, refinements, e < tol)
     if len(scales) < len(powers):
         raise DomainError(
             f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"

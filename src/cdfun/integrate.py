@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -603,45 +603,26 @@ def _extrapolated(
     level: AlgebraLevel,
     tol: float,
     max_knots: int,
-) -> List[QuadratureResult]:
-    """Richardson-extrapolated knot doubling of a stack of K raw sums.
+) -> QuadratureResult:
+    """Richardson-extrapolated knot doubling of one raw sum.
 
-    ``raw(n)`` returns the (K, d) stack of increment sums on the n-knot
-    layout, so every row shares one sampling of the path.  Each row runs
-    the same tableau and the same ``est < tol`` rule on its own and keeps
-    the result of its own first converged refinement; the doubling goes on
-    while any row is open.  Rows still open when the next layout would
-    exceed ``max_knots`` come back unconverged with their last diagonal.
-    The tableau is elementwise, so a row's result is bit-identical to a
-    run of that row alone.
+    ``raw(n)`` returns the (d,) increment sum on the n-knot layout.  Each
+    doubling adds a row to the tableau, and the doubling stops at the first
+    refinement whose ``est < tol``, or unconverged with the last diagonal
+    when the next layout would exceed ``max_knots``.
     """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    n = START_KNOTS
-    prev_row = None
-    refinements = 0
-    while True:
+    n, refinements, est = START_KNOTS, 0, math.inf
+    prev_row = [raw(n)]
+    while not est < tol and 2 * n <= max_knots:
+        n, refinements = 2 * n, refinements + 1
         row = [raw(n)]
-        if prev_row is None:
-            done: List[Optional[QuadratureResult]] = [None] * len(row[0])
-            est = [math.inf] * len(done)
-        else:
-            for m in range(len(prev_row)):
-                row.append(row[m] + (row[m] - prev_row[m]) / (2.0 ** (m + 1) - 1.0))
-            est = norm_arrays(row[-1] - prev_row[-1]).tolist()
-            for i, e in enumerate(est):
-                if e < tol and done[i] is None:
-                    done[i] = QuadratureResult(CDNumber(level, row[-1][i]), e, refinements, True)
-            if None not in done:
-                return done
+        for m in range(len(prev_row)):
+            row.append(row[m] + (row[m] - prev_row[m]) / (2.0 ** (m + 1) - 1.0))
+        est = float(norm_arrays(row[-1] - prev_row[-1]))
         prev_row = row
-        if 2 * n > max_knots:
-            return [
-                res if res is not None else QuadratureResult(CDNumber(level, row[-1][i]), est[i], refinements, False)
-                for i, res in enumerate(done)
-            ]
-        n *= 2
-        refinements += 1
+    return QuadratureResult(CDNumber(level, prev_row[-1]), est, refinements, est < tol)
 
 
 def _newton_leibniz(leaves: list, gamma: Path) -> tuple:
@@ -699,9 +680,7 @@ def line_integral(
     if not logs.leaves:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
     planes = _leaf_planes(logs, gamma)
-    quad = _extrapolated(
-        lambda n: _raw_sum(logs, gamma, _quadrature_knots(gamma, n), planes)[None], gamma.level, tol, max_knots
-    )[0]
+    quad = _extrapolated(lambda n: _raw_sum(logs, gamma, _quadrature_knots(gamma, n), planes), gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
@@ -725,11 +704,8 @@ def stieltjes_integral(
     _check_poles(prim, gamma)
     planes = [None] * len(prim.leaves)
     return _extrapolated(
-        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes, q=q)[None],
-        gamma.level,
-        tol,
-        max_knots,
-    )[0]
+        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes, q=q), gamma.level, tol, max_knots
+    )
 
 
 # ---------------------------------------------------------------------------

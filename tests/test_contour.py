@@ -1,6 +1,7 @@
 """Contour functionals: indices, residues, Cauchy formulas, coefficients, roots."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from cdfun.errors import (
     UnsupportedShapeError,
 )
 from cdfun.expressions import eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _extrapolated, _offset_knots, _plane_circle
+from cdfun.integrate import Path, _offset_knots, _plane_circle
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -475,9 +476,9 @@ def test_laurent_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def _per_power_kernel_loop(f, center, m, rho, power, tol, max_knots=1 << 18):
-    """Reference: one loop per power by the periodic midpoint rule, each
-    knot multiplied by its weight K'(theta_j)*2*pi/n as a full
-    batch-by-batch product."""
+    """Reference: one loop per power by the periodic midpoint rule and plain
+    knot doubling, each knot multiplied by its weight K'(theta_j)*2*pi/n as
+    a full batch-by-batch product.  Returns (value, refinements, converged)."""
     r = f.level.r
     mv, cv = m.coeffs, center.coeffs
 
@@ -486,10 +487,15 @@ def _per_power_kernel_loop(f, center, m, rho, power, tol, max_knots=1 << 18):
         F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
         q = power + 1
         W = mul_arrays(_plane_circle(np.zeros_like(cv), mv, 1.0, q * ang), mv, r) * (rho**q * TWO_PI / n)
-        return mul_arrays(F, W, r).sum(axis=0)[None]
+        return mul_arrays(F, W, r).sum(axis=0)
 
-    (res,) = _extrapolated(raw, f.level, tol, max_knots)
-    return res
+    n, refinements, value = 64, 0, raw(64)
+    while True:
+        n, refinements = 2 * n, refinements + 1
+        prev, value = value, raw(n)
+        est = np.linalg.norm(value - prev)
+        if est < tol or 2 * n > max_knots:
+            return CDNumber(f.level, value), refinements, bool(est < tol)
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -502,10 +508,11 @@ def test_shared_kernel_loop_matches_per_power_loops(r, off_plane):
     powers = list(range(-6, 3))
     got = list(_kernel_loop(f, center, m, 0.7, powers, 1e-6))
     assert len(got) == len(powers)
-    for power, res in zip(powers, got):
-        ref = _per_power_kernel_loop(f, center, m, 0.7, power, 1e-6)
-        assert (res.converged, res.refinements) == (ref.converged, ref.refinements)
-        assert (res.value - ref.value).norm() <= 1e-12 * (1.0 + ref.value.norm())
+    refs = [_per_power_kernel_loop(f, center, m, 0.7, power, 1e-6) for power in powers]
+    assert {res.refinements for res in got} == {max(ref[1] for ref in refs)}
+    for res, (value, _, converged) in zip(got, refs):
+        assert res.converged == converged
+        assert (res.value - value).norm() <= 1e-12 * (1.0 + value.norm())
 
 
 def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
@@ -549,7 +556,7 @@ def test_kernel_loop_is_exact_for_a_laurent_polynomial_about_the_centre(r):
         assert (res.value - want).norm() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
 def test_kernel_loop_converges_with_a_pole_just_outside_the_circle(r):
     # f = (z - p)^-1 with p - c = 1.2*rho: the integral of f*u^q*M d(theta)
     # is 2*pi*M times the u^-q coefficient -1/(p - c)^(1-q) of f, for q <= 0
@@ -561,8 +568,41 @@ def test_kernel_loop_converges_with_a_pole_just_outside_the_circle(r):
     for power, res in zip(powers, _kernel_loop(f, c, m, rho, powers, 1e-10)):
         q = power + 1
         want = m * (-TWO_PI / (1.2 * rho) ** (1 - q))
-        assert res.converged and res.refinements >= 2
+        assert res.converged and res.refinements == 3
         assert (res.value - want).norm() <= 1e-9 * want.norm()
+
+
+@pytest.mark.parametrize("r", [2, 8])
+def test_blocked_kernel_sums_match_one_block(monkeypatch, r):
+    # 37 knots per block divide no layout, so every layout ends on a short block
+    m = basis_element(r, 1)
+    f = parse("(z - 1.3)^-1 + e2*z*e3", r)
+    powers = range(-4, 2)
+    whole = list(_kernel_loop(f, zero(r), m, 1.0, powers, 1e-10))
+    monkeypatch.setattr(contour, "_KERNEL_BLOCK_ELEMENTS", 37 << r)
+    blocked = list(_kernel_loop(f, zero(r), m, 1.0, powers, 1e-10))
+    assert [res.refinements for res in whole] == [res.refinements for res in blocked]
+    for a, b in zip(whole, blocked):
+        assert a.converged and b.converged
+        assert (a.value - b.value).norm() <= 1e-13 * (1.0 + a.value.norm())
+
+
+def test_near_pole_kernel_loop_ends_as_nonconvergence_in_bounded_memory(monkeypatch):
+    # the pole 1e-7 outside the unit circle leaves a geometric rate of about
+    # 1 - 1e-7, so no layout under the cap converges; blocks of 64 knots keep
+    # every array far below one (8192, 256) layout of 16 MB
+    monkeypatch.setattr(contour, "_KERNEL_BLOCK_ELEMENTS", 1 << 14)
+    monkeypatch.setattr(contour, "_KERNEL_MAX_KNOTS", 1 << 13)
+    f = parse("(z-1.0000001)^-1", 8)
+    psi = Path.circle(zero(8), 1.0, basis_element(8, 1), 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError, match="coefficient k=0 did not converge"):
+            taylor_coeffs(f, zero(8), 3, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_taylor_count_at_the_cap_takes_two_knot_layouts_at_level_8(monkeypatch):

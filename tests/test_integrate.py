@@ -744,7 +744,7 @@ def test_started_arcs_have_no_json_form():
 
 
 # ---------------------------------------------------------------------------
-# the stacked extrapolation
+# the extrapolation tableau
 # ---------------------------------------------------------------------------
 
 def _stacked_raw(n):
@@ -760,24 +760,22 @@ def _stacked_raw(n):
     ])
 
 
-def test_stacked_extrapolation_matches_single_row_runs_bitwise():
-    calls = []
+def test_extrapolation_stops_each_tail_at_its_own_refinement():
+    results = []
+    for i in range(4):
+        calls = []
 
-    def raw(n):
-        calls.append(n)
-        return _stacked_raw(n)
+        def raw(n):
+            calls.append(n)
+            return _stacked_raw(n)[i]
 
-    stacked = _extrapolated(raw, as_level(2), 1e-9, 1 << 12)
-    assert len(calls) == len(set(calls)) == 1 + max(res.refinements for res in stacked)
-    for i, res in enumerate(stacked):
-        (alone,) = _extrapolated(lambda n: _stacked_raw(n)[i : i + 1], as_level(2), 1e-9, 1 << 12)
-        assert np.array_equal(res.value.coeffs, alone.value.coeffs)
-        assert (res.est_error, res.refinements, res.converged) == (
-            alone.est_error, alone.refinements, alone.converged)
-    assert [res.converged for res in stacked] == [True, True, True, False]
-    early = max(stacked[0].refinements, stacked[1].refinements)
-    assert stacked[2].refinements > early
-    assert stacked[3].refinements == 6  # 64 * 2^6 knots, the last layout under the cap
+        res = _extrapolated(raw, as_level(2), 1e-9, 1 << 12)
+        assert len(calls) == len(set(calls)) == 1 + res.refinements
+        results.append(res)
+    assert [res.converged for res in results] == [True, True, True, False]
+    early = max(results[0].refinements, results[1].refinements)
+    assert results[2].refinements > early
+    assert results[3].refinements == 6  # 64 * 2^6 knots, the last layout under the cap
 
 
 def _reference_polyline_geometry(path):
