@@ -11,7 +11,8 @@ basis is the first half times the doubling unit, so basis products satisfy
 
     e_a e_b = sigma(a, b) e_{a XOR b},   sigma(a, b) in {+1, -1},
 
-and all arithmetic reduces to a cached sign table plus XOR index bookkeeping.
+and every product reads one cached signed gather index per level
+(BasisTable.right) into the doubled operand [v, -v].
 Batched operations work on numpy arrays whose last axis has length 2**r; the
 CDNumber class is a thin immutable wrapper for single elements.
 """
@@ -84,15 +85,19 @@ class BasisTable:
             s[h:, h:] = -(sign.T * eps[None, :])
             sign = s
         ar = np.arange(d)
+        xor = ar[:, None] ^ ar[None, :]
         self.sign = sign.astype(np.int8)
-        self.index = (ar[:, None] ^ ar[None, :]).astype(np.int16)
-        # Gather form used by mul_arrays: out[..., c] = sum_a x[..., a] *
-        # sign[a, a^c] * y[..., a^c].
-        self.xor_ac = (ar[:, None] ^ ar[None, :]).astype(np.intp)
-        self.sign_ac = sign[ar[:, None], self.xor_ac].astype(np.float64)
+        self.index = xor.astype(np.int16)
+        # The signed gather index that every form of mul_arrays reads:
+        # (x y)[c] = sum_a x[a] * [y, -y][right[a, c]], where right[a, c] is
+        # a ^ c with bit d set when sign[a, a ^ c] = -1.
+        self.right = (xor + d * (sign[ar[:, None], xor] < 0)).astype(np.intp)
 
     def product(self, a: int, b: int) -> tuple[int, int]:
         """Return (sign, index) of the basis product e_a * e_b."""
+        d = self.level.basis_dim
+        if not (0 <= a < d and 0 <= b < d):
+            raise DomainError(f"basis indices ({a}, {b}) out of range 0..{d - 1} for level {self.level.r}")
         return int(self.sign[a, b]), int(self.index[a, b])
 
 
@@ -107,7 +112,9 @@ def basis_table(r: int) -> BasisTable:
 
 #: Elements of the (rows, d, d) gathered operand that mul_arrays builds for
 #: one row block of a batch x batch product: 2**15 doubles (256 KB), so a
-#: block stays in cache and one buffer serves every block.  This replaced a
+#: block stays in cache and one buffer serves every block.  Each block is
+#: gathered from one reused (rows, 2d) buffer holding [y, -y], so it needs no
+#: sign multiply and no allocation per block.  This replaced a
 #: single gather up to 2**18 elements with a d-step row loop above it.
 #: Measured on a 2-vCPU Xeon with numpy 2.4, as medians of interleaved runs
 #: (BENCH_7.json), old -> new at N = 4096: r = 3 3.1 -> 1.0 ms, r = 4
@@ -130,36 +137,58 @@ _MIN_BLOCK_ROWS = 1
 def mul_arrays(x, y, r: int) -> np.ndarray:
     """Cayley-Dickson product on coefficient arrays of shape (..., 2**r).
 
-    A single element (shape (2**r,)) times a batch is one matrix product with
-    the element's d x d multiplication matrix.  Two batches gather the right
-    operand into a (rows, d, d) signed table and contract it with one einsum
-    per row block of at most _BLOCK_ELEMENTS elements (at least
-    _MIN_BLOCK_ROWS rows); a batch that fits is one block.  Every form reads
-    basis_table(r).sign_ac.
+    Every form reads basis_table(r).right, one gather from the doubled
+    operand [v, -v] that yields a signed d x d table with no multiply:
+
+        element x element   einsum of x with the right table of y
+        batch x element     x @ (right table of y)
+        element x batch     y @ (x's left table), from the right table of x
+        batch x batch       one gathered (rows, d, d) table per row block of at
+                            most _BLOCK_ELEMENTS elements (at least
+                            _MIN_BLOCK_ROWS rows); a batch that fits is one
+                            block.
+
+    Batch shapes broadcast against each other; shapes that do not raise
+    DomainError.
     """
     t = basis_table(r)
     d = 1 << r
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[-1] != d or y.shape[-1] != d:
+    if x.shape[-1:] != (d,) or y.shape[-1:] != (d,):
         raise DomainError("coefficient array does not match the level dimension")
-    if y.ndim == 1 < x.ndim:
-        # (x y)[c] = sum_a x[a] * sign_ac[a, c] * y[a ^ c]
-        return x @ (t.sign_ac * y[t.xor_ac])
-    if x.ndim == 1 < y.ndim:
-        # the same sum over b = a ^ c: y[b] * sign_ac[b ^ c, c] * x[b ^ c]
-        return y @ (x[t.xor_ac] * t.sign_ac[t.xor_ac, np.arange(d)])
-    x, y = np.broadcast_arrays(x, y)
+    if y.ndim == 1:
+        # (x y)[c] = sum_a x[a] * sign[a, a ^ c] * y[a ^ c]
+        table = np.concatenate((y, -y))[t.right]
+        return x @ table if x.ndim > 1 else np.einsum("...a,...ac->...c", x, table)
+    if x.ndim == 1:
+        # y @ (x's left table).  Since conj(x y) = conj(y) conj(x), that table
+        # is the right table of conj(x) with row 0 and column 0 negated
+        # (entry (0, 0) twice): entry for entry the signed coefficient of x
+        # that the left table holds, so each sum keeps its terms and order.
+        xc = -x
+        xc[0] = x[0]
+        table = np.concatenate((xc, -xc))[t.right]
+        table[0] *= -1.0
+        table[:, 0] *= -1.0
+        return y @ table
+    try:
+        x, y = np.broadcast_arrays(x, y)
+    except ValueError:
+        raise DomainError(f"batch shapes {x.shape[:-1]} and {y.shape[:-1]} do not broadcast") from None
     rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
     if x.size <= rows * d:
-        return np.einsum("...a,...ac->...c", x, y[..., t.xor_ac] * t.sign_ac)
+        return np.einsum("...a,...ac->...c", x, np.concatenate((y, -y), axis=-1)[..., t.right])
     x2, y2 = x.reshape(-1, d), y.reshape(-1, d)
     out = np.empty(x2.shape)
+    doubled = np.empty((rows, 2 * d))
     block = np.empty((rows, d, d))
     for s in range(0, len(x2), rows):
         yb = y2[s : s + rows]
-        gathered = np.take(yb, t.xor_ac, axis=1, out=block[: len(yb)], mode="clip")
-        gathered *= t.sign_ac
+        n = len(yb)
+        doubled[:n, :d] = yb
+        np.negative(yb, out=doubled[:n, d:])
+        gathered = np.take(doubled[:n], t.right, axis=1, out=block[:n], mode="clip")
         np.einsum("na,nac->nc", x2[s : s + rows], gathered, out=out[s : s + rows])
     return out.reshape(x.shape)
 

@@ -375,15 +375,15 @@ def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
     from . import criteria
 
     table = basis_table(2)
-    saved = table.sign_ac.copy()
+    saved = table.right.copy()
     if inject_sign_error:
-        table.sign_ac[1, 2] = -table.sign_ac[1, 2]
+        table.right[1, 2] ^= 4  # bit d = 4 of an entry is its sign
     try:
         t0 = time.perf_counter()
         results = criteria.run_all(scale=scale, seed=seed, include_cli_selftest=False)
         elapsed = time.perf_counter() - t0
     finally:
-        table.sign_ac[...] = saved
+        table.right[...] = saved
     for res in results:
         print(res.line())
     failures = sum(1 for res in results if not res.passed)

@@ -373,17 +373,87 @@ def test_large_dimension_row_loop_path():
 def test_sign_table_reaches_constant_operand_products(r):
     rng = _rng(12)
     d = 1 << r
-    c = rng.standard_normal(d)
+    c, e = rng.standard_normal((2, d))
     Y = rng.standard_normal((3, d))
     # a batch pair spanning two row blocks of the batch x batch kernel
     X2, Y2 = rng.standard_normal((2, max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS) + 1, d))
     table = basis_table(r)
-    clean = (mul_arrays(c, Y, r), mul_arrays(Y, c, r), mul_arrays(X2, Y2, r))
-    saved = table.sign_ac.copy()
-    table.sign_ac[1, 2] = -table.sign_ac[1, 2]
+
+    def products():
+        return mul_arrays(c, Y, r), mul_arrays(Y, c, r), mul_arrays(X2, Y2, r), mul_arrays(c, e, r)
+
+    clean = products()
+    saved = table.right.copy()
+    table.right[1, 2] ^= d  # bit d of an entry is its sign
     try:
-        flipped = (mul_arrays(c, Y, r), mul_arrays(Y, c, r), mul_arrays(X2, Y2, r))
+        flipped = products()
     finally:
-        table.sign_ac[...] = saved
+        table.right[...] = saved
     for before, after in zip(clean, flipped):
         assert not np.allclose(before, after)
+
+
+def _parent_forms(x, y, r):
+    """The four product forms as the sign-times-XOR-gather kernel wrote them,
+    rebuilt from the published sign and index tables."""
+    t = basis_table(r)
+    d = 1 << r
+    xor_ac = t.index.astype(np.intp)
+    sign_ac = t.sign[np.arange(d)[:, None], xor_ac].astype(np.float64)
+    if y.ndim == 1 < x.ndim:
+        return x @ (sign_ac * y[xor_ac])
+    if x.ndim == 1 < y.ndim:
+        return y @ (x[xor_ac] * sign_ac[xor_ac, np.arange(d)])
+    x, y = np.broadcast_arrays(x, y)
+    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+    if x.size <= rows * d:
+        return np.einsum("...a,...ac->...c", x, y[..., xor_ac] * sign_ac)
+    x2, y2 = x.reshape(-1, d), y.reshape(-1, d)
+    out = np.empty(x2.shape)
+    for s in range(0, len(x2), rows):
+        gathered = y2[s : s + rows][:, xor_ac] * sign_ac
+        np.einsum("na,nac->nc", x2[s : s + rows], gathered, out=out[s : s + rows])
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
+    rng = _rng(40 + r)
+    d = 1 << r
+    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+
+    def operand(kind, *shape):
+        v = rng.standard_normal((*shape, d))
+        if kind == "basis":  # a scaled basis constant in every row
+            v = np.zeros((*shape, d))
+            v[..., rng.integers(d)] = rng.choice([-2.5, 0.3])
+        elif kind == "zeros":  # +0.0 and -0.0 among the entries
+            v[rng.random(v.shape) < 0.6] = 0.0
+            v[rng.random(v.shape) < 0.5] *= -1.0
+        return v
+
+    shapes = [((), ()), ((), (5,)), ((5,), ()), ((rows,), (rows,)), ((rows + 1,), (rows + 1,)),
+              ((1,), (5,)), ((5,), (1,))]
+    kinds = ("random", "basis", "zeros")
+    for sx, sy in shapes:
+        for kx in kinds:
+            for ky in kinds:
+                x, y = operand(kx, *sx), operand(ky, *sy)
+                got, want = mul_arrays(x, y, r), _parent_forms(x, y, r)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (sx, sy, kx, ky)
+
+
+def test_basis_product_refuses_indices_outside_the_level():
+    t = basis_table(3)
+    assert t.product(7, 2) == (1, 5)
+    for a, b in [(-1, 2), (8, 2), (2, -1), (2, 8)]:
+        with pytest.raises(DomainError):
+            t.product(a, b)
+
+
+def test_batch_shapes_that_do_not_broadcast_raise_domain_error():
+    with pytest.raises(DomainError, match="do not broadcast"):
+        mul_arrays(np.ones((2, 4)), np.ones((3, 4)), 2)
+    with pytest.raises(DomainError):
+        mul_arrays(np.float64(1.0), np.ones(4), 2)
