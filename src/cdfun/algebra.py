@@ -73,25 +73,26 @@ class BasisTable:
     def __init__(self, level: AlgebraLevel):
         self.level = level
         d = level.basis_dim
-        sign = np.array([[1]], dtype=np.int64)
+        sign = np.array([[1]], dtype=np.int8)
         for lev in range(1, level.r + 1):
             h = 1 << (lev - 1)
-            eps = np.full(h, -1, dtype=np.int64)
+            eps = np.full(h, -1, dtype=np.int8)
             eps[0] = 1
-            s = np.empty((2 * h, 2 * h), dtype=np.int64)
+            s = np.empty((2 * h, 2 * h), dtype=np.int8)
             s[:h, :h] = sign
             s[:h, h:] = sign.T
             s[h:, :h] = sign * eps[None, :]
             s[h:, h:] = -(sign.T * eps[None, :])
             sign = s
-        ar = np.arange(d)
-        xor = ar[:, None] ^ ar[None, :]
-        self.sign = sign.astype(np.int8)
-        self.index = xor.astype(np.int16)
+        ar = np.arange(d, dtype=np.intp)
+        right = ar[:, None] ^ ar[None, :]
+        self.sign = sign
+        self.index = right.astype(np.int16)
         # The signed gather index that every form of mul_arrays reads:
         # (x y)[c] = sum_a x[a] * [y, -y][right[a, c]], where right[a, c] is
         # a ^ c with bit d set when sign[a, a ^ c] = -1.
-        self.right = (xor + d * (sign[ar[:, None], xor] < 0)).astype(np.intp)
+        right[sign[ar[:, None], right] < 0] += d
+        self.right = right
 
     def product(self, a: int, b: int) -> tuple[int, int]:
         """Return (sign, index) of the basis product e_a * e_b."""
