@@ -1,6 +1,9 @@
 """Contour functionals: indices, residues, Cauchy formulas, coefficients, roots.
 
-Everything here reduces to loop integrals.  Two integration routes are used:
+The per-plane winding numbers of circles, arcs and polylines have closed
+forms: a circle projects to an ellipse in each plane (1, e_s), a polyline to
+a polyline.  Only parametric paths are sampled for them.  Everything else
+here reduces to loop integrals, by two integration routes:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
   phrases in their own right — residues and the residue-theorem sides;
@@ -51,9 +54,9 @@ from .integrate import (
     START_KNOTS,
     Path,
     QuadratureResult,
+    _on_arc,
     _plane_circle,
     _quadrature_knots,
-    _start_knots,
     _unit_imaginary,
     distance_range,
     line_integral,
@@ -115,6 +118,8 @@ class ContourReport:
 
 _WINDING_START = 1024
 _WINDING_CAP = 1 << 18
+_WINDING_TOL = 1e-9
+_FOOT_STEPS = 64  # bisection halvings: a bracket of width pi/2 ends below one ulp
 
 
 def _segment_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -135,37 +140,145 @@ def _segment_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.minimum(dist2.min(axis=0, initial=math.inf), end))
 
 
+def _ellipse_distance(gamma: Path, p: float, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least distance from each point (p, q_k) to the arc phi -> (rho*cos phi,
+    b_k*sin phi), b_k >= 0, phi running over the phases of the circle gamma.
+
+    The candidates are the ellipse's four vertices, the arc's endpoints and
+    the local minima of the distance, each found by bisection on the sign of
+    the distance's derivative.  Reflected into the quadrant p, q >= 0, the
+    foot point nearest the point is the one stationary phase in [0, pi/2],
+    and the only other local minimum lies in [-pi/2, psi*], where
+    psi* = -atan((b*q / (rho*p))^(1/3)) separates the two remaining
+    stationary phases.  Candidates off the arc are dropped.
+    """
+    rho = gamma.radius
+    sx, sy = math.copysign(1.0, p), np.where(q < 0.0, -1.0, 1.0)
+    px, qy = abs(p), np.abs(q)
+    lo = np.stack([np.zeros_like(b), np.full_like(b, -0.5 * math.pi)])
+    hi = np.stack([np.full_like(b, 0.5 * math.pi), -np.arctan2(np.cbrt(b * qy), np.cbrt(rho * px))])
+    for _ in range(_FOOT_STEPS):
+        mid = 0.5 * (lo + hi)
+        c, s = np.cos(mid), np.sin(mid)
+        down = b * c * (b * s - qy) <= rho * s * (rho * c - px)
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    psi = np.concatenate([lo, np.multiply.outer([0.0, 0.5, 1.0, -0.5], np.full_like(b, math.pi))])
+    c, s = np.cos(psi), np.sin(psi)
+    dist = np.hypot(rho * c - px, b * s - qy)
+    dist[~_on_arc(gamma, np.arctan2(sy * s, sx * c))] = math.inf
+    ends = TWO_PI * np.array([[gamma.start], [gamma.start + gamma.turns]])
+    dist_ends = np.hypot(rho * np.cos(ends) - p, b * np.sin(ends) - q)
+    return np.minimum(dist.min(axis=0), dist_ends.min(axis=0))
+
+
+def _circle_winding(a: np.ndarray, gamma: Path) -> tuple:
+    """Per-plane entries and defined-flags of a circle or arc, in closed form.
+
+    Plane s sees the ellipse (rho*cos phi, rho*M_s*sin phi) about the
+    projected centre; with w = a - c, the point sits at sigma = |(w_0/rho,
+    w_s/(rho*M_s))| in the ellipse's own radius.  From inside (sigma < 1) the
+    angle about the point turns monotonically, in the direction
+    sign(M_s)*sign(turns): each whole turn adds one, and the fractional
+    remainder arc adds one more exactly when it sweeps more than pi, that is
+    when the point lies in the segment cut off by the remainder arc's chord.
+    From outside, or off a degenerate segment (M_s = 0), the curve subtends
+    less than pi, so the entry is 0.  A plane is undefined when the exact
+    distance to the projected arc is at most 1e-9 * scale; rho*|M_s|*|sigma - 1|
+    bounds that distance from below, and only planes within the bound take
+    the foot-point solve of _ellipse_distance.
+    """
+    c, m, rho, turns = gamma.center.coeffs, gamma.direction.coeffs, gamma.radius, gamma.turns
+    w = a - c
+    p, ms = float(w[0]), m[1:]
+    b = rho * np.abs(ms)
+    q = np.where(ms < 0.0, -w[1:], w[1:])
+    # the greatest |gamma|: |c + rho*(cos phi + sin phi*M)|^2 is |c|^2 + rho^2
+    # + 2*rho*(c_0*cos phi + <c, M>*sin phi), largest at phi* if the arc passes it
+    c0, cm = float(c[0]), float(np.dot(c, m))
+    if _on_arc(gamma, math.atan2(cm, c0)):
+        lean = math.hypot(c0, cm)
+    else:
+        ends = (TWO_PI * gamma.start, TWO_PI * (gamma.start + turns))
+        lean = max(c0 * math.cos(e) + cm * math.sin(e) for e in ends)
+    far = math.sqrt(max(float(np.dot(c, c)) + rho * rho + 2.0 * rho * lean, 0.0))
+    tau = _WINDING_TOL * (1.0 + float(np.linalg.norm(a)) + far)
+    shadow = np.hypot(b * (p / rho), q)  # rho*|M_s|*sigma
+    defined = np.abs(shadow - b) > tau
+    close = ~defined
+    if close.any():
+        defined[close] = _ellipse_distance(gamma, p, q[close], b[close]) > tau
+    frac, whole = math.modf(abs(turns))
+    sense = math.copysign(1.0, turns)
+    mid = TWO_PI * gamma.start + sense * math.pi * frac
+    inside = shadow < b
+    u, v = p / rho, np.divide(q, b, out=np.zeros_like(b), where=inside)
+    extra = (u * math.cos(mid) + v * math.sin(mid) > math.cos(math.pi * frac)).tolist()
+    return [
+        int(sense * math.copysign(1.0, s)) * (int(whole) + e) if i else 0
+        for s, i, e in zip(ms.tolist(), inside.tolist(), extra)
+    ], defined
+
+
+def _polyline_winding(a: np.ndarray, gamma: Path) -> tuple:
+    """Per-plane entries and defined-flags of a polyline, from its corners:
+    each segment turns the angle about the point by atan2(cross, dot) of its
+    end vectors, and a plane is undefined when a segment passes within
+    1e-9 * scale of the projected point."""
+    pts = gamma._polyline[0]
+    x, y = pts[:, :1] - a[0], pts[:, 1:] - a[1:]
+    scale = 1.0 + float(np.linalg.norm(a)) + float(norm_arrays(pts).max())
+    defined = _segment_distance(x, y) > _WINDING_TOL * scale
+    swept = np.arctan2(x[:-1] * y[1:] - x[1:] * y[:-1], x[:-1] * x[1:] + y[:-1] * y[1:]).sum(axis=0)
+    return [int(k) for k in np.round(swept / TWO_PI)], defined
+
+
+def _sampled_winding(a: np.ndarray, gamma: Path) -> tuple:
+    """Per-plane entries and defined-flags of a parametric path, by sampling.
+
+    All planes are unwrapped at once, as the columns of one (knots, d - 1)
+    angle array, doubling the knots from 1024 until no step turns more than
+    pi/2; StepControlError beyond 2^18 knots.
+    """
+    n = _WINDING_START
+    while True:
+        Z = gamma.sample(_quadrature_knots(gamma, n))
+        scale = 1.0 + float(np.linalg.norm(a)) + float(norm_arrays(Z).max(initial=0.0))
+        x = Z[:, :1] - a[0]
+        Y = Z[:, 1:] - a[1:]
+        defined = _segment_distance(x, Y) > _WINDING_TOL * scale
+        ang = np.unwrap(np.arctan2(Y, x), axis=0)
+        widest = float(np.abs(np.diff(ang, axis=0))[:, defined].max(initial=0.0))
+        if widest < math.pi / 2:
+            return [int(k) for k in np.round((ang[-1] - ang[0]) / TWO_PI)], defined
+        n *= 2
+        if n > _WINDING_CAP:
+            raise StepControlError("projected curve winds faster than the sampling cap resolves")
+
+
 def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     """Planar winding numbers of gamma around a, one per imaginary direction.
 
     Plane s sees the projection (re, coeff_s) of curve and point; its entry
     is the accumulated angle of the projected curve about the projected
-    point, divided by 2*pi.  Projections passing within 1e-9 (relative) of
-    the point are flagged undefined rather than counted.  All planes are
-    unwrapped at once, as the columns of one (knots, d - 1) angle array;
-    circles start from at least 8 knots per turn.
+    point, divided by 2*pi and rounded.  Projections passing within 1e-9 *
+    scale of the point, scale = 1 + |a| + max|gamma|, are flagged undefined
+    rather than counted.  Circles, arcs included, and polylines are done in
+    closed form on (d - 1,) arrays: a circle projects to an ellipse (see
+    _circle_winding), a polyline to the polyline through its projected
+    corners.  Only parametric paths are sampled.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
-    d = a.level.basis_dim
-    n = _start_knots(gamma, _WINDING_START, _WINDING_CAP)
-    while True:
-        knots = _quadrature_knots(gamma, n)
-        Z = gamma.sample(knots)
-        scale = 1.0 + float(a.norm()) + float(norm_arrays(Z).max(initial=0.0))
-        x = Z[:, :1] - a.coeffs[0]
-        Y = Z[:, 1:] - a.coeffs[1:]
-        defined = _segment_distance(x, Y) > 1e-9 * scale
-        ang = np.unwrap(np.arctan2(Y, x), axis=0)
-        widest = float(np.abs(np.diff(ang, axis=0))[:, defined].max(initial=0.0))
-        if widest < math.pi / 2:
-            turns = np.round((ang[-1] - ang[0]) / TWO_PI)
-            per_plane = {s: int(turns[s - 1]) for s in range(1, d) if defined[s - 1]}
-            undefined = frozenset(s for s in range(1, d) if not defined[s - 1])
-            return IndexVector(per_plane, undefined)
-        n *= 2
-        if n > _WINDING_CAP:
-            raise StepControlError("projected curve winds faster than the sampling cap resolves")
+    if gamma.kind == "circle":
+        entries, defined = _circle_winding(a.coeffs, gamma)
+    elif gamma.kind == "polyline":
+        entries, defined = _polyline_winding(a.coeffs, gamma)
+    else:
+        entries, defined = _sampled_winding(a.coeffs, gamma)
+    planes = range(1, a.level.basis_dim)
+    per_plane = {s: n for s, n, ok in zip(planes, entries, defined.tolist()) if ok}
+    undefined = frozenset(s for s, ok in zip(planes, defined.tolist()) if not ok)
+    return IndexVector(per_plane, undefined)
 
 
 def ar_index(a: CDNumber, gamma: Path) -> CDNumber:

@@ -397,6 +397,14 @@ class Partition:
         return Partition(np.linspace(0.0, 1.0, n + 1))
 
 
+def _on_arc(path: Path, phi):
+    """Whether a circle passes through the phases phi (radians, on any branch):
+    measured in the direction of travel from the start phase, phi lies within
+    the angle the circle spans."""
+    ahead = (math.copysign(1.0, path.turns) * (phi - 2.0 * math.pi * path.start)) % (2.0 * math.pi)
+    return ahead <= 2.0 * math.pi * abs(path.turns)
+
+
 def distance_range(point: np.ndarray, path: Path) -> tuple:
     """Least distance from a point (a coefficient array) to the path, and a
     bound on the greatest.
@@ -411,11 +419,8 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
         planar = math.hypot(x, y)
         perp = math.sqrt(max(float(np.dot(w[1:], w[1:])) - y * y, 0.0))
         far = math.hypot(planar + path.radius, perp)
-        # the polar angle of the point's shadow in the plane, measured in the
-        # direction of travel from the start phase, against the angle the arc spans
-        phase = math.atan2(y, x) - 2.0 * math.pi * path.start
-        ahead = (math.copysign(1.0, path.turns) * phase) % (2.0 * math.pi)
-        if ahead <= 2.0 * math.pi * abs(path.turns):
+        # the arc passes the polar angle of the point's shadow in the plane
+        if _on_arc(path, math.atan2(y, x)):
             return math.hypot(planar - path.radius, perp), far
         return float(norm_arrays(path.sample([0.0, 1.0]) - point).min()), far
     if path.kind == "polyline":

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from cdfun.errors import (
     UnsupportedShapeError,
 )
 from cdfun.expressions import eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _offset_knots, _plane_circle
+from cdfun.integrate import Path, _offset_knots, _on_arc, _plane_circle
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -75,8 +76,16 @@ def test_winding_many_turn_circle():
 
 
 def test_winding_refuses_turns_beyond_the_sampling_cap():
+    # a circle's entry is closed form, so 1e7 turns count exactly; a parametric
+    # path still samples, and a chirp winding 1e7 times outruns 2^18 knots
+    e1 = basis_element(2, 1)
+    assert winding_index(zero(2), Path.circle(zero(2), 1.0, e1, 1e7)).per_plane == {1: 10**7}
+
+    def chirp(ts):
+        return _plane_circle(np.zeros(4), e1.coeffs, 1.0, TWO_PI * 1e7 * ts * ts)
+
     with pytest.raises(StepControlError):
-        winding_index(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 1), 1e7))
+        winding_index(zero(2), Path(level=e1.level, kind="parametric", sampler=chirp))
 
 
 def test_winding_non_enclosing_all_zero():
@@ -160,6 +169,150 @@ def test_winding_all_planes_at_once_matches_per_plane_loop(r):
                 break
             n *= 2
         assert got.per_plane == per_plane and got.undefined == undefined
+
+
+def _sampled_reference(a, gamma, n=1024):
+    """The per-plane reference, doubling until no step turns more than pi/2."""
+    while True:
+        per_plane, undefined, widest = _winding_per_plane(a, gamma, n)
+        if widest < math.pi / 2:
+            return per_plane, undefined
+        n *= 2
+
+
+def _direction(r, rng, kind):
+    """A unit imaginary direction: random, a basis unit, or a basis unit
+    tilted by 1e-6 into a second one, whose plane then sees a thin ellipse."""
+    if kind == "random" or r == 1:
+        return random_unit_imaginary(r, rng)
+    s, t = rng.choice(np.arange(1, 1 << r), 2, replace=False)
+    m = np.zeros(1 << r)
+    m[s] = 1.0
+    if kind == "thin":
+        m[t] = float(rng.choice([-1e-6, 1e-6]))
+        m /= np.linalg.norm(m)
+    return CDNumber(r, m)
+
+
+def _winding_case(r, rng, shape, where):
+    """A point and a circle, arc or polyline of level r, the point inside,
+    outside, or 1e-7 from the curve as projected to one plane (near)."""
+    d = 1 << r
+    if shape in ("polyline", "open polyline"):
+        pts = [CDNumber(r, rng.uniform(-1.0, 1.0, d)) for _ in range(int(rng.integers(3, 7)))]
+        gamma = Path.polyline(pts + pts[:1] if shape == "polyline" else pts)
+        a = rng.uniform(-1.2, 1.2, d)
+        if where == "near":
+            corners = gamma._polyline[0]
+            i, s = int(rng.integers(0, len(corners) - 1)), int(rng.integers(1, d))
+            foot = corners[i] + rng.uniform(0.0, 1.0) * (corners[i + 1] - corners[i])
+            dx, dy = corners[i + 1, 0] - corners[i, 0], corners[i + 1, s] - corners[i, s]
+            a[0], a[s] = foot[0] + 1e-7 * dy / math.hypot(dx, dy), foot[s] - 1e-7 * dx / math.hypot(dx, dy)
+        return CDNumber(r, a), gamma
+    m = _direction(r, rng, rng.choice(["random", "basis", "thin"]))
+    center, rho = rng.uniform(-0.5, 0.5, d), float(rng.uniform(0.5, 1.5))
+    circle = Path.circle(CDNumber(r, center), rho, m, float(rng.choice([1, 2, 3, -1, -2])))
+    if shape == "arc":
+        gamma = Path.circle(CDNumber(r, center), rho, m, float(rng.uniform(0.3, 3.7) * rng.choice([-1, 1])))
+    elif shape == "subpath":
+        gamma = circle.subpath(*rng.uniform(0.0, 1.0, 2))
+    elif shape == "reversed":
+        gamma = circle.subpath(0.15, float(rng.uniform(0.3, 0.9))).reversed()
+    else:
+        gamma = circle
+    scale = {"inside": 0.3, "outside": 3.0, "near": 1.0}[where]
+    a = center + rng.uniform(-scale, scale, d) * rho
+    if where == "near":
+        s = int(rng.integers(1, d))
+        phi = TWO_PI * (gamma.start + gamma.turns * rng.uniform(0.0, 1.0))
+        ms = float(m.coeffs[s])
+        normal = np.array([ms * math.cos(phi), math.sin(phi)]) / math.hypot(ms * math.cos(phi), math.sin(phi))
+        off = float(rng.choice([-1e-7, 1e-7])) * normal
+        a[0] = center[0] + rho * math.cos(phi) + off[0]
+        a[s] = center[s] + rho * ms * math.sin(phi) + off[1]
+    return CDNumber(r, a), gamma
+
+
+_SHAPES = ["closed", "arc", "subpath", "reversed", "polyline", "open polyline"]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
+def test_closed_form_winding_matches_the_sampled_reference(r):
+    rng = np.random.default_rng(240 + r)
+    cases = [(shape, where) for shape in _SHAPES for where in ("inside", "outside", "near")]
+    if r == 8:
+        cases = cases[::4]
+    for shape, where in cases:
+        a, gamma = _winding_case(r, rng, shape, where)
+        got = winding_index(a, gamma)
+        if where == "near":
+            # 2^16 knots keep every chord within 2e-8 of the projected curve,
+            # which is convex (or straight), so a point 1e-7 off it lies on the
+            # same side of the chords as of the curve, and no chord turns pi
+            per_plane, undefined, _ = _winding_per_plane(a, gamma, 1 << 16)
+        else:
+            per_plane, undefined = _sampled_reference(a, gamma)
+        assert (got.per_plane, got.undefined) == (per_plane, undefined), (shape, where)
+
+
+def test_winding_undefined_band_uses_the_exact_distance_to_a_thin_ellipse():
+    # plane e2 sees an ellipse of semi-axes 1 and 1e-6; tau is about 3e-9
+    m = CDNumber(2, [0.0, 1.0, 1e-6, 0.0])
+    m = m * (1.0 / m.norm())
+    for start, turns in ((0.0, 1.0), (0.0, -2.0), (0.9, 0.2), (0.2, -0.4)):
+        circle = Path.circle(zero(2), 1.0, m, turns)
+        gamma = replace(circle, start=start)
+        for phi in (0.0, 1e-4, 0.5, math.pi - 2e-4):
+            if not _on_arc(gamma, phi):
+                continue
+            x, y = math.cos(phi), float(m.coeffs[2]) * math.sin(phi)
+            nx, ny = float(m.coeffs[2]) * math.cos(phi), math.sin(phi)
+            for off, undefined in ((1e-9, True), (-1e-9, True), (1e-8, False), (-1e-8, False)):
+                # along the normal; inward near the tip the far side is closer
+                if off < 0 and phi in (0.0, 1e-4):
+                    continue
+                k = off / math.hypot(nx, ny)
+                a = CDNumber(2, [x + k * nx, 0.0, y + k * ny, 0.0])
+                assert (2 in winding_index(a, gamma).undefined) is undefined, (start, turns, phi, off)
+    # -1 lies on every plane's projection of the whole circle, at phase pi,
+    # and a whole radius from that of the quarter arc from phase 0
+    a = from_real(2, -1.0)
+    assert winding_index(a, Path.circle(zero(2), 1.0, m, 1.0)).undefined == frozenset({1, 2, 3})
+    assert winding_index(a, Path.circle(zero(2), 1.0, m, 0.25)).undefined == frozenset()
+
+
+def test_circles_and_polylines_are_wound_without_sampling(monkeypatch):
+    def no_sampling(self, ts):
+        raise AssertionError("the path was sampled")
+
+    monkeypatch.setattr(Path, "sample", no_sampling)
+    m = random_unit_imaginary(3, np.random.default_rng(7))
+    circle = Path.circle(zero(3), 1.0, m, 2.0)
+    square = Path.polyline([_vec(3, e0=s, e1=t) for s, t in [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]])
+    for gamma in (circle, circle.subpath(0.1, 0.7), circle.reversed(), square):
+        winding_index(_vec(3, e0=0.1, e2=0.05), gamma)
+
+
+def test_winding_of_a_circle_of_1e300_turns_is_an_integer():
+    iv = winding_index(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 1), 1e300))
+    assert iv.per_plane == {1: int(1e300)}
+    assert iv.to_json()["e1"] == int(1e300)
+
+
+def test_near_curve_index_at_level_8_stays_in_bounded_memory():
+    # 1e-6 outside the unit (1, e1) circle: sampling this plane would need
+    # millions of knots, and (2^18, 255) arrays ran out of memory
+    a = basis_element(8, 1) * (1.0 + 1e-6)
+    gamma = Path.circle(zero(8), 1.0, basis_element(8, 1), 1.0)
+    tracemalloc.start()
+    try:
+        iv = winding_index(a, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert iv.per_plane == {1: 0}
+    assert iv.undefined == frozenset(range(2, 256))
 
 
 def test_winding_level_mismatch():
