@@ -2,7 +2,9 @@
 
 The per-plane winding numbers of circles, arcs and polylines have closed
 forms: a circle projects to an ellipse in each plane (1, e_s), a polyline to
-a polyline.  Only parametric paths are sampled for them.  Everything else
+a polyline.  So does the algebra-valued index ``ar_index``, through the
+closed forms of ``log_integral``.  Only parametric paths, such as the image
+curve of the argument principle, are sampled for either.  Everything else
 here reduces to loop integrals, by two integration routes:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
@@ -285,7 +287,8 @@ def ar_index(a: CDNumber, gamma: Path) -> CDNumber:
     """The algebra-valued index (2*pi)^(-1) * loop integral of d(Ln(z - a)).
 
     For a circle of ``turns`` n and direction M about a this is n*M; for a
-    loop not enclosing a it vanishes.
+    loop not enclosing a it vanishes.  Circles, arcs and polylines take the
+    closed forms of ``log_integral``, parametric paths its sampled route.
     """
     return log_integral(a, gamma) * (1.0 / TWO_PI)
 

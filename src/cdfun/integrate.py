@@ -43,6 +43,13 @@ tableau diagonals, the extrapolated analogue of |I_2N - I_N|.
 Knots are placed at segment midpoint offsets (k + 1/2)/N plus both
 endpoints, so refinement never parks a sample exactly on a logarithm cut
 or a pole that the path merely grazes.
+
+``log_integral``, the loop integral of d Ln(z - a) behind the index and
+the argument principle, takes no knots on circles, arcs and polylines:
+along a piece in one plane a + span(1, M) Ln is the complex logarithm, and
+elsewhere Im(z - a) never vanishes, so the principal Ln is continuous and
+the integral is its change.  Only parametric paths are sampled for it,
+with the argument continued from knot to knot.
 """
 
 from __future__ import annotations
@@ -405,6 +412,31 @@ def _on_arc(path: Path, phi):
     return ahead <= 2.0 * math.pi * abs(path.turns)
 
 
+def _circle_frame(point: np.ndarray, path: Path) -> tuple:
+    """(x, y, p) with c - point = x + y*M + p, for the centre c and direction
+    M of a circle: p is the part of the imaginary part orthogonal to M, so
+    gamma(phi) - point = (x + rho*cos phi) + (y + rho*sin phi)*M + p."""
+    delta = path.center.coeffs - point
+    m = path.direction.coeffs
+    y = float(delta @ m)
+    p = delta - y * m
+    p[0] = 0.0
+    return float(delta[0]), y, p
+
+
+def _circle_distance(path: Path, x: float, y: float, perp: float) -> tuple:
+    """``distance_range`` of a circle from the frame (x, y, |p|) of
+    ``_circle_frame``: the nearest point lies over the polar angle of the
+    point's shadow in the plane when the arc passes it, else at an end."""
+    rho = path.radius
+    planar = math.hypot(x, y)
+    far = math.hypot(planar + rho, perp)
+    if _on_arc(path, math.atan2(-y, -x)):
+        return math.hypot(planar - rho, perp), far
+    ends = (2.0 * math.pi * path.start, 2.0 * math.pi * (path.start + path.turns))
+    return min(math.hypot(x + rho * math.cos(e), y + rho * math.sin(e), perp) for e in ends), far
+
+
 def distance_range(point: np.ndarray, path: Path) -> tuple:
     """Least distance from a point (a coefficient array) to the path, and a
     bound on the greatest.
@@ -414,15 +446,8 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
     distance.
     """
     if path.kind == "circle":
-        w = point - path.center.coeffs
-        x, y = float(w[0]), float(np.dot(w, path.direction.coeffs))
-        planar = math.hypot(x, y)
-        perp = math.sqrt(max(float(np.dot(w[1:], w[1:])) - y * y, 0.0))
-        far = math.hypot(planar + path.radius, perp)
-        # the arc passes the polar angle of the point's shadow in the plane
-        if _on_arc(path, math.atan2(y, x)):
-            return math.hypot(planar - path.radius, perp), far
-        return float(norm_arrays(path.sample([0.0, 1.0]) - point).min()), far
+        x, y, p = _circle_frame(point, path)
+        return _circle_distance(path, x, y, math.sqrt(float(p @ p)))
     if path.kind == "polyline":
         pts = path._polyline[0] - point
         a, seg = pts[:-1], np.diff(pts, axis=0)
@@ -458,15 +483,6 @@ def _polyline_base_counts(path: Path, start: int) -> np.ndarray:
     counts = 2 * np.maximum(1, np.round(w * start / 2.0).astype(np.int64))
     counts[seg <= 0.0] = 0
     return counts
-
-
-def _start_knots(path: Path, base: int, cap: int) -> int:
-    """base, raised on circles to 8 knots per turn so that no knot step turns
-    the angle by more than pi/4; StepControlError, before any sampling, above cap."""
-    n = max(base, 8 * math.ceil(abs(path.turns))) if path.kind == "circle" else base
-    if n > cap:
-        raise StepControlError(f"a circle of {path.turns:g} turns needs {n} knots, over the cap of {cap}")
-    return n
 
 
 def _quadrature_knots(path: Path, n: int) -> np.ndarray:
@@ -759,38 +775,132 @@ def _branch_prefix(theta: np.ndarray, cosines: np.ndarray) -> tuple:
     return phi, int(bad[0]) + 1 if len(bad) else len(theta)
 
 
-def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
-    """The integral of the logarithmic differential d(Ln(z - center)) along gamma.
+def _check_log_center(a: np.ndarray, near: float, far: float) -> None:
+    """PoleError when the least distance ``near`` from the logarithm centre a
+    to the path is within 1e-13 * (1 + |a| + far), ``far`` bounding the
+    greatest."""
+    if near <= 1e-13 * (1.0 + math.sqrt(float(a @ a)) + far):
+        raise PoleError("path passes through the logarithm center")
 
-    Branch-tracked telescoping: the value is Ln at the endpoint minus Ln at
-    the start, with the argument continued along the path.  For a closed
-    circle of ``turns`` n and direction M about the center this is exactly
-    2*pi*n*M; for a loop that does not enclose the center it is 0.  The
-    result is exact up to rounding once continuation succeeds, so it takes
-    no tolerance.
 
-    The knot batch has 256 knots, and 8 per turn on circles of more turns.
-    One polar split of the whole batch gives rho, theta and the unit
-    imaginary direction mu of every knot.  A numerically real knot has theta
-    in {0, pi}, whose representations (theta + 2*pi*j) * mu are the same set
-    for mu and -mu, so it takes the direction of the last non-real knot
-    before it (one forward fill); real knots ahead of the first non-real one
-    borrow its direction.  The argument at knot k is then phi_k * mu_k with
-    phi_k a plain float, continued by ``_branch_step`` from the cosines
-    <mu_(k-1), mu_k>, all computed in one pass.  ``_branch_prefix`` takes
-    every step of the batch at once, up to the first one it rejects, and
-    the steps from there run one at a time.  A step whose argument moves
-    by pi/2 or more is bisected along the path with the same step rule.
+def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
+    """The integral of d Ln(z - a) along a circle or arc, in closed form.
+
+    With c - a = x + y*M + p (see ``_circle_frame``), gamma(phi) - a has
+    real part x + rho*cos phi and imaginary part (y + rho*sin phi)*M + p.
+    When |p| is within the rounding that the plane rule of
+    ``Path.plane_coordinates`` allows, the circle lies in a + span(1, M),
+    where Ln is the complex logarithm of zeta(phi) = (x + i*y) + rho*e^(i*phi):
+    the value is the change of arg zeta times M plus ln|zeta_1| - ln|zeta_0|.
+    From outside the circle zeta subtends less than pi, so the change is
+    the principal angle from zeta_0 to zeta_1.  From inside, arg zeta turns
+    with phi: each whole turn adds 2*pi, and the remainder arc adds its
+    principal angle, plus 2*pi when it sweeps more than pi, that is when the
+    point lies in the segment cut off by the arc's chord.  Near a sweep of
+    pi, where that test and the principal angle can round apart, the sign
+    of the principal angle decides instead.  Off the plane Im(gamma - a)
+    never vanishes, so the principal Ln is continuous along the circle and
+    the value is its change.  A circle of integer turns is closed, and
+    gamma(0) stands for gamma(1) (see ``Path.endpoints``).
     """
-    if center.level.r != gamma.level.r:
-        raise LevelMismatchError("center level does not match path level")
-    knots = _quadrature_knots(gamma, _start_knots(gamma, 4 * START_KNOTS, MAX_KNOTS))
-    c = center.coeffs
+    x, y, p = _circle_frame(a, gamma)
+    perp = math.sqrt(float(p @ p))
+    _check_log_center(a, *_circle_distance(gamma, x, y, perp))
+    rho, turns, m = gamma.radius, gamma.turns, gamma.direction.coeffs
+    phi0 = _TWO_PI * gamma.start
+    phi1 = phi0 if float(turns).is_integer() else _TWO_PI * (gamma.start + turns)
+    re0, im0 = x + rho * math.cos(phi0), y + rho * math.sin(phi0)
+    re1, im1 = x + rho * math.cos(phi1), y + rho * math.sin(phi1)
+    c = gamma.center.coeffs
+    if perp <= _PLANE_EPS * (math.sqrt(float(c @ c)) + math.sqrt(float(a @ a)) + 1.0):
+        turn = math.atan2(re0 * im1 - im0 * re1, re0 * re1 + im0 * im1)
+        if math.hypot(x, y) < rho:
+            frac, whole = math.modf(abs(turns))
+            sense = math.copysign(1.0, turns)
+            if abs(turn) > 0.5 * math.pi:
+                more = sense * turn < 0.0
+            else:
+                mid = phi0 + sense * math.pi * frac
+                more = -(x * math.cos(mid) + y * math.sin(mid)) > rho * math.cos(math.pi * frac)
+            turn += sense * _TWO_PI * (whole + more)
+            if not math.isfinite(turn):
+                raise DomainError(f"the loop integral of a circle of {turns:g} turns overflows")
+        out = turn * m
+        out[0] = math.log(math.hypot(re1, im1)) - math.log(math.hypot(re0, im0))
+        return out
+    n0, n1 = math.hypot(im0, perp), math.hypot(im1, perp)
+    t0, t1 = math.atan2(n0, re0) / n0, math.atan2(n1, re1) / n1
+    out = (t1 * im1 - t0 * im0) * m + (t1 - t0) * p
+    out[0] = math.log(math.hypot(re1, n1)) - math.log(math.hypot(re0, n0))
+    return out
+
+
+def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
+    """The integral of d Ln(z - a) along a polyline, in closed form.
+
+    The corners W_k = P_k - a have principal polar parts rho_k, theta_k and
+    mu_k.  As on sampled knots, a numerically real corner takes the
+    direction of the last non-real corner before it, real corners ahead of
+    the first non-real one borrow its direction, and a real corner counts
+    as lying in every plane through the real line.  A segment whose
+    non-real ends have imaginary parts along one unit u (by the plane rule
+    of ``Path.plane_coordinates``) lies in a + span(1, u): there the
+    argument, measured along u, turns by atan2(cross, dot) of the ends'
+    complex coordinates.  On any other segment Im(z - a) never vanishes, so
+    the principal Ln is continuous there and the argument turns by
+    theta_(k+1) - theta_k while its direction moves from mu_k to mu_(k+1).
+    The argument phi * direction is carried from segment to segment by
+    ``_branch_step``; a change of plane at a real corner whose argument is
+    not 0 has no continuation and raises StepControlError, where sampling
+    would fail to bisect.
+    """
+    _check_log_center(a, *distance_range(a, gamma))
+    pts = gamma._polyline[0]
+    W = pts - a
+    rho = norm_arrays(W)
+    im = W.copy()
+    im[:, 0] = 0.0
+    y = norm_arrays(im)
+    theta = np.arctan2(y, W[:, 0])
+    mu = im / np.where(y > 0.0, y, 1.0)[:, None]
+    mu[y == 0.0, 1] = 1.0  # the e1 convention of exactly real elements
+    live = ~numerically_real(y, rho)
+    first = int(np.argmax(live))
+    mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(W)), first))]
+    # u: the direction of the non-real end with the larger imaginary part,
+    # or the carried direction on a segment with no non-real end
+    l0, l1 = live[:-1], live[1:]
+    u = np.where((l1 & (~l0 | (y[1:] >= y[:-1])))[:, None], mu[1:], mu[:-1])
+    y0, y1 = np.einsum("ij,ij->i", im[:-1], u), np.einsum("ij,ij->i", im[1:], u)
+    tol = _PLANE_EPS * (norm_arrays(pts) + math.sqrt(float(a @ a)) + 1.0)
+    planar = (~l0 | (norm_arrays(im[:-1] - y0[:, None] * u) <= tol[:-1])) & (
+        ~l1 | (norm_arrays(im[1:] - y1[:, None] * u) <= tol[1:])
+    )
+    re0, re1 = W[:-1, 0], W[1:, 0]
+    start = np.where(planar, np.arctan2(y0, re0), theta[:-1])
+    sweep = np.where(planar, np.arctan2(re0 * y1 - y0 * re1, re0 * re1 + y0 * y1), theta[1:] - theta[:-1])
+    leave = np.where(planar[:, None], u, mu[1:])
+    cosines = np.einsum("ij,ij->i", np.concatenate([mu[:1], leave[:-1]]), np.where(planar[:, None], u, mu[:-1]))
+    phi = float(theta[0])
+    for c, s, t in zip(cosines.tolist(), start.tolist(), sweep.tolist()):
+        phi, gap2 = _branch_step(phi, c, s)
+        if not gap2 < _MAX_GAP2:
+            raise StepControlError(
+                "argument continuation failed: the path changes plane at a real point with a nonzero argument"
+            )
+        phi += t
+    out = phi * leave[-1] - float(theta[0]) * mu[0]
+    out[0] = math.log(rho[-1]) - math.log(rho[0])
+    return out
+
+
+def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
+    """The integral of d Ln(z - c) along a parametric path, by continuing
+    the argument over a 256-knot batch (see ``log_integral``)."""
+    knots = _quadrature_knots(gamma, 4 * START_KNOTS)
     Z = gamma.sample(knots) - c[None, :]
     rho = norm_arrays(Z)
-    scale = 1.0 + float(center.norm()) + float(rho.max(initial=0.0))
-    if float(rho.min(initial=math.inf)) <= 1e-13 * scale:
-        raise PoleError("path passes through the logarithm center")
+    _check_log_center(c, float(rho.min(initial=math.inf)), float(rho.max(initial=0.0)))
 
     def polar(w: np.ndarray, mu_prev: np.ndarray) -> tuple:
         try:
@@ -827,4 +937,42 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
         phi = nxt
     out = phi * mu[-1] - thetas[0] * mu[0]
     out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
+    return out
+
+
+def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
+    """The integral of the logarithmic differential d(Ln(z - center)) along gamma.
+
+    Branch-tracked telescoping: the value is Ln at the endpoint minus Ln at
+    the start, with the argument continued along the path.  For a closed
+    circle of ``turns`` n and direction M about the center this is exactly
+    2*pi*n*M; for a loop that does not enclose the center it is 0.  It
+    takes no tolerance.  A path that passes within 1e-13 * (1 + |center| +
+    (a bound on) max|gamma - center|) of the center raises PoleError.
+
+    Circles, arcs included, and polylines take closed forms on scalars and
+    (d,) arrays (see ``_circle_log`` and ``_polyline_log``), so their cost
+    and memory do not grow with the number of turns, and closed ones give
+    exactly 0 about a point they do not wind around.  Only parametric paths
+    are sampled, on a batch of 256 knots.  One polar split of the whole
+    batch gives rho, theta and the unit imaginary direction mu of every
+    knot.  A numerically real knot has theta in {0, pi}, whose
+    representations (theta + 2*pi*j) * mu are the same set for mu and -mu,
+    so it takes the direction of the last non-real knot before it (one
+    forward fill); real knots ahead of the first non-real one borrow its
+    direction.  The argument at knot k is then phi_k * mu_k with phi_k a
+    plain float, continued by ``_branch_step`` from the cosines
+    <mu_(k-1), mu_k>.  ``_branch_prefix`` takes every step of the batch at
+    once, up to the first one it rejects, and the steps from there run one
+    at a time.  A step whose argument moves by pi/2 or more is bisected
+    along the path with the same step rule.
+    """
+    if center.level.r != gamma.level.r:
+        raise LevelMismatchError("center level does not match path level")
+    if gamma.kind == "circle":
+        out = _circle_log(center.coeffs, gamma)
+    elif gamma.kind == "polyline":
+        out = _polyline_log(center.coeffs, gamma)
+    else:
+        out = _sampled_log(center.coeffs, gamma)
     return CDNumber(gamma.level, out)

@@ -706,14 +706,36 @@ def test_logint_and_index_unit_circle(tmp_path):
     assert rep["winding"]["e1"] == 2
 
 
-def test_logint_beyond_the_knot_cap_is_refused_at_once(tmp_path):
+def test_logint_of_a_circle_of_1e7_turns_is_exact_at_once(tmp_path):
     path = tmp_path / "circle2.json"
     path.write_text(json.dumps(circle_json([0, 0, 0, 0], 1.0, [0, 1, 0, 0], 1e7)))
     start = time.perf_counter()
     code, rep = invoke_json(["logint", "--level", "2", "--path-file", str(path)])
     assert time.perf_counter() - start < 1.0
+    assert code == 0
+    want = np.array([0.0, 2.0 * math.pi * 1e7, 0.0, 0.0])
+    assert np.max(np.abs(np.array(rep["value"]) - want)) <= 1e-12 * want[1]
+
+
+def test_index_about_points_just_off_the_plane_of_a_circle(tmp_path):
+    # Im(gamma - a) never vanishes on the circle once a leaves its plane
+    path = tmp_path / "circle2.json"
+    path.write_text(json.dumps(circle_json([0, 0, 0, 0], 1.0, [0, 1, 0, 0])))
+    for off, want in ((0.0, [0, 1, 0, 0]), (1e-10, [0, 0, 0, 0]), (1e-6, [0, 0, 0, 0]), (1e-3, [0, 0, 0, 0])):
+        point = json.dumps([0.3, 0.1, off, 0.0])
+        code, rep = invoke_json(["index", "--level", "2", "--point", point, "--path-file", str(path)])
+        assert code == 0
+        assert rep["ar_index"] == want, off
+
+
+def test_logint_through_a_point_of_the_circle_is_a_pole(tmp_path):
+    path = tmp_path / "circle2.json"
+    path.write_text(json.dumps(circle_json([0, 0, 0, 0], 1.0, [0, 1, 0, 0])))
+    ang = 2 * math.pi * 0.001  # between any two of 256 uniform knots
+    point = json.dumps([math.cos(ang), math.sin(ang), 0.0, 0.0])
+    code, rep = invoke_json(["logint", "--level", "2", "--point", point, "--path-file", str(path)])
     assert code == 2
-    assert rep["error"]["kind"] == "stepcontrol"
+    assert rep["error"]["kind"] == "pole"
 
 
 def test_residue_command():
