@@ -381,7 +381,7 @@ def test_log_integral_circle_values():
 @pytest.mark.parametrize("turns", [200, 1000, -777])
 def test_log_integral_many_turn_circle(turns):
     # a fixed 256-knot layout aliases here (turns 200 gave -55 * 2 pi e1);
-    # circles get at least 8 knots per turn
+    # circles take the closed form, which counts every turn
     e1 = basis_element(2, 1)
     got = log_integral(zero(2), Path.circle(zero(2), 1.0, e1, turns))
     assert (got - e1 * (2 * math.pi * turns)).norm() <= 1e-9 * abs(turns)
@@ -391,6 +391,14 @@ def test_log_integral_of_a_circle_of_1e7_turns_is_exact():
     e1 = basis_element(2, 1)
     got = log_integral(zero(2), Path.circle(zero(2), 1.0, e1, 1e7))
     assert (got - e1 * (2 * math.pi * 1e7)).norm() <= 1e-12 * (2 * math.pi * 1e7)
+
+
+def test_log_integral_of_a_circle_of_too_many_turns_is_a_domain_error():
+    # 2*pi*1e308 overflows; 1e300 turns still give an exact multiple of e1
+    e1 = basis_element(2, 1)
+    with pytest.raises(DomainError, match="overflows"):
+        log_integral(zero(2), Path.circle(zero(2), 1.0, e1, 1e308))
+    assert np.array_equal(log_integral(zero(2), Path.circle(zero(2), 1.0, e1, 1e300)).coeffs, [0.0, 2 * math.pi * 1e300, 0.0, 0.0])
 
 
 def test_log_integral_non_enclosing_loop_vanishes():
@@ -689,6 +697,21 @@ def test_closed_form_log_integral_matches_the_sampled_route_on_polylines(r):
         assert (got - want).norm() <= _CLOSED_TOL * 4.0, (i, kind)
 
 
+def test_polyline_changing_plane_at_a_negative_real_corner_has_no_continuation():
+    # at -1 the argument is pi*e2 coming in and pi*e3 going out; at +1 it is
+    # 0, and the plane may change freely
+    r = 3
+    e2, e3 = basis_element(r, 2), basis_element(r, 3)
+    for x, fails in ((-1.0, True), (1.0, False)):
+        gamma = Path.polyline([from_real(r, x) + e2, from_real(r, x), from_real(r, x) + e3])
+        for route in (log_integral, _sampled_log_integral):
+            if fails:
+                with pytest.raises(StepControlError):
+                    route(zero(r), gamma)
+            else:
+                assert (route(zero(r), gamma) - (e3 - e2) * (math.pi / 4)).norm() < 1e-12
+
+
 def test_circles_and_polylines_take_the_log_integral_without_sampling(monkeypatch):
     def no_sampling(self, ts):
         raise AssertionError("the path was sampled")
@@ -818,7 +841,8 @@ def test_distance_range_of_polyline_is_exact():
 
 @pytest.mark.parametrize("turns", [200, 1000])
 def test_many_turn_subpath_keeps_eight_knots_per_turn(turns):
-    # 256 knots over 200 turns alias unless the arc keeps 8 knots per turn
+    # 256 knots over 200 turns alias; the arc stays a circle, which takes
+    # the closed form
     e1 = basis_element(2, 1)
     gamma = Path.circle(zero(2), 1.0, e1, turns).subpath(0.0, 1.0)
     assert gamma.kind == "circle"
