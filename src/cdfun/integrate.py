@@ -811,6 +811,7 @@ def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     phi1 = phi0 if float(turns).is_integer() else _TWO_PI * (gamma.start + turns)
     re0, im0 = x + rho * math.cos(phi0), y + rho * math.sin(phi0)
     re1, im1 = x + rho * math.cos(phi1), y + rho * math.sin(phi1)
+    n0, n1 = math.hypot(im0, perp), math.hypot(im1, perp)  # |Im(gamma - a)| at the ends
     c = gamma.center.coeffs
     if perp <= _PLANE_EPS * (math.sqrt(float(c @ c)) + math.sqrt(float(a @ a)) + 1.0):
         turn = math.atan2(re0 * im1 - im0 * re1, re0 * re1 + im0 * im1)
@@ -826,11 +827,9 @@ def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
             if not math.isfinite(turn):
                 raise DomainError(f"the loop integral of a circle of {turns:g} turns overflows")
         out = turn * m
-        out[0] = math.log(math.hypot(re1, im1)) - math.log(math.hypot(re0, im0))
-        return out
-    n0, n1 = math.hypot(im0, perp), math.hypot(im1, perp)
-    t0, t1 = math.atan2(n0, re0) / n0, math.atan2(n1, re1) / n1
-    out = (t1 * im1 - t0 * im0) * m + (t1 - t0) * p
+    else:
+        t0, t1 = math.atan2(n0, re0) / n0, math.atan2(n1, re1) / n1
+        out = (t1 * im1 - t0 * im0) * m + (t1 - t0) * p
     out[0] = math.log(math.hypot(re1, n1)) - math.log(math.hypot(re0, n0))
     return out
 
