@@ -182,10 +182,11 @@ _READERS = {
     "point": _element, "direction": _element, "center": _element, "pole": _element,
     "rho": _positive, "tol": _positive,
     "rho_inner": _float, "rho_outer": _float, "step": _positive, "threshold": _float,
-    "kmin": _int, "kmax": _int, "seed": _int, "order": _int_range(0),
-    # the kernel of coefficient k has the power -k-1, so every count keeps it
-    # inside the exponent range the parser accepts
+    "seed": _int, "order": _int_range(0),
+    # the kernel of coefficient k has the power -k-1, so every count and
+    # coefficient index keeps it inside the exponent range the parser accepts
     "count": _int_range(1, MAX_EXPONENT),
+    "kmin": _int_range(-MAX_EXPONENT - 1, MAX_EXPONENT - 1), "kmax": _int_range(-MAX_EXPONENT - 1, MAX_EXPONENT - 1),
     "max_knots": _int_range(2 * START_KNOTS, MAX_KNOTS),
 }
 

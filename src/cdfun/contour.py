@@ -4,7 +4,8 @@ The per-plane winding numbers of circles, arcs and polylines have closed
 forms: a circle projects to an ellipse in each plane (1, e_s), a polyline to
 a polyline.  So does the algebra-valued index ``ar_index``, through the
 closed forms of ``log_integral``.  Only parametric paths, such as the image
-curve of the argument principle, are sampled for either.  Everything else
+curve of the argument principle, are sampled for either, by the one rule
+of ``integrate._doubled``.  Everything else
 here reduces to loop integrals, by two integration routes:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
@@ -39,7 +40,6 @@ from .errors import (
     NonConvergenceError,
     PoleError,
     SingularElementError,
-    StepControlError,
     UnsupportedShapeError,
 )
 from .expressions import (
@@ -56,9 +56,9 @@ from .integrate import (
     START_KNOTS,
     Path,
     QuadratureResult,
+    _doubled,
     _on_arc,
     _plane_circle,
-    _quadrature_knots,
     _unit_imaginary,
     distance_range,
     line_integral,
@@ -118,9 +118,8 @@ class ContourReport:
 # indices
 # ---------------------------------------------------------------------------
 
-_WINDING_START = 1024
-_WINDING_CAP = 1 << 18
 _WINDING_TOL = 1e-9
+_UNDEFINED_ANGLE = 1e100
 _FOOT_STEPS = 64  # bisection halvings: a bracket of width pi/2 ends below one ulp
 
 
@@ -235,26 +234,21 @@ def _polyline_winding(a: np.ndarray, gamma: Path) -> tuple:
 
 
 def _sampled_winding(a: np.ndarray, gamma: Path) -> tuple:
-    """Per-plane entries and defined-flags of a parametric path, by sampling.
-
-    All planes are unwrapped at once, as the columns of one (knots, d - 1)
-    angle array, doubling the knots from 1024 until no step turns more than
-    pi/2; StepControlError beyond 2^18 knots.
-    """
-    n = _WINDING_START
-    while True:
-        Z = gamma.sample(_quadrature_knots(gamma, n))
-        scale = 1.0 + float(np.linalg.norm(a)) + float(norm_arrays(Z).max(initial=0.0))
-        x = Z[:, :1] - a[0]
-        Y = Z[:, 1:] - a[1:]
+    """Per-plane entries and defined-flags of a parametric path, all planes
+    unwrapped at once as the columns of one (knots, d - 1) angle array by
+    ``_doubled``; an undefined plane holds _UNDEFINED_ANGLE, past any
+    continued angle, so it agrees only with a plane undefined there too."""
+    def continued(Z: np.ndarray):
+        scale = 1.0 + float(np.linalg.norm(a)) + float(norm_arrays(Z).max())
+        x, Y = Z[:, :1] - a[0], Z[:, 1:] - a[1:]
         defined = _segment_distance(x, Y) > _WINDING_TOL * scale
         ang = np.unwrap(np.arctan2(Y, x), axis=0)
-        widest = float(np.abs(np.diff(ang, axis=0))[:, defined].max(initial=0.0))
-        if widest < math.pi / 2:
-            return [int(k) for k in np.round((ang[-1] - ang[0]) / TWO_PI)], defined
-        n *= 2
-        if n > _WINDING_CAP:
-            raise StepControlError("projected curve winds faster than the sampling cap resolves")
+        ang[:, ~defined] = _UNDEFINED_ANGLE
+        if not np.abs(np.diff(ang, axis=0)).max(initial=0.0) < math.pi / 2:
+            return None
+        return ang, ([int(k) for k in np.round((ang[-1] - ang[0]) / TWO_PI)], defined)
+
+    return _doubled(gamma, continued)
 
 
 def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
@@ -267,7 +261,8 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     rather than counted.  Circles, arcs included, and polylines are done in
     closed form on (d - 1,) arrays: a circle projects to an ellipse (see
     _circle_winding), a polyline to the polyline through its projected
-    corners.  Only parametric paths are sampled.
+    corners.  Only parametric paths are sampled, by ``integrate._doubled``,
+    which cannot detect a path that aliases alike on two knot layouts.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
@@ -674,14 +669,25 @@ def argument_principle(
 ) -> ContourReport:
     """Index of f∘gamma about 0 versus the index-weighted divisor of f.
 
-    The left side tracks the image curve t -> f(gamma(t)); the right side
-    sums order * index(a, gamma) over the supplied zeros (a, order).
+    The left side tracks the image curve t -> f(gamma(t)), which
+    ``log_integral`` samples; the right side sums order * index(a, gamma)
+    over the supplied zeros (a, order).  The image of a circle of integer
+    turns n != 0 repeats every turn, so its left side is |n| times that of
+    one turn with the same sign and start: exact for closed loops, while a
+    many-turn image sampled whole aliases (see ``integrate._doubled``).
+    Arcs, whose branch offsets do not cancel, and polylines take the whole
+    image.
     """
     if f.level.r != gamma.level.r:
         raise LevelMismatchError("phrase and path must share a level")
     r = f.level.r
-    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
-    lhs = ar_index(zero(f.level), image)
+    whole = gamma.kind == "circle" and float(gamma.turns).is_integer() and gamma.turns != 0.0
+    loop = gamma
+    if whole:
+        loop = Path(level=gamma.level, kind="circle", center=gamma.center, radius=gamma.radius,
+                    direction=gamma.direction, turns=math.copysign(1.0, gamma.turns), start=gamma.start)
+    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r))
+    lhs = ar_index(zero(f.level), image) * (abs(gamma.turns) if whole else 1.0)
     rhs = zero(f.level)
     for a, order in zeros:
         if a.level.r != r:

@@ -793,6 +793,27 @@ def test_laurent_command():
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
+@pytest.mark.parametrize("kmin,kmax", [("0", "1000000000"), ("-1000000000", "0"), ("-62", "0"), ("0", "60")])
+def test_laurent_indices_beyond_the_exponent_range_are_usage_errors(kmin, kmax):
+    # the kernel of coefficient k has the power -k-1; --kmax 1000000000 used
+    # to build a billion-entry coefficient range and end in MemoryError
+    start = time.perf_counter()
+    code, rep = invoke_json(["laurent", "--level", "2", "--expr", "z^-1", "--center", "[0, 0, 0, 0]",
+                             "--kmin", kmin, "--kmax", kmax])
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_laurent_indices_at_the_exponent_range_ends_run():
+    # a thin annulus keeps rho^(k+1) near 1 for every k
+    code, rep = invoke_json(["laurent", "--level", "2", "--expr", "z^-1", "--center", "[0, 0, 0, 0]",
+                             "--kmin", "-61", "--kmax", "59", "--rho-inner", "0.9", "--rho-outer", "1.1"])
+    assert code == 0
+    got = np.array(rep["coefficients"])
+    assert rep["k_min"] == -61 and got.shape == (121, 4)
+    assert abs(got[60, 0] - 1.0) <= 1e-6  # the k = -1 coefficient
+
+
 def test_restheorem_command_via_job(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({

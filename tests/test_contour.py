@@ -13,6 +13,7 @@ from cdfun.algebra import (
     from_real,
     mul,
     mul_arrays,
+    random_element,
     random_unit_imaginary,
     zero,
 )
@@ -42,8 +43,8 @@ from cdfun.errors import (
     StepControlError,
     UnsupportedShapeError,
 )
-from cdfun.expressions import eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _offset_knots, _on_arc, _plane_circle
+from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, eval_node_arrays, evaluate, parse
+from cdfun.integrate import Path, _offset_knots, _on_arc, _plane_circle, log_integral
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -86,6 +87,45 @@ def test_winding_refuses_turns_beyond_the_sampling_cap():
 
     with pytest.raises(StepControlError):
         winding_index(zero(2), Path(level=e1.level, kind="parametric", sampler=chirp))
+    # as a parametric path the circle puts all 128 knots of the first layout
+    # on one point, and no later pair of layouts both steps below pi/2
+    circle = Path.circle(zero(2), 1.0, e1, 1e7)
+    with pytest.raises(StepControlError):
+        winding_index(zero(2), Path(level=e1.level, kind="parametric", sampler=circle.sample))
+
+
+_CAPPED_AT_LEVEL_8 = """
+import math, resource
+import numpy as np
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cdfun.algebra import basis_element, zero
+from cdfun.contour import winding_index
+from cdfun.errors import StepControlError
+from cdfun.integrate import Path, _plane_circle, log_integral
+e1 = basis_element(8, 1)
+chirp = Path(level=e1.level, kind="parametric",
+             sampler=lambda ts: _plane_circle(np.zeros(256), e1.coeffs, 1.0, 2 * math.pi * 1e7 * ts * ts))
+for route in (log_integral, winding_index):
+    try:
+        route(zero(8), chirp)
+    except StepControlError:
+        print(route.__name__, "capped")
+"""
+
+
+def test_parametric_path_at_level_8_runs_to_the_cap_in_bounded_memory():
+    # a chirp winding 1e7 times doubles to the largest layout of (knots, 256)
+    # arrays, which must fit with everything else in 1 GiB of address space
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(contour.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _CAPPED_AT_LEVEL_8], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n") == ["log_integral capped", "winding_index capped", ""]
 
 
 def test_winding_non_enclosing_all_zero():
@@ -843,7 +883,10 @@ def test_sum_residues_quadratic_decay_no_finite_residue():
 @pytest.mark.parametrize(
     "n,turns",
     # single-turn cases keep the plain id of the exponent
-    [pytest.param(n, t, id=str(n) if t == 1 else f"{n}-turns{t}") for t in (1, 2, 3) for n in (1, 2, 3)],
+    [pytest.param(n, t, id=str(n) if t == 1 else f"{n}-turns{t}") for t in (1, 2, 3) for n in (1, 2, 3)]
+    # sampled whole, the images of 100, 1e3 and 1e4 turns of z^3 read 45, -72
+    # and 37 turns, not 300, 3000 and 30000
+    + [pytest.param(3, t, id=f"3-turns{t}") for t in (100, 1000, 10000)],
 )
 def test_argument_principle_powers(n, turns):
     rng = np.random.default_rng(40 + n)
@@ -852,6 +895,45 @@ def test_argument_principle_powers(n, turns):
     rep = argument_principle(parse(f"z^{n}", 3), g, [(zero(3), n)])
     assert rep.diff <= 1e-6
     assert (rep.lhs - m * float(n * turns)).norm() <= 1e-6
+
+
+def _off_plane(r, m, size, rng):
+    """An imaginary element of norm size orthogonal to m."""
+    v = rng.standard_normal(1 << r)
+    v[0] = 0.0
+    v -= np.dot(v, m.coeffs) * m.coeffs
+    return CDNumber(r, v * (size / np.linalg.norm(v)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_argument_principle_over_whole_turns_matches_the_whole_image(r):
+    # (z - a)*(z - b) with zeros inside and outside the circle, in its plane
+    # or off it: the left side, |n| times the image of one turn, equals the
+    # image of all n turns sampled at once
+    rng = np.random.default_rng(870 + r)
+    wound = 0
+    for i in range(30):
+        m = random_unit_imaginary(r, rng)
+        c = random_element(r, rng)
+        rho = float(rng.uniform(0.5, 1.5))
+        zeros = []
+        for _ in range(2):
+            ang = float(rng.uniform(0.0, TWO_PI))
+            dist = rho * float(rng.uniform(0.0, 0.9) if rng.random() < 0.7 else rng.uniform(1.1, 2.0))
+            a = c + from_real(r, dist * math.cos(ang)) + m * (dist * math.sin(ang))
+            if rng.random() < 0.4:
+                a = a + _off_plane(r, m, rho * float(rng.uniform(0.02, 0.5)), rng)
+            zeros.append(Sub(VarPow(False, 1), Const(a.coeffs)))
+        f = Phrase(zero(r).level, Mul(*zeros))
+        turns = float(rng.choice([2.0, 3.0, -2.0]))
+        gamma = replace(Path.circle(c, rho, m, turns), start=float(rng.uniform(0.0, 1.0)))
+        image = Path(level=gamma.level, kind="parametric",
+                     sampler=lambda ts, g=gamma: eval_node_arrays(f.root, g.sample(ts), r))
+        whole = log_integral(zero(r), image) * (1.0 / TWO_PI)
+        lhs = argument_principle(f, gamma, []).lhs
+        assert (lhs - whole).norm() <= 1e-12 * abs(turns), i
+        wound += lhs.norm() > 0.5
+    assert wound >= 10
 
 
 def test_argument_principle_two_simple_zeros():

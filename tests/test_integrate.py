@@ -524,22 +524,16 @@ def test_batched_log_integral_matches_per_knot_reference_on_polylines(r):
                 assert (got - want).norm() <= _BATCH_TOL * 2, (half, where)
 
 
-def test_hundred_turn_circle_takes_the_bisection_path():
+@pytest.mark.parametrize("turns", [100, 200])
+def test_many_turn_parametric_circle_gives_its_turns(turns):
+    # 100 turns step by -0.22 turns on 128 knots but by 0.39 on 256, past
+    # pi/2, so the doubling goes on until 512 and 1024 knots agree; 200
+    # turns, until 1024 and 2048 do
     m = basis_element(3, 5)
-    circle = Path.circle(zero(3), 1.0, m, 100)
-    singles = []
-
-    def sample(ts):
-        ts = np.asarray(ts, dtype=np.float64)
-        if ts.size == 1:
-            singles.append(float(ts[0]))
-        return circle.sample(ts)
-
-    gamma = Path(level=circle.level, kind="parametric", sampler=sample)
-    got = log_integral(zero(3), gamma)
-    assert singles, "256 knots over 100 turns must bisect"
-    assert (got - m * (200 * math.pi)).norm() < 1e-9
-    assert (got - _log_integral_per_knot(zero(3), circle)).norm() <= _BATCH_TOL * 101
+    circle = Path.circle(zero(3), 1.0, m, turns)
+    got = log_integral(zero(3), Path(level=circle.level, kind="parametric", sampler=circle.sample))
+    assert (got - m * (2 * math.pi * turns)).norm() < 1e-9
+    assert (got - log_integral(zero(3), circle)).norm() <= _BATCH_TOL * (1 + turns)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -554,31 +548,30 @@ def test_vectorised_continuation_matches_sequential_branch_steps(r, monkeypatch)
 
     def spy(theta, cosines):
         phi, first = fast(theta, cosines)
-        firsts.append((first, len(theta)))
+        firsts[-1].append((first, len(theta)))
         return phi, first
 
     def sequential(theta, cosines):
-        return theta[:1], 1
+        return theta.copy(), 1
 
     circle100 = Path.circle(zero(r), 1.0, m, 100)
-    bisecting = Path(level=circle100.level, kind="parametric", sampler=circle100.sample)
+    hundred = Path(level=circle100.level, kind="parametric", sampler=circle100.sample)
     # circles and polylines take closed forms, so the circles go in as
-    # parametric paths, at turns that 256 knots resolve
+    # parametric paths
     circles = [(p + off, Path.circle(p, 2.0, m, turns)) for off in _offsets(r, m, rng).values() for turns in (-1, 3)]
     circles += [(p, Path.circle(p, 2.0, m, turns)) for turns in (-1, 3)]
     cases = [(a, Path(level=g.level, kind="parametric", sampler=g.sample)) for a, g in circles]
-    cases.append((zero(r), bisecting))
+    cases.append((zero(r), hundred))
     for a, gamma in cases:
+        firsts.append([])
         monkeypatch.setattr(integrate, "_branch_prefix", spy)
         got = log_integral(a, gamma)
         monkeypatch.setattr(integrate, "_branch_prefix", sequential)
         want = log_integral(a, gamma)
         assert np.array_equal(got.coeffs, want.coeffs)
     assert len(firsts) == len(cases)
-    # the circles about their own centre run whole; the bisecting path
-    # falls back at an early knot
-    assert all(first == n for first, n in firsts[-3:-1])
-    assert firsts[-1][0] < firsts[-1][1]
+    # the circles about their own centre run whole on every layout
+    assert all(first == n for layouts in firsts[-3:-1] for first, n in layouts)
     assert (want - m * (200 * math.pi)).norm() < 1e-9
 
 
@@ -716,15 +709,25 @@ def test_circles_and_polylines_take_the_log_integral_without_sampling(monkeypatc
     def no_sampling(self, ts):
         raise AssertionError("the path was sampled")
 
-    monkeypatch.setattr(Path, "sample", no_sampling)
+    cases = []
     for r in range(1, 9):
         e1 = basis_element(r, 1)
         circle = Path.circle(zero(r), 1.0, e1, 3.0)
         square = Path.polyline([from_real(r, x) + e1 * y for x, y in _SQUARE + _SQUARE[:1]])
-        # the arc from phase 0.1 to 0.3 turns is nearest the point at its end
-        for gamma in (circle, circle.subpath(0.1, 0.3), circle.reversed(), square):
-            for a in (from_real(r, 0.3), from_real(r, -3.0), e1 * 0.5 + from_real(r, 0.2)):
-                log_integral(a, gamma)
+        # the arc from phase 0.1 to 0.3 turns is nearest the point at its end;
+        # a polyline's subpaths, either way along it, are polylines again
+        points = (from_real(r, 0.3), from_real(r, -3.0), e1 * 0.5 + from_real(r, 0.2))
+        cases += [(a, gamma, None) for gamma in (circle, circle.subpath(0.1, 0.3), circle.reversed(), square)
+                  for a in points]
+        for t0, t1 in ((0.1, 0.6), (0.95, 0.3)):
+            cut = square.subpath(t0, t1)
+            assert cut.kind == "polyline"
+            # the same points on the sampled route, taken before sampling is refused
+            cases += [(a, cut, log_integral(a, square._reparametrized(t0, t1))) for a in points]
+    monkeypatch.setattr(Path, "sample", no_sampling)
+    for a, gamma, want in cases:
+        got = log_integral(a, gamma)
+        assert want is None or (got - want).norm() <= _CLOSED_TOL
 
 
 def test_many_turn_log_integral_at_level_8_is_exact_in_bounded_memory():
