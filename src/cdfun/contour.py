@@ -238,17 +238,21 @@ def _sampled_winding(a: np.ndarray, gamma: Path) -> tuple:
     unwrapped at once as the columns of one (knots, d - 1) angle array by
     ``_doubled``; an undefined plane holds _UNDEFINED_ANGLE, past any
     continued angle, so it agrees only with a plane undefined there too."""
-    def continued(Z: np.ndarray):
-        scale = 1.0 + float(np.linalg.norm(a)) + float(norm_arrays(Z).max())
+    def parts(Z: np.ndarray) -> tuple:
         x, Y = Z[:, :1] - a[0], Z[:, 1:] - a[1:]
+        return x, Y, np.arctan2(Y, x), norm_arrays(Z)
+
+    def continued(x, Y, ang, size):
+        scale = 1.0 + float(np.linalg.norm(a)) + float(size.max())
         defined = _segment_distance(x, Y) > _WINDING_TOL * scale
-        ang = np.unwrap(np.arctan2(Y, x), axis=0)
+        ang = np.unwrap(ang, axis=0)
         ang[:, ~defined] = _UNDEFINED_ANGLE
-        if not np.abs(np.diff(ang, axis=0)).max(initial=0.0) < math.pi / 2:
-            return None
+        fast = np.flatnonzero(~(np.abs(np.diff(ang, axis=0)) < math.pi / 2).all(axis=1))
+        if len(fast):
+            return fast
         return ang, ([int(k) for k in np.round((ang[-1] - ang[0]) / TWO_PI)], defined)
 
-    return _doubled(gamma, continued)
+    return _doubled(gamma, parts, continued)
 
 
 def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
@@ -671,23 +675,38 @@ def argument_principle(
 
     The left side tracks the image curve t -> f(gamma(t)), which
     ``log_integral`` samples; the right side sums order * index(a, gamma)
-    over the supplied zeros (a, order).  The image of a circle of integer
-    turns n != 0 repeats every turn, so its left side is |n| times that of
-    one turn with the same sign and start: exact for closed loops, while a
-    many-turn image sampled whole aliases (see ``integrate._doubled``).
-    Arcs, whose branch offsets do not cancel, and polylines take the whole
-    image.
+    over the supplied zeros (a, order).  On a circle of integer turns n,
+    |n| > 2, the image repeats every turn.  Each crossing of the real line
+    reverses the direction in which the argument is continued, so one turn
+    maps the winding count m at the start to s*m + k, with s = +-1 and k
+    the index of one turn, and two turns map it to m + (1 + s)*k.  The left
+    side is therefore |n|/2 times the index of two turns with the same sign
+    and start, unless those cancel (s = -1, or k = 0) and n is odd, when it
+    is the index of one turn.  This is exact for closed loops whose image
+    does not start on the real line, while a many-turn image sampled whole
+    aliases (see ``integrate._doubled``).  Arcs, whose branch offsets do not
+    cancel, and polylines take the whole image.
     """
     if f.level.r != gamma.level.r:
         raise LevelMismatchError("phrase and path must share a level")
     r = f.level.r
-    whole = gamma.kind == "circle" and float(gamma.turns).is_integer() and gamma.turns != 0.0
-    loop = gamma
-    if whole:
-        loop = Path(level=gamma.level, kind="circle", center=gamma.center, radius=gamma.radius,
-                    direction=gamma.direction, turns=math.copysign(1.0, gamma.turns), start=gamma.start)
-    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r))
-    lhs = ar_index(zero(f.level), image) * (abs(gamma.turns) if whole else 1.0)
+
+    def image_index(loop: Path) -> CDNumber:
+        return ar_index(zero(f.level), Path(level=loop.level, kind="parametric",
+                                            sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r)))
+
+    def turns(n: float) -> Path:
+        return Path(level=gamma.level, kind="circle", center=gamma.center, radius=gamma.radius,
+                    direction=gamma.direction, turns=math.copysign(n, gamma.turns), start=gamma.start)
+
+    if gamma.kind == "circle" and float(gamma.turns).is_integer() and abs(gamma.turns) > 2.0:
+        lhs = image_index(turns(2.0))
+        if lhs.norm() < 0.5 and abs(gamma.turns) % 2.0:
+            lhs = image_index(turns(1.0))
+        else:
+            lhs = lhs * (0.5 * abs(gamma.turns))
+    else:
+        lhs = image_index(gamma)
     rhs = zero(f.level)
     for a, order in zeros:
         if a.level.r != r:

@@ -50,8 +50,10 @@ along a piece in one plane a + span(1, M) Ln is the complex logarithm, and
 elsewhere Im(z - a) never vanishes, so the principal Ln is continuous and
 the integral is its change.  Only parametric paths are sampled for it,
 with the argument continued from knot to knot by ``_doubled``, the one
-sampling rule of this package's parametric paths.  It cannot detect a path
-that aliases alike on two knot layouts.
+sampling rule of this package's parametric paths: nested layouts, doubled
+until two agree, with a step that turns too far halved in place, as where
+the path passes close to the centre.  It cannot detect a path that aliases
+alike on two knot layouts.
 """
 
 from __future__ import annotations
@@ -465,7 +467,7 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
         t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
         near = norm_arrays(a + t[:, None] * seg)
         return float(near.min()), float(norm_arrays(pts).max())
-    rho = norm_arrays(_layout(path, 4096) - point)
+    rho = norm_arrays(path.sample(_layout(4096)) - point)
     return float(rho.min()), float(rho.max())
 
 
@@ -750,32 +752,49 @@ _MAX_GAP2 = (math.pi / 2) ** 2
 _TWO_PI = 2.0 * math.pi
 
 
-def _layout(gamma: Path, n: int) -> np.ndarray:
-    """gamma at the n + 1 knots np.linspace(0, 1, n + 1), as (n + 1, d)."""
-    return gamma.sample(np.linspace(0.0, 1.0, n + 1))
+def _layout(n: int) -> np.ndarray:
+    """The n + 1 knots np.linspace(0, 1, n + 1) of the n-knot layout."""
+    return np.linspace(0.0, 1.0, n + 1)
 
 
-def _doubled(gamma: Path, continued: Callable[[np.ndarray], Optional[tuple]]):
-    """An angle continuation along a path, by doubling nested knot layouts.
+def _doubled(gamma: Path, parts: Callable, continued: Callable):
+    """An angle continuation along a path, by halving the steps of nested
+    knot layouts.
 
-    ``continued(Z)`` gives None when a step over the points Z turns pi/2 or
-    more, else (args, value), one row of args per knot.  From _FIRST_LAYOUT
-    knots, n is accepted when the n- and 2n-knot continuations both step,
-    and differ at shared knots, by less than pi/2; the 2n value is returned.
-    Past _MAX_LAYOUT knots or _LAYOUT_ELEMENTS elements, StepControlError.
-    Aliasing alike on both layouts passes unseen: a parametric circle of
-    1000 turns steps 8 - 3/16 turns per knot of 128, and reads -24.
+    ``parts(Z)`` splits the points Z into arrays with one row per knot, and
+    ``continued(*parts)`` gives (args, value), one row of args per knot, or
+    the indices k of the steps, from knot k to k + 1, that turn pi/2 or
+    more.  Those steps are halved, and only their midpoints sampled, while
+    they are at most an eighth of the steps, as where the path passes
+    close to the centre; otherwise every step is halved and no earlier
+    layout is compared.  A continued layout is compared at its knots with
+    the one that halves each of its steps: when the two differ by less
+    than pi/2 at every such knot, the finer one's value is returned, else
+    every step is halved again.  The first pair is _FIRST_LAYOUT against
+    2 * _FIRST_LAYOUT knots, sampled and split once.  Past
+    _MAX_LAYOUT knots, or _LAYOUT_ELEMENTS elements, or at a step one ulp
+    wide, StepControlError.  Aliasing alike on both layouts passes unseen:
+    a parametric circle of 1000 turns steps 8 - 3/16 turns per knot of 128,
+    and reads -24.
     """
     cap = min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // gamma.level.basis_dim)
-    n, prev = _FIRST_LAYOUT, None
-    while 2 * n <= cap:
-        Z = _layout(gamma, 2 * n)
-        prev = continued(Z[::2]) if n == _FIRST_LAYOUT else prev
-        cur = continued(Z)
-        if prev is not None and cur is not None and np.all(norm_arrays(prev[0] - cur[0][::2]) < 0.5 * math.pi):
-            return cur[1]
-        n, prev = 2 * n, cur
-    raise StepControlError(f"the path winds faster than {cap} knots resolve")
+    t = _layout(2 * _FIRST_LAYOUT)
+    P = parts(gamma.sample(t))
+    prev = continued(*[p[::2] for p in P])
+    prev = (t[::2], prev[0]) if isinstance(prev, tuple) else None
+    while True:
+        out = continued(*P)
+        if isinstance(out, tuple):
+            if prev is not None and np.all(norm_arrays(out[0][np.searchsorted(t, prev[0])] - prev[1]) < 0.5 * math.pi):
+                return out[1]
+            prev, out = (t, out[0]), np.arange(len(t) - 1)
+        elif len(out) > len(t) // 8:
+            prev, out = None, np.arange(len(t) - 1)
+        mid = 0.5 * (t[out] + t[out + 1])
+        if len(t) + len(out) > cap + 1 or np.any((mid <= t[out]) | (mid >= t[out + 1])):
+            raise StepControlError(f"the path winds faster than {cap} knots resolve")
+        t = np.insert(t, out + 1, mid)
+        P = [np.insert(p, out + 1, q, axis=0) for p, q in zip(P, parts(gamma.sample(mid)))]
 
 
 # ---------------------------------------------------------------------------
@@ -941,25 +960,28 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
 def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
     """The integral of d Ln(z - c) along a parametric path: the argument
     continuation of ``log_integral`` over the layouts of ``_doubled``."""
-    def continued(Z: np.ndarray) -> Optional[tuple]:
+    def parts(Z: np.ndarray) -> tuple:
         v, y, mu = _split_parts(Z - c)
-        rho = np.hypot(v, y)
+        return np.hypot(v, y), np.arctan2(y, v), y, mu
+
+    def continued(rho, theta, y, mu):
         _check_log_center(c, float(rho.min()), float(rho.max()))
-        theta = np.arctan2(y, v)
         live = ~numerically_real(y, rho)
-        first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
-        mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(Z)), first))]
+        if not live.all():
+            first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
+            mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(mu)), first))]
         cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:])
         phi, done = _branch_prefix(theta, cosines)
         for k in range(done, len(phi)):
             phi[k], gap2 = _branch_step(float(phi[k - 1]), float(cosines[k - 1]), float(theta[k]))
-            if not gap2 < _MAX_GAP2:
-                return None
+            if not gap2 < _MAX_GAP2:  # with the candidate steps past k that fail too
+                gaps = phi[1:] * phi[1:] + phi[:-1] * phi[:-1] - 2.0 * phi[1:] * phi[:-1] * cosines
+                return np.union1d(np.flatnonzero(~(gaps < _MAX_GAP2)), k - 1)
         out = phi[-1] * mu[-1] - theta[0] * mu[0]
         out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
         return phi[:, None] * mu, out
 
-    return _doubled(gamma, continued)
+    return _doubled(gamma, parts, continued)
 
 
 def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
@@ -987,8 +1009,9 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     plain float, continued by ``_branch_step`` from the cosines
     <mu_(k-1), mu_k>.  ``_branch_prefix`` takes every step of the layout at
     once, up to the first one it rejects, and the steps from there run one
-    at a time; a step whose argument moves by pi/2 or more rejects the
-    layout.
+    at a time.  A step whose argument moves by pi/2 or more is halved
+    along the path, with the candidate steps after it that also do, and the
+    layout is continued again (see ``_doubled``).
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")

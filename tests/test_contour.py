@@ -908,8 +908,8 @@ def _off_plane(r, m, size, rng):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_argument_principle_over_whole_turns_matches_the_whole_image(r):
     # (z - a)*(z - b) with zeros inside and outside the circle, in its plane
-    # or off it: the left side, |n| times the image of one turn, equals the
-    # image of all n turns sampled at once
+    # or off it: the left side, taken over two turns (and one, when two
+    # cancel), equals the image of all n turns sampled at once
     rng = np.random.default_rng(870 + r)
     wound = 0
     for i in range(30):
@@ -934,6 +934,51 @@ def test_argument_principle_over_whole_turns_matches_the_whole_image(r):
         assert (lhs - whole).norm() <= 1e-12 * abs(turns), i
         wound += lhs.norm() > 0.5
     assert wound >= 10
+
+
+@pytest.mark.parametrize("turns,index", [(1, -1), (2, 0), (3, -1), (4, 0), (5, -1), (-1, -1), (-2, 0), (-3, -1)])
+def test_argument_principle_over_whole_turns_through_the_real_line(turns, index):
+    # the image -1 + (1 + cos t)*e2 + sin t*e3 meets the real line once a
+    # turn, at -1, and each crossing reverses the continued direction of the
+    # argument, so one turn maps the count m to -m - 1 either way round: the
+    # index alternates between -e2 and 0, where |n| times the image of one
+    # turn gave n*(-e2)
+    r = 2
+    f = parse("z*e2+e2-1", r)
+    gamma = Path.circle(zero(r), 1.0, basis_element(r, 1), float(turns))
+    lhs = argument_principle(f, gamma, []).lhs
+    assert (lhs - basis_element(r, 2) * float(index)).norm() <= 1e-12
+    if abs(turns) <= 3:
+        image = Path(level=gamma.level, kind="parametric",
+                     sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
+        assert (lhs - log_integral(zero(r), image) * (1.0 / TWO_PI)).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("r,gap", [(2, 1e-5), (2, 1e-9), (2, 1e-12), (8, 4e-4), (8, 1e-7)])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_argument_principle_with_a_zero_next_to_the_circle(r, gap, side):
+    # the image of z - a passes within gap of 0, between two knots of every
+    # layout up to the cap (2^18 knots at r = 2, 16384 at r = 8); halving
+    # the steps that turn pi/2 or more resolves it
+    e1 = basis_element(r, 1)
+    ang = 0.7371
+    a = from_real(r, (1.0 + side * gap) * math.cos(ang)) + e1 * ((1.0 + side * gap) * math.sin(ang))
+    f = Phrase(zero(r).level, Sub(VarPow(False, 1), Const(a.coeffs)))
+    rep = argument_principle(f, Path.circle(zero(r), 1.0, e1, 1.0), [(a, 1)])
+    want = e1 if side < 0.0 else zero(r)
+    assert (rep.lhs - want).norm() <= 1e-9 and (rep.rhs - want).norm() <= 1e-9
+
+
+@pytest.mark.parametrize("r,gap", [(2, 1e-5), (8, 1e-7)])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_parametric_winding_about_a_point_next_to_the_path(r, gap, side):
+    # uniform layouts up to the cap leave the point between two knots; the
+    # halved steps count it, inside or outside
+    e1 = basis_element(r, 1)
+    circle = Path.circle(zero(r), 1.0, e1, 1.0)
+    a = from_real(r, (1.0 + side * gap) * math.cos(0.7371)) + e1 * ((1.0 + side * gap) * math.sin(0.7371))
+    iv = winding_index(a, Path(level=e1.level, kind="parametric", sampler=circle.sample))
+    assert iv.per_plane == {1: int(side < 0.0)}
 
 
 def test_argument_principle_two_simple_zeros():
