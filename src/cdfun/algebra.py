@@ -50,10 +50,15 @@ class AlgebraLevel:
 
 
 def as_level(level) -> AlgebraLevel:
-    """Accept an AlgebraLevel or a bare integer r."""
+    """Accept an AlgebraLevel or a bare integer r; one AlgebraLevel per r."""
     if isinstance(level, AlgebraLevel):
         return level
-    return AlgebraLevel(int(level))
+    return _level(int(level))
+
+
+@functools.lru_cache(maxsize=None)
+def _level(r: int) -> AlgebraLevel:
+    return AlgebraLevel(r)
 
 
 class BasisTable:
@@ -93,6 +98,26 @@ class BasisTable:
         # a ^ c with bit d set when sign[a, a ^ c] = -1.
         right[sign[ar[:, None], right] < 0] += d
         self.right = right
+
+    def right_table(self, y: np.ndarray) -> np.ndarray:
+        """The d x d table T of right multiplication by the element y, one
+        gather: x y = x @ T, as (x y)[c] = sum_a x[a] * sign[a, a ^ c] * y[a ^ c]."""
+        return np.concatenate((y, -y))[self.right]
+
+    def left_table(self, x: np.ndarray) -> np.ndarray:
+        """The d x d table T of left multiplication by the element x: x y = y @ T.
+
+        Since conj(x y) = conj(y) conj(x), T is the right table of conj(x)
+        with row 0 and column 0 negated (entry (0, 0) twice): entry for entry
+        the signed coefficient of x that the product reads, so each sum keeps
+        its terms and order.
+        """
+        xc = -x
+        xc[0] = x[0]
+        table = np.concatenate((xc, -xc))[self.right]
+        table[0] *= -1.0
+        table[:, 0] *= -1.0
+        return table
 
     def product(self, a: int, b: int) -> tuple[int, int]:
         """Return (sign, index) of the basis product e_a * e_b."""
@@ -159,20 +184,10 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
     if x.shape[-1:] != (d,) or y.shape[-1:] != (d,):
         raise DomainError("coefficient array does not match the level dimension")
     if y.ndim == 1:
-        # (x y)[c] = sum_a x[a] * sign[a, a ^ c] * y[a ^ c]
-        table = np.concatenate((y, -y))[t.right]
+        table = t.right_table(y)
         return x @ table if x.ndim > 1 else np.einsum("...a,...ac->...c", x, table)
     if x.ndim == 1:
-        # y @ (x's left table).  Since conj(x y) = conj(y) conj(x), that table
-        # is the right table of conj(x) with row 0 and column 0 negated
-        # (entry (0, 0) twice): entry for entry the signed coefficient of x
-        # that the left table holds, so each sum keeps its terms and order.
-        xc = -x
-        xc[0] = x[0]
-        table = np.concatenate((xc, -xc))[t.right]
-        table[0] *= -1.0
-        table[:, 0] *= -1.0
-        return y @ table
+        return y @ t.left_table(x)
     try:
         x, y = np.broadcast_arrays(x, y)
     except ValueError:
@@ -274,11 +289,21 @@ class CDNumber:
             raise DomainError(
                 f"level {level.r} element needs {level.basis_dim} coefficients, got {arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("non-finite coefficient in element")
         arr.flags.writeable = False
         self.level = level
         self.coeffs = arr
+
+    @classmethod
+    def _owning(cls, level: AlgebraLevel, arr: np.ndarray) -> "CDNumber":
+        """The element that takes over arr, a fresh finite float64 array of
+        shape (level.basis_dim,) that the caller has checked and drops."""
+        arr.flags.writeable = False
+        z = object.__new__(cls)
+        z.level = level
+        z.coeffs = arr
+        return z
 
     # -- basic accessors ----------------------------------------------------
     @property

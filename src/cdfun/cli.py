@@ -139,7 +139,7 @@ def _element(raw, key: str, r: int) -> CDNumber:
     if len(data) != 2**r:
         raise UsageError(f"{key} needs {2**r} coordinates at level {r}, got {len(data)}")
     try:
-        return CDNumber(r, [float(v) for v in data])
+        return CDNumber(r, data)
     except CDError as exc:
         raise UsageError(f"{key}: {exc}") from None
 

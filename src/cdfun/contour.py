@@ -320,6 +320,7 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
 
 _KERNEL_MAX_KNOTS = 1 << 18
 _KERNEL_BLOCK_ELEMENTS = 1 << 18
+_EPS = float(np.finfo(float).eps)
 
 
 def _kernel_loop(
@@ -353,10 +354,16 @@ def _kernel_loop(
 
     The knot count doubles from START_KNOTS.  The error shrinks
     geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
-    tail is left to extrapolate.  The doubling stops once every power has
-    est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power reports
-    S on the last layout, its est, the shared refinement count and
-    ``converged`` = est < tol.  A non-positive tol raises DomainError.
+    tail is left to extrapolate.  A power is done when est < tol, or when est
+    is below the rounding floor n * eps * 2*pi * rho^q * max|F| of a sum of
+    n terms of size up to (2*pi/n) * rho^q * |F|: where rho^q is large, as
+    for |k| near 60 on a circle of radius 1.7, no layout resolves an
+    absolute tol, and more knots only add rounding.  The doubling stops once
+    every power is done, or before a layout past _KERNEL_MAX_KNOTS; each
+    power reports S on the last layout, max(est, floor) as ``est_error``,
+    the shared refinement count and ``converged`` = done.  So a value is
+    within tol only when est_error < tol.  A non-positive tol raises
+    DomainError.
 
     Results are yielded in power order, and the loop runs at the first
     request.  A power whose scale rho^q overflows raises DomainError in its
@@ -377,8 +384,9 @@ def _kernel_loop(
             break
     step = _KERNEL_BLOCK_ELEMENTS // len(cv)
 
-    def raw(n: int) -> np.ndarray:
-        total = None
+    def raw(n: int) -> tuple:
+        """The sums on the n-knot layout, and max|F| over its knots."""
+        total, peak = None, 0.0
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
             try:
@@ -386,22 +394,26 @@ def _kernel_loop(
             except SingularElementError as e:
                 raise PoleError(f"integrand is singular on the contour: {e}") from e
             FM = mul_arrays(F, mv, r)
+            peak = max(peak, float(norm_arrays(F).max()))
             part = np.empty((len(scales), len(cv)))
             for i, (power, s) in enumerate(zip(powers, scales)):
                 w, qa = (TWO_PI / n) * s, (power + 1) * ang
                 part[i] = (w * np.cos(qa)) @ FM - (w * np.sin(qa)) @ F
             total = part if total is None else total + part
-        return total
+        return total, peak
 
     if scales:
         n, refinements = START_KNOTS, 0
-        sums, est = raw(n), [math.inf] * len(scales)
-        while not all(e < tol for e in est) and 2 * n <= _KERNEL_MAX_KNOTS:
+        sums, _ = raw(n)
+        est, floors, done = [math.inf] * len(scales), [0.0] * len(scales), [False] * len(scales)
+        while not all(done) and 2 * n <= _KERNEL_MAX_KNOTS:
             n, refinements = 2 * n, refinements + 1
-            prev, sums = sums, raw(n)
+            prev, (sums, peak) = sums, raw(n)
             est = norm_arrays(sums - prev).tolist()
-        for s, e in zip(sums, est):
-            yield QuadratureResult(CDNumber(f.level, s), e, refinements, e < tol)
+            floors = [n * _EPS * TWO_PI * s * peak for s in scales]
+            done = [e < tol or e < floor for e, floor in zip(est, floors)]
+        for s, e, floor, ok in zip(sums, est, floors, done):
+            yield QuadratureResult(CDNumber(f.level, s), max(e, floor), refinements, ok)
     if len(scales) < len(powers):
         raise DomainError(
             f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"
@@ -434,7 +446,7 @@ def _deformed_kernel_value(
     rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
     (full,) = _kernel_loop(f, z, m, rho, [power], tol)
     (half,) = _kernel_loop(f, z, m, rho / 2.0, [power], tol)
-    if not (full.converged and half.converged):
+    if not (full.est_error < tol and half.est_error < tol):
         raise NonConvergenceError(
             f"{what} quadrature did not converge", best=half.value * (1.0 / TWO_PI)
         )
@@ -524,7 +536,7 @@ def taylor_coeffs(
         raise DomainError("coefficient count must be positive")
     out = []
     for k, (value, res) in enumerate(_coefficients(f, a, m, radius, range(count), tol)):
-        if not res.converged:
+        if not res.est_error < tol:
             raise NonConvergenceError(
                 f"coefficient k={k} did not converge", best=value
             )
@@ -549,7 +561,10 @@ def laurent_coeffs(
     annulus edges; a singularity inside the annulus leaves the values
     radius-dependent (a pole sitting exactly on a circle converges to
     its principal value, so divergence alone is not a reliable signal)
-    and raises PoleError.
+    and raises PoleError.  Values may differ by 100*tol relative, plus twice
+    the largest error of the three (see ``_kernel_loop``): rho^-k spans many
+    orders across the annulus when |k| is large, and so does the rounding,
+    so the outer circles may stop at their rounding floors.
     """
     k_min, k_max = int(k_min), int(k_max)
     if k_min > k_max:
@@ -569,16 +584,19 @@ def laurent_coeffs(
     columns = [_coefficients(f, a, m, rho, ks, tol) for rho in radii]
     out = []
     for k in ks:
-        values = []
+        values, error = [], 0.0
         for rho, column in zip(radii, columns):
             value, res = next(column)
-            if not res.converged:
+            # the middle circle gives the value; the others only check it, to
+            # within their errors, so their rounding floors may pass tol
+            if not (res.est_error < tol if rho == mid else res.converged):
                 raise NonConvergenceError(
                     f"coefficient k={k} did not converge at radius {rho:g}", best=value
                 )
             values.append(value)
+            error = max(error, res.est_error / TWO_PI)
         spread = max((u - v).norm() for u in values for v in values)
-        if spread > 100.0 * tol * (1.0 + max(v.norm() for v in values)):
+        if spread > 100.0 * tol * (1.0 + max(v.norm() for v in values)) + 2.0 * error:
             raise PoleError(
                 f"coefficient k={k} varies across the annulus (spread {spread:.3e}): "
                 "a singularity lies between the annulus radii"
@@ -735,6 +753,19 @@ def _coefficient_mass(node: Node) -> float:
     return sum((_coefficient_mass(c) for c in _children(node)), 0.0)
 
 
+def _starts(P: Phrase, seed: CDNumber) -> Iterator[np.ndarray]:
+    """The seed, then _RESTARTS points drawn from the ball of radius 1 + the
+    sum of the coefficient norms of P, each drawn when it is asked for."""
+    yield np.array(seed.coeffs)
+    d = P.level.basis_dim
+    radius = 1.0 + _coefficient_mass(P.root)
+    rng = np.random.default_rng(0x5EED)
+    for _ in range(_RESTARTS):
+        v = rng.standard_normal(d)
+        v *= radius * rng.uniform(0.0, 1.0) ** (1.0 / d) / math.sqrt(float(np.dot(v, v)))
+        yield v
+
+
 def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8) -> CDNumber:
     """A root of the polynomial phrase P by damped Newton iteration.
 
@@ -749,18 +780,10 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
         raise LevelMismatchError("seed level does not match the polynomial")
     r = P.level.r
     d = P.level.basis_dim
-    radius = 1.0 + _coefficient_mass(P.root)
-    rng = np.random.default_rng(0x5EED)
-    starts = [np.array(seed.coeffs)]
-    for _ in range(_RESTARTS):
-        v = rng.standard_normal(d)
-        v *= radius * rng.uniform(0.0, 1.0) ** (1.0 / d) / math.sqrt(float(np.dot(v, v)))
-        starts.append(v)
     eye = np.eye(d)
-    best_x = starts[0]
+    best_x = np.array(seed.coeffs)
     best_g = math.inf
-    for x in starts:
-        x = x.copy()
+    for x in _starts(P, seed):
         for _ in range(int(max_iter)):
             pv = eval_node_arrays(P.root, x, r)
             g = float(np.dot(pv, pv))

@@ -22,6 +22,15 @@ constructors Add, Sub and Neg keep every Sum in the parser's normal form: a
 left-associated chain whose head may be negated, so a - b + c is one Sum of
 three terms, while -x and a bracketed sum stay single terms of their own.
 
+Every node knows its shape from the moment it is built: ``flags`` ORs the
+children's bits (_VAR: holds z or zc to a nonzero power; _DZ and _DZC: its
+superdifferential in z or zc is not structurally 0, which X^0 never is;
+_NEG: holds a negative power) and holds the depth in nodes above them,
+flags // _DEPTH.  So the depth bound, the constant subtrees of a word and
+the subtrees a derivative skips are read off one attribute, and no walk
+re-descends a subtree.  The parser tokenizes in one findall pass and reads
+the token texts up to an end sentinel.
+
 The superdifferential of a term follows the product rule with (Dz).h = h and
 (D zc).h = conj(h); for a power the increment is summed over insertion slots
 with the left-to-right bracket, e.g. D(z^3).h = (h*z)*z + (z*h)*z + (z*z)*h.
@@ -38,14 +47,18 @@ come from the principal branch via dln.  One walk of the tree (_words)
 finds the words and the centre and power of each one's variable factor.  A
 word is linear in its leaf (z-c)^(n+1) or Ln(z-c), so a primitive is its
 leaf table: the constants of the words around each leaf fold into one d x d
-matrix, and the hat increment is the sum over leaves of (leaf increment) @
-(matrix).  All evaluation entry
-points accept a CDNumber or a batched coefficient array with the component
-axis last.
+matrix, the constant next to the leaf as its multiplication table (one
+gather), and the hat increment is the sum over leaves of (leaf increment) @
+(matrix).  The leaf table is built at the first primitive() of a phrase and
+kept on the phrase (a cached property, freed with it, its matrices read
+only), so a residue-theorem check takes its phrase apart once for the loop
+integral and every residue.  All evaluation entry points accept a CDNumber
+or a batched coefficient array with the component axis last.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -55,6 +68,7 @@ from .algebra import (
     AlgebraLevel,
     CDNumber,
     as_level,
+    basis_table,
     conj_arrays,
     inverse_arrays,
     mul_arrays,
@@ -78,8 +92,25 @@ MAX_DEPTH = 100
 # AST
 # ---------------------------------------------------------------------------
 
+#: Node.flags, set once when a node is built, from its children's flags: the
+#: low bits say what the subtree holds, and flags // _DEPTH is its depth in
+#: nodes (1 for a leaf).
+_VAR = 1  # z or zc to a nonzero power
+_DZ = 2  # a superdifferential in z that is not structurally 0
+_DZC = 4  # the same in zc
+_NEG = 8  # a negative power
+_DEPTH = 16
+_BITS = _DEPTH - 1
+
+
+def _parent(bits: int, top: int) -> int:
+    """The flags of a node over children whose flags OR to bits and whose
+    largest flags are top."""
+    return (top & ~_BITS) + _DEPTH | bits & _BITS
+
+
 class Node:
-    __slots__ = ()
+    __slots__ = ("flags",)
 
 
 class Const(Node):
@@ -87,6 +118,7 @@ class Const(Node):
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
+        self.flags = _DEPTH
 
 
 class VarPow(Node):
@@ -97,6 +129,10 @@ class VarPow(Node):
     def __init__(self, conjugated: bool, power: int):
         self.conjugated = bool(conjugated)
         self.power = int(power)
+        if not self.power:
+            self.flags = _DEPTH
+        else:
+            self.flags = _DEPTH | _VAR | (_DZC if self.conjugated else _DZ) | (_NEG if self.power < 0 else 0)
 
 
 class PowNode(Node):
@@ -105,6 +141,12 @@ class PowNode(Node):
     def __init__(self, base: Node, power: int):
         self.base = base
         self.power = int(power)
+        flags = base.flags
+        if not self.power:  # X^0 is the unit, whatever X holds
+            flags &= ~(_DZ | _DZC)
+        elif self.power < 0:
+            flags |= _NEG
+        self.flags = _parent(flags, flags)
 
 
 class Mul(Node):
@@ -113,6 +155,7 @@ class Mul(Node):
     def __init__(self, left: Node, right: Node):
         self.left = left
         self.right = right
+        self.flags = _parent(left.flags | right.flags, max(left.flags, right.flags))
 
 
 class Sum(Node):
@@ -120,8 +163,15 @@ class Sum(Node):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
+    def __init__(self, terms, flags=None):
         self.terms = tuple(terms)
+        if flags is None:
+            bits = top = 0
+            for _, term in self.terms:
+                bits |= term.flags
+                top = max(top, term.flags)
+            flags = _parent(bits, top)
+        self.flags = flags
 
 
 def Add(left: Node, right: Node) -> Sum:
@@ -138,9 +188,12 @@ def Neg(child: Node) -> Sum:
 
 
 def _append(left: Node, sign: int, right: Node) -> Sum:
-    """left +- right, where a Sum on the left grows by one term."""
-    head = left.terms if isinstance(left, Sum) else ((1, left),)
-    return Sum(head + ((sign, right),))
+    """left +- right, where a Sum on the left grows by one term, its flags
+    joined with the new term's (left.flags - _DEPTH is its terms' depth)."""
+    if isinstance(left, Sum):
+        flags = _parent(left.flags | right.flags, max(left.flags - _DEPTH, right.flags))
+        return Sum(left.terms + ((sign, right),), flags)
+    return Sum(((1, left), (sign, right)))
 
 
 @dataclass(frozen=True)
@@ -152,6 +205,11 @@ class Phrase:
 
     def __str__(self):
         return format_phrase(self)
+
+    @functools.cached_property
+    def _primitive(self) -> "PrimitiveResult":
+        """The memo of primitive(self), freed with the phrase."""
+        return _leaf_table(self)
 
 
 def _children(node: Node) -> tuple:
@@ -174,13 +232,9 @@ def _nodes(node: Node):
 
 def _bounded(root: Node) -> Node:
     """root itself, or ExprSyntaxError when the tree is deeper than MAX_DEPTH
-    nodes; the walk keeps its own stack, so any depth is measured."""
-    stack = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression is nested deeper than {MAX_DEPTH} levels")
-        stack.extend((child, depth + 1) for child in _children(node))
+    nodes."""
+    if root.flags >= (MAX_DEPTH + 1) * _DEPTH:
+        raise ExprSyntaxError(f"expression is nested deeper than {MAX_DEPTH} levels")
     return root
 
 
@@ -188,136 +242,126 @@ def _bounded(root: Node) -> Node:
 # parsing
 # ---------------------------------------------------------------------------
 
+#: One token after optional whitespace: a number, a name or an operator in
+#: group 1, or from a character that starts none of them, the rest of the
+#: text in group 2.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z]+\d*)"
-    r"|(?P<op>[()+\-*^])"
+    r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z]+\d*|[()+\-*^])|(\S.*))",
+    re.DOTALL,
 )
 
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), i))
-        i = m.end()
-    return tokens
+#: the text of the sentinel token that ends every token list
+_END = ""
 
 
 class _Parser:
+    """Recursive descent over one token list, read by its texts: an operator
+    token's text is the operator, a number's starts with a digit or '.', a
+    name's with a letter, and the list ends in the _END sentinel, so the
+    parser compares the current text and never runs off the end.  Token
+    positions are found again only for an error message."""
+
     def __init__(self, text: str, level: AlgebraLevel):
         self.text = text
         self.level = level
-        self.tokens = _tokenize(text)
+        tokens = _TOKEN.findall(text)
+        if tokens and tokens[-1][1]:
+            rest = tokens[-1][1]
+            raise ExprSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        self.texts = [tok for tok, _ in tokens]
+        self.texts.append(_END)
         self.pos = 0
+        self.tok = self.texts[0]
         self.brackets = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _start(self, i: int) -> int:
+        """The position of token i in the text."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
+    def _next(self) -> str:
+        """Step past the current token and return its text; ExprSyntaxError at the end."""
+        tok = self.tok
+        if tok is _END:
             raise ExprSyntaxError("unexpected end of input", len(self.text))
         self.pos += 1
+        self.tok = self.texts[self.pos]
         return tok
-
-    def _expect_op(self, op):
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ExprSyntaxError(f"expected {op!r}, got {tok[1]!r}", tok[2])
 
     def parse(self) -> Node:
         node = self.phrase()
-        tok = self._peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        if self.tok is not _END:
+            raise ExprSyntaxError(f"unexpected token {self.tok!r}", self._start(self.pos))
         return node
 
     def phrase(self) -> Node:
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
+        if self.tok == "-":
             self._next()
             node: Node = Neg(self.term())
         else:
             node = self.term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return node
-            self._next()
-            rhs = self.term()
-            node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
+        while self.tok == "+" or self.tok == "-":
+            sign = 1 if self._next() == "+" else -1
+            node = _append(node, sign, self.term())
+        return node
 
     def term(self) -> Node:
         node = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                return node
+        while self.tok == "*":
             self._next()
             node = Mul(node, self.factor())
+        return node
 
     def factor(self) -> Node:
         tok = self._next()
-        kind = None
-        if tok[0] == "op" and tok[1] == "(":
+        at = self.pos - 1  # the token's index, for an error's position
+        scalar = tok[0].isdigit() or tok[0] == "."
+        if tok == "(":
             self.brackets += 1
             if self.brackets > MAX_DEPTH:
-                raise ExprSyntaxError(f"brackets nest deeper than {MAX_DEPTH} levels", tok[2])
+                raise ExprSyntaxError(f"brackets nest deeper than {MAX_DEPTH} levels", self._start(at))
             node: Node = self.phrase()
-            self._expect_op(")")
-            self.brackets -= 1
-            kind = "group"
-        elif tok[0] == "num":
-            node = Const(self._scalar_vec(float(tok[1])))
-            kind = "scalar"
-        elif tok[0] == "name":
-            name = tok[1]
-            if name == "z":
-                node, kind = VarPow(False, 1), "var"
-            elif name == "zc":
-                node, kind = VarPow(True, 1), "var"
-            elif name[0] == "e" and name[1:].isdigit():
-                k = int(name[1:])
-                if k >= self.level.basis_dim:
-                    raise ExprSyntaxError(
-                        f"basis symbol e{k} out of range for level {self.level.r}", tok[2]
-                    )
-                vec = np.zeros(self.level.basis_dim)
-                vec[k] = 1.0
-                node, kind = Const(vec), "basis"
-            else:
-                raise ExprSyntaxError(f"unknown symbol {name!r}", tok[2])
-        else:
-            raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
+            if self.tok != ")":
+                raise ExprSyntaxError(f"expected ')', got {self._next()!r}", self._start(self.pos - 1))
             self._next()
+            self.brackets -= 1
+        elif scalar:
+            node = Const(self._scalar_vec(float(tok)))
+        elif tok == "z" or tok == "zc":
+            node = VarPow(tok == "zc", 1)
+        elif tok[0].isalpha():
+            if tok[0] != "e" or not tok[1:].isdigit():
+                raise ExprSyntaxError(f"unknown symbol {tok!r}", self._start(at))
+            k = int(tok[1:])
+            if k >= self.level.basis_dim:
+                raise ExprSyntaxError(f"basis symbol e{k} out of range for level {self.level.r}", self._start(at))
+            vec = np.zeros(self.level.basis_dim)
+            vec[k] = 1.0
+            node = Const(vec)
+        else:
+            raise ExprSyntaxError(f"unexpected token {tok!r}", self._start(at))
+
+        if self.tok == "^":
+            self._next()
+            caret = self.pos - 1
             n = self._integer()
-            if kind == "scalar":
-                raise ExprSyntaxError("exponent not allowed on a scalar literal", nxt[2])
-            if kind == "var":
-                node = VarPow(node.conjugated, n)
-            else:
-                node = PowNode(node, n)
+            if scalar:
+                raise ExprSyntaxError("exponent not allowed on a scalar literal", self._start(caret))
+            node = VarPow(node.conjugated, n) if isinstance(node, VarPow) and tok != "(" else PowNode(node, n)
         return node
 
     def _integer(self) -> int:
         sign = 1
         tok = self._next()
-        if tok[0] == "op" and tok[1] == "-":
+        if tok == "-":
             sign = -1
             tok = self._next()
-        if tok[0] != "num" or not tok[1].isdigit():
-            raise ExprSyntaxError("exponent must be an integer", tok[2])
-        return _exponent(sign * int(tok[1]), tok[2])
+        try:
+            if not tok.isdigit():
+                raise ExprSyntaxError("exponent must be an integer")
+            return _exponent(sign * int(tok))
+        except ExprSyntaxError as exc:
+            raise ExprSyntaxError(str(exc), self._start(self.pos - 1)) from None
 
     def _scalar_vec(self, v: float):
         vec = np.zeros(self.level.basis_dim)
@@ -530,15 +574,12 @@ def _pow_value(base, n, r):
     return pow_arrays(_inverse(base, r), -n, r) if n < 0 else pow_arrays(base, n, r)
 
 
-def _eval_slots(node: Node, Z1, Z2, r, slot=None, at=None) -> np.ndarray:
+def _eval_slots(node: Node, Z1, Z2, r) -> np.ndarray:
     """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2.
 
     A subtree free of the variables stays a single (d,) element; the callers
-    that promise a batch spread it with _over_batch.  The node `slot` itself
-    takes the value `at`: primitive binds a word's leaf that way.
+    that promise a batch spread it with _over_batch.
     """
-    if node is slot:
-        return at
     if isinstance(node, Const):
         return node.value
     if isinstance(node, VarPow):
@@ -546,14 +587,14 @@ def _eval_slots(node: Node, Z1, Z2, r, slot=None, at=None) -> np.ndarray:
             return one(r).coeffs
         return _pow_value(Z2 if node.conjugated else Z1, node.power, r)
     if isinstance(node, PowNode):
-        return _pow_value(_eval_slots(node.base, Z1, Z2, r, slot, at), node.power, r)
+        return _pow_value(_eval_slots(node.base, Z1, Z2, r), node.power, r)
     if isinstance(node, Mul):
-        left = _eval_slots(node.left, Z1, Z2, r, slot, at)
-        return mul_arrays(left, _eval_slots(node.right, Z1, Z2, r, slot, at), r)
+        left = _eval_slots(node.left, Z1, Z2, r)
+        return mul_arrays(left, _eval_slots(node.right, Z1, Z2, r), r)
     if isinstance(node, Sum):
         total = None
         for sign, term in node.terms:
-            total = _add_signed(total, sign, _eval_slots(term, Z1, Z2, r, slot, at))
+            total = _add_signed(total, sign, _eval_slots(term, Z1, Z2, r))
         return total
     raise DomainError(f"cannot evaluate node {type(node).__name__}")
 
@@ -640,29 +681,18 @@ def _power_derivative(bv, bd, n: int, r) -> np.ndarray:
     return _left_power_string(bv, bd, n, r)
 
 
-def _varies(node: Node, conj: bool) -> bool:
-    """Whether the derivative wrt z (conj False) or zc is not structurally 0."""
-    if isinstance(node, VarPow):
-        return node.conjugated == conj and node.power != 0
-    if isinstance(node, PowNode) and node.power == 0:
-        return False
-    return any(_varies(child, conj) for child in _children(node))
-
-
-def _has_negative_power(node: Node) -> bool:
-    return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
-
-
 def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
     """(value, derivative) of the superdifferential wrt z or zc along H.
 
-    The derivative is None where the node does not vary, and the value is
-    None unless `want` asks for it: a Mul needs a factor's value only when the
-    other factor varies.  A skipped subtree with a negative power is still
-    evaluated, so a vanishing base raises PoleError whatever its derivative.
+    The derivative is None where the node does not vary (its flag _DZ or
+    _DZC), and the value is None unless `want` asks for it: a Mul needs a
+    factor's value only when the other factor varies.  A skipped subtree with
+    a negative power is still evaluated, so a vanishing base raises PoleError
+    whatever its derivative.
     """
-    if not _varies(node, conj):
-        if want or _has_negative_power(node):
+    vary = _DZC if conj else _DZ
+    if not node.flags & vary:
+        if want or node.flags & _NEG:
             value = _eval_slots(node, Z, Zc, r)
             return (value if want else None), None
         return None, None
@@ -675,7 +705,7 @@ def _diff(node: Node, Z, Zc, H, conj: bool, r, want: bool):
         value = _pow_value(bv, node.power, r) if want else None
         return value, _power_derivative(bv, bd, node.power, r)
     if isinstance(node, Mul):
-        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or _varies(node.right, conj))
+        lv, ld = _diff(node.left, Z, Zc, H, conj, r, want or bool(node.right.flags & vary))
         rv, rd = _diff(node.right, Z, Zc, H, conj, r, want or ld is not None)
         value = mul_arrays(lv, rv, r) if want else None
         left_term = None if ld is None else mul_arrays(ld, rv, r)
@@ -710,10 +740,6 @@ def derivative_apply(f: Phrase, z, h, wrt: str = "z"):
 # primitives and hat-application
 # ---------------------------------------------------------------------------
 
-def _contains_var(node: Node) -> bool:
-    return any(isinstance(n, VarPow) and n.power != 0 for n in _nodes(node))
-
-
 def _words(node: Node, r: int) -> list:
     """The signed words (sign, word, leaf) that sum to node, in order.
 
@@ -723,7 +749,7 @@ def _words(node: Node, r: int) -> list:
     a (c - z)^m folded into sign.  Products distribute over sums, X^0 is the
     unit and a power of +-(z - c)^m is (z - c)^(m*n).  zc is refused before.
     """
-    if not _contains_var(node):
+    if not node.flags & _VAR:
         return [(1, node, None)]
     if isinstance(node, VarPow):
         return [(1, node, (node, np.zeros(1 << r), node.power))]
@@ -810,8 +836,29 @@ class PrimitiveResult:
         return [leaf.center for leaf in self.leaves if leaf.power <= 0]
 
 
+def _word_matrix(word: Node, slot: Node, r: int):
+    """The matrix T with word = X @ T at slot value X, or None when the word
+    is its slot.
+
+    A word is a product tree of constants around its one variable factor,
+    the slot, the only subtree with the flag _VAR.  The constant next to the
+    slot gives its left or right multiplication table (one gather), and each
+    constant further out multiplies T as it would multiply the word's value
+    on the identity batch.
+    """
+    if word is slot:
+        return None
+    if word.left.flags & _VAR:
+        T = _word_matrix(word.left, slot, r)
+        b = _eval_slots(word.right, None, None, r)
+        return basis_table(r).right_table(b) if T is None else mul_arrays(T, b, r)
+    a = _eval_slots(word.left, None, None, r)
+    T = _word_matrix(word.right, slot, r)
+    return basis_table(r).left_table(a) if T is None else mul_arrays(a, T, r)
+
+
 def primitive(f: Phrase) -> PrimitiveResult:
-    """Term-by-term primitive of f as a table of leaves.
+    """Term-by-term primitive of f as a table of leaves, built once per phrase.
 
     Each word must contain at most one variable factor of shape (z - c)^n
     (sandwich words a*(z-c)^n*b and their products with constants).  The
@@ -819,18 +866,23 @@ def primitive(f: Phrase) -> PrimitiveResult:
     (z-c)^(n+1)/(n+1), or by Ln(z-c) when n = -1; a constant word c
     integrates to c*z.  Conjugated-variable words are rejected.
 
-    A word is linear in its leaf, so it is evaluated once with its variable
-    factor bound to the identity batch: row i is the word at leaf value e_i,
-    and the word at X is X @ (those rows).  Its sign and 1/(n+1) are folded
-    in, and words around the same leaf share one matrix.
+    A word is linear in its leaf: it is X @ T at leaf value X, T the product
+    of its constants' multiplication tables (see ``_word_matrix``).  Its sign
+    and 1/(n+1) are folded in, and words around the same leaf share one
+    matrix.  The result is kept on the phrase, so every later call returns
+    the same leaf table; callers must not change its matrices.
     """
-    if _varies(f.root, conj=True):
+    return f._primitive
+
+
+def _leaf_table(f: Phrase) -> PrimitiveResult:
+    """primitive(f), built."""
+    if f.root.flags & _DZC:
         raise UnsupportedShapeError(
             f"no primitive for words in the conjugated variable: {format_phrase(f)}"
         )
     r = f.level.r
     d = f.level.basis_dim
-    eye = np.eye(d)
     leaves: dict[tuple[bytes, int], Leaf] = {}
     for sign, word, leaf in _words(f.root, r):
         if leaf is None:  # the constant word c is c*z^0
@@ -839,12 +891,15 @@ def primitive(f: Phrase) -> PrimitiveResult:
         slot, center, n = leaf
         m = n + 1
         scale = float(sign) if m == 0 else sign / m
-        matrix = scale * _eval_slots(word, eye, eye, r, slot, eye)
+        T = _word_matrix(word, slot, r)
+        matrix = scale * (np.eye(d) if T is None else T)
         key = (center.tobytes(), m)
         if key in leaves:
             leaves[key].matrix += matrix
         else:
             leaves[key] = Leaf(center, m, matrix)
+    for leaf in leaves.values():  # shared by every caller of the memo
+        leaf.matrix.flags.writeable = False
     return PrimitiveResult(f.level, list(leaves.values()))
 
 

@@ -106,13 +106,12 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 def _unit_imaginary(m: CDNumber, what: str) -> CDNumber:
     """m as an exact unit pure imaginary; a DomainError naming `what` when
     its real part or its imaginary norm is off by more than _DIRECTION_TOL."""
-    im = m.imag()
-    n = im.norm()
-    if abs(m.re) > _DIRECTION_TOL or abs(n - 1.0) > _DIRECTION_TOL:
+    im = np.array(m.coeffs)
+    im[0] = 0.0
+    n = float(np.linalg.norm(im))
+    if abs(float(m.coeffs[0])) > _DIRECTION_TOL or abs(n - 1.0) > _DIRECTION_TOL:
         raise DomainError(f"{what} must be a unit pure-imaginary element")
-    unit = np.array(im.coeffs / n)
-    unit[0] = 0.0
-    return CDNumber(m.level, unit)
+    return CDNumber._owning(m.level, im / n)
 
 
 def _plane_circle(center: np.ndarray, m: np.ndarray, rho: float, ang: np.ndarray) -> np.ndarray:
@@ -339,8 +338,8 @@ def _vector_from_json(obj, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be a nonempty list of numbers")
     if not all(map(_is_number, obj)):
         raise DomainError(f"{what} must contain only numbers")
-    vec = np.asarray([float(v) for v in obj], dtype=np.float64)
-    if not np.all(np.isfinite(vec)):
+    vec = np.array(obj, dtype=np.float64)
+    if not np.isfinite(vec).all():
         raise DomainError(f"{what} must be finite")
     d = len(vec)
     if d < 2 or d > 256 or d & (d - 1):
@@ -358,11 +357,11 @@ def path_from_json(obj, level=None) -> Path:
         direction = _vector_from_json(obj.get("direction"), "circle direction")
         if len(direction) != len(center):
             raise LevelMismatchError("circle center and direction lengths differ")
-        r = len(center).bit_length() - 1
+        lev = as_level(len(center).bit_length() - 1)
         radius, turns = obj.get("radius"), obj.get("turns", 1.0)
         if not (_is_number(radius) and _is_number(turns)):
             raise DomainError("circle radius and turns must be numbers")
-        path = Path.circle(CDNumber(r, center), radius, CDNumber(r, direction), turns)
+        path = Path.circle(CDNumber._owning(lev, center), radius, CDNumber._owning(lev, direction), turns)
     elif kind == "polyline":
         raw = obj.get("points")
         if not isinstance(raw, (list, tuple)) or len(raw) < 2:
@@ -371,8 +370,8 @@ def path_from_json(obj, level=None) -> Path:
         widths = {len(v) for v in vecs}
         if len(widths) != 1:
             raise LevelMismatchError("polyline points have mixed lengths")
-        r = len(vecs[0]).bit_length() - 1
-        path = Path.polyline([CDNumber(r, v) for v in vecs])
+        lev = as_level(len(vecs[0]).bit_length() - 1)
+        path = Path.polyline([CDNumber._owning(lev, v) for v in vecs])
     else:
         raise DomainError(f"unknown path kind {kind!r}")
     if level is not None and as_level(level).r != path.level.r:
@@ -661,18 +660,24 @@ def _extrapolated(
 def _newton_leibniz(leaves: list, gamma: Path) -> tuple:
     """(value, rounding bound) of the power leaves' part of the integral:
     sum (X(gamma(1)) - X(gamma(0))) @ matrix with X = (z - c)^m.  A path
-    closed by construction (see ``Path.endpoints``) gives X - X = 0 exactly,
-    with bound 0, and the product by the matrix still turns an overflowed
-    constant into a non-finite value."""
+    whose ends are bit-equal, as one closed by construction (see
+    ``Path.endpoints``), raises one end to each leaf power and gives X - X:
+    0 exactly, with bound 0, or NaN where X overflowed, and the product by
+    the matrix still turns an overflowed constant into a non-finite value."""
     r = gamma.level.r
     ends = gamma.endpoints()
     value = np.zeros(gamma.level.basis_dim)
+    if np.array_equal(ends[0], ends[1]):
+        for leaf in leaves:
+            (X,) = pow_arrays(ends[:1] - leaf.center, leaf.power, r)
+            value += (X - X) @ leaf.matrix
+        return value, 0.0
     bound = 0.0
     for leaf in leaves:
         X = pow_arrays(ends - leaf.center, leaf.power, r)
         value += (X[1] - X[0]) @ leaf.matrix
         bound += (abs(leaf.power) + 1) * float(norm_arrays(X).sum()) * float(np.linalg.norm(leaf.matrix))
-    return value, 0.0 if np.array_equal(ends[0], ends[1]) else _ROUNDING * bound
+    return value, _ROUNDING * bound
 
 
 def line_integral(
@@ -708,7 +713,7 @@ def line_integral(
     _check_poles(prim, gamma)
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    logs = replace(prim, leaves=[leaf for leaf in prim.leaves if leaf.power == 0])
+    logs = PrimitiveResult(prim.level, [leaf for leaf in prim.leaves if leaf.power == 0])
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
     if not logs.leaves:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)

@@ -1,6 +1,7 @@
 """Contour functionals: indices, residues, Cauchy formulas, coefficients, roots."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -34,7 +35,7 @@ from cdfun.contour import (
     taylor_coeffs,
     winding_index,
 )
-from cdfun import contour
+from cdfun import contour, expressions
 from cdfun.errors import (
     DomainError,
     LevelMismatchError,
@@ -657,6 +658,27 @@ def test_laurent_detects_pole_in_annulus():
             laurent_coeffs(f, a, -1, 0, 0.5, 2.0, 1e-8)
 
 
+@pytest.mark.parametrize("r", [2, 8])
+def test_laurent_coefficients_at_large_k_stop_at_the_rounding_floor(r):
+    # z^-2 + z is exact on every layout, but rho^60 scales the k = -60 kernel
+    # on the outer circle (rho = 1.68) to 3.5e13, so the sums round far above
+    # an absolute tol; that circle stops at its rounding floor
+    t0 = time.perf_counter()
+    cs = laurent_coeffs(parse("z^-2+z", r), zero(r), -60, 59, 0.5, 2.0)
+    elapsed = time.perf_counter() - t0
+    assert len(cs) == 120
+    for k, c in zip(range(-60, 60), cs):
+        want = 1.0 if k in (-2, 1) else 0.0
+        assert (c - from_real(r, want)).norm() <= 1e-12, k
+    assert elapsed < 10.0
+    # one layout doubling at each radius
+    m = basis_element(r, 1)
+    for rho in (0.5 * 4**0.125, 0.5 * 4**0.875):
+        results = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, range(-60, 60), 1e-6))
+        assert {res.refinements for res in results} == {1}
+        assert all(res.converged for res in results)
+
+
 def test_laurent_validates_inputs():
     with pytest.raises(DomainError):
         laurent_coeffs(parse("z", 2), zero(2), 1, 0, 0.5, 2.0)
@@ -826,6 +848,23 @@ def test_residue_theorem_two_poles():
     rep = residue_theorem_check(f, [p1, p2], Path.circle(zero(3), 2.0, E1, 1.0), 1e-7)
     assert rep.diff <= 1e-6
     assert rep.mode == "value"
+
+
+def test_residue_theorem_check_takes_each_phrase_apart_once(monkeypatch):
+    # the left side and the residue at each enclosed pole share one primitive
+    f = parse("e2*((z - (0.3+0.2*e1))^-1)*e3 + ((z - (-0.4+0.3*e2))^-1) + z^2", 3)
+    roots = []
+
+    def counting(node, r):
+        roots.append(node is f.root)
+        return words(node, r)
+
+    words = expressions._words
+    monkeypatch.setattr(expressions, "_words", counting)
+    poles = [_vec(3, e0=0.3, e1=0.2), _vec(3, e0=-0.4, e2=0.3)]
+    rep = residue_theorem_check(f, poles, Path.circle(zero(3), 2.0, E1, 1.0), 1e-7)
+    assert rep.diff <= 1e-6
+    assert roots.count(True) == 1
 
 
 def test_residue_theorem_pole_outside_drops():
@@ -1041,6 +1080,33 @@ def test_find_root_reports_best_on_failure():
         find_root(P, from_real(2, 0.7), max_iter=1, tol=1e-14)
     assert info.value.best is not None
     assert evaluate(P, info.value.best).norm() < evaluate(P, from_real(2, 0.7)).norm()
+
+
+def test_find_root_draws_no_restart_when_the_seed_converges(monkeypatch):
+    def no_generator(*args):
+        raise AssertionError("a restart was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    root = find_root(parse("z - (0.4-0.3*e1)", 2), zero(2))
+    assert (root - _vec(2, e0=0.4, e1=-0.3)).norm() <= 1e-8
+
+
+@pytest.mark.parametrize("r", [1, 3, 8])
+def test_restarts_drawn_lazily_follow_the_eager_order(r):
+    # the seed, then each restart from one generator, as when all were drawn first
+    P = parse("z^3 + (0.5*e1)*z - 2", r)
+    seed = random_element(r, np.random.default_rng(3))
+    d = 1 << r
+    radius = 1.0 + 1.0 + 0.5 + 2.0
+    rng = np.random.default_rng(0x5EED)
+    want = [seed.coeffs]
+    for _ in range(16):
+        v = rng.standard_normal(d)
+        v *= radius * rng.uniform(0.0, 1.0) ** (1.0 / d) / math.sqrt(float(np.dot(v, v)))
+        want.append(v)
+    got = list(contour._starts(P, seed))
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_find_root_level_mismatch():

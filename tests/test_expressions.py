@@ -20,10 +20,19 @@ from cdfun.algebra import (
 )
 from cdfun.errors import ExprSyntaxError, PoleError, UnsupportedShapeError
 from cdfun.expressions import (
+    _DEPTH,
+    _DZ,
+    _DZC,
+    _NEG,
+    _VAR,
+    MAX_DEPTH,
     Add,
     Const,
     Mul,
+    PowNode,
     VarPow,
+    _children,
+    _nodes,
     derivative_apply,
     evaluate,
     evaluate_two_slot,
@@ -145,6 +154,69 @@ def test_round_trip_property(text):
     p = parse(text, 3)
     assert structural_equal(p.root, parse(format_phrase(p), 3).root)
     assert structural_equal(p.root, phrase_from_json(phrase_to_json(p), 3).root)
+
+
+# the recursive definitions that the construction-time flags of a node replace
+def _holds_var(node):
+    return any(isinstance(n, VarPow) and n.power != 0 for n in _nodes(node))
+
+
+def _varies(node, conj):
+    if isinstance(node, VarPow):
+        return node.conjugated == conj and node.power != 0
+    if isinstance(node, PowNode) and node.power == 0:
+        return False
+    return any(_varies(child, conj) for child in _children(node))
+
+
+def _holds_negative_power(node):
+    return any(isinstance(n, (VarPow, PowNode)) and n.power < 0 for n in _nodes(node))
+
+
+def _depth(node):
+    return 1 + max(map(_depth, _children(node)), default=0)
+
+
+_tree_text = st.recursive(
+    st.sampled_from(["z", "zc", "e1", "e3", "0.5", "z^-2", "zc^3", "z^0", "zc^0", "e2^-1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("{0[0]}{0[1]}({0[2]})".format),
+        st.tuples(inner, st.integers(-2, 2)).map("({0[0]})^{0[1]}".format),
+        inner.map("-({})".format),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_tree_text)
+@settings(max_examples=150, deadline=None)
+def test_node_flags_match_the_recursive_definitions(text):
+    parsed = parse(text, 2)
+    decoded = phrase_from_json(phrase_to_json(parsed), 2)
+    for root in (parsed.root, decoded.root):
+        for node in _nodes(root):
+            flags = node.flags
+            assert bool(flags & _VAR) == _holds_var(node)
+            assert bool(flags & _DZ) == _varies(node, False)
+            assert bool(flags & _DZC) == _varies(node, True)
+            assert bool(flags & _NEG) == _holds_negative_power(node)
+            assert flags // _DEPTH == _depth(node)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+def test_trees_deeper_than_the_bound_are_refused_on_both_routes(depth):
+    # a product chain of n factors is n nodes deep; as JSON it is one node
+    # with n arguments, so only the depth of the built tree can refuse it
+    text = "*".join(["z"] * depth)
+    tree = {"op": "mul", "args": [{"var": "z"}] * depth}
+    if depth <= MAX_DEPTH:
+        assert parse(text, 1).root.flags // _DEPTH == depth
+        assert phrase_from_json(tree, 1).root.flags // _DEPTH == depth
+        return
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse(text, 1)
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        phrase_from_json(tree, 1)
 
 
 def test_json_accepts_plain_tree_and_nary_fold():
@@ -718,6 +790,55 @@ def test_constant_word_holding_z0_folds_to_one_element(r, monkeypatch):
     want = primitive(parse("(0.5*e1)*(0.7*e2)", r)).leaves
     assert [(leaf.center.tobytes(), leaf.power) for leaf in got] == [(zero(r).coeffs.tobytes(), 1)]
     assert len(want) == 1 and np.array_equal(got[0].matrix, want[0].matrix)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_leaf_matrix_from_multiplication_tables_matches_the_identity_batch(r):
+    # a word a*z^k*b was once evaluated at the identity batch, two d x d x d
+    # products; the left table of a times b gives the same bits, signed
+    # zeros included.  With one constant the table is the matrix, equal in
+    # value, while the identity batch turned its -0.0 into 0.0, which no sum
+    # that starts from 0.0 can tell apart.
+    rng = _rng(40 + r)
+    d = 1 << r
+    eye = np.eye(d)
+    for i in range(20):
+        a, b = np.zeros(d), np.zeros(d)
+        if i % 2:  # one basis unit each, as the benchmark's sandwiches
+            a[rng.integers(d)], b[rng.integers(d)] = rng.uniform(0.3, 0.9, 2)
+        else:
+            a, b = rng.standard_normal((2, d))
+        k = int(rng.choice([-3, -2, -1, 1, 2, 3]))  # z^0 would make a constant word
+        scale = 1.0 if k == -1 else 1.0 / (k + 1)
+        z = {"var": "z", "pow": k}
+        sandwich = {"op": "mul", "args": [{"op": "mul", "args": [{"const": a.tolist()}, z]}, {"const": b.tolist()}]}
+        (leaf,) = primitive(phrase_from_json(sandwich, r)).leaves
+        want = scale * mul_arrays(mul_arrays(a, eye, r), b, r)
+        assert np.array_equal(leaf.matrix, want) and np.array_equal(np.signbit(leaf.matrix), np.signbit(want))
+        (left,) = primitive(phrase_from_json({"op": "mul", "args": [{"const": a.tolist()}, z]}, r)).leaves
+        (right,) = primitive(phrase_from_json({"op": "mul", "args": [z, {"const": b.tolist()}]}, r)).leaves
+        assert np.array_equal(left.matrix, scale * mul_arrays(a, eye, r))
+        assert np.array_equal(right.matrix, scale * mul_arrays(eye, b, r))
+
+
+def test_primitive_is_built_once_per_phrase(monkeypatch):
+    from cdfun import expressions
+
+    calls = []
+
+    def counting(node, r):
+        calls.append(node)
+        return words(node, r)
+
+    words = expressions._words
+    monkeypatch.setattr(expressions, "_words", counting)
+    f = parse("e1*z^2*e2 + (z-e3)^-1", 3)
+    first = primitive(f)
+    top = len(calls)
+    assert primitive(f) is first and len(calls) == top
+    assert not any(leaf.matrix.flags.writeable for leaf in first.leaves)
+    # a phrase parsed again is a new phrase, with its own leaf table
+    assert primitive(parse("e1*z^2*e2 + (z-e3)^-1", 3)) is not first
 
 
 def test_structural_equality_discriminates():

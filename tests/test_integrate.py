@@ -1247,6 +1247,30 @@ def test_power_leaves_vanish_exactly_on_closed_paths(r, monkeypatch):
             assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
 
 
+@pytest.mark.parametrize("r", [2, 5])
+def test_closed_paths_raise_one_end_and_keep_the_two_end_bits(r):
+    # X(gamma(1)) - X(gamma(0)) for bit-equal ends is X - X of one end: 0
+    # exactly, or NaN where X overflows, then taken through each matrix
+    from cdfun.algebra import pow_arrays
+    from cdfun.expressions import primitive
+
+    e1 = basis_element(r, 1)
+    texts = ("e2*z^3*e1 + (0.3*e1)*(z-0.5*e2)^-3*e1 - 2*z", "z^59*e1", "(1e200*e1)*(1e200*e2)*z^2")
+    for gamma in (Path.circle(zero(r), 1.0, e1, 2), Path.circle(zero(r), 1e6, e1, 1), _square(r, 0.5)):
+        ends = gamma.endpoints()
+        assert np.array_equal(ends[0], ends[1])
+        for text in texts:
+            leaves = primitive(parse(text, r)).leaves
+            with np.errstate(all="ignore"):  # the overflow is the point
+                value, bound = integrate._newton_leibniz(leaves, gamma)
+                want = np.zeros(1 << r)
+                for leaf in leaves:
+                    X = pow_arrays(ends - leaf.center, leaf.power, r)
+                    want += (X[1] - X[0]) @ leaf.matrix
+            assert bound == 0.0
+            assert np.array_equal(value.view(np.int64), want.view(np.int64)), (text, gamma.kind)
+
+
 def test_open_polyline_matches_the_primitive_at_its_ends(monkeypatch):
     _no_knot_layouts(monkeypatch)
     from cdfun.expressions import evaluate
