@@ -330,6 +330,7 @@ def _kernel_loop(
     rho: float,
     powers: Sequence[int],
     tol: float,
+    floor: bool = False,
 ) -> Iterator[QuadratureResult]:
     """Loop integrals of f(zeta) * dK by knot doubling, one per kernel power.
 
@@ -354,16 +355,18 @@ def _kernel_loop(
 
     The knot count doubles from START_KNOTS.  The error shrinks
     geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
-    tail is left to extrapolate.  A power is done when est < tol, or when est
-    is below the rounding floor n * eps * 2*pi * rho^q * max|F| of a sum of
-    n terms of size up to (2*pi/n) * rho^q * |F|: where rho^q is large, as
-    for |k| near 60 on a circle of radius 1.7, no layout resolves an
-    absolute tol, and more knots only add rounding.  The doubling stops once
-    every power is done, or before a layout past _KERNEL_MAX_KNOTS; each
-    power reports S on the last layout, max(est, floor) as ``est_error``,
-    the shared refinement count and ``converged`` = done.  So a value is
-    within tol only when est_error < tol.  A non-positive tol raises
-    DomainError.
+    tail is left to extrapolate.  The doubling stops once every power has
+    est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power reports
+    S on the last layout, its est, the shared refinement count and
+    ``converged`` = est < tol.  A non-positive tol raises DomainError.
+
+    With ``floor`` set, a power may also stop at the rounding floor
+    n * eps * 2*pi * rho^q * max|F| of a sum of n terms of size up to
+    (2*pi/n) * rho^q * |F|, with max|F| taken over the first layout's
+    knots: where rho^q is large, as for |k| near 60 on a circle of radius
+    1.7, no layout resolves an absolute tol, and more knots only add
+    rounding.  A power with tol <= est below its floor reports the floor as
+    ``est_error`` and sets ``at_floor``; its ``converged`` stays false.
 
     Results are yielded in power order, and the loop runs at the first
     request.  A power whose scale rho^q overflows raises DomainError in its
@@ -384,8 +387,8 @@ def _kernel_loop(
             break
     step = _KERNEL_BLOCK_ELEMENTS // len(cv)
 
-    def raw(n: int) -> tuple:
-        """The sums on the n-knot layout, and max|F| over its knots."""
+    def raw(n: int, peaked: bool = False) -> tuple:
+        """The sums on the n-knot layout, and max|F| over its knots if peaked."""
         total, peak = None, 0.0
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
@@ -394,7 +397,8 @@ def _kernel_loop(
             except SingularElementError as e:
                 raise PoleError(f"integrand is singular on the contour: {e}") from e
             FM = mul_arrays(F, mv, r)
-            peak = max(peak, float(norm_arrays(F).max()))
+            if peaked:
+                peak = max(peak, float(norm_arrays(F).max()))
             part = np.empty((len(scales), len(cv)))
             for i, (power, s) in enumerate(zip(powers, scales)):
                 w, qa = (TWO_PI / n) * s, (power + 1) * ang
@@ -404,16 +408,18 @@ def _kernel_loop(
 
     if scales:
         n, refinements = START_KNOTS, 0
-        sums, _ = raw(n)
-        est, floors, done = [math.inf] * len(scales), [0.0] * len(scales), [False] * len(scales)
-        while not all(done) and 2 * n <= _KERNEL_MAX_KNOTS:
+        sums, peak = raw(n, floor)
+        est, floors = [math.inf] * len(scales), [0.0] * len(scales)
+        while not all(e < tol or e < b for e, b in zip(est, floors)) and 2 * n <= _KERNEL_MAX_KNOTS:
             n, refinements = 2 * n, refinements + 1
-            prev, (sums, peak) = sums, raw(n)
+            prev, (sums, _) = sums, raw(n)
             est = norm_arrays(sums - prev).tolist()
             floors = [n * _EPS * TWO_PI * s * peak for s in scales]
-            done = [e < tol or e < floor for e, floor in zip(est, floors)]
-        for s, e, floor, ok in zip(sums, est, floors, done):
-            yield QuadratureResult(CDNumber(f.level, s), max(e, floor), refinements, ok)
+        for s, e, b in zip(sums, est, floors):
+            if tol <= e < b:
+                yield QuadratureResult(CDNumber(f.level, s), b, refinements, False, True)
+            else:
+                yield QuadratureResult(CDNumber(f.level, s), e, refinements, e < tol)
     if len(scales) < len(powers):
         raise DomainError(
             f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"
@@ -446,7 +452,7 @@ def _deformed_kernel_value(
     rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
     (full,) = _kernel_loop(f, z, m, rho, [power], tol)
     (half,) = _kernel_loop(f, z, m, rho / 2.0, [power], tol)
-    if not (full.est_error < tol and half.est_error < tol):
+    if not (full.converged and half.converged):
         raise NonConvergenceError(
             f"{what} quadrature did not converge", best=half.value * (1.0 / TWO_PI)
         )
@@ -506,12 +512,18 @@ def coefficient_mode(f: Phrase) -> str:
 
 
 def _coefficients(
-    f: Phrase, center: CDNumber, m: CDNumber, rho: float, ks: Sequence[int], tol: float
+    f: Phrase,
+    center: CDNumber,
+    m: CDNumber,
+    rho: float,
+    ks: Sequence[int],
+    tol: float,
+    floor: bool = False,
 ) -> Iterator[Tuple[CDNumber, QuadratureResult]]:
     """Coefficients c_k for every k in ks, in order, from one kernel loop on
-    one circle (run at the first request)."""
+    one circle (run at the first request); floor as in _kernel_loop."""
     value_mode = coefficient_mode(f) == "value"
-    for res in _kernel_loop(f, center, m, rho, [-k - 1 for k in ks], tol):
+    for res in _kernel_loop(f, center, m, rho, [-k - 1 for k in ks], tol, floor):
         value = res.value * (1.0 / TWO_PI)
         yield (mul(value, m.conj()) if value_mode else value), res
 
@@ -536,7 +548,7 @@ def taylor_coeffs(
         raise DomainError("coefficient count must be positive")
     out = []
     for k, (value, res) in enumerate(_coefficients(f, a, m, radius, range(count), tol)):
-        if not res.est_error < tol:
+        if not res.converged:
             raise NonConvergenceError(
                 f"coefficient k={k} did not converge", best=value
             )
@@ -561,10 +573,11 @@ def laurent_coeffs(
     annulus edges; a singularity inside the annulus leaves the values
     radius-dependent (a pole sitting exactly on a circle converges to
     its principal value, so divergence alone is not a reliable signal)
-    and raises PoleError.  Values may differ by 100*tol relative, plus twice
-    the largest error of the three (see ``_kernel_loop``): rho^-k spans many
-    orders across the annulus when |k| is large, and so does the rounding,
-    so the outer circles may stop at their rounding floors.
+    and raises PoleError.  Values may differ by 100*tol relative.  rho^-k
+    spans many orders across the annulus when |k| is large, and so does the
+    rounding, so the two outer circles, which only check the middle one's
+    value, may stop at their rounding floors (see ``_kernel_loop``); such a
+    circle widens the allowed difference by twice its error.
     """
     k_min, k_max = int(k_min), int(k_max)
     if k_min > k_max:
@@ -581,22 +594,24 @@ def laurent_coeffs(
     radii = (rho_inner * ratio**0.125, mid, rho_inner * ratio**0.875)
     ks = range(k_min, k_max + 1)
     # one loop per radius, each run at the first k; read k-major, radius-minor
-    columns = [_coefficients(f, a, m, rho, ks, tol) for rho in radii]
+    columns = [
+        _coefficients(f, a, m, rho, ks, tol, floor)
+        for rho, floor in zip(radii, (True, False, True))
+    ]
     out = []
     for k in ks:
-        values, error = [], 0.0
+        values, slack = [], 0.0
         for rho, column in zip(radii, columns):
             value, res = next(column)
-            # the middle circle gives the value; the others only check it, to
-            # within their errors, so their rounding floors may pass tol
-            if not (res.est_error < tol if rho == mid else res.converged):
+            if not (res.converged or res.at_floor):
                 raise NonConvergenceError(
                     f"coefficient k={k} did not converge at radius {rho:g}", best=value
                 )
+            if res.at_floor:
+                slack = max(slack, res.est_error / TWO_PI)
             values.append(value)
-            error = max(error, res.est_error / TWO_PI)
         spread = max((u - v).norm() for u in values for v in values)
-        if spread > 100.0 * tol * (1.0 + max(v.norm() for v in values)) + 2.0 * error:
+        if spread > 100.0 * tol * (1.0 + max(v.norm() for v in values)) + 2.0 * slack:
             raise PoleError(
                 f"coefficient k={k} varies across the annulus (spread {spread:.3e}): "
                 "a singularity lies between the annulus radii"

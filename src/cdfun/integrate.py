@@ -533,6 +533,9 @@ class QuadratureResult:
     est_error: float
     refinements: int
     converged: bool
+    # est_error >= tol, but below the rounding floor of a loop that may stop
+    # there (see contour._kernel_loop); not part of the report
+    at_floor: bool = False
 
     def to_json(self):
         return {

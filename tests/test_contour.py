@@ -671,12 +671,30 @@ def test_laurent_coefficients_at_large_k_stop_at_the_rounding_floor(r):
         want = 1.0 if k in (-2, 1) else 0.0
         assert (c - from_real(r, want)).norm() <= 1e-12, k
     assert elapsed < 10.0
-    # one layout doubling at each radius
+    # one layout doubling at each outer radius; the powers past tol stop at
+    # their floors and report them, the others keep their own estimates
     m = basis_element(r, 1)
     for rho in (0.5 * 4**0.125, 0.5 * 4**0.875):
-        results = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, range(-60, 60), 1e-6))
+        powers = range(-60, 60)
+        results = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, powers, 1e-6, True))
         assert {res.refinements for res in results} == {1}
-        assert all(res.converged for res in results)
+        assert all(res.converged != res.at_floor for res in results)
+        assert any(res.at_floor for res in results)
+        assert all(res.est_error < 1e-6 for res in results if res.converged)
+        plain = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, powers[:5], 1e-6))
+        assert not any(res.at_floor for res in plain)
+
+
+def test_small_circle_coefficients_need_no_rounding_floor():
+    # rho^-k is 1e7 at k = 7 on the radius-0.1 circle, so n*eps*2*pi*rho^-k*|f|
+    # passes tol, yet the sums themselves agree to within tol
+    e1 = basis_element(2, 1)
+    cs = taylor_coeffs(parse("z^2+10", 2), zero(2), 8, Path.circle(zero(2), 0.1, e1, 1.0), 1e-6)
+    for k, c in enumerate(cs):
+        assert (c - from_real(2, {0: 10.0, 2: 1.0}.get(k, 0.0))).norm() <= 1e-6, k
+    # the fifth derivative takes rho^-5 = 3.2e6 on its rho = 0.05 circle
+    d5 = cauchy_derivative(parse("z^2+10", 2), zero(2), 5, Path.circle(zero(2), 1.0, e1, 1.0))
+    assert d5.norm() <= 1e-4
 
 
 def test_laurent_validates_inputs():
