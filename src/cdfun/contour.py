@@ -320,7 +320,7 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
 
 _KERNEL_MAX_KNOTS = 1 << 18
 _KERNEL_BLOCK_ELEMENTS = 1 << 18
-_EPS = float(np.finfo(float).eps)
+_EPS = 2.0**-52  # the float64 machine epsilon, without a numpy call at import
 
 
 def _kernel_loop(
