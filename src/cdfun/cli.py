@@ -221,8 +221,9 @@ def _diff(r, expr, point, direction, wrt="z"):
 def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
     """Line integral along the path.
 
-    Power leaves of the primitive in closed form, Ln leaves by extrapolated
-    knot doubling."""
+    Power leaves of the primitive and Ln leaves off their plane in closed
+    form; Ln leaves whose path lies in their plane by extrapolated knot
+    doubling, which --tol and --max-knots control."""
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 

@@ -680,12 +680,12 @@ def sum_residues_check(
     circle of radius ``far_radius`` about 0, normalized by 2*pi.  For a
     rational phrase integrable at infinity the total must vanish.
 
-    The far circle lies in the plane of ``direction``; poles with
-    components outside that plane push the logarithm of (z - p) through
-    a direction swing of width |off-plane|/far_radius in the parameter,
-    which the quadrature cannot resolve at large radii.  Choose a
-    direction whose plane contains the poles (the identity itself is a
-    statement about that plane).
+    The far circle lies in the plane of ``direction``.  The Ln leaf of a
+    pole off that plane takes ``log_integral`` exactly, and gives 0 on the
+    closed far circle, while the pole's own small circle gives its
+    residue: the identity holds only for poles in the plane (two random
+    off-plane poles of 2*(z - p)^-1 at r = 3 give a total of 4).  Choose a
+    direction whose plane contains the poles.
     """
     m = _unit_imaginary(direction, "direction")
     total = zero(f.level)

