@@ -115,7 +115,6 @@ def run_row(row: Row, workdir: str) -> Optional[str]:
             json.dump(row.path, fh)
         argv += ["--path-file", path]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         proc = subprocess.run([sys.executable, "-m", "cdfun.cli", *argv], env=env, capture_output=True, text=True,
                               timeout=row.timeout_s, preexec_fn=_limit_memory)

@@ -10,28 +10,28 @@ convention matters at first order, so it is fixed once and for all here.
 Every word of a primitive is linear in the increment of its one leaf,
 (z - c)^m or Ln(z - c), so the words around one leaf fold into one matrix
 (see ``primitive``) and the integral is a sum over leaves of (the leaf's
-summed increments) @ (its matrix).  ``line_integral`` takes three routes:
+summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 
 * a power leaf (z - c)^m is C^1 off its centre, so its increments sum to
   (gamma(1) - c)^m - (gamma(0) - c)^m, the paper's Newton-Leibniz formula;
-* an Ln leaf's increments sum to the continued change of Ln(z - c),
-  ``log_integral(c, gamma)``: every Ln leaf whose path does not lie in a
-  plane c + span(1, M) through its centre c takes it, parametric ones too;
+* an Ln leaf whose circle or polyline does not lie in a plane
+  c + span(1, M) through its centre c takes the closed form of
+  ``_circle_log`` or, segment by segment, of ``_polyline_log``;
 * an Ln leaf whose circle or polyline lies in such a plane
   (``Path.plane_coordinates``) sums dw_k / w_{k+1} over the knots in
   complex coordinates w of z - c, on (N,) arrays, and lifts the sum S to
-  Re S + Im S * M before its matrix.
+  Re S + Im S * M before its matrix.  This route stays only because the
+  benchmark's knot-capped job pins its ``converged: false``;
+* an Ln leaf on a parametric path sums its increments on the (N, d) knots
+  (``_row_sum``), since ``_doubled`` cannot tell a path that aliases alike
+  on two layouts.
 
-The third route, the one knot quadrature left in ``line_integral``, stays
-only because the benchmark's knot-capped job pins its ``converged: false``;
-``log_integral`` would give those leaves exactly too.
-
-``integral_sum`` is the paper's raw increment sum on one caller-given
-partition: the row sum of ``hat_from_primitive``, in knot blocks of bounded
-size.  ``stieltjes_integral`` takes it against the increments of an
-integrator phrase, and it and the third route double the knot count from
-64 and combine the raw sums by Richardson extrapolation: the
-right-endpoint error expands in integer powers of 1/N, so the tableau
+``integral_sum``, the paper's raw increment sum on one partition, is
+``_row_sum`` over every leaf, and ``stieltjes_integral`` takes it against
+the increments of an integrator phrase.  It and the knot routes of
+``line_integral`` double the knot count from 64 and combine the raw sums
+by Richardson extrapolation: the right-endpoint error expands in integer
+powers of 1/N, so the tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1)
 
@@ -44,15 +44,10 @@ endpoints, so refinement never parks a sample exactly on a logarithm cut
 or a pole that the path merely grazes.
 
 ``log_integral``, the loop integral of d Ln(z - a) behind the index and
-the argument principle, takes no knots on circles, arcs and polylines:
-along a piece in one plane a + span(1, M) Ln is the complex logarithm, and
-elsewhere Im(z - a) never vanishes, so the principal Ln is continuous and
-the integral is its change.  Only parametric paths are sampled for it,
-with the argument continued from knot to knot by ``_doubled``, the one
-sampling rule of this package's parametric paths: nested layouts, doubled
-until two agree, with a step that turns too far halved in place, as where
-the path passes close to the centre.  It cannot detect a path that aliases
-alike on two knot layouts.
+the argument principle, continues the argument along the path: in closed
+form on circles, arcs and polylines, and on parametric paths over the
+layouts of ``_doubled``, the one sampling rule of this package's
+parametric paths.
 """
 
 from __future__ import annotations
@@ -79,7 +74,6 @@ from .expressions import (
     _fmt_const,
     _is_number,
     eval_node_arrays,
-    hat_from_primitive,
     primitive,
 )
 from .transcendental import _split_parts, numerically_real
@@ -100,6 +94,7 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 #: The most elements of one (knots, d) array of a row sum.
 _ROW_BLOCK_ELEMENTS = 1 << 18
+_Z = VarPow(False, 1)  # the phrase tree of z, a line integral's integrator
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +459,19 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
         return _circle_distance(path, x, y, math.sqrt(float(p @ p)))
     if path.kind == "polyline":
         W = path._polyline[0] - point
-        return _polyline_distance(W, norm_arrays(W))
+        return _polyline_distance(W), float(norm_arrays(W).max())
     rho = norm_arrays(path.sample(_layout(4096)) - point)
     return float(rho.min()), float(rho.max())
 
 
-def _polyline_distance(W: np.ndarray, rho: np.ndarray) -> tuple:
-    """``distance_range`` of a polyline from its corners W less the point."""
+def _polyline_distance(W: np.ndarray) -> float:
+    """The least distance from a point to a polyline, from its corners W
+    less the point."""
     a, seg = W[:-1], np.diff(W, axis=0)
     len2 = np.einsum("ij,ij->i", seg, seg)
     t = np.clip(-np.einsum("ij,ij->i", a, seg) / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
     near = a + t[:, None] * seg
-    return math.sqrt(float(np.einsum("ij,ij->i", near, near).min())), float(rho.max())
+    return math.sqrt(float(np.einsum("ij,ij->i", near, near).min()))
 
 
 def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
@@ -596,11 +592,10 @@ def _raw_sum(in_plane: list, knots: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.ndarray:
-    """The sum over the knots of the rows of ``hat_from_primitive`` at
-    z_{k+1} along q(z_{k+1}) - q(z_k), q a phrase tree.  The knots run in
-    blocks of at most _ROW_BLOCK_ELEMENTS elements per (block, d) array,
-    each block sampling gamma and q afresh from the last knot of the one
-    before, so memory stays O(block * d) whatever the knot count."""
+    """The rows of ``hat_from_primitive`` at z_{k+1} along q(z_{k+1}) - q(z_k),
+    q a phrase tree, summed over the knots: each leaf's increments, then its
+    matrix once, per block of at most _ROW_BLOCK_ELEMENTS elements per
+    (block, d) array, so memory stays O(block * d) whatever the knot count."""
     r, d = gamma.level.r, gamma.level.basis_dim
     step = max(1, _ROW_BLOCK_ELEMENTS // d)
     total = np.zeros(d)
@@ -608,7 +603,8 @@ def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.nda
         for lo in range(0, len(knots) - 1, step):
             Z = gamma.sample(knots[lo: lo + step + 1])
             H = np.diff(eval_node_arrays(q, Z, r), axis=0)
-            total += hat_from_primitive(prim, Z[1:], H).sum(axis=0)
+            for leaf in prim.leaves:
+                total += leaf.increment(Z[1:], H, r).sum(axis=0) @ leaf.matrix
     except SingularElementError as e:
         raise PoleError(f"path meets a singular point of the integrand: {e}") from e
     return total
@@ -617,7 +613,7 @@ def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.nda
 def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
     """The raw right-endpoint increment sum I(f, gamma; P) for one partition."""
     _check_levels(f, gamma)
-    return CDNumber(gamma.level, _row_sum(primitive(f), gamma, partition.knots, VarPow(False, 1)))
+    return CDNumber(gamma.level, _row_sum(primitive(f), gamma, partition.knots, _Z))
 
 
 def _extrapolated(
@@ -676,23 +672,15 @@ def line_integral(
     tol: float = DEFAULT_TOL,
     max_knots: int = MAX_KNOTS,
 ) -> QuadratureResult:
-    """The line integral of f along gamma, by the three routes of the module
-    docstring: in closed form over the power leaves of its primitive and
-    the Ln leaves off their plane, by extrapolated knot doubling over the
-    Ln leaves in their plane.
-
-    ``est_error`` bounds the rounding of the Newton-Leibniz part.  A phrase
-    with no Ln leaf in its plane takes no knot layout, and reports 0
-    refinements and ``converged``.  Otherwise the knot doubling's
-    refinements, ``converged`` flag and error estimate are the report's,
-    the estimate plus the rounding bound; it runs on (N,) complex arrays,
-    so its memory per layout is O(N) at every level.
-
-    A path through a pole centre of f (see ``_check_poles``) raises
-    PoleError before any sampling.  Non-convergence within ``max_knots`` is
-    reported through the ``converged`` flag; the best value and its error
-    estimate are still returned.  Leaves are summed in a fixed order, so
-    results are bit-reproducible.
+    """The line integral of f along gamma, by the four routes of the module
+    docstring.  ``est_error`` bounds the rounding of the Newton-Leibniz part.
+    A phrase with no Ln leaf on knots takes no knot layout, and reports 0
+    refinements and ``converged``; otherwise the knot doubling's
+    refinements and ``converged`` flag are the report's, and its error
+    estimate adds to ``est_error``.  Non-convergence within ``max_knots``
+    still returns the best value.  A path through a pole centre of f (see
+    ``_check_poles``) raises PoleError before any sampling.  Leaves are
+    summed in a fixed order, so results are bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
@@ -701,19 +689,26 @@ def line_integral(
         raise DomainError("tolerance must be positive")
     logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
-    in_plane, planes = [], {}  # one plane_coordinates per leaf centre
-    for leaf in logs:
-        key = leaf.center.tobytes()
-        if key not in planes:
-            planes[key] = gamma.plane_coordinates(leaf.center)
-        plane = planes[key]
-        if plane is None:
-            value += log_integral(CDNumber._owning(gamma.level, leaf.center), gamma).coeffs @ leaf.matrix
-        else:
-            in_plane.append((leaf, plane))
-    if not in_plane:
+    if gamma.kind == "parametric":
+        on_knots = PrimitiveResult(gamma.level, logs)
+        raw = lambda n: _row_sum(on_knots, gamma, _quadrature_knots(gamma, n), _Z)
+    else:
+        in_plane, planes = [], {}  # one plane_coordinates per leaf centre
+        for leaf in logs:
+            key = leaf.center.tobytes()
+            if key not in planes:
+                planes[key] = gamma.plane_coordinates(leaf.center)
+            if planes[key] is None and gamma.kind == "circle":
+                value += _circle_log(leaf.center, gamma) @ leaf.matrix
+            elif planes[key] is None:
+                value += _polyline_log(leaf.center, gamma, continued=False) @ leaf.matrix
+            else:
+                in_plane.append((leaf, planes[key]))
+        logs = in_plane
+        raw = lambda n: _raw_sum(in_plane, _quadrature_knots(gamma, n))
+    if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
-    quad = _extrapolated(lambda n: _raw_sum(in_plane, _quadrature_knots(gamma, n)), gamma.level, tol, max_knots)
+    quad = _extrapolated(raw, gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
@@ -914,7 +909,7 @@ def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     return out
 
 
-def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
+def _polyline_log(a: np.ndarray, gamma: Path, continued: bool = True) -> np.ndarray:
     """The integral of d Ln(z - a) along a polyline, in closed form.
 
     The corners W_k = P_k - a have principal polar parts rho_k, theta_k and
@@ -928,15 +923,18 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     complex coordinates.  On any other segment Im(z - a) never vanishes, so
     the principal Ln is continuous there and the argument turns by
     theta_(k+1) - theta_k while its direction moves from mu_k to mu_(k+1).
-    The argument phi * direction is carried from segment to segment by
-    ``_branch_step``; a change of plane at a real corner whose argument is
-    not 0 has no continuation and raises StepControlError, as sampling
-    does when no two layouts agree there.
+
+    ``continued``: the argument phi * direction is carried from segment to
+    segment by ``_branch_step``, and a change of plane at a real corner
+    whose argument is not 0 raises StepControlError.  Otherwise each
+    segment adds its own change of Ln, as the increment sums of
+    ``dln_arrays`` do (it takes the principal angle at every point), so no
+    winding in one plane is carried onto a segment off it.
     """
     pts = gamma._polyline[0]
     W = pts - a
     rho, theta, y, mu = _log_parts(W)
-    _check_log_center(a, *_polyline_distance(W, rho))
+    _check_log_center(a, _polyline_distance(W), float(rho.max()))
     live = ~numerically_real(y, rho)
     mu = _carried(mu, live)
     im = W.copy()
@@ -952,8 +950,13 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
         ~l1 | (np.einsum("ij,ij->i", off1, off1) <= tol[1:] ** 2)
     )
     re0, re1 = W[:-1, 0], W[1:, 0]
-    start = np.where(planar, np.arctan2(y0, re0), theta[:-1])
     sweep = np.where(planar, np.arctan2(re0 * y1 - y0 * re1, re0 * re1 + y0 * y1), theta[1:] - theta[:-1])
+    if not continued:
+        turns = np.where(planar[:, None], sweep[:, None] * u, theta[1:, None] * mu[1:] - theta[:-1, None] * mu[:-1])
+        out = turns.sum(axis=0)
+        out[0] = math.log(rho[-1]) - math.log(rho[0])
+        return out
+    start = np.where(planar, np.arctan2(y0, re0), theta[:-1])
     leave = np.where(planar[:, None], u, mu[1:])
     cosines = np.einsum("ij,ij->i", np.concatenate([mu[:1], leave[:-1]]), np.where(planar[:, None], u, mu[:-1]))
     phi = float(theta[0])
@@ -970,8 +973,15 @@ def _polyline_log(a: np.ndarray, gamma: Path) -> np.ndarray:
 
 
 def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
-    """The integral of d Ln(z - c) along a parametric path: the argument
-    continuation of ``log_integral`` over the layouts of ``_doubled``."""
+    """The integral of d Ln(z - c) along a parametric path, over the layouts
+    of ``_doubled``.  On each layout a numerically real knot, whose
+    representations (theta + 2*pi*j) * mu are the same set for mu and -mu,
+    takes the direction of the last non-real knot before it (``_carried``).
+    The argument phi_k * mu_k is continued by ``_branch_step`` from the
+    cosines <mu_(k-1), mu_k>: ``_branch_prefix`` takes the steps at once up
+    to the first it rejects, and the rest run one at a time.  A step whose
+    argument moves by pi/2 or more is handed back to be halved, with the
+    candidate steps after it that also do."""
     def continued(rho, theta, y, mu):
         _check_log_center(c, float(rho.min()), float(rho.max()))
         mu = _carried(mu, ~numerically_real(y, rho))
@@ -1003,20 +1013,9 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     (d,) arrays (see ``_circle_log`` and ``_polyline_log``), so their cost
     and memory do not grow with the number of turns, and closed ones give
     exactly 0 about a point they do not wind around.  Only parametric paths
-    are sampled, on the doubling knot layouts of ``_doubled``, which cannot
-    detect a path that aliases alike on two layouts.  On each layout one
-    polar split gives rho, theta and the unit imaginary direction mu of every
-    knot.  A numerically real knot has theta in {0, pi}, whose
-    representations (theta + 2*pi*j) * mu are the same set for mu and -mu,
-    so it takes the direction of the last non-real knot before it (one
-    forward fill); real knots ahead of the first non-real one borrow its
-    direction.  The argument at knot k is then phi_k * mu_k with phi_k a
-    plain float, continued by ``_branch_step`` from the cosines
-    <mu_(k-1), mu_k>.  ``_branch_prefix`` takes every step of the layout at
-    once, up to the first one it rejects, and the steps from there run one
-    at a time.  A step whose argument moves by pi/2 or more is halved
-    along the path, with the candidate steps after it that also do, and the
-    layout is continued again (see ``_doubled``).
+    are sampled (``_sampled_log``), on the doubling knot layouts of
+    ``_doubled``, which cannot detect a path that aliases alike on two
+    layouts.
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")

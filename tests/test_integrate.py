@@ -1178,13 +1178,12 @@ def test_plane_route_matches_the_row_sums_of_hat_increments(r, monkeypatch):
     partition = Partition(knots)
     calls = _count_leaf_increments(monkeypatch)
     logs = []
-    real_log = integrate.log_integral
+    for name in ("_circle_log", "_polyline_log"):
+        def counting_log(c, gamma, *args, real=getattr(integrate, name), **kwargs):
+            logs.append(c)
+            return real(c, gamma, *args, **kwargs)
 
-    def counting_log(c, gamma):
-        logs.append(c)
-        return real_log(c, gamma)
-
-    monkeypatch.setattr(integrate, "log_integral", counting_log)
+        monkeypatch.setattr(integrate, name, counting_log)
     for center in centers:
         f = _plane_phrase(r, center, rng)
         prim = primitive(f)
@@ -1200,7 +1199,7 @@ def test_plane_route_matches_the_row_sums_of_hat_increments(r, monkeypatch):
             assert np.linalg.norm(got - rows.sum(axis=0)) <= 1e-12 * (1 + np.abs(rows).sum())
             # line_integral takes no (N, d) increments: in the plane the Ln
             # leaf sums in complex coordinates on knots, 1e-9 off it the leaf
-            # takes log_integral and no knots
+            # takes its closed form and no knots
             calls.clear()
             logs.clear()
             res = line_integral(f, gamma)
@@ -1386,21 +1385,58 @@ def test_off_plane_sandwich_is_the_log_integral_through_its_matrix(monkeypatch):
     for gamma in (line, arc):
         res = line_integral(f, gamma)
         log = log_integral(CDNumber(r, leaf.center), gamma)
-        assert np.array_equal(res.value.coeffs, log.coeffs @ leaf.matrix)
+        # the arc's closed form is log_integral's; the polyline sums its
+        # segments, which carry no winding here
+        want = log.coeffs @ leaf.matrix
+        assert np.linalg.norm(res.value.coeffs - want) <= (0.0 if gamma is arc else 1e-14 * np.linalg.norm(want))
         assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
         want = mul(mul(a, log), b)
         assert (res.value - want).norm() <= 1e-13 * want.norm()
 
 
-def test_parametric_ln_leaves_take_log_integral(monkeypatch):
+def test_polyline_changing_plane_at_a_negative_real_corner_has_a_line_integral(monkeypatch):
+    # log_integral has no continuation through the real corner -1, where the
+    # plane turns from span(1, e2) to span(1, e3) with argument pi; each
+    # segment lies in one plane through 0 and adds its own change of Ln
     _no_knot_layouts(monkeypatch)
     r = 2
-    e1 = basis_element(r, 1)
-    circle = Path.circle(zero(r), 1.0, e1, 200)
-    gamma = Path(level=circle.level, kind="parametric", sampler=circle.sample)
-    res = line_integral(parse("z^-1 + 3*z^2", r), gamma)
+    e2, e3 = basis_element(r, 2), basis_element(r, 3)
+    gamma = Path.polyline([from_real(r, -1.0) + e2, from_real(r, -1.0), from_real(r, -1.0) + e3])
+    with pytest.raises(StepControlError):
+        log_integral(zero(r), gamma)
+    res = line_integral(parse("z^-1", r), gamma)
+    assert (res.value - (e2 - e3) * (math.pi / 4)).norm() <= 1e-15
     assert (res.refinements, res.converged) == (0, True)
-    assert (res.value - e1 * (400 * math.pi)).norm() <= 1e-9 * 400 * math.pi
+
+
+def test_polyline_leaving_its_plane_after_a_turn_carries_no_winding():
+    # a turn about 0 in span(1, e1), then a segment off that plane: the
+    # increment sums take the principal angle at every knot, so the last
+    # segment adds its principal change, where log_integral's continued
+    # argument carries the turn onto the new direction
+    r = 2
+    one, e1, e2 = from_real(r, 1.0), basis_element(r, 1), basis_element(r, 2)
+    gamma = Path.polyline([one + e1 * 0.1, e1, one * -1, e1 * -1, one - e1 * 0.1, one + e1 * 0.1 + e2])
+    f = parse("z^-1", r)
+    res = line_integral(f, gamma)
+    riemann = integral_sum(f, gamma, Partition.uniform(1 << 16))
+    assert (res.value - riemann).norm() <= 1e-3
+    assert (log_integral(zero(r), gamma) - riemann).norm() > 1.0
+    assert abs(res.value.coeffs[1] - 2 * math.pi) < 0.05
+
+
+def test_parametric_ln_leaves_sum_on_knots():
+    # a parametric circle of 1000 turns steps 8 - 3/16 turns per knot of
+    # _doubled's first layout, and its sampled log_integral reads -24 turns;
+    # the increment sums double their knots until they agree
+    r = 1
+    e1 = basis_element(r, 1)
+    circle = Path.circle(zero(r), 1.0, e1, 1000)
+    gamma = Path(level=circle.level, kind="parametric", sampler=circle.sample)
+    assert (log_integral(zero(r), gamma) - e1 * (-48 * math.pi)).norm() <= 1e-6
+    res = line_integral(parse("z^-1 + 3*z^2", r), gamma)
+    assert res.converged and res.refinements > 0
+    assert (res.value - e1 * (2000 * math.pi)).norm() <= 1e-9 * 2000 * math.pi
 
 
 def test_mixed_phrase_adds_the_closed_form_to_the_ln_quadrature():
