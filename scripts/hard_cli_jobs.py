@@ -3,7 +3,7 @@
 
 Every row of ROWS is one ``cdfun`` command line on a level-8 input that once
 ran out of memory, ran too long, aliased, or wrote more than one report: a
-pole 1e-7 from the contour, a point 1e-6 from the curve, 1e4 and 1e5 turns,
+pole 1e-7 from a circle or a square, a point 1e-6 from the curve, 1e4 and 1e5 turns,
 a polynomial whose square overflows, the exponent cap.  A row names its
 argv, the path object written to the ``--path-file`` it gets (or None), the
 exit code it must end with, and either the error kind its report must name
@@ -39,6 +39,12 @@ def _circle(turns: float = 1.0) -> dict:
             "turns": turns}
 
 
+def _square() -> dict:
+    """The square with corners +-1 +- e1 at level 8, once around."""
+    corners = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)]
+    return {"kind": "polyline", "points": [[x, y] + [0.0] * (D - 2) for x, y in corners]}
+
+
 def _vector(*head: float) -> str:
     return json.dumps(list(head) + [0.0] * (D - len(head)))
 
@@ -64,6 +70,10 @@ ROWS = (
     # complex arrays, where (N, 256) knot arrays would not fit in 1 GiB
     Row("in-plane near-pole integral", ["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1"], _circle(), 0,
         lambda rep: rep["converged"] is False),
+    # the same pole 1e-7 outside a square in its plane: a polyline's Ln leaf
+    # takes its closed form, where knot doubling ended unconverged
+    Row("near-pole in-plane square", ["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1"], _square(), 0,
+        lambda rep: rep["converged"] is True and rep["refinements"] == 0 and not any(rep["value"])),
     # the pole lies 1e-6 off the circle's plane, where knot doubling ran out of
     # memory; log_integral gives the Ln leaf exactly, and a closed loop gives 0
     Row("off-plane pole integral",

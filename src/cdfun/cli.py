@@ -221,9 +221,10 @@ def _diff(r, expr, point, direction, wrt="z"):
 def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
     """Line integral along the path.
 
-    Power leaves of the primitive and Ln leaves off their plane in closed
-    form; Ln leaves whose path lies in their plane by extrapolated knot
-    doubling, which --tol and --max-knots control."""
+    Power leaves of the primitive, Ln leaves on a polyline and Ln leaves on
+    a circle off their plane in closed form; Ln leaves on a circle in their
+    plane by extrapolated knot doubling, which --tol and --max-knots
+    control."""
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 

@@ -47,6 +47,7 @@ from .expressions import (
     Node,
     Phrase,
     _children,
+    _fmt_const,
     _nodes,
     derivative_apply,
     eval_node_arrays,
@@ -56,7 +57,9 @@ from .integrate import (
     START_KNOTS,
     Path,
     QuadratureResult,
+    _circle_frame,
     _doubled,
+    _in_circle_plane,
     _on_arc,
     _plane_circle,
     _unit_imaginary,
@@ -413,7 +416,11 @@ def _kernel_loop(
         while not all(e < tol or e < b for e, b in zip(est, floors)) and 2 * n <= _KERNEL_MAX_KNOTS:
             n, refinements = 2 * n, refinements + 1
             prev, (sums, _) = sums, raw(n)
-            est = norm_arrays(sums - prev).tolist()
+            diff = sums - prev
+            # scaled by a power of two at or above max|diff|, which divides
+            # exactly, so squaring cannot overflow a finite difference
+            scale = np.ldexp(1.0, np.frexp(np.abs(diff).max(axis=1))[1])
+            est = (norm_arrays(diff / scale[:, None]) * scale).tolist()
             floors = [n * _EPS * TWO_PI * s * peak for s in scales]
         for s, e, b in zip(sums, est, floors):
             if tol <= e < b:
@@ -680,22 +687,26 @@ def sum_residues_check(
     circle of radius ``far_radius`` about 0, normalized by 2*pi.  For a
     rational phrase integrable at infinity the total must vanish.
 
-    The far circle lies in the plane of ``direction``.  The Ln leaf of a
-    pole off that plane takes ``log_integral`` exactly, and gives 0 on the
-    closed far circle, while the pole's own small circle gives its
-    residue: the identity holds only for poles in the plane (two random
-    off-plane poles of 2*(z - p)^-1 at r = 3 give a total of 4).  Choose a
-    direction whose plane contains the poles.
+    The far circle lies in the plane span(1, M) of ``direction``.  The Ln
+    leaf of a pole off that plane gives 0 on the closed far circle, while
+    the pole's own small circle gives its residue, so the identity holds
+    only for poles in the plane: a pole off it, by the rule of
+    ``_in_circle_plane``, raises DomainError before any quadrature.
     """
     m = _unit_imaginary(direction, "direction")
+    far = Path.circle(zero(f.level), far_radius, m, -1.0)
+    for p in poles:
+        if p.level.r != f.level.r:
+            raise LevelMismatchError("phrase and pole must share a level")
+        if not _in_circle_plane(p.coeffs, far, _circle_frame(p.coeffs, far)[2]):
+            raise DomainError(f"pole {_fmt_const(p.coeffs)} lies off the plane of the far circle")
     total = zero(f.level)
     for i, p in enumerate(poles):
         gaps = [(p - q).norm() for j, q in enumerate(poles) if j != i]
         gaps = [g for g in gaps if g > 0.0]
         rho = 0.5 * min(gaps) if gaps else 0.5
         total = total + residue(f, p, m, rho, tol)
-    far = line_integral(f, Path.circle(zero(f.level), far_radius, m, -1.0), tol=tol * TWO_PI)
-    total = total + far.value * (1.0 / TWO_PI)
+    total = total + line_integral(f, far, tol=tol * TWO_PI).value * (1.0 / TWO_PI)
     return float(total.norm())
 
 

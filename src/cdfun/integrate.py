@@ -14,17 +14,19 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 
 * a power leaf (z - c)^m is C^1 off its centre, so its increments sum to
   (gamma(1) - c)^m - (gamma(0) - c)^m, the paper's Newton-Leibniz formula;
-* an Ln leaf whose circle or polyline does not lie in a plane
-  c + span(1, M) through its centre c takes the closed form of
-  ``_circle_log`` or, segment by segment, of ``_polyline_log``;
-* an Ln leaf whose circle or polyline lies in such a plane
-  (``Path.plane_coordinates``) sums dw_k / w_{k+1} over the knots in
-  complex coordinates w of z - c, on (N,) arrays, and lifts the sum S to
-  Re S + Im S * M before its matrix.  This route stays only because the
-  benchmark's knot-capped job pins its ``converged: false``;
+* an Ln leaf on a polyline takes the closed form of ``_polyline_log``
+  segment by segment, and one on a circle off the plane c + span(1, M)
+  through its centre c that of ``_circle_log``;
+* an Ln leaf on a circle in that plane (``_in_circle_plane``) sums
+  dw_k / w_{k+1} over the knots in complex coordinates w of z - c, on (N,)
+  arrays, and lifts the sum S to Re S + Im S * M before its matrix.  This
+  route stays only because the benchmark's knot-capped job pins its
+  ``converged: false``;
 * an Ln leaf on a parametric path sums its increments on the (N, d) knots
   (``_row_sum``), since ``_doubled`` cannot tell a path that aliases alike
   on two layouts.
+
+Knots are taken only by those last two routes.
 
 ``integral_sum``, the paper's raw increment sum on one partition, is
 ``_row_sum`` over every leaf, and ``stieltjes_integral`` takes it against
@@ -84,8 +86,8 @@ MAX_KNOTS = 1 << 20
 
 _DIRECTION_TOL = 1e-9
 
-#: The in-plane tolerance of Path.plane_coordinates, relative to the
-#: rounding of p - c.
+#: The in-plane tolerance of ``_in_circle_plane`` and ``_polyline_log``,
+#: relative to the rounding of p - c.
 _PLANE_EPS = 16.0 * np.finfo(float).eps
 
 #: The rounding bound of a closed-form power leaf, per unit of
@@ -227,46 +229,6 @@ class Path:
                 out[:, c] = np.interp(ts, fracs, pts[:, c])
             return out
         return np.asarray(self.sampler(ts), dtype=np.float64)
-
-    def plane_coordinates(self, c: np.ndarray) -> Optional[tuple]:
-        """(M, sampler) when the path lies in the plane c + span(1, M) for a
-        unit imaginary M, where sampler(ts) gives the complex coordinates
-        x + iy of gamma(t) - c = x + y*M; None otherwise, and always for a
-        parametric path.
-
-        The test runs on the defining points, a circle's centre or a
-        polyline's corners: a point p is in the plane when the part of
-        Im(p - c) orthogonal to M has norm at most _PLANE_EPS * (|p| + |c| + 1),
-        the rounding of p - c.  A circle's M is its direction; a polyline's is
-        the direction of its corner farthest from the real line through c, or
-        e1 when every corner lies on that line.
-        """
-        if self.kind == "circle":
-            pts, m = self.center.coeffs[None, :], self.direction.coeffs
-        elif self.kind == "polyline":
-            pts = self._polyline[0]
-            im = pts[:, 1:] - c[1:]
-            far = im[np.argmax(norm_arrays(im))]
-            m = np.zeros(len(c))
-            if np.any(far):
-                m[1:] = far / np.linalg.norm(far)
-            else:
-                m[1] = 1.0
-        else:
-            return None
-        rel = pts - c
-        y = rel @ m
-        off = norm_arrays(rel[:, 1:] - y[:, None] * m[1:])
-        if np.any(off > _PLANE_EPS * (norm_arrays(pts) + float(np.linalg.norm(c)) + 1.0)):
-            return None
-        w = rel[:, 0] + 1j * y
-        if self.kind == "circle":
-            start, turns, radius = self.start, self.turns, self.radius
-            return m, lambda ts: w[0] + radius * np.exp(2j * math.pi * (start + turns * ts))
-        fracs = self._polyline[3]
-        if fracs is None:
-            return m, lambda ts: np.full(len(ts), w[0])
-        return m, lambda ts: np.interp(ts, fracs, w)
 
     def endpoints(self) -> np.ndarray:
         """gamma(0) and gamma(1) as a (2, dim) array.  A polyline's are its
@@ -433,6 +395,14 @@ def _circle_frame(point: np.ndarray, path: Path) -> tuple:
     return float(delta[0]), y, p
 
 
+def _in_circle_plane(a: np.ndarray, gamma: Path, p: np.ndarray) -> bool:
+    """Whether a circle lies in the plane a + span(1, M) of its direction M:
+    the part p of c - a off that plane (see ``_circle_frame``) has norm at
+    most _PLANE_EPS * (|c| + |a| + 1), the rounding of c - a."""
+    c = gamma.center.coeffs
+    return math.sqrt(float(p @ p)) <= _PLANE_EPS * (math.sqrt(float(c @ c)) + math.sqrt(float(a @ a)) + 1.0)
+
+
 def _circle_distance(path: Path, x: float, y: float, perp: float) -> tuple:
     """``distance_range`` of a circle from the frame (x, y, |p|) of
     ``_circle_frame``: the nearest point lies over the polar angle of the
@@ -571,17 +541,19 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _raw_sum(in_plane: list, knots: np.ndarray) -> np.ndarray:
-    """The increment sum of in-plane Ln leaves on one knot layout: each
-    (leaf, (M, sampler)) pair sums dw_k / w_{k+1} in the coordinates w of
-    its plane, sampled once per plane, and lifts the sum S to
-    Re S + Im S * M before the leaf's matrix."""
-    total = np.zeros(len(in_plane[0][0].center))
-    coords: dict = {}
-    for leaf, (m, sampler) in in_plane:
-        if id(sampler) not in coords:
-            coords[id(sampler)] = sampler(knots)
-        w = coords[id(sampler)]
+def _raw_sum(gamma: Path, in_plane: list, knots: np.ndarray) -> np.ndarray:
+    """The increment sum of the Ln leaves of a circle in their plane on one
+    knot layout.  Each (leaf, w0) pair, w0 = x + iy from the frame of
+    ``_circle_frame`` about the leaf's centre a, sums dw_k / w_{k+1} over the
+    complex coordinates w = w0 + rho*e^(i*phi) of gamma - a, with
+    phi = 2*pi*(start + turns*t), and lifts the sum S to Re S + Im S * M
+    before the leaf's matrix.  The term rho*e^(i*phi) is sampled once for
+    all leaves."""
+    m = gamma.direction.coeffs
+    wave = gamma.radius * np.exp(2j * math.pi * (gamma.start + gamma.turns * knots))
+    total = np.zeros(len(m))
+    for leaf, w0 in in_plane:
+        w = w0 + wave
         if np.any(np.abs(w[1:]) <= EPS_ZERO):
             raise PoleError("path meets a singular point of the integrand at a knot on a leaf centre")
         s = complex((np.diff(w) / w[1:]).sum())
@@ -674,7 +646,9 @@ def line_integral(
 ) -> QuadratureResult:
     """The line integral of f along gamma, by the four routes of the module
     docstring.  ``est_error`` bounds the rounding of the Newton-Leibniz part.
-    A phrase with no Ln leaf on knots takes no knot layout, and reports 0
+    Knots are taken only for Ln leaves on a circle in their plane and on
+    parametric paths, and ``tol`` and ``max_knots`` act only there.  A
+    phrase with no such leaf takes no knot layout, and reports 0
     refinements and ``converged``; otherwise the knot doubling's
     refinements and ``converged`` flag are the report's, and its error
     estimate adds to ``est_error``.  Non-convergence within ``max_knots``
@@ -693,19 +667,18 @@ def line_integral(
         on_knots = PrimitiveResult(gamma.level, logs)
         raw = lambda n: _row_sum(on_knots, gamma, _quadrature_knots(gamma, n), _Z)
     else:
-        in_plane, planes = [], {}  # one plane_coordinates per leaf centre
+        in_plane = []
         for leaf in logs:
-            key = leaf.center.tobytes()
-            if key not in planes:
-                planes[key] = gamma.plane_coordinates(leaf.center)
-            if planes[key] is None and gamma.kind == "circle":
-                value += _circle_log(leaf.center, gamma) @ leaf.matrix
-            elif planes[key] is None:
+            if gamma.kind == "polyline":
                 value += _polyline_log(leaf.center, gamma, continued=False) @ leaf.matrix
+                continue
+            x, y, p = _circle_frame(leaf.center, gamma)
+            if _in_circle_plane(leaf.center, gamma, p):
+                in_plane.append((leaf, complex(x, y)))
             else:
-                in_plane.append((leaf, planes[key]))
+                value += _circle_log(leaf.center, gamma) @ leaf.matrix
         logs = in_plane
-        raw = lambda n: _raw_sum(in_plane, _quadrature_knots(gamma, n))
+        raw = lambda n: _raw_sum(gamma, in_plane, _quadrature_knots(gamma, n))
     if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
     quad = _extrapolated(raw, gamma.level, tol, max_knots)
@@ -863,8 +836,7 @@ def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
 
     With c - a = x + y*M + p (see ``_circle_frame``), gamma(phi) - a has
     real part x + rho*cos phi and imaginary part (y + rho*sin phi)*M + p.
-    When |p| is within the rounding that the plane rule of
-    ``Path.plane_coordinates`` allows, the circle lies in a + span(1, M),
+    When ``_in_circle_plane`` holds, the circle lies in a + span(1, M),
     where Ln is the complex logarithm of zeta(phi) = (x + i*y) + rho*e^(i*phi):
     the value is the change of arg zeta times M plus ln|zeta_1| - ln|zeta_0|.
     From outside the circle zeta subtends less than pi, so the change is
@@ -887,8 +859,7 @@ def _circle_log(a: np.ndarray, gamma: Path) -> np.ndarray:
     re0, im0 = x + rho * math.cos(phi0), y + rho * math.sin(phi0)
     re1, im1 = x + rho * math.cos(phi1), y + rho * math.sin(phi1)
     n0, n1 = math.hypot(im0, perp), math.hypot(im1, perp)  # |Im(gamma - a)| at the ends
-    c = gamma.center.coeffs
-    if perp <= _PLANE_EPS * (math.sqrt(float(c @ c)) + math.sqrt(float(a @ a)) + 1.0):
+    if _in_circle_plane(a, gamma, p):
         turn = math.atan2(re0 * im1 - im0 * re1, re0 * re1 + im0 * im1)
         if math.hypot(x, y) < rho:
             frac, whole = math.modf(abs(turns))
@@ -917,8 +888,8 @@ def _polyline_log(a: np.ndarray, gamma: Path, continued: bool = True) -> np.ndar
     direction of the last non-real corner before it, real corners ahead of
     the first non-real one borrow its direction, and a real corner counts
     as lying in every plane through the real line.  A segment whose
-    non-real ends have imaginary parts along one unit u (by the plane rule
-    of ``Path.plane_coordinates``) lies in a + span(1, u): there the
+    non-real ends have imaginary parts along one unit u, up to
+    _PLANE_EPS * (|P_k| + |a| + 1), lies in a + span(1, u): there the
     argument, measured along u, turns by atan2(cross, dot) of the ends'
     complex coordinates.  On any other segment Im(z - a) never vanishes, so
     the principal Ln is continuous there and the argument turns by

@@ -748,6 +748,15 @@ def test_shared_kernel_loop_matches_per_power_loops(r, off_plane):
         assert (res.value - value).norm() <= 1e-12 * (1.0 + value.norm())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_loop_estimate_does_not_overflow_on_finite_sums():
+    # k = 8 of a Taylor expansion of z^2 on a circle of radius 1e-30: the
+    # sums reach 2.9e164, whose squared differences overflow
+    (res,) = _kernel_loop(parse("z^2", 1), zero(1), basis_element(1, 1), 1e-30, [-9], 1e-6)
+    assert np.all(np.isfinite(res.value.coeffs)) and np.abs(res.value.coeffs).max() > 1e164
+    assert math.isfinite(res.est_error) and not res.converged
+
+
 def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
     f = parse("e2*z^3 + z", 3)
     psi = Path.circle(zero(3), 1.0, E1, 1.0)
@@ -935,6 +944,17 @@ def test_sum_residues_quadratic_decay_no_finite_residue():
     f = parse("z^-2", 2)
     total = sum_residues_check(f, [zero(2)], basis_element(2, 1), 1e-7)
     assert total <= 1e-6
+
+
+def test_sum_residues_refuses_a_pole_off_the_far_circle_plane():
+    # the far circle gives 0 for the Ln leaf of a pole off its plane, while
+    # the pole's small circle gives its residue: two random poles at r = 3
+    # once totalled 4 with no error
+    rng = np.random.default_rng(29)
+    poles = [random_element(3, rng) for _ in range(2)]
+    text = " + ".join(f"2*(z-{expressions._fmt_const(p.coeffs)})^-1" for p in poles)
+    with pytest.raises(DomainError, match=r"pole .* off the plane of the far circle"):
+        sum_residues_check(parse(text, 3), poles, E1, 1e-7)
 
 
 @pytest.mark.parametrize(
