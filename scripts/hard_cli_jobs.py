@@ -2,9 +2,11 @@
 """Hard CLI jobs at level 8, each in its own process under a 1 GiB address-space limit.
 
 Every row of ROWS is one ``cdfun`` command line on a level-8 input that once
-ran out of memory, ran too long, aliased, or wrote more than one report: a
-pole 1e-7 from a circle or a square, a point 1e-6 from the curve, 1e4 and 1e5 turns,
-a polynomial whose square overflows, the exponent cap.  A row names its
+ran out of memory, ran too long, aliased, wrote more than one report, or
+ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
+point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
+overflows, the exponent cap, out-of-range flag values, a step lost to
+rounding.  A row names its
 argv, the path object written to the ``--path-file`` it gets (or None), the
 exit code it must end with, and either the error kind its report must name
 or a predicate on its report.  The whole of stdout must be one JSON report.
@@ -109,6 +111,18 @@ ROWS = (
     Row("many-turn argument principle",
         ["argprinciple", "--level", "8", "--expr", "z^3", "--zeros", json.dumps([[[0.0] * D, 3]])], _circle(1e4), 0,
         lambda rep: all(abs(rep[side][1] - 3e4) <= 1e-6 for side in ("lhs", "rhs"))),
+    # the kernel power -k-1 of order 1e7 lies far outside the exponent range,
+    # and the job ran past a minute
+    Row("cauchy order past the exponent cap",
+        ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector(100.0), "--order", "10000000"], _circle(), 1,
+        "usage", timeout_s=10.0),
+    # numpy's generator refuses a negative seed, which ended as an internal error
+    Row("negative roots seed", ["roots", "--level", "8", "--expr", "z^2+1", "--seed", "-1"], None, 1, "usage"),
+    # 0.3 + 1e-320 rounds to 0.3, and crcheck of zc, which is not
+    # superdifferentiable, passed with residual 0
+    Row("crcheck step lost to rounding",
+        ["crcheck", "--level", "8", "--expr", "zc", "--point", _vector(0.3, 0.1, -0.2, 0.5), "--step", "1e-320"],
+        None, 2, "domain"),
 )
 
 

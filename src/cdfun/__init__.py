@@ -85,7 +85,6 @@ from .integrate import (
     line_integral,
     log_integral,
     path_from_json,
-    stieltjes_integral,
 )
 from .transcendental import (
     dln_apply,

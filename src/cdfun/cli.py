@@ -182,10 +182,11 @@ _READERS = {
     "point": _element, "direction": _element, "center": _element, "pole": _element,
     "rho": _positive, "tol": _positive,
     "rho_inner": _float, "rho_outer": _float, "step": _positive, "threshold": _float,
-    "seed": _int, "order": _int_range(0),
-    # the kernel of coefficient k has the power -k-1, so every count and
-    # coefficient index keeps it inside the exponent range the parser accepts
-    "count": _int_range(1, MAX_EXPONENT),
+    "seed": _int_range(0),
+    # the kernel of coefficient k, or of derivative order k, has the power
+    # -k-1, so every order, count and coefficient index keeps it inside the
+    # exponent range the parser accepts
+    "order": _int_range(0, MAX_EXPONENT - 1), "count": _int_range(1, MAX_EXPONENT),
     "kmin": _int_range(-MAX_EXPONENT - 1, MAX_EXPONENT - 1), "kmax": _int_range(-MAX_EXPONENT - 1, MAX_EXPONENT - 1),
     "max_knots": _int_range(2 * START_KNOTS, MAX_KNOTS),
 }
@@ -374,7 +375,7 @@ def _job_params(obj, output_flag: Optional[str]) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
-    """Run the acceptance criteria at reduced scale (--scale, default 0.12)."""
+    """Run the acceptance criteria at reduced scale (--scale in (0, 1], default 0.12)."""
     from . import criteria
 
     table = basis_table(2)
@@ -548,8 +549,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 0
             output = params.pop("output", None)
             if command == "selftest":
-                seed = _int(params.get("seed", 42), "seed")
+                seed = _READERS["seed"](params.get("seed", 42), "seed")
                 scale = _positive(params.get("scale", 0.12), "scale")
+                if scale > 1.0:
+                    raise UsageError(f"scale must be in (0, 1], got {scale!r}")
                 return _selftest(seed, scale, params.get("inject_sign_error", False))
             if command == "job":
                 obj = _json_value(_read_file(params["job_file"]), "job file")

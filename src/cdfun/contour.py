@@ -69,6 +69,7 @@ from .integrate import (
 )
 
 TWO_PI = 2.0 * math.pi
+_MAX_FACTORIAL = 170  # 171! exceeds the largest double
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +491,8 @@ def cauchy_derivative(f: Phrase, z: CDNumber, k: int, psi: Path, tol: float = 1e
     k = int(k)
     if k < 1:
         raise DomainError("derivative order must be a positive integer")
+    if k > _MAX_FACTORIAL:
+        raise DomainError(f"derivative order {k} exceeds {_MAX_FACTORIAL}: k! overflows a double")
     val = _deformed_kernel_value(f, z, psi, -k - 1, tol, "cauchy_derivative")
     return val * (math.factorial(k) / TWO_PI)
 

@@ -634,13 +634,10 @@ CHECKS: List[Callable[..., CriterionResult]] = [
 def run_all(
     scale: float = 1.0,
     seed: int = 42,
-    numbers: Optional[Sequence[int]] = None,
     include_cli_selftest: Optional[bool] = None,
 ) -> List[CriterionResult]:
     results = []
-    for i, fn in enumerate(CHECKS, start=1):
-        if numbers is not None and i not in numbers:
-            continue
+    for fn in CHECKS:
         if fn is check_cli:
             results.append(fn(scale, seed, include_selftest=include_cli_selftest))
         else:

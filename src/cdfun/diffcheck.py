@@ -21,9 +21,10 @@ the real coordinates w_s of z = sum_s w_s e_s:
   with surviving zc dependence fails in every pair it touches.
 
 All derivatives are central differences with step ``step * (1 + |z|)``;
-residuals of exact pass cases therefore shrink as O(step^2).  Each check
-evaluates its whole stencil (the points w +- h*e_t, and w itself for the
-second differences) as one batch.
+residuals of exact pass cases therefore shrink as O(step^2).  A step that
+rounds away at the probe point is a DomainError.  Each check evaluates its
+whole stencil (the points w +- h*e_t, and w itself for the second
+differences) as one batch.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .expressions import Phrase, evaluate_two_slot, parse
 
 DEFAULT_STEP = 1e-5
 DEFAULT_THRESHOLD = 1e-4
+_TINY = 2.0**-1022  # the least normal double
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,11 @@ def _probe_point(F: RealFieldSample, z: CDNumber) -> Tuple[np.ndarray, float]:
         )
     w = np.array(z.coeffs, dtype=float)
     h = F.step * (1.0 + float(norm_arrays(w)))
+    # every stencil coordinate w_q +- h must move by h to within h/2, and
+    # the second differences divide by h^2, which must not underflow
+    moved = np.abs(np.concatenate([(w + h) - w, w - (w - h)]) - h)
+    if not (h * h >= _TINY and np.all(moved <= 0.5 * h)):
+        raise DomainError(f"finite-difference step {h:g} is lost to rounding at the probe point")
     return w, h
 
 

@@ -29,11 +29,10 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 Knots are taken only by those last two routes.
 
 ``integral_sum``, the paper's raw increment sum on one partition, is
-``_row_sum`` over every leaf, and ``stieltjes_integral`` takes it against
-the increments of an integrator phrase.  It and the knot routes of
-``line_integral`` double the knot count from 64 and combine the raw sums
-by Richardson extrapolation: the right-endpoint error expands in integer
-powers of 1/N, so the tableau
+``_row_sum`` over every leaf.  The knot routes of ``line_integral`` double
+the knot count from 64 and combine the raw sums by Richardson
+extrapolation: the right-endpoint error expands in integer powers of 1/N,
+so the tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1)
 
@@ -41,9 +40,10 @@ strips the O(1/N) tail that plain doubling would chase far past any
 practical knot budget.  ``est_error`` is the difference of the last two
 tableau diagonals, the extrapolated analogue of |I_2N - I_N|.
 
-Knots are placed at segment midpoint offsets (k + 1/2)/N plus both
-endpoints, so refinement never parks a sample exactly on a logarithm cut
-or a pole that the path merely grazes.
+The N-knot layout of both routes (``_offset_knots``) is the midpoint
+offsets (k + 1/2)/N over [0, 1] plus both endpoints, so refinement never
+parks a sample exactly on a logarithm cut or a pole that the path merely
+grazes.
 
 ``log_integral``, the loop integral of d Ln(z - a) behind the index and
 the argument principle, continues the argument along the path: in closed
@@ -69,15 +69,7 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import (
-    Phrase,
-    PrimitiveResult,
-    VarPow,
-    _fmt_const,
-    _is_number,
-    eval_node_arrays,
-    primitive,
-)
+from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
 from .transcendental import _split_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -96,7 +88,6 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 #: The most elements of one (knots, d) array of a row sum.
 _ROW_BLOCK_ELEMENTS = 1 << 18
-_Z = VarPow(False, 1)  # the phrase tree of z, a line integral's integrator
 
 
 # ---------------------------------------------------------------------------
@@ -456,45 +447,9 @@ def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
 
 
 def _offset_knots(n: int) -> np.ndarray:
+    """The n-knot layout of the knot routes: (k + 1/2)/n and both endpoints."""
     inner = (np.arange(n) + 0.5) / n
     return np.concatenate([[0.0], inner, [1.0]])
-
-
-def _polyline_base_counts(path: Path, start: int) -> np.ndarray:
-    _, seg, total, fracs = path._polyline
-    if fracs is None:
-        return np.zeros(len(seg), dtype=np.int64)
-    w = seg / total
-    counts = 2 * np.maximum(1, np.round(w * start / 2.0).astype(np.int64))
-    counts[seg <= 0.0] = 0
-    return counts
-
-
-def _quadrature_knots(path: Path, n: int) -> np.ndarray:
-    """Internal knot layout for n-knot refinement of a path.
-
-    Circles and parametric paths use midpoint offsets over [0, 1]; polyline
-    corners are always knots, with each segment carrying an even sample
-    count proportional to its share of the arc length.  Counts are derived
-    from the START_KNOTS layout and scaled, so successive doublings refine
-    every segment by exactly 2 (a requirement of the extrapolation tableau).
-    """
-    if path.kind != "polyline":
-        return _offset_knots(n)
-    factor, rem = divmod(n, START_KNOTS)
-    if factor < 1 or rem:
-        raise DomainError("polyline knot counts must be multiples of the base count")
-    counts = _polyline_base_counts(path, START_KNOTS) * factor
-    _, seg, _, fracs = path._polyline
-    if fracs is None:
-        return np.array([0.0, 1.0])
-    knots = [0.0, 1.0] + [float(f) for f in fracs[1:-1]]
-    for i, c in enumerate(counts):
-        if c <= 0 or seg[i] <= 0.0:
-            continue
-        lo, hi = fracs[i], fracs[i + 1]
-        knots.extend(lo + (hi - lo) * (np.arange(c) + 0.5) / c)
-    return np.unique(np.asarray(knots, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -563,19 +518,19 @@ def _raw_sum(gamma: Path, in_plane: list, knots: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.ndarray:
-    """The rows of ``hat_from_primitive`` at z_{k+1} along q(z_{k+1}) - q(z_k),
-    q a phrase tree, summed over the knots: each leaf's increments, then its
-    matrix once, per block of at most _ROW_BLOCK_ELEMENTS elements per
-    (block, d) array, so memory stays O(block * d) whatever the knot count."""
+def _row_sum(leaves: list, gamma: Path, knots: np.ndarray) -> np.ndarray:
+    """The rows of ``hat_from_primitive`` at z_{k+1} along dz_k = z_{k+1} - z_k,
+    summed over the knots: each leaf's increments, then its matrix once, per
+    block of at most _ROW_BLOCK_ELEMENTS elements per (block, d) array, so
+    memory stays O(block * d) whatever the knot count."""
     r, d = gamma.level.r, gamma.level.basis_dim
     step = max(1, _ROW_BLOCK_ELEMENTS // d)
     total = np.zeros(d)
     try:
         for lo in range(0, len(knots) - 1, step):
             Z = gamma.sample(knots[lo: lo + step + 1])
-            H = np.diff(eval_node_arrays(q, Z, r), axis=0)
-            for leaf in prim.leaves:
+            H = np.diff(Z, axis=0)
+            for leaf in leaves:
                 total += leaf.increment(Z[1:], H, r).sum(axis=0) @ leaf.matrix
     except SingularElementError as e:
         raise PoleError(f"path meets a singular point of the integrand: {e}") from e
@@ -585,7 +540,7 @@ def _row_sum(prim: PrimitiveResult, gamma: Path, knots: np.ndarray, q) -> np.nda
 def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
     """The raw right-endpoint increment sum I(f, gamma; P) for one partition."""
     _check_levels(f, gamma)
-    return CDNumber(gamma.level, _row_sum(primitive(f), gamma, partition.knots, _Z))
+    return CDNumber(gamma.level, _row_sum(primitive(f).leaves, gamma, partition.knots))
 
 
 def _extrapolated(
@@ -664,8 +619,7 @@ def line_integral(
     logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
     if gamma.kind == "parametric":
-        on_knots = PrimitiveResult(gamma.level, logs)
-        raw = lambda n: _row_sum(on_knots, gamma, _quadrature_knots(gamma, n), _Z)
+        raw = lambda n: _row_sum(logs, gamma, _offset_knots(n))
     else:
         in_plane = []
         for leaf in logs:
@@ -678,33 +632,11 @@ def line_integral(
             else:
                 value += _circle_log(leaf.center, gamma) @ leaf.matrix
         logs = in_plane
-        raw = lambda n: _raw_sum(gamma, in_plane, _quadrature_knots(gamma, n))
+        raw = lambda n: _raw_sum(gamma, in_plane, _offset_knots(n))
     if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
     quad = _extrapolated(raw, gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
-
-
-def stieltjes_integral(
-    f: Phrase,
-    q: Phrase,
-    gamma: Path,
-    tol: float = DEFAULT_TOL,
-    max_knots: int = MAX_KNOTS,
-) -> QuadratureResult:
-    """The integral of f against increments of the integrator phrase q.
-
-    Steps use dq_k = q(gamma(c_{k+1})) - q(gamma(c_k)) in place of dz_k;
-    with q = "z" this reduces exactly to ``line_integral``.  Otherwise each
-    knot layout takes the blocked row sum of ``integral_sum``.
-    """
-    _check_levels(f, gamma)
-    _check_levels(q, gamma)
-    if isinstance(q.root, VarPow) and not q.root.conjugated and q.root.power == 1:
-        return line_integral(f, gamma, tol, max_knots)
-    prim = primitive(f)
-    _check_poles(prim, gamma)
-    return _extrapolated(lambda n: _row_sum(prim, gamma, _quadrature_knots(gamma, n), q.root), gamma.level, tol, max_knots)
 
 
 # ---------------------------------------------------------------------------

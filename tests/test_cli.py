@@ -867,6 +867,48 @@ def test_non_positive_step_is_usage_error(command, step):
     assert (code, rep["error"]["kind"]) == (1, "usage")
 
 
+@pytest.mark.parametrize("step,expr", [("1e-320", "zc"), ("1e-200", "zc*z")])
+@pytest.mark.parametrize("command", ["crcheck", "harmonic", "zbarcheck"])
+def test_step_lost_to_rounding_is_a_domain_error(command, step, expr):
+    # 0.3 + 1e-320 is 0.3, so crcheck and zbarcheck of zc passed with
+    # residual 0, and harmonic of zc*z at 1e-200, where h^2 underflows, wrote NaN
+    code, out = invoke([command, "--level", "2", "--expr", expr, "--point", "[0.3, 0.1, -0.2, 0.5]", "--step", step])
+    assert (code, json.loads(out)["error"]["kind"]) == (2, "domain")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an out-of-range value reached the library")
+
+
+@pytest.mark.parametrize("order", ["60", "200", "10000000"])
+def test_cauchy_order_beyond_the_exponent_range_is_a_usage_error(tmp_path, monkeypatch, order):
+    # the kernel of order k has the power -k-1: --order 200 ended internal
+    # on k! as a float, and --order 10000000 ran past a minute
+    monkeypatch.setattr(cli, "cauchy_derivative", _refuse)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(circle_json([100, 0], 50.0, [0, 1])))
+    code, rep = invoke_json(["cauchy", "--level", "1", "--expr", "z", "--point", "[100, 0]",
+                             "--order", order, "--path-file", str(path)])
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["roots", "--level", "2", "--expr", "z^2+1", "--seed", "-1"], ["selftest", "--seed", "-5"],
+     ["selftest", "--scale", "1e12"], ["selftest", "--scale", "1.5"]],
+    ids=["roots-seed", "selftest-seed", "selftest-huge-scale", "selftest-scale"],
+)
+def test_negative_seeds_and_scales_above_one_are_usage_errors(monkeypatch, argv):
+    # a negative seed ended internal in numpy's generator; --scale 1e12 ran
+    # past a minute
+    from cdfun import criteria
+
+    monkeypatch.setattr(criteria, "run_all", _refuse)
+    monkeypatch.setattr(cli, "find_root", _refuse)
+    code, rep = invoke_json(argv)
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -171,9 +171,11 @@ def test_winding_json_shape():
 def _winding_per_plane(a, gamma, n):
     """Reference: one projected plane at a time, at a fixed knot count."""
     from cdfun.contour import _segment_distance
-    from cdfun.integrate import _quadrature_knots
 
-    Z = gamma.sample(_quadrature_knots(gamma, n))
+    knots = _offset_knots(n)
+    if gamma.kind == "polyline":  # the corners are knots too
+        knots = np.union1d(knots, gamma._polyline[3])
+    Z = gamma.sample(knots)
     scale = 1.0 + a.norm() + float(np.max(np.linalg.norm(Z, axis=1)))
     per_plane, undefined, widest = {}, set(), 0.0
     for s in range(1, a.level.basis_dim):
@@ -550,6 +552,14 @@ def test_derivative_rejects_nonpositive_order():
     psi = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
     with pytest.raises(DomainError):
         cauchy_derivative(parse("z", 2), zero(2), 0, psi)
+
+
+def test_derivative_order_whose_factorial_overflows_is_a_domain_error():
+    # 171! exceeds the largest double, and scaling by k! raised OverflowError
+    psi = Path.circle(from_real(1, 100.0), 50.0, basis_element(1, 1), 1.0)
+    for k in (171, 200):
+        with pytest.raises(DomainError, match="overflows"):
+            cauchy_derivative(parse("z", 1), from_real(1, 100.0), k, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,21 @@ def test_sample_validation():
             check(_sample("z^60", 2), big)
 
 
+@pytest.mark.parametrize(
+    "check,text,step,w",
+    [(cr_check, "zc", 1e-320, [0.3, 0.1, -0.2, 0.5]), (zbar_check, "zc", 1e-320, [0.3, 0.1, -0.2, 0.5]),
+     (harmonic_check, "zc*z", 1e-200, [0.3, 0.1, -0.2, 0.5]), (harmonic_check, "z^2", 1e-170, [0.0] * 4)],
+    ids=["cr-rounds", "zbar-rounds", "harmonic-rounds", "harmonic-underflows"],
+)
+def test_step_lost_to_rounding_is_a_domain_error(check, text, step, w):
+    # 0.3 + 1e-320 rounds to 0.3, and at 0, where every stencil coordinate
+    # moves by h, (1e-170)^2 underflows: the checks reported residual 0 or NaN
+    with pytest.raises(DomainError, match="rounding"):
+        check(_sample(text, 2, step=step), CDNumber(2, w))
+    # h^2 = 1e-300 is a normal double
+    check(_sample(text, 2, step=1e-150), from_real(2, 0.0))
+
+
 def test_level_mismatch_rejected():
     F = RealFieldSample.from_expression("z", 3)
     with pytest.raises(DomainError):

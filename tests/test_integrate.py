@@ -40,9 +40,7 @@ from cdfun.integrate import (
     log_integral,
     path_from_json,
     _extrapolated,
-    _polyline_base_counts,
-    _quadrature_knots,
-    stieltjes_integral,
+    _offset_knots,
     total_variation,
 )
 from cdfun.transcendental import _ln_with_parts
@@ -187,11 +185,13 @@ def test_row_sums_run_in_bounded_memory():
     # (16385, 256) layout of every array took 225 MiB
     r = 8
     circle = Path.circle(zero(r), 1.0, basis_element(r, 1))
-    f, q = parse("(z-1.0000001)^-1", r), parse("z^2", r)
-    stieltjes_integral(f, q, circle, max_knots=128)
+    sampled = Path(level=circle.level, kind="parametric", sampler=circle.sample)
+    f = parse("(z-1.0000001)^-1", r)
+    line_integral(f, sampled, max_knots=128)
     tracemalloc.start()
     try:
-        res = stieltjes_integral(f, q, circle, max_knots=16384)
+        res = line_integral(f, sampled, max_knots=16384)
+        integral_sum(f, circle, Partition.uniform(16384))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,17 +201,19 @@ def test_row_sums_run_in_bounded_memory():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_blocked_row_sums_match_one_block(r, monkeypatch):
+    # the Ln leaves of a parametric path, and integral_sum over every leaf
     e1 = basis_element(r, 1)
     open_line = Path.polyline([from_real(r, 0.5), from_real(r, 1.0) + e1, e1 * -0.8])
-    cases = [("z^-1", "z^2", Path.circle(zero(r), 1.0, e1).subpath(0.0, 0.6)),
-             ("z^2 + 0.5*z", "z^3-z", open_line)]
-    for text_f, text_q, gamma in cases:
-        f, q = parse(text_f, r), parse(text_q, r)
+    cases = [("z^-1", Path.circle(zero(r), 1.0, e1).subpath(0.0, 0.6)),
+             ("z^2 + 0.5*(z-2)^-1", open_line)]
+    for text, gamma in cases:
+        f = parse(text, r)
+        sampled = Path(level=gamma.level, kind="parametric", sampler=gamma.sample)
         got = []
         for elements in (1 << 40, 37 << r):  # one block, and blocks of 37 knots
             monkeypatch.setattr(integrate, "_ROW_BLOCK_ELEMENTS", elements)
-            res = stieltjes_integral(f, q, gamma)
-            assert res.converged
+            res = line_integral(f, sampled)
+            assert res.converged and res.refinements > 0
             got.append((res.value.coeffs, integral_sum(f, gamma, Partition.uniform(1000)).coeffs))
         for one, blocked in zip(*got):
             assert np.linalg.norm(blocked - one) <= 1e-12 * np.linalg.norm(one)
@@ -471,7 +473,7 @@ def _log_integral_per_knot(center, gamma):
     picks the representation (theta + 2*pi*j)*mu nearest that vector,
     bisecting steps that move it by pi/2 or more.
     """
-    knots = _quadrature_knots(gamma, 256 if gamma.kind != "polyline" else 4 * START_KNOTS)
+    knots = _reference_polyline_knots(gamma, 4 * START_KNOTS) if gamma.kind == "polyline" else _offset_knots(256)
     c = center.coeffs
     Z = gamma.sample(knots) - c[None, :]
     rho = norm_arrays(Z)
@@ -806,40 +808,6 @@ def test_log_integral_through_a_point_of_a_circle_between_knots_is_a_pole():
         log_integral(CDNumber(2, [math.cos(ang), math.sin(ang), 0.0, 0.0]), gamma)
 
 
-# ---------------------------------------------------------------------------
-# stieltjes integrals
-# ---------------------------------------------------------------------------
-
-def test_stieltjes_with_identity_integrator_reduces():
-    circ = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
-    a = stieltjes_integral(parse("z^-1", 2), parse("z", 2), circ)
-    b = line_integral(parse("z^-1", 2), circ)
-    assert np.array_equal(a.value.coeffs, b.value.coeffs)
-
-
-def test_stieltjes_constant_f_closed_path_telescopes_to_zero():
-    circ = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
-    res = stieltjes_integral(parse("1", 2), parse("z^3 - e2*z", 2), circ)
-    assert res.value.norm() < 1e-10
-
-
-def test_stieltjes_against_fine_direct_sum():
-    # f = z^-1 against q = z^2 on the unit circle: reference is the raw
-    # increment sum at 2^16 knots
-    circ = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
-    f, q = parse("z^-1", 2), parse("z^2", 2)
-    res = stieltjes_integral(f, q, circ, tol=1e-7)
-    from cdfun.expressions import eval_node_arrays, hat_from_primitive, primitive
-
-    knots = np.linspace(0.0, 1.0, (1 << 16) + 1)
-    Z = circ.sample(knots)
-    Q = eval_node_arrays(q.root, Z, 2)
-    vals = hat_from_primitive(primitive(f), Z[1:], np.diff(Q, axis=0))
-    ref = CDNumber(2, vals.sum(axis=0))
-    assert (res.value - ref).norm() < 1e-3
-    assert res.converged
-
-
 def test_pole_centres_on_the_path_are_refused_before_sampling():
     e1 = basis_element(3, 1)
     circle = Path.circle(zero(3), 1.0, e1)
@@ -1030,11 +998,6 @@ def test_polyline_geometry_is_shared_and_bitwise_unchanged(r):
     ts = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 50)])
     for path in paths:
         assert np.array_equal(path.sample(ts), _reference_polyline_sample(path, ts))
-        _, seg, _, _ = _reference_polyline_geometry(path)
-        counts = _polyline_base_counts(path, START_KNOTS)
-        assert len(counts) == len(seg) and not np.any(counts[seg <= 0.0])
-        for n in (START_KNOTS, 4 * START_KNOTS):
-            assert np.array_equal(_quadrature_knots(path, n), _reference_polyline_knots(path, n))
 
 
 @pytest.mark.parametrize(
@@ -1273,7 +1236,7 @@ def _no_knot_layouts(monkeypatch):
     def refuse(*args):
         raise AssertionError("a leaf took a knot layout")
 
-    monkeypatch.setattr(integrate, "_quadrature_knots", refuse)
+    monkeypatch.setattr(integrate, "_offset_knots", refuse)
 
 
 @pytest.mark.parametrize("r", [3, 8])
