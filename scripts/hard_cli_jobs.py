@@ -6,7 +6,7 @@ ran out of memory, ran too long, aliased, wrote more than one report, or
 ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
 point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
 overflows, the exponent cap, out-of-range flag values, a step lost to
-rounding.  A row names its
+rounding, an image or an index past the range of a double.  A row names its
 argv, the path object written to the ``--path-file`` it gets (or None), the
 exit code it must end with, and either the error kind its report must name
 or a predicate on its report.  The whole of stdout must be one JSON report.
@@ -35,9 +35,9 @@ LIMIT_BYTES = 1 << 30
 D = 256
 
 
-def _circle(turns: float = 1.0) -> dict:
-    """The unit (1, e1) circle about 0 at level 8."""
-    return {"kind": "circle", "center": [0.0] * D, "radius": 1.0, "direction": [0.0, 1.0] + [0.0] * (D - 2),
+def _circle(turns: float = 1.0, radius: float = 1.0) -> dict:
+    """The (1, e1) circle about 0 at level 8, of unit radius by default."""
+    return {"kind": "circle", "center": [0.0] * D, "radius": radius, "direction": [0.0, 1.0] + [0.0] * (D - 2),
             "turns": turns}
 
 
@@ -123,6 +123,16 @@ ROWS = (
     Row("crcheck step lost to rounding",
         ["crcheck", "--level", "8", "--expr", "zc", "--point", _vector(0.3, 0.1, -0.2, 0.5), "--step", "1e-320"],
         None, 2, "domain"),
+    # |z^3| = 1e900 on the image overflows, and NaN reached the rounding of
+    # the continued argument, an internal error
+    Row("argprinciple of an overflowing image",
+        ["argprinciple", "--level", "8", "--expr", "z^3", "--zeros", json.dumps([[[0.0] * D, 3]])],
+        _circle(radius=1e300), 2, "domain"),
+    # the pole's index 1e300*e1 has a norm past a double, which ended internal
+    # when rounded to a winding count
+    Row("residue theorem over 1e300 turns",
+        ["restheorem", "--level", "8", "--expr", "(z-0.1)^-1", "--poles", json.dumps([[0.1] + [0.0] * (D - 1)])],
+        _circle(1e300), 2, "domain"),
 )
 
 

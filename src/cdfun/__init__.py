@@ -21,15 +21,11 @@ from .algebra import (
     embed,
     find_zero_divisor,
     from_real,
-    inverse,
     mul,
-    norm,
     one,
     pow_int,
-    project_down,
     random_element,
     random_unit_imaginary,
-    split,
     zero,
 )
 from .contour import (
@@ -87,12 +83,10 @@ from .integrate import (
     path_from_json,
 )
 from .transcendental import (
-    dln_apply,
     exp,
     exp_series,
     ln_principal,
     polar_decompose,
-    trig,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

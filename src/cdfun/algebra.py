@@ -62,7 +62,7 @@ def _level(r: int) -> AlgebraLevel:
 
 
 class BasisTable:
-    """Signed multiplication table: e_a e_b = sign[a, b] * e_{index[a, b]}.
+    """Signed multiplication table: e_a e_b = sign[a, b] * e_{a ^ b}.
 
     The sign blocks follow the doubling product with conjugation sign
     eps(c) = +1 for c = 0 and -1 otherwise:
@@ -92,7 +92,6 @@ class BasisTable:
         ar = np.arange(d, dtype=np.intp)
         right = ar[:, None] ^ ar[None, :]
         self.sign = sign
-        self.index = right.astype(np.int16)
         # The signed gather index that every form of mul_arrays reads:
         # (x y)[c] = sum_a x[a] * [y, -y][right[a, c]], where right[a, c] is
         # a ^ c with bit d set when sign[a, a ^ c] = -1.
@@ -118,13 +117,6 @@ class BasisTable:
         table[0] *= -1.0
         table[:, 0] *= -1.0
         return table
-
-    def product(self, a: int, b: int) -> tuple[int, int]:
-        """Return (sign, index) of the basis product e_a * e_b."""
-        d = self.level.basis_dim
-        if not (0 <= a < d and 0 <= b < d):
-            raise DomainError(f"basis indices ({a}, {b}) out of range 0..{d - 1} for level {self.level.r}")
-        return int(self.sign[a, b]), int(self.index[a, b])
 
 
 @functools.lru_cache(maxsize=None)
@@ -460,48 +452,22 @@ def conj(z: CDNumber) -> CDNumber:
     return z.conj()
 
 
-def norm(z: CDNumber) -> float:
-    return z.norm()
-
-
-def inverse(z: CDNumber) -> CDNumber:
-    return z.inverse()
-
-
 def pow_int(z: CDNumber, n: int) -> CDNumber:
     if not isinstance(n, (int, np.integer)):
         raise DomainError("exponent must be an integer")
     return CDNumber(z.level, pow_arrays(z.coeffs, int(n), z.level.r))
 
 
-def split(z: CDNumber) -> tuple[float, CDNumber]:
-    """Split z = v + M into its real part v and purely imaginary part M."""
-    return z.re, z.imag()
-
-
 def embed(z: CDNumber, target_level) -> CDNumber:
-    """Embed z into a higher level by zero-padding the new coordinates."""
+    """Embed z into a higher level by zero-padding the new coordinates.  Kept
+    for the octonions as a subalgebra of levels 4..8: tests compare results
+    there with the same ones at r = 3, embedded."""
     target = as_level(target_level)
     if target.r < z.level.r:
-        raise DomainError(
-            "embed only raises the level; to lower it use project_down, which "
-            "requires the high coordinates to vanish"
-        )
+        raise DomainError("embed only raises the level")
     out = np.zeros(target.basis_dim)
     out[: z.level.basis_dim] = z.coeffs
     return CDNumber(target, out)
-
-
-def project_down(z: CDNumber, target_level) -> CDNumber:
-    """Drop trailing coordinates, requiring them to be numerically zero."""
-    target = as_level(target_level)
-    if target.r > z.level.r:
-        raise DomainError("project_down only lowers the level; use embed to raise it")
-    head = z.coeffs[: target.basis_dim]
-    tail = z.coeffs[target.basis_dim :]
-    if tail.size and float(np.linalg.norm(tail)) > 1e-12 * (1.0 + z.norm()):
-        raise DomainError("element has nonzero coordinates above the target level")
-    return CDNumber(target, head)
 
 
 def conj_via_generators(z: CDNumber) -> CDNumber:

@@ -287,17 +287,17 @@ def _roots(r, expr, tol=DEFAULT_TOL, seed=42):
 
 def _crcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference Cauchy-Riemann check at --point."""
-    return cr_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+    return cr_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
 
 
 def _harmonic(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference pair-harmonicity check at --point."""
-    return harmonic_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+    return harmonic_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
 
 
 def _zbarcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Conjugate-slot derivative check at --point."""
-    return zbar_check(RealFieldSample.from_phrase(expr, step=step), point, threshold=threshold).to_json()
+    return zbar_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
 
 
 def _zerodiv(r):

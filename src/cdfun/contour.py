@@ -70,6 +70,7 @@ from .integrate import (
 
 TWO_PI = 2.0 * math.pi
 _MAX_FACTORIAL = 170  # 171! exceeds the largest double
+_FAR_RADIUS = 1e3  # the circle about 0 whose reversed loop gives the residue at infinity
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +89,6 @@ class IndexVector:
 
     per_plane: Dict[int, int]
     undefined: FrozenSet[int] = frozenset()
-
-    def entry(self, s: int) -> int:
-        if s in self.undefined:
-            raise DomainError(f"winding number in plane e{s} is undefined (degenerate projection)")
-        return self.per_plane[s]
 
     def to_json(self):
         out = {f"e{s}": int(n) for s, n in sorted(self.per_plane.items())}
@@ -660,6 +656,8 @@ def residue_theorem_check(
         dist = distances[i]
         idx = ar_index(p, psi)
         strength = idx.imag().norm()
+        if not math.isfinite(strength):
+            raise DomainError(f"the index of pole {_fmt_const(p.coeffs)} about the contour overflows")
         n = int(round(strength))
         if n == 0:
             continue
@@ -681,13 +679,12 @@ def sum_residues_check(
     poles: Sequence[CDNumber],
     direction: CDNumber,
     tol: float = 1e-6,
-    far_radius: float = 1e3,
 ) -> float:
     """|sum of all residues of f|, the residue at infinity included.
 
     Finite poles are sampled on circles of half their separation; the
     residue at infinity is the reversed-orientation loop integral over a
-    circle of radius ``far_radius`` about 0, normalized by 2*pi.  For a
+    circle of radius ``_FAR_RADIUS`` about 0, normalized by 2*pi.  For a
     rational phrase integrable at infinity the total must vanish.
 
     The far circle lies in the plane span(1, M) of ``direction``.  The Ln
@@ -697,7 +694,7 @@ def sum_residues_check(
     ``_in_circle_plane``, raises DomainError before any quadrature.
     """
     m = _unit_imaginary(direction, "direction")
-    far = Path.circle(zero(f.level), far_radius, m, -1.0)
+    far = Path.circle(zero(f.level), _FAR_RADIUS, m, -1.0)
     for p in poles:
         if p.level.r != f.level.r:
             raise LevelMismatchError("phrase and pole must share a level")

@@ -413,7 +413,7 @@ def check_residues(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         _pole_term(random_element(3, rng), poles[0], random_element(3, rng)),
         _pole_term(random_element(3, rng), poles[1]),
     ))
-    total = sum_residues_check(f, poles, m, far_radius=1e3)
+    total = sum_residues_check(f, poles, m)
     passed = worst_sandwich <= 1e-5 and worst_theorem <= 1e-4 and total <= 1e-3
     return CriterionResult(
         9, "residue calculus", passed,

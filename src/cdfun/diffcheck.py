@@ -68,10 +68,6 @@ class RealFieldSample:
         return self.phrase.level
 
     @classmethod
-    def from_phrase(cls, f: Phrase, step: float = DEFAULT_STEP) -> "RealFieldSample":
-        return cls(f, step)
-
-    @classmethod
     def from_expression(cls, text: str, level, step: float = DEFAULT_STEP) -> "RealFieldSample":
         return cls(parse(text, level), step)
 

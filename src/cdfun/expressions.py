@@ -450,23 +450,10 @@ def format_phrase(f: Phrase) -> str:
     return _fmt(f.root)
 
 
-def structural_equal(a: Node, b: Node) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Const):
-        same = np.array_equal(a.value, b.value)
-    elif isinstance(a, VarPow):
-        same = a.conjugated == b.conjugated and a.power == b.power
-    elif isinstance(a, PowNode):
-        same = a.power == b.power
-    elif isinstance(a, Sum):
-        same = [s for s, _ in a.terms] == [s for s, _ in b.terms]
-    else:
-        same = True  # Mul
-    return same and all(map(structural_equal, _children(a), _children(b)))
-
-
 def phrase_to_json(f: Phrase):
+    """The JSON tree of a phrase, the form that ``phrase_from_json`` and
+    ``--expr`` read.  Kept although only the tests call it: it writes what
+    the CLI reads, so a phrase built in Python can be handed to the CLI."""
     def enc(node):
         if isinstance(node, Const):
             return {"const": [float(v) for v in node.value]}
@@ -905,7 +892,8 @@ def _leaf_table(f: Phrase) -> PrimitiveResult:
 
 def hat_from_primitive(prim: PrimitiveResult, z, h):
     """Increment functional of the primitive: f-hat(z).h, summed over its
-    leaves as (leaf increment) @ (leaf matrix)."""
+    leaves as (leaf increment) @ (leaf matrix).  Kept by name: the
+    benchmark's span recorder wraps it."""
     level = prim.level
     Z, wrap = _as_batch(level, z)
     H, _ = _as_batch(level, h)

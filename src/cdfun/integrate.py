@@ -236,7 +236,8 @@ class Path:
         return CDNumber(self.level, self.sample([t])[0])
 
     def reversed(self) -> "Path":
-        """The same points in the opposite order."""
+        """The same points in the opposite order.  Kept for the orientation
+        of the integral: reversing the path negates it."""
         if self.kind == "circle":
             return replace(self, start=(self.start + self.turns) % 1.0, turns=-self.turns)
         if self.kind == "polyline":
@@ -246,7 +247,8 @@ class Path:
     def subpath(self, a: float, b: float) -> "Path":
         """The restriction to [a, b], reparametrized over [0, 1].  A circle's is
         an arc; a polyline's runs through gamma(a), the corners strictly
-        between, and gamma(b), at constant speed as the polyline does."""
+        between, and gamma(b), at constant speed as the polyline does.  Kept
+        for the additivity of the integral over the pieces of a path."""
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise DomainError("subpath endpoints must lie in [0, 1]")
         if self.kind == "circle":
@@ -266,6 +268,8 @@ class Path:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
+        """The JSON form that ``path_from_json`` and ``--path-file`` read.
+        Kept so a path built in Python can be handed to the CLI."""
         if self.kind == "circle":
             if self.start != 0.0:
                 raise DomainError("circle arcs with a nonzero start have no JSON form")
@@ -338,7 +342,8 @@ def path_from_json(obj, level=None) -> Path:
 
 @dataclass(frozen=True)
 class Partition:
-    """A finite increasing knot sequence 0 = c_0 < ... < c_t = 1."""
+    """A finite increasing knot sequence 0 = c_0 < ... < c_t = 1.  Kept as
+    the paper's partition, whose mesh ``norm`` ``integral_sum`` refines."""
 
     knots: np.ndarray
 
@@ -484,6 +489,7 @@ def total_variation(gamma: Path, partition: Partition) -> float:
 
     Nondecreasing under refinement; converges to the arc length (for a
     circle with turns n: 2*pi*radius*|n|) as the partition norm shrinks.
+    Kept as the paper's rectifiability: its bound over all partitions.
     """
     Z = gamma.sample(partition.knots)
     return float(norm_arrays(np.diff(Z, axis=0)).sum())
@@ -538,7 +544,8 @@ def _row_sum(leaves: list, gamma: Path, knots: np.ndarray) -> np.ndarray:
 
 
 def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
-    """The raw right-endpoint increment sum I(f, gamma; P) for one partition."""
+    """The raw right-endpoint increment sum I(f, gamma; P) for one partition.
+    Kept as the paper's increment sum, whose limit defines the integral."""
     _check_levels(f, gamma)
     return CDNumber(gamma.level, _row_sum(primitive(f).leaves, gamma, partition.knots))
 
@@ -669,15 +676,22 @@ def _doubled(gamma: Path, parts: Callable, continued: Callable):
     the one that halves each of its steps: when the two differ by less
     than pi/2 at every such knot, the finer one's value is returned, else
     every step is halved again.  The first pair is _FIRST_LAYOUT against
-    2 * _FIRST_LAYOUT knots, sampled and split once.  Past
+    2 * _FIRST_LAYOUT knots, sampled and split once.  A knot whose point
+    is not finite, as where an image path overflows, is a DomainError.  Past
     _MAX_LAYOUT knots, or _LAYOUT_ELEMENTS elements, or at a step one ulp
     wide, StepControlError.  Aliasing alike on both layouts passes unseen:
     a parametric circle of 1000 turns steps 8 - 3/16 turns per knot of 128,
     and reads -24.
     """
+    def sampled(ts):
+        Z = gamma.sample(ts)
+        if not np.isfinite(Z).all():
+            raise DomainError("the path leaves the range of a double at a knot")
+        return parts(Z)
+
     cap = min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // gamma.level.basis_dim)
     t = _layout(2 * _FIRST_LAYOUT)
-    P = parts(gamma.sample(t))
+    P = sampled(t)
     prev = continued(*[p[::2] for p in P])
     prev = (t[::2], prev[0]) if isinstance(prev, tuple) else None
     while True:
@@ -692,7 +706,7 @@ def _doubled(gamma: Path, parts: Callable, continued: Callable):
         if len(t) + len(out) > cap + 1 or np.any((mid <= t[out]) | (mid >= t[out + 1])):
             raise StepControlError(f"the path winds faster than {cap} knots resolve")
         t = np.insert(t, out + 1, mid)
-        P = [np.insert(p, out + 1, q, axis=0) for p, q in zip(P, parts(gamma.sample(mid)))]
+        P = [np.insert(p, out + 1, q, axis=0) for p, q in zip(P, sampled(mid))]
 
 
 # ---------------------------------------------------------------------------

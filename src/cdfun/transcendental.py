@@ -1,4 +1,4 @@
-"""Exponential, principal logarithm, polar form, trig/hyperbolic functions.
+"""Exponential, principal logarithm, polar form and logarithmic differential.
 
 Everything here is plane-wise: a nonreal z lies in the commutative plane
 R + R*M spanned by 1 and its unit imaginary direction M = Im z / |Im z|, and
@@ -19,7 +19,6 @@ last; the public functions take and return CDNumber.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .algebra import (
     mul,
     norm_arrays,
 )
-from .errors import DomainError, LevelMismatchError, SingularElementError
+from .errors import DomainError, SingularElementError
 
 
 @dataclass(frozen=True)
@@ -154,43 +153,3 @@ def ln_principal(z: CDNumber) -> CDNumber:
 def polar_decompose(z: CDNumber) -> PolarForm:
     _, rho, theta, mu = _ln_with_parts(z.coeffs)
     return PolarForm(rho=float(rho), direction=CDNumber(z.level, mu), theta=float(theta))
-
-
-def dln_apply(z: CDNumber, h: CDNumber) -> CDNumber:
-    if z.level.r != h.level.r:
-        raise LevelMismatchError("argument and direction live at different levels")
-    return CDNumber(z.level, dln_arrays(z.coeffs, h.coeffs))
-
-
-_TRIG_KINDS = ("cos", "sin", "cosh", "sinh")
-
-
-def trig(z: CDNumber, which: str) -> CDNumber:
-    """Plane-wise trigonometric / hyperbolic functions.
-
-    For z = v + yM these are the complex formulas with M in place of i:
-
-        cos z  = cos v cosh y - sin v sinh y M
-        sin z  = sin v cosh y + cos v sinh y M
-        cosh z = cosh v cos y + sinh v sin y M      (= [exp z + exp(-z)]/2)
-        sinh z = sinh v cos y + cosh v sin y M      (= [exp z - exp(-z)]/2)
-
-    Real z comes out exactly real (sinh 0 = 0 kills the M component), which
-    routes sin at real arguments to the real sine automatically.
-    """
-    if which not in _TRIG_KINDS:
-        raise DomainError(f"which must be one of {_TRIG_KINDS}, got {which!r}")
-    v, y, mu = _split_parts(z.coeffs)
-    v = float(v)
-    y = float(y)
-    if which == "cos":
-        re, im = math.cos(v) * math.cosh(y), -math.sin(v) * math.sinh(y)
-    elif which == "sin":
-        re, im = math.sin(v) * math.cosh(y), math.cos(v) * math.sinh(y)
-    elif which == "cosh":
-        re, im = math.cosh(v) * math.cos(y), math.sinh(v) * math.sin(y)
-    else:
-        re, im = math.sinh(v) * math.cos(y), math.cosh(v) * math.sin(y)
-    out = im * mu
-    out[0] += re
-    return CDNumber(z.level, out)

@@ -814,6 +814,31 @@ def test_laurent_indices_at_the_exponent_range_ends_run():
     assert abs(got[60, 0] - 1.0) <= 1e-6  # the k = -1 coefficient
 
 
+@pytest.mark.parametrize("r", [1, 8])
+def test_argument_principle_of_an_overflowing_image_is_a_domain_error(r, tmp_path):
+    # |z^3| = 1e900 on the radius-1e300 circle leaves the doubles, and the
+    # continued argument of the image read NaN
+    d = 1 << r
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(circle_json([0] * d, 1e300, [0, 1] + [0] * (d - 2))))
+    code, rep = invoke_json(["argprinciple", "--level", str(r), "--expr", "z^3",
+                             "--zeros", json.dumps([[[0] * d, 3]]), "--path-file", str(path)])
+    assert (code, rep["error"]["kind"]) == (2, "domain")
+
+
+@pytest.mark.parametrize("r", [1, 8])
+def test_pole_index_that_overflows_is_a_domain_error(r, tmp_path):
+    # 1e300 turns give the pole the index 1e300*e1, whose norm squares past
+    # a double
+    d = 1 << r
+    path = tmp_path / "turns.json"
+    path.write_text(json.dumps(circle_json([0] * d, 1.0, [0, 1] + [0] * (d - 2), 1e300)))
+    code, rep = invoke_json(["restheorem", "--level", str(r), "--expr", "(z-0.1)^-1",
+                             "--poles", json.dumps([[0.1] + [0] * (d - 1)]), "--path-file", str(path)])
+    assert (code, rep["error"]["kind"]) == (2, "domain")
+    assert "pole 0.1" in rep["error"]["detail"]
+
+
 def test_restheorem_command_via_job(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({

@@ -66,7 +66,7 @@ def _vec(r, **comps):
 
 def test_winding_two_turn_circle():
     iv = winding_index(zero(3), Path.circle(zero(3), 1.0, E1, 2.0))
-    assert iv.entry(1) == 2
+    assert iv.per_plane[1] == 2
     # off-plane projections collapse onto segments through the origin
     assert iv.undefined == frozenset(range(2, 8))
 
@@ -139,27 +139,28 @@ def test_winding_non_enclosing_all_zero():
 def test_winding_off_center_point_inside():
     a = _vec(3, e0=0.2, e1=0.3)
     iv = winding_index(a, Path.circle(zero(3), 1.0, E1, 1.0))
-    assert iv.entry(1) == 1
+    assert iv.per_plane[1] == 1
 
 
 def test_winding_square_polyline():
     pts = [_vec(2, e0=s * 0.8, e2=t * 0.8) for s, t in
            [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]]
     iv = winding_index(zero(2), Path.polyline(pts))
-    assert iv.entry(2) == 1
+    assert iv.per_plane[2] == 1
     # the e1-plane projection collapses to a segment through the origin
     assert 1 in iv.undefined
 
 
 def test_winding_reversed_circle_negative():
     iv = winding_index(zero(2), Path.circle(zero(2), 1.0, basis_element(2, 2), -1.0))
-    assert iv.entry(2) == -1
+    assert iv.per_plane[2] == -1
 
 
 def test_winding_undefined_entry_raises():
     iv = winding_index(zero(3), Path.circle(zero(3), 1.0, E1, 1.0))
-    with pytest.raises(DomainError):
-        iv.entry(2)
+    assert 2 in iv.undefined
+    with pytest.raises(KeyError):
+        iv.per_plane[2]
 
 
 def test_winding_json_shape():

@@ -16,7 +16,6 @@ from cdfun.algebra import (
     from_real,
     mul,
     mul_arrays,
-    norm,
     norm_arrays,
     random_element,
 )
@@ -215,7 +214,7 @@ def test_nullspace_degree_one_is_left_multiplication():
         c = CDNumber(2, apply(np.array([1.0, 0, 0, 0])))
         z = random_element(2, rng)
         got = CDNumber(2, apply(np.array(z.coeffs)))
-        assert norm(mul(c, z) - got) <= 1e-12 * (1 + norm(c) * norm(z))
+        assert (mul(c, z) - got).norm() <= 1e-12 * (1 + c.norm() * z.norm())
 
 
 def test_generated_sample_passes_cr_at_random_points():
@@ -258,12 +257,12 @@ def _is_right_superlinear_at(f, z, rng):
     for _ in range(3):
         h = random_element(f.level, rng)
         dh = derivative_apply(f, z, h)
-        scale = max(scale, norm(dh))
+        scale = max(scale, dh.norm())
         for q in range(1, d):
             eq = basis_element(f.level, q)
             lhs = derivative_apply(f, z, mul(h, eq))
             rhs = mul(dh, eq)
-            worst = max(worst, norm(lhs - rhs))
+            worst = max(worst, (lhs - rhs).norm())
     return worst <= 1e-8 * (1.0 + scale), worst
 
 
@@ -273,8 +272,8 @@ def _differential_is_left_multiplication(f, z, rng):
     worst = 0.0
     for _ in range(4):
         h = random_element(f.level, rng)
-        worst = max(worst, norm(derivative_apply(f, z, h) - mul(c, h)))
-    return worst <= 1e-8 * (1.0 + norm(c)), worst
+        worst = max(worst, (derivative_apply(f, z, h) - mul(c, h)).norm())
+    return worst <= 1e-8 * (1.0 + c.norm()), worst
 
 
 @given(seeds, st.integers(min_value=2, max_value=3))
@@ -289,7 +288,7 @@ def test_cr_separates_from_holomorphy_on_pure_phrases(seed, r):
     rng = np.random.default_rng(seed)
     f = _random_phrase(r, rng)
     z = random_element(f.level, rng)
-    F = RealFieldSample.from_phrase(f)
+    F = RealFieldSample(f)
     rep = cr_check(F, z)
     superlinear, sl_witness = _is_right_superlinear_at(f, z, rng)
     leftmul, lm_witness = _differential_is_left_multiplication(f, z, rng)

@@ -854,7 +854,7 @@ def test_many_turn_subpath_keeps_eight_knots_per_turn(turns):
     assert gamma.kind == "circle"
     got = log_integral(zero(2), gamma)
     assert (got - e1 * (2 * math.pi * turns)).norm() <= 1e-9 * turns
-    assert winding_index(zero(2), gamma).entry(1) == turns
+    assert winding_index(zero(2), gamma).per_plane[1] == turns
 
 
 def test_pole_on_a_half_circle_subpath_is_refused_before_sampling(monkeypatch):

@@ -1,4 +1,4 @@
-"""Exponential, principal logarithm, polar form, and plane-wise trig tests."""
+"""Exponential, principal logarithm, polar form, and logarithmic differential tests."""
 
 import math
 
@@ -17,18 +17,16 @@ from cdfun.algebra import (
     random_unit_imaginary,
     zero,
 )
-from cdfun.errors import LevelMismatchError, SingularElementError
+from cdfun.errors import SingularElementError
 from cdfun.expressions import parse
 from cdfun.integrate import Path, line_integral
 from cdfun.transcendental import (
-    dln_apply,
     dln_arrays,
     exp,
     exp_series,
     ln_arrays,
     ln_principal,
     polar_decompose,
-    trig,
 )
 
 
@@ -127,6 +125,11 @@ def test_polar_angle_in_principal_range(seed):
 # logarithmic differential
 # ---------------------------------------------------------------------------
 
+def _dln(z, h):
+    """D Ln(z).h of two elements at one level."""
+    return CDNumber(z.level, dln_arrays(z.coeffs, h.coeffs))
+
+
 def test_dln_in_commuting_plane_is_division():
     # restricted to a single plane the derivative of ln is h/z
     rng = _rng(7)
@@ -136,7 +139,7 @@ def test_dln_in_commuting_plane_is_division():
         c, d = rng.standard_normal(), rng.standard_normal()
         z = one(3) * a + m * b
         h = one(3) * c + m * d
-        got = dln_apply(z, h)
+        got = _dln(z, h)
         want = mul(h, z.inverse())
         assert (got - want).norm() < 1e-6
 
@@ -144,28 +147,23 @@ def test_dln_in_commuting_plane_is_division():
 def test_dln_radial_direction_gives_inverse_scale():
     rng = _rng(8)
     z = random_element(3, rng) + from_real(3, 2.0)
-    assert (dln_apply(z, z) - one(3)).norm() < 1e-6
+    assert (_dln(z, z) - one(3)).norm() < 1e-6
 
 
 def test_dln_smooth_across_principal_cut():
     # the differential belongs to the multivalued continuation: moving off
     # the negative real axis in the e2 direction has derivative e2/(-1)
     z = from_real(2, -1.0)
-    got = dln_apply(z, basis_element(2, 2))
+    got = _dln(z, basis_element(2, 2))
     assert (got + basis_element(2, 2)).norm() < 1e-6
 
 
 def test_dln_exact_next_to_the_origin():
     # z = 1e-9 e1, h = e2: theta = pi/2 and the direction turns by h/|z|,
     # so D Ln(z).h = (theta/|Im z|) h = (pi/2) 1e9 e2
-    got = dln_apply(basis_element(2, 1) * 1e-9, basis_element(2, 2))
+    got = _dln(basis_element(2, 1) * 1e-9, basis_element(2, 2))
     want = basis_element(2, 2) * (math.pi / 2 * 1e9)
     assert (got - want).norm() <= 1e-12 * want.norm()
-
-
-def test_dln_level_mismatch_is_level_error():
-    with pytest.raises(LevelMismatchError):
-        dln_apply(one(2), basis_element(3, 1))
 
 
 def _richardson_dln(Z, H, step):
@@ -207,7 +205,7 @@ def test_dln_at_real_z_is_division_by_the_real_part(re):
         z = from_real(r, re)
         for _ in range(5):
             h = CDNumber(r, rng.standard_normal(1 << r))
-            assert (dln_apply(z, h) - h * (1.0 / re)).norm() <= 1e-15 * h.norm()
+            assert (_dln(z, h) - h * (1.0 / re)).norm() <= 1e-15 * h.norm()
 
 
 def test_loop_integral_of_inverse_is_exact():
@@ -226,51 +224,5 @@ def test_loop_integral_of_inverse_is_exact():
 def test_dln_fine_near_positive_axis():
     # small imaginary parts near the positive real axis are not a cut
     z = from_real(2, 1.0) + basis_element(2, 1) * 1e-12
-    got = dln_apply(z, basis_element(2, 1))
+    got = _dln(z, basis_element(2, 1))
     assert (got - basis_element(2, 1)).norm() < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# plane-wise trig
-# ---------------------------------------------------------------------------
-
-def test_cos_of_pi_imaginary_is_cosh_pi():
-    got = trig(basis_element(2, 1) * math.pi, "cos")
-    assert got.allclose(from_real(2, math.cosh(math.pi)), 1e-10)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cos_plane_identity(seed):
-    rng = _rng(seed)
-    m = random_unit_imaginary(3, rng)
-    a = rng.uniform(-2, 2)
-    b = rng.uniform(-2, 2)
-    z = one(3) * a + m * b
-    want = one(3) * (math.cos(a) * math.cosh(b)) - m * (math.sin(a) * math.sinh(b))
-    assert (trig(z, "cos") - want).norm() < 1e-12 * (1 + math.cosh(b))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cosh_sinh_are_exp_averages(seed):
-    z = random_element(3, _rng(seed))
-    ez, enz = exp(z), exp(-z)
-    assert (trig(z, "cosh") - (ez + enz) * 0.5).norm() < 1e-12 * (1 + ez.norm())
-    assert (trig(z, "sinh") - (ez - enz) * 0.5).norm() < 1e-12 * (1 + ez.norm())
-
-
-def test_sin_of_real_is_real_sine():
-    for x in (-2.0, -0.3, 0.0, 1.1, 3.0):
-        got = trig(from_real(3, x), "sin")
-        assert got.allclose(from_real(3, math.sin(x)), 1e-14)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_pythagorean_identity_in_plane(seed):
-    rng = _rng(seed)
-    z = random_element(4, rng)
-    s, c = trig(z, "sin"), trig(z, "cos")
-    total = mul(s, s) + mul(c, c)
-    assert (total - one(4)).norm() < 1e-10 * (1 + s.norm() ** 2)
