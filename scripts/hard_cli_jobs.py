@@ -6,10 +6,12 @@ ran out of memory, ran too long, aliased, wrote more than one report, or
 ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
 point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
 overflows, the exponent cap, out-of-range flag values, a step lost to
-rounding, an image or an index past the range of a double.  A row names its
-argv, the path object written to the ``--path-file`` it gets (or None), the
-exit code it must end with, and either the error kind its report must name
-or a predicate on its report.  The whole of stdout must be one JSON report.
+rounding, an image or an index past the range of a double, a false pole at
+radius 1e100, an error estimate printed as Infinity.  A row names its argv,
+the path object written to the ``--path-file`` it gets (or None), the exit
+code it must end with, and either the error kind its report must name or a
+predicate on its report.  The whole of stdout must be one strict JSON
+report, without Infinity or NaN.
 
 Each row runs as a child process with ``RLIMIT_AS`` set to 1 GiB on the
 child alone, and with its own timeout.  The script prints one line per row
@@ -133,7 +135,20 @@ ROWS = (
     Row("residue theorem over 1e300 turns",
         ["restheorem", "--level", "8", "--expr", "(z-0.1)^-1", "--poles", json.dumps([[0.1] + [0.0] * (D - 1)])],
         _circle(1e300), 2, "domain"),
+    # |Im z^3| = 1e300 is finite, but its square overflowed in the
+    # logarithm's imaginary norm, a false pole
+    Row("argprinciple at radius 1e100",
+        ["argprinciple", "--level", "8", "--expr", "z^3", "--zeros", json.dumps([[[0.0] * D, 3]])],
+        _circle(radius=1e100), 0, lambda rep: rep["lhs"] == rep["rhs"] and rep["lhs"][1] == 3.0),
+    # the extrapolation's error estimate squared a difference near 1e186 and
+    # printed Infinity
+    Row("integrate at scale 1e200", ["integrate", "--level", "8", "--expr", "(1e200)*(z-0.1)^-1"], _circle(), 0,
+        lambda rep: math.isfinite(rep["est_error"])),
 )
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _limit_memory():
@@ -155,9 +170,9 @@ def run_row(row: Row, workdir: str) -> Optional[str]:
     except subprocess.TimeoutExpired:
         return f"no report within {row.timeout_s:g} s"
     try:
-        report = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        return f"stdout is not one JSON report: {proc.stdout[:200]!r} {proc.stderr[-300:]!r}"
+        report = json.loads(proc.stdout, parse_constant=_refuse_constant)
+    except ValueError:
+        return f"stdout is not one strict JSON report: {proc.stdout[:200]!r} {proc.stderr[-300:]!r}"
     if proc.returncode != row.code:
         return f"exit {proc.returncode}, expected {row.code}: {proc.stdout[:300]}"
     if isinstance(row.expect, str):

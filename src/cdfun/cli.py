@@ -384,7 +384,7 @@ def _selftest(seed: int, scale: float, inject_sign_error: bool) -> int:
         table.right[1, 2] ^= 4  # bit d = 4 of an entry is its sign
     try:
         t0 = time.perf_counter()
-        results = criteria.run_all(scale=scale, seed=seed, include_cli_selftest=False)
+        results = criteria.run_all(scale=scale, seed=seed)
         elapsed = time.perf_counter() - t0
     finally:
         table.right[...] = saved

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import CDNumber, basis_element, mul, mul_arrays, norm_arrays, zero
+from .algebra import CDNumber, basis_element, mul, mul_arrays, norm_arrays, scaled_norm_arrays, zero
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -413,11 +413,7 @@ def _kernel_loop(
         while not all(e < tol or e < b for e, b in zip(est, floors)) and 2 * n <= _KERNEL_MAX_KNOTS:
             n, refinements = 2 * n, refinements + 1
             prev, (sums, _) = sums, raw(n)
-            diff = sums - prev
-            # scaled by a power of two at or above max|diff|, which divides
-            # exactly, so squaring cannot overflow a finite difference
-            scale = np.ldexp(1.0, np.frexp(np.abs(diff).max(axis=1))[1])
-            est = (norm_arrays(diff / scale[:, None]) * scale).tolist()
+            est = scaled_norm_arrays(sums - prev).tolist()
             floors = [n * _EPS * TWO_PI * s * peak for s in scales]
         for s, e, b in zip(sums, est, floors):
             if tol <= e < b:

@@ -581,10 +581,8 @@ def _cli_capture(argv: Sequence[str]) -> str:
     return f"exit={code}\n{buf.getvalue()}"
 
 
-def check_cli(scale: float = 1.0, seed: int = 42, include_selftest: Optional[bool] = None) -> CriterionResult:
+def check_cli(scale: float = 1.0, seed: int = 42) -> CriterionResult:
     t0 = time.perf_counter()
-    if include_selftest is None:
-        include_selftest = scale >= 1.0
     jobs = [
         ["eval", "--level", "2", "--expr", "e1*e2"],
         ["roots", "--level", "2", "--expr", "z^2 + (1.0)", "--seed", str(seed)],
@@ -599,9 +597,9 @@ def check_cli(scale: float = 1.0, seed: int = 42, include_selftest: Optional[boo
     deterministic = outputs[0] == outputs[1]
     detail = "byte-identical reports" if deterministic else "reports differ between runs"
     passed = deterministic
-    if include_selftest:
+    if scale >= 1.0:  # the reduced selftest, whose own criterion 14 nests nothing
         inner0 = time.perf_counter()
-        inner = run_all(scale=0.12, seed=seed, include_cli_selftest=False)
+        inner = run_all(scale=0.12, seed=seed)
         inner_elapsed = time.perf_counter() - inner0
         all_pass = all(res.passed for res in inner)
         passed = passed and all_pass and inner_elapsed < 60.0
@@ -631,15 +629,5 @@ CHECKS: List[Callable[..., CriterionResult]] = [
 ]
 
 
-def run_all(
-    scale: float = 1.0,
-    seed: int = 42,
-    include_cli_selftest: Optional[bool] = None,
-) -> List[CriterionResult]:
-    results = []
-    for fn in CHECKS:
-        if fn is check_cli:
-            results.append(fn(scale, seed, include_selftest=include_cli_selftest))
-        else:
-            results.append(fn(scale, seed))
-    return results
+def run_all(scale: float = 1.0, seed: int = 42) -> List[CriterionResult]:
+    return [fn(scale, seed) for fn in CHECKS]

@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .algebra import CDNumber, conj_arrays, mul_arrays, norm_arrays
+from .algebra import CDNumber, basis_table, conj_arrays, norm_arrays
 from .errors import DomainError
 from .expressions import Phrase, evaluate_two_slot, parse
 
@@ -139,7 +139,11 @@ def cr_check(F: RealFieldSample, z: CDNumber, threshold: float = DEFAULT_THRESHO
     points = np.concatenate([w + steps, w - steps])
     values = F(points, conj_arrays(points))
     partials = (values[:d] - values[d:]) / (2.0 * h)
-    candidates = mul_arrays(partials[1:], conj_arrays(np.eye(d)[1:]), F.level.r)
+    # p * conj(e_q) = -p * e_q, whose coefficient c is -sign[c ^ q, q] * p[c ^ q]:
+    # one gather from the basis table in place of d - 1 products
+    q = np.arange(1, d)[:, None]
+    a = q ^ np.arange(d)
+    candidates = -basis_table(F.level.r).sign[a, q] * partials[q, a]
     residuals = norm_arrays(partials[0] - candidates)
     return _report({f"e{q}": float(residuals[q - 1]) for q in range(1, d)}, threshold)
 

@@ -61,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays
+from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays, scaled_norm_arrays
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -572,7 +572,7 @@ def _extrapolated(
         row = [raw(n)]
         for m in range(len(prev_row)):
             row.append(row[m] + (row[m] - prev_row[m]) / (2.0 ** (m + 1) - 1.0))
-        est = float(norm_arrays(row[-1] - prev_row[-1]))
+        est = float(scaled_norm_arrays(row[-1] - prev_row[-1]))
         prev_row = row
     return QuadratureResult(CDNumber(level, prev_row[-1]), est, refinements, est < tol)
 

@@ -29,6 +29,7 @@ from .algebra import (
     from_real,
     mul,
     norm_arrays,
+    scaled_norm_arrays,
 )
 from .errors import DomainError, SingularElementError
 
@@ -55,6 +56,8 @@ def _split_parts(Z):
     Z = np.asarray(Z, dtype=np.float64)
     v = Z[..., 0]
     y = norm_arrays(Z[..., 1:])
+    if not np.isfinite(y).all():  # a square overflowed: take the norms scaled
+        y = np.where(np.isfinite(y), y, scaled_norm_arrays(Z[..., 1:]))
     safe = np.where(y > 0.0, y, 1.0)
     mu = np.zeros_like(Z)
     mu[..., 1:] = Z[..., 1:] / safe[..., None]

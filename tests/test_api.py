@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: exported names that only the tests call, each with its reason to stay
 KEPT = {
-    "embed": "the octonions as a subalgebra of levels 4..8; tests compare embedded results with r = 3",
     "phrase_to_json": "writes the phrase form that --expr reads",
 }
 

@@ -238,6 +238,38 @@ def test_roots_of_an_overflowing_polynomial_do_not_converge(level, expr):
     assert rep["error"]["kind"] == "nonconvergence"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("level", [1, 8])
+def test_argument_principle_on_a_circle_of_radius_1e100(level, tmp_path):
+    # |Im z^3| = 1e300 is finite, but its square overflowed in the logarithm's
+    # imaginary norm, which read the path as passing through the centre
+    d = 1 << level
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(circle_json([0] * d, 1e100, [0, 1] + [0] * (d - 2))))
+    code, rep = invoke_json(["argprinciple", "--level", str(level), "--expr", "z^3",
+                             "--zeros", json.dumps([[[0] * d, 3]]), "--path-file", str(path)])
+    assert code == 0
+    assert rep["lhs"] == rep["rhs"] == [0.0, 3.0] + [0.0] * (d - 2)
+
+
+@pytest.mark.parametrize("level", [2, 8])
+def test_integrate_at_scale_1e200_reports_a_finite_error(level, tmp_path):
+    # the extrapolation's error estimate squared a finite difference past the
+    # float range and printed Infinity, which is not JSON
+    d = 1 << level
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(circle_json([0] * d, 1.0, [0, 1] + [0] * (d - 2))))
+    code, out = invoke(["integrate", "--level", str(level), "--expr", "(1e200)*(z-0.1)^-1",
+                        "--path-file", str(path)])
+    rep = json.loads(out, parse_constant=_refuse_constant)
+    assert code == 0
+    assert math.isfinite(rep["est_error"])
+    assert abs(rep["value"][1] - 2e200 * math.pi) <= 1e-10 * 2e200 * math.pi
+
+
 def test_unknown_subcommand_is_usage_error():
     code, rep = invoke_json(["transmogrify", "--level", "2"])
     assert code == 1
