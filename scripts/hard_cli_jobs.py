@@ -7,7 +7,8 @@ ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
 point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
 overflows, the exponent cap, out-of-range flag values, a step lost to
 rounding, an image or an index past the range of a double, a false pole at
-radius 1e100, an error estimate printed as Infinity.  A row names its argv,
+radius 1e100, an error estimate printed as Infinity, the inverse of a point
+whose squared norm leaves the range of a double.  A row names its argv,
 the path object written to the ``--path-file`` it gets (or None), the exit
 code it must end with, and either the error kind its report must name or a
 predicate on its report.  The whole of stdout must be one strict JSON
@@ -144,6 +145,12 @@ ROWS = (
     # printed Infinity
     Row("integrate at scale 1e200", ["integrate", "--level", "8", "--expr", "(1e200)*(z-0.1)^-1"], _circle(), 0,
         lambda rep: math.isfinite(rep["est_error"])),
+    # the inverse's squared norm 1e400 overflowed, and the report read 0
+    Row("inverse at 1e200", ["eval", "--level", "8", "--expr", "z^-1", "--point", _vector(1e200)], None, 0,
+        lambda rep: rep["value"][0] == 1e-200),
+    # the squared norm 1e-400 underflowed to 0, a false pole
+    Row("inverse at 1e-200", ["eval", "--level", "8", "--expr", "z^-1", "--point", _vector(1e-200)], None, 0,
+        lambda rep: rep["value"][0] == 1e200),
 )
 
 

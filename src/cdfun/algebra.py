@@ -33,6 +33,10 @@ MAX_LEVEL = 8
 #: nearly-zero inverses is the caller's concern.
 EPS_ZERO = 1e-300
 
+#: The least and greatest normal doubles.
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class AlgebraLevel:
@@ -222,11 +226,24 @@ def scaled_norm_arrays(x) -> np.ndarray:
 
 
 def inverse_arrays(x, r: int) -> np.ndarray:
+    """conj(x) / |x|^2 row by row; SingularElementError where |x| <= EPS_ZERO.
+
+    A row whose squared norm is not a normal double, as where its squares
+    overflow or underflow, is divided first by the power of two at or above
+    its largest |coefficient| (see ``scaled_norm_arrays``), which is exact,
+    and its inverse by that power again; every other row keeps its bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     n2 = np.sum(np.square(x), axis=-1, keepdims=True)
-    if np.any(np.sqrt(n2) <= EPS_ZERO):
+    normal = (n2 >= _TINY) & (n2 <= _HUGE)
+    if normal.all():
+        return conj_arrays(x) / n2
+    scale = np.where(normal, 1.0, np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]))
+    x = x / scale
+    n2 = np.sum(np.square(x), axis=-1, keepdims=True)
+    if np.any(np.sqrt(n2) * scale <= EPS_ZERO):
         raise SingularElementError("inverse of a (numerically) zero element")
-    return conj_arrays(x) / n2
+    return conj_arrays(x) / n2 / scale
 
 
 def pow_arrays(x, n: int, r: int) -> np.ndarray:

@@ -323,16 +323,48 @@ _KERNEL_BLOCK_ELEMENTS = 1 << 18
 _EPS = 2.0**-52  # the float64 machine epsilon, without a numpy call at import
 
 
+class _Circle:
+    """One circle of ``_kernel_loop``: its radius, whether it may stop at its
+    rounding floor, the scales rho^q of the powers up to the first that
+    overflows, and the state of its knot doubling."""
+
+    def __init__(self, rho: float, floor: bool, powers: Sequence[int]):
+        self.rho, self.floor, self.scales = rho, floor, []
+        for power in powers:
+            try:
+                self.scales.append(rho ** (power + 1))
+            except OverflowError:
+                break
+        self.sums, self.peak, self.refinements, self.failure = None, 0.0, 0, None
+        self.est, self.floors = [math.inf] * len(self.scales), [0.0] * len(self.scales)
+
+    def running(self, tol: float) -> bool:
+        return self.failure is None and not all(e < tol or e < b for e, b in zip(self.est, self.floors))
+
+    def result(self, i: int, tol: float, level) -> QuadratureResult:
+        s, e, b = self.sums[i], self.est[i], self.floors[i]
+        if tol <= e < b:
+            return QuadratureResult(CDNumber(level, s), b, self.refinements, False, True)
+        return QuadratureResult(CDNumber(level, s), e, self.refinements, e < tol)
+
+
+def _on_contour(f: Phrase, Z: np.ndarray, r: int) -> np.ndarray:
+    try:
+        return eval_node_arrays(f.root, Z, r)
+    except SingularElementError as e:
+        raise PoleError(f"integrand is singular on the contour: {e}") from e
+
+
 def _kernel_loop(
     f: Phrase,
     center: CDNumber,
     m: CDNumber,
-    rho: float,
+    circles: Sequence[Tuple[float, bool]],
     powers: Sequence[int],
     tol: float,
-    floor: bool = False,
 ) -> Iterator[QuadratureResult]:
-    """Loop integrals of f(zeta) * dK by knot doubling, one per kernel power.
+    """Loop integrals of f(zeta) * dK by knot doubling, one per kernel power
+    and circle (rho, floor).
 
     K is the primitive of (zeta - center)^power d(zeta) along the circle
     zeta(theta) = center + rho*exp(theta*M), theta in [0, 2*pi], so
@@ -346,21 +378,26 @@ def _kernel_loop(
 
     Every weight lies in the contour plane, a_j + b_j*M with real a_j, b_j,
     and the product is bilinear, so F*(a + b*M) = a*F + b*(F*M) holds
-    exactly at every knot.  One knot layout therefore costs one evaluation
-    F = f(zeta) and one product F*M, shared by all powers, plus one real
-    weighted sum over the knots per power.  Each layout is evaluated in
-    blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array,
-    whose sums add up in knot order: memory stays O(block * d), and results
-    are bit-reproducible.
+    exactly at every knot.  All circles share the angles theta_j, so one
+    knot layout costs one evaluation F = f(zeta) and one product F*M over
+    the stacked knots of every circle still running, plus one real weighted
+    sum over each circle's knots per power.  Each layout is evaluated in
+    blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array
+    and circle, whose sums add up in knot order: memory stays O(block * d)
+    per circle, and every circle's results are bit for bit those of a loop
+    of its own.  Where the stacked knots meet a singularity, the block is
+    evaluated circle by circle, and only the circles whose own knots meet it
+    fail, with PoleError.
 
     The knot count doubles from START_KNOTS.  The error shrinks
     geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
-    tail is left to extrapolate.  The doubling stops once every power has
-    est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power reports
-    S on the last layout, its est, the shared refinement count and
-    ``converged`` = est < tol.  A non-positive tol raises DomainError.
+    tail is left to extrapolate.  A circle stops doubling once every power
+    has est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power
+    reports S on the circle's last layout, its est, the circle's refinement
+    count and ``converged`` = est < tol.  A non-positive tol raises
+    DomainError.
 
-    With ``floor`` set, a power may also stop at the rounding floor
+    A circle with ``floor`` set lets a power also stop at the rounding floor
     n * eps * 2*pi * rho^q * max|F| of a sum of n terms of size up to
     (2*pi/n) * rho^q * |F|, with max|F| taken over the first layout's
     knots: where rho^q is large, as for |k| near 60 on a circle of radius
@@ -368,62 +405,78 @@ def _kernel_loop(
     rounding.  A power with tol <= est below its floor reports the floor as
     ``est_error`` and sets ``at_floor``; its ``converged`` stays false.
 
-    Results are yielded in power order, and the loop runs at the first
-    request.  A power whose scale rho^q overflows raises DomainError in its
-    place, so a caller that reads the results in order and stops at the
-    first failure reports the same failure as one loop per power would;
-    the powers from there on are not integrated.
+    Results are yielded power-major and circle-minor, and the loop runs at
+    the first request.  A circle fails in its own place: with the PoleError
+    of its knots at its first power, or with a DomainError at the first
+    power whose scale rho^q overflows on it.  So a caller that reads the
+    results in order and stops at the first failure reports the same
+    failure as one loop per circle, read in that order, would.
     """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
     r = f.level.r
     mv = m.coeffs
     cv = center.coeffs
-    scales = []
-    for power in powers:
-        try:
-            scales.append(rho ** (power + 1))
-        except OverflowError:
-            break
+    loops = [_Circle(rho, floor, powers) for rho, floor in circles]
     step = _KERNEL_BLOCK_ELEMENTS // len(cv)
 
-    def raw(n: int, peaked: bool = False) -> tuple:
-        """The sums on the n-knot layout, and max|F| over its knots if peaked."""
-        total, peak = None, 0.0
+    def raw(live: list, n: int, first: bool) -> list:
+        """The sums of the circles in live on the n-knot layout; on the first
+        layout, max|F| over its knots into the peak of every floor circle."""
+        totals = [np.empty((len(c.scales), len(cv))) for c in live]
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
+            rows = [i for i, c in enumerate(live) if c.failure is None]
+            Z = [_plane_circle(cv, mv, live[i].rho, ang) for i in rows]
             try:
-                F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
-            except SingularElementError as e:
-                raise PoleError(f"integrand is singular on the contour: {e}") from e
+                F = _on_contour(f, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
+            except PoleError:
+                F = []
+                for i, z in zip(list(rows), Z):
+                    try:
+                        F.append(_on_contour(f, z, r))
+                    except PoleError as e:
+                        live[i].failure = e
+                        rows.remove(i)
+                if not F:
+                    break
+                F = np.concatenate(F)
             FM = mul_arrays(F, mv, r)
-            if peaked:
-                peak = max(peak, float(norm_arrays(F).max()))
-            part = np.empty((len(scales), len(cv)))
-            for i, (power, s) in enumerate(zip(powers, scales)):
-                w, qa = (TWO_PI / n) * s, (power + 1) * ang
-                part[i] = (w * np.cos(qa)) @ FM - (w * np.sin(qa)) @ F
-            total = part if total is None else total + part
-        return total, peak
+            size = len(ang)
+            blocks = [(live[i], totals[i], F[j * size:(j + 1) * size], FM[j * size:(j + 1) * size])
+                      for j, i in enumerate(rows)]
+            if first:
+                for c, _, Fc, _ in blocks:
+                    if c.floor:
+                        c.peak = max(c.peak, float(norm_arrays(Fc).max()))
+            for k, power in enumerate(powers[:max(len(c.scales) for c, *_ in blocks)]):
+                qa = (power + 1) * ang
+                cos, sin = np.cos(qa), np.sin(qa)
+                for c, total, Fc, FMc in blocks:
+                    if k < len(c.scales):
+                        w = (TWO_PI / n) * c.scales[k]
+                        part = (w * cos) @ FMc - (w * sin) @ Fc
+                        total[k] = part if lo == 0 else total[k] + part
+        return totals
 
-    if scales:
-        n, refinements = START_KNOTS, 0
-        sums, peak = raw(n, floor)
-        est, floors = [math.inf] * len(scales), [0.0] * len(scales)
-        while not all(e < tol or e < b for e, b in zip(est, floors)) and 2 * n <= _KERNEL_MAX_KNOTS:
-            n, refinements = 2 * n, refinements + 1
-            prev, (sums, _) = sums, raw(n)
-            est = scaled_norm_arrays(sums - prev).tolist()
-            floors = [n * _EPS * TWO_PI * s * peak for s in scales]
-        for s, e, b in zip(sums, est, floors):
-            if tol <= e < b:
-                yield QuadratureResult(CDNumber(f.level, s), b, refinements, False, True)
-            else:
-                yield QuadratureResult(CDNumber(f.level, s), e, refinements, e < tol)
-    if len(scales) < len(powers):
-        raise DomainError(
-            f"kernel power {powers[len(scales)]} overflows on a circle of radius {rho:g}"
-        )
+    n, live = START_KNOTS, [c for c in loops if c.scales]
+    for c, sums in zip(live, raw(live, n, True)):
+        c.sums = sums
+    live = [c for c in live if c.running(tol)]
+    while live and 2 * n <= _KERNEL_MAX_KNOTS:
+        n *= 2
+        for c, sums in zip(live, raw(live, n, False)):
+            c.est = scaled_norm_arrays(sums - c.sums).tolist()
+            c.sums, c.refinements = sums, c.refinements + 1
+            c.floors = [n * _EPS * TWO_PI * s * c.peak for s in c.scales]
+        live = [c for c in live if c.running(tol)]
+    for k, power in enumerate(powers):
+        for c in loops:
+            if c.failure is not None:
+                raise c.failure
+            if k == len(c.scales):
+                raise DomainError(f"kernel power {power} overflows on a circle of radius {c.rho:g}")
+            yield c.result(k, tol, f.level)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +503,7 @@ def _deformed_kernel_value(
     if dist < 10.0 * TWO_PI * radius / MAX_KNOTS:
         raise DomainError("evaluation point is too close to the contour for a reliable value")
     rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
-    (full,) = _kernel_loop(f, z, m, rho, [power], tol)
-    (half,) = _kernel_loop(f, z, m, rho / 2.0, [power], tol)
+    full, half = _kernel_loop(f, z, m, [(rho, False), (rho / 2.0, False)], [power], tol)
     if not (full.converged and half.converged):
         raise NonConvergenceError(
             f"{what} quadrature did not converge", best=half.value * (1.0 / TWO_PI)
@@ -513,21 +565,11 @@ def coefficient_mode(f: Phrase) -> str:
     return "value" if (is_central(f) or f.level.r <= 3) else "functional"
 
 
-def _coefficients(
-    f: Phrase,
-    center: CDNumber,
-    m: CDNumber,
-    rho: float,
-    ks: Sequence[int],
-    tol: float,
-    floor: bool = False,
-) -> Iterator[Tuple[CDNumber, QuadratureResult]]:
-    """Coefficients c_k for every k in ks, in order, from one kernel loop on
-    one circle (run at the first request); floor as in _kernel_loop."""
-    value_mode = coefficient_mode(f) == "value"
-    for res in _kernel_loop(f, center, m, rho, [-k - 1 for k in ks], tol, floor):
-        value = res.value * (1.0 / TWO_PI)
-        yield (mul(value, m.conj()) if value_mode else value), res
+def _coefficient(res: QuadratureResult, m: CDNumber, value_mode: bool) -> CDNumber:
+    """The coefficient c_k from the kernel loop of power -k - 1, with conj(M)
+    recovery in "value" mode (see coefficient_mode)."""
+    value = res.value * (1.0 / TWO_PI)
+    return mul(value, m.conj()) if value_mode else value
 
 
 def taylor_coeffs(
@@ -548,8 +590,10 @@ def taylor_coeffs(
     count = int(count)
     if count < 1:
         raise DomainError("coefficient count must be positive")
+    value_mode = coefficient_mode(f) == "value"
     out = []
-    for k, (value, res) in enumerate(_coefficients(f, a, m, radius, range(count), tol)):
+    for k, res in enumerate(_kernel_loop(f, a, m, [(radius, False)], [-k - 1 for k in range(count)], tol)):
+        value = _coefficient(res, m, value_mode)
         if not res.converged:
             raise NonConvergenceError(
                 f"coefficient k={k} did not converge", best=value
@@ -595,16 +639,15 @@ def laurent_coeffs(
     # scale) keep the undetectable zones thin
     radii = (rho_inner * ratio**0.125, mid, rho_inner * ratio**0.875)
     ks = range(k_min, k_max + 1)
-    # one loop per radius, each run at the first k; read k-major, radius-minor
-    columns = [
-        _coefficients(f, a, m, rho, ks, tol, floor)
-        for rho, floor in zip(radii, (True, False, True))
-    ]
+    value_mode = coefficient_mode(f) == "value"
+    # one loop for all three radii, run at the first k; read k-major, radius-minor
+    results = _kernel_loop(f, a, m, list(zip(radii, (True, False, True))), [-k - 1 for k in ks], tol)
     out = []
     for k in ks:
         values, slack = [], 0.0
-        for rho, column in zip(radii, columns):
-            value, res = next(column)
+        for rho in radii:
+            res = next(results)
+            value = _coefficient(res, m, value_mode)
             if not (res.converged or res.at_floor):
                 raise NonConvergenceError(
                     f"coefficient k={k} did not converge at radius {rho:g}", best=value

@@ -17,11 +17,9 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 * an Ln leaf on a polyline takes the closed form of ``_polyline_log``
   segment by segment, and one on a circle off the plane c + span(1, M)
   through its centre c that of ``_circle_log``;
-* an Ln leaf on a circle in that plane (``_in_circle_plane``) sums
-  dw_k / w_{k+1} over the knots in complex coordinates w of z - c, on (N,)
-  arrays, and lifts the sum S to Re S + Im S * M before its matrix.  This
-  route stays only because the benchmark's knot-capped job pins its
-  ``converged: false``;
+* an Ln leaf on a circle in that plane (``_in_circle_plane``) sums dw/w by
+  the midpoint rule in complex coordinates w of z - c, on (N,) arrays, and
+  lifts the sum S to Re S + Im S * M before its matrix (``_raw_sum``);
 * an Ln leaf on a parametric path sums its increments on the (N, d) knots
   (``_row_sum``), since ``_doubled`` cannot tell a path that aliases alike
   on two layouts.
@@ -31,19 +29,25 @@ Knots are taken only by those last two routes.
 ``integral_sum``, the paper's raw increment sum on one partition, is
 ``_row_sum`` over every leaf.  The knot routes of ``line_integral`` double
 the knot count from 64 and combine the raw sums by Richardson
-extrapolation: the right-endpoint error expands in integer powers of 1/N,
-so the tableau
+extrapolation in the tableau
 
-    T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1)
+    T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1).
 
-strips the O(1/N) tail that plain doubling would chase far past any
-practical knot budget.  ``est_error`` is the difference of the last two
-tableau diagonals, the extrapolated analogue of |I_2N - I_N|.
+On a parametric path the sums are right-endpoint sums, whose error expands
+in integer powers of 1/N: the tableau strips the O(1/N) tail that plain
+doubling would chase far past any practical knot budget.  On a circle in
+a leaf's plane they are midpoint sums.  Around whole turns the integrand is
+periodic and analytic, so their error falls geometrically with N, and a
+leaf centre at least a factor 2 inside or outside the circle converges at
+the first doubling; on an arc the error expands in even powers of 1/N,
+which the same tableau strips one column later.  ``est_error`` is the
+difference of the last two tableau diagonals, the extrapolated analogue of
+|I_2N - I_N|.
 
-The N-knot layout of both routes (``_offset_knots``) is the midpoint
-offsets (k + 1/2)/N over [0, 1] plus both endpoints, so refinement never
-parks a sample exactly on a logarithm cut or a pole that the path merely
-grazes.
+The parametric N-knot layout (``_offset_knots``) is the midpoint offsets
+(k + 1/2)/N over [0, 1] plus both endpoints, and the circle route samples
+those midpoints alone, so refinement never parks a sample exactly on a
+logarithm cut or a pole that the path merely grazes.
 
 ``log_integral``, the loop integral of d Ln(z - a) behind the index and
 the argument principle, continues the argument along the path: in closed
@@ -61,7 +65,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import EPS_ZERO, AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays, scaled_norm_arrays
+from .algebra import AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays, scaled_norm_arrays
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -452,7 +456,7 @@ def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
 
 
 def _offset_knots(n: int) -> np.ndarray:
-    """The n-knot layout of the knot routes: (k + 1/2)/n and both endpoints."""
+    """The n-knot layout of parametric paths: (k + 1/2)/n and both endpoints."""
     inner = (np.arange(n) + 0.5) / n
     return np.concatenate([[0.0], inner, [1.0]])
 
@@ -502,22 +506,32 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _raw_sum(gamma: Path, in_plane: list, knots: np.ndarray) -> np.ndarray:
-    """The increment sum of the Ln leaves of a circle in their plane on one
-    knot layout.  Each (leaf, w0) pair, w0 = x + iy from the frame of
-    ``_circle_frame`` about the leaf's centre a, sums dw_k / w_{k+1} over the
-    complex coordinates w = w0 + rho*e^(i*phi) of gamma - a, with
-    phi = 2*pi*(start + turns*t), and lifts the sum S to Re S + Im S * M
-    before the leaf's matrix.  The term rho*e^(i*phi) is sampled once for
-    all leaves."""
+def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
+    """The midpoint sum of the Ln leaves of a circle in their plane on n
+    knots.  Each (leaf, w0) pair, w0 = x + iy from the frame of
+    ``_circle_frame`` about the leaf's centre a, takes the complex
+    coordinates w = w0 + rho*e^(i*phi) of gamma - a, phi = 2*pi*(start +
+    turns*t), and sums dw/w = 2*pi*i*turns * wave/w dt with wave =
+    rho*e^(i*phi) at the midpoints t_j = (j + 1/2)/n: the midpoint rule
+    (2*pi*i*turns/n) * sum_j wave_j / (w0 + wave_j), lifted from S to
+    Re S + Im S * M before the leaf's matrix.  On a closed circle the
+    integrand is periodic and analytic, so the rule converges geometrically
+    at the rate |w0|/rho or rho/|w0|.  The wave is sampled once for all
+    leaves, and each ratio is formed in one reused array.  ``_check_poles``
+    keeps every knot off the leaf centres."""
     m = gamma.direction.coeffs
-    wave = gamma.radius * np.exp(2j * math.pi * (gamma.start + gamma.turns * knots))
+    phi = _TWO_PI * (gamma.start + gamma.turns * ((np.arange(n) + 0.5) / n))
+    wave = np.empty(n, dtype=np.complex128)
+    np.cos(phi, out=wave.real)
+    np.sin(phi, out=wave.imag)
+    wave *= gamma.radius
+    ratio = np.empty_like(wave)
+    weight = 1j * _TWO_PI * gamma.turns / n
     total = np.zeros(len(m))
     for leaf, w0 in in_plane:
-        w = w0 + wave
-        if np.any(np.abs(w[1:]) <= EPS_ZERO):
-            raise PoleError("path meets a singular point of the integrand at a knot on a leaf centre")
-        s = complex((np.diff(w) / w[1:]).sum())
+        np.add(wave, w0, out=ratio)
+        np.divide(wave, ratio, out=ratio)
+        s = weight * complex(ratio.sum())
         inc = s.imag * m
         inc[0] = s.real
         total += inc @ leaf.matrix
@@ -608,8 +622,9 @@ def line_integral(
 ) -> QuadratureResult:
     """The line integral of f along gamma, by the four routes of the module
     docstring.  ``est_error`` bounds the rounding of the Newton-Leibniz part.
-    Knots are taken only for Ln leaves on a circle in their plane and on
-    parametric paths, and ``tol`` and ``max_knots`` act only there.  A
+    Knots are taken only for Ln leaves on a circle in their plane, by the
+    midpoint rule, and on parametric paths, by right-endpoint sums, and
+    ``tol`` and ``max_knots`` act only there.  A
     phrase with no such leaf takes no knot layout, and reports 0
     refinements and ``converged``; otherwise the knot doubling's
     refinements and ``converged`` flag are the report's, and its error
@@ -639,7 +654,7 @@ def line_integral(
             else:
                 value += _circle_log(leaf.center, gamma) @ leaf.matrix
         logs = in_plane
-        raw = lambda n: _raw_sum(gamma, in_plane, _offset_knots(n))
+        raw = lambda n: _raw_sum(gamma, in_plane, n)
     if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
     quad = _extrapolated(raw, gamma.level, tol, max_knots)

@@ -275,6 +275,27 @@ def test_inverse_of_zero_raises_and_eps_zero_is_tiny():
     assert abs(small.inverse().re - 1e150) / 1e150 < 1e-12
 
 
+@pytest.mark.parametrize("r", [2, 8])
+def test_inverse_scales_only_rows_whose_squared_norm_is_not_normal(r):
+    from cdfun.algebra import inverse_arrays
+
+    rng = np.random.default_rng(r)
+    x = rng.standard_normal((5, 1 << r))
+    x[1] *= 1e200  # |x|^2 overflows
+    x[3] *= 1e-170  # |x|^2 underflows into the subnormals
+    with np.errstate(over="ignore"):
+        got = inverse_arrays(x, r)
+    plain = [0, 2, 4]
+    n2 = np.sum(np.square(x[plain]), axis=-1, keepdims=True)
+    conj = -x[plain]
+    conj[:, 0] = x[plain, 0]
+    assert np.array_equal(got[plain], conj / n2)
+    for k in (1, 3):
+        assert np.allclose(mul_arrays(x[k], got[k], r), one(r).coeffs, rtol=0.0, atol=1e-13)
+    with pytest.raises(SingularElementError):
+        inverse_arrays(np.full((2, 1 << r), 1e-303), r)  # |x| <= 1.6e-302
+
+
 @given(levels, seeds)
 @settings(max_examples=40, deadline=None)
 def test_split_and_recombine(r, seed):

@@ -210,6 +210,19 @@ def test_pole_hit_exits_2():
     assert rep["error"]["kind"] == "pole"
 
 
+@pytest.mark.parametrize("level", [2, 8])
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_inverse_of_a_huge_or_tiny_point(level, size):
+    # the squared norm 1e400 overflowed to a value of 0, and 1e-400 underflowed
+    # to a false pole
+    d = 1 << level
+    code, rep = invoke_json(["eval", "--level", str(level), "--expr", "z^-1",
+                             "--point", json.dumps([size, 0.0, 3.0 * size] + [0.0] * (d - 3))])
+    assert code == 0
+    want = [0.1 / size, 0.0, -0.3 / size] + [0.0] * (d - 3)
+    assert max(abs(u - v) for u, v in zip(rep["value"], want)) <= 1e-15 / size
+
+
 def test_power_of_non_linear_base_is_rejected_without_expansion(circle3):
     # (z*e1+e2)^60 would expand to 2^60 words; it must be refused as a whole
     start = time.perf_counter()

@@ -37,6 +37,7 @@ from cdfun.contour import (
 )
 from cdfun import contour, expressions
 from cdfun.errors import (
+    CDError,
     DomainError,
     LevelMismatchError,
     NonConvergenceError,
@@ -687,12 +688,12 @@ def test_laurent_coefficients_at_large_k_stop_at_the_rounding_floor(r):
     m = basis_element(r, 1)
     for rho in (0.5 * 4**0.125, 0.5 * 4**0.875):
         powers = range(-60, 60)
-        results = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, powers, 1e-6, True))
+        results = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, [(rho, True)], powers, 1e-6))
         assert {res.refinements for res in results} == {1}
         assert all(res.converged != res.at_floor for res in results)
         assert any(res.at_floor for res in results)
         assert all(res.est_error < 1e-6 for res in results if res.converged)
-        plain = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, rho, powers[:5], 1e-6))
+        plain = list(_kernel_loop(parse("z^-2+z", r), zero(r), m, [(rho, False)], powers[:5], 1e-6))
         assert not any(res.at_floor for res in plain)
 
 
@@ -750,7 +751,7 @@ def test_shared_kernel_loop_matches_per_power_loops(r, off_plane):
     center = from_real(r, 0.2) + m * -0.1 + (_vec(r, e3=0.3) if off_plane else zero(r))
     f = parse("e2*z*e3 + (z - 2)^-1 + 0.5", r)
     powers = list(range(-6, 3))
-    got = list(_kernel_loop(f, center, m, 0.7, powers, 1e-6))
+    got = list(_kernel_loop(f, center, m, [(0.7, False)], powers, 1e-6))
     assert len(got) == len(powers)
     refs = [_per_power_kernel_loop(f, center, m, 0.7, power, 1e-6) for power in powers]
     assert {res.refinements for res in got} == {max(ref[1] for ref in refs)}
@@ -763,7 +764,7 @@ def test_shared_kernel_loop_matches_per_power_loops(r, off_plane):
 def test_kernel_loop_estimate_does_not_overflow_on_finite_sums():
     # k = 8 of a Taylor expansion of z^2 on a circle of radius 1e-30: the
     # sums reach 2.9e164, whose squared differences overflow
-    (res,) = _kernel_loop(parse("z^2", 1), zero(1), basis_element(1, 1), 1e-30, [-9], 1e-6)
+    (res,) = _kernel_loop(parse("z^2", 1), zero(1), basis_element(1, 1), [(1e-30, False)], [-9], 1e-6)
     assert np.all(np.isfinite(res.value.coeffs)) and np.abs(res.value.coeffs).max() > 1e164
     assert math.isfinite(res.est_error) and not res.converged
 
@@ -771,7 +772,7 @@ def test_kernel_loop_estimate_does_not_overflow_on_finite_sums():
 def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
     f = parse("e2*z^3 + z", 3)
     psi = Path.circle(zero(3), 1.0, E1, 1.0)
-    layouts = 1 + max(res.refinements for res in _kernel_loop(f, zero(3), E1, 1.0, range(-12, 0), 1e-6))
+    layouts = 1 + max(res.refinements for res in _kernel_loop(f, zero(3), E1, [(1.0, False)], range(-12, 0), 1e-6))
     calls = []
 
     def counting(*args):
@@ -796,7 +797,7 @@ def test_kernel_loop_is_exact_for_a_laurent_polynomial_about_the_centre(r):
     e = {k: basis_element(r, k) for k in (1, 2, 3)}
     left = {3: e[2], 0: from_real(r, 0.5), -2: e[1]}
     powers = list(range(-6, 3))
-    got = list(_kernel_loop(f, c, m, rho, powers, 1e-6))
+    got = list(_kernel_loop(f, c, m, [(rho, False)], powers, 1e-6))
     for power, res in zip(powers, got):
         q = power + 1
         want = zero(r)
@@ -818,7 +819,7 @@ def test_kernel_loop_converges_with_a_pole_just_outside_the_circle(r):
     c = from_real(r, 0.3) + basis_element(r, 1) * 0.1
     f = parse(f"(z - (0.3 + {1.2 * rho!r} + 0.1*e1))^-1", r)
     powers = [-4, -3, -2, -1]
-    for power, res in zip(powers, _kernel_loop(f, c, m, rho, powers, 1e-10)):
+    for power, res in zip(powers, _kernel_loop(f, c, m, [(rho, False)], powers, 1e-10)):
         q = power + 1
         want = m * (-TWO_PI / (1.2 * rho) ** (1 - q))
         assert res.converged and res.refinements == 3
@@ -831,9 +832,9 @@ def test_blocked_kernel_sums_match_one_block(monkeypatch, r):
     m = basis_element(r, 1)
     f = parse("(z - 1.3)^-1 + e2*z*e3", r)
     powers = range(-4, 2)
-    whole = list(_kernel_loop(f, zero(r), m, 1.0, powers, 1e-10))
+    whole = list(_kernel_loop(f, zero(r), m, [(1.0, False)], powers, 1e-10))
     monkeypatch.setattr(contour, "_KERNEL_BLOCK_ELEMENTS", 37 << r)
-    blocked = list(_kernel_loop(f, zero(r), m, 1.0, powers, 1e-10))
+    blocked = list(_kernel_loop(f, zero(r), m, [(1.0, False)], powers, 1e-10))
     assert [res.refinements for res in whole] == [res.refinements for res in blocked]
     for a, b in zip(whole, blocked):
         assert a.converged and b.converged
@@ -856,6 +857,88 @@ def test_near_pole_kernel_loop_ends_as_nonconvergence_in_bounded_memory(monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def _read_in_order(loops, count):
+    """The results of one kernel loop per circle, read power-major and
+    circle-minor up to the first failure, which ends the list as (type,
+    message)."""
+    out = []
+    try:
+        for _ in range(count):
+            for loop in loops:
+                out.append(next(loop))
+    except CDError as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+def _merged_and_separate(f, center, m, circles, powers, tol):
+    # the merged loop is one iterator, read once per circle in each round
+    merged = _read_in_order([iter(_kernel_loop(f, center, m, circles, powers, tol))] * len(circles), len(powers))
+    separate = [iter(_kernel_loop(f, center, m, [circle], powers, tol)) for circle in circles]
+    return merged, _read_in_order(separate, len(powers))
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_merged_kernel_loop_matches_one_loop_per_circle_bitwise(r):
+    m = basis_element(r, 1)
+    f = parse("z^-2+z + 0.5*(z-(0.1+1.9*e1))^-1", r)
+    # Cauchy's two radii about an off-centre point, at a derivative order
+    z = from_real(r, 0.2) + m * 0.1
+    for power in (-1, -4):
+        merged, separate = _merged_and_separate(f, z, m, [(0.3, False), (0.15, False)], [power], 1e-10)
+        assert len(merged) == 2 and merged == separate
+    # Laurent's three radii about 0; k = -40..39 takes the outer circles to
+    # their rounding floors
+    radii = (0.5 * 4**0.125, 1.0, 0.5 * 4**0.875)
+    powers = [-k - 1 for k in range(-40, 40)]
+    merged, separate = _merged_and_separate(f, zero(r), m, list(zip(radii, (True, False, True))), powers, 1e-6)
+    assert len(merged) == 3 * len(powers) and merged == separate
+    assert any(res.at_floor for res in merged)
+    assert len({res.refinements for res in merged}) > 1
+
+
+def test_merged_kernel_loop_fails_where_the_loops_per_circle_fail():
+    r = 3
+    m = basis_element(r, 1)
+    # rho^-k overflows past k = 102 on the radius-1e-3 circle, past k = 308 on
+    # the radius-0.1 one: the first failure is at k = 103, radius 1e-3; the
+    # sums are rounding far above tol, so every circle stops at its floor
+    circles = [(0.5, True), (1e-3, True), (0.1, True)]
+    powers = [-k - 1 for k in range(95, 110)]
+    merged, separate = _merged_and_separate(parse("z", r), zero(r), m, circles, powers, 1e-6)
+    assert merged == separate
+    assert merged[-1] == (DomainError, "kernel power -104 overflows on a circle of radius 0.001")
+    assert len(merged) == 3 * 8 + 2
+    # a pole on the first knot of the second circle fails that circle alone,
+    # at its first power, after the first circle's result
+    knot = _plane_circle(np.zeros(1 << r), m.coeffs, 0.5, np.array([TWO_PI * 0.5 / 64]))[0]
+    g = parse(f"(z-{expressions._fmt_const(knot)})^-1 + z", r)
+    for circles in ([(1.0, False), (0.5, False)], [(0.5, False), (1.0, False)]):
+        merged, separate = _merged_and_separate(g, zero(r), m, circles, [-1, -2], 1e-6)
+        assert merged == separate
+        assert merged[-1][0] is PoleError and len(merged) == (2 if circles[0][0] == 1.0 else 1)
+
+
+def test_cauchy_and_laurent_evaluate_the_integrand_once_per_knot_layout(monkeypatch):
+    r = 3
+    f = parse("(z-(0.1+1.9*e1))^-1 + e2*z^3", r)
+    psi = Path.circle(zero(r), 1.0, E1, 1.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return eval_node_arrays(*args)
+
+    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    z = from_real(r, 0.2) + E1 * 0.1
+    cauchy_derivative(f, z, 2, psi)
+    # the two radii share each layout, 64 knots per circle on the first
+    assert calls[0] == 128 and len(calls) <= 5
+    calls.clear()
+    laurent_coeffs(f, zero(r), -3, 3, 0.5, 1.5)
+    assert calls[0] == 3 * 64 and len(calls) <= 5
 
 
 def test_taylor_count_at_the_cap_takes_two_knot_layouts_at_level_8(monkeypatch):

@@ -29,7 +29,7 @@ from cdfun.algebra import (
 from cdfun.contour import winding_index
 from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
 from cdfun import integrate
-from cdfun.expressions import parse
+from cdfun.expressions import _fmt_const, parse
 from cdfun.integrate import (
     START_KNOTS,
     Partition,
@@ -365,13 +365,54 @@ def test_two_sided_linearity_in_constants():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    f = parse("z^-1", 2)
+    # the pole 1e-3 outside the circle leaves a geometric rate of about
+    # 1 - 1e-3 per knot, far from tol within 1024 knots
+    f = parse("(z-1.001)^-1", 2)
     circ = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
     res = line_integral(f, circ, tol=1e-15, max_knots=1024)
     assert not res.converged
     assert res.est_error > 1e-15
-    # the returned value is still the best available
-    assert (res.value - basis_element(2, 1) * (2 * math.pi)).norm() < 1e-5
+    # the returned value is still the best available, within its estimate
+    # of the loop integral 0
+    assert res.value.norm() <= res.est_error
+
+
+_RATIOS = (0.0, 0.5, 0.9, 1.1, 2.0)  # |w0| / rho: the leaf centre's distance from the circle's centre
+
+
+def _in_plane_leaf(r, ratio, turns, rng):
+    """A circle of radius 0.7 and the phrase (z - a)^-1 with a in its plane at
+    ratio * 0.7 from its centre, and a itself."""
+    m = random_unit_imaginary(r, rng)
+    c = random_element(r, rng) * 0.3
+    alpha = float(rng.uniform(0.0, 2.0 * math.pi))
+    a = c + (from_real(r, math.cos(alpha)) + m * math.sin(alpha)) * (0.7 * ratio)
+    return Path.circle(c, 0.7, m, turns), parse(f"(z-{_fmt_const(a.coeffs)})^-1", r), a
+
+
+@pytest.mark.parametrize("r", [1, 3, 8])
+def test_in_plane_midpoint_route_matches_the_closed_form(r):
+    rng = np.random.default_rng(330 + r)
+    tol = 1e-9
+    for ratio in _RATIOS:
+        for turns in (1.0, 3.0, -2.0, 0.75, 1.5, -2.25):
+            gamma, f, a = _in_plane_leaf(r, ratio, turns, rng)
+            res = line_integral(f, gamma, tol=tol)
+            want = integrate._circle_log(a.coeffs, gamma)
+            assert res.converged and res.refinements >= 1, (ratio, turns)
+            assert np.linalg.norm(res.value.coeffs - want) <= tol * (1.0 + abs(turns)), (ratio, turns)
+
+
+@pytest.mark.parametrize("r", [1, 3, 8])
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 2.0, 5.0])
+def test_full_turns_about_a_centre_twice_off_the_circle_converge_at_the_first_doubling(r, ratio):
+    # the midpoint rule errs by about (|w0|/rho)^64 or (rho/|w0|)^64 on the
+    # first layout
+    rng = np.random.default_rng(int(10 * ratio) + r)
+    for turns in (1.0, -1.0, 3.0):
+        gamma, f, _ = _in_plane_leaf(r, ratio, turns, rng)
+        res = line_integral(f, gamma)
+        assert res.converged and res.refinements == 1, turns
 
 
 def test_pole_on_path_raises():
@@ -1041,7 +1082,7 @@ def test_in_plane_sandwich_at_level_8_makes_no_product_on_knot_batches(tmp_path,
         operands.clear()
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(["integrate", "--level", "8", "--expr", "(0.3*e7)*(z-1.5)^-1*(0.9*e100)",
+            code = cli.main(["integrate", "--level", "8", "--expr", "(0.3*e7)*(z-1.9)^-1*(0.9*e100)",
                              "--path-file", str(path), "--tol", tol])
         assert code == 0
         return json.loads(buf.getvalue()), list(operands)
