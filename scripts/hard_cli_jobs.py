@@ -8,10 +8,11 @@ point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
 overflows, the exponent cap, out-of-range flag values, a step lost to
 rounding, an image or an index past the range of a double, a false pole at
 radius 1e100, an error estimate printed as Infinity, the inverse of a point
-whose squared norm leaves the range of a double.  A row names its argv,
-the path object written to the ``--path-file`` it gets (or None), the exit
-code it must end with, and either the error kind its report must name or a
-predicate on its report.  The whole of stdout must be one strict JSON
+whose squared norm leaves the range of a double, a kernel power that
+overflows on every circle.  A row names its argv, the path object written
+to the ``--path-file`` it gets (or None), the exit code it must end with,
+and either the error kind its report must name or a predicate on its
+report.  The whole of stdout must be one strict JSON
 report, without Infinity or NaN.
 
 Each row runs as a child process with ``RLIMIT_AS`` set to 1 GiB on the
@@ -119,6 +120,11 @@ ROWS = (
     Row("cauchy order past the exponent cap",
         ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector(100.0), "--order", "10000000"], _circle(), 1,
         "usage", timeout_s=10.0),
+    # rho^61 overflows on all three circles at the first power, and the
+    # merged kernel loop ended as an internal error
+    Row("laurent power overflow on all circles",
+        ["laurent", "--level", "8", "--expr", "z", "--center", _vector(), "--kmin", "-61", "--kmax", "-61",
+         "--rho-inner", "1e6", "--rho-outer", "2e6"], None, 2, "domain"),
     # numpy's generator refuses a negative seed, which ended as an internal error
     Row("negative roots seed", ["roots", "--level", "8", "--expr", "z^2+1", "--seed", "-1"], None, 1, "usage"),
     # 0.3 + 1e-320 rounds to 0.3, and crcheck of zc, which is not

@@ -384,10 +384,10 @@ def _kernel_loop(
     sum over each circle's knots per power.  Each layout is evaluated in
     blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array
     and circle, whose sums add up in knot order: memory stays O(block * d)
-    per circle, and every circle's results are bit for bit those of a loop
-    of its own.  Where the stacked knots meet a singularity, the block is
+    per running circle, so a layout over c circles holds c blocks at once,
+    and every circle's results are bit for bit those of a loop of its own.  Where the stacked knots meet a singularity, the block is
     evaluated circle by circle, and only the circles whose own knots meet it
-    fail, with PoleError.
+    fail, with PoleError; a failed circle keeps no sums and stops doubling.
 
     The knot count doubles from START_KNOTS.  The error shrinks
     geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
@@ -459,16 +459,20 @@ def _kernel_loop(
                         total[k] = part if lo == 0 else total[k] + part
         return totals
 
+    # a circle whose first scale overflows runs no layout, and one that
+    # meets a pole keeps no sums: its row of raw is not filled
     n, live = START_KNOTS, [c for c in loops if c.scales]
-    for c, sums in zip(live, raw(live, n, True)):
-        c.sums = sums
+    if live:
+        for c, sums in zip(live, raw(live, n, True)):
+            c.sums = sums
     live = [c for c in live if c.running(tol)]
     while live and 2 * n <= _KERNEL_MAX_KNOTS:
         n *= 2
         for c, sums in zip(live, raw(live, n, False)):
-            c.est = scaled_norm_arrays(sums - c.sums).tolist()
-            c.sums, c.refinements = sums, c.refinements + 1
-            c.floors = [n * _EPS * TWO_PI * s * c.peak for s in c.scales]
+            if c.failure is None:
+                c.est = scaled_norm_arrays(sums - c.sums).tolist()
+                c.sums, c.refinements = sums, c.refinements + 1
+                c.floors = [n * _EPS * TWO_PI * s * c.peak for s in c.scales]
         live = [c for c in live if c.running(tol)]
     for k, power in enumerate(powers):
         for c in loops:

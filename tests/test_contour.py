@@ -859,6 +859,25 @@ def test_near_pole_kernel_loop_ends_as_nonconvergence_in_bounded_memory(monkeypa
     assert peak < 4 << 20
 
 
+def test_near_pole_laurent_loop_stays_in_bounded_memory_on_three_circles(monkeypatch):
+    # a pole 1e-7 outside each of Laurent's three circles keeps all three
+    # running to the cap, each layout stacked over three circles of 64-knot
+    # blocks, where one (3 * 8192, 256) layout is 48 MB
+    monkeypatch.setattr(contour, "_KERNEL_BLOCK_ELEMENTS", 1 << 14)
+    monkeypatch.setattr(contour, "_KERNEL_MAX_KNOTS", 1 << 13)
+    radii = (0.5 * 4**0.125, 1.0, 0.5 * 4**0.875)
+    f = parse(" + ".join(f"(z-{rho * (1 + 1e-7)!r})^-1" for rho in radii), 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError, match="coefficient k=0 did not converge"):
+            laurent_coeffs(f, zero(8), 0, 1, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three times the block of one circle, and a sixth of one stacked layout
+    assert peak < 8 << 20
+
+
 def _read_in_order(loops, count):
     """The results of one kernel loop per circle, read power-major and
     circle-minor up to the first failure, which ends the list as (type,
@@ -911,14 +930,20 @@ def test_merged_kernel_loop_fails_where_the_loops_per_circle_fail():
     assert merged == separate
     assert merged[-1] == (DomainError, "kernel power -104 overflows on a circle of radius 0.001")
     assert len(merged) == 3 * 8 + 2
-    # a pole on the first knot of the second circle fails that circle alone,
-    # at its first power, after the first circle's result
-    knot = _plane_circle(np.zeros(1 << r), m.coeffs, 0.5, np.array([TWO_PI * 0.5 / 64]))[0]
-    g = parse(f"(z-{expressions._fmt_const(knot)})^-1 + z", r)
-    for circles in ([(1.0, False), (0.5, False)], [(0.5, False), (1.0, False)]):
-        merged, separate = _merged_and_separate(g, zero(r), m, circles, [-1, -2], 1e-6)
-        assert merged == separate
-        assert merged[-1][0] is PoleError and len(merged) == (2 if circles[0][0] == 1.0 else 1)
+    # a pole on the first knot of the 64-knot layout, or of the 128-knot one
+    # only (midpoint layouts share no knot), of the second circle fails that
+    # circle alone, at its first power, after the first circle's result
+    for layout in (64, 128):
+        knot = _plane_circle(np.zeros(1 << r), m.coeffs, 0.5, np.array([TWO_PI * 0.5 / layout]))[0]
+        g = parse(f"(z-{expressions._fmt_const(knot)})^-1 + z", r)
+        for circles in ([(1.0, False), (0.5, False)], [(0.5, False), (1.0, False)]):
+            merged, separate = _merged_and_separate(g, zero(r), m, circles, [-1, -2], 1e-6)
+            assert merged == separate
+            assert merged[-1][0] is PoleError and len(merged) == (2 if circles[0][0] == 1.0 else 1)
+    # rho^61 overflows on every circle at the first power, so no layout runs
+    circles = [(1e6, True), (1.5e6, False), (2e6, True)]
+    merged, separate = _merged_and_separate(parse("z", r), zero(r), m, circles, [60, 59], 1e-6)
+    assert merged == separate == [(DomainError, "kernel power 60 overflows on a circle of radius 1e+06")]
 
 
 def test_cauchy_and_laurent_evaluate_the_integrand_once_per_knot_layout(monkeypatch):
