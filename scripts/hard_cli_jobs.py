@@ -4,7 +4,7 @@
 Every row of ROWS is one ``cdfun`` command line on a level-8 input that once
 ran out of memory, ran too long, aliased, wrote more than one report, or
 ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
-point 1e-6 from the curve, 1e4 and 1e5 turns, a polynomial whose square
+point 1e-6 from the curve, 4096, 1e4 and 1e5 turns, a polynomial whose square
 overflows, the exponent cap, out-of-range flag values, a step lost to
 rounding, an image or an index past the range of a double, a false pole at
 radius 1e100, an error estimate printed as Infinity, the inverse of a point
@@ -76,6 +76,10 @@ ROWS = (
     # complex arrays, where (N, 256) knot arrays would not fit in 1 GiB
     Row("in-plane near-pole integral", ["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1"], _circle(), 0,
         lambda rep: rep["converged"] is False),
+    # every midpoint of a layout spread over 4096 whole turns is a whole turn,
+    # and the sums read 2*pi*8192*e1; one turn, repeated, gives 2*pi*4096*e1
+    Row("many-turn in-plane pole integral", ["integrate", "--level", "8", "--expr", "(z-0.5)^-1"], _circle(4096), 0,
+        lambda rep: rep["converged"] is True and abs(rep["value"][1] - 8192 * math.pi) <= 1e-9 * 8192 * math.pi),
     # the same pole 1e-7 outside a square in its plane: a polyline's Ln leaf
     # takes its closed form, where knot doubling ended unconverged
     Row("near-pole in-plane square", ["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1"], _square(), 0,
@@ -86,8 +90,8 @@ ROWS = (
         ["integrate", "--level", "8", "--expr", "(z-(0.3+0.1*e1+0.000001*e2))^-1"], _circle(), 0,
         lambda rep: rep["converged"] is True and rep["refinements"] == 0 and not any(rep["value"])),
     # e2*z^3 + z is a polynomial about the centre, which the periodic midpoint
-    # rule integrates exactly on two layouts: every coefficient other than c1
-    # and c3 must vanish to rounding
+    # rule integrates exactly on one layout of 64 knots, sized by its degree:
+    # every coefficient other than c1 and c3 must vanish to rounding
     Row("taylor at the exponent cap",
         ["taylor", "--level", "8", "--expr", "e2*z^3+z", "--count", "60", "--center", _vector()], _circle(), 0,
         lambda rep: len(rep["coefficients"]) == 60

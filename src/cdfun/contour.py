@@ -14,8 +14,8 @@ here reduces to loop integrals, by two integration routes:
   along the circle zeta(theta) = a + rho*exp(theta*M) the kernel times
   d(zeta) is a closed-form multiple of d(theta) in the contour plane, and
   the loop is closed, so equally spaced midpoints converge geometrically,
-  and exactly for Laurent polynomials in zeta - a, which plain knot
-  doubling then accepts at its second layout.
+  and exactly for Laurent polynomials in zeta - a: for those one layout
+  sized by the degree is certified, and other phrases double their knots.
 
 Cauchy evaluation deforms to a small circle centered at the evaluation
 point itself (direction taken from the given contour): integrating the
@@ -28,7 +28,7 @@ step (4*S(rho/2) - S(rho))/3 removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
     NonConvergenceError,
     PoleError,
     SingularElementError,
+    StepControlError,
     UnsupportedShapeError,
 )
 from .expressions import (
@@ -47,6 +48,7 @@ from .expressions import (
     Node,
     Phrase,
     _children,
+    _circle_degree,
     _fmt_const,
     _nodes,
     derivative_apply,
@@ -57,11 +59,16 @@ from .integrate import (
     START_KNOTS,
     Path,
     QuadratureResult,
+    _EPS,
+    _FIRST_LAYOUT,
+    _LAYOUT_ELEMENTS,
+    _MAX_LAYOUT,
     _circle_frame,
     _doubled,
     _in_circle_plane,
     _on_arc,
     _plane_circle,
+    _sampled_log,
     _unit_imaginary,
     distance_range,
     line_integral,
@@ -265,8 +272,9 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     rather than counted.  Circles, arcs included, and polylines are done in
     closed form on (d - 1,) arrays: a circle projects to an ellipse (see
     _circle_winding), a polyline to the polyline through its projected
-    corners.  Only parametric paths are sampled, by ``integrate._doubled``,
-    which cannot detect a path that aliases alike on two knot layouts.
+    corners.  Only parametric paths are sampled, by ``integrate._doubled``
+    under its uncertified agreement rule: a user's sampler has no speed
+    bound, so a path that aliases alike on two knot layouts passes unseen.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
@@ -320,7 +328,6 @@ def residue(f: Phrase, p: CDNumber, direction: CDNumber, rho: float, tol: float 
 
 _KERNEL_MAX_KNOTS = 1 << 18
 _KERNEL_BLOCK_ELEMENTS = 1 << 18
-_EPS = 2.0**-52  # the float64 machine epsilon, without a numpy call at import
 
 
 class _Circle:
@@ -337,6 +344,11 @@ class _Circle:
                 break
         self.sums, self.peak, self.refinements, self.failure = None, 0.0, 0, None
         self.est, self.floors = [math.inf] * len(self.scales), [0.0] * len(self.scales)
+
+    def rounding(self, n: int) -> list:
+        """The rounding floor n * eps * 2*pi * rho^q * max|F| of each power on
+        the n-knot layout."""
+        return [n * _EPS * TWO_PI * s * self.peak for s in self.scales]
 
     def running(self, tol: float) -> bool:
         return self.failure is None and not all(e < tol or e < b for e, b in zip(self.est, self.floors))
@@ -389,21 +401,32 @@ def _kernel_loop(
     evaluated circle by circle, and only the circles whose own knots meet it
     fail, with PoleError; a failed circle keeps no sums and stops doubling.
 
-    The knot count doubles from START_KNOTS.  The error shrinks
-    geometrically, so S(2n) is far better than est = |S(2n) - S(n)|, and no
-    tail is left to extrapolate.  A circle stops doubling once every power
-    has est < tol, or before a layout past _KERNEL_MAX_KNOTS; each power
-    reports S on the circle's last layout, its est, the circle's refinement
-    count and ``converged`` = est < tol.  A non-positive tol raises
-    DomainError.
+    Certified layouts.  When ``_circle_degree`` gives f a degree D about the
+    centre, each integrand is a trigonometric polynomial of degree at most
+    D + max|q|, and when that is below START_KNOTS one layout of n knots, n
+    the least power of two above it, is exact but for rounding.  A circle
+    whose rounding floor (below) lies under tol on that layout for every
+    power stops there: each power reports 0 refinements, its floor as
+    ``est_error`` and ``converged``.  A circle past tol there, and every
+    circle of a phrase with no degree (a pole off the centre, zc under a
+    negative power), is uncertified and doubles from that layout as below.
+
+    Uncertified circles double the knot count, from START_KNOTS when there
+    is no degree.  The error shrinks geometrically, so S(2n) is far better
+    than est = |S(2n) - S(n)|, and no tail is left to extrapolate.  A
+    circle stops doubling once every power has est < tol, or before a
+    layout past _KERNEL_MAX_KNOTS; each power reports S on the circle's last
+    layout, its est, the circle's refinement count and ``converged`` = est
+    < tol.  A non-positive tol raises DomainError.
 
     A circle with ``floor`` set lets a power also stop at the rounding floor
     n * eps * 2*pi * rho^q * max|F| of a sum of n terms of size up to
     (2*pi/n) * rho^q * |F|, with max|F| taken over the first layout's
-    knots: where rho^q is large, as for |k| near 60 on a circle of radius
-    1.7, no layout resolves an absolute tol, and more knots only add
-    rounding.  A power with tol <= est below its floor reports the floor as
-    ``est_error`` and sets ``at_floor``; its ``converged`` stays false.
+    knots (the first layout of a certified one): where rho^q is large, as
+    for |k| near 60 on a circle of radius 1.7, no layout resolves an
+    absolute tol, and more knots only add rounding.  A power with tol <=
+    est below its floor reports the floor as ``est_error`` and sets
+    ``at_floor``; its ``converged`` stays false.
 
     Results are yielded power-major and circle-minor, and the loop runs at
     the first request.  A circle fails in its own place: with the PoleError
@@ -420,9 +443,14 @@ def _kernel_loop(
     loops = [_Circle(rho, floor, powers) for rho, floor in circles]
     step = _KERNEL_BLOCK_ELEMENTS // len(cv)
 
+    degree = _circle_degree(f.root, cv, r)
+    width = None if degree is None else degree + max((abs(power + 1) for power in powers), default=0)
+    exact = width is not None and width < START_KNOTS
+
     def raw(live: list, n: int, first: bool) -> list:
         """The sums of the circles in live on the n-knot layout; on the first
-        layout, max|F| over its knots into the peak of every floor circle."""
+        layout, max|F| over its knots into the peak of every floor circle,
+        and of every circle when the layout is exact."""
         totals = [np.empty((len(c.scales), len(cv))) for c in live]
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
@@ -447,7 +475,7 @@ def _kernel_loop(
                       for j, i in enumerate(rows)]
             if first:
                 for c, _, Fc, _ in blocks:
-                    if c.floor:
+                    if c.floor or exact:
                         c.peak = max(c.peak, float(norm_arrays(Fc).max()))
             for k, power in enumerate(powers[:max(len(c.scales) for c, *_ in blocks)]):
                 qa = (power + 1) * ang
@@ -461,10 +489,15 @@ def _kernel_loop(
 
     # a circle whose first scale overflows runs no layout, and one that
     # meets a pole keeps no sums: its row of raw is not filled
-    n, live = START_KNOTS, [c for c in loops if c.scales]
+    n = 1 << width.bit_length() if exact else START_KNOTS
+    live = [c for c in loops if c.scales]
     if live:
         for c, sums in zip(live, raw(live, n, True)):
             c.sums = sums
+            if exact and c.failure is None:
+                floors = c.rounding(n)
+                if all(b < tol for b in floors):  # certified: no other error than rounding
+                    c.est = floors
     live = [c for c in live if c.running(tol)]
     while live and 2 * n <= _KERNEL_MAX_KNOTS:
         n *= 2
@@ -472,7 +505,8 @@ def _kernel_loop(
             if c.failure is None:
                 c.est = scaled_norm_arrays(sums - c.sums).tolist()
                 c.sums, c.refinements = sums, c.refinements + 1
-                c.floors = [n * _EPS * TWO_PI * s * c.peak for s in c.scales]
+                if c.floor:
+                    c.floors = c.rounding(n)
         live = [c for c in live if c.running(tol)]
     for k, power in enumerate(powers):
         for c in loops:
@@ -753,6 +787,33 @@ def sum_residues_check(
     return float(total.norm())
 
 
+def _planar_image(f: Phrase, gamma: Path) -> bool:
+    """Whether gamma is a circle that f maps into the plane span(1, M) of its
+    direction M, a subalgebra and a copy of the complex numbers: its centre
+    and every constant v of f lie in that plane, that is, by the rule of
+    ``_in_circle_plane``, the circle lies in 0 + span(1, M) and in every
+    v + span(1, M)."""
+    if gamma.kind != "circle":
+        return False
+    points = [np.zeros(f.level.basis_dim)] + [n.value for n in _nodes(f.root) if isinstance(n, Const)]
+    return all(_in_circle_plane(v, gamma, _circle_frame(v, gamma)[2]) for v in points)
+
+
+def _circle_peak(f: Phrase, arc: Path, degree: int) -> float:
+    """A bound on max|f| over the whole circle of an arc, for f of the given
+    degree about its centre: the largest |f| on n >= 8 * degree midpoints of
+    one turn, over 1 - pi * degree / n (Bernstein's inequality).  A layout
+    past _MAX_LAYOUT knots or _LAYOUT_ELEMENTS elements is a
+    StepControlError, an image past the range of a double a DomainError."""
+    n = max(_FIRST_LAYOUT, 1 << (8 * degree).bit_length())
+    if n > min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // f.level.basis_dim):
+        raise StepControlError(f"a phrase of degree {degree} needs {n} knots to bound")
+    F = eval_node_arrays(f.root, replace(arc, turns=1.0).sample((np.arange(n) + 0.5) / n), f.level.r)
+    if not np.isfinite(F).all():
+        raise DomainError("the image of the circle leaves the range of a double")
+    return float(scaled_norm_arrays(F).max()) / (1.0 - math.pi * degree / n)
+
+
 def argument_principle(
     f: Phrase,
     gamma: Path,
@@ -761,26 +822,48 @@ def argument_principle(
     """Index of f∘gamma about 0 versus the index-weighted divisor of f.
 
     The left side tracks the image curve t -> f(gamma(t)), which
-    ``log_integral`` samples; the right side sums order * index(a, gamma)
-    over the supplied zeros (a, order).  On a circle of integer turns n,
-    |n| > 2, the image repeats every turn.  Each crossing of the real line
-    reverses the direction in which the argument is continued, so one turn
-    maps the winding count m at the start to s*m + k, with s = +-1 and k
+    ``integrate._sampled_log`` samples; the right side sums order *
+    index(a, gamma) over the supplied zeros (a, order).  On a circle of
+    integer turns n, |n| > 2, the image repeats every turn.  Each crossing
+    of the real line reverses the direction in which the argument is
+    continued, so one turn maps the winding count m at the start to s*m +
+    k, with s = +-1 and k
     the index of one turn, and two turns map it to m + (1 + s)*k.  The left
     side is therefore |n|/2 times the index of two turns with the same sign
     and start, unless those cancel (s = -1, or k = 0) and n is odd, when it
     is the index of one turn.  This is exact for closed loops whose image
-    does not start on the real line, while a many-turn image sampled whole
-    aliases (see ``integrate._doubled``).  Arcs, whose branch offsets do not
+    does not start on the real line.  Arcs, whose branch offsets do not
     cancel, and polylines take the whole image.
+
+    Certified images.  When f maps a circle into its plane span(1, M)
+    (``_planar_image``) and has a degree D about its centre
+    (``_circle_degree``), the image of T turns is a trigonometric
+    polynomial of degree D*|T| in 2*pi*t, whose speed is at most
+    2*pi*D*|T| * max|f| (Bernstein's inequality), with max|f| over the
+    whole circle (``_circle_peak`` on an arc shorter than a turn).  Each
+    step of the layout is then certified to turn the argument by less than
+    pi/2, and only the others are halved (see ``integrate._sampled_log``),
+    so a many-turn arc gives its exact index, or StepControlError when the
+    knot cap cannot certify it.  Other images are uncertified and take the
+    agreement rule of ``integrate._doubled``, which an image aliasing alike
+    on two layouts passes: those of rational phrases, and of phrases whose
+    constants or circle centre leave the plane.  Off one plane an image
+    can pass close to the real line, where its continued direction turns
+    faster than the speed bound sees.
     """
     if f.level.r != gamma.level.r:
         raise LevelMismatchError("phrase and path must share a level")
     r = f.level.r
+    degree = _circle_degree(f.root, gamma.center.coeffs, r) if _planar_image(f, gamma) else None
 
     def image_index(loop: Path) -> CDNumber:
-        return ar_index(zero(f.level), Path(level=loop.level, kind="parametric",
-                                            sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r)))
+        image = Path(level=loop.level, kind="parametric",
+                     sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r))
+        if degree is None:
+            return ar_index(zero(f.level), image)
+        peak = None if abs(loop.turns) >= 1.0 else _circle_peak(f, loop, degree)
+        speed = (TWO_PI * degree * abs(loop.turns), peak)
+        return CDNumber(f.level, _sampled_log(zero(f.level).coeffs, image, speed)) * (1.0 / TWO_PI)
 
     def turns(n: float) -> Path:
         return Path(level=gamma.level, kind="circle", center=gamma.center, radius=gamma.radius,

@@ -792,6 +792,50 @@ def _linear(words, r: int):
     return s, center, m
 
 
+def _circle_degree(node: Node, center: np.ndarray, r: int):
+    """A bound on the degree in theta of the node at z = center +
+    rho*exp(theta*M), for every radius rho and unit imaginary M, or None
+    when the tree shows no trigonometric polynomial.  It is a bound, not
+    always the degree: z*zc = |z|^2 counts 2.
+
+    Each coordinate of z and zc is a real trigonometric polynomial of
+    degree 1 in theta, and a product is bilinear in its factors'
+    coordinates, so a subtree free of the variable has degree 0, z^m and
+    zc^m with m >= 0 have degree m, a product adds its factors' degrees, a
+    power multiplies its base's, and a sum takes the largest.  A negative
+    power counts only when its base is z - center: with |z - center| = rho,
+    (z - center)^-1 = conj(z - center)/rho^2 has degree 1.  Computed per
+    call, since the trees of most phrases never reach a circle."""
+    if not node.flags & _VAR:
+        return 0
+    if isinstance(node, VarPow):
+        if node.power > 0:
+            return node.power
+        return -node.power if not node.conjugated and not np.any(center) else None
+    if isinstance(node, Mul):
+        left = _circle_degree(node.left, center, r)
+        right = None if left is None else _circle_degree(node.right, center, r)
+        return None if right is None else left + right
+    if isinstance(node, Sum):
+        top = 0
+        for _, term in node.terms:
+            degree = _circle_degree(term, center, r)
+            if degree is None:
+                return None
+            top = max(top, degree)
+        return top
+    if node.power >= 0:  # a PowNode; X^0 is the unit
+        base = _circle_degree(node.base, center, r) if node.power else 0
+        return None if base is None else base * node.power
+    if node.base.flags & _DZC:
+        return None
+    try:
+        lin = _linear(_words(node.base, r), r)
+    except UnsupportedShapeError:
+        return None
+    return -node.power if lin is not None and lin[2] == 1 and np.array_equal(lin[1], center) else None
+
+
 @dataclass
 class Leaf:
     """Every word of a primitive around one leaf (z - center)^power, or

@@ -26,23 +26,31 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 
 Knots are taken only by those last two routes.
 
+On a closed circle the midpoint sums are certified (``_closed_in_plane``).
+Around one turn the integrand is periodic and analytic, a geometric series
+in e^(i*phi) of ratio q = min(|w0|/rho, rho/|w0|), so the N-knot rule errs
+by at most 2*pi*q^N/(1 - q^N) per turn.  That bound sizes one layout before
+any sampling: N doubles from 64 until the bound, summed over the leaves,
+falls below tol, or N reaches the knot cap.  One turn is sampled on that
+layout and repeated |turns| times, so many turns do not alias.
+``est_error`` is the bound plus the rounding of the sum, and the
+refinements are log2(N / 64).
+
 ``integral_sum``, the paper's raw increment sum on one partition, is
-``_row_sum`` over every leaf.  The knot routes of ``line_integral`` double
-the knot count from 64 and combine the raw sums by Richardson
-extrapolation in the tableau
+``_row_sum`` over every leaf.  The other knot routes of ``line_integral``,
+arcs and parametric paths, are uncertified: they double the knot count
+from 64 and combine the raw sums by Richardson extrapolation in the
+tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1).
 
 On a parametric path the sums are right-endpoint sums, whose error expands
 in integer powers of 1/N: the tableau strips the O(1/N) tail that plain
-doubling would chase far past any practical knot budget.  On a circle in
-a leaf's plane they are midpoint sums.  Around whole turns the integrand is
-periodic and analytic, so their error falls geometrically with N, and a
-leaf centre at least a factor 2 inside or outside the circle converges at
-the first doubling; on an arc the error expands in even powers of 1/N,
-which the same tableau strips one column later.  ``est_error`` is the
-difference of the last two tableau diagonals, the extrapolated analogue of
-|I_2N - I_N|.
+doubling would chase far past any practical knot budget.  On an arc of a
+circle in a leaf's plane they are midpoint sums, whose error expands in
+even powers of 1/N, which the same tableau strips one column later.
+There ``est_error`` is the difference of the last two tableau diagonals,
+the extrapolated analogue of |I_2N - I_N|.
 
 The parametric N-knot layout (``_offset_knots``) is the midpoint offsets
 (k + 1/2)/N over [0, 1] plus both endpoints, and the circle route samples
@@ -53,7 +61,11 @@ logarithm cut or a pole that the path merely grazes.
 the argument principle, continues the argument along the path: in closed
 form on circles, arcs and polylines, and on parametric paths over the
 layouts of ``_doubled``, the one sampling rule of this package's
-parametric paths.
+parametric paths.  The image of a polynomial phrase on a circle in its
+plane has a speed bound (Bernstein's inequality), which certifies each
+step of a layout before it is continued; other parametric paths, the
+images of rational phrases and user samplers, are accepted when two
+layouts agree, which a path aliasing alike on both passes.
 """
 
 from __future__ import annotations
@@ -89,6 +101,7 @@ _PLANE_EPS = 16.0 * np.finfo(float).eps
 #: The rounding bound of a closed-form power leaf, per unit of
 #: (|m| + 1) * (|X(gamma(0))| + |X(gamma(1))|) * |matrix|_F.
 _ROUNDING = 8.0 * np.finfo(float).eps
+_EPS = 2.0**-52  # the float64 machine epsilon, without a numpy call at import
 
 #: The most elements of one (knots, d) array of a row sum.
 _ROW_BLOCK_ELEMENTS = 1 << 18
@@ -506,21 +519,21 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
+def _raw_sum(gamma: Path, in_plane: list, n: int, sweep: float) -> np.ndarray:
     """The midpoint sum of the Ln leaves of a circle in their plane on n
     knots.  Each (leaf, w0) pair, w0 = x + iy from the frame of
     ``_circle_frame`` about the leaf's centre a, takes the complex
     coordinates w = w0 + rho*e^(i*phi) of gamma - a, phi = 2*pi*(start +
-    turns*t), and sums dw/w = 2*pi*i*turns * wave/w dt with wave =
+    sweep*t), and sums dw/w = 2*pi*i*turns * wave/w dt with wave =
     rho*e^(i*phi) at the midpoints t_j = (j + 1/2)/n: the midpoint rule
     (2*pi*i*turns/n) * sum_j wave_j / (w0 + wave_j), lifted from S to
-    Re S + Im S * M before the leaf's matrix.  On a closed circle the
-    integrand is periodic and analytic, so the rule converges geometrically
-    at the rate |w0|/rho or rho/|w0|.  The wave is sampled once for all
-    leaves, and each ratio is formed in one reused array.  ``_check_poles``
-    keeps every knot off the leaf centres."""
+    Re S + Im S * M before the leaf's matrix.  ``sweep`` is the circle's
+    turns on an arc, and their sign on a closed circle, whose one turn the
+    weight repeats |turns| times.  The wave is sampled once for all leaves,
+    and each ratio is formed in one reused array.  ``_check_poles`` keeps
+    every knot off the leaf centres."""
     m = gamma.direction.coeffs
-    phi = _TWO_PI * (gamma.start + gamma.turns * ((np.arange(n) + 0.5) / n))
+    phi = _TWO_PI * (gamma.start + sweep * ((np.arange(n) + 0.5) / n))
     wave = np.empty(n, dtype=np.complex128)
     np.cos(phi, out=wave.real)
     np.sin(phi, out=wave.imag)
@@ -536,6 +549,53 @@ def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
         inc[0] = s.real
         total += inc @ leaf.matrix
     return total
+
+
+def _plane_norm(matrix: np.ndarray, m: np.ndarray) -> float:
+    """The norm of the matrix on span(1, M): the largest singular value of
+    its rows for 1 and M, from their 2 x 2 Gram matrix."""
+    a, b = matrix[0], m @ matrix
+    top = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    if not top > 0.0:
+        return 0.0
+    a, b = a / top, b / top  # the squares of a matrix scaled by 1e200 overflow
+    aa, bb, ab = float(a @ a), float(b @ b), float(a @ b)
+    return top * math.sqrt(0.5 * (aa + bb) + math.hypot(0.5 * (aa - bb), ab))
+
+
+def _closed_in_plane(gamma: Path, in_plane: list, tol: float, max_knots: int) -> QuadratureResult:
+    """The Ln leaves of a closed circle in their plane on one midpoint layout,
+    sized by its error bound before any sampling.
+
+    Over one turn dw/w = i*wave/(w0 + wave) d(phi) is a geometric series in
+    e^(i*phi) with ratio q = min(|w0|/rho, rho/|w0|), and the n-point
+    midpoint rule aliases only its multiples of n, so it errs by at most
+    2*pi*q^n/(1 - q^n) per turn (Trefethen and Weideman, SIAM Review 56,
+    2014).  Each leaf's share, times |turns| and the norm of its matrix on
+    span(1, M), adds to the bound, and the knot count doubles from
+    START_KNOTS until the bound falls below tol or the next layout would
+    pass max_knots.  That one layout is sampled.  ``est_error`` adds the
+    rounding of a pairwise sum, (log2 n + 1) * eps per unit of the summed
+    term sizes, at most 2*pi*|turns| * rho/|rho - |w0|| a leaf;
+    ``converged`` is est_error < tol, and the refinements are log2(n /
+    START_KNOTS)."""
+    rho, turns = gamma.radius, abs(gamma.turns)
+    m = gamma.direction.coeffs
+    leaves = []  # (q, the matrix norm on span(1, M), the largest term)
+    for leaf, w0 in in_plane:
+        a = abs(w0)
+        leaves.append((min(a / rho, rho / a) if a else 0.0, _plane_norm(leaf.matrix, m), rho / abs(rho - a)))
+
+    def alias(n: int) -> float:
+        return _TWO_PI * turns * sum(scale * q**n / (1.0 - q**n) for q, scale, _ in leaves)
+
+    n, refinements = START_KNOTS, 0
+    while not alias(n) < tol and 2 * n <= max_knots:
+        n, refinements = 2 * n, refinements + 1
+    rounding = n.bit_length() * _EPS * _TWO_PI * turns * sum(scale * top for _, scale, top in leaves)
+    est = alias(n) + rounding
+    total = _raw_sum(gamma, in_plane, n, math.copysign(1.0, gamma.turns))
+    return QuadratureResult(CDNumber(gamma.level, total), est, refinements, est < tol)
 
 
 def _row_sum(leaves: list, gamma: Path, knots: np.ndarray) -> np.ndarray:
@@ -626,10 +686,14 @@ def line_integral(
     midpoint rule, and on parametric paths, by right-endpoint sums, and
     ``tol`` and ``max_knots`` act only there.  A
     phrase with no such leaf takes no knot layout, and reports 0
-    refinements and ``converged``; otherwise the knot doubling's
-    refinements and ``converged`` flag are the report's, and its error
-    estimate adds to ``est_error``.  Non-convergence within ``max_knots``
-    still returns the best value.  A path through a pole centre of f (see
+    refinements and ``converged``; otherwise the knot route's refinements
+    and ``converged`` flag are the report's, and its error adds to
+    ``est_error``.  On a closed circle that route is certified: one layout
+    sized by the a-priori bound of ``_closed_in_plane``, whose bound is the
+    error reported.  On an arc or a parametric path it is uncertified
+    (``_extrapolated``), and the error is the difference of its last two
+    extrapolated layouts.  Non-convergence within ``max_knots`` still
+    returns the best value.  A path through a pole centre of f (see
     ``_check_poles``) raises PoleError before any sampling.  Leaves are
     summed in a fixed order, so results are bit-reproducible.
     """
@@ -654,10 +718,13 @@ def line_integral(
             else:
                 value += _circle_log(leaf.center, gamma) @ leaf.matrix
         logs = in_plane
-        raw = lambda n: _raw_sum(gamma, in_plane, n)
+        raw = lambda n: _raw_sum(gamma, in_plane, n, gamma.turns)
     if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
-    quad = _extrapolated(raw, gamma.level, tol, max_knots)
+    if gamma.kind == "circle" and float(gamma.turns).is_integer():
+        quad = _closed_in_plane(gamma, logs, tol, max_knots)
+    else:
+        quad = _extrapolated(raw, gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
@@ -677,25 +744,33 @@ def _layout(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _doubled(gamma: Path, parts: Callable, continued: Callable):
+def _doubled(gamma: Path, parts: Callable, continued: Callable, slow: Optional[Callable] = None):
     """An angle continuation along a path, by halving the steps of nested
     knot layouts.
 
     ``parts(Z)`` splits the points Z into arrays with one row per knot, and
     ``continued(*parts)`` gives (args, value), one row of args per knot, or
     the indices k of the steps, from knot k to k + 1, that turn pi/2 or
-    more.  Those steps are halved, and only their midpoints sampled, while
-    they are at most an eighth of the steps, as where the path passes
-    close to the centre; otherwise every step is halved and no earlier
-    layout is compared.  A continued layout is compared at its knots with
-    the one that halves each of its steps: when the two differ by less
-    than pi/2 at every such knot, the finer one's value is returned, else
-    every step is halved again.  The first pair is _FIRST_LAYOUT against
-    2 * _FIRST_LAYOUT knots, sampled and split once.  A knot whose point
-    is not finite, as where an image path overflows, is a DomainError.  Past
-    _MAX_LAYOUT knots, or _LAYOUT_ELEMENTS elements, or at a step one ulp
-    wide, StepControlError.  Aliasing alike on both layouts passes unseen:
-    a parametric circle of 1000 turns steps 8 - 3/16 turns per knot of 128,
+    more.  A knot whose point is not finite, as where an image path
+    overflows, is a DomainError.  Past _MAX_LAYOUT knots, or
+    _LAYOUT_ELEMENTS elements, or at a step one ulp wide, StepControlError.
+
+    Certified paths give ``slow(t, *parts)``, the indices of the steps of
+    the layout t whose bound on the turn fails.  From _FIRST_LAYOUT knots
+    those steps, and then any that the continuation hands back, are halved
+    and only their midpoints sampled, and the first layout with none left
+    is continued and its value returned.
+
+    Uncertified paths (``slow`` None) are accepted when two layouts agree.
+    The steps the continuation hands back are halved while they are at most
+    an eighth of the steps, as where the path passes close to the centre;
+    otherwise every step is halved and no earlier layout is compared.  A
+    continued layout is compared at its knots with the one that halves each
+    of its steps: when the two differ by less than pi/2 at every such knot,
+    the finer one's value is returned, else every step is halved again.
+    The first pair is _FIRST_LAYOUT against 2 * _FIRST_LAYOUT knots, sampled
+    and split once.  Aliasing alike on both layouts passes unseen: a
+    parametric circle of 1000 turns steps 8 - 3/16 turns per knot of 128,
     and reads -24.
     """
     def sampled(ts):
@@ -705,18 +780,23 @@ def _doubled(gamma: Path, parts: Callable, continued: Callable):
         return parts(Z)
 
     cap = min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // gamma.level.basis_dim)
-    t = _layout(2 * _FIRST_LAYOUT)
+    t = _layout(_FIRST_LAYOUT if slow else 2 * _FIRST_LAYOUT)
     P = sampled(t)
-    prev = continued(*[p[::2] for p in P])
-    prev = (t[::2], prev[0]) if isinstance(prev, tuple) else None
+    prev = None
+    if slow is None:
+        prev = continued(*[p[::2] for p in P])
+        prev = (t[::2], prev[0]) if isinstance(prev, tuple) else None
     while True:
-        out = continued(*P)
-        if isinstance(out, tuple):
-            if prev is not None and np.all(norm_arrays(out[0][np.searchsorted(t, prev[0])] - prev[1]) < 0.5 * math.pi):
-                return out[1]
-            prev, out = (t, out[0]), np.arange(len(t) - 1)
-        elif len(out) > len(t) // 8:
-            prev, out = None, np.arange(len(t) - 1)
+        out = slow(t, *P) if slow else ()
+        if not len(out):
+            out = continued(*P)
+            if isinstance(out, tuple):
+                if slow or prev is not None and np.all(
+                        norm_arrays(out[0][np.searchsorted(t, prev[0])] - prev[1]) < 0.5 * math.pi):
+                    return out[1]
+                prev, out = (t, out[0]), np.arange(len(t) - 1)
+            elif not slow and len(out) > len(t) // 8:
+                prev, out = None, np.arange(len(t) - 1)
         mid = 0.5 * (t[out] + t[out + 1])
         if len(t) + len(out) > cap + 1 or np.any((mid <= t[out]) | (mid >= t[out + 1])):
             raise StepControlError(f"the path winds faster than {cap} knots resolve")
@@ -904,7 +984,7 @@ def _polyline_log(a: np.ndarray, gamma: Path, continued: bool = True) -> np.ndar
     return out
 
 
-def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
+def _sampled_log(c: np.ndarray, gamma: Path, speed: Optional[tuple] = None) -> np.ndarray:
     """The integral of d Ln(z - c) along a parametric path, over the layouts
     of ``_doubled``.  On each layout a numerically real knot, whose
     representations (theta + 2*pi*j) * mu are the same set for mu and -mu,
@@ -913,9 +993,34 @@ def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
     cosines <mu_(k-1), mu_k>: ``_branch_prefix`` takes the steps at once up
     to the first it rejects, and the rest run one at a time.  A step whose
     argument moves by pi/2 or more is handed back to be halved, with the
-    candidate steps after it that also do."""
-    def continued(rho, theta, y, mu):
+    candidate steps after it that also do.
+
+    ``speed`` = (rate, peak) certifies the layouts of a path W = gamma - c
+    whose speed is at most rate * max|W| (Bernstein's inequality, for the
+    image of a phrase of degree D on a circle of T turns: rate = 2*pi*D*|T|).
+    ``peak`` bounds max|W|, or is None when the knots cover a whole turn:
+    then max|W| <= max_k |W_k| / (1 - rate*h/2) over steps of at most h, as
+    no point of the circle lies more than rate*h/2 / D radians from a knot.
+    Over a step of width h from knot k the path stays within h*B of W_k, B
+    = rate * max|W|, so its angle turns by less than h*B / (|W_k| - h*B);
+    the step is certified when that is below pi/2, and the others are
+    halved (see ``_doubled``)."""
+    def check(rho):
         _check_log_center(c, float(rho.min()), float(rho.max()))
+
+    def slow(t, rho, *_):
+        check(rho)
+        rate, peak = speed
+        h = np.diff(t)
+        if peak is None:
+            reach = 0.5 * rate * float(h.max())
+            if not reach < 1.0:
+                return np.arange(len(h))
+            peak = float(rho.max()) / (1.0 - reach)
+        return np.flatnonzero(~(h * (rate * (2.0 + math.pi)) < math.pi * (rho[:-1] / peak)))
+
+    def continued(rho, theta, y, mu):
+        check(rho)
         mu = _carried(mu, ~numerically_real(y, rho))
         cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:])
         phi, done = _branch_prefix(theta, cosines)
@@ -928,7 +1033,7 @@ def _sampled_log(c: np.ndarray, gamma: Path) -> np.ndarray:
         out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
         return phi[:, None] * mu, out
 
-    return _doubled(gamma, lambda Z: _log_parts(Z - c), continued)
+    return _doubled(gamma, lambda Z: _log_parts(Z - c), continued, slow if speed else None)
 
 
 def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
@@ -946,8 +1051,10 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     and memory do not grow with the number of turns, and closed ones give
     exactly 0 about a point they do not wind around.  Only parametric paths
     are sampled (``_sampled_log``), on the doubling knot layouts of
-    ``_doubled``, which cannot detect a path that aliases alike on two
-    layouts.
+    ``_doubled``.  Those layouts are uncertified here: a user's sampler has
+    no speed bound, so a path that aliases alike on two layouts passes
+    unseen (a parametric circle of 1000 turns reads -24 turns).  Only
+    ``argument_principle`` certifies its images of polynomial phrases.
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")

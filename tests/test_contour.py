@@ -784,6 +784,26 @@ def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
     assert len(calls) == layouts < 12
 
 
+def test_kernel_loop_of_a_polynomial_takes_one_layout_sized_by_its_degree(monkeypatch):
+    # e2*z^3 + z has degree 3 about 0 and the kernels of k = 0..11 degree at
+    # most 11, so 16 knots integrate every power exactly on both circles
+    rows = []
+
+    def counting(node, Z, r):
+        rows.append(len(Z))
+        return eval_node_arrays(node, Z, r)
+
+    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    results = list(_kernel_loop(parse("e2*z^3 + z", 3), zero(3), E1, [(1.0, False), (0.5, False)], range(-12, 0), 1e-6))
+    assert rows == [2 * 16]
+    assert all(res.converged and res.refinements == 0 and 0.0 < res.est_error < 1e-6 for res in results)
+    # rho^-7 = 1e7 on the radius-0.1 circle lifts the rounding floor of k = 7
+    # past tol on that layout, so the circle doubles from it
+    rows.clear()
+    (res,) = _kernel_loop(parse("z^2+10", 2), zero(2), basis_element(2, 1), [(0.1, False)], [-8], 1e-6)
+    assert rows == [16, 32] and res.converged and res.refinements == 1
+
+
 @pytest.mark.parametrize("r", range(2, 9))
 def test_kernel_loop_is_exact_for_a_laurent_polynomial_about_the_centre(r):
     # u = zeta - c = rho*exp(theta*M) with M = e1; e1, e2, e3 span the
@@ -806,7 +826,7 @@ def test_kernel_loop_is_exact_for_a_laurent_polynomial_about_the_centre(r):
         if q == 1:
             want = want + mul(e[3], m) * (TWO_PI * rho**2)
         scale = TWO_PI * (rho ** (3 + q) + rho ** (1 + q) + 0.5 * rho**q + rho ** (q - 2))
-        assert (res.converged, res.refinements) == (True, 1)
+        assert (res.converged, res.refinements) == (True, 0)
         assert (res.value - want).norm() <= 1e-13 * scale
 
 
@@ -1175,6 +1195,65 @@ def test_parametric_winding_about_a_point_next_to_the_path(r, gap, side):
     a = from_real(r, (1.0 + side * gap) * math.cos(0.7371)) + e1 * ((1.0 + side * gap) * math.sin(0.7371))
     iv = winding_index(a, Path(level=e1.level, kind="parametric", sampler=circle.sample))
     assert iv.per_plane == {1: int(side < 0.0)}
+
+
+@pytest.mark.parametrize("r", [2, 8])
+@pytest.mark.parametrize("turns", [1000.0, 1000.5, 1e5 + 0.5])
+def test_argument_principle_over_many_turns_is_exact_or_refused(r, turns):
+    # an arc's whole image is sampled; 1000.5 and 1e5 + 0.5 turns aliased
+    # alike on two layouts and gave lhs -70.5*e1 and -30.5*e1.  A layout
+    # whose every step is certified needs about 4e4 knots for 1000.5 turns,
+    # within the cap at r = 2 (2^18) but not at r = 8 (16384), and 4e6 for
+    # 1e5 + 0.5; 1000 whole turns take the image of two
+    e1 = basis_element(r, 1)
+    f, gamma = parse("z^3", r), Path.circle(zero(r), 1.0, e1, turns)
+    if turns > 1e4 or (r == 8 and not turns.is_integer()):
+        with pytest.raises(StepControlError):
+            argument_principle(f, gamma, [(zero(r), 3)])
+        return
+    rep = argument_principle(f, gamma, [(zero(r), 3)])
+    assert (rep.lhs - e1 * (3.0 * turns)).norm() <= 1e-6 * turns and rep.diff <= 1e-6 * turns
+
+
+@pytest.mark.parametrize("r", [2, 3, 8])
+@pytest.mark.parametrize("turns", [0.3, 0.75, -0.5, 1.5])
+def test_certified_image_of_an_arc_matches_the_sampled_image(r, turns):
+    # an arc shorter than one turn bounds max|f| over the whole circle; both
+    # the arc's zero (0.2, inside) and the outside one (1.9) lie in the plane
+    m = random_unit_imaginary(r, np.random.default_rng(90 + r))
+    f = parse("(z - 0.2)*(z - 1.9)*(z + 0.1)", r)
+    gamma = replace(Path.circle(zero(r), 1.0, m, turns), start=0.137)
+    lhs = argument_principle(f, gamma, []).lhs
+    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
+    assert (lhs - log_integral(zero(r), image) * (1.0 / TWO_PI)).norm() <= 1e-12
+
+
+def test_certified_image_samples_one_layout(monkeypatch):
+    # one turn of z^2 steps at most 2*pi*2/128 * max|f| per knot of the first
+    # layout, far inside the bound, so no knot is added and no second layout
+    # is sampled, where the agreement rule sampled 256
+    r = 3
+    gamma = Path.circle(zero(r), 1.0, E1, 1.0)
+    sampled = []
+    real = Path.sample
+
+    def counting(self, ts):
+        if self.kind == "circle":
+            sampled.append(len(np.atleast_1d(ts)))
+        return real(self, ts)
+
+    monkeypatch.setattr(Path, "sample", counting)
+    rep = argument_principle(parse("z^2", r), gamma, [(zero(r), 2)])
+    assert sampled == [129]
+    assert (rep.lhs - E1 * 2.0).norm() <= 1e-12 and rep.diff <= 1e-12
+
+
+def test_certified_image_of_an_overflowing_arc_is_a_domain_error():
+    # |z^3| = 1e900 leaves the doubles on the whole circle that bounds the
+    # arc's image; numpy's overflow warnings are silenced as the CLI does
+    e1 = basis_element(2, 1)
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        argument_principle(parse("z^3", 2), Path.circle(zero(2), 1e300, e1, 0.5), [])
 
 
 def test_argument_principle_two_simple_zeros():

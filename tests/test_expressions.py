@@ -16,6 +16,7 @@ from cdfun.algebra import (
     mul_arrays,
     one,
     random_element,
+    random_unit_imaginary,
     zero,
 )
 from cdfun.errors import ExprSyntaxError, PoleError, UnsupportedShapeError
@@ -33,6 +34,7 @@ from cdfun.expressions import (
     PowNode,
     VarPow,
     _children,
+    _circle_degree,
     _nodes,
     derivative_apply,
     evaluate,
@@ -860,3 +862,37 @@ def test_single_point_against_a_direction_batch_matches_each_direction(text):
         for i in range(1 << r):
             one = derivative_apply(f, x, eye[i], wrt=wrt)
             assert np.linalg.norm(rows[i] - one) <= 1e-12 * (1.0 + np.linalg.norm(one))
+
+
+@pytest.mark.parametrize(
+    "text,center,degree",
+    [
+        ("e2*z^3*e5 + z", 0.0, 3),
+        ("3*e2 - e1", 0.0, 0),
+        ("(z^2 + 1)^0*e3", 0.4, 0),
+        ("(z*e1)^3 - zc^2", 0.4, 3),
+        ("(z - e1)*(z + e2)*z", 0.0, 3),
+        ("z^-1 + e4*z", 0.0, 1),
+        ("(z-0.5)^-1", 0.5, 1),
+        ("(0.5 - z)^-2*e3 + zc^2", 0.5, 2),
+        ("(z-0.5)^-1", 0.0, None),
+        ("z^-1", 0.5, None),
+        ("zc^-1", 0.0, None),
+        ("(z*z)^-1", 0.0, None),
+    ],
+)
+def test_circle_degree_bounds_the_trigonometric_degree(text, center, degree):
+    # f(c + rho*exp(theta*M)) sampled on 64 angles: every Fourier mode past
+    # the degree vanishes, and the mode at the degree does not
+    r = 3
+    f = parse(text, r)
+    c = from_real(r, center)
+    assert _circle_degree(f.root, c.coeffs, r) == degree
+    if degree is None:
+        return
+    m = random_unit_imaginary(r, np.random.default_rng(61)).coeffs
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    z = c.coeffs + 0.7 * (np.cos(theta)[:, None] * np.eye(1 << r)[0] + np.sin(theta)[:, None] * m)
+    modes = np.abs(np.fft.rfft(evaluate(f, z), axis=0)).max(axis=1) / 64
+    assert modes[degree + 1:].max(initial=0.0) <= 1e-13 * modes.max()
+    assert modes[degree] > 1e-3
