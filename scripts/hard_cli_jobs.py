@@ -4,12 +4,12 @@
 Every row of ROWS is one ``cdfun`` command line on a level-8 input that once
 ran out of memory, ran too long, aliased, wrote more than one report, or
 ended with the wrong kind of error: a pole 1e-7 from a circle or a square, a
-point 1e-6 from the curve, 4096, 1e4 and 1e5 turns, a polynomial whose square
-overflows, the exponent cap, out-of-range flag values, a step lost to
-rounding, an image or an index past the range of a double, a false pole at
-radius 1e100, an error estimate printed as Infinity, the inverse of a point
-whose squared norm leaves the range of a double, a kernel power that
-overflows on every circle.  A row names its argv, the path object written
+point 1e-6 from the curve, 4096, 4096.25, 1e4 and 1e5 turns, a polynomial
+whose square overflows, the exponent cap, out-of-range flag values, a step
+lost to rounding, an image or an index past the range of a double, a false
+pole at radius 1e100, an error estimate printed as Infinity, the inverse of
+a point whose squared norm leaves the range of a double, a kernel power
+that overflows on every circle.  A row names its argv, the path object written
 to the ``--path-file`` it gets (or None), the exit code it must end with,
 and either the error kind its report must name or a predicate on its
 report.  The whole of stdout must be one strict JSON
@@ -59,6 +59,11 @@ def _norm(v) -> float:
     return math.sqrt(sum(x * x for x in v))
 
 
+# the integral of (z-0.5)^-1 over 4096.25 turns of _circle: z - 0.5 runs from
+# 0.5 to -0.5 + e1 and winds 4096 times about 0 on the way
+_ARC_4096_25 = [math.log(math.sqrt(5.0)), 2.0 * math.pi * 4096 + math.atan2(1.0, -0.5)] + [0.0] * (D - 2)
+
+
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -80,6 +85,11 @@ ROWS = (
     # and the sums read 2*pi*8192*e1; one turn, repeated, gives 2*pi*4096*e1
     Row("many-turn in-plane pole integral", ["integrate", "--level", "8", "--expr", "(z-0.5)^-1"], _circle(4096), 0,
         lambda rep: rep["converged"] is True and abs(rep["value"][1] - 8192 * math.pi) <= 1e-9 * 8192 * math.pi),
+    # midpoint sums over a whole arc of 4096.25 turns read 13185.3 + 33334.4*e1
+    # as converged; the arc takes the closed form of the complex logarithm
+    Row("many-turn in-plane pole arc", ["integrate", "--level", "8", "--expr", "(z-0.5)^-1"], _circle(4096.25), 0,
+        lambda rep: rep["converged"] is True and rep["refinements"] == 0
+        and _norm([a - b for a, b in zip(rep["value"], _ARC_4096_25)]) <= 1e-9 * _norm(_ARC_4096_25)),
     # the same pole 1e-7 outside a square in its plane: a polyline's Ln leaf
     # takes its closed form, where knot doubling ended unconverged
     Row("near-pole in-plane square", ["integrate", "--level", "8", "--expr", "(z-1.0000001)^-1"], _square(), 0,

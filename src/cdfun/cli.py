@@ -222,14 +222,13 @@ def _diff(r, expr, point, direction, wrt="z"):
 def _integrate(r, expr, path, tol=DEFAULT_TOL, max_knots=MAX_KNOTS):
     """Line integral along the path.
 
-    Power leaves of the primitive, Ln leaves on a polyline and Ln leaves on
-    a circle off their plane in closed form; Ln leaves on a circle in their
-    plane by the midpoint rule, which --tol and --max-knots control.  On a
-    closed circle one knot layout is sized by an error bound: est_error is
-    that bound plus rounding, and refinements counts the doublings of the
-    layout from 64 knots.  On an arc the knots double with extrapolation:
-    est_error is the change of the last doubling, and refinements counts
-    the doublings.  converged is est_error < --tol."""
+    Power leaves of the primitive, and Ln leaves on a polyline, on an arc
+    or on a closed circle off their plane, in closed form; Ln leaves on a
+    closed circle in their plane by the midpoint rule, which --tol and
+    --max-knots control: one knot layout is sized by an error bound,
+    est_error is that bound plus rounding, and refinements counts the
+    doublings of the layout from 64 knots.  converged is est_error <
+    --tol."""
     return line_integral(expr, path, tol=tol, max_knots=max_knots).to_json()
 
 

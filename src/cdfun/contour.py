@@ -865,14 +865,10 @@ def argument_principle(
         speed = (TWO_PI * degree * abs(loop.turns), peak)
         return CDNumber(f.level, _sampled_log(zero(f.level).coeffs, image, speed)) * (1.0 / TWO_PI)
 
-    def turns(n: float) -> Path:
-        return Path(level=gamma.level, kind="circle", center=gamma.center, radius=gamma.radius,
-                    direction=gamma.direction, turns=math.copysign(n, gamma.turns), start=gamma.start)
-
     if gamma.kind == "circle" and float(gamma.turns).is_integer() and abs(gamma.turns) > 2.0:
-        lhs = image_index(turns(2.0))
+        lhs = image_index(replace(gamma, turns=math.copysign(2.0, gamma.turns)))
         if lhs.norm() < 0.5 and abs(gamma.turns) % 2.0:
-            lhs = image_index(turns(1.0))
+            lhs = image_index(replace(gamma, turns=math.copysign(1.0, gamma.turns)))
         else:
             lhs = lhs * (0.5 * abs(gamma.turns))
     else:

@@ -15,11 +15,12 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 * a power leaf (z - c)^m is C^1 off its centre, so its increments sum to
   (gamma(1) - c)^m - (gamma(0) - c)^m, the paper's Newton-Leibniz formula;
 * an Ln leaf on a polyline takes the closed form of ``_polyline_log``
-  segment by segment, and one on a circle off the plane c + span(1, M)
-  through its centre c that of ``_circle_log``;
-* an Ln leaf on a circle in that plane (``_in_circle_plane``) sums dw/w by
-  the midpoint rule in complex coordinates w of z - c, on (N,) arrays, and
-  lifts the sum S to Re S + Im S * M before its matrix (``_raw_sum``);
+  segment by segment, and one on an arc, or on a closed circle off the
+  plane c + span(1, M) through its centre c, that of ``_circle_log``;
+* an Ln leaf on a closed circle in that plane (``_in_circle_plane``) sums
+  dw/w by the midpoint rule in complex coordinates w of z - c, on (N,)
+  arrays, and lifts the sum S to Re S + Im S * M before its matrix
+  (``_raw_sum``);
 * an Ln leaf on a parametric path sums its increments on the (N, d) knots
   (``_row_sum``), since ``_doubled`` cannot tell a path that aliases alike
   on two layouts.
@@ -37,20 +38,16 @@ layout and repeated |turns| times, so many turns do not alias.
 refinements are log2(N / 64).
 
 ``integral_sum``, the paper's raw increment sum on one partition, is
-``_row_sum`` over every leaf.  The other knot routes of ``line_integral``,
-arcs and parametric paths, are uncertified: they double the knot count
-from 64 and combine the raw sums by Richardson extrapolation in the
-tableau
+``_row_sum`` over every leaf.  On a parametric path ``line_integral`` is
+uncertified: it doubles the knot count from 64 and combines the
+right-endpoint sums by Richardson extrapolation in the tableau
 
     T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1).
 
-On a parametric path the sums are right-endpoint sums, whose error expands
-in integer powers of 1/N: the tableau strips the O(1/N) tail that plain
-doubling would chase far past any practical knot budget.  On an arc of a
-circle in a leaf's plane they are midpoint sums, whose error expands in
-even powers of 1/N, which the same tableau strips one column later.
-There ``est_error`` is the difference of the last two tableau diagonals,
-the extrapolated analogue of |I_2N - I_N|.
+Their error expands in integer powers of 1/N, and the tableau strips the
+O(1/N) tail that plain doubling would chase far past any practical knot
+budget.  ``est_error`` is the difference of the last two tableau
+diagonals, the extrapolated analogue of |I_2N - I_N|.
 
 The parametric N-knot layout (``_offset_knots``) is the midpoint offsets
 (k + 1/2)/N over [0, 1] plus both endpoints, and the circle route samples
@@ -519,21 +516,20 @@ def _check_levels(f: Phrase, gamma: Path):
         )
 
 
-def _raw_sum(gamma: Path, in_plane: list, n: int, sweep: float) -> np.ndarray:
-    """The midpoint sum of the Ln leaves of a circle in their plane on n
-    knots.  Each (leaf, w0) pair, w0 = x + iy from the frame of
-    ``_circle_frame`` about the leaf's centre a, takes the complex
+def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
+    """The midpoint sum of the Ln leaves of a closed circle in their plane,
+    over one turn on n knots.  Each (leaf, w0) pair, w0 = x + iy from the
+    frame of ``_circle_frame`` about the leaf's centre a, takes the complex
     coordinates w = w0 + rho*e^(i*phi) of gamma - a, phi = 2*pi*(start +
-    sweep*t), and sums dw/w = 2*pi*i*turns * wave/w dt with wave =
-    rho*e^(i*phi) at the midpoints t_j = (j + 1/2)/n: the midpoint rule
-    (2*pi*i*turns/n) * sum_j wave_j / (w0 + wave_j), lifted from S to
-    Re S + Im S * M before the leaf's matrix.  ``sweep`` is the circle's
-    turns on an arc, and their sign on a closed circle, whose one turn the
-    weight repeats |turns| times.  The wave is sampled once for all leaves,
+    sign(turns)*t) over one turn, and sums dw/w = 2*pi*i*sign(turns) *
+    wave/w dt with wave = rho*e^(i*phi) at the midpoints t_j = (j + 1/2)/n:
+    the midpoint rule (2*pi*i*turns/n) * sum_j wave_j / (w0 + wave_j), one
+    turn's sum repeated |turns| times, is lifted from S to Re S + Im S * M
+    before the leaf's matrix.  The wave is sampled once for all leaves,
     and each ratio is formed in one reused array.  ``_check_poles`` keeps
     every knot off the leaf centres."""
     m = gamma.direction.coeffs
-    phi = _TWO_PI * (gamma.start + sweep * ((np.arange(n) + 0.5) / n))
+    phi = _TWO_PI * (gamma.start + math.copysign(1.0, gamma.turns) * ((np.arange(n) + 0.5) / n))
     wave = np.empty(n, dtype=np.complex128)
     np.cos(phi, out=wave.real)
     np.sin(phi, out=wave.imag)
@@ -594,7 +590,7 @@ def _closed_in_plane(gamma: Path, in_plane: list, tol: float, max_knots: int) ->
         n, refinements = 2 * n, refinements + 1
     rounding = n.bit_length() * _EPS * _TWO_PI * turns * sum(scale * top for _, scale, top in leaves)
     est = alias(n) + rounding
-    total = _raw_sum(gamma, in_plane, n, math.copysign(1.0, gamma.turns))
+    total = _raw_sum(gamma, in_plane, n)
     return QuadratureResult(CDNumber(gamma.level, total), est, refinements, est < tol)
 
 
@@ -630,7 +626,8 @@ def _extrapolated(
     tol: float,
     max_knots: int,
 ) -> QuadratureResult:
-    """Richardson-extrapolated knot doubling of one raw sum.
+    """Richardson-extrapolated knot doubling of one raw sum, the
+    right-endpoint increment sums of a parametric path.
 
     ``raw(n)`` returns the (d,) increment sum on the n-knot layout.  Each
     doubling adds a row to the tableau, and the doubling stops at the first
@@ -682,15 +679,15 @@ def line_integral(
 ) -> QuadratureResult:
     """The line integral of f along gamma, by the four routes of the module
     docstring.  ``est_error`` bounds the rounding of the Newton-Leibniz part.
-    Knots are taken only for Ln leaves on a circle in their plane, by the
-    midpoint rule, and on parametric paths, by right-endpoint sums, and
-    ``tol`` and ``max_knots`` act only there.  A
-    phrase with no such leaf takes no knot layout, and reports 0
+    Knots are taken only for Ln leaves on a closed circle in their plane, by
+    the midpoint rule, and on parametric paths, by right-endpoint sums, and
+    ``tol`` and ``max_knots`` act only there.  A phrase with no such leaf,
+    as on every arc and polyline, takes no knot layout, and reports 0
     refinements and ``converged``; otherwise the knot route's refinements
     and ``converged`` flag are the report's, and its error adds to
     ``est_error``.  On a closed circle that route is certified: one layout
     sized by the a-priori bound of ``_closed_in_plane``, whose bound is the
-    error reported.  On an arc or a parametric path it is uncertified
+    error reported.  On a parametric path it is uncertified
     (``_extrapolated``), and the error is the difference of its last two
     extrapolated layouts.  Non-convergence within ``max_knots`` still
     returns the best value.  A path through a pole centre of f (see
@@ -704,27 +701,26 @@ def line_integral(
         raise DomainError("tolerance must be positive")
     logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
-    if gamma.kind == "parametric":
-        raw = lambda n: _row_sum(logs, gamma, _offset_knots(n))
-    else:
+    if gamma.kind != "parametric":
+        closed = gamma.kind == "circle" and float(gamma.turns).is_integer()
         in_plane = []
         for leaf in logs:
             if gamma.kind == "polyline":
                 value += _polyline_log(leaf.center, gamma, continued=False) @ leaf.matrix
                 continue
-            x, y, p = _circle_frame(leaf.center, gamma)
-            if _in_circle_plane(leaf.center, gamma, p):
-                in_plane.append((leaf, complex(x, y)))
-            else:
-                value += _circle_log(leaf.center, gamma) @ leaf.matrix
+            if closed:
+                x, y, p = _circle_frame(leaf.center, gamma)
+                if _in_circle_plane(leaf.center, gamma, p):
+                    in_plane.append((leaf, complex(x, y)))
+                    continue
+            value += _circle_log(leaf.center, gamma) @ leaf.matrix
         logs = in_plane
-        raw = lambda n: _raw_sum(gamma, in_plane, n, gamma.turns)
     if not logs:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
-    if gamma.kind == "circle" and float(gamma.turns).is_integer():
+    if gamma.kind == "circle":
         quad = _closed_in_plane(gamma, logs, tol, max_knots)
     else:
-        quad = _extrapolated(raw, gamma.level, tol, max_knots)
+        quad = _extrapolated(lambda n: _row_sum(logs, gamma, _offset_knots(n)), gamma.level, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 

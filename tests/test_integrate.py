@@ -399,7 +399,8 @@ def test_in_plane_midpoint_route_matches_the_closed_form(r):
             gamma, f, a = _in_plane_leaf(r, ratio, turns, rng)
             res = line_integral(f, gamma, tol=tol)
             want = integrate._circle_log(a.coeffs, gamma)
-            assert res.converged and (res.refinements >= 1 or float(turns).is_integer()), (ratio, turns)
+            # an arc takes the closed form itself, with no knot layout
+            assert res.converged and (float(turns).is_integer() or res.refinements == 0), (ratio, turns)
             assert np.linalg.norm(res.value.coeffs - want) <= tol * (1.0 + abs(turns)), (ratio, turns)
 
 
@@ -428,15 +429,34 @@ def test_many_whole_turns_of_an_in_plane_leaf_do_not_alias(r, turns):
     assert (res.value - e1 * (2.0 * math.pi * turns)).norm() <= 1e-12 * turns
 
 
+@pytest.mark.parametrize("r", [2, 8])
+@pytest.mark.parametrize("sense", [1.0, -1.0])
+def test_many_turn_arc_of_an_in_plane_leaf_takes_the_closed_form(r, sense):
+    # midpoint sums over the whole arc of 4096.25 turns read
+    # 13185.3 + 33334.4*e1 as converged; the arc ends at phase sense*pi/2,
+    # where z - 0.5 = -0.5 + sense*e1
+    e1 = basis_element(r, 1)
+    f = parse("(z-0.5)^-1", r)
+    res = line_integral(f, Path.circle(zero(r), 1.0, e1, sense * 4096.25))
+    want = from_real(r, math.log(math.sqrt(5.0))) + e1 * (sense * (2.0 * math.pi * 4096 + math.atan2(1.0, -0.5)))
+    assert res.converged and res.refinements == 0
+    assert (res.value - want).norm() <= 1e-9 * want.norm()
+    # 1000.5 turns came out right, after 13 doublings to 524288 knots
+    res = line_integral(f, Path.circle(zero(r), 1.0, e1, sense * 1000.5))
+    want = from_real(r, math.log(3.0)) + e1 * (sense * 2.0 * math.pi * 1000.5)
+    assert res.converged and res.refinements == 0
+    assert (res.value - want).norm() <= 1e-9 * want.norm()
+
+
 def test_closed_in_plane_leaf_takes_one_layout_sized_by_its_bound(monkeypatch):
     # q = 0.9 puts the bound 2*pi*q^n/(1 - q^n) under 1e-6 at n = 256, where
     # the extrapolation tableau doubled to 4096 knots
     layouts = []
     real = integrate._raw_sum
 
-    def counting(gamma, in_plane, n, sweep):
+    def counting(gamma, in_plane, n):
         layouts.append(n)
-        return real(gamma, in_plane, n, sweep)
+        return real(gamma, in_plane, n)
 
     monkeypatch.setattr(integrate, "_raw_sum", counting)
     e1 = basis_element(3, 1)
@@ -1233,17 +1253,17 @@ def test_plane_route_matches_the_row_sums_of_hat_increments(r, monkeypatch):
                 rows = hat_from_primitive(prim, Z[1:], np.diff(Z, axis=0))
                 got = integral_sum(f, gamma, partition).coeffs
                 assert np.linalg.norm(got - rows.sum(axis=0)) <= 1e-12 * (1 + np.abs(rows).sum())
-            # line_integral takes no (N, d) increments: on a circle in its
-            # plane the Ln leaf sums in complex coordinates on knots; on a
-            # polyline, and 1e-9 off the plane, it takes its closed form
+            # line_integral takes no (N, d) increments: on a closed circle in
+            # its plane the Ln leaf sums in complex coordinates on knots; on
+            # an arc, a polyline, and 1e-9 off the plane, it takes its closed
+            # form
             calls.clear()
             logs.clear()
             res = line_integral(f, gamma)
             assert calls == []
-            on_knots = in_plane and gamma.kind == "circle"
+            on_knots = in_plane and gamma.kind == "circle" and float(gamma.turns).is_integer()
             # a closed circle takes its one certified layout, here START_KNOTS
-            arc = gamma.kind == "circle" and not float(gamma.turns).is_integer()
-            assert (len(logs), res.refinements > 0) == ((0, arc) if on_knots else (1, False))
+            assert (len(logs), res.refinements) == ((0, 0) if on_knots else (1, 0))
 
 
 @pytest.mark.parametrize("n", [-2, -3])
