@@ -5,7 +5,7 @@ For a circle of radius rho traversed n times in the plane spanned by 1 and a
 unit imaginary M, the integral of z^-1 dz is 2*pi*n*M — independent of rho
 and of the ambient level.  This script measures that across levels 2..4 and
 prints the worst deviation per (level, n, rho) cell, plus the quadrature
-refinement depth, so the extrapolation behavior is visible.
+refinement depth: log2 of the certified midpoint layout's knots over 64.
 """
 
 import argparse

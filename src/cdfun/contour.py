@@ -1,12 +1,12 @@
 """Contour functionals: indices, residues, Cauchy formulas, coefficients, roots.
 
-The per-plane winding numbers of circles, arcs and polylines have closed
-forms: a circle projects to an ellipse in each plane (1, e_s), a polyline to
-a polyline.  So does the algebra-valued index ``ar_index``, through the
-closed forms of ``log_integral``.  Only parametric paths, such as the image
-curve of the argument principle, are sampled for either, by the one rule
-of ``integrate._doubled``.  Everything else
-here reduces to loop integrals, by two integration routes:
+``winding_index`` takes circles, arcs and polylines, and gives their
+per-plane winding numbers in closed form: a circle projects to an ellipse
+in each plane (1, e_s), a polyline to a polyline.  So does the
+algebra-valued index ``ar_index``, through the closed forms of
+``log_integral``, which also samples parametric paths, the image curves of
+the argument principle, by the one rule of ``integrate._doubled``.
+Everything else here reduces to loop integrals, by two integration routes:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
   phrases in their own right — residues and the residue-theorem sides;
@@ -64,7 +64,6 @@ from .integrate import (
     _LAYOUT_ELEMENTS,
     _MAX_LAYOUT,
     _circle_frame,
-    _doubled,
     _in_circle_plane,
     _on_arc,
     _plane_circle,
@@ -126,7 +125,6 @@ class ContourReport:
 # ---------------------------------------------------------------------------
 
 _WINDING_TOL = 1e-9
-_UNDEFINED_ANGLE = 1e100
 _FOOT_STEPS = 64  # bisection halvings: a bracket of width pi/2 ends below one ulp
 
 
@@ -240,28 +238,6 @@ def _polyline_winding(a: np.ndarray, gamma: Path) -> tuple:
     return [int(k) for k in np.round(swept / TWO_PI)], defined
 
 
-def _sampled_winding(a: np.ndarray, gamma: Path) -> tuple:
-    """Per-plane entries and defined-flags of a parametric path, all planes
-    unwrapped at once as the columns of one (knots, d - 1) angle array by
-    ``_doubled``; an undefined plane holds _UNDEFINED_ANGLE, past any
-    continued angle, so it agrees only with a plane undefined there too."""
-    def parts(Z: np.ndarray) -> tuple:
-        x, Y = Z[:, :1] - a[0], Z[:, 1:] - a[1:]
-        return x, Y, np.arctan2(Y, x), norm_arrays(Z)
-
-    def continued(x, Y, ang, size):
-        scale = 1.0 + float(np.linalg.norm(a)) + float(size.max())
-        defined = _segment_distance(x, Y) > _WINDING_TOL * scale
-        ang = np.unwrap(ang, axis=0)
-        ang[:, ~defined] = _UNDEFINED_ANGLE
-        fast = np.flatnonzero(~(np.abs(np.diff(ang, axis=0)) < math.pi / 2).all(axis=1))
-        if len(fast):
-            return fast
-        return ang, ([int(k) for k in np.round((ang[-1] - ang[0]) / TWO_PI)], defined)
-
-    return _doubled(gamma, parts, continued)
-
-
 def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     """Planar winding numbers of gamma around a, one per imaginary direction.
 
@@ -272,9 +248,7 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     rather than counted.  Circles, arcs included, and polylines are done in
     closed form on (d - 1,) arrays: a circle projects to an ellipse (see
     _circle_winding), a polyline to the polyline through its projected
-    corners.  Only parametric paths are sampled, by ``integrate._doubled``
-    under its uncertified agreement rule: a user's sampler has no speed
-    bound, so a path that aliases alike on two knot layouts passes unseen.
+    corners.  A parametric path raises UnsupportedShapeError.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
@@ -283,7 +257,7 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     elif gamma.kind == "polyline":
         entries, defined = _polyline_winding(a.coeffs, gamma)
     else:
-        entries, defined = _sampled_winding(a.coeffs, gamma)
+        raise UnsupportedShapeError("winding_index takes circles and polylines, not parametric paths")
     planes = range(1, a.level.basis_dim)
     per_plane = {s: n for s, n, ok in zip(planes, entries, defined.tolist()) if ok}
     undefined = frozenset(s for s, ok in zip(planes, defined.tolist()) if not ok)
@@ -295,7 +269,8 @@ def ar_index(a: CDNumber, gamma: Path) -> CDNumber:
 
     For a circle of ``turns`` n and direction M about a this is n*M; for a
     loop not enclosing a it vanishes.  Circles, arcs and polylines take the
-    closed forms of ``log_integral``, parametric paths its sampled route.
+    closed forms of ``log_integral``; parametric paths take its sampled
+    route, as ``argument_principle``'s uncertified images do.
     """
     return log_integral(a, gamma) * (1.0 / TWO_PI)
 

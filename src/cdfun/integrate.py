@@ -10,7 +10,8 @@ convention matters at first order, so it is fixed once and for all here.
 Every word of a primitive is linear in the increment of its one leaf,
 (z - c)^m or Ln(z - c), so the words around one leaf fold into one matrix
 (see ``primitive``) and the integral is a sum over leaves of (the leaf's
-summed increments) @ (its matrix).  ``line_integral`` takes four routes:
+summed increments) @ (its matrix).  ``line_integral`` takes circles and
+polylines, by three routes:
 
 * a power leaf (z - c)^m is C^1 off its centre, so its increments sum to
   (gamma(1) - c)^m - (gamma(0) - c)^m, the paper's Newton-Leibniz formula;
@@ -20,12 +21,10 @@ summed increments) @ (its matrix).  ``line_integral`` takes four routes:
 * an Ln leaf on a closed circle in that plane (``_in_circle_plane``) sums
   dw/w by the midpoint rule in complex coordinates w of z - c, on (N,)
   arrays, and lifts the sum S to Re S + Im S * M before its matrix
-  (``_raw_sum``);
-* an Ln leaf on a parametric path sums its increments on the (N, d) knots
-  (``_row_sum``), since ``_doubled`` cannot tell a path that aliases alike
-  on two layouts.
+  (``_raw_sum``).
 
-Knots are taken only by those last two routes.
+Knots are taken only by that last route.  A parametric path takes power
+leaves only, by the first route.
 
 On a closed circle the midpoint sums are certified (``_closed_in_plane``).
 Around one turn the integrand is periodic and analytic, a geometric series
@@ -38,21 +37,7 @@ layout and repeated |turns| times, so many turns do not alias.
 refinements are log2(N / 64).
 
 ``integral_sum``, the paper's raw increment sum on one partition, is
-``_row_sum`` over every leaf.  On a parametric path ``line_integral`` is
-uncertified: it doubles the knot count from 64 and combines the
-right-endpoint sums by Richardson extrapolation in the tableau
-
-    T[j][m] = T[j][m-1] + (T[j][m-1] - T[j-1][m-1]) / (2^m - 1).
-
-Their error expands in integer powers of 1/N, and the tableau strips the
-O(1/N) tail that plain doubling would chase far past any practical knot
-budget.  ``est_error`` is the difference of the last two tableau
-diagonals, the extrapolated analogue of |I_2N - I_N|.
-
-The parametric N-knot layout (``_offset_knots``) is the midpoint offsets
-(k + 1/2)/N over [0, 1] plus both endpoints, and the circle route samples
-those midpoints alone, so refinement never parks a sample exactly on a
-logarithm cut or a pole that the path merely grazes.
+``_row_sum`` over every leaf, on any path.
 
 ``log_integral``, the loop integral of d Ln(z - a) behind the index and
 the argument principle, continues the argument along the path: in closed
@@ -61,7 +46,7 @@ layouts of ``_doubled``, the one sampling rule of this package's
 parametric paths.  The image of a polynomial phrase on a circle in its
 plane has a speed bound (Bernstein's inequality), which certifies each
 step of a layout before it is continued; other parametric paths, the
-images of rational phrases and user samplers, are accepted when two
+images of rational phrases and hand-built samplers, are accepted when two
 layouts agree, which a path aliasing alike on both passes.
 """
 
@@ -74,13 +59,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays, scaled_norm_arrays
+from .algebra import AlgebraLevel, CDNumber, as_level, norm_arrays, pow_arrays
 from .errors import (
     DomainError,
     LevelMismatchError,
     PoleError,
     SingularElementError,
     StepControlError,
+    UnsupportedShapeError,
 )
 from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
 from .transcendental import _split_parts, numerically_real
@@ -136,7 +122,10 @@ class Path:
     turns, and ``turns`` may be any real number; the path is closed iff it
     is an integer.  Subpaths and reversals of a circle are circle arcs.
     Polylines run through their corner list at constant speed with respect
-    to arc length.  A parametric path wraps a batch sampler ts -> (K, d).
+    to arc length.  A parametric path wraps a batch sampler ts -> (K, d);
+    ``argument_principle`` builds one for each image it indexes.  It goes
+    to ``log_integral`` and ``integral_sum``, and to ``line_integral`` only
+    with power leaves.
     """
 
     level: AlgebraLevel
@@ -184,24 +173,6 @@ class Path:
             if p.level.r != lev.r:
                 raise LevelMismatchError("polyline points live at different levels")
         return Path(level=lev, kind="polyline", points=pts)
-
-    @staticmethod
-    def parametric(level, sampler: Callable[[float], CDNumber]) -> "Path":
-        """The path t -> sampler(t), called once per parameter."""
-        lev = as_level(level)
-        if not callable(sampler):
-            raise DomainError("parametric path needs a callable sampler")
-
-        def batch(ts: np.ndarray) -> np.ndarray:
-            rows = []
-            for t in ts:
-                p = sampler(float(t))
-                if not isinstance(p, CDNumber) or p.level.r != lev.r:
-                    raise DomainError("parametric sampler must return elements of the declared level")
-                rows.append(p.coeffs)
-            return np.stack(rows)
-
-        return Path(level=lev, kind="parametric", sampler=batch)
 
     # -- geometry ------------------------------------------------------------
 
@@ -465,12 +436,6 @@ def _check_poles(prim: PrimitiveResult, gamma: Path) -> None:
             raise PoleError(f"path passes through the pole at {_fmt_const(center)}")
 
 
-def _offset_knots(n: int) -> np.ndarray:
-    """The n-knot layout of parametric paths: (k + 1/2)/n and both endpoints."""
-    inner = (np.arange(n) + 0.5) / n
-    return np.concatenate([[0.0], inner, [1.0]])
-
-
 # ---------------------------------------------------------------------------
 # quadrature results
 # ---------------------------------------------------------------------------
@@ -620,34 +585,6 @@ def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
     return CDNumber(gamma.level, _row_sum(primitive(f).leaves, gamma, partition.knots))
 
 
-def _extrapolated(
-    raw: Callable[[int], np.ndarray],
-    level: AlgebraLevel,
-    tol: float,
-    max_knots: int,
-) -> QuadratureResult:
-    """Richardson-extrapolated knot doubling of one raw sum, the
-    right-endpoint increment sums of a parametric path.
-
-    ``raw(n)`` returns the (d,) increment sum on the n-knot layout.  Each
-    doubling adds a row to the tableau, and the doubling stops at the first
-    refinement whose ``est < tol``, or unconverged with the last diagonal
-    when the next layout would exceed ``max_knots``.
-    """
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
-    n, refinements, est = START_KNOTS, 0, math.inf
-    prev_row = [raw(n)]
-    while not est < tol and 2 * n <= max_knots:
-        n, refinements = 2 * n, refinements + 1
-        row = [raw(n)]
-        for m in range(len(prev_row)):
-            row.append(row[m] + (row[m] - prev_row[m]) / (2.0 ** (m + 1) - 1.0))
-        est = float(scaled_norm_arrays(row[-1] - prev_row[-1]))
-        prev_row = row
-    return QuadratureResult(CDNumber(level, prev_row[-1]), est, refinements, est < tol)
-
-
 def _newton_leibniz(leaves: list, gamma: Path) -> tuple:
     """(value, rounding bound) of the power leaves' part of the integral:
     sum (X(gamma(1)) - X(gamma(0))) @ matrix with X = (z - c)^m.  A path
@@ -677,50 +614,45 @@ def line_integral(
     tol: float = DEFAULT_TOL,
     max_knots: int = MAX_KNOTS,
 ) -> QuadratureResult:
-    """The line integral of f along gamma, by the four routes of the module
+    """The line integral of f along gamma, by the three routes of the module
     docstring.  ``est_error`` bounds the rounding of the Newton-Leibniz part.
     Knots are taken only for Ln leaves on a closed circle in their plane, by
-    the midpoint rule, and on parametric paths, by right-endpoint sums, and
-    ``tol`` and ``max_knots`` act only there.  A phrase with no such leaf,
-    as on every arc and polyline, takes no knot layout, and reports 0
-    refinements and ``converged``; otherwise the knot route's refinements
-    and ``converged`` flag are the report's, and its error adds to
-    ``est_error``.  On a closed circle that route is certified: one layout
-    sized by the a-priori bound of ``_closed_in_plane``, whose bound is the
-    error reported.  On a parametric path it is uncertified
-    (``_extrapolated``), and the error is the difference of its last two
-    extrapolated layouts.  Non-convergence within ``max_knots`` still
-    returns the best value.  A path through a pole centre of f (see
-    ``_check_poles``) raises PoleError before any sampling.  Leaves are
-    summed in a fixed order, so results are bit-reproducible.
+    the midpoint rule, and ``tol`` and ``max_knots`` act only there.  A
+    phrase with no such leaf, as on every arc and polyline, takes no knot
+    layout, and reports 0 refinements and ``converged``; otherwise that
+    route is certified: one layout sized by the a-priori bound of
+    ``_closed_in_plane``, whose refinements and ``converged`` flag are the
+    report's, and whose bound adds to ``est_error``.  Non-convergence within
+    ``max_knots`` still returns the best value.  An Ln leaf on a parametric
+    path raises UnsupportedShapeError; power leaves integrate on any path.
+    A path through a pole centre of f (see ``_check_poles``) raises
+    PoleError before any sampling.  Leaves are summed in a fixed order, so
+    results are bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
+    logs = [leaf for leaf in prim.leaves if leaf.power == 0]
+    if logs and gamma.kind == "parametric":
+        raise UnsupportedShapeError("the Ln leaves of a line integral take circles and polylines, not parametric paths")
     _check_poles(prim, gamma)
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     value, bound = _newton_leibniz([leaf for leaf in prim.leaves if leaf.power != 0], gamma)
-    if gamma.kind != "parametric":
-        closed = gamma.kind == "circle" and float(gamma.turns).is_integer()
-        in_plane = []
-        for leaf in logs:
-            if gamma.kind == "polyline":
-                value += _polyline_log(leaf.center, gamma, continued=False) @ leaf.matrix
+    closed = gamma.kind == "circle" and float(gamma.turns).is_integer()
+    in_plane = []
+    for leaf in logs:
+        if gamma.kind == "polyline":
+            value += _polyline_log(leaf.center, gamma, continued=False) @ leaf.matrix
+            continue
+        if closed:
+            x, y, p = _circle_frame(leaf.center, gamma)
+            if _in_circle_plane(leaf.center, gamma, p):
+                in_plane.append((leaf, complex(x, y)))
                 continue
-            if closed:
-                x, y, p = _circle_frame(leaf.center, gamma)
-                if _in_circle_plane(leaf.center, gamma, p):
-                    in_plane.append((leaf, complex(x, y)))
-                    continue
-            value += _circle_log(leaf.center, gamma) @ leaf.matrix
-        logs = in_plane
-    if not logs:
+        value += _circle_log(leaf.center, gamma) @ leaf.matrix
+    if not in_plane:
         return QuadratureResult(CDNumber(gamma.level, value), bound, 0, True)
-    if gamma.kind == "circle":
-        quad = _closed_in_plane(gamma, logs, tol, max_knots)
-    else:
-        quad = _extrapolated(lambda n: _row_sum(logs, gamma, _offset_knots(n)), gamma.level, tol, max_knots)
+    quad = _closed_in_plane(gamma, in_plane, tol, max_knots)
     return replace(quad, value=CDNumber(gamma.level, quad.value.coeffs + value), est_error=quad.est_error + bound)
 
 
@@ -1047,7 +979,7 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     and memory do not grow with the number of turns, and closed ones give
     exactly 0 about a point they do not wind around.  Only parametric paths
     are sampled (``_sampled_log``), on the doubling knot layouts of
-    ``_doubled``.  Those layouts are uncertified here: a user's sampler has
+    ``_doubled``.  Those layouts are uncertified here: a bare sampler has
     no speed bound, so a path that aliases alike on two layouts passes
     unseen (a parametric circle of 1000 turns reads -24 turns).  Only
     ``argument_principle`` certifies its images of polynomial phrases.

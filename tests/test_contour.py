@@ -46,7 +46,7 @@ from cdfun.errors import (
     UnsupportedShapeError,
 )
 from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _offset_knots, _on_arc, _plane_circle, log_integral
+from cdfun.integrate import Path, _on_arc, _plane_circle, log_integral
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -79,21 +79,21 @@ def test_winding_many_turn_circle():
 
 
 def test_winding_refuses_turns_beyond_the_sampling_cap():
-    # a circle's entry is closed form, so 1e7 turns count exactly; a parametric
-    # path still samples, and a chirp winding 1e7 times outruns 2^18 knots
+    # a circle's entry is closed form, so 1e7 turns count exactly
     e1 = basis_element(2, 1)
     assert winding_index(zero(2), Path.circle(zero(2), 1.0, e1, 1e7)).per_plane == {1: 10**7}
 
-    def chirp(ts):
-        return _plane_circle(np.zeros(4), e1.coeffs, 1.0, TWO_PI * 1e7 * ts * ts)
 
-    with pytest.raises(StepControlError):
-        winding_index(zero(2), Path(level=e1.level, kind="parametric", sampler=chirp))
-    # as a parametric path the circle puts all 128 knots of the first layout
-    # on one point, and no later pair of layouts both steps below pi/2
-    circle = Path.circle(zero(2), 1.0, e1, 1e7)
-    with pytest.raises(StepControlError):
-        winding_index(zero(2), Path(level=e1.level, kind="parametric", sampler=circle.sample))
+@pytest.mark.parametrize("r", [2, 8])
+def test_winding_refuses_parametric_paths(r):
+    # winding_index takes the path kinds of path_from_json; the same circle as
+    # a parametric path is refused before any sampling
+    circle = Path.circle(zero(r), 1.0, basis_element(r, 1))
+    calls = []
+    gamma = Path(level=circle.level, kind="parametric", sampler=lambda ts: calls.append(ts) or circle.sample(ts))
+    with pytest.raises(UnsupportedShapeError):
+        winding_index(zero(r), gamma)
+    assert not calls
 
 
 _CAPPED_AT_LEVEL_8 = """
@@ -101,17 +101,15 @@ import math, resource
 import numpy as np
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from cdfun.algebra import basis_element, zero
-from cdfun.contour import winding_index
 from cdfun.errors import StepControlError
 from cdfun.integrate import Path, _plane_circle, log_integral
 e1 = basis_element(8, 1)
 chirp = Path(level=e1.level, kind="parametric",
              sampler=lambda ts: _plane_circle(np.zeros(256), e1.coeffs, 1.0, 2 * math.pi * 1e7 * ts * ts))
-for route in (log_integral, winding_index):
-    try:
-        route(zero(8), chirp)
-    except StepControlError:
-        print(route.__name__, "capped")
+try:
+    log_integral(zero(8), chirp)
+except StepControlError:
+    print("log_integral capped")
 """
 
 
@@ -127,7 +125,7 @@ def test_parametric_path_at_level_8_runs_to_the_cap_in_bounded_memory():
     run = subprocess.run([sys.executable, "-c", _CAPPED_AT_LEVEL_8], env=env, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n") == ["log_integral capped", "winding_index capped", ""]
+    assert run.stdout.split("\n") == ["log_integral capped", ""]
 
 
 def test_winding_non_enclosing_all_zero():
@@ -174,7 +172,7 @@ def _winding_per_plane(a, gamma, n):
     """Reference: one projected plane at a time, at a fixed knot count."""
     from cdfun.contour import _segment_distance
 
-    knots = _offset_knots(n)
+    knots = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])  # midpoints and both ends
     if gamma.kind == "polyline":  # the corners are knots too
         knots = np.union1d(knots, gamma._polyline[3])
     Z = gamma.sample(knots)
@@ -728,7 +726,7 @@ def _per_power_kernel_loop(f, center, m, rho, power, tol, max_knots=1 << 18):
     mv, cv = m.coeffs, center.coeffs
 
     def raw(n):
-        ang = TWO_PI * _offset_knots(n)[1:-1]
+        ang = TWO_PI * ((np.arange(n) + 0.5) / n)
         F = eval_node_arrays(f.root, _plane_circle(cv, mv, rho, ang), r)
         q = power + 1
         W = mul_arrays(_plane_circle(np.zeros_like(cv), mv, 1.0, q * ang), mv, r) * (rho**q * TWO_PI / n)
@@ -1187,14 +1185,15 @@ def test_argument_principle_with_a_zero_next_to_the_circle(r, gap, side):
 
 @pytest.mark.parametrize("r,gap", [(2, 1e-5), (8, 1e-7)])
 @pytest.mark.parametrize("side", [1.0, -1.0])
-def test_parametric_winding_about_a_point_next_to_the_path(r, gap, side):
+def test_parametric_log_integral_about_a_point_next_to_the_path(r, gap, side):
     # uniform layouts up to the cap leave the point between two knots; the
-    # halved steps count it, inside or outside
+    # halved steps of _doubled count it, inside or outside
     e1 = basis_element(r, 1)
     circle = Path.circle(zero(r), 1.0, e1, 1.0)
     a = from_real(r, (1.0 + side * gap) * math.cos(0.7371)) + e1 * ((1.0 + side * gap) * math.sin(0.7371))
-    iv = winding_index(a, Path(level=e1.level, kind="parametric", sampler=circle.sample))
-    assert iv.per_plane == {1: int(side < 0.0)}
+    got = log_integral(a, Path(level=e1.level, kind="parametric", sampler=circle.sample))
+    want = e1 * TWO_PI if side < 0.0 else zero(r)
+    assert (got - want).norm() <= 1e-9
 
 
 @pytest.mark.parametrize("r", [2, 8])

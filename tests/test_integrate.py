@@ -27,7 +27,7 @@ from cdfun.algebra import (
     zero,
 )
 from cdfun.contour import winding_index
-from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
+from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError, UnsupportedShapeError
 from cdfun import integrate
 from cdfun.expressions import _fmt_const, parse
 from cdfun.integrate import (
@@ -39,8 +39,6 @@ from cdfun.integrate import (
     line_integral,
     log_integral,
     path_from_json,
-    _extrapolated,
-    _offset_knots,
     total_variation,
 )
 from cdfun.transcendental import _ln_with_parts
@@ -150,7 +148,7 @@ def test_path_json_malformed(bad):
 
 
 def test_parametric_path_has_no_json():
-    p = Path.parametric(2, lambda t: from_real(2, t))
+    p = Path(level=as_level(2), kind="parametric", sampler=lambda ts: np.outer(ts, [1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
         p.to_json()
 
@@ -181,42 +179,35 @@ def test_raw_sum_error_shrinks_linearly():
 
 
 def test_row_sums_run_in_bounded_memory():
-    # near the pole the sum cannot converge and doubles to the cap; one
-    # (16385, 256) layout of every array took 225 MiB
+    # one (16385, 256) array of every knot, increment and row took 225 MiB
     r = 8
     circle = Path.circle(zero(r), 1.0, basis_element(r, 1))
-    sampled = Path(level=circle.level, kind="parametric", sampler=circle.sample)
     f = parse("(z-1.0000001)^-1", r)
-    line_integral(f, sampled, max_knots=128)
+    integral_sum(f, circle, Partition.uniform(128))
     tracemalloc.start()
     try:
-        res = line_integral(f, sampled, max_knots=16384)
         integral_sum(f, circle, Partition.uniform(16384))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not res.converged and res.refinements == 8
     assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_blocked_row_sums_match_one_block(r, monkeypatch):
-    # the Ln leaves of a parametric path, and integral_sum over every leaf
+    # integral_sum over every leaf
     e1 = basis_element(r, 1)
     open_line = Path.polyline([from_real(r, 0.5), from_real(r, 1.0) + e1, e1 * -0.8])
     cases = [("z^-1", Path.circle(zero(r), 1.0, e1).subpath(0.0, 0.6)),
              ("z^2 + 0.5*(z-2)^-1", open_line)]
     for text, gamma in cases:
         f = parse(text, r)
-        sampled = Path(level=gamma.level, kind="parametric", sampler=gamma.sample)
         got = []
         for elements in (1 << 40, 37 << r):  # one block, and blocks of 37 knots
             monkeypatch.setattr(integrate, "_ROW_BLOCK_ELEMENTS", elements)
-            res = line_integral(f, sampled)
-            assert res.converged and res.refinements > 0
-            got.append((res.value.coeffs, integral_sum(f, gamma, Partition.uniform(1000)).coeffs))
-        for one, blocked in zip(*got):
-            assert np.linalg.norm(blocked - one) <= 1e-12 * np.linalg.norm(one)
+            got.append(integral_sum(f, gamma, Partition.uniform(1000)).coeffs)
+        one, blocked = got
+        assert np.linalg.norm(blocked - one) <= 1e-12 * np.linalg.norm(one)
 
 
 def test_square_polyline_polynomial_sum_small():
@@ -225,7 +216,7 @@ def test_square_polyline_polynomial_sum_small():
 
 
 # ---------------------------------------------------------------------------
-# extrapolated line integrals
+# line integrals
 # ---------------------------------------------------------------------------
 
 def test_loop_integral_of_inverse_matches_winding():
@@ -565,7 +556,10 @@ def _log_integral_per_knot(center, gamma):
     picks the representation (theta + 2*pi*j)*mu nearest that vector,
     bisecting steps that move it by pi/2 or more.
     """
-    knots = _reference_polyline_knots(gamma, 4 * START_KNOTS) if gamma.kind == "polyline" else _offset_knots(256)
+    if gamma.kind == "polyline":
+        knots = _reference_polyline_knots(gamma, 4 * START_KNOTS)
+    else:  # 256 midpoints and both ends
+        knots = np.concatenate([[0.0], (np.arange(256) + 0.5) / 256, [1.0]])
     c = center.coeffs
     Z = gamma.sample(knots) - c[None, :]
     rho = norm_arrays(Z)
@@ -1011,39 +1005,8 @@ def test_started_arcs_have_no_json_form():
 
 
 # ---------------------------------------------------------------------------
-# the extrapolation tableau
+# polyline geometry and raw sums
 # ---------------------------------------------------------------------------
-
-def _stacked_raw(n):
-    """Four rows with different tails: an exact 1/N error the tableau strips
-    at once, a cubic tail, a quintic tail that the tableau strips two
-    doublings later, and an N^(-1/2) tail that never meets the tolerance."""
-    v = np.array([1.0, -0.5, 0.25, 2.0])
-    return np.stack([
-        v + 0.3 / n,
-        2.0 * v + 1.0 / n - 5.0 / n**2 + 7.0 / n**3,
-        -v + sum(v[::-1] * (-64.0 / n) ** p for p in range(1, 6)),
-        v + 1e-2 / math.sqrt(n),
-    ])
-
-
-def test_extrapolation_stops_each_tail_at_its_own_refinement():
-    results = []
-    for i in range(4):
-        calls = []
-
-        def raw(n):
-            calls.append(n)
-            return _stacked_raw(n)[i]
-
-        res = _extrapolated(raw, as_level(2), 1e-9, 1 << 12)
-        assert len(calls) == len(set(calls)) == 1 + res.refinements
-        results.append(res)
-    assert [res.converged for res in results] == [True, True, True, False]
-    early = max(results[0].refinements, results[1].refinements)
-    assert results[2].refinements > early
-    assert results[3].refinements == 6  # 64 * 2^6 knots, the last layout under the cap
-
 
 def _reference_polyline_geometry(path):
     """Corners, segment lengths, total length and arc-length fractions,
@@ -1330,7 +1293,8 @@ def _no_knot_layouts(monkeypatch):
     def refuse(*args):
         raise AssertionError("a leaf took a knot layout")
 
-    monkeypatch.setattr(integrate, "_offset_knots", refuse)
+    monkeypatch.setattr(integrate, "_raw_sum", refuse)
+    monkeypatch.setattr(integrate, "_row_sum", refuse)
 
 
 @pytest.mark.parametrize("r", [3, 8])
@@ -1526,18 +1490,26 @@ def test_polyline_leaving_its_plane_after_a_turn_carries_no_winding():
     assert abs(res.value.coeffs[1] - 2 * math.pi) < 0.05
 
 
-def test_parametric_ln_leaves_sum_on_knots():
-    # a parametric circle of 1000 turns steps 8 - 3/16 turns per knot of
-    # _doubled's first layout, and its sampled log_integral reads -24 turns;
-    # the increment sums double their knots until they agree
+def test_parametric_ln_leaves_are_refused():
+    # line_integral takes the path kinds of path_from_json for its Ln leaves;
+    # a parametric path is refused before the pole check samples it
     r = 1
-    e1 = basis_element(r, 1)
-    circle = Path.circle(zero(r), 1.0, e1, 1000)
+    circle = Path.circle(zero(r), 1.0, basis_element(r, 1), 1000)
+    calls = []
+    gamma = Path(level=circle.level, kind="parametric", sampler=lambda ts: calls.append(ts) or circle.sample(ts))
+    with pytest.raises(UnsupportedShapeError):
+        line_integral(parse("z^-1 + 3*z^2", r), gamma)
+    assert not calls
+
+
+def test_parametric_power_leaves_take_newton_leibniz():
+    r = 1
+    circle = Path.circle(zero(r), 1.0, basis_element(r, 1), 1000)
     gamma = Path(level=circle.level, kind="parametric", sampler=circle.sample)
-    assert (log_integral(zero(r), gamma) - e1 * (-48 * math.pi)).norm() <= 1e-6
-    res = line_integral(parse("z^-1 + 3*z^2", r), gamma)
-    assert res.converged and res.refinements > 0
-    assert (res.value - e1 * (2000 * math.pi)).norm() <= 1e-9 * 2000 * math.pi
+    res = line_integral(parse("3*z^2", r), gamma)
+    z0, z1 = (CDNumber(r, p) for p in gamma.sample([0.0, 1.0]))
+    assert (res.refinements, res.converged) == (0, True)
+    assert (res.value - (z1 * z1 * z1 - z0 * z0 * z0)).norm() <= 1e-15
 
 
 def test_mixed_phrase_adds_the_closed_form_to_the_ln_quadrature():
