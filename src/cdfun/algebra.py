@@ -12,7 +12,10 @@ basis is the first half times the doubling unit, so basis products satisfy
     e_a e_b = sigma(a, b) e_{a XOR b},   sigma(a, b) in {+1, -1},
 
 and every product reads one cached signed gather index per level
-(BasisTable.right) into the doubled operand [v, -v].
+(BasisTable.right) into the doubled operand [v, -v].  A product by a scaled
+basis unit s e_k is a signed permutation of the other operand, so from level
+_UNIT_LEVEL (r = 7) on it reads d entries of that index instead of
+gathering a d x d table.
 Batched operations work on numpy arrays whose last axis has length 2**r; the
 CDNumber class is a thin immutable wrapper for single elements.
 """
@@ -155,6 +158,39 @@ _BLOCK_ELEMENTS = 1 << 15
 #: to sixteen rows all took 3.7-4.0 ms (the row loop: 10.4 ms).
 _MIN_BLOCK_ROWS = 1
 
+#: Lowest level at which a (d,) operand with one nonzero coefficient, a
+#: scaled basis unit s e_k, multiplies the other operand as a signed
+#: permutation (O(d) per row) instead of through a gathered d x d table.
+#: Below it the test and the index work (count_nonzero, nonzero, the sign
+#: vector, errstate, take) cost more than the table.  Measured with
+#: scripts/product_levels.py and the unit path taken at every level, on a
+#: 2-vCPU Xeon with numpy 2.4, one thread, fastest of five runs
+#: (BENCH_37.json), table -> unit: at r = 6 element x unit 9.8 -> 10.9 us,
+#: 1-row batch x unit 7.4 -> 10.9 us, 256-row batch x unit 31 -> 37 us and
+#: unit x 256-row batch even at 34 us; at r = 7 every form is faster,
+#: element x unit 22 -> 12 us and 256-row batch x unit 103 -> 59 us; at
+#: r = 8 element x unit 79 -> 13 us and 256-row batch x unit 708 -> 109 us.
+_UNIT_LEVEL = 7
+
+
+def _signed_permutation(s, v, idx) -> np.ndarray:
+    """s * [v, -v][..., idx], the product with the unit s e_k whose signed
+    gather index over the other operand v is idx (a row of the d x d table
+    that the table forms gather), as v[..., idx mod d] * (+-s).
+
+    Each output coefficient is the one nonzero term of the table product's
+    sum, so for finite operands the bits are the same: + 0.0 turns a -0.0
+    into the +0.0 that sum gives, and an overflow to inf stays as silent as
+    in the table forms.  An inf or NaN in v stays where it lands, where a
+    table sum spreads it through 0 * inf.
+    """
+    d = v.shape[-1]
+    out = v.take(idx & (d - 1), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= np.where(idx < d, s, -s)
+    out += 0.0
+    return out
+
 
 def mul_arrays(x, y, r: int) -> np.ndarray:
     """Cayley-Dickson product on coefficient arrays of shape (..., 2**r).
@@ -169,6 +205,13 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
                             most _BLOCK_ELEMENTS elements (at least
                             _MIN_BLOCK_ROWS rows); a batch that fits is one
                             block.
+        unit (d,) operand   from r = _UNIT_LEVEL, in the three forms with a
+                            (d,) operand that has one nonzero coefficient,
+                            s e_k: s * [v, -v][..., idx] over the other
+                            operand v, with idx row k of right for a left
+                            unit and right[c ^ k, c] ^ c for a right one;
+                            for finite operands the same bits as the table
+                            forms (_signed_permutation).
 
     Batch shapes broadcast against each other; shapes that do not raise
     DomainError.
@@ -179,6 +222,16 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if x.shape[-1:] != (d,) or y.shape[-1:] != (d,):
         raise DomainError("coefficient array does not match the level dimension")
+    if r >= _UNIT_LEVEL:
+        if x.ndim == 1 and np.count_nonzero(x) == 1:
+            a = x.nonzero()[0][0]
+            return _signed_permutation(x[a], y, t.right[a])
+        if y.ndim == 1 and np.count_nonzero(y) == 1:
+            # (x s e_b)[c] reads x[a] at a = c ^ b, and right[a, c] ^ c is a
+            # with bit d set when e_a e_b = -e_c
+            b = y.nonzero()[0][0]
+            ar = np.arange(d)
+            return _signed_permutation(y[b], x, t.right[ar ^ b, ar] ^ ar)
     if y.ndim == 1:
         table = t.right_table(y)
         return x @ table if x.ndim > 1 else np.einsum("...a,...ac->...c", x, table)

@@ -896,8 +896,11 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
     Jacobian columns are directional derivatives along the basis, steps
     are backtracked until they decrease |P|^2 (Armijo), and up to 16
     deterministic random restarts are drawn from the ball of radius
-    1 + sum of coefficient norms.  Raises NonConvergenceError with the
-    best iterate found when every start stalls.
+    1 + sum of coefficient norms.  Each Newton system is solved by LU; a
+    singular system, which zero divisors allow from r = 4, or a
+    non-finite step falls back to least squares.  The value of P at an
+    accepted step is the next step's value.  Raises NonConvergenceError
+    with the best iterate found when every start stalls.
     """
     if P.level.r != seed.level.r:
         raise LevelMismatchError("seed level does not match the polynomial")
@@ -907,8 +910,8 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
     best_x = np.array(seed.coeffs)
     best_g = math.inf
     for x in _starts(P, seed):
+        pv = eval_node_arrays(P.root, x, r)
         for _ in range(int(max_iter)):
-            pv = eval_node_arrays(P.root, x, r)
             g = float(np.dot(pv, pv))
             if g < best_g:
                 best_g, best_x = g, x.copy()
@@ -918,7 +921,12 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
             jac = np.asarray(rows).T
             if not (math.isfinite(g) and np.all(np.isfinite(jac))):
                 break  # overflow: a non-finite system stalls this start
-            step, *_ = np.linalg.lstsq(jac, -pv, rcond=None)
+            try:
+                step = np.linalg.solve(jac, -pv)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is None or not np.all(np.isfinite(step)):
+                step, *_ = np.linalg.lstsq(jac, -pv, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
             t = 1.0
@@ -927,7 +935,7 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
                 xn = x + t * step
                 pn = eval_node_arrays(P.root, xn, r)
                 if float(np.dot(pn, pn)) <= (1.0 - 1e-4 * t) * g:
-                    x = xn
+                    x, pv = xn, pn
                     moved = True
                     break
                 t /= 2.0

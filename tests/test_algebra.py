@@ -417,6 +417,32 @@ def test_sign_table_reaches_constant_operand_products(r):
         assert not np.allclose(before, after)
 
 
+def test_sign_table_reaches_unit_operand_products():
+    # At r = 8 a product by a scaled basis unit reads right as a signed
+    # permutation: a left factor s e1 reads row 1, a right factor s e3 the
+    # entries (c ^ 3, c), which include (1, 2) at c = 2.
+    r = 8
+    d = 1 << r
+    rng = _rng(13)
+    c = rng.standard_normal(d)
+    Y = rng.standard_normal((3, d))
+    e1, e3 = 0.3 * basis_element(r, 1).coeffs, -2.5 * basis_element(r, 3).coeffs
+    table = basis_table(r)
+
+    def products():
+        return mul_arrays(e1, Y, r), mul_arrays(Y, e3, r), mul_arrays(e1, c, r), mul_arrays(c, e3, r)
+
+    clean = products()
+    saved = table.right.copy()
+    table.right[1, 2] ^= d
+    try:
+        flipped = products()
+    finally:
+        table.right[...] = saved
+    for before, after in zip(clean, flipped):
+        assert not np.allclose(before, after)
+
+
 def _parent_forms(x, y, r):
     """The four product forms as the sign-times-XOR-gather kernel wrote them,
     rebuilt from the published sign table and the XOR index a ^ c."""
@@ -449,8 +475,8 @@ def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
 
     def operand(kind, *shape):
         v = rng.standard_normal((*shape, d))
-        if kind == "basis":  # a scaled basis constant in every row
-            v = np.zeros((*shape, d))
+        if kind in ("basis", "-0 basis"):  # a scaled basis constant in every row
+            v = np.full((*shape, d), -0.0 if kind == "-0 basis" else 0.0)
             v[..., rng.integers(d)] = rng.choice([-2.5, 0.3])
         elif kind == "zeros":  # +0.0 and -0.0 among the entries
             v[rng.random(v.shape) < 0.6] = 0.0
@@ -459,7 +485,7 @@ def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
 
     shapes = [((), ()), ((), (5,)), ((5,), ()), ((rows,), (rows,)), ((rows + 1,), (rows + 1,)),
               ((1,), (5,)), ((5,), (1,))]
-    kinds = ("random", "basis", "zeros")
+    kinds = ("random", "basis", "-0 basis", "zeros")
     for sx, sy in shapes:
         for kx in kinds:
             for ky in kinds:
@@ -467,6 +493,20 @@ def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
                 got, want = mul_arrays(x, y, r), _parent_forms(x, y, r)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (sx, sy, kx, ky)
+                # an inf or NaN in the other operand of a product by a
+                # scaled basis unit leaves the product non-finite
+                if sx == () and "basis" in kx:
+                    other = y
+                elif sy == () and "basis" in ky:
+                    other = x
+                else:
+                    continue
+                for bad in (np.inf, np.nan):
+                    saved = other.flat[0]
+                    other.flat[0] = bad
+                    with np.errstate(invalid="ignore"):  # 0 * inf in the table forms
+                        assert not np.all(np.isfinite(mul_arrays(x, y, r))), (sx, sy, kx, ky, bad)
+                    other.flat[0] = saved
 
 
 def test_batch_shapes_that_do_not_broadcast_raise_domain_error():

@@ -533,6 +533,36 @@ def test_cube_derivative_at_a_real_point_is_12_h(r):
     assert (got - h * 12.0).norm() <= 1e-15 * 12.0 * h.norm()
 
 
+def test_level_8_products_by_basis_constants_gather_no_table(monkeypatch):
+    # Every product in the value of (0.3*e5)*z^3*(0.7*e9), and in its
+    # derivative at a point that is itself a scaled basis unit (so that the
+    # power string multiplies by units too), has a scaled basis unit for an
+    # operand: none gathers a d x d table, and the bits are the table forms'.
+    from cdfun import algebra
+    from cdfun.algebra import BasisTable
+
+    r = 8
+    P = parse("(0.3*e5)*z^3*(0.7*e9)", r)
+    rng = _rng(37)
+    z, h = random_element(r, rng), random_element(r, rng).coeffs
+    u = 0.8 * basis_element(r, 3).coeffs
+
+    def results():
+        return evaluate(P, z).coeffs, derivative_apply(P, u, h), derivative_apply(P, u, np.eye(1 << r))
+
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_UNIT_LEVEL", algebra.MAX_LEVEL + 1)
+        want = results()
+
+    def refuse(self, v):
+        raise AssertionError("a d x d multiplication table was gathered")
+
+    monkeypatch.setattr(BasisTable, "right_table", refuse)
+    monkeypatch.setattr(BasisTable, "left_table", refuse)
+    for got, table_form in zip(results(), want):
+        assert got.tobytes() == table_form.tobytes()
+
+
 @pytest.mark.parametrize(
     "text,wrt",
     [("zc^-1", "z"), ("z^-1", "zc"), ("z*(zc^-2+1)", "z"), ("(e1-e1)^-1*z", "z"), ("z^-3", "z")],

@@ -1314,7 +1314,7 @@ def test_power_leaves_vanish_exactly_on_closed_paths(r, monkeypatch):
             assert (res.est_error, res.refinements, res.converged) == (0.0, 0, True)
 
 
-@pytest.mark.parametrize("r", [2, 5])
+@pytest.mark.parametrize("r", [2, 5, 8])
 def test_closed_paths_raise_one_end_and_keep_the_two_end_bits(r):
     # X(gamma(1)) - X(gamma(0)) for bit-equal ends is X - X of one end: 0
     # exactly, or NaN where X overflows, then taken through each matrix
