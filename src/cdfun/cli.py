@@ -333,8 +333,6 @@ _JOB_FIELDS = {
     for command, reads in _PARAMETERS.items()
 }
 
-_JOB_KEYS = set().union(*_JOB_FIELDS.values())
-
 
 def _run_command(command: str, params: Dict) -> Dict:
     r = _level(params.get("level"))

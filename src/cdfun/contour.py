@@ -4,8 +4,8 @@
 per-plane winding numbers in closed form: a circle projects to an ellipse
 in each plane (1, e_s), a polyline to a polyline.  So does the
 algebra-valued index ``ar_index``, through the closed forms of
-``log_integral``, which also samples parametric paths, the image curves of
-the argument principle, by the one rule of ``integrate._doubled``.
+``log_integral``.  The argument principle's image curves are not paths:
+their samplers go to ``integrate._sampled_log``, the one sampling routine.
 Everything else here reduces to loop integrals, by two integration routes:
 
 * ``line_integral`` (hat increments of a primitive) for integrands that are
@@ -248,16 +248,14 @@ def winding_index(a: CDNumber, gamma: Path) -> IndexVector:
     rather than counted.  Circles, arcs included, and polylines are done in
     closed form on (d - 1,) arrays: a circle projects to an ellipse (see
     _circle_winding), a polyline to the polyline through its projected
-    corners.  A parametric path raises UnsupportedShapeError.
+    corners.
     """
     if a.level.r != gamma.level.r:
         raise LevelMismatchError("point level does not match path level")
     if gamma.kind == "circle":
         entries, defined = _circle_winding(a.coeffs, gamma)
-    elif gamma.kind == "polyline":
-        entries, defined = _polyline_winding(a.coeffs, gamma)
     else:
-        raise UnsupportedShapeError("winding_index takes circles and polylines, not parametric paths")
+        entries, defined = _polyline_winding(a.coeffs, gamma)
     planes = range(1, a.level.basis_dim)
     per_plane = {s: n for s, n, ok in zip(planes, entries, defined.tolist()) if ok}
     undefined = frozenset(s for s, ok in zip(planes, defined.tolist()) if not ok)
@@ -269,8 +267,7 @@ def ar_index(a: CDNumber, gamma: Path) -> CDNumber:
 
     For a circle of ``turns`` n and direction M about a this is n*M; for a
     loop not enclosing a it vanishes.  Circles, arcs and polylines take the
-    closed forms of ``log_integral``; parametric paths take its sampled
-    route, as ``argument_principle``'s uncertified images do.
+    closed forms of ``log_integral``.
     """
     return log_integral(a, gamma) * (1.0 / TWO_PI)
 
@@ -796,8 +793,8 @@ def argument_principle(
 ) -> ContourReport:
     """Index of f∘gamma about 0 versus the index-weighted divisor of f.
 
-    The left side tracks the image curve t -> f(gamma(t)), which
-    ``integrate._sampled_log`` samples; the right side sums order *
+    The left side tracks the image curve t -> f(gamma(t)), whose sampler
+    goes to ``integrate._sampled_log``; the right side sums order *
     index(a, gamma) over the supplied zeros (a, order).  On a circle of
     integer turns n, |n| > 2, the image repeats every turn.  Each crossing
     of the real line reverses the direction in which the argument is
@@ -820,9 +817,9 @@ def argument_principle(
     pi/2, and only the others are halved (see ``integrate._sampled_log``),
     so a many-turn arc gives its exact index, or StepControlError when the
     knot cap cannot certify it.  Other images are uncertified and take the
-    agreement rule of ``integrate._doubled``, which an image aliasing alike
-    on two layouts passes: those of rational phrases, and of phrases whose
-    constants or circle centre leave the plane.  Off one plane an image
+    agreement rule of ``integrate._sampled_log``, which an image aliasing
+    alike on two layouts passes: those of rational phrases, and of phrases
+    whose constants or circle centre leave the plane.  Off one plane an image
     can pass close to the real line, where its continued direction turns
     faster than the speed bound sees.
     """
@@ -832,13 +829,12 @@ def argument_principle(
     degree = _circle_degree(f.root, gamma.center.coeffs, r) if _planar_image(f, gamma) else None
 
     def image_index(loop: Path) -> CDNumber:
-        image = Path(level=loop.level, kind="parametric",
-                     sampler=lambda ts: eval_node_arrays(f.root, loop.sample(ts), r))
-        if degree is None:
-            return ar_index(zero(f.level), image)
-        peak = None if abs(loop.turns) >= 1.0 else _circle_peak(f, loop, degree)
-        speed = (TWO_PI * degree * abs(loop.turns), peak)
-        return CDNumber(f.level, _sampled_log(zero(f.level).coeffs, image, speed)) * (1.0 / TWO_PI)
+        speed = None
+        if degree is not None:
+            peak = None if abs(loop.turns) >= 1.0 else _circle_peak(f, loop, degree)
+            speed = (TWO_PI * degree * abs(loop.turns), peak)
+        image = _sampled_log(zero(f.level).coeffs, lambda ts: eval_node_arrays(f.root, loop.sample(ts), r), speed)
+        return CDNumber(f.level, image) * (1.0 / TWO_PI)
 
     if gamma.kind == "circle" and float(gamma.turns).is_integer() and abs(gamma.turns) > 2.0:
         lhs = image_index(replace(gamma, turns=math.copysign(2.0, gamma.turns)))

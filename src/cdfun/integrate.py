@@ -23,8 +23,7 @@ polylines, by three routes:
   arrays, and lifts the sum S to Re S + Im S * M before its matrix
   (``_raw_sum``).
 
-Knots are taken only by that last route.  A parametric path takes power
-leaves only, by the first route.
+Knots are taken only by that last route.
 
 On a closed circle the midpoint sums are certified (``_closed_in_plane``).
 Around one turn the integrand is periodic and analytic, a geometric series
@@ -39,15 +38,16 @@ refinements are log2(N / 64).
 ``integral_sum``, the paper's raw increment sum on one partition, is
 ``_row_sum`` over every leaf, on any path.
 
-``log_integral``, the loop integral of d Ln(z - a) behind the index and
-the argument principle, continues the argument along the path: in closed
-form on circles, arcs and polylines, and on parametric paths over the
-layouts of ``_doubled``, the one sampling rule of this package's
-parametric paths.  The image of a polynomial phrase on a circle in its
-plane has a speed bound (Bernstein's inequality), which certifies each
-step of a layout before it is continued; other parametric paths, the
-images of rational phrases and hand-built samplers, are accepted when two
-layouts agree, which a path aliasing alike on both passes.
+``log_integral``, the loop integral of d Ln(z - a) behind the index,
+continues the argument along the path in closed form on circles, arcs and
+polylines.  The argument principle's image curves f(gamma(t)) are not
+paths: ``_sampled_log``, the one sampling routine of this package, takes
+their batch samplers and continues the argument over nested knot layouts.
+The image of a polynomial phrase on a circle in its plane has a speed
+bound (Bernstein's inequality), which certifies each step of a layout
+before it is continued; other images, of rational phrases and of phrases
+off one plane, are accepted when two layouts agree, which an image
+aliasing alike on both passes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .errors import (
     PoleError,
     SingularElementError,
     StepControlError,
-    UnsupportedShapeError,
 )
 from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
 from .transcendental import _split_parts, numerically_real
@@ -122,10 +121,7 @@ class Path:
     turns, and ``turns`` may be any real number; the path is closed iff it
     is an integer.  Subpaths and reversals of a circle are circle arcs.
     Polylines run through their corner list at constant speed with respect
-    to arc length.  A parametric path wraps a batch sampler ts -> (K, d);
-    ``argument_principle`` builds one for each image it indexes.  It goes
-    to ``log_integral`` and ``integral_sum``, and to ``line_integral`` only
-    with power leaves.
+    to arc length.  These are the path kinds ``path_from_json`` builds.
     """
 
     level: AlgebraLevel
@@ -136,7 +132,6 @@ class Path:
     turns: float = 1.0
     start: float = 0.0
     points: tuple = ()
-    sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -196,15 +191,13 @@ class Path:
         if self.kind == "circle":
             ang = 2.0 * math.pi * (self.start + self.turns * ts)
             return _plane_circle(self.center.coeffs, self.direction.coeffs, self.radius, ang)
-        if self.kind == "polyline":
-            pts, _, _, fracs = self._polyline
-            if fracs is None:
-                return np.repeat(pts[:1], len(ts), axis=0)
-            out = np.empty((len(ts), pts.shape[1]))
-            for c in range(pts.shape[1]):
-                out[:, c] = np.interp(ts, fracs, pts[:, c])
-            return out
-        return np.asarray(self.sampler(ts), dtype=np.float64)
+        pts, _, _, fracs = self._polyline
+        if fracs is None:
+            return np.repeat(pts[:1], len(ts), axis=0)
+        out = np.empty((len(ts), pts.shape[1]))
+        for c in range(pts.shape[1]):
+            out[:, c] = np.interp(ts, fracs, pts[:, c])
+        return out
 
     def endpoints(self) -> np.ndarray:
         """gamma(0) and gamma(1) as a (2, dim) array.  A polyline's are its
@@ -213,7 +206,7 @@ class Path:
         in floating point."""
         if self.kind == "polyline":
             return np.stack([self.points[0].coeffs, self.points[-1].coeffs])
-        if self.kind == "circle" and float(self.turns).is_integer():
+        if float(self.turns).is_integer():
             return np.repeat(self.sample([0.0]), 2, axis=0)
         return self.sample([0.0, 1.0])
 
@@ -225,9 +218,7 @@ class Path:
         of the integral: reversing the path negates it."""
         if self.kind == "circle":
             return replace(self, start=(self.start + self.turns) % 1.0, turns=-self.turns)
-        if self.kind == "polyline":
-            return Path.polyline(self.points[::-1])
-        return self._reparametrized(1.0, 0.0)
+        return Path.polyline(self.points[::-1])
 
     def subpath(self, a: float, b: float) -> "Path":
         """The restriction to [a, b], reparametrized over [0, 1].  A circle's is
@@ -238,17 +229,11 @@ class Path:
             raise DomainError("subpath endpoints must lie in [0, 1]")
         if self.kind == "circle":
             return replace(self, start=(self.start + a * self.turns) % 1.0, turns=(b - a) * self.turns)
-        if self.kind == "polyline":
-            pts, _, _, fracs = self._polyline
-            inner = [] if fracs is None else pts[(fracs > min(a, b)) & (fracs < max(a, b))]
-            ends = self.sample([a, b])
-            rows = [ends[0], *(inner if a <= b else inner[::-1]), ends[1]]
-            return Path.polyline([CDNumber(self.level, p) for p in rows])
-        return self._reparametrized(a, b)
-
-    def _reparametrized(self, a: float, b: float) -> "Path":
-        """The parametric path t -> self(a + (b - a) * t)."""
-        return Path(level=self.level, kind="parametric", sampler=lambda ts: self.sample(a + (b - a) * ts))
+        pts, _, _, fracs = self._polyline
+        inner = [] if fracs is None else pts[(fracs > min(a, b)) & (fracs < max(a, b))]
+        ends = self.sample([a, b])
+        rows = [ends[0], *(inner if a <= b else inner[::-1]), ends[1]]
+        return Path.polyline([CDNumber(self.level, p) for p in rows])
 
     # -- serialization -------------------------------------------------------
 
@@ -265,12 +250,10 @@ class Path:
                 "direction": [float(v) for v in self.direction.coeffs],
                 "turns": self.turns,
             }
-        if self.kind == "polyline":
-            return {
-                "kind": "polyline",
-                "points": [[float(v) for v in p.coeffs] for p in self.points],
-            }
-        raise DomainError("parametric paths have no JSON form")
+        return {
+            "kind": "polyline",
+            "points": [[float(v) for v in p.coeffs] for p in self.points],
+        }
 
 
 def _vector_from_json(obj, what: str) -> np.ndarray:
@@ -401,18 +384,13 @@ def distance_range(point: np.ndarray, path: Path) -> tuple:
     """Least distance from a point (a coefficient array) to the path, and a
     bound on the greatest.
 
-    Closed forms for circles, arcs included, and for polylines.  A
-    parametric path is sampled on the 4096-knot layout of ``_doubled``
-    (4097 points), which can only overstate the least distance.
+    Closed forms for circles, arcs included, and for polylines.
     """
     if path.kind == "circle":
         x, y, p = _circle_frame(point, path)
         return _circle_distance(path, x, y, math.sqrt(float(p @ p)))
-    if path.kind == "polyline":
-        W = path._polyline[0] - point
-        return _polyline_distance(W), float(norm_arrays(W).max())
-    rho = norm_arrays(path.sample(_layout(4096)) - point)
-    return float(rho.min()), float(rho.max())
+    W = path._polyline[0] - point
+    return _polyline_distance(W), float(norm_arrays(W).max())
 
 
 def _polyline_distance(W: np.ndarray) -> float:
@@ -623,17 +601,14 @@ def line_integral(
     route is certified: one layout sized by the a-priori bound of
     ``_closed_in_plane``, whose refinements and ``converged`` flag are the
     report's, and whose bound adds to ``est_error``.  Non-convergence within
-    ``max_knots`` still returns the best value.  An Ln leaf on a parametric
-    path raises UnsupportedShapeError; power leaves integrate on any path.
-    A path through a pole centre of f (see ``_check_poles``) raises
-    PoleError before any sampling.  Leaves are summed in a fixed order, so
-    results are bit-reproducible.
+    ``max_knots`` still returns the best value.  A path through a pole
+    centre of f (see ``_check_poles``) raises PoleError before any
+    sampling.  Leaves are summed in a fixed order, so results are
+    bit-reproducible.
     """
     _check_levels(f, gamma)
     prim = primitive(f)
     logs = [leaf for leaf in prim.leaves if leaf.power == 0]
-    if logs and gamma.kind == "parametric":
-        raise UnsupportedShapeError("the Ln leaves of a line integral take circles and polylines, not parametric paths")
     _check_poles(prim, gamma)
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
@@ -657,7 +632,7 @@ def line_integral(
 
 
 # ---------------------------------------------------------------------------
-# sampled continuation along parametric paths
+# sampled continuation along image curves
 # ---------------------------------------------------------------------------
 
 _FIRST_LAYOUT = 128
@@ -665,71 +640,6 @@ _MAX_LAYOUT = 1 << 18
 _LAYOUT_ELEMENTS = 1 << 22  # knots * d of the largest layout's (knots, d) arrays
 _MAX_GAP2 = (math.pi / 2) ** 2
 _TWO_PI = 2.0 * math.pi
-
-
-def _layout(n: int) -> np.ndarray:
-    """The n + 1 knots np.linspace(0, 1, n + 1) of the n-knot layout."""
-    return np.linspace(0.0, 1.0, n + 1)
-
-
-def _doubled(gamma: Path, parts: Callable, continued: Callable, slow: Optional[Callable] = None):
-    """An angle continuation along a path, by halving the steps of nested
-    knot layouts.
-
-    ``parts(Z)`` splits the points Z into arrays with one row per knot, and
-    ``continued(*parts)`` gives (args, value), one row of args per knot, or
-    the indices k of the steps, from knot k to k + 1, that turn pi/2 or
-    more.  A knot whose point is not finite, as where an image path
-    overflows, is a DomainError.  Past _MAX_LAYOUT knots, or
-    _LAYOUT_ELEMENTS elements, or at a step one ulp wide, StepControlError.
-
-    Certified paths give ``slow(t, *parts)``, the indices of the steps of
-    the layout t whose bound on the turn fails.  From _FIRST_LAYOUT knots
-    those steps, and then any that the continuation hands back, are halved
-    and only their midpoints sampled, and the first layout with none left
-    is continued and its value returned.
-
-    Uncertified paths (``slow`` None) are accepted when two layouts agree.
-    The steps the continuation hands back are halved while they are at most
-    an eighth of the steps, as where the path passes close to the centre;
-    otherwise every step is halved and no earlier layout is compared.  A
-    continued layout is compared at its knots with the one that halves each
-    of its steps: when the two differ by less than pi/2 at every such knot,
-    the finer one's value is returned, else every step is halved again.
-    The first pair is _FIRST_LAYOUT against 2 * _FIRST_LAYOUT knots, sampled
-    and split once.  Aliasing alike on both layouts passes unseen: a
-    parametric circle of 1000 turns steps 8 - 3/16 turns per knot of 128,
-    and reads -24.
-    """
-    def sampled(ts):
-        Z = gamma.sample(ts)
-        if not np.isfinite(Z).all():
-            raise DomainError("the path leaves the range of a double at a knot")
-        return parts(Z)
-
-    cap = min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // gamma.level.basis_dim)
-    t = _layout(_FIRST_LAYOUT if slow else 2 * _FIRST_LAYOUT)
-    P = sampled(t)
-    prev = None
-    if slow is None:
-        prev = continued(*[p[::2] for p in P])
-        prev = (t[::2], prev[0]) if isinstance(prev, tuple) else None
-    while True:
-        out = slow(t, *P) if slow else ()
-        if not len(out):
-            out = continued(*P)
-            if isinstance(out, tuple):
-                if slow or prev is not None and np.all(
-                        norm_arrays(out[0][np.searchsorted(t, prev[0])] - prev[1]) < 0.5 * math.pi):
-                    return out[1]
-                prev, out = (t, out[0]), np.arange(len(t) - 1)
-            elif not slow and len(out) > len(t) // 8:
-                prev, out = None, np.arange(len(t) - 1)
-        mid = 0.5 * (t[out] + t[out + 1])
-        if len(t) + len(out) > cap + 1 or np.any((mid <= t[out]) | (mid >= t[out + 1])):
-            raise StepControlError(f"the path winds faster than {cap} knots resolve")
-        t = np.insert(t, out + 1, mid)
-        P = [np.insert(p, out + 1, q, axis=0) for p, q in zip(P, sampled(mid))]
 
 
 # ---------------------------------------------------------------------------
@@ -912,32 +822,60 @@ def _polyline_log(a: np.ndarray, gamma: Path, continued: bool = True) -> np.ndar
     return out
 
 
-def _sampled_log(c: np.ndarray, gamma: Path, speed: Optional[tuple] = None) -> np.ndarray:
-    """The integral of d Ln(z - c) along a parametric path, over the layouts
-    of ``_doubled``.  On each layout a numerically real knot, whose
-    representations (theta + 2*pi*j) * mu are the same set for mu and -mu,
-    takes the direction of the last non-real knot before it (``_carried``).
-    The argument phi_k * mu_k is continued by ``_branch_step`` from the
-    cosines <mu_(k-1), mu_k>: ``_branch_prefix`` takes the steps at once up
-    to the first it rejects, and the rest run one at a time.  A step whose
-    argument moves by pi/2 or more is handed back to be halved, with the
-    candidate steps after it that also do.
+def _sampled_log(c: np.ndarray, sample: Callable, speed: Optional[tuple] = None) -> np.ndarray:
+    """The integral of d Ln(z - c) along the curve t in [0, 1] -> sample(t),
+    over nested knot layouts whose steps are halved.  ``sample`` maps a knot
+    array to its (K, d) points; ``argument_principle`` hands in each image
+    t -> f(gamma(t)) it indexes.
 
-    ``speed`` = (rate, peak) certifies the layouts of a path W = gamma - c
-    whose speed is at most rate * max|W| (Bernstein's inequality, for the
-    image of a phrase of degree D on a circle of T turns: rate = 2*pi*D*|T|).
-    ``peak`` bounds max|W|, or is None when the knots cover a whole turn:
-    then max|W| <= max_k |W_k| / (1 - rate*h/2) over steps of at most h, as
-    no point of the circle lies more than rate*h/2 / D radians from a knot.
-    Over a step of width h from knot k the path stays within h*B of W_k, B
-    = rate * max|W|, so its angle turns by less than h*B / (|W_k| - h*B);
-    the step is certified when that is below pi/2, and the others are
-    halved (see ``_doubled``)."""
-    def check(rho):
+    On each layout a numerically real knot, whose representations (theta +
+    2*pi*j) * mu are the same set for mu and -mu, takes the direction of the
+    last non-real knot before it (``_carried``).  The argument phi_k * mu_k
+    is continued by ``_branch_step`` from the cosines <mu_(k-1), mu_k>:
+    ``_branch_prefix`` takes the steps at once up to the first it rejects,
+    and the rest run one at a time.  A step whose argument moves by pi/2 or
+    more is handed back to be halved, with the candidate steps after it
+    that also do.  Only the midpoints of halved steps are sampled.  A knot
+    whose point is not finite, as where an image overflows, is a
+    DomainError.  Past _MAX_LAYOUT knots, or _LAYOUT_ELEMENTS elements, or
+    at a step one ulp wide, StepControlError.
+
+    Certified curves.  ``speed`` = (rate, peak) certifies the layouts of a
+    curve W = sample - c whose speed is at most rate * max|W| (Bernstein's
+    inequality, for the image of a phrase of degree D on a circle of T
+    turns: rate = 2*pi*D*|T|).  ``peak`` bounds max|W|, or is None when the
+    knots cover a whole turn: then max|W| <= max_k |W_k| / (1 - rate*h/2)
+    over steps of at most h, as no point of the circle lies more than
+    rate*h/2 / D radians from a knot.  Over a step of width h from knot k
+    the curve stays within h*B of W_k, B = rate * max|W|, so its angle
+    turns by less than h*B / (|W_k| - h*B); the step is certified when that
+    is below pi/2.  From _FIRST_LAYOUT knots the steps that fail, and then
+    any that the continuation hands back, are halved, and the first layout
+    with none left is continued and its value returned.
+
+    Uncertified curves (``speed`` None) are accepted when two layouts agree.
+    The steps the continuation hands back are halved while they are at most
+    an eighth of the steps, as where the curve passes close to c; otherwise
+    every step is halved and no earlier layout is compared.  A continued
+    layout is compared at its knots with the one that halves each of its
+    steps: when the two differ by less than pi/2 at every such knot, the
+    finer one's value is returned, else every step is halved again.  The
+    first pair is _FIRST_LAYOUT against 2 * _FIRST_LAYOUT knots, sampled
+    and split once.  Aliasing alike on both layouts passes unseen: the
+    image of z*(z - 3)^-1 on 1000.5 turns of the unit circle reads -23.5
+    turns about 0.
+    """
+    cap = min(_MAX_LAYOUT, _LAYOUT_ELEMENTS // len(c))
+
+    def split(ts):
+        W = sample(ts)
+        if not np.isfinite(W).all():
+            raise DomainError("the path leaves the range of a double at a knot")
+        return _log_parts(W - c)
+
+    def failing(t, rho):
+        """The steps of the layout t that the speed bound does not certify."""
         _check_log_center(c, float(rho.min()), float(rho.max()))
-
-    def slow(t, rho, *_):
-        check(rho)
         rate, peak = speed
         h = np.diff(t)
         if peak is None:
@@ -948,7 +886,9 @@ def _sampled_log(c: np.ndarray, gamma: Path, speed: Optional[tuple] = None) -> n
         return np.flatnonzero(~(h * (rate * (2.0 + math.pi)) < math.pi * (rho[:-1] / peak)))
 
     def continued(rho, theta, y, mu):
-        check(rho)
+        """(phi, the carried mu, the steps to halve) of one layout, with no
+        step to halve when every one turns by less than pi/2."""
+        _check_log_center(c, float(rho.min()), float(rho.max()))
         mu = _carried(mu, ~numerically_real(y, rho))
         cosines = np.einsum("ij,ij->i", mu[:-1], mu[1:])
         phi, done = _branch_prefix(theta, cosines)
@@ -956,12 +896,35 @@ def _sampled_log(c: np.ndarray, gamma: Path, speed: Optional[tuple] = None) -> n
             phi[k], gap2 = _branch_step(float(phi[k - 1]), float(cosines[k - 1]), float(theta[k]))
             if not gap2 < _MAX_GAP2:  # with the candidate steps past k that fail too
                 gaps = phi[1:] * phi[1:] + phi[:-1] * phi[:-1] - 2.0 * phi[1:] * phi[:-1] * cosines
-                return np.union1d(np.flatnonzero(~(gaps < _MAX_GAP2)), k - 1)
-        out = phi[-1] * mu[-1] - theta[0] * mu[0]
-        out[0] = float(np.log(rho[-1])) - float(np.log(rho[0]))
-        return phi[:, None] * mu, out
+                return phi, mu, np.union1d(np.flatnonzero(~(gaps < _MAX_GAP2)), k - 1)
+        return phi, mu, ()
 
-    return _doubled(gamma, lambda Z: _log_parts(Z - c), continued, slow if speed else None)
+    t = np.linspace(0.0, 1.0, (_FIRST_LAYOUT if speed else 2 * _FIRST_LAYOUT) + 1)
+    P = split(t)
+    prev = None  # (knots, phi * mu) of the last continued layout, uncertified curves only
+    if speed is None:
+        phi, mu, halve = continued(*[p[::2] for p in P])
+        if not len(halve):
+            prev = (t[::2], phi[:, None] * mu)
+    while True:
+        halve = failing(t, P[0]) if speed else ()
+        if not len(halve):
+            phi, mu, halve = continued(*P)
+            if not len(halve):
+                args = phi[:, None] * mu
+                if speed or prev is not None and np.all(
+                        norm_arrays(args[np.searchsorted(t, prev[0])] - prev[1]) < 0.5 * math.pi):
+                    out = phi[-1] * mu[-1] - P[1][0] * mu[0]
+                    out[0] = float(np.log(P[0][-1])) - float(np.log(P[0][0]))
+                    return out
+                prev, halve = (t, args), np.arange(len(t) - 1)
+            elif not speed and len(halve) > len(t) // 8:
+                prev, halve = None, np.arange(len(t) - 1)
+        mid = 0.5 * (t[halve] + t[halve + 1])
+        if len(t) + len(halve) > cap + 1 or np.any((mid <= t[halve]) | (mid >= t[halve + 1])):
+            raise StepControlError(f"the path winds faster than {cap} knots resolve")
+        t = np.insert(t, halve + 1, mid)
+        P = [np.insert(p, halve + 1, q, axis=0) for p, q in zip(P, split(mid))]
 
 
 def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
@@ -977,19 +940,14 @@ def log_integral(center: CDNumber, gamma: Path) -> CDNumber:
     Circles, arcs included, and polylines take closed forms on scalars and
     (d,) arrays (see ``_circle_log`` and ``_polyline_log``), so their cost
     and memory do not grow with the number of turns, and closed ones give
-    exactly 0 about a point they do not wind around.  Only parametric paths
-    are sampled (``_sampled_log``), on the doubling knot layouts of
-    ``_doubled``.  Those layouts are uncertified here: a bare sampler has
-    no speed bound, so a path that aliases alike on two layouts passes
-    unseen (a parametric circle of 1000 turns reads -24 turns).  Only
-    ``argument_principle`` certifies its images of polynomial phrases.
+    exactly 0 about a point they do not wind around.  No knot is sampled;
+    the argument principle's image curves, which are not paths, take
+    ``_sampled_log``.
     """
     if center.level.r != gamma.level.r:
         raise LevelMismatchError("center level does not match path level")
     if gamma.kind == "circle":
         out = _circle_log(center.coeffs, gamma)
-    elif gamma.kind == "polyline":
-        out = _polyline_log(center.coeffs, gamma)
     else:
-        out = _sampled_log(center.coeffs, gamma)
+        out = _polyline_log(center.coeffs, gamma)
     return CDNumber(gamma.level, out)

@@ -315,12 +315,20 @@ def test_wrong_point_width_is_usage_error():
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_reports_are_byte_identical(circle3):
+def test_reports_are_byte_identical(circle3, tmp_path):
+    # the argprinciple jobs take both image routes: z^3 has a certified
+    # speed bound, and the constant 0.05*e5 off the circle's plane leaves
+    # z^2 + 0.05*e5 to the agreement of two layouts
+    two_turns = tmp_path / "two_turns.json"
+    two_turns.write_text(json.dumps(circle_json([0] * 8, 1.0, [0, 1] + [0] * 6, turns=2)))
+    image = ["argprinciple", "--level", "3", "--path-file", str(two_turns), "--zeros"]
     jobs = [
         ["eval", "--level", "2", "--expr", "e1*e2"],
         ["roots", "--level", "2", "--expr", "z^2 + (1.0)", "--seed", "7"],
         ["integrate", "--level", "3", "--expr", "z^-1", "--path-file", circle3],
         ["crcheck", "--level", "2", "--expr", "zc", "--point", "[0.3, 0.1, -0.2, 0.5]"],
+        [*image, json.dumps([[[0] * 8, 3]]), "--expr", "z^3"],
+        [*image, json.dumps([[[0] * 8, 2]]), "--expr", "z^2+0.05*e5"],
     ]
     first = [invoke(argv) for argv in jobs]
     second = [invoke(argv) for argv in jobs]
@@ -1009,7 +1017,7 @@ def test_selftest_sign_error_hook_fails_and_restores():
 
 def _fuzz_spec(rng: np.random.Generator):
     commands = list(cli.COMMANDS) + ["", "selftest", "EVAL", "z", None, 3]
-    keys = sorted(cli._JOB_KEYS) + ["bogus", "PATH", "Command", ""]
+    keys = sorted(set().union(*cli._JOB_FIELDS.values())) + ["bogus", "PATH", "Command", ""]
     scalars = [None, True, False, 0, 3, -1, 9999, 0.5, -1e308, "z", "z^2",
                "e1*e2", "][", "circle", "", "NaN", [1, 2], [0, 0, 0, 0],
                [0] * 8, [], {}, {"kind": "circle"}, {"kind": "sphere"},

@@ -46,7 +46,7 @@ from cdfun.errors import (
     UnsupportedShapeError,
 )
 from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, eval_node_arrays, evaluate, parse
-from cdfun.integrate import Path, _on_arc, _plane_circle, log_integral
+from cdfun.integrate import Path, _on_arc, _plane_circle, _sampled_log
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -84,32 +84,19 @@ def test_winding_refuses_turns_beyond_the_sampling_cap():
     assert winding_index(zero(2), Path.circle(zero(2), 1.0, e1, 1e7)).per_plane == {1: 10**7}
 
 
-@pytest.mark.parametrize("r", [2, 8])
-def test_winding_refuses_parametric_paths(r):
-    # winding_index takes the path kinds of path_from_json; the same circle as
-    # a parametric path is refused before any sampling
-    circle = Path.circle(zero(r), 1.0, basis_element(r, 1))
-    calls = []
-    gamma = Path(level=circle.level, kind="parametric", sampler=lambda ts: calls.append(ts) or circle.sample(ts))
-    with pytest.raises(UnsupportedShapeError):
-        winding_index(zero(r), gamma)
-    assert not calls
-
-
 _CAPPED_AT_LEVEL_8 = """
 import math, resource
 import numpy as np
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from cdfun.algebra import basis_element, zero
 from cdfun.errors import StepControlError
-from cdfun.integrate import Path, _plane_circle, log_integral
+from cdfun.integrate import _plane_circle, _sampled_log
 e1 = basis_element(8, 1)
-chirp = Path(level=e1.level, kind="parametric",
-             sampler=lambda ts: _plane_circle(np.zeros(256), e1.coeffs, 1.0, 2 * math.pi * 1e7 * ts * ts))
+chirp = lambda ts: _plane_circle(np.zeros(256), e1.coeffs, 1.0, 2 * math.pi * 1e7 * ts * ts)
 try:
-    log_integral(zero(8), chirp)
+    _sampled_log(zero(8).coeffs, chirp)
 except StepControlError:
-    print("log_integral capped")
+    print("sampled continuation capped")
 """
 
 
@@ -125,7 +112,7 @@ def test_parametric_path_at_level_8_runs_to_the_cap_in_bounded_memory():
     run = subprocess.run([sys.executable, "-c", _CAPPED_AT_LEVEL_8], env=env, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n") == ["log_integral capped", ""]
+    assert run.stdout.split("\n") == ["sampled continuation capped", ""]
 
 
 def test_winding_non_enclosing_all_zero():
@@ -1119,6 +1106,14 @@ def _off_plane(r, m, size, rng):
     return CDNumber(r, v * (size / np.linalg.norm(v)))
 
 
+def _whole_image_index(f, gamma):
+    """The index about 0 of the whole image t -> f(gamma(t)), its sampler
+    handed to the sampled continuation without a speed bound."""
+    r = f.level.r
+    image = _sampled_log(zero(r).coeffs, lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
+    return CDNumber(r, image) * (1.0 / TWO_PI)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_argument_principle_over_whole_turns_matches_the_whole_image(r):
     # (z - a)*(z - b) with zeros inside and outside the circle, in its plane
@@ -1141,9 +1136,7 @@ def test_argument_principle_over_whole_turns_matches_the_whole_image(r):
         f = Phrase(zero(r).level, Mul(*zeros))
         turns = float(rng.choice([2.0, 3.0, -2.0]))
         gamma = replace(Path.circle(c, rho, m, turns), start=float(rng.uniform(0.0, 1.0)))
-        image = Path(level=gamma.level, kind="parametric",
-                     sampler=lambda ts, g=gamma: eval_node_arrays(f.root, g.sample(ts), r))
-        whole = log_integral(zero(r), image) * (1.0 / TWO_PI)
+        whole = _whole_image_index(f, gamma)
         lhs = argument_principle(f, gamma, []).lhs
         assert (lhs - whole).norm() <= 1e-12 * abs(turns), i
         wound += lhs.norm() > 0.5
@@ -1163,9 +1156,7 @@ def test_argument_principle_over_whole_turns_through_the_real_line(turns, index)
     lhs = argument_principle(f, gamma, []).lhs
     assert (lhs - basis_element(r, 2) * float(index)).norm() <= 1e-12
     if abs(turns) <= 3:
-        image = Path(level=gamma.level, kind="parametric",
-                     sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
-        assert (lhs - log_integral(zero(r), image) * (1.0 / TWO_PI)).norm() <= 1e-12
+        assert (lhs - _whole_image_index(f, gamma)).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("r,gap", [(2, 1e-5), (2, 1e-9), (2, 1e-12), (8, 4e-4), (8, 1e-7)])
@@ -1187,11 +1178,11 @@ def test_argument_principle_with_a_zero_next_to_the_circle(r, gap, side):
 @pytest.mark.parametrize("side", [1.0, -1.0])
 def test_parametric_log_integral_about_a_point_next_to_the_path(r, gap, side):
     # uniform layouts up to the cap leave the point between two knots; the
-    # halved steps of _doubled count it, inside or outside
+    # halved steps of the sampled continuation count it, inside or outside
     e1 = basis_element(r, 1)
     circle = Path.circle(zero(r), 1.0, e1, 1.0)
     a = from_real(r, (1.0 + side * gap) * math.cos(0.7371)) + e1 * ((1.0 + side * gap) * math.sin(0.7371))
-    got = log_integral(a, Path(level=e1.level, kind="parametric", sampler=circle.sample))
+    got = CDNumber(r, _sampled_log(a.coeffs, circle.sample))
     want = e1 * TWO_PI if side < 0.0 else zero(r)
     assert (got - want).norm() <= 1e-9
 
@@ -1223,8 +1214,7 @@ def test_certified_image_of_an_arc_matches_the_sampled_image(r, turns):
     f = parse("(z - 0.2)*(z - 1.9)*(z + 0.1)", r)
     gamma = replace(Path.circle(zero(r), 1.0, m, turns), start=0.137)
     lhs = argument_principle(f, gamma, []).lhs
-    image = Path(level=gamma.level, kind="parametric", sampler=lambda ts: eval_node_arrays(f.root, gamma.sample(ts), r))
-    assert (lhs - log_integral(zero(r), image) * (1.0 / TWO_PI)).norm() <= 1e-12
+    assert (lhs - _whole_image_index(f, gamma)).norm() <= 1e-12
 
 
 def test_certified_image_samples_one_layout(monkeypatch):

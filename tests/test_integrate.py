@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from cdfun.algebra import (
     CDNumber,
-    as_level,
     basis_element,
     from_real,
     mul,
@@ -27,7 +26,7 @@ from cdfun.algebra import (
     zero,
 )
 from cdfun.contour import winding_index
-from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError, UnsupportedShapeError
+from cdfun.errors import DomainError, LevelMismatchError, PoleError, StepControlError
 from cdfun import integrate
 from cdfun.expressions import _fmt_const, parse
 from cdfun.integrate import (
@@ -145,12 +144,6 @@ def test_path_json_round_trip():
 def test_path_json_malformed(bad):
     with pytest.raises((DomainError, LevelMismatchError)):
         path_from_json(bad)
-
-
-def test_parametric_path_has_no_json():
-    p = Path(level=as_level(2), kind="parametric", sampler=lambda ts: np.outer(ts, [1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(DomainError):
-        p.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +647,7 @@ def test_many_turn_parametric_circle_gives_its_turns(turns):
     # turns, until 1024 and 2048 do
     m = basis_element(3, 5)
     circle = Path.circle(zero(3), 1.0, m, turns)
-    got = log_integral(zero(3), Path(level=circle.level, kind="parametric", sampler=circle.sample))
+    got = CDNumber(3, integrate._sampled_log(zero(3).coeffs, circle.sample))
     assert (got - m * (2 * math.pi * turns)).norm() < 1e-9
     assert (got - log_integral(zero(3), circle)).norm() <= _BATCH_TOL * (1 + turns)
 
@@ -677,25 +670,22 @@ def test_vectorised_continuation_matches_sequential_branch_steps(r, monkeypatch)
     def sequential(theta, cosines):
         return theta.copy(), 1
 
-    circle100 = Path.circle(zero(r), 1.0, m, 100)
-    hundred = Path(level=circle100.level, kind="parametric", sampler=circle100.sample)
-    # circles and polylines take closed forms, so the circles go in as
-    # parametric paths
+    # circles take closed forms, so their samplers go straight to the
+    # sampled continuation
     circles = [(p + off, Path.circle(p, 2.0, m, turns)) for off in _offsets(r, m, rng).values() for turns in (-1, 3)]
     circles += [(p, Path.circle(p, 2.0, m, turns)) for turns in (-1, 3)]
-    cases = [(a, Path(level=g.level, kind="parametric", sampler=g.sample)) for a, g in circles]
-    cases.append((zero(r), hundred))
-    for a, gamma in cases:
+    circles.append((zero(r), Path.circle(zero(r), 1.0, m, 100)))
+    for a, gamma in circles:
         firsts.append([])
         monkeypatch.setattr(integrate, "_branch_prefix", spy)
-        got = log_integral(a, gamma)
+        got = integrate._sampled_log(a.coeffs, gamma.sample)
         monkeypatch.setattr(integrate, "_branch_prefix", sequential)
-        want = log_integral(a, gamma)
-        assert np.array_equal(got.coeffs, want.coeffs)
-    assert len(firsts) == len(cases)
+        want = integrate._sampled_log(a.coeffs, gamma.sample)
+        assert np.array_equal(got, want)
+    assert len(firsts) == len(circles)
     # the circles about their own centre run whole on every layout
     assert all(first == n for layouts in firsts[-3:-1] for first, n in layouts)
-    assert (want - m * (200 * math.pi)).norm() < 1e-9
+    assert (CDNumber(r, want) - m * (200 * math.pi)).norm() < 1e-9
 
 
 def _pt(r, re, **imag):
@@ -732,9 +722,10 @@ def test_batched_log_integral_real_knot_rules_match_reference(corners):
 
 
 def _sampled_log_integral(a, gamma):
-    """log_integral on its sampled route: the same points as a parametric
-    path, which for up to 32 turns takes the knots the closed forms replace."""
-    return log_integral(a, Path(level=gamma.level, kind="parametric", sampler=gamma.sample))
+    """The loop integral of d Ln(z - a) on the sampled route: the same points
+    handed to the sampled continuation, which for up to 32 turns takes the
+    knots the closed forms replace."""
+    return CDNumber(gamma.level, integrate._sampled_log(a.coeffs, gamma.sample))
 
 
 def _unit_imaginary_or_axis(r, rng):
@@ -846,7 +837,8 @@ def test_circles_and_polylines_take_the_log_integral_without_sampling(monkeypatc
             cut = square.subpath(t0, t1)
             assert cut.kind == "polyline"
             # the same points on the sampled route, taken before sampling is refused
-            cases += [(a, cut, log_integral(a, square._reparametrized(t0, t1))) for a in points]
+            refs = [integrate._sampled_log(a.coeffs, lambda ts: square.sample(t0 + (t1 - t0) * ts)) for a in points]
+            cases += [(a, cut, CDNumber(r, w)) for a, w in zip(points, refs)]
     monkeypatch.setattr(Path, "sample", no_sampling)
     for a, gamma, want in cases:
         got = log_integral(a, gamma)
@@ -1488,28 +1480,6 @@ def test_polyline_leaving_its_plane_after_a_turn_carries_no_winding():
     assert (res.value - riemann).norm() <= 1e-3
     assert (log_integral(zero(r), gamma) - riemann).norm() > 1.0
     assert abs(res.value.coeffs[1] - 2 * math.pi) < 0.05
-
-
-def test_parametric_ln_leaves_are_refused():
-    # line_integral takes the path kinds of path_from_json for its Ln leaves;
-    # a parametric path is refused before the pole check samples it
-    r = 1
-    circle = Path.circle(zero(r), 1.0, basis_element(r, 1), 1000)
-    calls = []
-    gamma = Path(level=circle.level, kind="parametric", sampler=lambda ts: calls.append(ts) or circle.sample(ts))
-    with pytest.raises(UnsupportedShapeError):
-        line_integral(parse("z^-1 + 3*z^2", r), gamma)
-    assert not calls
-
-
-def test_parametric_power_leaves_take_newton_leibniz():
-    r = 1
-    circle = Path.circle(zero(r), 1.0, basis_element(r, 1), 1000)
-    gamma = Path(level=circle.level, kind="parametric", sampler=circle.sample)
-    res = line_integral(parse("3*z^2", r), gamma)
-    z0, z1 = (CDNumber(r, p) for p in gamma.sample([0.0, 1.0]))
-    assert (res.refinements, res.converged) == (0, True)
-    assert (res.value - (z1 * z1 * z1 - z0 * z0 * z0)).norm() <= 1e-15
 
 
 def test_mixed_phrase_adds_the_closed_form_to_the_ln_quadrature():
