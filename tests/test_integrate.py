@@ -652,6 +652,47 @@ def test_many_turn_parametric_circle_gives_its_turns(turns):
     assert (got - log_integral(zero(3), circle)).norm() <= _BATCH_TOL * (1 + turns)
 
 
+# the certified route of a unit circle's image of one turn, and the
+# agreement route of curves with no speed bound
+_SPEEDS = [(2 * math.pi, None), None]
+
+
+@pytest.mark.parametrize("speed", _SPEEDS, ids=["certified", "uncertified"])
+def test_sampled_log_refuses_a_non_finite_knot(speed):
+    # a knot whose point overflows is refused before it is continued
+    circle = Path.circle(zero(2), 1.0, basis_element(2, 1))
+
+    def sample(ts):
+        W = circle.sample(ts)
+        W[np.asarray(ts) == 0.5] = np.inf
+        return W
+
+    with pytest.raises(DomainError, match="leaves the range of a double"):
+        integrate._sampled_log(zero(2).coeffs, sample, speed)
+
+
+@pytest.mark.parametrize("r", [2, 8])
+@pytest.mark.parametrize("speed", _SPEEDS, ids=["certified", "uncertified"])
+def test_sampled_log_halves_a_jump_down_to_one_ulp(r, speed):
+    # the argument jumps by 2.4 > pi/2 at t = 0.5: the step across it is
+    # halved until it is one ulp wide, and the error names the knot cap
+    e1 = basis_element(r, 1).coeffs
+    calls = []
+
+    def sample(ts):
+        ts = np.asarray(ts, dtype=float)
+        calls.append(len(ts))
+        theta = 0.3 + 2.4 * (ts >= 0.5)
+        return np.cos(theta)[:, None] * from_real(r, 1.0).coeffs + np.sin(theta)[:, None] * e1
+
+    cap = min(integrate._MAX_LAYOUT, integrate._LAYOUT_ELEMENTS >> r)
+    with pytest.raises(StepControlError, match=f"^the path winds faster than {cap} knots resolve$"):
+        integrate._sampled_log(zero(r).coeffs, sample, speed)
+    # after the first layout only the midpoint of the step across the jump is sampled
+    assert calls[0] == (129 if speed else 257)
+    assert 40 < len(calls) < 70 and max(calls[1:]) == 1
+
+
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_vectorised_continuation_matches_sequential_branch_steps(r, monkeypatch):
     # the reference continues every knot with _branch_step, as if the
