@@ -143,20 +143,20 @@ def basis_table(r: int) -> BasisTable:
 #: single gather up to 2**18 elements with a d-step row loop above it.
 #: Measured on a 2-vCPU Xeon with numpy 2.4, as medians of interleaved runs
 #: (BENCH_7.json), old -> new at N = 4096: r = 3 3.1 -> 1.0 ms, r = 4
-#: 7.7 -> 3.6 ms, r = 5 34 -> 11 ms, r = 6 328 -> 45 ms; at N = 1 and 100
-#: below r = 5 both take the single-gather path.  At r = 3..6 a 2**14 budget
-#: ran up to 27 % slower; 2**16 and 2**17 ran up to 10 % faster at r = 5, 6
-#: but up to 3x slower where a batch then fits one unbuffered gather that
-#: outgrows the cache (r = 3, N = 1000: 0.18 ms in two blocks of 2**15,
-#: 0.54 ms as one gather).
+#: 7.7 -> 3.6 ms, r = 5 34 -> 11 ms, r = 6 328 -> 45 ms.  At r = 3..6 a
+#: 2**14 budget ran up to 27 % slower; 2**16 and 2**17 ran up to 10 % faster
+#: at r = 5, 6 but up to 3x slower where a batch then fits one unbuffered
+#: gather that outgrows the cache (r = 3, N = 1000: 0.18 ms in two blocks of
+#: 2**15, 0.54 ms as one gather).  From r = 7 one row's d x d table fills
+#: (r = 7: two rows) or exceeds (r = 8) the budget, so a block is one row:
+#: at r = 8, N = 10 one row per block took 1.7 ms, four rows 2.8 ms and
+#: sixteen 7.5 ms.  A batch that fits one block runs the same loop once,
+#: through buffers of its own size, with the same bits as one gather of the
+#: concatenated [y, -y]; one BLAS thread, best of 5 x 300 calls, one gather
+#: -> loop: one row at r = 8 183 -> 75 us, two rows at r = 7 177 -> 44 us,
+#: five rows at r = 6 66 -> 32 us, but 2-3 us slower at r <= 3 and N <= 64
+#: (r = 1, N = 1: 7.7 -> 10.3 us) and r = 1, N = 4096 108 -> 118 us.
 _BLOCK_ELEMENTS = 1 << 15
-
-#: Fewest rows per block.  From r = 7 one row's d x d table fills (r = 7:
-#: two rows) or exceeds (r = 8) the budget.  One row was the fastest floor
-#: measured: at r = 8, N = 10 one row per block took 1.7 ms, four rows 2.8 ms
-#: and sixteen 7.5 ms (the row loop: 6.7 ms); at r = 7, N = 100 floors of one
-#: to sixteen rows all took 3.7-4.0 ms (the row loop: 10.4 ms).
-_MIN_BLOCK_ROWS = 1
 
 #: Lowest level at which a (d,) operand with one nonzero coefficient, a
 #: scaled basis unit s e_k, multiplies the other operand as a signed
@@ -202,9 +202,9 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
         batch x element     x @ (right table of y)
         element x batch     y @ (x's left table), from the right table of x
         batch x batch       one gathered (rows, d, d) table per row block of at
-                            most _BLOCK_ELEMENTS elements (at least
-                            _MIN_BLOCK_ROWS rows); a batch that fits is one
-                            block.
+                            most _BLOCK_ELEMENTS elements (at least one row),
+                            through buffers of min(rows, N) rows; a batch
+                            that fits is one block.
         unit (d,) operand   from r = _UNIT_LEVEL, in the three forms with a
                             (d,) operand that has one nonzero coefficient,
                             s e_k: s * [v, -v][..., idx] over the other
@@ -241,13 +241,11 @@ def mul_arrays(x, y, r: int) -> np.ndarray:
         x, y = np.broadcast_arrays(x, y)
     except ValueError:
         raise DomainError(f"batch shapes {x.shape[:-1]} and {y.shape[:-1]} do not broadcast") from None
-    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
-    if x.size <= rows * d:
-        return np.einsum("...a,...ac->...c", x, np.concatenate((y, -y), axis=-1)[..., t.right])
+    rows = max(_BLOCK_ELEMENTS // (d * d), 1)
     x2, y2 = x.reshape(-1, d), y.reshape(-1, d)
     out = np.empty(x2.shape)
-    doubled = np.empty((rows, 2 * d))
-    block = np.empty((rows, d, d))
+    doubled = np.empty((min(rows, len(y2)), 2 * d))
+    block = np.empty((len(doubled), d, d))
     for s in range(0, len(x2), rows):
         yb = y2[s : s + rows]
         n = len(yb)

@@ -39,7 +39,6 @@ from .errors import (
     LevelMismatchError,
     NonConvergenceError,
     PoleError,
-    SingularElementError,
     StepControlError,
     UnsupportedShapeError,
 )
@@ -332,13 +331,6 @@ class _Circle:
         return QuadratureResult(CDNumber(level, s), e, self.refinements, e < tol)
 
 
-def _on_contour(f: Phrase, Z: np.ndarray, r: int) -> np.ndarray:
-    try:
-        return eval_node_arrays(f.root, Z, r)
-    except SingularElementError as e:
-        raise PoleError(f"integrand is singular on the contour: {e}") from e
-
-
 def _kernel_loop(
     f: Phrase,
     center: CDNumber,
@@ -429,12 +421,12 @@ def _kernel_loop(
             rows = [i for i, c in enumerate(live) if c.failure is None]
             Z = [_plane_circle(cv, mv, live[i].rho, ang) for i in rows]
             try:
-                F = _on_contour(f, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
+                F = eval_node_arrays(f.root, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
             except PoleError:
                 F = []
                 for i, z in zip(list(rows), Z):
                     try:
-                        F.append(_on_contour(f, z, r))
+                        F.append(eval_node_arrays(f.root, z, r))
                     except PoleError as e:
                         live[i].failure = e
                         rows.remove(i)

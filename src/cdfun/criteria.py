@@ -1,15 +1,20 @@
 """Runnable acceptance checks covering the whole package, at tunable scale.
 
-Each check exercises one advertised contract end to end and returns a
-``CriterionResult`` with a pass/fail verdict and a short numeric summary.
-``run_all`` executes them in order; the CLI selftest runs the same list at
-reduced sample counts (``scale`` < 1) so it stays fast while touching every
-code path.  Checks are deterministic: randomness is drawn from generators
-seeded by (seed, criterion number).
+Each check exercises one advertised contract end to end and returns its
+verdict and a short numeric summary, ``(passed, detail)``.  ``_criterion``
+registers it as the next entry of ``CHECKS``: its number is its place there,
+and the registered callable ``(scale, seed) -> CriterionResult`` times the
+check and adds its number and name.  ``run_all`` executes them in order; the
+CLI selftest runs the same list at reduced sample counts (``scale`` < 1) so
+it stays fast while touching every code path.  Checks are deterministic:
+randomness is drawn from generators seeded by (seed, criterion number).
+Criteria 2 and 5 also time themselves, and at full scale criterion 14 times
+the reduced run it nests, because those times are gates of the verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -18,7 +23,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +88,28 @@ class CriterionResult:
         return f"[{mark}] {self.number:2d} {self.name:28s} {self.detail} ({self.seconds:.2f}s)"
 
 
+#: the criteria in order; criterion n is CHECKS[n - 1]
+CHECKS: List[Callable[[float, int], CriterionResult]] = []
+
+
+def _criterion(name: str):
+    """Register a check returning (passed, detail) as the next criterion."""
+
+    def register(check: Callable[[float, int], Tuple[bool, str]]) -> Callable[[float, int], CriterionResult]:
+        number = len(CHECKS) + 1
+
+        @functools.wraps(check)
+        def run(scale: float = 1.0, seed: int = 42) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check(scale, seed)
+            return CriterionResult(number, name, passed, detail, time.perf_counter() - t0)
+
+        CHECKS.append(run)
+        return run
+
+    return register
+
+
 def _count(base: int, scale: float, floor: int = 2) -> int:
     return max(floor, int(round(base * scale)))
 
@@ -95,8 +122,8 @@ def _rel(diff: CDNumber, ref: float) -> float:
 # 1. algebraic identity suite
 # ---------------------------------------------------------------------------
 
-def check_identities(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("algebraic identities")
+def check_identities(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(1000, scale, floor=25)
     worst = 0.0
     for r in range(1, 7):
@@ -118,18 +145,15 @@ def check_identities(scale: float = 1.0, seed: int = 42) -> CriterionResult:
             rhs = pow_int(z, m + k)
             worst = max(worst, _rel(lhs - rhs, rhs.norm()))
     passed = worst <= 1e-10
-    return CriterionResult(
-        1, "algebraic identities", passed,
-        f"max rel err {worst:.2e} ({n} pairs x levels 1..6)",
-        time.perf_counter() - t0,
-    )
+    return passed, f"max rel err {worst:.2e} ({n} pairs x levels 1..6)"
 
 
 # ---------------------------------------------------------------------------
 # 2. division-structure dichotomy
 # ---------------------------------------------------------------------------
 
-def check_norm_dichotomy(scale: float = 1.0, seed: int = 42) -> CriterionResult:
+@_criterion("norm dichotomy")
+def check_norm_dichotomy(scale: float, seed: int) -> Tuple[bool, str]:
     t0 = time.perf_counter()
     n = _count(1000, scale, floor=25)
     worst = 0.0
@@ -149,19 +173,15 @@ def check_norm_dichotomy(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         and abs(pair_norm - 2.0) <= 1e-12
         and elapsed < 1.0
     )
-    return CriterionResult(
-        2, "norm dichotomy", passed,
-        f"mult err {worst:.2e}; |ab|={prod_norm:.1e}, |a||b|={pair_norm:.3f}",
-        elapsed,
-    )
+    return passed, f"mult err {worst:.2e}; |ab|={prod_norm:.1e}, |a||b|={pair_norm:.3f}"
 
 
 # ---------------------------------------------------------------------------
 # 3. alternativity dichotomy
 # ---------------------------------------------------------------------------
 
-def check_alternativity(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("alternativity dichotomy")
+def check_alternativity(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(1000, scale, floor=25)
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
@@ -180,19 +200,15 @@ def check_alternativity(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         if violation > 0.1:
             break
     passed = worst <= 1e-12 and violation > 0.1
-    return CriterionResult(
-        3, "alternativity dichotomy", passed,
-        f"octonion err {worst:.2e}; sedenion violation {violation:.3f}",
-        time.perf_counter() - t0,
-    )
+    return passed, f"octonion err {worst:.2e}; sedenion violation {violation:.3f}"
 
 
 # ---------------------------------------------------------------------------
 # 4. exponential suite
 # ---------------------------------------------------------------------------
 
-def check_exponential(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("exponential suite")
+def check_exponential(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(200, scale, floor=12)
     worst_series = worst_mod = worst_period = worst_ln = 0.0
     for r in (1, 2, 3, 4):
@@ -215,11 +231,9 @@ def check_exponential(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         worst_series <= 1e-10 and worst_mod <= 1e-12
         and worst_period <= 1e-10 and worst_ln <= 1e-12
     )
-    return CriterionResult(
-        4, "exponential suite", passed,
+    return passed, (
         f"series {worst_series:.1e}, modulus {worst_mod:.1e}, "
-        f"period {worst_period:.1e}, exp(ln) {worst_ln:.1e}",
-        time.perf_counter() - t0,
+        f"period {worst_period:.1e}, exp(ln) {worst_ln:.1e}"
     )
 
 
@@ -227,7 +241,8 @@ def check_exponential(scale: float = 1.0, seed: int = 42) -> CriterionResult:
 # 5. logarithmic loop integral
 # ---------------------------------------------------------------------------
 
-def check_log_loop(scale: float = 1.0, seed: int = 42) -> CriterionResult:
+@_criterion("logarithmic loop integral")
+def check_log_loop(scale: float, seed: int) -> Tuple[bool, str]:
     t0 = time.perf_counter()
     m_count = _count(8, scale, floor=2)
     worst = rho_dep = 0.0
@@ -247,11 +262,7 @@ def check_log_loop(scale: float = 1.0, seed: int = 42) -> CriterionResult:
                 rho_dep = max(rho_dep, (vals[0] - vals[1]).norm())
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-5 and rho_dep <= 2e-5 and elapsed < 30.0
-    return CriterionResult(
-        5, "logarithmic loop integral", passed,
-        f"max err {worst:.2e}, radius dependence {rho_dep:.2e}, {m_count} planes/level",
-        elapsed,
-    )
+    return passed, f"max err {worst:.2e}, radius dependence {rho_dep:.2e}, {m_count} planes/level"
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +294,8 @@ def _square_loop(center: CDNumber, half: float, m: CDNumber) -> Path:
     return Path.polyline(corners + corners[:1])
 
 
-def check_loop_vanishing(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("closed-loop vanishing")
+def check_loop_vanishing(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(20, scale, floor=4)
     rng = np.random.default_rng([seed, 6])
     worst = 0.0
@@ -297,19 +308,15 @@ def check_loop_vanishing(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         for gamma in (circle, square):
             worst = max(worst, line_integral(f, gamma).value.norm())
     passed = worst <= 1e-6
-    return CriterionResult(
-        6, "closed-loop vanishing", passed,
-        f"max |loop integral| {worst:.2e} over {n} polynomials x 2 contours",
-        time.perf_counter() - t0,
-    )
+    return passed, f"max |loop integral| {worst:.2e} over {n} polynomials x 2 contours"
 
 
 # ---------------------------------------------------------------------------
 # 7. Cauchy evaluation + plane recovery
 # ---------------------------------------------------------------------------
 
-def check_cauchy_eval(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("Cauchy evaluation")
+def check_cauchy_eval(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(10, scale, floor=3)
     rng = np.random.default_rng([seed, 7])
     worst = worst_rec = 0.0
@@ -327,19 +334,15 @@ def check_cauchy_eval(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         rec = mul(val, conj(m))
         worst_rec = max(worst_rec, (rec - fz).norm() / tolscale)
     passed = worst <= 1.0 and worst_rec <= 1.0
-    return CriterionResult(
-        7, "Cauchy evaluation", passed,
-        f"worst err/tol {worst:.2e}, plane recovery {worst_rec:.2e} ({n} phrases)",
-        time.perf_counter() - t0,
-    )
+    return passed, f"worst err/tol {worst:.2e}, plane recovery {worst_rec:.2e} ({n} phrases)"
 
 
 # ---------------------------------------------------------------------------
 # 8. Cauchy derivatives
 # ---------------------------------------------------------------------------
 
-def check_cauchy_derivative(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("Cauchy derivatives")
+def check_cauchy_derivative(scale: float, seed: int) -> Tuple[bool, str]:
     rng = np.random.default_rng([seed, 8])
     worst = 0.0
     square = parse("z^2", 3)
@@ -359,11 +362,7 @@ def check_cauchy_derivative(scale: float = 1.0, seed: int = 42) -> CriterionResu
             got = cauchy_derivative(f, z, k, psi)
             worst = max(worst, (got - want).norm() / (1.0 + want.norm()))
     passed = worst <= 1e-4
-    return CriterionResult(
-        8, "Cauchy derivatives", passed,
-        f"max rel err {worst:.2e} (orders 1,2 on squares and cubes)",
-        time.perf_counter() - t0,
-    )
+    return passed, f"max rel err {worst:.2e} (orders 1,2 on squares and cubes)"
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +377,8 @@ def _pole_term(b: CDNumber, p: CDNumber, c: Optional[CDNumber] = None):
     return node
 
 
-def check_residues(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("residue calculus")
+def check_residues(scale: float, seed: int) -> Tuple[bool, str]:
     rng = np.random.default_rng([seed, 9])
     n = _count(10, scale, floor=3)
     level = zero(3).level
@@ -415,19 +414,15 @@ def check_residues(scale: float = 1.0, seed: int = 42) -> CriterionResult:
     ))
     total = sum_residues_check(f, poles, m)
     passed = worst_sandwich <= 1e-5 and worst_theorem <= 1e-4 and total <= 1e-3
-    return CriterionResult(
-        9, "residue calculus", passed,
-        f"sandwich {worst_sandwich:.1e}, theorem {worst_theorem:.1e}, total {total:.1e}",
-        time.perf_counter() - t0,
-    )
+    return passed, f"sandwich {worst_sandwich:.1e}, theorem {worst_theorem:.1e}, total {total:.1e}"
 
 
 # ---------------------------------------------------------------------------
 # 10. argument principle
 # ---------------------------------------------------------------------------
 
-def check_argument_principle(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("argument principle")
+def check_argument_principle(scale: float, seed: int) -> Tuple[bool, str]:
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     origin = zero(3)
@@ -440,19 +435,15 @@ def check_argument_principle(scale: float = 1.0, seed: int = 42) -> CriterionRes
             worst = max(worst, (rep.lhs - m * float(n)).norm())
             worst = max(worst, rep.diff)
     passed = worst <= 1e-4
-    return CriterionResult(
-        10, "argument principle", passed,
-        f"max index err {worst:.2e} for orders 1..3",
-        time.perf_counter() - t0,
-    )
+    return passed, f"max index err {worst:.2e} for orders 1..3"
 
 
 # ---------------------------------------------------------------------------
 # 11. coefficient extraction
 # ---------------------------------------------------------------------------
 
-def check_coefficients(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("coefficient extraction")
+def check_coefficients(scale: float, seed: int) -> Tuple[bool, str]:
     rng = np.random.default_rng([seed, 11])
     worst = 0.0
     level = zero(3).level
@@ -485,19 +476,15 @@ def check_coefficients(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         for i, k in enumerate(range(-3, 6)):
             worst = max(worst, (lgot[i] - from_real(3, lc[k])).norm() / (1.0 + abs(lc[k])))
     passed = worst <= 1e-5
-    return CriterionResult(
-        11, "coefficient extraction", passed,
-        f"max rel err {worst:.2e} (degrees -3..5)",
-        time.perf_counter() - t0,
-    )
+    return passed, f"max rel err {worst:.2e} (degrees -3..5)"
 
 
 # ---------------------------------------------------------------------------
 # 12. cubic root search
 # ---------------------------------------------------------------------------
 
-def check_roots(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("cubic root search")
+def check_roots(scale: float, seed: int) -> Tuple[bool, str]:
     n = _count(20, scale, floor=4)
     worst = 0.0
     failures = 0
@@ -522,19 +509,15 @@ def check_roots(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         except CDError:
             failures += 1
     passed = failures == 0 and worst <= 1e-8
-    return CriterionResult(
-        12, "cubic root search", passed,
-        f"{n - failures}/{n} converged, worst |P(root)| {worst:.1e}",
-        time.perf_counter() - t0,
-    )
+    return passed, f"{n - failures}/{n} converged, worst |P(root)| {worst:.1e}"
 
 
 # ---------------------------------------------------------------------------
 # 13. differentiability checks
 # ---------------------------------------------------------------------------
 
-def check_differentiability(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("differentiability checks")
+def check_differentiability(scale: float, seed: int) -> Tuple[bool, str]:
     per_level = _count(10, scale, floor=2)
     ok = True
     worst_pass = 0.0
@@ -561,11 +544,7 @@ def check_differentiability(scale: float = 1.0, seed: int = 42) -> CriterionResu
     fine = cr_check(RealFieldSample.from_expression("z^3", 3, step=1e-2), a, threshold=1.0).max_residual
     ratio = coarse / fine
     ok = ok and 3.0 <= ratio <= 5.0
-    return CriterionResult(
-        13, "differentiability checks", ok,
-        f"worst passing residual {worst_pass:.1e}, step-halving ratio {ratio:.2f}",
-        time.perf_counter() - t0,
-    )
+    return ok, f"worst passing residual {worst_pass:.1e}, step-halving ratio {ratio:.2f}"
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +560,8 @@ def _cli_capture(argv: Sequence[str]) -> str:
     return f"exit={code}\n{buf.getvalue()}"
 
 
-def check_cli(scale: float = 1.0, seed: int = 42) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("CLI determinism")
+def check_cli(scale: float, seed: int) -> Tuple[bool, str]:
     jobs = [
         ["eval", "--level", "2", "--expr", "e1*e2"],
         ["roots", "--level", "2", "--expr", "z^2 + (1.0)", "--seed", str(seed)],
@@ -604,29 +583,7 @@ def check_cli(scale: float = 1.0, seed: int = 42) -> CriterionResult:
         all_pass = all(res.passed for res in inner)
         passed = passed and all_pass and inner_elapsed < 60.0
         detail += f"; reduced selftest {'all pass' if all_pass else 'FAILED'} in {inner_elapsed:.1f}s"
-    return CriterionResult(14, "CLI determinism", passed, detail, time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-CHECKS: List[Callable[..., CriterionResult]] = [
-    check_identities,
-    check_norm_dichotomy,
-    check_alternativity,
-    check_exponential,
-    check_log_loop,
-    check_loop_vanishing,
-    check_cauchy_eval,
-    check_cauchy_derivative,
-    check_residues,
-    check_argument_principle,
-    check_coefficients,
-    check_roots,
-    check_differentiability,
-    check_cli,
-]
+    return passed, detail
 
 
 def run_all(scale: float = 1.0, seed: int = 42) -> List[CriterionResult]:

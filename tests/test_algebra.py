@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cdfun.algebra import (
     EPS_ZERO,
     _BLOCK_ELEMENTS,
-    _MIN_BLOCK_ROWS,
     basis_element,
     basis_table,
     conj_via_generators,
@@ -373,7 +372,7 @@ def test_large_dimension_row_loop_path():
     # spanning two blocks is checked at every level
     for r in range(1, 9):
         d = 1 << r
-        n_gather = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+        n_gather = max(_BLOCK_ELEMENTS // (d * d), 1)
         rng = _rng(11 + r)
         x = rng.standard_normal(d)
         X = rng.standard_normal((n_gather + 1, d))
@@ -400,7 +399,7 @@ def test_sign_table_reaches_constant_operand_products(r):
     c, e = rng.standard_normal((2, d))
     Y = rng.standard_normal((3, d))
     # a batch pair spanning two row blocks of the batch x batch kernel
-    X2, Y2 = rng.standard_normal((2, max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS) + 1, d))
+    X2, Y2 = rng.standard_normal((2, max(_BLOCK_ELEMENTS // (d * d), 1) + 1, d))
     table = basis_table(r)
 
     def products():
@@ -456,7 +455,7 @@ def _parent_forms(x, y, r):
     if x.ndim == 1 < y.ndim:
         return y @ (x[xor_ac] * sign_ac[xor_ac, np.arange(d)])
     x, y = np.broadcast_arrays(x, y)
-    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+    rows = max(_BLOCK_ELEMENTS // (d * d), 1)
     if x.size <= rows * d:
         return np.einsum("...a,...ac->...c", x, y[..., xor_ac] * sign_ac)
     x2, y2 = x.reshape(-1, d), y.reshape(-1, d)
@@ -471,7 +470,7 @@ def _parent_forms(x, y, r):
 def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
     rng = _rng(40 + r)
     d = 1 << r
-    rows = max(_BLOCK_ELEMENTS // (d * d), _MIN_BLOCK_ROWS)
+    rows = max(_BLOCK_ELEMENTS // (d * d), 1)
 
     def operand(kind, *shape):
         v = rng.standard_normal((*shape, d))
@@ -507,6 +506,28 @@ def test_every_product_form_keeps_the_bits_of_the_sign_table_kernel(r):
                     with np.errstate(invalid="ignore"):  # 0 * inf in the table forms
                         assert not np.all(np.isfinite(mul_arrays(x, y, r))), (sx, sy, kx, ky, bad)
                     other.flat[0] = saved
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_batch_product_rows_have_the_bits_of_element_products(r):
+    # each row of a batch x batch product, in one block, in a full block and
+    # across two blocks, is the element x element product of its two rows
+    d = 1 << r
+    rows = max(_BLOCK_ELEMENTS // (d * d), 1)
+    rng = _rng(60 + r)
+    for n in (1, rows, rows + 1):
+        X, Y = rng.standard_normal((2, n, d))
+        got = mul_arrays(X, Y, r)
+        for i in range(n):
+            assert got[i].tobytes() == mul_arrays(X[i], Y[i], r).tobytes(), (n, i)
+
+
+def test_empty_batches_give_empty_products():
+    d = 8
+    e, empty = np.ones(d), np.ones((0, d))
+    for x, y, shape in [(empty, empty, (0, d)), (empty, e, (0, d)), (e, empty, (0, d)),
+                        (np.ones((2, 0, d)), np.ones((1, 0, d)), (2, 0, d))]:
+        assert mul_arrays(x, y, 3).shape == shape
 
 
 def test_batch_shapes_that_do_not_broadcast_raise_domain_error():
