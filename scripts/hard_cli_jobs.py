@@ -9,11 +9,12 @@ whose square overflows, the exponent cap, out-of-range flag values, a step
 lost to rounding, an image or an index past the range of a double, a false
 pole at radius 1e100, an error estimate printed as Infinity, the inverse of
 a point whose squared norm leaves the range of a double, a kernel power
-that overflows on every circle.  A row names its argv, the path object written
-to the ``--path-file`` it gets (or None), the exit code it must end with,
-and either the error kind its report must name or a predicate on its
-report.  The whole of stdout must be one strict JSON
-report, without Infinity or NaN.
+that overflows on every circle, an annulus whose radii multiply below the
+least double.  A row names its argv, the path object written to the
+``--path-file`` it gets (or None), the exit code it must end with, and
+either the error kind its report must name or a predicate on its report.
+The whole of stdout must be one strict JSON report, without Infinity or
+NaN.
 
 Each row runs as a child process with ``RLIMIT_AS`` set to 1 GiB on the
 child alone, and with its own timeout.  The script prints one line per row
@@ -139,6 +140,11 @@ ROWS = (
     Row("laurent power overflow on all circles",
         ["laurent", "--level", "8", "--expr", "z", "--center", _vector(), "--kmin", "-61", "--kmax", "-61",
          "--rho-inner", "1e6", "--rho-outer", "2e6"], None, 2, "domain"),
+    # 1e-300 * 4e-300 underflows to 0, and a middle radius taken from that
+    # product made 0.0 ** -k an internal error; rho^-k overflows on these radii
+    Row("laurent on an annulus of radius 1e-300",
+        ["laurent", "--level", "8", "--expr", "z^2+z^-2", "--center", _vector(), "--kmin", "-3", "--kmax", "3",
+         "--rho-inner", "1e-300", "--rho-outer", "4e-300"], None, 2, "domain"),
     # numpy's generator refuses a negative seed, which ended as an internal error
     Row("negative roots seed", ["roots", "--level", "8", "--expr", "z^2+1", "--seed", "-1"], None, 1, "usage"),
     # 0.3 + 1e-320 rounds to 0.3, and crcheck of zc, which is not

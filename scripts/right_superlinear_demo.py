@@ -25,11 +25,11 @@ from typing import Tuple
 import numpy as np
 
 from cdfun import (
-    RealFieldSample,
     as_level,
     basis_element,
     cr_check,
     from_real,
+    parse,
     random_element,
 )
 from cdfun.algebra import conj_arrays, mul_arrays
@@ -146,9 +146,8 @@ def main() -> int:
     print(f"\nfinite-difference residuals at level {level}:")
     print(f"{'step':>8} {'degree-1 map':>14} {'z^3 at 0.6':>14}")
     for step in (1e-2, 5e-3, 2.5e-3):
-        flat = cr_check(RealFieldSample(flat_map, step), z, threshold=1.0).max_residual
-        curved = cr_check(RealFieldSample.from_expression("z^3", level, step=step), a,
-                          threshold=1.0).max_residual
+        flat = cr_check(flat_map, z, threshold=1.0, step=step).max_residual
+        curved = cr_check(parse("z^3", level), a, threshold=1.0, step=step).max_residual
         print(f"{step:>8.1e} {flat:>14.2e} {curved:>14.2e}")
 
     if wrong:

@@ -47,7 +47,6 @@ from .contour import (
 )
 from .diffcheck import (
     CRReport,
-    RealFieldSample,
     cr_check,
     harmonic_check,
     zbar_check,

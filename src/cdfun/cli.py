@@ -49,7 +49,7 @@ from .contour import (
     taylor_coeffs,
     winding_index,
 )
-from .diffcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, RealFieldSample, cr_check, harmonic_check, zbar_check
+from .diffcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, cr_check, harmonic_check, zbar_check
 from .errors import CDError
 from .expressions import MAX_EXPONENT, Phrase, _is_number, derivative_apply, evaluate, parse, phrase_from_json
 from .integrate import DEFAULT_TOL, MAX_KNOTS, START_KNOTS, Path, line_integral, log_integral, path_from_json
@@ -290,17 +290,17 @@ def _roots(r, expr, tol=DEFAULT_TOL, seed=42):
 
 def _crcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference Cauchy-Riemann check at --point."""
-    return cr_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
+    return cr_check(expr, point, threshold=threshold, step=step).to_json()
 
 
 def _harmonic(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Finite-difference pair-harmonicity check at --point."""
-    return harmonic_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
+    return harmonic_check(expr, point, threshold=threshold, step=step).to_json()
 
 
 def _zbarcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     """Conjugate-slot derivative check at --point."""
-    return zbar_check(RealFieldSample(expr, step), point, threshold=threshold).to_json()
+    return zbar_check(expr, point, threshold=threshold, step=step).to_json()
 
 
 def _zerodiv(r):

@@ -313,7 +313,7 @@ class _Circle:
                 self.scales.append(rho ** (power + 1))
             except OverflowError:
                 break
-        self.sums, self.peak, self.refinements, self.failure = None, 0.0, 0, None
+        self.sums, self.peak, self.refinements = None, 0.0, 0
         self.est, self.floors = [math.inf] * len(self.scales), [0.0] * len(self.scales)
 
     def rounding(self, n: int) -> list:
@@ -322,7 +322,7 @@ class _Circle:
         return [n * _EPS * TWO_PI * s * self.peak for s in self.scales]
 
     def running(self, tol: float) -> bool:
-        return self.failure is None and not all(e < tol or e < b for e, b in zip(self.est, self.floors))
+        return not all(e < tol or e < b for e, b in zip(self.est, self.floors))
 
     def result(self, i: int, tol: float, level) -> QuadratureResult:
         s, e, b = self.sums[i], self.est[i], self.floors[i]
@@ -361,9 +361,7 @@ def _kernel_loop(
     blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array
     and circle, whose sums add up in knot order: memory stays O(block * d)
     per running circle, so a layout over c circles holds c blocks at once,
-    and every circle's results are bit for bit those of a loop of its own.  Where the stacked knots meet a singularity, the block is
-    evaluated circle by circle, and only the circles whose own knots meet it
-    fail, with PoleError; a failed circle keeps no sums and stops doubling.
+    and every circle's results are bit for bit those of a loop of its own.
 
     Certified layouts.  When ``_circle_degree`` gives f a degree D about the
     centre, each integrand is a trigonometric polynomial of degree at most
@@ -393,11 +391,12 @@ def _kernel_loop(
     ``at_floor``; its ``converged`` stays false.
 
     Results are yielded power-major and circle-minor, and the loop runs at
-    the first request.  A circle fails in its own place: with the PoleError
-    of its knots at its first power, or with a DomainError at the first
-    power whose scale rho^q overflows on it.  So a caller that reads the
+    the first request, so a knot of any circle on a pole raises its
+    PoleError there, ahead of every result.  A scale that overflows still
+    fails in its own place: with a DomainError at the first power whose
+    scale rho^q overflows on that circle.  So a caller that reads the
     results in order and stops at the first failure reports the same
-    failure as one loop per circle, read in that order, would.
+    overflow as one loop per circle, read in that order, would.
     """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
@@ -418,30 +417,17 @@ def _kernel_loop(
         totals = [np.empty((len(c.scales), len(cv))) for c in live]
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
-            rows = [i for i, c in enumerate(live) if c.failure is None]
-            Z = [_plane_circle(cv, mv, live[i].rho, ang) for i in rows]
-            try:
-                F = eval_node_arrays(f.root, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
-            except PoleError:
-                F = []
-                for i, z in zip(list(rows), Z):
-                    try:
-                        F.append(eval_node_arrays(f.root, z, r))
-                    except PoleError as e:
-                        live[i].failure = e
-                        rows.remove(i)
-                if not F:
-                    break
-                F = np.concatenate(F)
+            Z = [_plane_circle(cv, mv, c.rho, ang) for c in live]
+            F = eval_node_arrays(f.root, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
             FM = mul_arrays(F, mv, r)
             size = len(ang)
-            blocks = [(live[i], totals[i], F[j * size:(j + 1) * size], FM[j * size:(j + 1) * size])
-                      for j, i in enumerate(rows)]
+            blocks = [(c, total, F[j * size:(j + 1) * size], FM[j * size:(j + 1) * size])
+                      for j, (c, total) in enumerate(zip(live, totals))]
             if first:
                 for c, _, Fc, _ in blocks:
                     if c.floor or exact:
                         c.peak = max(c.peak, float(norm_arrays(Fc).max()))
-            for k, power in enumerate(powers[:max(len(c.scales) for c, *_ in blocks)]):
+            for k, power in enumerate(powers[:max(len(c.scales) for c in live)]):
                 qa = (power + 1) * ang
                 cos, sin = np.cos(qa), np.sin(qa)
                 for c, total, Fc, FMc in blocks:
@@ -451,14 +437,13 @@ def _kernel_loop(
                         total[k] = part if lo == 0 else total[k] + part
         return totals
 
-    # a circle whose first scale overflows runs no layout, and one that
-    # meets a pole keeps no sums: its row of raw is not filled
+    # a circle whose first scale overflows runs no layout
     n = 1 << width.bit_length() if exact else START_KNOTS
     live = [c for c in loops if c.scales]
     if live:
         for c, sums in zip(live, raw(live, n, True)):
             c.sums = sums
-            if exact and c.failure is None:
+            if exact:
                 floors = c.rounding(n)
                 if all(b < tol for b in floors):  # certified: no other error than rounding
                     c.est = floors
@@ -466,16 +451,13 @@ def _kernel_loop(
     while live and 2 * n <= _KERNEL_MAX_KNOTS:
         n *= 2
         for c, sums in zip(live, raw(live, n, False)):
-            if c.failure is None:
-                c.est = scaled_norm_arrays(sums - c.sums).tolist()
-                c.sums, c.refinements = sums, c.refinements + 1
-                if c.floor:
-                    c.floors = c.rounding(n)
+            c.est = scaled_norm_arrays(sums - c.sums).tolist()
+            c.sums, c.refinements = sums, c.refinements + 1
+            if c.floor:
+                c.floors = c.rounding(n)
         live = [c for c in live if c.running(tol)]
     for k, power in enumerate(powers):
         for c in loops:
-            if c.failure is not None:
-                raise c.failure
             if k == len(c.scales):
                 raise DomainError(f"kernel power {power} overflows on a circle of radius {c.rho:g}")
             yield c.result(k, tol, f.level)
@@ -494,8 +476,11 @@ def _circle_contour(psi: Path, what: str) -> Tuple[CDNumber, float, CDNumber]:
 
 
 def _deformed_kernel_value(
-    f: Phrase, z: CDNumber, psi: Path, power: int, tol: float, what: str
+    f: Phrase, z: CDNumber, psi: Path, power: int, tol: float, what: str, scale: float
 ) -> CDNumber:
+    """scale times the small-circle limit at z of the loop integral of
+    f(zeta)*(zeta - z)^power; a NonConvergenceError's ``best`` carries the
+    same scale."""
     center, radius, m = _circle_contour(psi, what)
     if f.level.r != z.level.r or z.level.r != psi.level.r:
         raise LevelMismatchError("phrase, point, and contour must share a level")
@@ -508,11 +493,11 @@ def _deformed_kernel_value(
     full, half = _kernel_loop(f, z, m, [(rho, False), (rho / 2.0, False)], [power], tol)
     if not (full.converged and half.converged):
         raise NonConvergenceError(
-            f"{what} quadrature did not converge", best=half.value * (1.0 / TWO_PI)
+            f"{what} quadrature did not converge", best=half.value * scale
         )
     # the small-circle bias is even in rho; one extrapolation step removes
     # the rho^2 term
-    return (half.value * 4.0 - full.value) * (1.0 / 3.0)
+    return (half.value * 4.0 - full.value) * (1.0 / 3.0) * scale
 
 
 def cauchy_eval(f: Phrase, z: CDNumber, psi: Path, tol: float = 1e-6) -> CDNumber:
@@ -521,7 +506,7 @@ def cauchy_eval(f: Phrase, z: CDNumber, psi: Path, tol: float = 1e-6) -> CDNumbe
     Equals f(z)*M (M the contour direction) for f holomorphic inside psi;
     at levels <= 3 right-multiplying the result by conj(M) recovers f(z).
     """
-    return _deformed_kernel_value(f, z, psi, -1, tol, "cauchy_eval") * (1.0 / TWO_PI)
+    return _deformed_kernel_value(f, z, psi, -1, tol, "cauchy_eval", 1.0 / TWO_PI)
 
 
 def cauchy_derivative(f: Phrase, z: CDNumber, k: int, psi: Path, tol: float = 1e-6) -> CDNumber:
@@ -539,8 +524,7 @@ def cauchy_derivative(f: Phrase, z: CDNumber, k: int, psi: Path, tol: float = 1e
         raise DomainError("derivative order must be a positive integer")
     if k > _MAX_FACTORIAL:
         raise DomainError(f"derivative order {k} exceeds {_MAX_FACTORIAL}: k! overflows a double")
-    val = _deformed_kernel_value(f, z, psi, -k - 1, tol, "cauchy_derivative")
-    return val * (math.factorial(k) / TWO_PI)
+    return _deformed_kernel_value(f, z, psi, -k - 1, tol, "cauchy_derivative", math.factorial(k) / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +619,10 @@ def laurent_coeffs(
     if f.level.r != a.level.r:
         raise LevelMismatchError("phrase and center must share a level")
     m = basis_element(f.level, 1)
-    mid = math.sqrt(rho_inner * rho_outer)
+    # sqrt(rho_inner * rho_outer) by the ratio, whose product would underflow
+    # for radii below about 1e-162
     ratio = rho_outer / rho_inner
+    mid = rho_inner * math.sqrt(ratio)
     # consistency circles near the annulus edges (1/8 and 7/8 up the log
     # scale) keep the undetectable zones thin
     radii = (rho_inner * ratio**0.125, mid, rho_inner * ratio**0.875)

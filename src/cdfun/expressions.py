@@ -784,11 +784,8 @@ def _linear(words, r: int):
     ((s, word, (slot, center, m)),) = var
     if slot is not word or (consts and m != 1):
         return None
-    try:
-        for t, const in consts:
-            center = center - s * t * _eval_slots(const, None, None, r)
-    except DomainError:  # a vanishing base under a negative power
-        return None
+    for t, const in consts:
+        center = center - s * t * _eval_slots(const, None, None, r)
     return s, center, m
 
 

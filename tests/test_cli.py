@@ -1109,6 +1109,13 @@ def test_pole_on_the_contour_is_a_pole_error(circle3):
     assert "1.0" in rep["error"]["detail"]
 
 
+def test_a_vanishing_base_in_the_shift_of_a_power_is_a_pole(circle3):
+    # the constant shift of (z - c)^2 is evaluated when the primitive takes
+    # the power apart, and c holds (e1-e1)^-1
+    code, rep = invoke_json(["integrate", "--level", "3", "--expr", "(z + (e1-e1)^-1)^2", "--path-file", circle3])
+    assert (code, rep["error"]) == (2, {"kind": "pole", "detail": "negative power of a vanishing base"})
+
+
 def test_overflow_is_a_typed_error_with_nothing_on_stderr(circle3, capfd):
     # a power or a product that overflows reports kind domain and leaves no
     # numpy warning on stderr; each job runs as its own process, since pytest

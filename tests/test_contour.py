@@ -526,6 +526,19 @@ def test_derivative_order_exceeding_degree_vanishes():
     assert got.norm() <= 1e-6
 
 
+def test_derivative_nonconvergence_best_carries_the_factorial():
+    # a pole just outside the larger of the two small circles about z keeps
+    # them from converging; best is the smaller one's value, scaled as the
+    # derivative is: k!/(2*pi), not 1/(2*pi)
+    r = 2
+    p = 0.2 + 0.06 * (1 + 1e-9)
+    psi = Path.circle(zero(r), 1.0, basis_element(r, 1), 1.0)
+    with pytest.raises(NonConvergenceError) as info:
+        cauchy_derivative(parse(f"(z-{p!r})^-1", r), from_real(r, 0.2), 3, psi)
+    want = basis_element(r, 1) * (-6.0 * (0.2 - p) ** -4)
+    assert (info.value.best - want).norm() <= 1e-6 * want.norm()
+
+
 def test_derivative_radius_independent():
     z0 = _vec(2, e0=0.1, e1=0.2)
     f = parse("z^3 + z", 2)
@@ -692,6 +705,17 @@ def test_small_circle_coefficients_need_no_rounding_floor():
     # the fifth derivative takes rho^-5 = 3.2e6 on its rho = 0.05 circle
     d5 = cauchy_derivative(parse("z^2+10", 2), zero(2), 5, Path.circle(zero(2), 1.0, e1, 1.0))
     assert d5.norm() <= 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("r", [1, 8])
+def test_laurent_on_an_annulus_whose_radii_multiply_below_the_doubles(r):
+    # 1e-300 * 4e-300 underflows to 0, so a middle radius taken from the
+    # product was 0 and its scales 0.0 ** -k a ZeroDivisionError; rho^-k
+    # overflows on these radii, and the failure must be a CDError
+    with pytest.raises(CDError):
+        laurent_coeffs(parse("z^2+z^-2", r), zero(r), -3, 3, 1e-300, 4e-300)
 
 
 def test_laurent_validates_inputs():
@@ -897,6 +921,13 @@ def _read_in_order(loops, count):
     return out
 
 
+def _pole_on_knot(center, m, rho, layout):
+    """(z - p)^-1 + z with p the first knot of the layout's midpoints on the
+    circle center + rho*exp(theta*M)."""
+    knot = _plane_circle(center.coeffs, m.coeffs, rho, np.array([TWO_PI * 0.5 / layout]))[0]
+    return parse(f"(z-{expressions._fmt_const(knot)})^-1 + z", center.level.r)
+
+
 def _merged_and_separate(f, center, m, circles, powers, tol):
     # the merged loop is one iterator, read once per circle in each round
     merged = _read_in_order([iter(_kernel_loop(f, center, m, circles, powers, tol))] * len(circles), len(powers))
@@ -936,19 +967,37 @@ def test_merged_kernel_loop_fails_where_the_loops_per_circle_fail():
     assert merged[-1] == (DomainError, "kernel power -104 overflows on a circle of radius 0.001")
     assert len(merged) == 3 * 8 + 2
     # a pole on the first knot of the 64-knot layout, or of the 128-knot one
-    # only (midpoint layouts share no knot), of the second circle fails that
-    # circle alone, at its first power, after the first circle's result
+    # only (midpoint layouts share no knot), of either circle ends the merged
+    # loop at its first result, ahead of the other circle's
     for layout in (64, 128):
-        knot = _plane_circle(np.zeros(1 << r), m.coeffs, 0.5, np.array([TWO_PI * 0.5 / layout]))[0]
-        g = parse(f"(z-{expressions._fmt_const(knot)})^-1 + z", r)
+        g = _pole_on_knot(zero(r), m, 0.5, layout)
         for circles in ([(1.0, False), (0.5, False)], [(0.5, False), (1.0, False)]):
-            merged, separate = _merged_and_separate(g, zero(r), m, circles, [-1, -2], 1e-6)
-            assert merged == separate
-            assert merged[-1][0] is PoleError and len(merged) == (2 if circles[0][0] == 1.0 else 1)
+            with pytest.raises(PoleError, match="^negative power of a vanishing base$"):
+                next(_kernel_loop(g, zero(r), m, circles, [-1, -2], 1e-6))
     # rho^61 overflows on every circle at the first power, so no layout runs
     circles = [(1e6, True), (1.5e6, False), (2e6, True)]
     merged, separate = _merged_and_separate(parse("z", r), zero(r), m, circles, [60, 59], 1e-6)
     assert merged == separate == [(DomainError, "kernel power 60 overflows on a circle of radius 1e+06")]
+
+
+@pytest.mark.parametrize("r", [2, 8])
+def test_a_pole_on_a_knot_of_any_circle_is_a_pole_error(r):
+    # a pole exactly on the first knot of the 64-knot layout, or of the
+    # 128-knot one only, of each circle that Cauchy, Laurent and Taylor
+    # integrate over
+    m = basis_element(r, 1)
+    psi = Path.circle(zero(r), 1.0, m, 1.0)
+    z = from_real(r, 0.2)
+    rho = 0.05 * (1.0 + z.norm())  # Cauchy's radius: half the distance to psi is larger
+    radii = (0.5 * 4.0**0.125, 1.0, 0.5 * 4.0**0.875)  # Laurent's, for the annulus 0.5..2
+    cauchy = (lambda g: cauchy_eval(g, z, psi), lambda g: cauchy_derivative(g, z, 2, psi))
+    calls = [(call, z, s) for call in cauchy for s in (rho, rho / 2.0)]
+    calls += [(lambda g: laurent_coeffs(g, zero(r), -2, 2, 0.5, 2.0), zero(r), s) for s in radii]
+    calls.append((lambda g: taylor_coeffs(g, zero(r), 4, psi), zero(r), 1.0))
+    for layout in (64, 128):
+        for call, center, s in calls:
+            with pytest.raises(PoleError, match="^negative power of a vanishing base$"):
+                call(_pole_on_knot(center, m, s, layout))
 
 
 def test_cauchy_and_laurent_evaluate_the_integrand_once_per_knot_layout(monkeypatch):

@@ -20,7 +20,7 @@ from cdfun.algebra import (
     random_element,
 )
 from cdfun.diffcheck import (
-    RealFieldSample,
+    DEFAULT_STEP,
     cr_check,
     harmonic_check,
     zbar_check,
@@ -34,6 +34,7 @@ from cdfun.expressions import (
     VarPow,
     derivative_apply,
     evaluate_two_slot,
+    parse,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -48,14 +49,10 @@ def _load_demo():
     return module
 
 
-def _sample(text, r, step=1e-5):
-    return RealFieldSample.from_expression(text, r, step=step)
-
-
 def _left_multiplication(r, rng):
-    """The sample of z -> c*z for a random c: right linear differential everywhere."""
+    """The phrase z -> c*z for a random c: right linear differential everywhere."""
     c = random_element(r, rng)
-    return RealFieldSample(Phrase(c.level, Mul(Const(np.array(c.coeffs)), VarPow(False, 1))))
+    return Phrase(c.level, Mul(Const(np.array(c.coeffs)), VarPow(False, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +61,7 @@ def _left_multiplication(r, rng):
 
 def test_cr_conjugation_fails_at_two():
     rng = np.random.default_rng(11)
-    rep = cr_check(_sample("zc", 3), random_element(3, rng))
+    rep = cr_check(parse("zc", 3), random_element(3, rng))
     assert not rep.verdict
     # d(conj z)/dw_1 = 1 while (d(conj z)/dw_q) e_q^* = -1: residual exactly 2
     for q in range(1, 8):
@@ -72,13 +69,13 @@ def test_cr_conjugation_fails_at_two():
 
 
 def test_cr_constant_passes():
-    rep = cr_check(_sample("(1.5)+(0.25)*e3", 3), from_real(3, 0.3))
+    rep = cr_check(parse("(1.5)+(0.25)*e3", 3), from_real(3, 0.3))
     assert rep.verdict
     assert rep.max_residual <= 1e-12
 
 
 def test_cr_square_passes_on_real_axis():
-    rep = cr_check(_sample("z^2", 3), from_real(3, 0.7), threshold=1e-5)
+    rep = cr_check(parse("z^2", 3), from_real(3, 0.7), threshold=1e-5)
     assert rep.verdict
     assert rep.max_residual <= 1e-5
 
@@ -89,7 +86,7 @@ def test_cr_square_fails_off_axis_with_predicted_residual():
     # right-linear along the plane spanned by 1 and e_q.
     rng = np.random.default_rng(23)
     z = random_element(3, rng)
-    rep = cr_check(_sample("z^2", 3), z)
+    rep = cr_check(parse("z^2", 3), z)
     assert not rep.verdict
     w = z.coeffs
     for q in range(1, 8):
@@ -108,7 +105,7 @@ def test_cr_left_multiplication_passes_everywhere():
 
 def test_cr_right_multiplication_fails():
     rng = np.random.default_rng(6)
-    rep = cr_check(_sample("z*e3", 2), random_element(2, rng))
+    rep = cr_check(parse("z*e3", 2), random_element(2, rng))
     assert not rep.verdict
     assert rep.max_residual == pytest.approx(2.0, abs=1e-8)
 
@@ -120,7 +117,7 @@ def test_cr_right_multiplication_fails():
 def test_harmonic_norm_square_fails_at_four():
     # z*zc has real component sum w_s^2: every pair-Laplacian is 2 + 2.
     rng = np.random.default_rng(31)
-    rep = harmonic_check(_sample("z*zc", 3), random_element(3, rng))
+    rep = harmonic_check(parse("z*zc", 3), random_element(3, rng))
     assert not rep.verdict
     for key, value in rep.per_pair.items():
         assert value == pytest.approx(4.0, abs=1e-4), key
@@ -131,7 +128,7 @@ def test_harmonic_square_split_by_pair_kind():
     # F_1 = w_1^2 - sum w_q^2 gives 2 - 2 = 0 there and -2 - 2 = -4 on
     # imaginary-imaginary pairs.
     rng = np.random.default_rng(37)
-    rep = harmonic_check(_sample("z^2", 3), random_element(3, rng))
+    rep = harmonic_check(parse("z^2", 3), random_element(3, rng))
     assert not rep.verdict
     for p, q in itertools.combinations(range(8), 2):
         expected = 0.0 if p == 0 else 4.0
@@ -139,7 +136,7 @@ def test_harmonic_square_split_by_pair_kind():
 
 
 def test_harmonic_linear_passes():
-    rep = harmonic_check(_sample("e2*z + (0.5)", 2), random_element(2, np.random.default_rng(41)))
+    rep = harmonic_check(parse("e2*z + (0.5)", 2), random_element(2, np.random.default_rng(41)))
     assert rep.verdict
     assert rep.max_residual <= 1e-6
 
@@ -159,7 +156,7 @@ def test_harmonic_passes_generated_family_at_ten_x():
 
 def test_zbar_pure_phrase_passes_exactly():
     rng = np.random.default_rng(47)
-    rep = zbar_check(_sample("e2*z^3", 3), random_element(3, rng))
+    rep = zbar_check(parse("e2*z^3", 3), random_element(3, rng))
     assert rep.verdict
     assert rep.max_residual == 0.0
     assert set(rep.per_pair) == {"e0|e1", "e2|e3", "e4|e5", "e6|e7"}
@@ -167,7 +164,7 @@ def test_zbar_pure_phrase_passes_exactly():
 
 def test_zbar_conjugation_fails_every_pair():
     rng = np.random.default_rng(53)
-    rep = zbar_check(_sample("zc", 3), random_element(3, rng))
+    rep = zbar_check(parse("zc", 3), random_element(3, rng))
     assert not rep.verdict
     for value in rep.per_pair.values():
         assert value == pytest.approx(1.0, abs=1e-9)
@@ -175,7 +172,7 @@ def test_zbar_conjugation_fails_every_pair():
 
 def test_zbar_mixture_scales_with_conjugate_weight():
     rng = np.random.default_rng(59)
-    rep = zbar_check(_sample("z + (0.5)*zc", 3), random_element(3, rng))
+    rep = zbar_check(parse("z + (0.5)*zc", 3), random_element(3, rng))
     assert not rep.verdict
     for value in rep.per_pair.values():
         assert value == pytest.approx(0.5, abs=1e-9)
@@ -183,7 +180,7 @@ def test_zbar_mixture_scales_with_conjugate_weight():
 
 def test_zbar_sees_conjugate_inside_products():
     rng = np.random.default_rng(61)
-    rep = zbar_check(_sample("z^2 + (0.3)*zc^2", 2), random_element(2, rng))
+    rep = zbar_check(parse("z^2 + (0.3)*zc^2", 2), random_element(2, rng))
     assert not rep.verdict
 
 
@@ -288,8 +285,7 @@ def test_cr_separates_from_holomorphy_on_pure_phrases(seed, r):
     rng = np.random.default_rng(seed)
     f = _random_phrase(r, rng)
     z = random_element(f.level, rng)
-    F = RealFieldSample(f)
-    rep = cr_check(F, z)
+    rep = cr_check(f, z)
     superlinear, sl_witness = _is_right_superlinear_at(f, z, rng)
     leftmul, lm_witness = _differential_is_left_multiplication(f, z, rng)
     assert rep.verdict == leftmul, (str(f), rep.max_residual, lm_witness)
@@ -297,7 +293,7 @@ def test_cr_separates_from_holomorphy_on_pure_phrases(seed, r):
         assert rep.verdict, (str(f), rep.max_residual, sl_witness)
     if r == 2:
         assert superlinear == leftmul
-    zrep = zbar_check(F, z)
+    zrep = zbar_check(f, z)
     assert zrep.verdict
     assert zrep.max_residual <= 1e-12
 
@@ -309,8 +305,8 @@ def test_cr_separates_from_holomorphy_on_pure_phrases(seed, r):
 def test_cr_residual_scales_as_step_squared():
     # z^3 passes at a real point; the surviving residual is pure truncation.
     a = from_real(3, 0.6)
-    coarse = cr_check(_sample("z^3", 3, step=2e-2), a, threshold=1.0).max_residual
-    fine = cr_check(_sample("z^3", 3, step=1e-2), a, threshold=1.0).max_residual
+    coarse = cr_check(parse("z^3", 3), a, threshold=1.0, step=2e-2).max_residual
+    fine = cr_check(parse("z^3", 3), a, threshold=1.0, step=1e-2).max_residual
     assert coarse / fine == pytest.approx(4.0, rel=0.15)
 
 
@@ -318,13 +314,13 @@ def test_harmonic_deviation_scales_as_step_squared():
     # The z^4 residual at a real point converges to 24 a^2 at second order.
     a = from_real(2, 0.8)
     limit = 24 * 0.8**2
-    coarse = harmonic_check(_sample("z^4", 2, step=2e-2), a, threshold=1.0).max_residual
-    fine = harmonic_check(_sample("z^4", 2, step=1e-2), a, threshold=1.0).max_residual
+    coarse = harmonic_check(parse("z^4", 2), a, threshold=1.0, step=2e-2).max_residual
+    fine = harmonic_check(parse("z^4", 2), a, threshold=1.0, step=1e-2).max_residual
     assert abs(coarse - limit) / abs(fine - limit) == pytest.approx(4.0, rel=0.25)
 
 
 def test_report_json_schema():
-    rep = cr_check(_sample("z^2", 3), from_real(3, 0.4))
+    rep = cr_check(parse("z^2", 3), from_real(3, 0.4))
     obj = rep.to_json()
     assert set(obj) == {"max_residual", "per_pair", "verdict"}
     assert obj["verdict"] in ("pass", "fail")
@@ -335,13 +331,14 @@ def test_report_json_schema():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sample_validation():
-    with pytest.raises(DomainError):
-        RealFieldSample.from_expression("z", 2, step=0.0)
+    for check in (cr_check, harmonic_check, zbar_check):
+        with pytest.raises(DomainError):
+            check(parse("z", 2), from_real(2, 0.1), step=0.0)
     # (1e10)^60 overflows inside the stencil, to inf and then inf - inf
     big = from_real(2, 1e10)
     for check in (cr_check, harmonic_check, zbar_check):
         with pytest.raises(DomainError, match="non-finite"):
-            check(_sample("z^60", 2), big)
+            check(parse("z^60", 2), big)
 
 
 @pytest.mark.parametrize(
@@ -354,49 +351,48 @@ def test_step_lost_to_rounding_is_a_domain_error(check, text, step, w):
     # 0.3 + 1e-320 rounds to 0.3, and at 0, where every stencil coordinate
     # moves by h, (1e-170)^2 underflows: the checks reported residual 0 or NaN
     with pytest.raises(DomainError, match="rounding"):
-        check(_sample(text, 2, step=step), CDNumber(2, w))
+        check(parse(text, 2), CDNumber(2, w), step=step)
     # h^2 = 1e-300 is a normal double
-    check(_sample(text, 2, step=1e-150), from_real(2, 0.0))
+    check(parse(text, 2), from_real(2, 0.0), step=1e-150)
 
 
 def test_level_mismatch_rejected():
-    F = RealFieldSample.from_expression("z", 3)
     with pytest.raises(DomainError):
-        cr_check(F, from_real(2, 0.1))
+        cr_check(parse("z", 3), from_real(2, 0.1))
 
 
 # ---------------------------------------------------------------------------
 # batched stencils against the per-direction loops they replaced
 # ---------------------------------------------------------------------------
 
-def _at(F, w, wbar=None):
-    """The sample at one point, as the per-direction loops evaluated it."""
-    return evaluate_two_slot(F.phrase, w, conj_arrays(w) if wbar is None else wbar)
+def _at(f, w, wbar=None):
+    """The phrase at one point, as the per-direction loops evaluated it."""
+    return evaluate_two_slot(f, w, conj_arrays(w) if wbar is None else wbar)
 
 
-def _reference_per_pair(kind, F, z):
+def _reference_per_pair(kind, f, z):
     """per_pair of one check, one stencil point per evaluation."""
     w = np.array(z.coeffs, dtype=float)
     d = w.size
-    h = F.step * (1.0 + float(norm_arrays(w)))
+    h = DEFAULT_STEP * (1.0 + float(norm_arrays(w)))
     per = {}
     if kind == "cr":
         partials = np.empty((d, d))
         for t in range(d):
             e = np.zeros(d)
             e[t] = h
-            partials[t] = (_at(F, w + e) - _at(F, w - e)) / (2.0 * h)
+            partials[t] = (_at(f, w + e) - _at(f, w - e)) / (2.0 * h)
         for q in range(1, d):
-            eq_conj = conj_arrays(basis_element(F.level, q).coeffs)
-            candidate = mul_arrays(partials[q], eq_conj, F.level.r)
+            eq_conj = conj_arrays(basis_element(f.level, q).coeffs)
+            candidate = mul_arrays(partials[q], eq_conj, f.level.r)
             per[f"e{q}"] = float(norm_arrays(partials[0] - candidate))
     elif kind == "harmonic":
-        center = _at(F, w)
+        center = _at(f, w)
         second = np.empty((d, d))
         for t in range(d):
             e = np.zeros(d)
             e[t] = h
-            second[t] = (_at(F, w + e) - 2.0 * center + _at(F, w - e)) / (h * h)
+            second[t] = (_at(f, w + e) - 2.0 * center + _at(f, w - e)) / (h * h)
         for p, q in itertools.combinations(range(d), 2):
             per[f"e{p}|e{q}"] = float(np.max(np.abs(second[p] + second[q])))
     else:
@@ -406,8 +402,8 @@ def _reference_per_pair(kind, F, z):
             for t in (2 * j, 2 * j + 1):
                 e = np.zeros(d)
                 e[t] = h
-                plus = _at(F, w, wbar + e)
-                minus = _at(F, w, wbar - e)
+                plus = _at(f, w, wbar + e)
+                minus = _at(f, w, wbar - e)
                 worst = max(worst, float(norm_arrays((plus - minus) / (2.0 * h))))
             per[f"e{2 * j}|e{2 * j + 1}"] = worst
     return per
@@ -427,10 +423,10 @@ def test_batched_stencil_matches_per_direction_loops(r, kind):
     rng = np.random.default_rng([r, len(kind)])
     for text in ("e1*z^3*e1 + (0.5)*zc^-2", "z*zc + (z - 0.3)^-1*e1",
                  "(0.2)*zc^3*e1 + z^-1 + z^2*(1.5)"):
-        F = _sample(text, r)
+        f = parse(text, r)
         z = random_element(r, rng)
-        got = _CHECKS[kind](F, z).per_pair
-        want = _reference_per_pair(kind, F, z)
+        got = _CHECKS[kind](f, z).per_pair
+        want = _reference_per_pair(kind, f, z)
         assert list(got) == list(want)
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], text
 
@@ -446,13 +442,13 @@ def test_batched_stencil_with_dense_constants_agrees_to_rounding(kind, r):
     d = 2**r
     c1, c2 = Const(rng.standard_normal(d)), Const(rng.standard_normal(d))
     root = Add(Mul(c1, VarPow(False, 3)), Mul(Mul(VarPow(True, -2), c2), VarPow(False, 1)))
-    F = RealFieldSample(Phrase(from_real(r, 0.0).level, root))
+    f = Phrase(from_real(r, 0.0).level, root)
     z = random_element(r, rng)
     w = np.array(z.coeffs)
-    h = F.step * (1.0 + float(norm_arrays(w)))
-    scale = float(np.max(np.abs(_at(F, w)))) + 1.0
+    h = DEFAULT_STEP * (1.0 + float(norm_arrays(w)))
+    scale = float(np.max(np.abs(_at(f, w)))) + 1.0
     tol = 4 * d * np.finfo(float).eps * scale / (h * h if kind == "harmonic" else h)
-    got = _CHECKS[kind](F, z).per_pair
-    want = _reference_per_pair(kind, F, z)
+    got = _CHECKS[kind](f, z).per_pair
+    want = _reference_per_pair(kind, f, z)
     assert list(got) == list(want)
     assert max(abs(got[k] - want[k]) for k in want) <= tol
