@@ -10,7 +10,7 @@ lost to rounding, an image or an index past the range of a double, a false
 pole at radius 1e100, an error estimate printed as Infinity, the inverse of
 a point whose squared norm leaves the range of a double, a kernel power
 that overflows on every circle, an annulus whose radii multiply below the
-least double.  A row names its argv, the path object written to the
+least double, a Taylor loop of zc*z that doubles to its knot cap.  A row names its argv, the path object written to the
 ``--path-file`` it gets (or None), the exit code it must end with, and
 either the error kind its report must name or a predicate on its report.
 The whole of stdout must be one strict JSON report, without Infinity or
@@ -118,6 +118,13 @@ ROWS = (
     Row("near-pole taylor",
         ["taylor", "--level", "8", "--expr", "(z-1.0000001)^-1", "--count", "3", "--center", _vector()],
         _circle(), 2, "nonconvergence"),
+    # zc*z = |z|^2 on a radius-1e-5 circle: the rounding floor of k = 4 stays
+    # above --tol, so the loop doubles to its knot cap, and at about 84 us a
+    # row the batch x batch products of zc*z took 42-70 s; the circle's plane
+    # holds the centre and the phrase, so the loop runs in complex arithmetic
+    Row("in-plane taylor to the knot cap",
+        ["taylor", "--level", "8", "--expr", "zc*z", "--count", "6", "--center", _vector()], _circle(radius=1e-5), 2,
+        "nonconvergence", timeout_s=10.0),
     # 1e-6 outside the circle, where sampling plane e1 took (2^18, 255) angle
     # arrays; the closed form works on (255,) arrays
     Row("near-curve index", ["index", "--level", "8", "--point", _vector(0.0, 1.000001)], _circle(), 0,

@@ -49,7 +49,10 @@ from .expressions import (
     _children,
     _circle_degree,
     _fmt_const,
+    _eval_plane,
+    _lift,
     _nodes,
+    _plane_constants,
     derivative_apply,
     eval_node_arrays,
 )
@@ -357,7 +360,12 @@ def _kernel_loop(
     exactly at every knot.  All circles share the angles theta_j, so one
     knot layout costs one evaluation F = f(zeta) and one product F*M over
     the stacked knots of every circle still running, plus one real weighted
-    sum over each circle's knots per power.  Each layout is evaluated in
+    sum over each circle's knots per power.  When the plane span(1, M)
+    holds the centre and every constant of f (``_plane_constants``), it
+    holds every knot and every value, a copy of C: F is evaluated on
+    complex knots (``_eval_plane``), F*M is i*F, and each power's complex
+    sum is lifted once to Re S + Im S * M, with no product of two batches
+    at any level.  Each layout is evaluated in
     blocks of at most _KERNEL_BLOCK_ELEMENTS elements per (block, d) array
     and circle, whose sums add up in knot order: memory stays O(block * d)
     per running circle, so a layout over c circles holds c blocks at once,
@@ -409,24 +417,32 @@ def _kernel_loop(
     degree = _circle_degree(f.root, cv, r)
     width = None if degree is None else degree + max((abs(power + 1) for power in powers), default=0)
     exact = width is not None and width < START_KNOTS
+    consts = _plane_constants(f.root, mv, cv)
+    plane = consts is not None
+    middle = complex(cv[0], float(cv @ mv))
 
     def raw(live: list, n: int, first: bool) -> list:
         """The sums of the circles in live on the n-knot layout; on the first
         layout, max|F| over its knots into the peak of every floor circle,
         and of every circle when the layout is exact."""
-        totals = [np.empty((len(c.scales), len(cv))) for c in live]
+        totals = [np.empty((len(c.scales),) + (() if plane else cv.shape), complex if plane else float) for c in live]
         for lo in range(0, n, step):
             ang = TWO_PI * ((np.arange(lo, min(lo + step, n)) + 0.5) / n)
-            Z = [_plane_circle(cv, mv, c.rho, ang) for c in live]
-            F = eval_node_arrays(f.root, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
-            FM = mul_arrays(F, mv, r)
+            if plane:
+                knots = np.concatenate([middle + c.rho * (np.cos(ang) + 1j * np.sin(ang)) for c in live])
+                F = _eval_plane(f.root, knots, consts)
+                FM = 1j * F
+            else:
+                Z = [_plane_circle(cv, mv, c.rho, ang) for c in live]
+                F = eval_node_arrays(f.root, Z[0] if len(Z) == 1 else np.concatenate(Z), r)
+                FM = mul_arrays(F, mv, r)
             size = len(ang)
             blocks = [(c, total, F[j * size:(j + 1) * size], FM[j * size:(j + 1) * size])
                       for j, (c, total) in enumerate(zip(live, totals))]
             if first:
                 for c, _, Fc, _ in blocks:
                     if c.floor or exact:
-                        c.peak = max(c.peak, float(norm_arrays(Fc).max()))
+                        c.peak = max(c.peak, float((np.abs(Fc) if plane else norm_arrays(Fc)).max()))
             for k, power in enumerate(powers[:max(len(c.scales) for c in live)]):
                 qa = (power + 1) * ang
                 cos, sin = np.cos(qa), np.sin(qa)
@@ -435,7 +451,7 @@ def _kernel_loop(
                         w = (TWO_PI / n) * c.scales[k]
                         part = (w * cos) @ FMc - (w * sin) @ Fc
                         total[k] = part if lo == 0 else total[k] + part
-        return totals
+        return [_lift(total, mv) for total in totals] if plane else totals
 
     # a circle whose first scale overflows runs no layout
     n = 1 << width.bit_length() if exact else START_KNOTS
@@ -740,13 +756,8 @@ def sum_residues_check(
 def _planar_image(f: Phrase, gamma: Path) -> bool:
     """Whether gamma is a circle that f maps into the plane span(1, M) of its
     direction M, a subalgebra and a copy of the complex numbers: its centre
-    and every constant v of f lie in that plane, that is, by the rule of
-    ``_in_circle_plane``, the circle lies in 0 + span(1, M) and in every
-    v + span(1, M)."""
-    if gamma.kind != "circle":
-        return False
-    points = [np.zeros(f.level.basis_dim)] + [n.value for n in _nodes(f.root) if isinstance(n, Const)]
-    return all(_in_circle_plane(v, gamma, _circle_frame(v, gamma)[2]) for v in points)
+    and every constant of f lie in that plane (``_plane_constants``)."""
+    return gamma.kind == "circle" and _plane_constants(f.root, gamma.direction.coeffs, gamma.center.coeffs) is not None
 
 
 def _circle_peak(f: Phrase, arc: Path, degree: int) -> float:
@@ -863,51 +874,94 @@ def _starts(P: Phrase, seed: CDNumber) -> Iterator[np.ndarray]:
         yield v
 
 
+def _newton_coordinates(P: Phrase, x: np.ndarray):
+    """(u, value, jacobian, lift): the coordinates u of the start x in which
+    Newton iterates, the coordinates of P and its Jacobian as functions of
+    u, and the element at u.
+
+    A start whose plane span(1, M) holds every constant of P
+    (``_plane_constants``) iterates on the two real coordinates (Re w, Im w)
+    of w = x_0 + i<x, M>, with P and its derivatives along 1 and M in
+    complex arithmetic (``_eval_plane``).  That plane is span(1, Im x); for
+    a real start it is the plane of P's first non-real constant, or
+    span(1, e1) when P has none.  P maps the plane into itself, and so does
+    its Jacobian, so from an in-plane point the plane step is the step in
+    the 2^r real coordinates.  Any other start iterates on those."""
+    r = P.level.r
+    im = np.array(x)
+    im[0] = 0.0
+    if not im.any():
+        non_real = (n.value for n in _nodes(P.root) if isinstance(n, Const) and n.value[1:].any())
+        im = next(non_real, basis_element(P.level, 1).coeffs).copy()
+        im[0] = 0.0
+    m = im / scaled_norm_arrays(im)
+    consts = _plane_constants(P.root, m)
+    if consts is None:
+        eye = np.eye(P.level.basis_dim)
+        return (x, lambda u: eval_node_arrays(P.root, u, r),
+                lambda u: np.asarray(derivative_apply(P, u, eye)).T, lambda u: u)
+
+    def value(u):
+        F = _eval_plane(P.root, np.complex128(complex(u[0], u[1])), consts)
+        return np.array([F.real, F.imag])
+
+    def jacobian(u):
+        _, d1, dm = _eval_plane(P.root, np.complex128(complex(u[0], u[1])), consts, slopes=True)
+        return np.array([[d1.real, dm.real], [d1.imag, dm.imag]])
+
+    return np.array([x[0], float(x @ m)]), value, jacobian, lambda u: _lift(complex(u[0], u[1]), m)
+
+
 def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8) -> CDNumber:
     """A root of the polynomial phrase P by damped Newton iteration.
 
-    Works on the squared norm |P|^2 over the 2^r real coordinates; the
-    Jacobian columns are directional derivatives along the basis, steps
+    Works on the squared norm |P|^2 over the coordinates of
+    ``_newton_coordinates``: the two of a plane span(1, M) that holds the
+    start and every constant, or else the 2^r real ones.  The Jacobian
+    columns are directional derivatives along the coordinate axes, steps
     are backtracked until they decrease |P|^2 (Armijo), and up to 16
     deterministic random restarts are drawn from the ball of radius
     1 + sum of coefficient norms.  Each Newton system is solved by LU; a
     singular system, which zero divisors allow from r = 4, or a
     non-finite step falls back to least squares.  The value of P at an
-    accepted step is the next step's value.  Raises NonConvergenceError
-    with the best iterate found when every start stalls.
+    accepted step is the next step's value.  A root found in a plane is
+    returned only when |P| at its element, evaluated in the 2^r real
+    coordinates, is within tol too.  Raises NonConvergenceError with the
+    best iterate found when every start stalls.
     """
     if P.level.r != seed.level.r:
         raise LevelMismatchError("seed level does not match the polynomial")
     r = P.level.r
-    d = P.level.basis_dim
-    eye = np.eye(d)
-    best_x = np.array(seed.coeffs)
-    best_g = math.inf
-    for x in _starts(P, seed):
-        pv = eval_node_arrays(P.root, x, r)
+    best_g, best = math.inf, (seed.coeffs, np.array)
+    for start in _starts(P, seed):
+        x, value, jacobian, lift = _newton_coordinates(P, start)
+        pv = value(x)
         for _ in range(int(max_iter)):
             g = float(np.dot(pv, pv))
             if g < best_g:
-                best_g, best_x = g, x.copy()
+                best_g, best = g, (x, lift)
             if math.sqrt(g) <= tol:
-                return CDNumber(r, x)
-            rows = derivative_apply(P, x, eye)
-            jac = np.asarray(rows).T
-            if not (math.isfinite(g) and np.all(np.isfinite(jac))):
+                root = lift(x)
+                check = eval_node_arrays(P.root, root, r)
+                if math.sqrt(float(np.dot(check, check))) <= tol:
+                    return CDNumber(r, root)
+                break
+            jac = jacobian(x)
+            if not (math.isfinite(g) and np.isfinite(jac).all()):
                 break  # overflow: a non-finite system stalls this start
             try:
                 step = np.linalg.solve(jac, -pv)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.all(np.isfinite(step)):
+            if step is None or not np.isfinite(step).all():
                 step, *_ = np.linalg.lstsq(jac, -pv, rcond=None)
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 break
             t = 1.0
             moved = False
             while t >= 1e-12:
                 xn = x + t * step
-                pn = eval_node_arrays(P.root, xn, r)
+                pn = value(xn)
                 if float(np.dot(pn, pn)) <= (1.0 - 1e-4 * t) * g:
                     x, pv = xn, pn
                     moved = True
@@ -915,6 +969,5 @@ def find_root(P: Phrase, seed: CDNumber, max_iter: int = 200, tol: float = 1e-8)
                 t /= 2.0
             if not moved:
                 break
-    raise NonConvergenceError(
-        "root search exhausted its restarts", best=CDNumber(r, best_x)
-    )
+    x, lift = best
+    raise NonConvergenceError("root search exhausted its restarts", best=CDNumber(r, lift(x)))

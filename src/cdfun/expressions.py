@@ -41,6 +41,17 @@ A negative power g^-n is the power string of the inverse g^-1 = conj(g)/|g|^2,
 whose differential D(g^-1).h = (conj(Dg.h) - 2*g^-1*<g, Dg.h>)/|g|^2 (with
 <.,.> the Euclidean inner product of coefficients) holds at every level.
 
+Every entry point above evaluates on coefficient arrays through the d x d
+product tables.  A plane span(1, M), M a unit imaginary, is a subalgebra
+and a copy of C, so a phrase whose constants all lie in it maps it into
+itself.  There _eval_plane walks the tree on numpy complex scalars or (N,)
+arrays instead: z is w, zc is conj(w), and a constant c is c_0 + i<c, M>,
+read once by _plane_constants, which refuses a constant off the plane by
+the rounding rule of _in_plane.  On request it carries the pair (dF/dw,
+dF/d conj(w)) by forward mode, which gives the derivatives along 1 and M.
+contour.find_root iterates on such a plane, and the contour kernel loop
+sums on one; _lift maps the complex results back to Re w + Im w * M.
+
 primitive() integrates words of sandwich shape a*(z-c)^n*b term by term,
 to a*(z-c)^(n+1)*b/(n+1), or to a*Ln(z-c)*b when n = -1, whose increments
 come from the principal branch via dln.  One walk of the tree (_words)
@@ -65,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    EPS_ZERO,
     AlgebraLevel,
     CDNumber,
     as_level,
@@ -74,6 +86,7 @@ from .algebra import (
     mul_arrays,
     one,
     pow_arrays,
+    scaled_norm_arrays,
 )
 from .errors import (
     DomainError,
@@ -616,6 +629,121 @@ def evaluate_two_slot(f: Phrase, z1, z2):
     Z1b, Z2b = np.broadcast_arrays(Z1, Z2)
     out = _over_batch(_eval_slots(f.root, Z1b, Z2b, f.level.r), Z1b)
     return CDNumber(f.level, out) if wrap else out
+
+
+# ---------------------------------------------------------------------------
+# in-plane evaluation
+# ---------------------------------------------------------------------------
+
+#: The rounding allowed off a plane span(1, M), per unit of the norms
+#: involved: ``_in_plane`` here, ``_in_circle_plane`` and ``_polyline_log``
+#: in integrate.py.
+_PLANE_EPS = 16.0 * np.finfo(float).eps
+
+_ONE = np.complex128(1.0)
+
+
+def _in_plane(v: np.ndarray, m: np.ndarray) -> bool:
+    """Whether v lies in span(1, M), M a unit imaginary: the part of Im v off
+    M has norm at most _PLANE_EPS * (|v| + 1), the rounding of v."""
+    if not v[1:].any():
+        return True
+    off = v - float(v @ m) * m
+    off[0] = 0.0
+    return float(scaled_norm_arrays(off)) <= _PLANE_EPS * (float(scaled_norm_arrays(v)) + 1.0)
+
+
+def _plane_constants(root: Node, m: np.ndarray, *points: np.ndarray):
+    """The constants c of the tree read in span(1, M) as numpy complex
+    numbers c_0 + i<c, M>, keyed by node id, when every one of them and
+    every point given lies in that plane (``_in_plane``); else None."""
+    if not all(_in_plane(p, m) for p in points):
+        return None
+    out = {}
+    for node in _nodes(root):
+        if isinstance(node, Const):
+            if not _in_plane(node.value, m):
+                return None
+            out[id(node)] = np.complex128(complex(node.value[0], float(node.value @ m)))
+    return out
+
+
+def _lift(w, m: np.ndarray) -> np.ndarray:
+    """The elements Re w + Im w * M of the complex numbers w, as (*w.shape, d)."""
+    out = np.multiply.outer(np.imag(w), m)
+    out[..., 0] = np.real(w)
+    return out
+
+
+def _plane_power(base, slope, n: int):
+    """(base^n, its slope n * base^(n-1) * slope) in complex arithmetic, the
+    slope a pair (d/dw, d/d conj(w)) or None where the base does not vary;
+    a vanishing base of a negative power raises PoleError, as ``_inverse``
+    does."""
+    if n == 0:
+        return _ONE, None
+    if n < 0:
+        if np.any(np.abs(base) <= EPS_ZERO):
+            raise PoleError("negative power of a vanishing base")
+        base, n = 1.0 / base, -n
+        # d(b^-n) = -n * u^(n+1) * db with u = 1/b
+        k = None if slope is None else -n * base ** (n + 1)
+    else:
+        k = None if slope is None else n * base ** (n - 1)
+    value = base**n if n > 1 else base
+    return value, None if slope is None else (k * slope[0], k * slope[1])
+
+
+def _eval_plane(root: Node, w, consts: dict, slopes: bool = False):
+    """f at the complex points w (a numpy complex scalar or (N,) array) of a
+    plane span(1, M) that holds every constant, read by ``_plane_constants``:
+    z is w and zc is conj(w).  The plane is a subalgebra isomorphic to C, so
+    this is the value of ``eval_node_arrays`` at Re w + Im w * M, up to
+    rounding, as a complex number.  With slopes, returns (F, D1, DM), the
+    directional derivatives of f along 1 and M (scalars where f does not
+    vary), from the pair (dF/dw,
+    dF/d conj(w)) carried by forward mode: D1 = dF/dw + dF/d conj(w) and
+    DM = i*(dF/dw - dF/d conj(w)).  numpy complex arithmetic overflows to
+    inf, as the table products do, where Python's complex power would raise
+    OverflowError."""
+    zc = np.conj(w)
+    dz, dzc = ((_ONE, 0.0), (0.0, _ONE)) if slopes else (None, None)
+
+    def walk(node):
+        kind = type(node)
+        if kind is Const:
+            return consts[id(node)], None
+        if kind is VarPow:
+            return _plane_power(zc, dzc, node.power) if node.conjugated else _plane_power(w, dz, node.power)
+        if kind is PowNode:
+            return _plane_power(*walk(node.base), node.power)
+        if kind is Mul:
+            a, da = walk(node.left)
+            b, db = walk(node.right)
+            if da is None:
+                return a * b, None if db is None else (a * db[0], a * db[1])
+            if db is None:
+                return a * b, (da[0] * b, da[1] * b)
+            return a * b, (da[0] * b + a * db[0], da[1] * b + a * db[1])
+        if kind is Sum:
+            value = slope = None
+            for sign, term in node.terms:
+                v, dv = walk(term)
+                value = _add_signed(value, sign, v)
+                if dv is not None:
+                    dv = dv if sign > 0 else (-dv[0], -dv[1])
+                    slope = dv if slope is None else (slope[0] + dv[0], slope[1] + dv[1])
+            return value, slope
+        raise DomainError(f"cannot evaluate node {kind.__name__}")
+
+    value, slope = walk(root)
+    shape = np.shape(w)
+    if np.shape(value) != shape:  # free of the variable
+        value = np.broadcast_to(value, shape).copy()
+    if not slopes:
+        return value
+    dw, dwc = (0.0, 0.0) if slope is None else slope
+    return value, dw + dwc, 1j * (dw - dwc)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from .errors import (
     SingularElementError,
     StepControlError,
 )
-from .expressions import Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
+from .expressions import _PLANE_EPS, Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
 from .transcendental import _split_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -75,10 +75,6 @@ START_KNOTS = 64
 MAX_KNOTS = 1 << 20
 
 _DIRECTION_TOL = 1e-9
-
-#: The in-plane tolerance of ``_in_circle_plane`` and ``_polyline_log``,
-#: relative to the rounding of p - c.
-_PLANE_EPS = 16.0 * np.finfo(float).eps
 
 #: The rounding bound of a closed-form power leaf, per unit of
 #: (|m| + 1) * (|X(gamma(0))| + |X(gamma(1))|) * |matrix|_F.

@@ -45,7 +45,7 @@ from cdfun.errors import (
     StepControlError,
     UnsupportedShapeError,
 )
-from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, eval_node_arrays, evaluate, parse
+from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, derivative_apply, eval_node_arrays, evaluate, parse
 from cdfun.integrate import Path, _on_arc, _plane_circle, _sampled_log
 
 E1 = basis_element(3, 1)
@@ -778,17 +778,29 @@ def test_kernel_loop_estimate_does_not_overflow_on_finite_sums():
     assert math.isfinite(res.est_error) and not res.converged
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Record the knot count of every integrand evaluation of the kernel
+    loop, on either route: the table products or the complex plane."""
+    rows = []
+
+    def table(node, Z, r):
+        rows.append(len(Z))
+        return eval_node_arrays(node, Z, r)
+
+    def plane(root, w, consts, slopes=False):
+        rows.append(len(w))
+        return expressions._eval_plane(root, w, consts, slopes)
+
+    monkeypatch.setattr(contour, "eval_node_arrays", table)
+    monkeypatch.setattr(contour, "_eval_plane", plane)
+    return rows
+
+
 def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
     f = parse("e2*z^3 + z", 3)
     psi = Path.circle(zero(3), 1.0, E1, 1.0)
     layouts = 1 + max(res.refinements for res in _kernel_loop(f, zero(3), E1, [(1.0, False)], range(-12, 0), 1e-6))
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return eval_node_arrays(*args)
-
-    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    calls = _count_evaluations(monkeypatch)
     taylor_coeffs(f, zero(3), 12, psi)
     assert len(calls) == layouts < 12
 
@@ -796,13 +808,7 @@ def test_taylor_evaluates_the_integrand_once_per_knot_layout(monkeypatch):
 def test_kernel_loop_of_a_polynomial_takes_one_layout_sized_by_its_degree(monkeypatch):
     # e2*z^3 + z has degree 3 about 0 and the kernels of k = 0..11 degree at
     # most 11, so 16 knots integrate every power exactly on both circles
-    rows = []
-
-    def counting(node, Z, r):
-        rows.append(len(Z))
-        return eval_node_arrays(node, Z, r)
-
-    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    rows = _count_evaluations(monkeypatch)
     results = list(_kernel_loop(parse("e2*z^3 + z", 3), zero(3), E1, [(1.0, False), (0.5, False)], range(-12, 0), 1e-6))
     assert rows == [2 * 16]
     assert all(res.converged and res.refinements == 0 and 0.0 < res.est_error < 1e-6 for res in results)
@@ -1004,13 +1010,7 @@ def test_cauchy_and_laurent_evaluate_the_integrand_once_per_knot_layout(monkeypa
     r = 3
     f = parse("(z-(0.1+1.9*e1))^-1 + e2*z^3", r)
     psi = Path.circle(zero(r), 1.0, E1, 1.0)
-    calls = []
-
-    def counting(*args):
-        calls.append(len(args[1]))
-        return eval_node_arrays(*args)
-
-    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    calls = _count_evaluations(monkeypatch)
     z = from_real(r, 0.2) + E1 * 0.1
     cauchy_derivative(f, z, 2, psi)
     # the two radii share each layout, 64 knots per circle on the first
@@ -1023,16 +1023,49 @@ def test_cauchy_and_laurent_evaluate_the_integrand_once_per_knot_layout(monkeypa
 def test_taylor_count_at_the_cap_takes_two_knot_layouts_at_level_8(monkeypatch):
     f = parse("e2*z^3 + z", 8)
     psi = Path.circle(zero(8), 1.0, basis_element(8, 1), 1.0)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return eval_node_arrays(*args)
-
-    monkeypatch.setattr(contour, "eval_node_arrays", counting)
+    calls = _count_evaluations(monkeypatch)
     cs = taylor_coeffs(f, zero(8), 60, psi)
     assert len(calls) <= 2
     assert max(c.norm() for k, c in enumerate(cs) if k not in (1, 3)) < 1e-12
+
+
+def _count_batch_products(monkeypatch) -> list:
+    """Record the row count of every mul_arrays call whose operands are both
+    (N, d) batches, as the phrase evaluators and the kernel loop make them."""
+    rows = []
+
+    def counting(x, y, r):
+        if np.ndim(x) == 2 and np.ndim(y) == 2:
+            rows.append(len(x))
+        return mul_arrays(x, y, r)
+
+    monkeypatch.setattr(expressions, "mul_arrays", counting)
+    monkeypatch.setattr(contour, "mul_arrays", counting)
+    return rows
+
+
+def test_in_plane_laurent_at_level_8_makes_no_batch_product(monkeypatch):
+    # the centre 0 and the constant 0.1 lie in every plane, so the loop runs
+    # on complex knots; z*(z-0.1)^-1 = sum of 0.1^k * z^-k outside |z| = 0.1
+    rows = _count_batch_products(monkeypatch)
+    cs = laurent_coeffs(parse("z*(z-0.1)^-1", 8), zero(8), -3, 5, 0.5, 2.0)
+    assert rows == []
+    want = [0.1**3, 0.1**2, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert all((c - from_real(8, v)).norm() <= 1e-9 for c, v in zip(cs, want))
+
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_in_plane_kernel_loop_matches_the_table_reference(r):
+    # every constant is real and the centre is 0, so any plane holds them
+    m = random_unit_imaginary(r, np.random.default_rng(40 + r))
+    f = parse("z*(z-0.1)^-1+(z+2)*(z-3)*zc", r)
+    powers = list(range(-4, 2))
+    got = list(_kernel_loop(f, zero(r), m, [(0.7, False)], powers, 1e-6))
+    refs = [_per_power_kernel_loop(f, zero(r), m, 0.7, power, 1e-6) for power in powers]
+    assert {res.refinements for res in got} == {max(ref[1] for ref in refs)}
+    for res, (value, _, converged) in zip(got, refs):
+        assert res.converged == converged
+        assert (res.value - value).norm() <= 1e-12 * (1.0 + value.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -1381,6 +1414,68 @@ def test_restarts_drawn_lazily_follow_the_eager_order(r):
     got = list(contour._starts(P, seed))
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _refuse_derivative_apply(*args, **kwargs):
+    raise AssertionError("derivative_apply was called")
+
+
+def _plane_root(root: CDNumber, m: np.ndarray) -> complex:
+    """root as a complex number of span(1, M), checked to lie in that plane."""
+    y = float(root.coeffs @ m)
+    off = root.coeffs - y * m
+    off[0] = 0.0
+    assert np.linalg.norm(off) <= 1e-14 * (1.0 + root.norm())
+    return complex(root.coeffs[0], y)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_find_root_of_a_real_cubic_stays_in_the_plane_of_its_start(r, monkeypatch):
+    # one real root and a complex pair; Newton runs in span(1, Im seed) and
+    # reaches a root of the complex cubic, lifted into that plane
+    monkeypatch.setattr(contour, "derivative_apply", _refuse_derivative_apply)
+    P = parse("z^3 + (1.106)*z + (0.425)", r)
+    roots = np.roots([1.0, 0.0, 1.106, 0.425])
+    for seed in (1, 2, 3):
+        start = random_element(r, np.random.default_rng(seed))
+        im = np.array(start.coeffs)
+        im[0] = 0.0
+        w = _plane_root(find_root(P, start, tol=1e-12), im / np.linalg.norm(im))
+        assert min(abs(w - lam) for lam in roots) <= 1e-8
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_find_root_of_a_real_valued_phrase_takes_the_plane_least_squares(r, monkeypatch):
+    # z*zc = |z|^2 is real on the plane, so its 2 x 2 Jacobian has a zero row
+    monkeypatch.setattr(contour, "derivative_apply", _refuse_derivative_apply)
+    shapes = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        shapes.append(np.shape(a))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    P = parse("z*zc - (2.0)", r)
+    root = find_root(P, random_element(r, np.random.default_rng(7)))
+    assert shapes and set(shapes) == {(2, 2)}
+    assert evaluate(P, root).norm() <= 1e-8
+
+
+def test_find_root_keeps_the_table_route_for_a_start_off_the_constants_plane(monkeypatch):
+    # e1 lies in span(1, e1) but not in span(1, e2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return derivative_apply(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "derivative_apply", counting)
+    P = parse("z^2 + e1*z - 2", 3)
+    in_plane = find_root(P, from_real(3, 0.5) + E1 * 0.3)
+    assert calls == [] and evaluate(P, in_plane).norm() <= 1e-8
+    off_plane = find_root(P, from_real(3, 0.5) + E2 * 0.3)
+    assert calls and evaluate(P, off_plane).norm() <= 1e-8
 
 
 def test_find_root_level_mismatch():
