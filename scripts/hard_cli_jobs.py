@@ -10,9 +10,11 @@ lost to rounding, an image or an index past the range of a double, a false
 pole at radius 1e100, an error estimate printed as Infinity, the inverse of
 a point whose squared norm leaves the range of a double, a kernel power
 that overflows on every circle, an annulus whose radii multiply below the
-least double, a Taylor loop of zc*z that doubles to its knot cap.  A row names its argv, the path object written to the
-``--path-file`` it gets (or None), the exit code it must end with, and
-either the error kind its report must name or a predicate on its report.
+least double, a Taylor loop of zc*z that doubles to its knot cap, a number
+literal past the range of a double.  A row names its argv, the path object
+written to the ``--path-file`` it gets (or None), the exit code it must end
+with, and either the error kind its report must name or a predicate on its
+report.
 The whole of stdout must be one strict JSON report, without Infinity or
 NaN.
 
@@ -184,6 +186,9 @@ ROWS = (
     # the squared norm 1e-400 underflowed to 0, a false pole
     Row("inverse at 1e-200", ["eval", "--level", "8", "--expr", "z^-1", "--point", _vector(1e-200)], None, 0,
         lambda rep: rep["value"][0] == 1e200),
+    # the literal 1e999 read as inf and ended late as a non-finite coefficient
+    Row("literal past the double range", ["eval", "--level", "8", "--expr", "1e999*z", "--point", _vector(1.0)],
+        None, 1, "parse"),
 )
 
 

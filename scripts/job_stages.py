@@ -14,7 +14,10 @@ timed on its own:
 
 The jobs stand for the three workloads of perfbench/: an integral of a
 sandwich word around a circle (quad-poly), a residue-theorem check with two
-poles inside a circle (contour-log) and a level-8 evaluation (pointwise).
+poles inside a circle and a level-4 loop integral b*(z-p)^-1*c about its
+pole (contour-log), and a level-8 evaluation (pointwise).  The loop's pole
+is written coefficient by coefficient, 16 terms s*e_k, as the benchmark
+writes it: the longest constant the parser reads in any of these jobs.
 Every job runs 200 times with a fresh phrase each time; the table gives the
 median microseconds per stage, and the last line holds the same figures as
 one JSON object.  BLAS is pinned to one thread, as the benchmark runs.
@@ -47,11 +50,28 @@ def _vector(d, **coords):
     return out
 
 
+def _const_text(v):
+    """The text of the constant v, term by term: v0 + v1*e1 + ..."""
+    text = repr(abs(v[0])) if v[0] >= 0 else f"0-{abs(v[0])!r}"
+    for k, x in enumerate(v[1:], 1):
+        text += f"{'-' if x < 0 else '+'}{abs(x)!r}*e{k}"
+    return f"({text})"
+
+
+def _circle_file(workdir, name, center, radius, direction):
+    """The path of the circle file written to workdir under name."""
+    path = os.path.join(workdir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"kind": "circle", "center": center, "radius": radius, "direction": direction}, fh)
+    return path
+
+
 def _jobs(workdir):
-    """(name, argv) of one job per workload, with its path file written to workdir."""
-    circle3 = os.path.join(workdir, "circle3.json")
-    with open(circle3, "w", encoding="utf-8") as fh:
-        json.dump({"kind": "circle", "center": _vector(8), "radius": 1.0, "direction": _vector(8, e3=1.0)}, fh)
+    """(name, argv) of each job, with its path file written to workdir."""
+    circle3 = _circle_file(workdir, "circle3.json", _vector(8), 1.0, _vector(8, e3=1.0))
+    pole4 = [-0.157, -0.048, -0.17, 0.231, 0.4, -0.062, 0.118, -0.305, 0.027, 0.49, -0.213, 0.08, -0.366, 0.145,
+             -0.009, 0.274]
+    loop4 = _circle_file(workdir, "loop4.json", pole4, 0.5, _vector(16, e5=0.6, e11=0.8))
     poles = [_vector(8, e0=-0.2, e3=0.1), _vector(8, e0=0.1, e3=0.3)]
     pole_text = "(0.5*e2)*(z - (0-0.2+0.1*e3))^-1*(0.7*e5) + (0.4*e1)*(z - (0.1+0.3*e3))^-1*(0.6*e6)"
     return [
@@ -59,6 +79,8 @@ def _jobs(workdir):
                                     "--path-file", circle3]),
         ("contour-log restheorem r3", ["restheorem", "--level", "3", "--expr", pole_text,
                                        "--poles", json.dumps(poles), "--path-file", circle3]),
+        ("contour-log loop r4", ["integrate", "--level", "4", "--expr",
+                                 f"(0.61*e3)*(z - {_const_text(pole4)})^-1*(0.45*e9)", "--path-file", loop4]),
         ("pointwise eval r8", ["eval", "--level", "8", "--expr", "(0.837)*z^-3*(0.423*e1)",
                                "--point", json.dumps(_vector(256, e0=0.8, e1=0.25, e7=-0.3))]),
     ]

@@ -18,9 +18,22 @@ so no recursive walk of a tree can run out of stack.
 A parsed tree has five node kinds: Const, VarPow (z^n or zc^n), PowNode (a
 bracketed base or a basis symbol raised to n, so z^2 and (z)^2 stay apart),
 binary Mul, and Sum, a tuple of (sign, term) pairs with sign +-1.  The
-constructors Add, Sub and Neg keep every Sum in the parser's normal form: a
-left-associated chain whose head may be negated, so a - b + c is one Sum of
-three terms, while -x and a bracketed sum stay single terms of their own.
+parser builds each Sum whole, in the normal form that the constructors Add,
+Sub and Neg keep for JSON trees: a left-associated chain whose head may be
+negated, so a - b + c and (a + b) + c are one Sum of three terms, while -x
+and a bracketed sum after the head stay single terms of their own.
+
+The parser folds constants as it reads them, with the bits that evaluating
+the unfolded tree gives: a product of two Consts is one Const (mul_arrays),
+and so is a Sum of Consts (_add_signed in term order, so a negated head
+keeps its -0.0); an unsigned number times a basis symbol without exponent,
+s*e_k, is the one coefficient s at k, and z^0 is the unit.  So no product
+or sum in a parsed tree is free of the variable, unless it holds a PowNode:
+a power of constants stays one, so its PoleError comes at evaluation.  A
+number past the range of a double is a syntax error.  JSON trees are kept
+as given; their constant subtrees, and those around a PowNode, are read
+where they are used, by _eval_slots and by primitive() (_linear,
+_word_matrix).
 
 Every node knows its shape from the moment it is built: ``flags`` ORs the
 children's bits (_VAR: holds z or zc to a nonzero power; _DZ and _DZC: its
@@ -70,6 +83,7 @@ or a batched coefficient array with the component axis last.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -277,6 +291,7 @@ class _Parser:
     def __init__(self, text: str, level: AlgebraLevel):
         self.text = text
         self.level = level
+        self.dim = level.basis_dim
         tokens = _TOKEN.findall(text)
         if tokens and tokens[-1][1]:
             rest = tokens[-1][1]
@@ -308,27 +323,73 @@ class _Parser:
         return node
 
     def phrase(self) -> Node:
+        """A lone unsigned term, or one Sum in the normal form of Add, Sub
+        and Neg, its terms collected first: an unsigned head that is a
+        bracketed Sum lends its terms, as Add would.  A sum of constants is
+        one Const."""
         if self.tok == "-":
             self._next()
-            node: Node = Neg(self.term())
+            terms = [(-1, self.term())]
         else:
-            node = self.term()
+            head = self.term()
+            if self.tok != "+" and self.tok != "-":
+                return head
+            terms = list(head.terms) if isinstance(head, Sum) else [(1, head)]
         while self.tok == "+" or self.tok == "-":
             sign = 1 if self._next() == "+" else -1
-            node = _append(node, sign, self.term())
-        return node
+            terms.append((sign, self.term()))
+        if not all(type(term) is Const for _, term in terms):
+            return Sum(terms)
+        total = None
+        for sign, term in terms:  # the order and bits of evaluating the Sum
+            total = _add_signed(total, sign, term.value)
+        return Const(total)
 
     def term(self) -> Node:
-        node = self.factor()
+        """A left-associated product chain; a product of two constants is
+        one Const with the bits of evaluating it."""
+        node = self._scaled_unit() or self.factor()
         while self.tok == "*":
             self._next()
-            node = Mul(node, self.factor())
+            right = self.factor()
+            if type(node) is Const and type(right) is Const:
+                node = Const(mul_arrays(node.value, right.value, self.level.r))
+            else:
+                node = Mul(node, right)
         return node
+
+    def _scaled_unit(self):
+        """The Const s*e_k when the term starts with an unsigned number s
+        times a basis symbol e_k that takes no exponent, else None.  Written
+        as the one coefficient s at k, which is the product s*e_k bit for
+        bit, since s is finite."""
+        texts, i = self.texts, self.pos
+        if not _numeral(self.tok) or texts[i + 1] != "*":
+            return None
+        name = texts[i + 2]  # texts[i + 1] is no sentinel, so these exist
+        if name[:1] != "e" or not name[1:].isdigit() or texts[i + 3] == "^":
+            return None
+        k = int(name[1:])
+        if k >= self.dim:
+            return None
+        value = np.zeros(self.dim)
+        value[k] = self._number(i)
+        self.pos = i + 3
+        self.tok = texts[i + 3]
+        return Const(value)
+
+    def _number(self, at: int) -> float:
+        """The value of the number token at index at; ExprSyntaxError at its
+        position when it overflows a double."""
+        value = float(self.texts[at])
+        if math.isinf(value):
+            raise ExprSyntaxError(f"number {self.texts[at]} overflows a double", self._start(at))
+        return value
 
     def factor(self) -> Node:
         tok = self._next()
         at = self.pos - 1  # the token's index, for an error's position
-        scalar = tok[0].isdigit() or tok[0] == "."
+        scalar = _numeral(tok)
         if tok == "(":
             self.brackets += 1
             if self.brackets > MAX_DEPTH:
@@ -339,16 +400,18 @@ class _Parser:
             self._next()
             self.brackets -= 1
         elif scalar:
-            node = Const(self._scalar_vec(float(tok)))
+            value = np.zeros(self.dim)
+            value[0] = self._number(at)
+            node = Const(value)
         elif tok == "z" or tok == "zc":
             node = VarPow(tok == "zc", 1)
         elif tok[0].isalpha():
             if tok[0] != "e" or not tok[1:].isdigit():
                 raise ExprSyntaxError(f"unknown symbol {tok!r}", self._start(at))
             k = int(tok[1:])
-            if k >= self.level.basis_dim:
+            if k >= self.dim:
                 raise ExprSyntaxError(f"basis symbol e{k} out of range for level {self.level.r}", self._start(at))
-            vec = np.zeros(self.level.basis_dim)
+            vec = np.zeros(self.dim)
             vec[k] = 1.0
             node = Const(vec)
         else:
@@ -360,7 +423,10 @@ class _Parser:
             n = self._integer()
             if scalar:
                 raise ExprSyntaxError("exponent not allowed on a scalar literal", self._start(caret))
-            node = VarPow(node.conjugated, n) if isinstance(node, VarPow) and tok != "(" else PowNode(node, n)
+            if not isinstance(node, VarPow) or tok == "(":
+                node = PowNode(node, n)
+            else:  # z^0 and zc^0 are the unit, as they evaluate
+                node = VarPow(node.conjugated, n) if n else Const(one(self.level).coeffs)
         return node
 
     def _integer(self) -> int:
@@ -376,10 +442,10 @@ class _Parser:
         except ExprSyntaxError as exc:
             raise ExprSyntaxError(str(exc), self._start(self.pos - 1)) from None
 
-    def _scalar_vec(self, v: float):
-        vec = np.zeros(self.level.basis_dim)
-        vec[0] = v
-        return vec
+
+def _numeral(tok: str) -> bool:
+    """Whether a token text is a number: it starts with a digit or '.'."""
+    return tok[:1].isdigit() or tok[:1] == "."
 
 
 def _exponent(n, position=None) -> int:

@@ -188,8 +188,10 @@ HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
           f'{{"kind": "circle", "center": [{HUGE}, 0], "radius": 1.0, "direction": [0, 1]}}'], "usage"),
         (["eval", "--expr", f'{{"const": [{HUGE}, 0]}}', "--point", "[1, 0]"], "parse"),
         (["eval", "--expr", f'{{"const": [{HUGE[:300]}, 0]}}', "--point", "[1, 0]"], None),
+        (["eval", "--expr", "1e999*z", "--point", "[1, 0]"], "parse"),
+        (["eval", "--expr", "1e999*e1", "--point", "[1, 0]"], "parse"),
     ],
-    ids=["point", "path-center", "const", "const-in-range"],
+    ids=["point", "path-center", "const", "const-in-range", "literal", "literal-times-unit"],
 )
 def test_integer_beyond_the_double_range_is_a_typed_error(argv, kind, tmp_path):
     if "--path-file" in argv:

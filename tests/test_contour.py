@@ -1404,7 +1404,7 @@ def test_restarts_drawn_lazily_follow_the_eager_order(r):
     P = parse("z^3 + (0.5*e1)*z - 2", r)
     seed = random_element(r, np.random.default_rng(3))
     d = 1 << r
-    radius = 1.0 + 1.0 + 0.5 + 2.0
+    radius = 1.0 + 0.5 + 2.0  # the parser reads 0.5*e1 as one constant of norm 0.5
     rng = np.random.default_rng(0x5EED)
     want = [seed.coeffs]
     for _ in range(16):

@@ -30,13 +30,17 @@ from cdfun.expressions import (
     Add,
     Const,
     Mul,
+    Neg,
     Phrase,
     PowNode,
+    Sub,
+    Sum,
     VarPow,
     _children,
     _circle_degree,
     _nodes,
     derivative_apply,
+    eval_node_arrays,
     evaluate,
     evaluate_two_slot,
     format_phrase,
@@ -80,12 +84,24 @@ def test_parse_examples():
         ("(z", 2),
         ("2 + @", 4),
         ("3^2", 1),
+        ("1e999*z", 0),
+        ("z+2*1e400", 4),
+        ("1e999*e1", 0),
     ],
 )
 def test_syntax_errors_carry_positions(text, pos):
     with pytest.raises(ExprSyntaxError) as err:
         parse(text, 2)
     assert err.value.position == pos
+
+
+def test_number_beyond_the_double_range_is_a_syntax_error():
+    # float("1e999") is inf, which reached evaluation as a coefficient
+    with pytest.raises(ExprSyntaxError, match="number 1e999 overflows a double"):
+        parse("1e999*z", 2)
+    # the largest double is a number, and an underflow reads as 0
+    assert parse("1.7976931348623157e308*e1", 2).root.value.tolist() == [0.0, 1.7976931348623157e308, 0.0, 0.0]
+    assert not parse("1e-999", 2).root.value.any()
 
 
 def test_trailing_input_rejected():
@@ -219,6 +235,65 @@ def test_trees_deeper_than_the_bound_are_refused_on_both_routes(depth):
         parse(text, 1)
     with pytest.raises(ExprSyntaxError, match="nested deeper"):
         phrase_from_json(tree, 1)
+
+
+def _folding_cases(d):
+    """(text, tree) pairs: the text of a constant, and the tree of Add, Sub,
+    Neg and Mul nodes that the parser built for it before it folded
+    constants.  j and k are e1 and the last unit, the same unit at r = 1."""
+    j, k = 1, d - 1
+
+    def R(s):
+        return Const([s] + [0.0] * (d - 1))
+
+    def E(i):
+        return Const(np.eye(d)[i])
+
+    coeffs = [-0.157, -0.048, 0.17, -0.231, 0.4, -0.062, 0.118, -0.305] * (d // 8 + 1)
+    pole_text = f"0-{-coeffs[0]!r}"
+    pole = Sub(R(0.0), R(-coeffs[0]))
+    for i, c in enumerate(coeffs[1:d], 1):
+        pole_text += f"{'-' if c < 0 else '+'}{abs(c)!r}*e{i}"
+        pole = (Sub if c < 0 else Add)(pole, Mul(R(abs(c)), E(i)))
+    return [
+        ("-2", Neg(R(2.0))),
+        (f"-0.5*e{k}+0.25", Add(Neg(Mul(R(0.5), E(k))), R(0.25))),
+        (f"-0.5*e{k}-0.25", Sub(Neg(Mul(R(0.5), E(k))), R(0.25))),
+        (f"0.5*e{j}+0.25*e{j}-e{j}", Sub(Add(Mul(R(0.5), E(j)), Mul(R(0.25), E(j))), E(j))),
+        (f"0*e{k}", Mul(R(0.0), E(k))),
+        (f"-0*e{k}+0.0", Add(Neg(Mul(R(0.0), E(k))), R(0.0))),
+        (f"0.0-0*e{j}", Sub(R(0.0), Mul(R(0.0), E(j)))),
+        (f"(0.5*e{j})*(0.3*e{k})", Mul(Mul(R(0.5), E(j)), Mul(R(0.3), E(k)))),
+        (f"2.5*e{k}*e{j}*0.5", Mul(Mul(Mul(R(2.5), E(k)), E(j)), R(0.5))),
+        (f"-(0.5-e{k})*(0.25+e{j})", Neg(Mul(Sub(R(0.5), E(k)), Add(R(0.25), E(j))))),
+        (f"(1+e{j})+(2-e{k})", Add(Add(R(1.0), E(j)), Sub(R(2.0), E(k)))),
+        ("3*z^0*5e-324", Mul(Mul(R(3.0), VarPow(False, 0)), R(5e-324))),
+        (pole_text, pole),
+    ]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_folded_constants_have_the_bits_of_the_unfolded_tree(r):
+    d = 1 << r
+    z = random_element(r, _rng(r)).coeffs
+    for text, tree in _folding_cases(d):
+        root = parse(text, r).root
+        assert isinstance(root, Const), text
+        assert root.value.tobytes() == eval_node_arrays(tree, z, r).tobytes(), text
+    # a negated head leaves -0.0, which subtracting +0.0 keeps
+    assert np.signbit(parse("-2", r).root.value).all()
+    assert np.signbit(parse(f"-0.5*e{d - 1}-0.25", r).root.value).all()
+
+
+@given(st.one_of(_random_phrase_text(), _tree_text))
+@settings(max_examples=150, deadline=None)
+def test_parsed_phrases_hold_no_product_or_sum_of_constants(text):
+    # a power of constants stays a PowNode, so its PoleError comes at evaluation
+    p = parse(text, 3)
+    for node in _nodes(p.root):
+        if isinstance(node, (Mul, Sum)) and not node.flags & _VAR:
+            assert any(isinstance(n, PowNode) for n in _nodes(node)), format_phrase(Phrase(p.level, node))
+        assert not isinstance(node, VarPow) or node.power
 
 
 def test_json_accepts_plain_tree_and_nary_fold():
