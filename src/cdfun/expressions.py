@@ -63,7 +63,8 @@ read once by _plane_constants, which refuses a constant off the plane by
 the rounding rule of _in_plane.  On request it carries the pair (dF/dw,
 dF/d conj(w)) by forward mode, which gives the derivatives along 1 and M.
 contour.find_root iterates on such a plane, and the contour kernel loop
-sums on one; _lift maps the complex results back to Re w + Im w * M.
+and integrate's in-plane Ln leaves sum on one; _lift maps the complex
+results back to Re w + Im w * M.
 
 primitive() integrates words of sandwich shape a*(z-c)^n*b term by term,
 to a*(z-c)^(n+1)*b/(n+1), or to a*Ln(z-c)*b when n = -1, whose increments
@@ -466,29 +467,36 @@ def parse(text: str, level) -> Phrase:
 # formatting + structural comparison + JSON trees
 # ---------------------------------------------------------------------------
 
-def _fmt_const(value: np.ndarray) -> str:
-    nz = np.nonzero(value)[0]
-    if len(nz) == 0:
-        return "0"
-    if len(nz) == 1:
-        k = int(nz[0])
+def _fmt_terms(value: np.ndarray) -> str:
+    """The nonzero coefficients as a signed sum of literals s, e_k or s*e_k,
+    each +0.0 at every other index, so the zeros of the text parse as +0.0;
+    bracketed unless it is one unsigned literal without '*'."""
+    terms = []
+    for k in np.flatnonzero(value):
         v = float(value[k])
-        if k == 0:
-            return repr(v) if v >= 0 else f"(0-{repr(-v)})"
-        if v == 1.0:
-            return f"e{k}"
-        if v == -1.0:
-            return f"(0-e{k})"
-        core = f"{repr(abs(v))}*e{k}"
-        return f"({core})" if v > 0 else f"(0-{core})"
-    parts = []
-    for k in nz:
-        v = float(value[int(k)])
-        mag = repr(abs(v)) if k == 0 else (f"e{int(k)}" if abs(v) == 1.0 else f"{repr(abs(v))}*e{int(k)}")
-        parts.append(("-" if v < 0 else "+") + mag)
-    body = "".join(parts)
-    body = body[1:] if body.startswith("+") else "0" + body
-    return f"({body})"
+        mag = repr(abs(v)) if k == 0 else (f"e{k}" if abs(v) == 1.0 else f"{repr(abs(v))}*e{k}")
+        terms.append(("-" if v < 0 else "+") + mag)
+    if not terms:
+        return "0"
+    if len(terms) == 1 and terms[0][0] == "+" and "*" not in terms[0]:
+        return terms[0][1:]
+    body = "".join(terms)
+    return f"({body[1:] if body[0] == '+' else '0' + body})"
+
+
+def _fmt_const(value: np.ndarray) -> str:
+    """The text of a constant that parses back to the same bits, zero signs
+    included.  A constant with a -0.0 coefficient is written as the negation
+    of -value, which makes every zero -0.0, followed by +(-(0-u))-u for each
+    +0.0 coefficient, u its basis unit: -(0-u) is 1 there and -0.0
+    elsewhere, u is 1 there and +0.0 elsewhere, so that coefficient becomes
+    1 - 1 = +0.0 and every other keeps its bits.  parse("-2") folds to
+    [-2, -0, ...], written (-2.0)."""
+    zero = value == 0.0
+    if not np.signbit(value[zero]).any():
+        return _fmt_terms(value)
+    units = ("1.0" if k == 0 else f"e{k}" for k in np.flatnonzero(zero & ~np.signbit(value)))
+    return "(-" + _fmt_terms(-value) + "".join(f"+(-(0-{u}))-{u}" for u in units) + ")"
 
 
 def _fmt(node: Node) -> str:

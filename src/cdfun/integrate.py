@@ -5,7 +5,9 @@ sums  I(f, gamma; P) = sum_k fhat(z_{k+1}).(dz_k)  over refining
 partitions P: each increment dz_k = gamma(c_{k+1}) - gamma(c_k) is pushed
 through the increment functional of a primitive of f, evaluated at the
 *right* endpoint of the step.  In a noncommutative algebra the endpoint
-convention matters at first order, so it is fixed once and for all here.
+convention matters at first order.  The routes below give the limit in
+closed form or on one certified knot layout; the sums themselves, which
+the tests hold these routes to, are in tests/paper_sums.py.
 
 Every word of a primitive is linear in the increment of its one leaf,
 (z - c)^m or Ln(z - c), so the words around one leaf fold into one matrix
@@ -35,9 +37,6 @@ layout and repeated |turns| times, so many turns do not alias.
 ``est_error`` is the bound plus the rounding of the sum, and the
 refinements are log2(N / 64).
 
-``integral_sum``, the paper's raw increment sum on one partition, is
-``_row_sum`` over every leaf, on any path.
-
 ``log_integral``, the loop integral of d Ln(z - a) behind the index,
 continues the argument along the path in closed form on circles, arcs and
 polylines.  The argument principle's image curves f(gamma(t)) are not
@@ -64,10 +63,9 @@ from .errors import (
     DomainError,
     LevelMismatchError,
     PoleError,
-    SingularElementError,
     StepControlError,
 )
-from .expressions import _PLANE_EPS, Phrase, PrimitiveResult, _fmt_const, _is_number, primitive
+from .expressions import _PLANE_EPS, Phrase, PrimitiveResult, _fmt_const, _is_number, _lift, primitive
 from .transcendental import _split_parts, numerically_real
 
 DEFAULT_TOL = 1e-6
@@ -80,9 +78,6 @@ _DIRECTION_TOL = 1e-9
 #: (|m| + 1) * (|X(gamma(0))| + |X(gamma(1))|) * |matrix|_F.
 _ROUNDING = 8.0 * np.finfo(float).eps
 _EPS = 2.0**-52  # the float64 machine epsilon, without a numpy call at import
-
-#: The most elements of one (knots, d) array of a row sum.
-_ROW_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,8 @@ class Path:
     A circle is sampled as center + radius * (cos phi + sin phi * direction)
     with phi = 2*pi*(start + turns*t): ``start`` is the phase at t = 0, in
     turns, and ``turns`` may be any real number; the path is closed iff it
-    is an integer.  Subpaths and reversals of a circle are circle arcs.
+    is an integer; a circle of fractional turns or a nonzero start is an
+    arc, which ``dataclasses.replace`` builds from a circle.
     Polylines run through their corner list at constant speed with respect
     to arc length.  These are the path kinds ``path_from_json`` builds.
     """
@@ -206,31 +202,6 @@ class Path:
             return np.repeat(self.sample([0.0]), 2, axis=0)
         return self.sample([0.0, 1.0])
 
-    def point(self, t: float) -> CDNumber:
-        return CDNumber(self.level, self.sample([t])[0])
-
-    def reversed(self) -> "Path":
-        """The same points in the opposite order.  Kept for the orientation
-        of the integral: reversing the path negates it."""
-        if self.kind == "circle":
-            return replace(self, start=(self.start + self.turns) % 1.0, turns=-self.turns)
-        return Path.polyline(self.points[::-1])
-
-    def subpath(self, a: float, b: float) -> "Path":
-        """The restriction to [a, b], reparametrized over [0, 1].  A circle's is
-        an arc; a polyline's runs through gamma(a), the corners strictly
-        between, and gamma(b), at constant speed as the polyline does.  Kept
-        for the additivity of the integral over the pieces of a path."""
-        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-            raise DomainError("subpath endpoints must lie in [0, 1]")
-        if self.kind == "circle":
-            return replace(self, start=(self.start + a * self.turns) % 1.0, turns=(b - a) * self.turns)
-        pts, _, _, fracs = self._polyline
-        inner = [] if fracs is None else pts[(fracs > min(a, b)) & (fracs < max(a, b))]
-        ends = self.sample([a, b])
-        rows = [ends[0], *(inner if a <= b else inner[::-1]), ends[1]]
-        return Path.polyline([CDNumber(self.level, p) for p in rows])
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
@@ -298,41 +269,6 @@ def path_from_json(obj, level=None) -> Path:
             f"path describes level {path.level.r}, expected {as_level(level).r}"
         )
     return path
-
-
-# ---------------------------------------------------------------------------
-# partitions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Partition:
-    """A finite increasing knot sequence 0 = c_0 < ... < c_t = 1.  Kept as
-    the paper's partition, whose mesh ``norm`` ``integral_sum`` refines."""
-
-    knots: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        if knots.ndim != 1 or len(knots) < 2:
-            raise DomainError("partition needs at least the two endpoints")
-        if knots[0] != 0.0 or knots[-1] != 1.0:
-            raise DomainError("partition must start at 0 and end at 1")
-        if np.any(np.diff(knots) <= 0.0):
-            raise DomainError("partition knots must be strictly increasing")
-        knots = knots.copy()
-        knots.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
-
-    @property
-    def norm(self) -> float:
-        return float(np.diff(self.knots).max())
-
-    @staticmethod
-    def uniform(n: int) -> "Partition":
-        n = int(n)
-        if n < 1:
-            raise DomainError("partition needs at least one subinterval")
-        return Partition(np.linspace(0.0, 1.0, n + 1))
 
 
 def _on_arc(path: Path, phi):
@@ -437,24 +373,6 @@ class QuadratureResult:
 # integrals
 # ---------------------------------------------------------------------------
 
-def total_variation(gamma: Path, partition: Partition) -> float:
-    """The length estimate sum |gamma(c_{k+1}) - gamma(c_k)| over a partition.
-
-    Nondecreasing under refinement; converges to the arc length (for a
-    circle with turns n: 2*pi*radius*|n|) as the partition norm shrinks.
-    Kept as the paper's rectifiability: its bound over all partitions.
-    """
-    Z = gamma.sample(partition.knots)
-    return float(norm_arrays(np.diff(Z, axis=0)).sum())
-
-
-def _check_levels(f: Phrase, gamma: Path):
-    if f.level.r != gamma.level.r:
-        raise LevelMismatchError(
-            f"phrase level {f.level.r} does not match path level {gamma.level.r}"
-        )
-
-
 def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
     """The midpoint sum of the Ln leaves of a closed circle in their plane,
     over one turn on n knots.  Each (leaf, w0) pair, w0 = x + iy from the
@@ -479,10 +397,7 @@ def _raw_sum(gamma: Path, in_plane: list, n: int) -> np.ndarray:
     for leaf, w0 in in_plane:
         np.add(wave, w0, out=ratio)
         np.divide(wave, ratio, out=ratio)
-        s = weight * complex(ratio.sum())
-        inc = s.imag * m
-        inc[0] = s.real
-        total += inc @ leaf.matrix
+        total += _lift(weight * complex(ratio.sum()), m) @ leaf.matrix
     return total
 
 
@@ -533,32 +448,6 @@ def _closed_in_plane(gamma: Path, in_plane: list, tol: float, max_knots: int) ->
     return QuadratureResult(CDNumber(gamma.level, total), est, refinements, est < tol)
 
 
-def _row_sum(leaves: list, gamma: Path, knots: np.ndarray) -> np.ndarray:
-    """The rows of ``hat_from_primitive`` at z_{k+1} along dz_k = z_{k+1} - z_k,
-    summed over the knots: each leaf's increments, then its matrix once, per
-    block of at most _ROW_BLOCK_ELEMENTS elements per (block, d) array, so
-    memory stays O(block * d) whatever the knot count."""
-    r, d = gamma.level.r, gamma.level.basis_dim
-    step = max(1, _ROW_BLOCK_ELEMENTS // d)
-    total = np.zeros(d)
-    try:
-        for lo in range(0, len(knots) - 1, step):
-            Z = gamma.sample(knots[lo: lo + step + 1])
-            H = np.diff(Z, axis=0)
-            for leaf in leaves:
-                total += leaf.increment(Z[1:], H, r).sum(axis=0) @ leaf.matrix
-    except SingularElementError as e:
-        raise PoleError(f"path meets a singular point of the integrand: {e}") from e
-    return total
-
-
-def integral_sum(f: Phrase, gamma: Path, partition: Partition) -> CDNumber:
-    """The raw right-endpoint increment sum I(f, gamma; P) for one partition.
-    Kept as the paper's increment sum, whose limit defines the integral."""
-    _check_levels(f, gamma)
-    return CDNumber(gamma.level, _row_sum(primitive(f).leaves, gamma, partition.knots))
-
-
 def _newton_leibniz(leaves: list, gamma: Path) -> tuple:
     """(value, rounding bound) of the power leaves' part of the integral:
     sum (X(gamma(1)) - X(gamma(0))) @ matrix with X = (z - c)^m.  A path
@@ -602,7 +491,8 @@ def line_integral(
     sampling.  Leaves are summed in a fixed order, so results are
     bit-reproducible.
     """
-    _check_levels(f, gamma)
+    if f.level.r != gamma.level.r:
+        raise LevelMismatchError(f"phrase level {f.level.r} does not match path level {gamma.level.r}")
     prim = primitive(f)
     logs = [leaf for leaf in prim.leaves if leaf.power == 0]
     _check_poles(prim, gamma)

@@ -47,6 +47,7 @@ from cdfun.errors import (
 )
 from cdfun.expressions import Const, Mul, Phrase, Sub, VarPow, derivative_apply, eval_node_arrays, evaluate, parse
 from cdfun.integrate import Path, _on_arc, _plane_circle, _sampled_log
+from paper_sums import reversed_path, subpath
 
 E1 = basis_element(3, 1)
 E2 = basis_element(3, 2)
@@ -245,9 +246,9 @@ def _winding_case(r, rng, shape, where):
     if shape == "arc":
         gamma = Path.circle(CDNumber(r, center), rho, m, float(rng.uniform(0.3, 3.7) * rng.choice([-1, 1])))
     elif shape == "subpath":
-        gamma = circle.subpath(*rng.uniform(0.0, 1.0, 2))
+        gamma = subpath(circle, *rng.uniform(0.0, 1.0, 2))
     elif shape == "reversed":
-        gamma = circle.subpath(0.15, float(rng.uniform(0.3, 0.9))).reversed()
+        gamma = reversed_path(subpath(circle, 0.15, float(rng.uniform(0.3, 0.9))))
     else:
         gamma = circle
     scale = {"inside": 0.3, "outside": 3.0, "near": 1.0}[where]
@@ -319,7 +320,7 @@ def test_circles_and_polylines_are_wound_without_sampling(monkeypatch):
     m = random_unit_imaginary(3, np.random.default_rng(7))
     circle = Path.circle(zero(3), 1.0, m, 2.0)
     square = Path.polyline([_vec(3, e0=s, e1=t) for s, t in [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]])
-    for gamma in (circle, circle.subpath(0.1, 0.7), circle.reversed(), square):
+    for gamma in (circle, subpath(circle, 0.1, 0.7), reversed_path(circle), square):
         winding_index(_vec(3, e0=0.1, e2=0.05), gamma)
 
 

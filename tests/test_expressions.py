@@ -38,6 +38,7 @@ from cdfun.expressions import (
     VarPow,
     _children,
     _circle_degree,
+    _fmt_const,
     _nodes,
     derivative_apply,
     eval_node_arrays,
@@ -130,6 +131,23 @@ def test_format_parse_round_trip(text):
     tree = phrase_to_json(p)
     assert phrase_to_json(parse(format_phrase(p), 3)) == tree
     assert phrase_to_json(phrase_from_json(tree, 3)) == tree
+
+
+@pytest.mark.parametrize("text", ["-2", "-(2+e1)"])
+def test_negated_constants_keep_their_zero_signs_through_the_text(text):
+    # the negation folds every zero coefficient to -0.0
+    value = parse(text, 2).root.value
+    assert np.signbit(value).all()
+    again = parse(format_phrase(parse(text, 2)), 2).root.value
+    assert again.tobytes() == value.tobytes()
+
+
+def test_every_pattern_of_zero_signs_has_a_text():
+    coefficients = np.array([0.0, -0.0, 2.0, -1.0])
+    for digits in np.ndindex(4, 4, 4, 4):
+        value = coefficients[list(digits)]
+        back = parse(_fmt_const(value), 2).root
+        assert isinstance(back, Const) and back.value.tobytes() == value.tobytes(), value
 
 
 _scalars = st.floats(min_value=0.125, max_value=8.0, allow_nan=False)
