@@ -11,10 +11,11 @@ pole at radius 1e100, an error estimate printed as Infinity, the inverse of
 a point whose squared norm leaves the range of a double, a kernel power
 that overflows on every circle, an annulus whose radii multiply below the
 least double, a Taylor loop of zc*z that doubles to its knot cap, a number
-literal past the range of a double.  A row names its argv, the path object
-written to the ``--path-file`` it gets (or None), the exit code it must end
-with, and either the error kind its report must name or a predicate on its
-report.
+literal past the range of a double, Cauchy derivatives far from their
+contour, a zc superdifferential over the whole basis.  A row names its
+argv, the path object written to the ``--path-file`` it gets (or None), the
+exit code it must end with, and either the error kind its report must name
+or a predicate on its report.
 The whole of stdout must be one strict JSON report, without Infinity or
 NaN.
 
@@ -42,10 +43,10 @@ LIMIT_BYTES = 1 << 30
 D = 256
 
 
-def _circle(turns: float = 1.0, radius: float = 1.0) -> dict:
-    """The (1, e1) circle about 0 at level 8, of unit radius by default."""
-    return {"kind": "circle", "center": [0.0] * D, "radius": radius, "direction": [0.0, 1.0] + [0.0] * (D - 2),
-            "turns": turns}
+def _circle(turns: float = 1.0, radius: float = 1.0, center: float = 0.0) -> dict:
+    """The (1, e1) circle about a real center at level 8, of unit radius about 0 by default."""
+    return {"kind": "circle", "center": [center] + [0.0] * (D - 1), "radius": radius,
+            "direction": [0.0, 1.0] + [0.0] * (D - 2), "turns": turns}
 
 
 def _square() -> dict:
@@ -144,6 +145,17 @@ ROWS = (
     Row("cauchy order past the exponent cap",
         ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector(100.0), "--order", "10000000"], _circle(), 1,
         "usage", timeout_s=10.0),
+    # z^3 has no derivative past order 3; 50 from the contour, the
+    # extrapolation over two circles of radius 5.05 and 2.525 read 6.3 + 5.0*e1
+    # at order 20 and 8.6e47 at order 59, each with exit 0
+    *(Row(f"far-point cauchy of order {k}",
+          ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector(100.0), "--order", str(k)],
+          _circle(radius=50.0, center=100.0), 0, lambda rep: _norm(rep["value"]) <= 1e-6) for k in (20, 59)),
+    # the zc superdifferential of z*zc = |z|^2 along e_t is z*e_t, of norm |z|
+    # in every pair; central differences over 2*256 stencil points took 50-60 ms
+    Row("zbarcheck of z*zc", ["zbarcheck", "--level", "8", "--expr", "z*zc", "--point", _vector(0.3, 0.1, -0.2, 0.5)],
+        None, 0, lambda rep: len(rep["per_pair"]) == D // 2
+        and all(abs(v - _norm([0.3, 0.1, -0.2, 0.5])) <= 1e-15 for v in rep["per_pair"].values())),
     # rho^61 overflows on all three circles at the first power, and the
     # merged kernel loop ended as an internal error
     Row("laurent power overflow on all circles",

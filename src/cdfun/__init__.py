@@ -66,7 +66,6 @@ from .expressions import (
     Phrase,
     derivative_apply,
     evaluate,
-    evaluate_two_slot,
     format_phrase,
     parse,
     phrase_from_json,

@@ -298,9 +298,9 @@ def _harmonic(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
     return harmonic_check(expr, point, threshold=threshold, step=step).to_json()
 
 
-def _zbarcheck(r, expr, point, step=DEFAULT_STEP, threshold=DEFAULT_THRESHOLD):
-    """Conjugate-slot derivative check at --point."""
-    return zbar_check(expr, point, threshold=threshold, step=step).to_json()
+def _zbarcheck(r, expr, point, threshold=DEFAULT_THRESHOLD):
+    """Closed-form zc-superdifferential check at --point."""
+    return zbar_check(expr, point, threshold=threshold).to_json()
 
 
 def _zerodiv(r):

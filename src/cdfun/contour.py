@@ -17,12 +17,17 @@ Everything else here reduces to loop integrals, by two integration routes:
   and exactly for Laurent polynomials in zeta - a: for those one layout
   sized by the degree is certified, and other phrases double their knots.
 
-Cauchy evaluation deforms to a small circle centered at the evaluation
-point itself (direction taken from the given contour): integrating the
-kernel against f over the *given* contour would need the kernel's primitive
-along paths far from the singularity, where it is not a phrase.  The small
-circle leaves an even-order bias in its radius, which one extrapolation
-step (4*S(rho/2) - S(rho))/3 removes.
+Cauchy evaluation deforms to a circle centered at the evaluation point
+itself (direction taken from the given contour): integrating the kernel
+against f over the *given* contour would need the kernel's primitive along
+paths far from the singularity, where it is not a phrase.  A phrase free of
+zc that is a Laurent polynomial about the point, in a contour plane holding
+the point and its constants, is a complex Laurent polynomial there: one
+circle of half the distance to the contour gives the integral exactly, and
+its width keeps the k!-scaled rounding of high orders small (Bornemann,
+Found. Comput. Math. 11, 2011).  On any other phrase a small circle leaves
+an even-order bias in its radius, which one extrapolation step
+(4*S(rho/2) - S(rho))/3 removes.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .expressions import (
+    _DZC,
     Const,
     Node,
     Phrase,
@@ -505,15 +511,20 @@ def _deformed_kernel_value(
     dist = distance_range(z.coeffs, psi)[0]
     if dist < 10.0 * TWO_PI * radius / MAX_KNOTS:
         raise DomainError("evaluation point is too close to the contour for a reliable value")
-    rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
-    full, half = _kernel_loop(f, z, m, [(rho, False), (rho / 2.0, False)], [power], tol)
-    if not (full.converged and half.converged):
-        raise NonConvergenceError(
-            f"{what} quadrature did not converge", best=half.value * scale
-        )
-    # the small-circle bias is even in rho; one extrapolation step removes
-    # the rho^2 term
-    return (half.value * 4.0 - full.value) * (1.0 / 3.0) * scale
+    if (not f.root.flags & _DZC and _circle_degree(f.root, z.coeffs, f.level.r) is not None
+            and _plane_constants(f.root, m.coeffs, z.coeffs) is not None):
+        # exact on any radius, and the widest rounds least at high orders
+        circles = [(0.5 * dist, False)]
+    else:
+        rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
+        circles = [(rho, False), (rho / 2.0, False)]
+    *wider, smallest = _kernel_loop(f, z, m, circles, [power], tol)
+    if not all(res.converged for res in (*wider, smallest)):
+        raise NonConvergenceError(f"{what} quadrature did not converge", best=smallest.value * scale)
+    if not wider:
+        return smallest.value * scale
+    # the small-circle bias is even in rho; one extrapolation step removes the rho^2 term
+    return (smallest.value * 4.0 - wider[0].value) * (1.0 / 3.0) * scale
 
 
 def cauchy_eval(f: Phrase, z: CDNumber, psi: Path, tol: float = 1e-6) -> CDNumber:

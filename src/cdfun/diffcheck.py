@@ -1,4 +1,4 @@
-"""Finite-difference verification of superdifferentiability structure.
+"""Verification of superdifferentiability structure.
 
 Three independent checks on a phrase f read as a map R^(2^r) -> R^(2^r) in
 the real coordinates w_s of z = sum_s w_s e_s:
@@ -13,18 +13,17 @@ the real coordinates w_s of z = sum_s w_s e_s:
 * ``harmonic_check`` — every component F_s is harmonic in every coordinate
   pair: d2F_s/dw_p^2 + d2F_s/dw_q^2 = 0.  A second-order consequence of the
   Cauchy-Riemann system, so it must pass wherever cr_check passes.
-* ``zbar_check`` — the holomorphy criterion proper.  The coordinates are
-  grouped in consecutive pairs (e_{2j}, e_{2j+1}); on each pair the
-  anti-holomorphic slot derivative must vanish.  For a phrase this means
-  differentiating the conjugate-variable slots only (the ``zc`` leaves),
-  holding the plain ``z`` slots fixed: any pure-z phrase passes, any phrase
-  with surviving zc dependence fails in every pair it touches.
+* ``zbar_check`` — the holomorphy criterion proper: on each consecutive
+  coordinate pair (e_{2j}, e_{2j+1}) the superdifferential in zc vanishes.
+  It is read in closed form (``derivative_apply`` with wrt="zc"): any phrase
+  free of zc passes with residual exactly 0, and any phrase with surviving
+  zc dependence fails in every pair it touches.
 
-All derivatives are central differences with step ``step * (1 + |z|)``;
-residuals of exact pass cases therefore shrink as O(step^2).  A step that
-is not positive and finite, or that rounds away at the probe point, is a
-DomainError.  Each check evaluates its whole stencil (the points w +- h*e_t,
-and w itself for the second differences) as one batch.
+cr_check and harmonic_check take central differences with step
+``step * (1 + |z|)``, so residuals of exact pass cases shrink as O(step^2),
+and evaluate their whole stencil (the points w +- h*e_t, and w itself for
+second differences) as one batch.  A step that is not positive and finite,
+or that rounds away at the probe point, is a DomainError.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .algebra import CDNumber, basis_table, conj_arrays, norm_arrays
 from .errors import DomainError
-from .expressions import Phrase, evaluate_two_slot
+from .expressions import Phrase, derivative_apply, eval_node_arrays
 
 DEFAULT_STEP = 1e-5
 DEFAULT_THRESHOLD = 1e-4
@@ -74,14 +73,16 @@ def _report(per_pair: Dict[str, float], threshold: float) -> CRReport:
     return CRReport(float(worst), per_pair, bool(worst <= threshold), float(threshold))
 
 
+def _coefficients(f: Phrase, z: CDNumber) -> np.ndarray:
+    if z.level != f.level:
+        raise DomainError(f"probe point lives at level {z.level.r}, phrase at level {f.level.r}")
+    return np.array(z.coeffs, dtype=float)
+
+
 def _probe_point(f: Phrase, z: CDNumber, step: float) -> Tuple[np.ndarray, float]:
     if not (step > 0.0 and np.isfinite(step)):
         raise DomainError(f"finite-difference step must be positive, got {step!r}")
-    if z.level != f.level:
-        raise DomainError(
-            f"probe point lives at level {z.level.r}, sample at level {f.level.r}"
-        )
-    w = np.array(z.coeffs, dtype=float)
+    w = _coefficients(f, z)
     h = step * (1.0 + float(norm_arrays(w)))
     # every stencil coordinate w_q +- h must move by h to within h/2, and
     # the second differences divide by h^2, which must not underflow
@@ -91,10 +92,9 @@ def _probe_point(f: Phrase, z: CDNumber, step: float) -> Tuple[np.ndarray, float
     return w, h
 
 
-def _stencil(f: Phrase, w: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """The phrase at coefficient rows ``w`` in basis order (the indexing
-    CDNumber uses), its zc leaves reading the rows ``wbar``."""
-    out = evaluate_two_slot(f, w, wbar)
+def _stencil(f: Phrase, points: np.ndarray) -> np.ndarray:
+    """The phrase at coefficient rows ``points`` in basis order (the indexing CDNumber uses)."""
+    out = eval_node_arrays(f.root, points, f.level.r)
     if not np.all(np.isfinite(out)):
         raise DomainError("field sample returned a non-finite value inside the stencil")
     return out
@@ -115,7 +115,7 @@ def cr_check(f: Phrase, z: CDNumber, threshold: float = DEFAULT_THRESHOLD, step:
     d = w.size
     steps = h * np.eye(d)
     points = np.concatenate([w + steps, w - steps])
-    values = _stencil(f, points, conj_arrays(points))
+    values = _stencil(f, points)
     partials = (values[:d] - values[d:]) / (2.0 * h)
     # p * conj(e_q) = -p * e_q, whose coefficient c is -sign[c ^ q, q] * p[c ^ q]:
     # one gather from the basis table in place of d - 1 products
@@ -136,7 +136,7 @@ def harmonic_check(f: Phrase, z: CDNumber, threshold: float = DEFAULT_THRESHOLD,
     d = w.size
     steps = h * np.eye(d)
     points = np.concatenate([w[None, :], w + steps, w - steps])
-    values = _stencil(f, points, conj_arrays(points))
+    values = _stencil(f, points)
     center = values[0]
     second = (values[1 : d + 1] - 2.0 * center + values[d + 1 :]) / (h * h)
     per = {}
@@ -146,20 +146,18 @@ def harmonic_check(f: Phrase, z: CDNumber, threshold: float = DEFAULT_THRESHOLD,
     return _report(per, threshold)
 
 
-def zbar_check(f: Phrase, z: CDNumber, threshold: float = DEFAULT_THRESHOLD, step: float = DEFAULT_STEP) -> CRReport:
-    """Anti-holomorphic slot derivative on each consecutive coordinate pair.
+def zbar_check(f: Phrase, z: CDNumber, threshold: float = DEFAULT_THRESHOLD) -> CRReport:
+    """Superdifferential in zc on each consecutive coordinate pair.
 
-    Writing the map with its conjugate-variable occurrences bound to an
-    independent second slot, holomorphy says the second-slot derivative
-    vanishes.  The basis directions are grouped in pairs (e_{2j}, e_{2j+1});
-    the reported residual per pair is the larger of the two directional
-    slot derivatives.
+    Taken in closed form along every basis direction at once, the zc leaves
+    moving along e_t (z along conj(e_t)); the residual per pair (e_{2j},
+    e_{2j+1}) is the larger norm of its two directional derivatives.  A
+    non-finite derivative is a DomainError, and a vanishing base under a
+    negative power a PoleError.
     """
-    w, h = _probe_point(f, z, step)
-    d = w.size
-    steps = h * np.eye(d)
-    wbar = conj_arrays(w)
-    values = _stencil(f, w, np.concatenate([wbar + steps, wbar - steps]))
-    slopes = norm_arrays((values[:d] - values[d:]) / (2.0 * h))
-    per = {f"e{2 * j}|e{2 * j + 1}": float(max(slopes[2 * j], slopes[2 * j + 1])) for j in range(d // 2)}
-    return _report(per, threshold)
+    w = _coefficients(f, z)
+    der = derivative_apply(f, w, conj_arrays(np.eye(w.size)), wrt="zc")
+    if not np.all(np.isfinite(der)):
+        raise DomainError("the zc superdifferential is not finite at the probe point")
+    pairs = norm_arrays(der).reshape(-1, 2).max(axis=1)
+    return _report({f"e{2 * j}|e{2 * j + 1}": float(worst) for j, worst in enumerate(pairs)}, threshold)

@@ -649,7 +649,7 @@ def _pow_value(base, n, r):
 
 
 def _eval_slots(node: Node, Z1, Z2, r) -> np.ndarray:
-    """Evaluate with independent slots: plain z leaves read Z1, zc leaves Z2.
+    """Evaluate with plain z leaves reading Z1 and zc leaves Z2, which is conj(Z1).
 
     A subtree free of the variables stays a single (d,) element; the callers
     that promise a batch spread it with _over_batch.
@@ -693,15 +693,6 @@ def eval_node_arrays(node: Node, Z, r) -> np.ndarray:
 def evaluate(f: Phrase, z):
     Z, wrap = _as_batch(f.level, z)
     out = eval_node_arrays(f.root, Z, f.level.r)
-    return CDNumber(f.level, out) if wrap else out
-
-
-def evaluate_two_slot(f: Phrase, z1, z2):
-    """Evaluate with zc leaves bound to the independent value z2 (not conj(z1))."""
-    Z1, wrap = _as_batch(f.level, z1)
-    Z2, _ = _as_batch(f.level, z2)
-    Z1b, Z2b = np.broadcast_arrays(Z1, Z2)
-    out = _over_batch(_eval_slots(f.root, Z1b, Z2b, f.level.r), Z1b)
     return CDNumber(f.level, out) if wrap else out
 
 

@@ -478,7 +478,7 @@ ROUTE_JOBS = {
     "roots": {"expr": "z^2 + (1.0)", "tol": 1e-3, "seed": 7},
     "crcheck": {"expr": "zc", "point": _P, "step": 2e-5, "threshold": 1e-3},
     "harmonic": {"expr": "z*zc", "point": _P, "step": 2e-5, "threshold": 1e-3},
-    "zbarcheck": {"expr": "e2*z^3", "point": _P, "step": 2e-5, "threshold": 1e-3},
+    "zbarcheck": {"expr": "e2*z^3", "point": _P, "threshold": 1e-3},
     "zerodiv": {},
 }
 
@@ -939,7 +939,7 @@ def test_differentiability_commands():
 
 
 @pytest.mark.parametrize("step", [["--step", "0"], ["--step=-1e-5"]], ids=["zero", "negative"])
-@pytest.mark.parametrize("command", ["crcheck", "harmonic", "zbarcheck"])
+@pytest.mark.parametrize("command", ["crcheck", "harmonic"])
 def test_non_positive_step_is_usage_error(command, step):
     # --step is read like --rho and --tol: a bad flag value is a usage error
     code, rep = invoke_json([command, "--level", "2", "--expr", "z",
@@ -947,11 +947,19 @@ def test_non_positive_step_is_usage_error(command, step):
     assert (code, rep["error"]["kind"]) == (1, "usage")
 
 
+def test_zbarcheck_takes_no_step():
+    # the zc superdifferential is read in closed form, with no stencil to size
+    code, rep = invoke_json(["zbarcheck", "--level", "2", "--expr", "zc",
+                             "--point", "[0.3, 0.1, -0.2, 0.5]", "--step", "1e-5"])
+    assert (code, rep["error"]["kind"]) == (1, "usage")
+    assert "--step" in rep["error"]["detail"]
+
+
 @pytest.mark.parametrize("step,expr", [("1e-320", "zc"), ("1e-200", "zc*z")])
-@pytest.mark.parametrize("command", ["crcheck", "harmonic", "zbarcheck"])
+@pytest.mark.parametrize("command", ["crcheck", "harmonic"])
 def test_step_lost_to_rounding_is_a_domain_error(command, step, expr):
-    # 0.3 + 1e-320 is 0.3, so crcheck and zbarcheck of zc passed with
-    # residual 0, and harmonic of zc*z at 1e-200, where h^2 underflows, wrote NaN
+    # 0.3 + 1e-320 is 0.3, so crcheck of zc passed with residual 0, and
+    # harmonic of zc*z at 1e-200, where h^2 underflows, wrote NaN
     code, out = invoke([command, "--level", "2", "--expr", expr, "--point", "[0.3, 0.1, -0.2, 0.5]", "--step", step])
     assert (code, json.loads(out)["error"]["kind"]) == (2, "domain")
 

@@ -549,6 +549,17 @@ def test_derivative_radius_independent():
     assert (a - b).norm() <= 2e-6
 
 
+@pytest.mark.parametrize("r", [1, 8])
+@pytest.mark.parametrize("k", [20, 40, 59])
+def test_derivative_far_from_its_contour_vanishes_past_the_degree(r, k):
+    # 50 from the contour, the extrapolation over two circles of radius 5.05
+    # and 2.525 read 6.3 + 5.0*e1 at k = 20 and 8.6e47 at k = 59, with no
+    # error; z^3 is a polynomial about z in the contour plane, so one circle
+    # of radius 25 takes it exactly
+    psi = Path.circle(from_real(r, 100.0), 50.0, basis_element(r, 1), 1.0)
+    assert cauchy_derivative(parse("z^3", r), from_real(r, 100.0), k, psi).norm() <= 1e-9
+
+
 def test_derivative_rejects_nonpositive_order():
     psi = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
     with pytest.raises(DomainError):

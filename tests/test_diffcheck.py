@@ -25,7 +25,7 @@ from cdfun.diffcheck import (
     harmonic_check,
     zbar_check,
 )
-from cdfun.errors import DomainError
+from cdfun.errors import DomainError, PoleError
 from cdfun.expressions import (
     Add,
     Const,
@@ -33,7 +33,7 @@ from cdfun.expressions import (
     Phrase,
     VarPow,
     derivative_apply,
-    evaluate_two_slot,
+    evaluate,
     parse,
 )
 
@@ -184,6 +184,35 @@ def test_zbar_sees_conjugate_inside_products():
     assert not rep.verdict
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_zbar_of_zc_free_phrases_is_exactly_zero(r):
+    # the zc superdifferential of a phrase without zc is structurally 0; z^60
+    # at 1e10 overflows, and the central differences refused it as non-finite
+    rng = np.random.default_rng([r, 71])
+    for text, z in (("z^60", from_real(r, 1e10)), ("e1*z^3 + z^-2", random_element(r, rng)),
+                    ("(z*e1 - 0.5)^2*(z + 0.25)", random_element(r, rng))):
+        rep = zbar_check(parse(text, r), z)
+        assert rep.verdict and rep.max_residual == 0.0, text
+        assert len(rep.per_pair) == 2 ** (r - 1)
+        assert all(v == 0.0 for v in rep.per_pair.values())
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_zbar_of_the_squared_norm_is_the_norm_in_every_pair(r):
+    # D_zc(z*zc).h = z*conj(h), and with the zc leaves moving along e_t that
+    # is z*e_t, a signed permutation of z, of norm |z|
+    z = random_element(r, np.random.default_rng([r, 73]))
+    rep = zbar_check(parse("z*zc", r), z)
+    assert not rep.verdict
+    for value in rep.per_pair.values():
+        assert value == pytest.approx(z.norm(), rel=4 * np.finfo(float).eps)
+
+
+def test_zbar_of_a_negative_conjugate_power_at_zero_is_a_pole():
+    with pytest.raises(PoleError):
+        zbar_check(parse("zc^-1", 2), from_real(2, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # right-superlinear maps: the null space solved in scripts/right_superlinear_demo.py
 # ---------------------------------------------------------------------------
@@ -331,21 +360,24 @@ def test_report_json_schema():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sample_validation():
-    for check in (cr_check, harmonic_check, zbar_check):
+    for check in (cr_check, harmonic_check):
         with pytest.raises(DomainError):
             check(parse("z", 2), from_real(2, 0.1), step=0.0)
-    # (1e10)^60 overflows inside the stencil, to inf and then inf - inf
+    # (1e10)^60 overflows inside the stencil, to inf and then inf - inf, and
+    # the zc superdifferential of zc^60 there overflows alike
     big = from_real(2, 1e10)
-    for check in (cr_check, harmonic_check, zbar_check):
+    for check in (cr_check, harmonic_check):
         with pytest.raises(DomainError, match="non-finite"):
             check(parse("z^60", 2), big)
+    with pytest.raises(DomainError, match="not finite"):
+        zbar_check(parse("zc^60", 2), big)
 
 
 @pytest.mark.parametrize(
     "check,text,step,w",
-    [(cr_check, "zc", 1e-320, [0.3, 0.1, -0.2, 0.5]), (zbar_check, "zc", 1e-320, [0.3, 0.1, -0.2, 0.5]),
+    [(cr_check, "zc", 1e-320, [0.3, 0.1, -0.2, 0.5]),
      (harmonic_check, "zc*z", 1e-200, [0.3, 0.1, -0.2, 0.5]), (harmonic_check, "z^2", 1e-170, [0.0] * 4)],
-    ids=["cr-rounds", "zbar-rounds", "harmonic-rounds", "harmonic-underflows"],
+    ids=["cr-rounds", "harmonic-rounds", "harmonic-underflows"],
 )
 def test_step_lost_to_rounding_is_a_domain_error(check, text, step, w):
     # 0.3 + 1e-320 rounds to 0.3, and at 0, where every stencil coordinate
@@ -357,18 +389,14 @@ def test_step_lost_to_rounding_is_a_domain_error(check, text, step, w):
 
 
 def test_level_mismatch_rejected():
-    with pytest.raises(DomainError):
-        cr_check(parse("z", 3), from_real(2, 0.1))
+    for check in (cr_check, harmonic_check, zbar_check):
+        with pytest.raises(DomainError, match="phrase at level 3"):
+            check(parse("z", 3), from_real(2, 0.1))
 
 
 # ---------------------------------------------------------------------------
 # batched stencils against the per-direction loops they replaced
 # ---------------------------------------------------------------------------
-
-def _at(f, w, wbar=None):
-    """The phrase at one point, as the per-direction loops evaluated it."""
-    return evaluate_two_slot(f, w, conj_arrays(w) if wbar is None else wbar)
-
 
 def _reference_per_pair(kind, f, z):
     """per_pair of one check, one stencil point per evaluation."""
@@ -381,31 +409,25 @@ def _reference_per_pair(kind, f, z):
         for t in range(d):
             e = np.zeros(d)
             e[t] = h
-            partials[t] = (_at(f, w + e) - _at(f, w - e)) / (2.0 * h)
+            partials[t] = (evaluate(f, w + e) - evaluate(f, w - e)) / (2.0 * h)
         for q in range(1, d):
             eq_conj = conj_arrays(basis_element(f.level, q).coeffs)
             candidate = mul_arrays(partials[q], eq_conj, f.level.r)
             per[f"e{q}"] = float(norm_arrays(partials[0] - candidate))
     elif kind == "harmonic":
-        center = _at(f, w)
+        center = evaluate(f, w)
         second = np.empty((d, d))
         for t in range(d):
             e = np.zeros(d)
             e[t] = h
-            second[t] = (_at(f, w + e) - 2.0 * center + _at(f, w - e)) / (h * h)
+            second[t] = (evaluate(f, w + e) - 2.0 * center + evaluate(f, w - e)) / (h * h)
         for p, q in itertools.combinations(range(d), 2):
             per[f"e{p}|e{q}"] = float(np.max(np.abs(second[p] + second[q])))
     else:
-        wbar = conj_arrays(w)
+        # one closed-form zc superdifferential per direction, z along conj(e_t)
+        slopes = [float(norm_arrays(derivative_apply(f, w, conj_arrays(np.eye(d)[t]), wrt="zc"))) for t in range(d)]
         for j in range(d // 2):
-            worst = 0.0
-            for t in (2 * j, 2 * j + 1):
-                e = np.zeros(d)
-                e[t] = h
-                plus = _at(f, w, wbar + e)
-                minus = _at(f, w, wbar - e)
-                worst = max(worst, float(norm_arrays((plus - minus) / (2.0 * h))))
-            per[f"e{2 * j}|e{2 * j + 1}"] = worst
+            per[f"e{2 * j}|e{2 * j + 1}"] = max(slopes[2 * j], slopes[2 * j + 1])
     return per
 
 
@@ -413,13 +435,16 @@ _CHECKS = {"cr": cr_check, "harmonic": harmonic_check, "zbar": zbar_check}
 
 
 @pytest.mark.parametrize(
-    "r, kind", [(r, kind) for r in (1, 2, 3, 4) for kind in sorted(_CHECKS)] + [(r, "cr") for r in (5, 6, 7, 8)]
+    "r, kind",
+    [(r, kind) for r in (1, 2, 3, 4) for kind in sorted(_CHECKS)] + [(r, k) for r in (5, 6, 7, 8) for k in ("cr", "zbar")]
 )
 def test_batched_stencil_matches_per_direction_loops(r, kind):
     # Constants that are scaled basis elements make every product with them
     # exact, so one batch and one point at a time give the same bits.  The
     # cr case runs up to r = 8, where its gather from the sign table stands
-    # against one product by conj(e_q) per direction.
+    # against one product by conj(e_q) per direction.  The zc power strings
+    # multiply dense rows, element by batch against element by element, so
+    # zbar agrees to the rounding of a d-term sum.
     rng = np.random.default_rng([r, len(kind)])
     for text in ("e1*z^3*e1 + (0.5)*zc^-2", "z*zc + (z - 0.3)^-1*e1",
                  "(0.2)*zc^3*e1 + z^-1 + z^2*(1.5)"):
@@ -428,7 +453,10 @@ def test_batched_stencil_matches_per_direction_loops(r, kind):
         got = _CHECKS[kind](f, z).per_pair
         want = _reference_per_pair(kind, f, z)
         assert list(got) == list(want)
-        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], text
+        if kind == "zbar":
+            assert list(got.values()) == pytest.approx(list(want.values()), rel=2**r * np.finfo(float).eps), text
+        else:
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], text
 
 
 @pytest.mark.parametrize("kind", sorted(_CHECKS))
@@ -446,7 +474,7 @@ def test_batched_stencil_with_dense_constants_agrees_to_rounding(kind, r):
     z = random_element(r, rng)
     w = np.array(z.coeffs)
     h = DEFAULT_STEP * (1.0 + float(norm_arrays(w)))
-    scale = float(np.max(np.abs(_at(f, w)))) + 1.0
+    scale = float(np.max(np.abs(evaluate(f, w)))) + 1.0
     tol = 4 * d * np.finfo(float).eps * scale / (h * h if kind == "harmonic" else h)
     got = _CHECKS[kind](f, z).per_pair
     want = _reference_per_pair(kind, f, z)

@@ -43,7 +43,6 @@ from cdfun.expressions import (
     derivative_apply,
     eval_node_arrays,
     evaluate,
-    evaluate_two_slot,
     format_phrase,
     hat_from_primitive,
     parse,
@@ -387,13 +386,13 @@ def test_zero_power_is_one_and_pole_error():
         evaluate(parse("z^-1", 3), zero(3))
 
 
-def test_two_slot_evaluation_binds_zc_independently():
+def test_zc_leaves_read_the_conjugate():
     rng = _rng(4)
     f = parse("z + 0.5*zc", 3)
-    z1, z2 = random_element(3, rng), random_element(3, rng)
-    assert evaluate_two_slot(f, z1, z2).allclose(z1 + z2 * 0.5, 1e-14)
-    # diagonal reduces to plain evaluation
-    assert evaluate_two_slot(f, z1, z1.conj()).allclose(evaluate(f, z1), 1e-14)
+    z, h = random_element(3, rng), random_element(3, rng)
+    assert evaluate(f, z).allclose(z + z.conj() * 0.5, 1e-14)
+    # the zc superdifferential moves the zc leaves along conj(h)
+    assert derivative_apply(f, z, h, wrt="zc").allclose(h.conj() * 0.5, 1e-14)
 
 
 # ---------------------------------------------------------------------------
