@@ -12,10 +12,10 @@ a point whose squared norm leaves the range of a double, a kernel power
 that overflows on every circle, an annulus whose radii multiply below the
 least double, a Taylor loop of zc*z that doubles to its knot cap, a number
 literal past the range of a double, Cauchy derivatives far from their
-contour, a zc superdifferential over the whole basis.  A row names its
-argv, the path object written to the ``--path-file`` it gets (or None), the
-exit code it must end with, and either the error kind its report must name
-or a predicate on its report.
+contour, a Cauchy value on a contour of radius 1e6, a zc superdifferential
+over the whole basis.  A row names its argv, the path object written to the
+``--path-file`` it gets (or None), the exit code it must end with, and
+either the error kind its report must name or a predicate on its report.
 The whole of stdout must be one strict JSON report, without Infinity or
 NaN.
 
@@ -151,6 +151,10 @@ ROWS = (
     *(Row(f"far-point cauchy of order {k}",
           ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector(100.0), "--order", str(k)],
           _circle(radius=50.0, center=100.0), 0, lambda rep: _norm(rep["value"]) <= 1e-6) for k in (20, 59)),
+    # an order up to the degree keeps the small circle: one of half the
+    # distance, radius 5e5, rounded past tol and doubled to the knot cap
+    Row("cauchy of z^3 on a radius-1e6 contour", ["cauchy", "--level", "8", "--expr", "z^3", "--point", _vector()],
+        _circle(radius=1e6), 0, lambda rep: _norm(rep["value"]) <= 1e-6),
     # the zc superdifferential of z*zc = |z|^2 along e_t is z*e_t, of norm |z|
     # in every pair; central differences over 2*256 stencil points took 50-60 ms
     Row("zbarcheck of z*zc", ["zbarcheck", "--level", "8", "--expr", "z*zc", "--point", _vector(0.3, 0.1, -0.2, 0.5)],

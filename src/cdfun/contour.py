@@ -21,11 +21,12 @@ Cauchy evaluation deforms to a circle centered at the evaluation point
 itself (direction taken from the given contour): integrating the kernel
 against f over the *given* contour would need the kernel's primitive along
 paths far from the singularity, where it is not a phrase.  A phrase free of
-zc that is a Laurent polynomial about the point, in a contour plane holding
-the point and its constants, is a complex Laurent polynomial there: one
-circle of half the distance to the contour gives the integral exactly, and
-its width keeps the k!-scaled rounding of high orders small (Bornemann,
-Found. Comput. Math. 11, 2011).  On any other phrase a small circle leaves
+zc that is a Laurent polynomial of degree D about the point, in a contour
+plane holding the point and its constants, is a complex Laurent polynomial
+there, integrated exactly on one circle of any radius rho.  Its rounding
+scales as rho^(D - k) at order k, so an order past D takes the circle of
+half the distance to the contour (Bornemann, Found. Comput. Math. 11, 2011)
+and any other the small radius.  On any other phrase a small circle leaves
 an even-order bias in its radius, which one extrapolation step
 (4*S(rho/2) - S(rho))/3 removes.
 """
@@ -511,12 +512,11 @@ def _deformed_kernel_value(
     dist = distance_range(z.coeffs, psi)[0]
     if dist < 10.0 * TWO_PI * radius / MAX_KNOTS:
         raise DomainError("evaluation point is too close to the contour for a reliable value")
-    if (not f.root.flags & _DZC and _circle_degree(f.root, z.coeffs, f.level.r) is not None
-            and _plane_constants(f.root, m.coeffs, z.coeffs) is not None):
-        # exact on any radius, and the widest rounds least at high orders
-        circles = [(0.5 * dist, False)]
+    rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
+    degree = None if f.root.flags & _DZC else _circle_degree(f.root, z.coeffs, f.level.r)
+    if degree is not None and _plane_constants(f.root, m.coeffs, z.coeffs) is not None:
+        circles = [(0.5 * dist if -power - 1 > degree else rho, False)]
     else:
-        rho = min(0.5 * dist, 0.05 * (1.0 + z.norm()))
         circles = [(rho, False), (rho / 2.0, False)]
     *wider, smallest = _kernel_loop(f, z, m, circles, [power], tol)
     if not all(res.converged for res in (*wider, smallest)):

@@ -560,6 +560,22 @@ def test_derivative_far_from_its_contour_vanishes_past_the_degree(r, k):
     assert cauchy_derivative(parse("z^3", r), from_real(r, 100.0), k, psi).norm() <= 1e-9
 
 
+@pytest.mark.parametrize("r", [1, 8])
+@pytest.mark.parametrize("expr, radius, k, want", [
+    ("z^3", 1e6, 0, 0.0), ("z^3", 1e6, 1, 0.0), ("z^3", 1e6, 3, 6.0),
+    ("z^20", 10.0, 1, 0.0), ("z^60*z^60", 1e3, 2, 0.0),
+])
+def test_orders_up_to_the_degree_keep_the_small_circle(r, expr, radius, k, want):
+    # on a circle of half the distance to the contour, rho^(D - k) * max|f|
+    # rounds far past tol when k <= D: z^3 on a radius-5e5 circle doubled to
+    # its knot cap, and z^120 on a radius-500 one overflowed
+    m = basis_element(r, 1)
+    psi = Path.circle(zero(r), radius, m, 1.0)
+    f = parse(expr, r)
+    got = cauchy_eval(f, zero(r), psi) if k == 0 else cauchy_derivative(f, zero(r), k, psi)
+    assert (got - m * want).norm() <= 1e-9
+
+
 def test_derivative_rejects_nonpositive_order():
     psi = Path.circle(zero(2), 1.0, basis_element(2, 1), 1.0)
     with pytest.raises(DomainError):
@@ -714,7 +730,8 @@ def test_small_circle_coefficients_need_no_rounding_floor():
     cs = taylor_coeffs(parse("z^2+10", 2), zero(2), 8, Path.circle(zero(2), 0.1, e1, 1.0), 1e-6)
     for k, c in enumerate(cs):
         assert (c - from_real(2, {0: 10.0, 2: 1.0}.get(k, 0.0))).norm() <= 1e-6, k
-    # the fifth derivative takes rho^-5 = 3.2e6 on its rho = 0.05 circle
+    # the fifth derivative is past the degree 2, so it takes one circle of
+    # half the distance to the contour, where rho^-5 = 32
     d5 = cauchy_derivative(parse("z^2+10", 2), zero(2), 5, Path.circle(zero(2), 1.0, e1, 1.0))
     assert d5.norm() <= 1e-4
 
